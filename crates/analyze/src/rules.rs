@@ -548,12 +548,11 @@ fn act007_budget_blind_loops(file: &File, sink: &mut Sink<'_>) {
         // Does the function consult any of them (or the type directly)?
         let mut consulted = false;
         walk_block(body, &mut |e| match &e.kind {
-            ExprKind::Path(segs) => {
+            ExprKind::Path(segs)
                 if segs.iter().any(|s| s == "EvalBudget")
-                    || segs.first().is_some_and(|s| budgets.contains(s))
-                {
-                    consulted = true;
-                }
+                    || segs.first().is_some_and(|s| budgets.contains(s)) =>
+            {
+                consulted = true;
             }
             ExprKind::Field { name, .. } if budgets.contains(name) => consulted = true,
             _ => {}

@@ -15,7 +15,7 @@
 //!   `Retry-After`, so memory stays bounded no matter the offered load.
 //! * **Panic isolation** — each request runs under `catch_unwind`; a
 //!   panicking handler costs one `500`, not the process. Worker threads
-//!   that die anyway are respawned by the accept loop.
+//!   that die anyway are respawned by a housekeeping thread.
 //! * **Graceful shutdown** — on [`ShutdownHandle::request`] (wired to
 //!   SIGTERM/ctrl-c by the CLI) the listener stops accepting, in-flight
 //!   requests drain under a deadline, and [`Server::serve`] returns a
@@ -43,7 +43,7 @@ pub mod routes;
 pub mod stats;
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -198,7 +198,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener (non-blocking accept; workers start in
+    /// Binds the listener (blocking accept; workers start in
     /// [`serve`](Self::serve)).
     ///
     /// # Errors
@@ -206,7 +206,6 @@ impl Server {
     /// Propagates bind/configuration failures.
     pub fn bind(config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Self {
             listener,
             config,
@@ -244,60 +243,25 @@ impl Server {
     /// Runs the accept loop until shutdown, then drains and returns the
     /// final stats snapshot.
     ///
+    /// The loop blocks in `accept`; a housekeeping thread respawns dead
+    /// workers and, once shutdown is requested, opens one throwaway
+    /// connection to wake the blocked `accept`.
+    ///
     /// # Errors
     ///
-    /// Propagates listener errors other than `WouldBlock`.
+    /// Propagates listener errors other than `Interrupted`.
     pub fn serve(self) -> std::io::Result<StatsSnapshot> {
         let queue = Arc::new(Queue::new(self.config.queue_capacity));
+        let wake_addr = wake_addr(self.local_addr());
         let config = Arc::new(self.config);
-        let mut workers: Vec<std::thread::JoinHandle<()>> = (0..config.workers.max(1))
-            .map(|_| spawn_worker(&queue, &config, &self.stats, &self.shutdown))
-            .collect();
+        let housekeeper = {
+            let (queue, config) = (Arc::clone(&queue), Arc::clone(&config));
+            let (stats, shutdown) = (Arc::clone(&self.stats), self.shutdown.clone());
+            std::thread::spawn(move || housekeep(&queue, &config, &stats, &shutdown, wake_addr))
+        };
 
-        let mut conn_id: u64 = 0;
-        while !self.shutdown.is_requested() {
-            // Respawn any worker that died (e.g. the kill-worker fault).
-            for slot in &mut workers {
-                if slot.is_finished() {
-                    let dead = std::mem::replace(
-                        slot,
-                        spawn_worker(&queue, &config, &self.stats, &self.shutdown),
-                    );
-                    let _ = dead.join();
-                    ServerStats::bump(&self.stats.workers_respawned);
-                }
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    conn_id += 1;
-                    ServerStats::bump(&self.stats.accepted);
-                    match queue.push(stream, conn_id) {
-                        Ok(()) => {
-                            self.stats.queued.store(queue.len() as u64, Ordering::Relaxed);
-                        }
-                        Err(mut rejected) => {
-                            // Shed: bounded memory beats fairness.
-                            ServerStats::bump(&self.stats.shed);
-                            ServerStats::bump(&self.stats.finished);
-                            let _ = rejected.set_write_timeout(Some(Duration::from_secs(1)));
-                            let body =
-                                routes::error_line("overloaded", "admission queue is full");
-                            let _ = http::write_response_with_headers(
-                                &mut rejected,
-                                Status::Overloaded,
-                                &["Retry-After: 1"],
-                                &body,
-                            );
-                        }
-                    }
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(err),
-            }
-        }
+        let accepted = accept_loop(&self.listener, &queue, &self.stats, &self.shutdown);
+        let workers = housekeeper.join().unwrap_or_default();
 
         // Drain: stop admitting, let workers finish what is queued.
         queue.close();
@@ -313,8 +277,97 @@ impl Server {
             let _ = worker.join();
         }
         self.stats.queued.store(0, Ordering::Relaxed);
-        Ok(self.stats.snapshot())
+        accepted.map(|()| self.stats.snapshot())
     }
+}
+
+/// How often the housekeeping thread looks for dead workers and for a
+/// shutdown request.
+const HOUSEKEEPING_TICK: Duration = Duration::from_millis(5);
+
+/// Accepts connections until shutdown, admitting each to the queue or
+/// shedding it with `503`.
+fn accept_loop(
+    listener: &TcpListener,
+    queue: &Queue,
+    stats: &ServerStats,
+    shutdown: &ShutdownHandle,
+) -> std::io::Result<()> {
+    let mut conn_id: u64 = 0;
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(err) => {
+                // Let the housekeeper exit so its workers can be joined.
+                shutdown.request();
+                return Err(err);
+            }
+        };
+        // Checked after `accept` so the housekeeper's wake-up connection
+        // (or any connection racing shutdown) is dropped uncounted, which
+        // keeps `accepted == finished`.
+        if shutdown.is_requested() {
+            return Ok(());
+        }
+        conn_id += 1;
+        ServerStats::bump(&stats.accepted);
+        match queue.push(stream, conn_id) {
+            Ok(()) => stats.queued.store(queue.len() as u64, Ordering::Relaxed),
+            Err(mut rejected) => {
+                // Shed: bounded memory beats fairness.
+                ServerStats::bump(&stats.shed);
+                ServerStats::bump(&stats.finished);
+                let _ = rejected.set_write_timeout(Some(Duration::from_secs(1)));
+                let body = routes::error_line("overloaded", "admission queue is full");
+                let _ = http::write_response_with_headers(
+                    &mut rejected,
+                    Status::Overloaded,
+                    &["Retry-After: 1"],
+                    &body,
+                );
+            }
+        }
+    }
+}
+
+/// The housekeeping thread: owns the workers and respawns any that died
+/// (e.g. the kill-worker fault) until shutdown is requested, then wakes
+/// the blocked `accept` and hands the workers back for the drain.
+fn housekeep(
+    queue: &Arc<Queue>,
+    config: &Arc<ServerConfig>,
+    stats: &Arc<ServerStats>,
+    shutdown: &ShutdownHandle,
+    wake_addr: SocketAddr,
+) -> Vec<std::thread::JoinHandle<()>> {
+    let mut workers: Vec<_> = (0..config.workers.max(1))
+        .map(|_| spawn_worker(queue, config, stats, shutdown))
+        .collect();
+    while !shutdown.is_requested() {
+        for slot in &mut workers {
+            if slot.is_finished() {
+                let dead =
+                    std::mem::replace(slot, spawn_worker(queue, config, stats, shutdown));
+                let _ = dead.join();
+                ServerStats::bump(&stats.workers_respawned);
+            }
+        }
+        std::thread::sleep(HOUSEKEEPING_TICK);
+    }
+    let _ = TcpStream::connect(wake_addr);
+    workers
+}
+
+/// Where the wake-up connection goes: the listener's own address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by the loopback of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
 }
 
 /// Spawns one worker: pops admitted connections and handles them until
@@ -337,8 +390,8 @@ fn spawn_worker(
             stats.in_flight.fetch_sub(1, Ordering::SeqCst);
             ServerStats::bump(&stats.finished);
             if died {
-                // Simulated abrupt worker death: exit the loop; the accept
-                // loop notices is_finished() and respawns.
+                // Simulated abrupt worker death: exit the loop; the
+                // housekeeper notices is_finished() and respawns.
                 return;
             }
         }
@@ -458,6 +511,14 @@ mod tests {
         assert!(!handle.is_requested());
         handle.clone().request();
         assert!(handle.is_requested());
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().expect("addr")).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("10.1.2.3:8080"), "10.1.2.3:8080");
     }
 
     #[test]

@@ -308,19 +308,54 @@ fn killed_workers_are_respawned() {
     let _ = stream.read_to_end(&mut sink);
     assert!(sink.is_empty(), "kill-worker must drop the connection silently");
 
-    // Give the accept loop a moment to notice and respawn, then verify
-    // service continues.
+    // Poll the live counters until the dead worker has been replaced; a
+    // 200 from /v1/stats also shows service continues.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let (status, _) = split(&get(server.addr, "/healthz"));
-        if status.contains("200") {
+        let (status, body) = split(&get(server.addr, "/v1/stats"));
+        let respawned = JsonValue::parse(body.trim_end())
+            .ok()
+            .and_then(|doc| doc.get("workers_respawned").and_then(JsonValue::as_u64));
+        if status.contains("200") && respawned.is_some_and(|n| n >= 1) {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "server never recovered");
+        assert!(std::time::Instant::now() < deadline, "worker never respawned: {body}");
         std::thread::sleep(Duration::from_millis(20));
     }
     let stats = server.stop();
     assert!(stats.workers_respawned >= 1, "{stats:?}");
+}
+
+/// Binds `addr`, serves with no traffic at all, and checks that a
+/// shutdown request alone wakes the blocked accept promptly.
+fn assert_idle_shutdown_is_prompt(addr: &str) {
+    let config = ServerConfig { addr: addr.parse().expect("addr"), ..ServerConfig::default() };
+    let server = TestServer::start(config);
+    // Give `serve` time to reach its blocking `accept`.
+    std::thread::sleep(Duration::from_millis(50));
+    let requested = std::time::Instant::now();
+    // Stop on a helper thread so a missed wake-up fails the test instead
+    // of hanging it.
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.stop()));
+    let stats = stopped.recv_timeout(Duration::from_secs(5)).expect("serve never returned");
+    let waited = requested.elapsed();
+    assert!(waited < Duration::from_secs(1), "serve took {waited:?} to return");
+    assert!(stats.is_idle(), "clean drain: {stats:?}");
+    assert_eq!(stats.accepted, 0, "the wake-up connection is not counted: {stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+}
+
+#[test]
+fn idle_server_stops_promptly_on_request() {
+    assert_idle_shutdown_is_prompt("127.0.0.1:0");
+}
+
+/// Bound to the unspecified address, the wake-up connection must go to a
+/// loopback address instead.
+#[test]
+fn idle_server_on_unspecified_address_stops_promptly() {
+    assert_idle_shutdown_is_prompt("0.0.0.0:0");
 }
 
 #[test]
