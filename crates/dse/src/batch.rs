@@ -500,16 +500,7 @@ pub fn monte_carlo_compiled_budgeted(
         buf.draws.push(if v.is_finite() { v } else { f64::NAN });
     }
     let completed = buf.draws.len();
-    if completed == 0 {
-        return Err(McError::NoSamples);
-    }
-    buf.finite.clear();
-    buf.finite.extend(buf.draws.iter().copied().filter(|v| v.is_finite()));
-    let rejected = completed - buf.finite.len();
-    if buf.finite.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok((McOutcome { stats: summarize_slice(&mut buf.finite), rejected }, run))
+    Ok((buf.outcome(completed)?, run))
 }
 
 /// Parallel [`sweep_compiled`] under the default [`Parallelism::Auto`]
@@ -622,6 +613,23 @@ impl McBuffer {
     pub fn draws(&self) -> &[f64] {
         &self.draws
     }
+
+    /// The shared tail of every batch Monte-Carlo entry point: trims
+    /// [`draws`](Self::draws) to the `completed` prefix, counts its
+    /// non-finite draws as rejected, and summarizes the finite rest.
+    fn outcome(&mut self, completed: usize) -> Result<McOutcome, McError> {
+        if completed == 0 {
+            return Err(McError::NoSamples);
+        }
+        self.draws.truncate(completed);
+        self.finite.clear();
+        self.finite.extend(self.draws.iter().copied().filter(|v| v.is_finite()));
+        let rejected = completed - self.finite.len();
+        if self.finite.is_empty() {
+            return Err(McError::AllRejected { rejected });
+        }
+        Ok(McOutcome { stats: summarize_slice(&mut self.finite), rejected })
+    }
 }
 
 /// Deterministic, fault-tolerant Monte-Carlo over a compiled kernel under
@@ -723,13 +731,7 @@ pub fn par_monte_carlo_compiled_with(
             &EvalBudget::unlimited(),
         );
     }
-    buf.finite.clear();
-    buf.finite.extend(buf.draws.iter().copied().filter(|v| v.is_finite()));
-    let rejected = samples - buf.finite.len();
-    if buf.finite.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok(McOutcome { stats: summarize_slice(&mut buf.finite), rejected })
+    buf.outcome(samples)
 }
 
 /// Budgeted parallel Monte-Carlo over a compiled kernel: draws under a
@@ -776,18 +778,7 @@ pub fn par_monte_carlo_compiled_budgeted(
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
-    if completed == 0 {
-        return Err(McError::NoSamples);
-    }
-    // `draws()` reports the completed prefix only, like the serial twin.
-    buf.draws.truncate(completed);
-    buf.finite.clear();
-    buf.finite.extend(buf.draws.iter().copied().filter(|v| v.is_finite()));
-    let rejected = completed - buf.finite.len();
-    if buf.finite.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok((McOutcome { stats: summarize_slice(&mut buf.finite), rejected }, run))
+    Ok((buf.outcome(completed)?, run))
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,18 +1032,7 @@ pub fn monte_carlo_compiled_block_budgeted(
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
-    if completed == 0 {
-        return Err(McError::NoSamples);
-    }
-    // `draws()` reports the completed prefix only, like the per-point twin.
-    buf.draws.truncate(completed);
-    buf.finite.clear();
-    buf.finite.extend(buf.draws.iter().copied().filter(|v| v.is_finite()));
-    let rejected = completed - buf.finite.len();
-    if buf.finite.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok((McOutcome { stats: summarize_slice(&mut buf.finite), rejected }, run))
+    Ok((buf.outcome(completed)?, run))
 }
 
 /// Block-vectorized [`par_monte_carlo_compiled`] under the default
@@ -1178,18 +1158,7 @@ pub fn par_monte_carlo_compiled_block_budgeted(
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
-    if completed == 0 {
-        return Err(McError::NoSamples);
-    }
-    // `draws()` reports the completed prefix only, like the serial twin.
-    buf.draws.truncate(completed);
-    buf.finite.clear();
-    buf.finite.extend(buf.draws.iter().copied().filter(|v| v.is_finite()));
-    let rejected = completed - buf.finite.len();
-    if buf.finite.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok((McOutcome { stats: summarize_slice(&mut buf.finite), rejected }, run))
+    Ok((buf.outcome(completed)?, run))
 }
 
 /// Upper bound on points per work-stealing chunk: 4096 points are 32 KiB

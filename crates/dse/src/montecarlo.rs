@@ -325,24 +325,60 @@ pub fn par_try_monte_carlo_with(
     Ok(McOutcome { stats: summarize(values), rejected })
 }
 
-/// Sorts the finite samples and extracts the summary statistics.
+/// Extracts the summary statistics of the finite samples; see
+/// [`summarize_slice`].
 fn summarize(mut values: Vec<f64>) -> McStats {
     summarize_slice(&mut values)
 }
 
-/// Slice-borrowing core of [`summarize`]: sorts `values` in place and
-/// extracts the summary statistics without taking ownership, so the batch
-/// path can summarize a reusable buffer without reallocating. Bit-identical
-/// to the owning wrapper — same sort, same fold, same percentile indexing.
+/// Slice-borrowing core of [`summarize`], so the batch path can summarize
+/// a reusable buffer without reallocating. Runs in O(n) with no sort:
+///
+/// - the mean is a Neumaier-compensated sum taken in **input order**
+///   before anything is reordered. Every caller passes draws in sample
+///   order, which seed-splitting fixes for any thread count, so the mean
+///   is thread-count invariant without an order-normalizing sort;
+/// - p50 is selected with `select_nth_unstable_by(f64::total_cmp)`, then
+///   p05 from the partition left of it and p95 from the one right of it.
+///   `total_cmp` is a total order on bit patterns, so each order statistic
+///   is unique and bit-identical to `sorted[round((n - 1) * q)]`.
+///
+/// `values` is left permuted. It must be non-empty and finite.
 pub(crate) fn summarize_slice(values: &mut [f64]) -> McStats {
     let samples = values.len();
-    values.sort_by(f64::total_cmp);
-    let mean = values.iter().sum::<f64>() / samples as f64;
-    let pct = |q: f64| {
-        let idx = ((samples - 1) as f64 * q).round() as usize;
-        values[idx]
+    let mean = compensated_sum(values) / samples as f64;
+    let rank = |q: f64| ((samples - 1) as f64 * q).round() as usize;
+    let (i05, i50, i95) = (rank(0.05), rank(0.5), rank(0.95));
+    let (left, p50, right) = values.select_nth_unstable_by(i50, f64::total_cmp);
+    let p50 = *p50;
+    let p05 =
+        if i05 == i50 { p50 } else { *left.select_nth_unstable_by(i05, f64::total_cmp).1 };
+    let p95 = if i95 == i50 {
+        p50
+    } else {
+        *right.select_nth_unstable_by(i95 - i50 - 1, f64::total_cmp).1
     };
-    McStats { mean, p05: pct(0.05), p50: pct(0.5), p95: pct(0.95), samples }
+    McStats { mean, p05, p50, p95, samples }
+}
+
+/// Neumaier-compensated sum of `values` in slice order: the running
+/// compensation recovers the low-order bits each addition rounds away, so
+/// the result is within an ulp or so of the exact sum regardless of
+/// magnitude ordering. An overflowing sum returns the plain (infinite)
+/// running sum rather than the `inf - inf` NaN the compensation would add.
+fn compensated_sum(values: &[f64]) -> f64 {
+    let mut sum = 0.0_f64;
+    let mut compensation = 0.0_f64;
+    for &v in values {
+        let t = sum + v;
+        compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+        sum = t;
+    }
+    if sum.is_finite() {
+        sum + compensation
+    } else {
+        sum
+    }
 }
 
 /// Error returned by [`try_triangular`] for parameters that do not define
@@ -603,6 +639,55 @@ mod tests {
             par_try_monte_carlo(10, 0, |_| f64::INFINITY),
             Err(McError::AllRejected { rejected: 10 })
         );
+    }
+
+    /// p05/p50/p95 by full sort and `round((n - 1) * q)` indexing, as bits.
+    fn sorted_percentile_bits(values: &[f64]) -> [u64; 3] {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize].to_bits();
+        [at(0.05), at(0.5), at(0.95)]
+    }
+
+    #[test]
+    fn selected_percentiles_match_sorted_index_bitwise() {
+        // Duplicates, signed zeros, negatives and subnormals: the values
+        // `total_cmp` orders by bit pattern rather than by `==`.
+        const POOL: [f64; 10] =
+            [0.0, -0.0, 1.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -7.25, 1e300];
+        // n = 1 has i05 == i50 == i95 and n = 2 has i95 == i50, so the
+        // skip-the-second-selection branches are exercised too.
+        for n in [1usize, 2, 3, 19, 20, 21, 64, 1000] {
+            for trial in 0..16u64 {
+                let values: Vec<f64> = (0..n as u64)
+                    .map(|i| {
+                        let h = mc_sample_seed(trial, i);
+                        if trial % 2 == 0 || h & 1 == 0 {
+                            POOL[(h >> 1) as usize % POOL.len()]
+                        } else {
+                            (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                        }
+                    })
+                    .collect();
+                let stats = summarize(values.clone());
+                assert_eq!(stats.samples, n);
+                assert_eq!(
+                    [stats.p05.to_bits(), stats.p50.to_bits(), stats.p95.to_bits()],
+                    sorted_percentile_bits(&values),
+                    "n = {n}, trial = {trial}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compensated_mean_is_exact_where_a_plain_sum_drifts() {
+        // A plain left-to-right (or sorted) sum gives 0.09999999999999999.
+        assert_eq!(summarize(vec![0.1; 10]).mean, 0.1);
+        // A plain sum loses both 1.0s to the 1e100 and gives 0.0.
+        assert_eq!(summarize(vec![1.0, 1e100, 1.0, -1e100]).mean, 0.5);
+        // An overflowing sum stays infinite instead of turning NaN.
+        assert_eq!(summarize(vec![f64::MAX, f64::MAX]).mean, f64::INFINITY);
     }
 
     #[test]

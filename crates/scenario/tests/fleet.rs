@@ -64,6 +64,30 @@ fn fleet_outcome_is_bit_identical_across_thread_counts() {
     assert!(fleet.fleet_total_grams(&serial) > serial.stats.mean * 1e5);
 }
 
+/// The reported percentiles are order statistics of the finite draws:
+/// bit for bit `sorted[round((n - 1) * q)]`, whatever the thread count.
+#[test]
+fn fleet_percentiles_are_sorted_order_statistics_of_the_draws() {
+    let compiled = Scenario::parse(fleet_doc()).expect("parse").compile().expect("compile");
+    let fleet = compiled.fleet().expect("fleet block");
+    for threads in [1, 2] {
+        let mut buf = McBuffer::new();
+        let (outcome, run) =
+            fleet.run(threads, &mut buf, &EvalBudget::unlimited()).expect("fleet run");
+        assert_eq!(run, BatchRun::Completed);
+        assert_eq!(outcome.stats.samples + outcome.rejected, fleet.samples());
+
+        let mut sorted: Vec<f64> =
+            buf.draws().iter().copied().filter(|v| v.is_finite()).collect();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(sorted.len(), outcome.stats.samples);
+        let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize].to_bits();
+        assert_eq!(outcome.stats.p05.to_bits(), at(0.05), "p05, {threads} thread(s)");
+        assert_eq!(outcome.stats.p50.to_bits(), at(0.5), "p50, {threads} thread(s)");
+        assert_eq!(outcome.stats.p95.to_bits(), at(0.95), "p95, {threads} thread(s)");
+    }
+}
+
 /// Point distributions pin every draw to the workload's values, so each
 /// Monte-Carlo sample reproduces the single-device footprint exactly —
 /// the fleet path and the device path are the same kernel.
