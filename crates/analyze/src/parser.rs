@@ -1936,7 +1936,7 @@ mod tests {
         let file = parse(
             "fn run(budget: &EvalBudget) {\n\
                  for (index, slot) in out.values.iter_mut().enumerate() {\n\
-                     if budget.exhausted_at(index) { return; }\n\
+                     if budget.is_exhausted() { return; }\n\
                      let v = kernel.eval(&scratch[..n]);\n\
                  }\n\
              }\n",

@@ -1052,7 +1052,7 @@ mod tests {
         let budgeted =
             "pub fn sweep(points: &[P], kernel: &CompiledFootprint, budget: &EvalBudget) {\n\
                         for (i, p) in points.iter().enumerate() {\n\
-                        if budget.exhausted_at(i) { break; }\n\
+                        if budget.is_exhausted() { break; }\n\
                         let v = kernel.eval(p); use_it(v);\n\
                         }\n\
                         }\n";

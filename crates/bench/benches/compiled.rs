@@ -1,13 +1,15 @@
 //! Compiled-kernel benchmarks: the per-point footprint pipeline versus
-//! [`CompiledFootprint`] over a 10k-point single-axis sweep — the numbers
-//! behind the ISSUE acceptance bar (>=5x on the compiled path) and the
-//! `cargo xtask bench` regression guard. Every bench cross-checks that the
-//! fast path is bit-identical to the slow one before timing it.
+//! [`CompiledFootprint`]'s block plan through the `act_dse` block engine,
+//! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo. Every
+//! bench cross-checks that the fast path is bit-identical to the slow one
+//! before timing it.
+
+use std::ops::Range;
 
 use act_bench::{black_box, Harness};
 use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
-    logspace, par_monte_carlo_compiled_with, sweep_compiled, BatchOutput, McBuffer,
+    logspace, par_monte_carlo_compiled_block_with, sweep_compiled_block, BatchOutput, McBuffer,
     Parallelism, PointBatch,
 };
 
@@ -55,40 +57,45 @@ fn main() {
         black_box(total)
     });
 
-    // The compiled path: partial evaluation once, then a handful of FLOPs
-    // per point with zero heap allocation. Cross-check bit-identity
-    // against the per-point path before timing.
-    let kernel = CompiledFootprint::compile(&params, &[FreeAxis::SocArea]);
-    for area in &areas {
+    // The compiled block path: partial evaluation once, lowered to a flat
+    // plan, then LANES-wide blocks read straight from the SoA columns with
+    // zero heap allocation per point. Cross-check bit-identity against the
+    // per-point path before timing.
+    let plan = CompiledFootprint::compile(&params, &[FreeAxis::SocArea]).plan();
+    let kernel = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+        plan.eval_block(cols, range, out);
+    };
+    let batch = PointBatch::single_axis(areas.clone());
+    let mut out = BatchOutput::new();
+    sweep_compiled_block(&batch, kernel, &mut out);
+    for (area, block) in areas.iter().zip(out.values()) {
         assert_eq!(
-            kernel.eval(&[*area]).to_bits(),
+            block.to_bits(),
             naive_eval(&params, *area).to_bits(),
-            "compiled kernel diverged from the per-point pipeline"
+            "block kernel diverged from the per-point pipeline"
         );
     }
-    let batch = PointBatch::single_axis(areas);
-    let mut out = BatchOutput::new();
-    h.bench("footprint_sweep_compiled_10k", || {
-        sweep_compiled(&batch, |point| kernel.eval(point), &mut out);
+    h.bench("footprint_sweep_block_10k", || {
+        sweep_compiled_block(&batch, kernel, &mut out);
         black_box(out.values().last().copied())
     });
 
-    // Compiled Monte-Carlo: uncertain fab yield through a two-axis kernel,
-    // reusing the sample buffer across iterations.
-    let mc_kernel =
-        CompiledFootprint::compile(&params, &[FreeAxis::SocArea, FreeAxis::FabYield]);
+    // Block Monte-Carlo: uncertain fab yield through a two-axis plan,
+    // sampling straight into the buffer's reusable columns.
+    let mc_plan =
+        CompiledFootprint::compile(&params, &[FreeAxis::SocArea, FreeAxis::FabYield]).plan();
     let mut buf = McBuffer::new();
-    h.bench("footprint_mc_compiled_20k", || {
-        let result = par_monte_carlo_compiled_with(
+    h.bench("footprint_mc_block_20k", || {
+        let result = par_monte_carlo_compiled_block_with(
             Parallelism::Serial,
             20_000,
             42,
             2,
-            |rng, point| {
-                point[0] = rng.gen_range(60.0..120.0);
-                point[1] = rng.gen_range(0.7..1.0);
+            |rng, k, columns| {
+                columns[0][k] = rng.gen_range(60.0..120.0);
+                columns[1][k] = rng.gen_range(0.7..1.0);
             },
-            |point| mc_kernel.eval(point),
+            |cols, range, out| mc_plan.eval_block(cols, range, out),
             &mut buf,
         );
         let outcome = match result {

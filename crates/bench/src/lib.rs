@@ -5,9 +5,7 @@
 //! small wall-clock harness with the same command-line contract the CI
 //! smoke pass and `cargo xtask bench --criterion` already rely on
 //! (`cargo bench ... -- --test` runs every benchmark once as a smoke
-//! test). The full criterion suites still exist for statistically rigorous
-//! runs; they live in the excluded `external-dev/` workspace and need
-//! network access once to fetch criterion itself.
+//! test).
 //!
 //! Four bench targets exist:
 //!
@@ -20,7 +18,8 @@
 //!   and Monte-Carlo throughput, and the skyline `pareto_indices` against
 //!   the quadratic reference.
 //! * `compiled` — the per-point footprint pipeline versus the compiled
-//!   kernel, with bit-identity cross-checks before timing.
+//!   kernel's block plan on the `act_dse` block engine, with bit-identity
+//!   cross-checks before timing.
 //!
 //! Run with `cargo bench --workspace`. For the machine-readable
 //! wall-clock trajectory (figure timings, sweep throughput, `act all`

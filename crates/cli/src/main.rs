@@ -73,7 +73,7 @@ fn usage() -> String {
            ACT_THREADS=N  cap the parallel evaluation workers at N\n\n\
          bench-sweep runs a synthetic parameter sweep serially and in\n\
          parallel, then times the ACT footprint model per-point (naive)\n\
-         versus as a compiled kernel — serial and through the calibrated\n\
+         versus as a compiled block kernel — serial and through the calibrated\n\
          parallel engine — and prints throughput/speedup as JSON (the\n\
          `cargo xtask bench` trajectory harness consumes it). --million\n\
          runs the compiled kernel legs only, over 1,000,000 points.\n\n\
@@ -123,7 +123,7 @@ fn bench_sweep_model(x: &f64) -> f64 {
 
 /// `act bench-sweep [points] [--million]`: times the same sweep serially
 /// and in parallel, then times the real footprint model per-point (naive)
-/// versus as a compiled kernel — serial and through the calibrated
+/// versus as a compiled block kernel — serial and through the calibrated
 /// parallel engine — verifies every pair of paths is bitwise identical,
 /// and prints a JSON throughput record.
 ///
@@ -177,9 +177,10 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
 
     // The model A/B: the mobile reference footprint swept over the SoC-area
     // axis, once through the full per-point pipeline (fab scenario + system
-    // spec rebuilt for every point) and once through the compiled kernel.
-    // The serial legs run single-threaded so the ratio isolates per-point
-    // cost; the compiled-parallel leg goes through the calibrated engine.
+    // spec rebuilt for every point) and once through the compiled kernel's
+    // block plan. The serial legs run single-threaded so the ratio isolates
+    // per-point cost; the compiled-parallel leg goes through the calibrated
+    // engine.
     let params = ModelParams::mobile_reference();
     let areas = act_dse::logspace(10.0, 1000.0, points);
 
@@ -203,28 +204,9 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
             return ExitCode::from(EXIT_EXPERIMENT_FAILED);
         }
     };
-    let batch = PointBatch::single_axis(areas);
-    let mut compiled_out = BatchOutput::new();
-    let compiled_start = Instant::now();
-    act_dse::sweep_compiled(&batch, |point| kernel.eval(point), &mut compiled_out);
-    let compiled_ms = compiled_start.elapsed().as_secs_f64() * 1e3;
-
-    // The compiled path must agree with the naive path to the last bit,
-    // point for point — and the parallel batch path with the serial one.
-    if let Some((_, naive_results)) = &naive {
-        for ((_, naive), compiled) in naive_results.iter().zip(compiled_out.values()) {
-            if naive.to_bits() != compiled.to_bits() {
-                eprintln!(
-                    "bench-sweep: compiled kernel diverged from per-point model (engine bug)"
-                );
-                return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-            }
-        }
-    }
-    // The block-vectorized leg: the same kernel lowered once to its
-    // evaluation plan, reading the SoA columns directly in LANES-wide
-    // blocks — must agree with the per-point compiled sweep to the bit.
+    // The block plan reads the SoA columns directly in LANES-wide blocks.
     let plan = kernel.plan();
+    let batch = PointBatch::single_axis(areas);
     let mut block_out = BatchOutput::new();
     let block_start = Instant::now();
     act_dse::sweep_compiled_block(
@@ -233,15 +215,18 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
         &mut block_out,
     );
     let block_ms = block_start.elapsed().as_secs_f64() * 1e3;
-    let block_matches = block_out.values().len() == compiled_out.values().len()
-        && block_out
-            .values()
-            .iter()
-            .zip(compiled_out.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    if !block_matches {
-        eprintln!("bench-sweep: block-vectorized sweep diverged from per-point (engine bug)");
-        return ExitCode::from(EXIT_EXPERIMENT_FAILED);
+
+    // The compiled path must agree with the naive path to the last bit,
+    // point for point — and the parallel batch path with the serial one.
+    if let Some((_, naive_results)) = &naive {
+        for ((_, naive), block) in naive_results.iter().zip(block_out.values()) {
+            if naive.to_bits() != block.to_bits() {
+                eprintln!(
+                    "bench-sweep: compiled kernel diverged from per-point model (engine bug)"
+                );
+                return ExitCode::from(EXIT_EXPERIMENT_FAILED);
+            }
+        }
     }
 
     let mut par_out = BatchOutput::new();
@@ -253,27 +238,17 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
         &mut par_out,
     );
     let par_compiled_ms = par_compiled_start.elapsed().as_secs_f64() * 1e3;
-    if par_out.values() != compiled_out.values() {
+    if par_out.values() != block_out.values() {
         eprintln!("bench-sweep: parallel compiled sweep diverged from serial (engine bug)");
         return ExitCode::from(EXIT_EXPERIMENT_FAILED);
     }
 
-    let model_checksum: f64 = compiled_out.values().iter().sum();
-    let compiled_pps = points as f64 / (compiled_ms / 1e3).max(1e-12);
+    let model_checksum: f64 = block_out.values().iter().sum();
     let block_pps = points as f64 / (block_ms / 1e3).max(1e-12);
     let par_compiled_pps = points as f64 / (par_compiled_ms / 1e3).max(1e-12);
 
-    // `compiled_block` and `compiled_parallel` deliberately do not contain
-    // the exact key `"compiled"` (with both quotes): the xtask trajectory
-    // guard scrapes the last `"compiled": {... "points_per_sec" ...}`
-    // object out of the record.
-    let compiled_block = act_json::obj! {
-        "ms": block_ms,
-        "points_per_sec": block_pps,
-        "speedup_vs_per_point": block_pps / compiled_pps.max(1e-9),
-    };
-    // Both legs now run the block plan, so the serial baseline for the
-    // parallel speedup is the serial *block* leg — apples to apples.
+    // Both legs run the block plan, so the serial baseline for the
+    // parallel speedup is the serial block leg — apples to apples.
     let compiled_parallel = act_json::obj! {
         "ms": par_compiled_ms,
         "points_per_sec": par_compiled_pps,
@@ -304,12 +279,11 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
                     "ms": naive_ms,
                     "points_per_sec": naive_pps,
                 },
-                "compiled": act_json::obj! {
-                    "ms": compiled_ms,
-                    "points_per_sec": compiled_pps,
-                    "speedup_vs_naive": naive_ms / compiled_ms.max(1e-9),
+                "compiled_block": act_json::obj! {
+                    "ms": block_ms,
+                    "points_per_sec": block_pps,
+                    "speedup_vs_naive": naive_ms / block_ms.max(1e-9),
                 },
-                "compiled_block": compiled_block,
                 "compiled_parallel": compiled_parallel,
                 "model_checksum": model_checksum,
             }
@@ -322,11 +296,10 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
             "machine_threads": resolved.machine,
             "decision": resolved.decision.as_str(),
             "calibration": calibration,
-            "compiled": act_json::obj! {
-                "ms": compiled_ms,
-                "points_per_sec": compiled_pps,
+            "compiled_block": act_json::obj! {
+                "ms": block_ms,
+                "points_per_sec": block_pps,
             },
-            "compiled_block": compiled_block,
             "compiled_parallel": compiled_parallel,
             "model_checksum": model_checksum,
         },
@@ -453,8 +426,8 @@ fn run_fleet(path: Option<&str>, serial_only: bool) -> ExitCode {
 /// serially and through the calibrated parallel engine, verifies the two
 /// summaries agree to the bit, and prints a JSON throughput record for
 /// the `cargo xtask bench` trajectory harness. The record deliberately
-/// avoids the exact key `"compiled"` — the trajectory guard scrapes the
-/// last such object out of the bench file, and that must remain the
+/// avoids the exact key `"compiled_block"` — the trajectory guard scrapes
+/// the last such object out of the bench file, and that must remain the
 /// sweep record's.
 fn run_fleet_bench(samples_arg: Option<&str>, serial_only: bool) -> ExitCode {
     let samples = match samples_arg {

@@ -12,29 +12,24 @@
 //! points are skipped and recorded in the returned [`SweepOutcome`] /
 //! [`McOutcome`] rather than panicking mid-exploration.
 //!
-//! Large design spaces evaluate in parallel through the `par_*` twins
-//! ([`par_sweep`], [`par_try_sweep`], [`par_sweep_finite`],
-//! [`par_monte_carlo`], [`par_try_monte_carlo`]): results come back in
-//! input order and — via per-sample seed-splitting for Monte-Carlo — are
-//! bit-for-bit identical to their serial counterparts for any thread
-//! count. The [`Parallelism`] policy picks the worker count (`Serial`,
-//! `Auto` honoring `ACT_THREADS`, or explicit `Threads(n)`); disabling the
-//! default `parallel` cargo feature removes the threading entirely while
-//! keeping every `par_*` API compiling (serial fallback).
+//! Large design spaces evaluate in parallel through the `_with` forms
+//! ([`par_sweep_with`], [`par_try_sweep_with`], [`par_sweep_finite_with`],
+//! [`par_monte_carlo_with`], [`par_try_monte_carlo_with`]): results come
+//! back in input order and — via per-sample seed-splitting for
+//! Monte-Carlo — are bit-for-bit identical to their serial counterparts
+//! for any thread count. The [`Parallelism`] policy picks the worker count
+//! (`Serial`, `Auto` honoring `ACT_THREADS`, or explicit `Threads(n)`).
 //!
-//! Million-point explorations use the compiled batch path ([`PointBatch`],
-//! [`sweep_compiled`], [`par_sweep_compiled`],
-//! [`par_monte_carlo_compiled`]): design points live in
+//! Million-point explorations use the block batch engine ([`PointBatch`],
+//! [`sweep_compiled_block`], [`par_sweep_compiled_block_with`],
+//! [`par_monte_carlo_compiled_block_with`] and the `_budgeted` forms that
+//! take an [`EvalBudget`] deadline): design points live in
 //! structure-of-arrays columns, results land in reusable buffers, and the
-//! model is a precompiled `Fn(&[f64]) -> f64` kernel (e.g.
-//! `act_core::CompiledFootprint::eval`) — zero per-point heap allocation
+//! kernel receives whole column ranges (pair with
+//! `act_core::EvalPlan::eval_block`), so the hot loop reads columns
+//! directly with no per-point gather, enum dispatch or heap allocation —
 //! with the same skip-and-record and seed-splitting semantics as the
-//! per-point API. The block-vectorized `_block` twins
-//! ([`sweep_compiled_block`], [`par_sweep_compiled_block`],
-//! [`par_monte_carlo_compiled_block`]) go further: the kernel receives
-//! whole column ranges (pair with `act_core::EvalPlan::eval_block`), so
-//! the hot loop reads columns directly with no per-point gather or enum
-//! dispatch — same results, bit for bit, several times faster.
+//! closure path, bit for bit.
 //!
 //! # Examples
 //!
@@ -65,24 +60,17 @@ mod montecarlo;
 mod optimize;
 mod parallel;
 mod pareto;
-#[cfg(feature = "parallel")]
 mod pool;
 mod sweep;
 
 pub use batch::{
-    monte_carlo_compiled_block_budgeted, monte_carlo_compiled_budgeted,
-    par_monte_carlo_compiled, par_monte_carlo_compiled_block,
     par_monte_carlo_compiled_block_budgeted, par_monte_carlo_compiled_block_with,
-    par_monte_carlo_compiled_budgeted, par_monte_carlo_compiled_with, par_sweep_compiled,
-    par_sweep_compiled_block, par_sweep_compiled_block_budgeted, par_sweep_compiled_block_with,
-    par_sweep_compiled_budgeted, par_sweep_compiled_with, sweep_compiled, sweep_compiled_block,
-    sweep_compiled_block_budgeted, sweep_compiled_budgeted, BatchOutput, BatchRun,
-    BatchShapeError, EvalBudget, McBuffer, PointBatch,
+    par_sweep_compiled_block_budgeted, par_sweep_compiled_block_with, sweep_compiled_block,
+    BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, PointBatch,
 };
 pub use montecarlo::{
-    mc_sample_seed, monte_carlo, par_monte_carlo, par_monte_carlo_with, par_try_monte_carlo,
-    par_try_monte_carlo_with, triangular, try_monte_carlo, try_triangular, McError, McOutcome,
-    McStats, TriangularError,
+    mc_sample_seed, monte_carlo, par_monte_carlo_with, par_try_monte_carlo_with, triangular,
+    try_monte_carlo, try_triangular, McError, McOutcome, McStats, TriangularError,
 };
 pub use optimize::{argmin_by, argmin_feasible, knee_point, normalize_to, normalize_to_last};
 pub use parallel::{
@@ -92,7 +80,7 @@ pub use parallel::{
 };
 pub use pareto::{dominates, pareto_indices, pareto_indices_reference};
 pub use sweep::{
-    linspace, linspace_iter, logspace, logspace_iter, par_sweep, par_sweep_finite,
-    par_sweep_finite_with, par_sweep_with, par_try_sweep, par_try_sweep_with, powers_of_two,
-    powers_of_two_iter, sweep, sweep_finite, try_sweep, RejectedPoint, SweepOutcome,
+    linspace, linspace_iter, logspace, logspace_iter, par_sweep_finite_with, par_sweep_with,
+    par_try_sweep_with, powers_of_two, powers_of_two_iter, sweep, sweep_finite, try_sweep,
+    RejectedPoint, SweepOutcome,
 };

@@ -5,11 +5,11 @@
 //! distribution of inputs turns a point estimate into a defensible range.
 //!
 //! The closure-based entry points here take one sample at a time. For
-//! compiled-kernel hot loops, the block-vectorized twins in
+//! compiled-kernel hot loops, the block-vectorized entry points in
 //! [`batch`](crate::batch) —
-//! [`crate::monte_carlo_compiled_block_budgeted`] and its pooled
-//! variants — sample straight into reusable structure-of-arrays columns
-//! and evaluate whole blocks per kernel call, with the same per-sample
+//! [`crate::par_monte_carlo_compiled_block_with`] and its budgeted
+//! twin — sample straight into reusable structure-of-arrays columns and
+//! evaluate whole blocks per kernel call, with the same per-sample
 //! seed-splitting and therefore bit-identical [`McStats`].
 
 use act_rng::Rng;
@@ -185,7 +185,7 @@ pub fn try_monte_carlo(
 }
 
 /// Derives the independent RNG seed for sample `index` of a run keyed by
-/// `master` — the seed-splitting scheme behind [`par_monte_carlo`].
+/// `master` — the seed-splitting scheme behind [`par_monte_carlo_with`].
 ///
 /// This is the SplitMix64 output function evaluated at position
 /// `index + 1` of the stream seeded by `master`: every sample gets its own
@@ -202,8 +202,8 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic parallel Monte-Carlo under the default
-/// [`Parallelism::Auto`] policy.
+/// Deterministic parallel Monte-Carlo under an explicit [`Parallelism`]
+/// policy ([`Parallelism::Auto`] is the usual choice).
 ///
 /// Unlike [`monte_carlo`] — which threads one RNG through every draw and
 /// is therefore inherently serial — each sample `i` gets its own `Rng`
@@ -221,28 +221,14 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use act_dse::par_monte_carlo;
+/// use act_dse::{par_monte_carlo_with, Parallelism};
 ///
-/// let stats = par_monte_carlo(2_000, 42, |rng| {
+/// let stats = par_monte_carlo_with(Parallelism::Auto, 2_000, 42, |rng| {
 ///     let y: f64 = rng.gen_range(0.7..1.0);
 ///     0.9 * 1370.0 / y
 /// });
 /// assert!(stats.p05 < stats.mean && stats.mean < stats.p95);
 /// ```
-pub fn par_monte_carlo(
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> McStats {
-    par_monte_carlo_with(Parallelism::Auto, samples, seed, model)
-}
-
-/// Deterministic parallel Monte-Carlo under an explicit [`Parallelism`]
-/// policy. See [`par_monte_carlo`] for the determinism guarantee.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero or the model produces non-finite outputs.
 pub fn par_monte_carlo_with(
     parallelism: Parallelism,
     samples: usize,
@@ -259,10 +245,10 @@ pub fn par_monte_carlo_with(
     summarize(values)
 }
 
-/// Fault-tolerant deterministic parallel Monte-Carlo under the default
-/// [`Parallelism::Auto`] policy: non-finite draws are skipped and counted
-/// exactly as in [`try_monte_carlo`], and — like [`par_monte_carlo`] — the
-/// outcome is bit-for-bit identical for any thread count.
+/// Fault-tolerant deterministic parallel Monte-Carlo under an explicit
+/// [`Parallelism`] policy: non-finite draws are skipped and counted
+/// exactly as in [`try_monte_carlo`], and — like [`par_monte_carlo_with`]
+/// — the outcome is bit-for-bit identical for any thread count.
 ///
 /// # Errors
 ///
@@ -272,9 +258,9 @@ pub fn par_monte_carlo_with(
 /// # Examples
 ///
 /// ```
-/// use act_dse::par_try_monte_carlo;
+/// use act_dse::{par_try_monte_carlo_with, Parallelism};
 ///
-/// let outcome = par_try_monte_carlo(1_000, 42, |rng| {
+/// let outcome = par_try_monte_carlo_with(Parallelism::Auto, 1_000, 42, |rng| {
 ///     let y: f64 = rng.gen_range(-0.1..1.0);
 ///     1370.0 / y.max(0.0) // y <= 0 -> +inf, rejected
 /// })?;
@@ -282,21 +268,6 @@ pub fn par_monte_carlo_with(
 /// assert_eq!(outcome.stats.samples + outcome.rejected, 1_000);
 /// # Ok::<(), act_dse::McError>(())
 /// ```
-pub fn par_try_monte_carlo(
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> Result<McOutcome, McError> {
-    par_try_monte_carlo_with(Parallelism::Auto, samples, seed, model)
-}
-
-/// Fault-tolerant deterministic parallel Monte-Carlo under an explicit
-/// [`Parallelism`] policy.
-///
-/// # Errors
-///
-/// Returns [`McError::NoSamples`] if `samples` is zero and
-/// [`McError::AllRejected`] if every draw was non-finite.
 pub fn par_try_monte_carlo_with(
     parallelism: Parallelism,
     samples: usize,
@@ -634,9 +605,10 @@ mod tests {
 
     #[test]
     fn par_try_monte_carlo_reports_degenerate_runs() {
-        assert_eq!(par_try_monte_carlo(0, 0, |_| 1.0), Err(McError::NoSamples));
+        let auto = Parallelism::Auto;
+        assert_eq!(par_try_monte_carlo_with(auto, 0, 0, |_| 1.0), Err(McError::NoSamples));
         assert_eq!(
-            par_try_monte_carlo(10, 0, |_| f64::INFINITY),
+            par_try_monte_carlo_with(auto, 10, 0, |_| f64::INFINITY),
             Err(McError::AllRejected { rejected: 10 })
         );
     }
@@ -704,7 +676,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn par_zero_samples_rejected() {
-        let _ = par_monte_carlo(0, 0, |_| 1.0);
+        let _ = par_monte_carlo_with(Parallelism::Auto, 0, 0, |_| 1.0);
     }
 
     #[test]

@@ -16,10 +16,7 @@
 //! [`Calibration`] — measured pool-dispatch overhead vs. per-point kernel
 //! cost, overridable via `ACT_PAR_THRESHOLD` — and falls back to serial
 //! below the measured break-even batch size, so `Auto` never pays dispatch
-//! overhead on batches too small to amortize it. The whole module compiles
-//! with the `parallel` cargo feature disabled too — every `par_*` entry
-//! point then degrades to the serial loop, so downstream code never needs
-//! `cfg` guards.
+//! overhead on batches too small to amortize it.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -230,8 +227,8 @@ impl BatchDecision {
 ///
 /// 1. `ACT_PAR_THRESHOLD` — a non-negative integer forces the threshold
 ///    (`0` means "always parallel"); invalid values are ignored.
-/// 2. Single-core hosts (or the `parallel` feature compiled out) pin the
-///    threshold to `usize::MAX`: parallel can never win.
+/// 2. Single-core hosts pin the threshold to `usize::MAX`: parallel can
+///    never win.
 /// 3. Otherwise a one-shot microcalibration measures pool-dispatch
 ///    overhead against a reference kernel's per-point cost and picks the
 ///    break-even batch size with a 2× safety margin.
@@ -251,8 +248,8 @@ pub enum CalibrationSource {
     Env,
     /// The one-shot dispatch-vs-kernel microcalibration.
     Measured,
-    /// A single-core host (or the `parallel` feature compiled out):
-    /// parallel dispatch can never win, threshold is `usize::MAX`.
+    /// A single-core host: parallel dispatch can never win, threshold is
+    /// `usize::MAX`.
     SingleCore,
 }
 
@@ -334,7 +331,6 @@ fn parse_par_threshold(raw: &str) -> Option<usize> {
 /// borderline batches stay serial. The reference kernel approximates the
 /// flop mix of a compiled footprint point; callers with much heavier
 /// kernels can lower `ACT_PAR_THRESHOLD`, much lighter ones raise it.
-#[cfg(feature = "parallel")]
 fn measure_threshold() -> usize {
     let workers = machine_parallelism();
     let overhead = crate::pool::measure_dispatch_overhead(workers, 16);
@@ -363,13 +359,7 @@ fn measure_threshold() -> usize {
     break_even.clamp(512.0, 1_048_576.0) as usize
 }
 
-#[cfg(not(feature = "parallel"))]
-fn measure_threshold() -> usize {
-    usize::MAX
-}
-
 /// A few flops approximating one compiled-footprint evaluation.
-#[cfg(feature = "parallel")]
 #[inline]
 fn reference_kernel(x: f64) -> f64 {
     let a = x.mul_add(1.000_000_119, 0.5);
@@ -403,11 +393,16 @@ impl ThreadsSource {
 
 /// The host's available parallelism as the engine sees it: what
 /// [`std::thread::available_parallelism`] reports (which honors cgroup and
-/// affinity limits), clamped to 1 when the call fails, and 1 whenever the
-/// `parallel` feature is compiled out.
+/// affinity limits), clamped to 1 when the call fails. Read once per
+/// process and cached like the [`calibration`] that depends on it: on
+/// Linux the underlying call reads cgroup files (tens of microseconds),
+/// and every [`Parallelism::resolve_for`] consults it.
 #[must_use]
 pub fn machine_parallelism() -> usize {
-    default_threads()
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    })
 }
 
 /// A set-but-unusable `ACT_THREADS` value, reported by
@@ -473,16 +468,6 @@ fn parse_threads(raw: &str) -> Result<usize, ThreadsWarning> {
     }
 }
 
-#[cfg(feature = "parallel")]
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn default_threads() -> usize {
-    1
-}
-
 /// Applies `f(index, item)` to every element of a conceptual range
 /// `0..len`, in parallel, returning results in index order.
 ///
@@ -534,7 +519,6 @@ where
     par_map_range(parallelism, items.len(), |index| f(index, &items[index]))
 }
 
-#[cfg(feature = "parallel")]
 fn par_map_threaded<R, F>(workers: usize, len: usize, f: &F) -> Vec<R>
 where
     R: Send,
@@ -566,15 +550,6 @@ where
     let mut indexed: Vec<(usize, R)> = buckets.into_iter().flatten().collect();
     indexed.sort_by_key(|&(index, _)| index);
     indexed.into_iter().map(|(_, result)| result).collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn par_map_threaded<R, F>(_workers: usize, len: usize, f: &F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    (0..len).map(f).collect()
 }
 
 #[cfg(test)]
@@ -653,11 +628,8 @@ mod tests {
                 assert_eq!(detail.workers, detail.machine);
                 assert!(detail.warning.is_none());
                 // The actual multi-core regression assertion: a host with
-                // more than one core must never fall back to one worker
-                // (with the `parallel` feature compiled out, 1 is correct).
-                if cfg!(feature = "parallel")
-                    && std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-                        > 1
+                // more than one core must never fall back to one worker.
+                if std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1) > 1
                 {
                     assert!(
                         detail.workers > 1,

@@ -27,10 +27,10 @@
 //!   Pool threads never unwind, so the pool needs no respawn logic to
 //!   survive a panicking kernel: the next job reuses the same threads.
 //! * **Kernel-shape agnostic.** The pool moves chunk indices, not points:
-//!   the per-point engine (`fill_chunked`) and the block-vectorized engine
-//!   (`fill_chunked_block`, which hands each stolen chunk to the kernel as
-//!   whole structure-of-arrays column ranges) dispatch through the same
-//!   [`run`] with identical stealing, budget, and merge semantics.
+//!   the ordered map under the closure-based `par_*` entry points and the
+//!   block engine (`fill_chunked_block`, which hands each stolen chunk to
+//!   the kernel as whole structure-of-arrays column ranges) dispatch
+//!   through the same [`run`].
 //!
 //! # Why there is `unsafe` here
 //!

@@ -250,30 +250,11 @@ pub fn sweep_finite<P>(
     })
 }
 
-/// Parallel [`sweep`] under the default [`Parallelism::Auto`] policy.
+/// Parallel [`sweep`] under an explicit [`Parallelism`] policy
+/// ([`Parallelism::Auto`] is the usual choice).
 ///
-/// Results come back in input order, so for any pure model
-/// `par_sweep(params, f) == sweep(params, f)` — pinned by property tests.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::par_sweep;
-/// let squares = par_sweep([1, 2, 3], |x| x * x);
-/// assert_eq!(squares, vec![(1, 1), (2, 4), (3, 9)]);
-/// ```
-pub fn par_sweep<P, R>(
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> R + Sync,
-) -> Vec<(P, R)>
-where
-    P: Sync,
-    R: Send,
-{
-    par_sweep_with(Parallelism::Auto, params, f)
-}
-
-/// Parallel [`sweep`] under an explicit [`Parallelism`] policy.
+/// Results come back in input order, so for any pure model the output
+/// equals [`sweep`]'s for every policy — pinned by property tests.
 ///
 /// # Examples
 ///
@@ -297,7 +278,7 @@ where
     params.into_iter().zip(results).collect()
 }
 
-/// Parallel [`try_sweep`] under the default [`Parallelism::Auto`] policy:
+/// Parallel [`try_sweep`] under an explicit [`Parallelism`] policy:
 /// evaluates every parameter concurrently while preserving the serial
 /// skip-and-record semantics — successes in sweep order, rejections
 /// carrying their original sweep index and rendered reason.
@@ -305,27 +286,14 @@ where
 /// # Examples
 ///
 /// ```
-/// use act_dse::par_try_sweep;
+/// use act_dse::{par_try_sweep_with, Parallelism};
 ///
-/// let outcome = par_try_sweep([1.0_f64, -1.0, 4.0], |x| {
+/// let outcome = par_try_sweep_with(Parallelism::Auto, [1.0_f64, -1.0, 4.0], |x| {
 ///     if *x >= 0.0 { Ok(x.sqrt()) } else { Err("negative input") }
 /// });
 /// assert_eq!(outcome.results.len(), 2);
 /// assert_eq!(outcome.rejected[0].index, 1);
 /// ```
-pub fn par_try_sweep<P, R, E>(
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> Result<R, E> + Sync,
-) -> SweepOutcome<P, R>
-where
-    P: Sync,
-    R: Send,
-    E: std::fmt::Display,
-{
-    par_try_sweep_with(Parallelism::Auto, params, f)
-}
-
-/// Parallel [`try_sweep`] under an explicit [`Parallelism`] policy.
 pub fn par_try_sweep_with<P, R, E>(
     parallelism: Parallelism,
     params: impl IntoIterator<Item = P>,
@@ -350,30 +318,19 @@ where
     SweepOutcome { results, rejected }
 }
 
-/// Parallel [`sweep_finite`] under the default [`Parallelism::Auto`]
-/// policy: rejects NaN/infinite results with the same reason strings as
-/// the serial path.
+/// Parallel [`sweep_finite`] under an explicit [`Parallelism`] policy:
+/// rejects NaN/infinite results with the same reason strings as the
+/// serial path.
 ///
 /// # Examples
 ///
 /// ```
-/// use act_dse::par_sweep_finite;
+/// use act_dse::{par_sweep_finite_with, Parallelism};
 ///
-/// let outcome = par_sweep_finite([4.0, 0.0, 1.0], |x| 1.0 / x);
+/// let outcome = par_sweep_finite_with(Parallelism::Auto, [4.0, 0.0, 1.0], |x| 1.0 / x);
 /// assert_eq!(outcome.results.len(), 2);
 /// assert_eq!(outcome.rejected[0].index, 1);
 /// ```
-pub fn par_sweep_finite<P>(
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> f64 + Sync,
-) -> SweepOutcome<P, f64>
-where
-    P: Sync,
-{
-    par_sweep_finite_with(Parallelism::Auto, params, f)
-}
-
-/// Parallel [`sweep_finite`] under an explicit [`Parallelism`] policy.
 pub fn par_sweep_finite_with<P>(
     parallelism: Parallelism,
     params: impl IntoIterator<Item = P>,

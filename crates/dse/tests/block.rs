@@ -1,8 +1,9 @@
 //! Equivalence and determinism properties of the block-vectorized batch
-//! engine: the `_block` twins must reproduce the per-point paths bit for
-//! bit — same values, same rejection log, same Monte-Carlo summaries —
-//! for any batch length, thread count, and budget, with cut-offs landing
-//! on identical completed prefixes.
+//! engine: the `_block` entry points must reproduce the interpreted
+//! per-point oracle (`par_sweep_finite_with` / `par_try_monte_carlo_with`
+//! under `Parallelism::Serial`) bit for bit — same values, same rejection
+//! log, same Monte-Carlo summaries — for any batch length, thread count,
+//! and budget, with cut-offs landing on identical completed prefixes.
 //!
 //! The kernels here are plain closures (act-dse is model-agnostic); the
 //! `act_core::EvalPlan::eval_block` pairing is pinned by the property
@@ -12,11 +13,10 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use act_dse::{
-    monte_carlo_compiled_block_budgeted, monte_carlo_compiled_budgeted,
     par_monte_carlo_compiled_block_with, par_sweep_compiled_block_budgeted,
-    par_sweep_compiled_block_with, sweep_compiled, sweep_compiled_block,
-    sweep_compiled_block_budgeted, BatchOutput, BatchRun, BatchShapeError, EvalBudget,
-    McBuffer, Parallelism, PointBatch,
+    par_sweep_compiled_block_with, par_sweep_finite_with, par_try_monte_carlo_with,
+    sweep_compiled_block, BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer,
+    Parallelism, PointBatch,
 };
 use act_rng::Rng;
 
@@ -31,10 +31,6 @@ const WORKERS: [usize; 4] = [1, 2, 5, 8];
 /// slots are exercised, evaluated with one exact per-point chain.
 fn model(x: f64, y: f64) -> f64 {
     (y.mul_add(3.0, 1.0) / x).sqrt() + x * y
-}
-
-fn point_kernel(p: &[f64]) -> f64 {
-    model(p[0], p[1])
 }
 
 fn block_kernel(cols: &[&[f64]], range: Range<usize>, out: &mut [f64]) {
@@ -56,6 +52,19 @@ fn batch(seed: u64, n: usize) -> PointBatch {
     PointBatch::from_columns(vec![xs, ys])
 }
 
+/// Sweeps `batch` through the interpreted oracle, one point at a time,
+/// and lays the outcome out like a [`BatchOutput`]: NaN in rejected slots.
+fn oracle(batch: &PointBatch) -> (Vec<f64>, Vec<act_dse::RejectedPoint>) {
+    let (xs, ys) = (batch.column(0), batch.column(1));
+    let outcome =
+        par_sweep_finite_with(Parallelism::Serial, 0..batch.len(), |&i| model(xs[i], ys[i]));
+    let mut values = vec![f64::NAN; batch.len()];
+    for (i, v) in outcome.results {
+        values[i] = v;
+    }
+    (values, outcome.rejected)
+}
+
 fn assert_bitwise_eq(a: &[f64], b: &[f64], context: &str) {
     assert_eq!(a.len(), b.len(), "{context}: length mismatch");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -67,12 +76,11 @@ fn assert_bitwise_eq(a: &[f64], b: &[f64], context: &str) {
 fn block_sweep_equals_per_point_sweep_bitwise() {
     for (i, n) in SIZES.into_iter().enumerate() {
         let batch = batch(i as u64, n);
-        let mut per_point = BatchOutput::new();
-        sweep_compiled(&batch, point_kernel, &mut per_point);
+        let (values, rejected) = oracle(&batch);
         let mut block = BatchOutput::new();
         sweep_compiled_block(&batch, block_kernel, &mut block);
-        assert_bitwise_eq(per_point.values(), block.values(), &format!("n={n}"));
-        assert_eq!(per_point.rejected(), block.rejected(), "n={n}: rejection logs differ");
+        assert_bitwise_eq(&values, block.values(), &format!("n={n}"));
+        assert_eq!(rejected.as_slice(), block.rejected(), "n={n}: rejection logs differ");
     }
 }
 
@@ -147,7 +155,13 @@ fn expired_budget_reports_an_empty_block_prefix() {
     let batch = batch(11, 512);
     let budget = EvalBudget::with_deadline(Instant::now() - Duration::from_millis(1));
     let mut out = BatchOutput::new();
-    let run = sweep_compiled_block_budgeted(&batch, block_kernel, &mut out, &budget);
+    let run = par_sweep_compiled_block_budgeted(
+        Parallelism::Serial,
+        &batch,
+        block_kernel,
+        &mut out,
+        &budget,
+    );
     assert_eq!(run, BatchRun::DeadlineExceeded { completed: 0 });
     assert!(out.values().iter().all(|v| v.is_nan()));
     assert!(out.rejected().is_empty());
@@ -156,10 +170,10 @@ fn expired_budget_reports_an_empty_block_prefix() {
 #[test]
 fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
     let ranges = [(-4.0_f64, 4.0_f64), (-2.0, 2.0)];
-    let per_point_sampler = |rng: &mut Rng, scratch: &mut [f64]| {
-        for (slot, (low, high)) in scratch.iter_mut().zip(&ranges) {
-            *slot = rng.gen_range(*low..*high);
-        }
+    let per_point_model = |rng: &mut Rng| {
+        let x = rng.gen_range(ranges[0].0..ranges[0].1);
+        let y = rng.gen_range(ranges[1].0..ranges[1].1);
+        model(x, y)
     };
     let block_sampler = |rng: &mut Rng, k: usize, columns: &mut [Vec<f64>]| {
         for (column, (low, high)) in columns.iter_mut().zip(&ranges) {
@@ -168,47 +182,22 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
     };
     for seed in [0, 42, 0xAC70, u64::MAX] {
         for samples in [1, 63, 64, 65, 1024, 3000] {
-            let mut per_point_buf = McBuffer::default();
-            let per_point = monte_carlo_compiled_budgeted(
-                samples,
-                seed,
-                2,
-                per_point_sampler,
-                point_kernel,
-                &mut per_point_buf,
-                &EvalBudget::unlimited(),
-            );
-            let mut block_buf = McBuffer::default();
-            let block = monte_carlo_compiled_block_budgeted(
-                samples,
-                seed,
-                2,
-                block_sampler,
-                block_kernel,
-                &mut block_buf,
-                &EvalBudget::unlimited(),
-            );
             let context = format!("seed={seed}, samples={samples}");
-            match (per_point, block) {
-                (Ok((a, _)), Ok((b, _))) => {
-                    assert_eq!(a, b, "{context}: summaries diverged");
-                    assert_bitwise_eq(per_point_buf.draws(), block_buf.draws(), &context);
-                }
-                (a, b) => {
-                    assert_eq!(a.is_err(), b.is_err(), "{context}: outcome kind diverged")
-                }
-            }
-            // The pooled block engine is invariant under thread count too.
-            let serial = monte_carlo_compiled_block_budgeted(
+            let per_point =
+                par_try_monte_carlo_with(Parallelism::Serial, samples, seed, per_point_model);
+            let mut serial_buf = McBuffer::default();
+            let serial = par_monte_carlo_compiled_block_with(
+                Parallelism::Serial,
                 samples,
                 seed,
                 2,
                 block_sampler,
                 block_kernel,
-                &mut block_buf,
-                &EvalBudget::unlimited(),
-            )
-            .map(|(outcome, _)| outcome);
+                &mut serial_buf,
+            );
+            assert_eq!(per_point, serial, "{context}: summaries diverged");
+            // The pooled block engine is invariant under thread count too,
+            // down to the per-sample draws.
             for workers in [2, 5, 8] {
                 let mut par_buf = McBuffer::default();
                 let parallel = par_monte_carlo_compiled_block_with(
@@ -220,7 +209,9 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
                     block_kernel,
                     &mut par_buf,
                 );
-                assert_eq!(serial, parallel, "{context}, workers={workers}");
+                let context = format!("{context}, workers={workers}");
+                assert_eq!(serial, parallel, "{context}");
+                assert_bitwise_eq(serial_buf.draws(), par_buf.draws(), &context);
             }
         }
     }

@@ -1,12 +1,10 @@
 //! Determinism and equivalence properties of the parallel evaluation
-//! engine: `par_sweep == sweep`, parallel-vs-serial Monte-Carlo bitwise
+//! engine: `par_sweep_with == sweep`, parallel-vs-serial Monte-Carlo bitwise
 //! equality, and the skyline `pareto_indices` against the quadratic
 //! reference oracle.
 //!
-//! The randomized-input (proptest) companion lives in
-//! `external-dev/tests/dse_parallel.rs`; this suite drives the same
-//! properties from seeded `act_rng` streams so the hermetic std-only
-//! workspace pins them reproducibly.
+//! Inputs come from seeded `act_rng` streams, so every case is exactly
+//! reproducible.
 
 use act_dse::{
     monte_carlo, par_monte_carlo_with, par_sweep_finite_with, par_sweep_with,

@@ -5,7 +5,6 @@
 use crate::Present;
 use std::fmt;
 
-use act_dse::{sweep_compiled, BatchOutput, PointBatch};
 use act_ssd::{
     analytical_write_amplification, effective_embodied, FtlConfig, FtlSimulator, LifetimeModel,
     OverProvisioning, TracePattern, WriteTrace,
@@ -67,23 +66,16 @@ act_json::impl_to_json!(Fig15Result { rows });
 pub fn run() -> Fig15Result {
     let model = LifetimeModel::default();
     let grid = op_grid();
-    // The carbon terms evaluate on the compiled batch path: two interleaved
-    // points per PF (first- and second-life horizons) in a structure-of-
-    // arrays batch, one `effective_embodied` kernel call each. The FTL
-    // simulation below stays per-point — it is a stateful simulator, not a
-    // closed-form carbon term. PF values round-trip through the column
-    // bit-exactly, so results match the per-point path to the last bit.
-    let batch = PointBatch::from_columns(vec![
-        grid.iter().flat_map(|pf| [pf.get(), pf.get()]).collect(),
-        grid.iter().flat_map(|_| [FIRST_LIFE_YEARS, SECOND_LIFE_YEARS]).collect(),
-    ]);
-    let mut carbon = BatchOutput::new();
-    sweep_compiled(
-        &batch,
-        |point| effective_embodied(OverProvisioning::new_const(point[0]), point[1], &model),
-        &mut carbon,
-    );
-    let baseline = carbon.values()[0];
+    // The carbon terms: two closed-form `effective_embodied` points per PF
+    // (first- and second-life horizons), interleaved. Fourteen scalar
+    // calls need no batch engine. The FTL simulation below is a stateful
+    // simulator, not a closed-form carbon term.
+    let carbon: Vec<f64> = grid
+        .iter()
+        .flat_map(|&pf| [(pf, FIRST_LIFE_YEARS), (pf, SECOND_LIFE_YEARS)])
+        .map(|(pf, horizon)| effective_embodied(pf, horizon, &model))
+        .collect();
+    let baseline = carbon[0];
     let rows = grid
         .into_iter()
         .enumerate()
@@ -98,8 +90,8 @@ pub fn run() -> Fig15Result {
                 wa_analytical: analytical_write_amplification(pf),
                 wa_simulated,
                 lifetime_years: model.lifetime_years(pf),
-                first_life: carbon.values()[2 * i] / baseline,
-                second_life: carbon.values()[2 * i + 1] / baseline,
+                first_life: carbon[2 * i] / baseline,
+                second_life: carbon[2 * i + 1] / baseline,
             }
         })
         .collect();

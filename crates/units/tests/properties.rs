@@ -1,7 +1,5 @@
-//! Deterministic property tests for the unit algebra: the same invariants
-//! the proptest suite in `external-dev/tests/units_properties.rs` checks
-//! under randomized inputs, exercised here over fixed magnitude grids so
-//! the hermetic std-only workspace still pins every contract.
+//! Deterministic property tests for the unit algebra, exercised over
+//! fixed magnitude grids so every contract is pinned reproducibly.
 
 use act_units::{
     Area, Capacity, CarbonIntensity, Energy, Fraction, MassCo2, MassPerArea, MassPerCapacity,
@@ -25,6 +23,24 @@ fn mass_addition_commutes() {
         for b in FINITE {
             let (x, y) = (MassCo2::grams(a), MassCo2::grams(b));
             assert_eq!(x + y, y + x, "commutativity at ({a}, {b})");
+        }
+    }
+}
+
+#[test]
+fn mass_addition_associates() {
+    // Within ±1e6 g the two groupings may differ only by rounding.
+    const BOUNDED: [f64; 7] = [-999_999.5, -12_345.678, -1e-6, 0.0, 0.1, 7_654.321, 999_999.5];
+    for a in BOUNDED {
+        for b in BOUNDED {
+            for c in BOUNDED {
+                let (x, y, z) = (MassCo2::grams(a), MassCo2::grams(b), MassCo2::grams(c));
+                let (lhs, rhs) = ((x + y) + z, x + (y + z));
+                assert!(
+                    (lhs.as_grams() - rhs.as_grams()).abs() <= 1e-6,
+                    "associativity at ({a}, {b}, {c})"
+                );
+            }
         }
     }
 }

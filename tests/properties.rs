@@ -1,6 +1,5 @@
 //! Cross-crate property tests: invariants of the carbon model and the
-//! substrates over deterministic input grids. The randomized (proptest)
-//! companion lives in `external-dev/tests/workspace_properties.rs`.
+//! substrates over deterministic input grids.
 
 use act::accel::{AccelConfig, Network};
 use act::core::{

@@ -117,8 +117,7 @@ fn unknown_experiments_are_structured_errors() {
 }
 
 /// Deterministic sweep over the corners and interior of Table 1's valid
-/// ranges (the randomized companion lives in
-/// `external-dev/tests/workspace_validation.rs`).
+/// ranges.
 #[test]
 fn in_domain_params_always_yield_finite_nonnegative_footprints() {
     for exec_s in [60.0, 3.6e3, 1e6] {

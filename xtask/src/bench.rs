@@ -3,16 +3,17 @@
 //! Builds the workspace in release mode, times every paper artifact
 //! through the `act` binary, measures the parallel-vs-serial `act all`
 //! speedup and the sweep throughput (`act bench-sweep`, including the
-//! naive-vs-compiled model kernel A/B), and **appends** the lot as one
+//! naive-vs-block-compiled model kernel A/B), and **appends** the lot as one
 //! timestamped record to a machine-readable JSON trajectory (default
 //! `BENCH_results.json`, schema `act-bench-trajectory/2`) so successive
 //! commits accumulate a comparable performance history instead of
 //! overwriting it. A legacy single-record `act-bench-trajectory/1` file is
 //! wrapped into the trajectory on first append.
 //!
-//! When the trajectory already carries a compiled-kernel throughput
-//! reading, the harness doubles as a **regression guard**: a new record
-//! whose compiled points/sec drops below 70 % of the last committed one
+//! When the trajectory already carries a block-compiled sweep throughput
+//! reading (`compiled_block`), the harness doubles as a **regression
+//! guard**: a new record whose `compiled_block` points/sec drops below
+//! 70 % of the last committed one
 //! fails the run with exit code 2 (the record is still appended, so the
 //! regression itself is visible in the trajectory).
 //!
@@ -97,8 +98,8 @@ pub struct BenchReport {
     pub sweep_million: String,
     /// Raw JSON from `act fleet-bench` — the scenario fleet Monte-Carlo
     /// throughput probe (empty on a degraded run → rendered `null`). Its
-    /// keys deliberately avoid the exact `"compiled"` key the regression
-    /// guard scrapes for.
+    /// keys deliberately avoid the exact `"compiled_block"` key the
+    /// regression guard scrapes for.
     pub fleet: String,
     /// Whether the criterion smoke pass ran and succeeded (None = skipped).
     pub criterion_ok: Option<bool>,
@@ -200,11 +201,11 @@ pub fn render_record(report: &BenchReport) -> String {
     let _ = writeln!(out, "    \"speedup\": {}", json_ms(speedup));
     out.push_str("  },\n");
     // The gate/million captures render *before* the canonical sweep: the
-    // regression guard reads the **last** `"compiled"` object in the
+    // regression guard reads the **last** `"compiled_block"` object in the
     // trajectory, and that must stay the fixed-size canonical sweep so
     // baselines compare like against like.
     // `fleet` renders here too — before the canonical sweep — so its
-    // throughput numbers can never shadow the sweep's `"compiled"` object.
+    // throughput numbers can never shadow the sweep's `"compiled_block"`.
     for (key, capture) in [
         ("sweep_gate", &report.sweep_gate),
         ("sweep_million", &report.sweep_million),
@@ -343,13 +344,14 @@ pub fn record_count(text: &str) -> usize {
     count
 }
 
-/// Pulls the most recent compiled-kernel sweep throughput
-/// (`"compiled": {..., "points_per_sec": N, ...}`) out of a trajectory or a
-/// single record. Returns `None` when no record carries a finite positive
-/// reading — e.g. a degraded offline record whose sweep is `null`.
+/// Pulls the most recent block-compiled sweep throughput
+/// (`"compiled_block": {..., "points_per_sec": N, ...}`) out of a
+/// trajectory or a single record. Returns `None` when no record carries a
+/// finite positive reading — e.g. a degraded offline record whose sweep is
+/// `null`, or a record older than the block engine.
 #[must_use]
 pub fn extract_compiled_throughput(text: &str) -> Option<f64> {
-    let at = text.rfind("\"compiled\"")?;
+    let at = text.rfind("\"compiled_block\"")?;
     let tail = &text[at..];
     let key = tail.find("\"points_per_sec\"")?;
     let after = tail[key + "\"points_per_sec\"".len()..].trim_start();
@@ -365,7 +367,7 @@ pub fn extract_compiled_throughput(text: &str) -> Option<f64> {
 pub const GUARD_RETAIN_FRACTION: f64 = 0.7;
 
 /// Regression-guard verdict: `Some((baseline, current))` when the new
-/// record's compiled throughput fell below [`GUARD_RETAIN_FRACTION`] of the
+/// record's `compiled_block` throughput fell below [`GUARD_RETAIN_FRACTION`] of the
 /// trajectory's last reading; `None` when it passed or either side has no
 /// reading (first run, or a degraded record).
 #[must_use]
@@ -375,7 +377,7 @@ pub fn guard_regression(existing: &str, record: &str) -> Option<(f64, f64)> {
     (current < GUARD_RETAIN_FRACTION * baseline).then_some((baseline, current))
 }
 
-/// Minimum compiled parallel-over-serial speedup the 100k gate demands on
+/// Minimum compiled parallel-over-serial-block speedup the 100k gate demands on
 /// a multi-core host: parallel must not lose to serial.
 pub const GATE_MIN_SPEEDUP: f64 = 1.0;
 
@@ -385,7 +387,7 @@ pub enum GateOutcome {
     /// Multi-core host and the compiled-parallel leg held
     /// [`GATE_MIN_SPEEDUP`].
     Pass {
-        /// Compiled serial ms over compiled parallel ms.
+        /// Serial block ms over compiled parallel ms.
         speedup: f64,
         /// Worker threads the sweep resolved to.
         threads: usize,
@@ -398,12 +400,13 @@ pub enum GateOutcome {
     },
     /// Multi-core host but the parallel leg lost to serial.
     Fail {
-        /// Compiled serial ms over compiled parallel ms.
+        /// Serial block ms over compiled parallel ms.
         speedup: f64,
         /// Worker threads the sweep resolved to.
         threads: usize,
     },
-    /// The record carried no readable compiled serial/parallel timings
+    /// The record carried no readable `compiled_block`/`compiled_parallel`
+    /// timings
     /// (e.g. an empty capture on a degraded run).
     Unreadable,
 }
@@ -422,7 +425,8 @@ fn number_after(text: &str, from: usize, key: &str) -> Option<f64> {
 
 /// Applies the parallel-must-win gate to one raw `act bench-sweep` record:
 /// on a host with ≥ 2 hardware threads, the compiled-parallel leg must be
-/// at least [`GATE_MIN_SPEEDUP`] times the compiled-serial leg. Pure —
+/// at least [`GATE_MIN_SPEEDUP`] times the serial block leg
+/// (`compiled_block`) — both run the same block plan. Pure —
 /// callers decide how a [`GateOutcome::Fail`] maps to an exit code.
 #[must_use]
 pub fn gate_parallel_win(sweep_record: &str) -> GateOutcome {
@@ -431,12 +435,8 @@ pub fn gate_parallel_win(sweep_record: &str) -> GateOutcome {
     };
     let threads =
         number_after(sweep_record, 0, "\"threads\"").map_or(1, |t| t.max(1.0) as usize);
-    // The parallel leg evaluates through the block plan, so its serial
-    // baseline is the serial block leg when the record carries one;
-    // pre-block records fall back to the per-point compiled leg.
     let serial_ms = sweep_record
         .find("\"compiled_block\"")
-        .or_else(|| sweep_record.find("\"compiled\""))
         .and_then(|at| number_after(sweep_record, at, "\"ms\""));
     let parallel_ms = sweep_record
         .find("\"compiled_parallel\"")
@@ -452,59 +452,6 @@ pub fn gate_parallel_win(sweep_record: &str) -> GateOutcome {
         GateOutcome::Pass { speedup, threads }
     } else {
         GateOutcome::Fail { speedup, threads }
-    }
-}
-
-/// Minimum block-over-per-point throughput ratio the retention gate
-/// demands: the block-vectorized leg must never lose to the per-point
-/// compiled leg it replaced on the hot paths.
-pub const BLOCK_GATE_MIN_RATIO: f64 = 1.0;
-
-/// Verdict of the block-path retention gate over one `act bench-sweep`
-/// record.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BlockGateOutcome {
-    /// The `compiled_block` leg held at least [`BLOCK_GATE_MIN_RATIO`]
-    /// times the per-point `compiled` throughput.
-    Pass {
-        /// Block points/sec over per-point points/sec.
-        ratio: f64,
-    },
-    /// The block leg regressed below per-point throughput.
-    Fail {
-        /// Block points/sec over per-point points/sec.
-        ratio: f64,
-    },
-    /// The record carried no readable `compiled` / `compiled_block`
-    /// throughputs (a degraded run, or a record predating the block path).
-    Unreadable,
-}
-
-/// Applies the block-path retention gate to one raw `act bench-sweep`
-/// record: the block-vectorized leg's `points_per_sec` must be at least
-/// [`BLOCK_GATE_MIN_RATIO`] times the per-point compiled leg's, on any
-/// host (the comparison is serial vs. serial, so core count is
-/// irrelevant). Pure — callers decide how a [`BlockGateOutcome::Fail`]
-/// maps to an exit code.
-#[must_use]
-pub fn gate_block_retention(sweep_record: &str) -> BlockGateOutcome {
-    let per_point = sweep_record
-        .find("\"compiled\"")
-        .and_then(|at| number_after(sweep_record, at, "\"points_per_sec\""));
-    let block = sweep_record
-        .find("\"compiled_block\"")
-        .and_then(|at| number_after(sweep_record, at, "\"points_per_sec\""));
-    let (Some(per_point), Some(block)) = (per_point, block) else {
-        return BlockGateOutcome::Unreadable;
-    };
-    if !(per_point > 0.0 && block > 0.0) {
-        return BlockGateOutcome::Unreadable;
-    }
-    let ratio = block / per_point;
-    if ratio >= BLOCK_GATE_MIN_RATIO {
-        BlockGateOutcome::Pass { ratio }
-    } else {
-        BlockGateOutcome::Fail { ratio }
     }
 }
 
@@ -711,9 +658,9 @@ mod tests {
             figures: vec![("fig1".to_owned(), 10.0), ("table5-11".to_owned(), 2.5)],
             all_parallel_ms: 40.0,
             all_serial_ms: 100.0,
-            sweep: "{\"points\":100,\"speedup\":2.0,\"compiled\":{\"ms\":1.0,\"points_per_sec\":4000.0}}\n"
+            sweep: "{\"points\":100,\"speedup\":2.0,\"compiled_block\":{\"ms\":1.0,\"points_per_sec\":4000.0}}\n"
                 .to_owned(),
-            sweep_gate: "{\"points\":1000,\"machine_threads\":2,\"compiled\":{\"ms\":2.0},\"compiled_parallel\":{\"ms\":1.0}}\n"
+            sweep_gate: "{\"points\":1000,\"machine_threads\":2,\"compiled_block\":{\"ms\":2.0},\"compiled_parallel\":{\"ms\":1.0}}\n"
                 .to_owned(),
             sweep_million: String::new(),
             fleet: "{\"samples\":100000,\"fleet_serial\":{\"ms\":50.0,\"samples_per_sec\":2000000.0},\"fleet_parallel\":{\"ms\":25.0,\"samples_per_sec\":4000000.0}}\n"
@@ -769,12 +716,12 @@ mod tests {
 
     #[test]
     fn canonical_sweep_renders_after_gate_and_million_captures() {
-        // The regression guard reads the **last** `"compiled"` object; that
+        // The regression guard reads the **last** `"compiled_block"`; that
         // must stay the fixed-size canonical sweep, not the gate/million
         // probes, or baselines would compare across point counts.
         let mut r = sample_report();
         r.sweep_million =
-            "{\"mode\":\"million\",\"compiled\":{\"ms\":20.0,\"points_per_sec\":50000000.0}}"
+            "{\"mode\":\"million\",\"compiled_block\":{\"ms\":20.0,\"points_per_sec\":50000000.0}}"
                 .to_owned();
         let text = render_record(&r);
         let gate_at = text.find("\"sweep_gate\"").unwrap();
@@ -891,8 +838,8 @@ mod tests {
 
     #[test]
     fn compiled_throughput_reads_the_last_record() {
-        let older = "{\n  \"sweep\": {\"compiled\": {\"points_per_sec\": 1000.0}}\n}";
-        let newer = "{\n  \"sweep\": {\"compiled\": {\"points_per_sec\": 2500.5}}\n}";
+        let older = "{\n  \"sweep\": {\"compiled_block\": {\"points_per_sec\": 1000.0}}\n}";
+        let newer = "{\n  \"sweep\": {\"compiled_block\": {\"points_per_sec\": 2500.5}}\n}";
         let doc = append_record(&append_record("", older), newer);
         let got = match extract_compiled_throughput(&doc) {
             Some(v) => v,
@@ -905,7 +852,8 @@ mod tests {
     fn compiled_throughput_absent_from_degraded_records() {
         assert!(extract_compiled_throughput(&render_record(&degraded_report())).is_none());
         assert!(
-            extract_compiled_throughput("{\"compiled\": {\"points_per_sec\": null}}").is_none()
+            extract_compiled_throughput("{\"compiled_block\": {\"points_per_sec\": null}}")
+                .is_none()
         );
         assert!(extract_compiled_throughput("").is_none());
     }
@@ -913,8 +861,8 @@ mod tests {
     #[test]
     fn guard_trips_only_on_a_real_regression() {
         let baseline = append_record("", &render_record(&sample_report())); // 4000 pts/s
-        let fast = "{\"sweep\": {\"compiled\": {\"points_per_sec\": 3500.0}}}";
-        let slow = "{\"sweep\": {\"compiled\": {\"points_per_sec\": 2000.0}}}";
+        let fast = "{\"sweep\": {\"compiled_block\": {\"points_per_sec\": 3500.0}}}";
+        let slow = "{\"sweep\": {\"compiled_block\": {\"points_per_sec\": 2000.0}}}";
         assert!(guard_regression(&baseline, fast).is_none(), "25% drop is within tolerance");
         let (base, cur) = match guard_regression(&baseline, slow) {
             Some(pair) => pair,
@@ -949,7 +897,7 @@ mod tests {
         format!(
             "{{\"points\":100000,\"threads\":{machine},\"threads_source\":\"machine\",\
              \"machine_threads\":{machine},\"decision\":\"parallel\",\
-             \"compiled\":{{\"ms\":{serial_ms},\"points_per_sec\":1.0}},\
+             \"compiled_block\":{{\"ms\":{serial_ms},\"points_per_sec\":1.0}},\
              \"compiled_parallel\":{{\"ms\":{parallel_ms},\"points_per_sec\":1.0,\
              \"speedup_vs_serial\":1.0}}}}"
         )
@@ -994,70 +942,39 @@ mod tests {
         );
     }
 
-    /// A bench-sweep record carrying both the per-point and block-vectorized
-    /// compiled legs, in the shape `act bench-sweep` emits since the block
-    /// engine landed (including the `null` calibration threshold).
-    fn block_record(per_point_pps: f64, block_pps: f64) -> String {
+    /// A record in the shape `act bench-sweep` emits: `naive`, then the
+    /// `compiled_block` and `compiled_parallel` legs, no per-point
+    /// `compiled` leg.
+    fn block_only_record(block_pps: f64) -> String {
         format!(
-            "{{\"points\":100000,\"threads\":1,\"threads_source\":\"machine\",\
-             \"machine_threads\":1,\"decision\":\"serial\",\
+            "{{\"points\":10000,\"threads\":1,\"machine_threads\":1,\
              \"calibration\":{{\"threshold_points\":null,\"source\":\"single-core\"}},\
-             \"compiled\":{{\"ms\":10.0,\"points_per_sec\":{per_point_pps}}},\
-             \"compiled_block\":{{\"ms\":8.0,\"points_per_sec\":{block_pps},\
-             \"speedup_vs_per_point\":1.0}}}}"
+             \"naive\":{{\"ms\":90.0,\"points_per_sec\":1.0e5}},\
+             \"compiled_block\":{{\"ms\":0.1,\"points_per_sec\":{block_pps},\
+             \"speedup_vs_naive\":900.0}},\
+             \"compiled_parallel\":{{\"ms\":0.1,\"points_per_sec\":{block_pps}}}}}"
         )
     }
 
     #[test]
-    fn block_gate_passes_when_block_leg_holds_per_point_throughput() {
-        match gate_block_retention(&block_record(1.0e7, 2.5e7)) {
-            BlockGateOutcome::Pass { ratio } => assert!((ratio - 2.5).abs() < 1e-9),
-            other => panic!("expected Pass, got {other:?}"),
-        }
-        // Exactly matching per-point throughput retains the path too.
-        match gate_block_retention(&block_record(1.0e7, 1.0e7)) {
-            BlockGateOutcome::Pass { ratio } => assert!((ratio - 1.0).abs() < 1e-9),
-            other => panic!("expected Pass at parity, got {other:?}"),
-        }
+    fn guard_reads_block_only_records() {
+        let baseline = append_record("", &block_only_record(1.0e8));
+        assert!(guard_regression(&baseline, &block_only_record(0.8e8)).is_none());
+        let (base, cur) = match guard_regression(&baseline, &block_only_record(0.6e8)) {
+            Some(pair) => pair,
+            None => panic!("a 40% compiled_block drop must trip the guard"),
+        };
+        assert!((base - 1.0e8).abs() < 1e-3 && (cur - 0.6e8).abs() < 1e-3);
     }
 
     #[test]
-    fn block_gate_fails_when_block_leg_regresses() {
-        match gate_block_retention(&block_record(2.0e7, 1.5e7)) {
-            BlockGateOutcome::Fail { ratio } => assert!((ratio - 0.75).abs() < 1e-9),
-            other => panic!("expected Fail, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn block_gate_reports_unreadable_records_instead_of_guessing() {
-        assert_eq!(gate_block_retention(""), BlockGateOutcome::Unreadable);
-        // Pre-block trajectory records have no compiled_block section.
-        assert_eq!(
-            gate_block_retention(&gate_record(4, 20.0, 10.0)),
-            BlockGateOutcome::Unreadable,
-            "records without a compiled_block leg must not pass or fail the gate"
-        );
-    }
-
-    #[test]
-    fn parallel_gate_prefers_the_block_leg_as_its_serial_baseline() {
-        // With a block leg present, the parallel gate measures against it:
-        // block 8ms vs parallel 4ms -> 2x speedup on a 4-thread host.
-        let record = format!(
-            "{{\"points\":100000,\"threads\":4,\"threads_source\":\"machine\",\
-             \"machine_threads\":4,\"decision\":\"parallel\",\
-             \"compiled\":{{\"ms\":10.0,\"points_per_sec\":1.0}},\
-             \"compiled_block\":{{\"ms\":8.0,\"points_per_sec\":1.0}},\
-             \"compiled_parallel\":{{\"ms\":4.0,\"points_per_sec\":1.0}}}}"
-        );
-        match gate_parallel_win(&record) {
-            GateOutcome::Pass { speedup, threads } => {
-                assert!((speedup - 2.0).abs() < 1e-9, "baseline should be the 8ms block leg");
-                assert_eq!(threads, 4);
-            }
-            other => panic!("expected Pass, got {other:?}"),
-        }
+    fn parallel_gate_ignores_the_pre_block_compiled_leg() {
+        // Records older than the block engine carry only the per-point
+        // `compiled` leg: the gate has no serial block baseline there.
+        let record = "{\"points\":100000,\"threads\":4,\"machine_threads\":4,\
+                      \"compiled\":{\"ms\":10.0,\"points_per_sec\":1.0},\
+                      \"compiled_parallel\":{\"ms\":4.0,\"points_per_sec\":1.0}}";
+        assert_eq!(gate_parallel_win(record), GateOutcome::Unreadable);
     }
 
     #[test]

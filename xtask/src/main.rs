@@ -44,18 +44,16 @@ fn usage() -> String {
      a machine-readable findings report (schema act-analyze-findings/1).\n\n\
      bench builds the workspace in release mode, times every experiment\n\
      via the `act` binary (best of N repeats), measures the parallel vs\n\
-     --serial `act all` speedup and the naive-vs-compiled sweep\n\
+     --serial `act all` speedup and the naive-vs-block-compiled sweep\n\
      throughput, and APPENDS one timestamped record to a JSON trajectory\n\
      (default BENCH_results.json, schema act-bench-trajectory/2; a legacy\n\
      v1 file is wrapped on first append). When both the trajectory and the\n\
-     new record carry a compiled points/sec reading, the run fails with\n\
-     exit 2 if throughput regressed more than 30% — the record is still\n\
-     appended so the regression stays visible. A 100k-point gate sweep\n\
-     then enforces two retention gates: the block-vectorized leg\n\
-     (`compiled_block`) must not lose to the per-point compiled leg on\n\
-     any host, and the calibrated compiled-parallel leg must not lose to\n\
-     serial: exit 2 on failure (the parallel gate soft-warns with 1\n\
-     hardware thread). Outside --quick a million-point compiled sweep is recorded\n\
+     new record carry a `compiled_block` points/sec reading, the run fails\n\
+     with exit 2 if throughput regressed more than 30% — the record is\n\
+     still appended so the regression stays visible. A 100k-point gate\n\
+     sweep then enforces that the calibrated compiled-parallel leg does\n\
+     not lose to the serial block leg: exit 2 on failure (soft-warns with\n\
+     1 hardware thread). Outside --quick a million-point compiled sweep is recorded\n\
      too, and every run captures a 100k-sample `act fleet-bench` record\n\
      (`fleet_serial`/`fleet_parallel` throughput of the scenario fleet\n\
      Monte-Carlo, invisible to the compiled-sweep guard). When the release build is unavailable (offline), a degraded\n\
@@ -83,7 +81,7 @@ fn usage() -> String {
      loadtest starts a fault-free `act serve`, measures sequential\n\
      POST /v1/footprint latency (p50/p99) and request throughput after a\n\
      warmup, and APPENDS a labeled record to the same trajectory file as\n\
-     bench. Loadtest records carry a `server` block instead of `compiled`\n\
+     bench. Loadtest records carry a `server` block instead of `compiled_block`\n\
      readings, so the bench throughput regression guard ignores them.\n\
        --quick       100 measured requests instead of 400\n\n\
      exit codes: 0 clean, 1 violations, 2 usage/I-O error, bench\n\
@@ -339,39 +337,13 @@ fn run_bench(config: &xtask::bench::BenchConfig) -> ExitCode {
     );
     if let Some((baseline, current)) = regression {
         eprintln!(
-            "bench: REGRESSION — compiled sweep throughput {current:.0} points/s is below \
+            "bench: REGRESSION — compiled_block sweep throughput {current:.0} points/s is below \
              {:.0}% of the trajectory baseline {baseline:.0} points/s",
             xtask::bench::GUARD_RETAIN_FRACTION * 100.0
         );
         return ExitCode::from(2);
     }
-    // Block-path retention gate: serial vs. serial, enforced on any host.
-    let block_failed = match xtask::bench::gate_block_retention(&report.sweep_gate) {
-        xtask::bench::BlockGateOutcome::Pass { ratio } => {
-            eprintln!(
-                "bench: 100k block gate PASSED — compiled_block {ratio:.2}x per-point \
-                 compiled throughput"
-            );
-            false
-        }
-        xtask::bench::BlockGateOutcome::Fail { ratio } => {
-            eprintln!(
-                "bench: 100k block gate FAILED — compiled_block only {ratio:.2}x per-point \
-                 compiled throughput (needs >= {:.2}x); the block-vectorized path must not \
-                 lose to the per-point path it replaced",
-                xtask::bench::BLOCK_GATE_MIN_RATIO
-            );
-            true
-        }
-        xtask::bench::BlockGateOutcome::Unreadable => {
-            eprintln!(
-                "bench: 100k block gate UNREADABLE (warning) — the gate sweep record \
-                 carried no compiled / compiled_block throughputs"
-            );
-            false
-        }
-    };
-    let parallel_failed = match xtask::bench::gate_parallel_win(&report.sweep_gate) {
+    let failed = match xtask::bench::gate_parallel_win(&report.sweep_gate) {
         xtask::bench::GateOutcome::Pass { speedup, threads } => {
             eprintln!(
                 "bench: 100k parallel gate PASSED — compiled parallel {speedup:.2}x serial \
@@ -398,12 +370,12 @@ fn run_bench(config: &xtask::bench::BenchConfig) -> ExitCode {
         xtask::bench::GateOutcome::Unreadable => {
             eprintln!(
                 "bench: 100k parallel gate UNREADABLE (warning) — the gate sweep record \
-                 carried no compiled serial/parallel timings"
+                 carried no compiled_block/compiled_parallel timings"
             );
             false
         }
     };
-    if block_failed || parallel_failed {
+    if failed {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS

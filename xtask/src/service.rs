@@ -551,8 +551,8 @@ pub struct LoadReport {
 }
 
 /// Renders the loadtest trajectory record. Deliberately carries no
-/// `compiled` block, so `guard_regression` (which keys on compiled sweep
-/// throughput) skips these records.
+/// `compiled_block` object, so `guard_regression` (which keys on block
+/// sweep throughput) skips these records.
 #[must_use]
 pub fn render_load_record(report: &LoadReport) -> String {
     let mut out = String::new();
@@ -688,7 +688,7 @@ mod tests {
         // No compiled block ⇒ guard_regression must not fire even against
         // a trajectory that has one.
         let existing = "{\"schema\": \"act-bench-trajectory/2\", \"records\": [\
-                        {\"compiled\": {\"points_per_sec\": 1000000}}]}";
+                        {\"compiled_block\": {\"points_per_sec\": 1000000}}]}";
         assert_eq!(crate::bench::guard_regression(existing, &record), None);
         // And the record appends into a well-formed trajectory.
         let body = crate::bench::append_record(existing, &record);
