@@ -3,6 +3,8 @@
 //! complete reproduction pipeline (model evaluation, sweeps, simulation).
 
 use act_bench::{black_box, Harness};
+use act_dse::Parallelism;
+use act_experiments::{par_try_render_experiment, OutputFormat};
 
 fn main() {
     let mut h = Harness::from_env();
@@ -19,11 +21,17 @@ fn main() {
     h.bench("bench_fig14", || black_box(act_experiments::fig14::run()));
     // The FTL simulation makes fig15 the heaviest artifact; the harness's
     // measurement window bounds it the way criterion's sample_size=10 did.
-    h.bench("bench_fig15", || black_box(act_experiments::fig15::run()));
+    h.bench("bench_fig15", || black_box(act_experiments::fig15::run(Parallelism::Serial)));
     h.bench("bench_fig16", || black_box(act_experiments::fig16::run()));
     h.bench("bench_fig17", || black_box(act_experiments::fig17::run()));
     h.bench("bench_table4", || black_box(act_experiments::table4::run()));
     h.bench("bench_tables", || black_box(act_experiments::tables::run().to_string()));
     h.bench("bench_table12", || black_box(act_experiments::table12::run()));
+    // What a reproducer runs, and what the `paper` workload of the
+    // repository benchmark times: every experiment, with the FTL runs of
+    // fig15 and ablations spread over the pool.
+    h.bench("bench_all", || {
+        black_box(par_try_render_experiment("all", OutputFormat::Json, Parallelism::Auto))
+    });
     h.finish();
 }

@@ -15,10 +15,12 @@
 //! act serve           # NDJSON model service on 127.0.0.1 (act-server)
 //! ```
 //!
-//! Requested experiments evaluate **in parallel** by default (including
-//! the figures inside `all`), while output stays in request/paper order
-//! and is byte-identical to a serial run. `--serial` disables threading
-//! entirely; `ACT_THREADS=N` caps the worker count.
+//! Requested experiments evaluate **in parallel** by default, while output
+//! stays in request/paper order and is byte-identical to a serial run.
+//! Inside `all` the experiments run one after another, and the FTL
+//! simulations of fig15 and ablations — most of its time — spread over the
+//! workers. `--serial` disables threading entirely; `ACT_THREADS=N` caps
+//! the worker count.
 //!
 //! Model sub-terms are memoized by default (`act_core::memo`); `--naive`
 //! disables the caches for A/B timing. Cached values are bit-identical to
@@ -764,8 +766,9 @@ fn main() -> ExitCode {
             println!("{id}");
         }
         eprintln!(
-            "(experiments evaluate in parallel by default; \
-             --serial disables threads, ACT_THREADS=N caps workers)"
+            "(requested experiments evaluate in parallel by default, and the \
+             FTL runs of fig15 and ablations spread over the workers, also \
+             inside `all`; --serial disables threads, ACT_THREADS=N caps workers)"
         );
         return ExitCode::SUCCESS;
     }
@@ -825,8 +828,9 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        // Parallel path: requested experiments evaluate concurrently (and
-        // `all` fans out internally); results print in request order.
+        // Parallel path: requested experiments evaluate concurrently, and a
+        // lone fig15, ablations or `all` spreads its FTL runs over the
+        // pool instead; results print in request order.
         let rendered = par_map_ordered(Parallelism::Auto, &ids, |_, id| {
             par_try_render_experiment(id, format, Parallelism::Auto)
         });

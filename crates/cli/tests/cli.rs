@@ -37,14 +37,18 @@ fn parallel_and_serial_runs_are_byte_identical() {
 
 #[test]
 fn parallel_and_serial_json_runs_are_byte_identical() {
-    let parallel = act(&["--json", "fig12", "table4"]);
-    let serial = act(&["--json", "--serial", "fig12", "table4"]);
-    assert!(parallel.status.success());
-    assert!(serial.status.success());
-    assert_eq!(parallel.stdout, serial.stdout);
-    // And the payload is still valid JSON per line.
-    for line in stdout(&parallel).lines() {
-        let _ = act_json::JsonValue::parse(line).expect("json line");
+    // A lone `fig15` spreads its FTL rows over the pool; among several
+    // requested experiments it runs inside one worker.
+    for ids in [&["fig12", "table4", "fig15"][..], &["fig15"]] {
+        let parallel = act(&[&["--json"][..], ids].concat());
+        let serial = act(&[&["--json", "--serial"][..], ids].concat());
+        assert!(parallel.status.success());
+        assert!(serial.status.success());
+        assert_eq!(parallel.stdout, serial.stdout, "{ids:?}");
+        // And the payload is still valid JSON per line.
+        for line in stdout(&parallel).lines() {
+            let _ = act_json::JsonValue::parse(line).expect("json line");
+        }
     }
 }
 

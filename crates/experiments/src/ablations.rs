@@ -5,6 +5,7 @@ use std::fmt;
 
 use act_core::{FabScenario, SystemSpec};
 use act_data::{Abatement, DramTechnology, ProcessNode};
+use act_dse::Parallelism;
 use act_ssd::{
     analytical_write_amplification, FtlConfig, FtlSimulator, OverProvisioning, TracePattern,
     WriteTrace,
@@ -48,9 +49,10 @@ pub struct AblationsResult {
 
 act_json::impl_to_json!(AblationsResult { studies });
 
-/// Runs every ablation.
+/// Runs every ablation, spreading the FTL simulations over `parallelism`
+/// workers. The output does not depend on the policy.
 #[must_use]
-pub fn run() -> AblationsResult {
+pub fn run(parallelism: Parallelism) -> AblationsResult {
     let die = Area::square_millimeters(90.0);
     let node = ProcessNode::N7;
 
@@ -93,18 +95,22 @@ pub fn run() -> AblationsResult {
         .collect(),
     };
 
-    // WA model: analytical vs simulated at the study's anchor points.
+    // WA model: analytical vs simulated at the study's anchor points. The
+    // two FTL runs are most of this function's time; each builds its own
+    // simulator and trace seed, so they are independent.
+    let anchors = [0.16, 0.34].map(OverProvisioning::new_const);
+    let simulated = act_dse::par_map_ordered(parallelism, &anchors, |_, &pf| {
+        let config = FtlConfig::small(pf);
+        let mut ftl = FtlSimulator::new(config);
+        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 5);
+        ftl.measure_steady_state_wa(&mut trace, 30_000)
+    });
     let wa_study = Sensitivity {
         parameter: "write-amplification model (WA at PF)".into(),
-        series: [0.16, 0.34]
+        series: anchors
             .into_iter()
-            .flat_map(|op| {
-                let pf = OverProvisioning::new_const(op);
-                let config = FtlConfig::small(pf);
-                let mut ftl = FtlSimulator::new(config);
-                let mut trace =
-                    WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 5);
-                let simulated = ftl.measure_steady_state_wa(&mut trace, 30_000);
+            .zip(simulated)
+            .flat_map(|(pf, simulated)| {
                 [
                     (format!("analytical @ {pf}"), analytical_write_amplification(pf)),
                     (format!("FTL sim @ {pf}"), simulated),
@@ -153,26 +159,26 @@ mod tests {
 
     #[test]
     fn five_studies_present() {
-        assert_eq!(run().studies.len(), 5);
+        assert_eq!(run(Parallelism::Serial).studies.len(), 5);
     }
 
     #[test]
     fn yield_spread_is_2x_over_the_range() {
         // 1/Y from 1.0 to 0.5 doubles the footprint.
-        let r = run();
+        let r = run(Parallelism::Serial);
         let spread = r.studies[0].spread();
         assert!((1.9..=2.1).contains(&spread), "spread {spread}");
     }
 
     #[test]
     fn abatement_matters_less_than_yield() {
-        let r = run();
+        let r = run(Parallelism::Serial);
         assert!(r.studies[1].spread() < r.studies[0].spread());
     }
 
     #[test]
     fn fab_energy_source_moves_device_footprints_substantially() {
-        let r = run();
+        let r = run(Parallelism::Serial);
         let spread = r.studies[2].spread();
         assert!(spread > 1.3, "fab CI spread {spread}");
     }
@@ -181,14 +187,14 @@ mod tests {
     fn dram_node_assignment_is_the_largest_lever() {
         // 50 nm DDR3 vs LPDDR4 differ 12.5x per GB — dwarfing every fab
         // parameter; exactly why legacy-node LCAs mislead (Table 12).
-        let r = run();
+        let r = run(Parallelism::Serial);
         let spread = r.studies[4].spread();
         assert!(spread > 10.0, "DRAM spread {spread}");
     }
 
     #[test]
     fn renders_every_study() {
-        let s = run().to_string();
+        let s = run(Parallelism::Serial).to_string();
         assert_eq!(s.matches("Ablation:").count(), 5);
         assert!(s.contains("spread"));
     }

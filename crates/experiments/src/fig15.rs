@@ -5,6 +5,7 @@
 use crate::Present;
 use std::fmt;
 
+use act_dse::Parallelism;
 use act_ssd::{
     analytical_write_amplification, effective_embodied, FtlConfig, FtlSimulator, LifetimeModel,
     OverProvisioning, TracePattern, WriteTrace,
@@ -61,9 +62,10 @@ pub struct Fig15Result {
 
 act_json::impl_to_json!(Fig15Result { rows });
 
-/// Runs the study.
+/// Runs the study, spreading the per-row FTL simulations over
+/// `parallelism` workers. The output does not depend on the policy.
 #[must_use]
-pub fn run() -> Fig15Result {
+pub fn run(parallelism: Parallelism) -> Fig15Result {
     let model = LifetimeModel::default();
     let grid = op_grid();
     // The carbon terms: two closed-form `effective_embodied` points per PF
@@ -76,23 +78,25 @@ pub fn run() -> Fig15Result {
         .map(|(pf, horizon)| effective_embodied(pf, horizon, &model))
         .collect();
     let baseline = carbon[0];
+    // The FTL runs are nearly all of the study's time. Each row builds its
+    // own simulator and trace seed, so they are independent.
+    let wa_simulated = act_dse::par_map_ordered(parallelism, &grid, |_, &pf| {
+        let config = FtlConfig::small(pf);
+        let mut ftl = FtlSimulator::new(config);
+        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 7);
+        ftl.measure_steady_state_wa(&mut trace, 40_000)
+    });
     let rows = grid
         .into_iter()
+        .zip(wa_simulated)
         .enumerate()
-        .map(|(i, pf)| {
-            let config = FtlConfig::small(pf);
-            let mut ftl = FtlSimulator::new(config);
-            let mut trace =
-                WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 7);
-            let wa_simulated = ftl.measure_steady_state_wa(&mut trace, 40_000);
-            OpRow {
-                pf,
-                wa_analytical: analytical_write_amplification(pf),
-                wa_simulated,
-                lifetime_years: model.lifetime_years(pf),
-                first_life: carbon[2 * i] / baseline,
-                second_life: carbon[2 * i + 1] / baseline,
-            }
+        .map(|(i, (pf, wa_simulated))| OpRow {
+            pf,
+            wa_analytical: analytical_write_amplification(pf),
+            wa_simulated,
+            lifetime_years: model.lifetime_years(pf),
+            first_life: carbon[2 * i] / baseline,
+            second_life: carbon[2 * i + 1] / baseline,
         })
         .collect();
     Fig15Result { rows }
@@ -165,25 +169,25 @@ mod tests {
 
     #[test]
     fn first_life_optimum_is_16_percent() {
-        let r = run();
+        let r = run(Parallelism::Serial);
         assert!((r.first_life_optimal().pf.get() - 0.16).abs() < 1e-9);
     }
 
     #[test]
     fn second_life_optimum_is_34_percent() {
-        let r = run();
+        let r = run(Parallelism::Serial);
         assert!((r.second_life_optimal().pf.get() - 0.34).abs() < 1e-9);
     }
 
     #[test]
     fn second_life_reduces_per_year_embodied_by_about_1_8x() {
-        let reduction = run().second_life_reduction();
+        let reduction = run(Parallelism::Serial).second_life_reduction();
         assert!((1.6..=2.0).contains(&reduction), "reduction {reduction}");
     }
 
     #[test]
     fn wa_falls_and_lifetime_grows_along_the_grid() {
-        let r = run();
+        let r = run(Parallelism::Serial);
         for pair in r.rows.windows(2) {
             assert!(pair[1].wa_analytical < pair[0].wa_analytical);
             assert!(pair[1].lifetime_years > pair[0].lifetime_years);
@@ -192,7 +196,7 @@ mod tests {
 
     #[test]
     fn ftl_simulation_tracks_the_analytical_curve() {
-        for row in run().rows {
+        for row in run(Parallelism::Serial).rows {
             let ratio = row.wa_simulated / row.wa_analytical;
             assert!(
                 (0.5..=1.5).contains(&ratio),
@@ -208,13 +212,13 @@ mod tests {
     fn under_provisioning_is_penalized_by_replacements() {
         // The 4 % baseline wears out in ~half a year: its effective
         // embodied carbon towers over the optimum.
-        let r = run();
+        let r = run(Parallelism::Serial);
         assert!(r.rows[0].first_life > 2.0 * r.first_life_optimal().first_life);
     }
 
     #[test]
     fn renders_grid_and_optima() {
-        let s = run().to_string();
+        let s = run(Parallelism::Serial).to_string();
         assert!(s.contains("16%") && s.contains("34%"));
     }
 }

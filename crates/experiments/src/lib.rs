@@ -2,9 +2,12 @@
 //!
 //! Every module exposes a `run()` function returning a typed result struct
 //! whose `Display` implementation prints the same rows/series the paper
-//! reports. Tests in each module pin the paper's qualitative claims: who
-//! wins under each metric, by roughly what factor, and where crossovers
-//! fall. EXPERIMENTS.md records paper-vs-measured for each.
+//! reports. The two FTL-bound ones, `fig15::run` and `ablations::run`,
+//! take a [`Parallelism`] policy for their independent simulator runs;
+//! their output does not depend on it. Tests in each module pin the
+//! paper's qualitative claims: who wins under each metric, by roughly
+//! what factor, and where crossovers fall. EXPERIMENTS.md records
+//! paper-vs-measured for each.
 //!
 //! # Examples
 //!
@@ -16,6 +19,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use act_dse::Parallelism;
 
 pub mod ablations;
 pub mod ext_datacenter;
@@ -65,45 +70,24 @@ pub const EXPERIMENT_IDS: [&str; 21] = [
 ];
 
 /// Renders one experiment (or `"all"`) to text. Returns `None` for an
-/// unknown ID.
+/// unknown ID. Runs entirely on the calling thread.
 #[must_use]
 pub fn render_experiment(id: &str) -> Option<String> {
-    let out = match id {
-        "fig1" => fig1::run().to_string(),
-        "fig4" => fig4::run().to_string(),
-        "fig6" => fig6::run().to_string(),
-        "fig7" => fig7::run().to_string(),
-        "fig8" => fig8::run().to_string(),
-        "fig9" => fig9::run().to_string(),
-        "fig10" => fig10::run().to_string(),
-        "fig11" => fig11::run().to_string(),
-        "fig12" => fig12::run().to_string(),
-        "fig13" => fig13::run().to_string(),
-        "fig14" => fig14::run().to_string(),
-        "fig15" => fig15::run().to_string(),
-        "fig16" => fig16::run().to_string(),
-        "fig17" => fig17::run().to_string(),
-        "table4" => table4::run().to_string(),
-        "table5-11" => tables::run().to_string(),
-        "table12" => table12::run().to_string(),
-        "ablations" => ablations::run().to_string(),
-        "datacenter" => ext_datacenter::run().to_string(),
-        "devices" => ext_devices::run().to_string(),
-        "all" => {
-            let mut out = String::new();
-            for text in EXPERIMENT_IDS
-                .iter()
-                .filter(|id| **id != "all")
-                .filter_map(|id| render_experiment(id))
-            {
-                out.push_str(&text);
-                out.push('\n');
-            }
-            out
-        }
-        _ => return None,
-    };
-    Some(out)
+    render(id, OutputFormat::Text, Parallelism::Serial)
+}
+
+/// Serializes one experiment's typed result to compact JSON. For `"all"`,
+/// emits a JSON array of `{"id": ..., "result": ...}` objects, one per
+/// concrete experiment in paper order. Returns `None` for unknown IDs.
+/// Runs entirely on the calling thread.
+///
+/// # Panics
+///
+/// Panics if serialization fails (experiment results contain only plain
+/// data and always serialize).
+#[must_use]
+pub fn render_experiment_json(id: &str) -> Option<String> {
+    render(id, OutputFormat::Json, Parallelism::Serial)
 }
 
 /// Serializes a result struct to one compact JSON line — experiment
@@ -115,52 +99,87 @@ fn json<T: act_json::ToJson>(value: &T) -> String {
     value.to_json().render_compact()
 }
 
-/// Serializes one experiment's typed result to compact JSON. For `"all"`,
-/// emits a JSON array of `{"id": ..., "result": ...}` objects, one per
-/// concrete experiment in paper order. Returns `None` for unknown IDs.
-///
-/// # Panics
-///
-/// Panics if serialization fails (experiment results contain only plain
-/// data and always serialize).
-#[must_use]
-pub fn render_experiment_json(id: &str) -> Option<String> {
+/// Renders `value` in `format`.
+fn format_result<T: act_json::ToJson + std::fmt::Display>(
+    value: &T,
+    format: OutputFormat,
+) -> String {
+    match format {
+        OutputFormat::Text => value.to_string(),
+        OutputFormat::Json => json(value),
+    }
+}
+
+/// Renders one experiment (or `"all"`) in `format`. `parallelism` reaches
+/// only the two FTL-bound experiments, fig15 and ablations, whose
+/// independent simulator runs spread over the pool; everything else runs
+/// on the calling thread, so [`Parallelism::Serial`] never touches the
+/// pool. Returns `None` for an unknown ID.
+fn render(id: &str, format: OutputFormat, parallelism: Parallelism) -> Option<String> {
     let out = match id {
-        "fig1" => json(&fig1::run()),
-        "fig4" => json(&fig4::run()),
-        "fig6" => json(&fig6::run()),
-        "fig7" => json(&fig7::run()),
-        "fig8" => json(&fig8::run()),
-        "fig9" => json(&fig9::run()),
-        "fig10" => json(&fig10::run()),
-        "fig11" => json(&fig11::run()),
-        "fig12" => json(&fig12::run()),
-        "fig13" => json(&fig13::run()),
-        "fig14" => json(&fig14::run()),
-        "fig15" => json(&fig15::run()),
-        "fig16" => json(&fig16::run()),
-        "fig17" => json(&fig17::run()),
-        "table4" => json(&table4::run()),
-        "table5-11" => json(&tables::run()),
-        "table12" => json(&table12::run()),
-        "ablations" => json(&ablations::run()),
-        "datacenter" => json(&ext_datacenter::run()),
-        "devices" => json(&ext_devices::run()),
-        "all" => {
-            let entries: Vec<act_json::JsonValue> = EXPERIMENT_IDS
-                .iter()
-                .filter(|id| **id != "all")
-                .filter_map(|id| {
-                    let body = render_experiment_json(id)?;
-                    let result = act_json::JsonValue::parse(&body).ok()?;
-                    Some(act_json::obj! { "id": id, "result": result })
-                })
-                .collect();
-            json(&entries)
-        }
+        "fig1" => format_result(&fig1::run(), format),
+        "fig4" => format_result(&fig4::run(), format),
+        "fig6" => format_result(&fig6::run(), format),
+        "fig7" => format_result(&fig7::run(), format),
+        "fig8" => format_result(&fig8::run(), format),
+        "fig9" => format_result(&fig9::run(), format),
+        "fig10" => format_result(&fig10::run(), format),
+        "fig11" => format_result(&fig11::run(), format),
+        "fig12" => format_result(&fig12::run(), format),
+        "fig13" => format_result(&fig13::run(), format),
+        "fig14" => format_result(&fig14::run(), format),
+        "fig15" => format_result(&fig15::run(parallelism), format),
+        "fig16" => format_result(&fig16::run(), format),
+        "fig17" => format_result(&fig17::run(), format),
+        "table4" => format_result(&table4::run(), format),
+        "table5-11" => format_result(&tables::run(), format),
+        "table12" => format_result(&table12::run(), format),
+        "ablations" => format_result(&ablations::run(parallelism), format),
+        "datacenter" => format_result(&ext_datacenter::run(), format),
+        "devices" => format_result(&ext_devices::run(), format),
+        "all" => assemble_all(format, |sub| render(sub, format, parallelism).ok_or(())).ok()?,
         _ => return None,
     };
     Some(out)
+}
+
+/// Assembles `"all"` from each concrete experiment's rendering, in paper
+/// order, stopping at the first error. Text joins the bodies with
+/// newlines. JSON splices each compact body verbatim into
+/// `{"id":"<id>","result":<body>}` inside one array: the bodies are
+/// already compact JSON, so parsing and re-rendering them would only
+/// reproduce the same bytes.
+fn assemble_all<E>(
+    format: OutputFormat,
+    mut part: impl FnMut(&'static str) -> Result<String, E>,
+) -> Result<String, E> {
+    let mut out = String::new();
+    if format == OutputFormat::Json {
+        out.push('[');
+    }
+    for (i, id) in concrete_experiment_ids().into_iter().enumerate() {
+        let body = part(id)?;
+        match format {
+            OutputFormat::Text => {
+                out.push_str(&body);
+                out.push('\n');
+            }
+            OutputFormat::Json => {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"id\":");
+                out.push_str(&json(&id));
+                out.push_str(",\"result\":");
+                out.push_str(&body);
+                out.push('}');
+            }
+        }
+    }
+    if format == OutputFormat::Json {
+        out.push(']');
+    }
+    Ok(out)
 }
 
 /// Output format accepted by [`try_render_experiment`].
@@ -258,12 +277,21 @@ pub fn try_render_experiment(
     id: &str,
     format: OutputFormat,
 ) -> Result<String, ExperimentError> {
+    try_render(id, format, Parallelism::Serial)
+}
+
+/// The fault-isolating core of [`try_render_experiment`] and
+/// [`par_try_render_experiment`], under an explicit policy.
+fn try_render(
+    id: &str,
+    format: OutputFormat,
+    parallelism: Parallelism,
+) -> Result<String, ExperimentError> {
     if !EXPERIMENT_IDS.contains(&id) {
         return Err(ExperimentError::UnknownId(id.to_owned()));
     }
-    let rendered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match format {
-        OutputFormat::Text => render_experiment(id),
-        OutputFormat::Json => render_experiment_json(id),
+    let rendered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        render(id, format, parallelism)
     }));
     match rendered {
         Ok(Some(out)) => Ok(out),
@@ -291,12 +319,17 @@ fn lift_all_error(err: &ExperimentError) -> ExperimentError {
 
 /// Parallel variant of [`try_render_experiment`].
 ///
-/// For a concrete ID this is exactly [`try_render_experiment`]. For
-/// `"all"` the concrete experiments evaluate **concurrently** — each one
-/// fault-isolated in its worker — and the output is assembled in paper
-/// order, byte-identical to the serial rendering whenever every
-/// experiment succeeds. [`Parallelism::Serial`] reproduces the serial
-/// schedule exactly (no threads are spawned).
+/// The experiments themselves run one after another on the calling
+/// thread; `parallelism` reaches the two FTL-bound ones, fig15 and
+/// ablations, whose independent simulator runs spread over the pool. For
+/// `"all"` each concrete experiment is fault-isolated on its own, in
+/// paper order. The output is byte-identical to the serial rendering
+/// whenever every experiment succeeds, and [`Parallelism::Serial`]
+/// reproduces the serial schedule exactly (the pool is never touched).
+///
+/// The pool runs a nested dispatch inline, so fanning out over the
+/// experiments would pin all of fig15's rows to one worker; dispatching
+/// inside the two heavy experiments keeps every worker busy instead.
 ///
 /// # Errors
 ///
@@ -319,47 +352,14 @@ fn lift_all_error(err: &ExperimentError) -> ExperimentError {
 pub fn par_try_render_experiment(
     id: &str,
     format: OutputFormat,
-    parallelism: act_dse::Parallelism,
+    parallelism: Parallelism,
 ) -> Result<String, ExperimentError> {
     if id != "all" {
-        return try_render_experiment(id, format);
+        return try_render(id, format, parallelism);
     }
-    let ids = concrete_experiment_ids();
-    let parts = act_dse::par_map_ordered(parallelism, &ids, |_, sub| {
-        try_render_experiment(sub, format)
-    });
-    match format {
-        OutputFormat::Text => {
-            let mut out = String::new();
-            for part in parts {
-                match part {
-                    Ok(text) => {
-                        out.push_str(&text);
-                        out.push('\n');
-                    }
-                    Err(err) => return Err(lift_all_error(&err)),
-                }
-            }
-            Ok(out)
-        }
-        OutputFormat::Json => {
-            let mut entries = Vec::with_capacity(ids.len());
-            for (sub, part) in ids.iter().zip(parts) {
-                match part {
-                    Ok(body) => {
-                        // Mirrors the serial assembly, which also skips
-                        // (never observed) unparseable bodies.
-                        let Ok(result) = act_json::JsonValue::parse(&body) else {
-                            continue;
-                        };
-                        entries.push(act_json::obj! { "id": sub, "result": result });
-                    }
-                    Err(err) => return Err(lift_all_error(&err)),
-                }
-            }
-            Ok(json(&entries))
-        }
-    }
+    assemble_all(format, |sub| {
+        try_render(sub, format, parallelism).map_err(|err| lift_all_error(&err))
+    })
 }
 
 #[cfg(test)]
@@ -394,6 +394,9 @@ mod tests {
     fn all_serializes_to_a_json_array_of_every_experiment() {
         let json = render_experiment_json("all").expect("`all` should serialize");
         let parsed = act_json::JsonValue::parse(&json).unwrap();
+        // The spliced assembly is exactly what rendering the parsed tree
+        // gives back.
+        assert_eq!(parsed.render_compact(), json);
         let entries = parsed.as_array().expect("`all` should be a JSON array");
         assert_eq!(entries.len(), EXPERIMENT_IDS.len() - 1);
         for (entry, id) in entries.iter().zip(EXPERIMENT_IDS) {
@@ -415,7 +418,6 @@ mod tests {
 
     #[test]
     fn parallel_all_matches_serial_all_byte_for_byte() {
-        use act_dse::Parallelism;
         for format in [OutputFormat::Text, OutputFormat::Json] {
             let serial = try_render_experiment("all", format).unwrap();
             let seq = par_try_render_experiment("all", format, Parallelism::Serial).unwrap();
@@ -428,11 +430,18 @@ mod tests {
 
     #[test]
     fn parallel_concrete_ids_delegate_to_serial() {
-        use act_dse::Parallelism;
-        let serial = try_render_experiment("table4", OutputFormat::Json).unwrap();
-        let par =
-            par_try_render_experiment("table4", OutputFormat::Json, Parallelism::Auto).unwrap();
-        assert_eq!(serial, par);
+        let cases = [
+            ("table4", OutputFormat::Json, Parallelism::Auto),
+            ("fig15", OutputFormat::Text, Parallelism::threads(4)),
+            ("fig15", OutputFormat::Json, Parallelism::threads(4)),
+            ("ablations", OutputFormat::Text, Parallelism::threads(4)),
+            ("ablations", OutputFormat::Json, Parallelism::threads(4)),
+        ];
+        for (id, format, parallelism) in cases {
+            let serial = try_render_experiment(id, format).unwrap();
+            let par = par_try_render_experiment(id, format, parallelism).unwrap();
+            assert_eq!(serial, par, "{id} {format:?}");
+        }
         let err = par_try_render_experiment("fig99", OutputFormat::Text, Parallelism::Auto)
             .unwrap_err();
         assert_eq!(err, ExperimentError::UnknownId("fig99".to_owned()));

@@ -12,6 +12,7 @@
 //! a new trace seed or grid): `act fig15` and paste the output here, in
 //! the same commit that justifies the change.
 
+use act_dse::Parallelism;
 use act_experiments::fig15;
 
 const GOLDEN: &str = "\
@@ -30,18 +31,20 @@ const GOLDEN: &str = "\
 
 #[test]
 fn rendered_study_is_byte_identical_to_the_golden() {
-    assert_eq!(fig15::run().to_string(), GOLDEN);
+    assert_eq!(fig15::run(Parallelism::Serial).to_string(), GOLDEN);
+    assert_eq!(fig15::run(Parallelism::threads(4)).to_string(), GOLDEN);
 }
 
 #[test]
 fn simulated_wa_values_are_pinned_to_full_precision_within_display_rounding() {
     // The table rounds to 2 decimals; additionally pin the raw simulated
     // WA of the heaviest point so sub-rounding drift is caught too.
-    let rows = fig15::run().rows;
+    let rows = fig15::run(Parallelism::Serial).rows;
     let wa0 = rows[0].wa_simulated;
     assert!((wa0 - 7.44).abs() < 0.005, "PF 4% simulated WA drifted: {wa0}");
-    // Determinism: a second run is bit-identical to the first.
-    let again = fig15::run().rows;
+    // Determinism: a second run, its rows spread over workers, is
+    // bit-identical to the first.
+    let again = fig15::run(Parallelism::threads(4)).rows;
     for (a, b) in rows.iter().zip(&again) {
         assert!(a.wa_simulated.to_bits() == b.wa_simulated.to_bits());
     }
