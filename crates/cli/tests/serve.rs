@@ -43,7 +43,7 @@ impl ServeChild {
     fn stop(mut self) -> (bool, String) {
         let _ = request(
             &self.addr,
-            b"POST /admin/shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}",
+            b"POST /admin/shutdown HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}",
         );
         let child = self.child.take().expect("child still running");
         let out = child.wait_with_output().expect("wait for act serve");
@@ -59,7 +59,9 @@ impl Drop for ServeChild {
     }
 }
 
-/// One raw HTTP exchange; returns the full response text.
+/// One raw HTTP exchange; returns the full response text. Every `raw`
+/// declares `Connection: close`, so the server ends the connection after
+/// its response and `read_to_end` returns.
 fn request(addr: &str, raw: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect to act serve");
     stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
@@ -91,7 +93,10 @@ fn server_lines_are_byte_identical_to_act_json_stdout() {
     for id in ["fig1", "all"] {
         let response = request(
             &server.addr,
-            format!("GET /v1/experiments/{id} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
+            format!(
+                "GET /v1/experiments/{id} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+            )
+            .as_bytes(),
         );
         assert!(
             response.starts_with("HTTP/1.1 200"),
@@ -113,10 +118,10 @@ fn server_lines_are_byte_identical_to_act_json_stdout() {
 fn error_responses_are_one_parseable_json_line() {
     let server = ServeChild::start(&[]);
     let bad = [
-        "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\n{not json"
+        "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 9\r\n\r\n{not json"
             .to_owned(),
-        "GET /no/such/route HTTP/1.1\r\nHost: t\r\n\r\n".to_owned(),
-        "POST /v1/sweep HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}".to_owned(),
+        "GET /no/such/route HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_owned(),
+        "POST /v1/sweep HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}".to_owned(),
     ];
     for raw in &bad {
         let response = request(&server.addr, raw.as_bytes());
@@ -132,7 +137,8 @@ fn error_responses_are_one_parseable_json_line() {
 #[test]
 fn shutdown_prints_a_final_stats_line_and_exits_zero() {
     let server = ServeChild::start(&["--workers", "2"]);
-    let health = request(&server.addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let health =
+        request(&server.addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
     assert!(health.starts_with("HTTP/1.1 200"));
     let (ok, rest) = server.stop();
     assert!(ok, "act serve must exit 0 after graceful shutdown");
@@ -148,7 +154,8 @@ fn shutdown_prints_a_final_stats_line_and_exits_zero() {
 #[test]
 fn sigterm_triggers_the_same_graceful_shutdown() {
     let server = ServeChild::start(&[]);
-    let health = request(&server.addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let health =
+        request(&server.addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
     assert!(health.starts_with("HTTP/1.1 200"));
 
     let pid = server.child.as_ref().expect("running").id();

@@ -4,16 +4,28 @@
 //! `act-server` speaks, built for hostile peers: every read is bounded by
 //! the socket read timeout the caller configured, header and body sizes
 //! are capped, and every failure is a typed [`HttpError`] that maps to one
-//! status code and one parseable NDJSON error line. Responses always carry
-//! `Connection: close`; one connection serves one request, which keeps the
-//! accounting (and the drain logic) trivially correct.
+//! status code and one parseable NDJSON error line.
+//!
+//! Connections persist: a [`Request`] says whether its side allows
+//! another request on the connection, and a [`Connection`] carries the
+//! server's decision into the handlers so that every response's
+//! `Connection: keep-alive` / `Connection: close` header matches what the
+//! worker does next. A fixed response goes out in one `write_all` (head
+//! and body in one buffer): with two writes, Nagle's algorithm holds the
+//! body until the client's delayed ACK of the head, ~21 ms per request on
+//! a kept connection. NDJSON streams are close-delimited and buffered.
 
-use std::io::{ErrorKind, Read, Write};
+use std::fmt::Write as _;
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 /// Upper bound on the request line plus all headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Buffer size of a streamed response: a 16k-point sweep goes out in
+/// 64 KiB writes instead of one syscall per line.
+const STREAM_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A parsed request: method, path, headers, body.
 #[derive(Clone, Debug)]
@@ -27,6 +39,11 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The request body (empty when no `Content-Length` was sent).
     pub body: Vec<u8>,
+    /// Whether the client side allows another request on the connection:
+    /// HTTP/1.1, no `Connection: close`, and no bytes read past this
+    /// request (pipelining is not supported, so such a connection closes
+    /// rather than lose its framing).
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -245,8 +262,16 @@ pub fn read_request(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
 
-    let mut request =
-        Request { method: method.to_owned(), path: path.to_owned(), headers, body: Vec::new() };
+    let wants_close = headers.iter().any(|(name, value)| {
+        name == "connection" && value.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
+    });
+    let mut request = Request {
+        method: method.to_owned(),
+        path: path.to_owned(),
+        headers,
+        body: Vec::new(),
+        keep_alive: version == "HTTP/1.1" && !wants_close,
+    };
 
     let content_length = parse_content_length(&request.headers)?;
     let declared = match content_length {
@@ -261,7 +286,9 @@ pub fn read_request(
     // The body: whatever arrived after the head, then read the remainder.
     let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
     // Defensive cap on the first chunk too: a peer may send more than it
-    // declared; never buffer beyond the declared length.
+    // declared; never buffer beyond the declared length. Bytes past it
+    // belong to a pipelined request, which ends the connection.
+    let mut read_past = body.len() > declared;
     body.truncate(declared);
     while body.len() < declared {
         if let Some(delay) = read_delay {
@@ -272,9 +299,11 @@ pub fn read_request(
             return Err(HttpError::Disconnected);
         }
         let take = (declared - body.len()).min(n);
+        read_past |= n > take;
         body.extend_from_slice(&chunk[..take]);
     }
     request.body = body;
+    request.keep_alive &= !read_past;
     Ok(request)
 }
 
@@ -316,67 +345,96 @@ fn parse_content_length(headers: &[(String, String)]) -> Result<Option<usize>, H
     Ok(declared)
 }
 
-/// Writes a complete response with a known body (adds `Content-Length`).
+/// Writes a complete response with a known body in one `write_all`:
+/// status line, `Content-Length`, the `Connection` header `keep_alive`
+/// selects, `extra_headers` (each a full `Name: value` line without the
+/// CRLF), then the body.
 ///
 /// # Errors
 ///
 /// Propagates socket errors; the caller usually just drops the connection.
 pub fn write_response(
-    stream: &mut TcpStream,
-    status: Status,
-    body: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        status.line(),
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Writes a complete response with extra header lines (each must be a full
-/// `Name: value` string without the trailing CRLF).
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_response_with_headers(
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     status: Status,
     extra_headers: &[&str],
+    keep_alive: bool,
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n",
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut response = String::with_capacity(160 + body.len());
+    let _ = write!(
+        response,
+        "HTTP/1.1 {}\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         status.line(),
         body.len(),
     );
     for header in extra_headers {
-        head.push_str(header);
-        head.push_str("\r\n");
+        response.push_str(header);
+        response.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    response.push_str("\r\n");
+    response.push_str(body);
+    out.write_all(response.as_bytes())?;
+    out.flush()
 }
 
-/// Starts a streamed NDJSON response: status plus headers, no
-/// `Content-Length` — the body is delimited by connection close, which is
-/// the HTTP/1.1 contract when the producer cannot know the length up
-/// front (a sweep cut off by its deadline, for instance).
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_stream_head(stream: &mut TcpStream, status: Status) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
-        status.line(),
-    );
-    stream.write_all(head.as_bytes())
+/// One request's view of its connection: the socket plus whether the
+/// response may leave it open for the next request. Handlers respond only
+/// through it, so the `Connection` header they send is the decision the
+/// worker acts on afterwards.
+pub struct Connection<'a> {
+    stream: &'a mut TcpStream,
+    keep_alive: bool,
+}
+
+impl<'a> Connection<'a> {
+    /// Wraps `stream`; `keep_alive` is the worker's decision before the
+    /// handler runs.
+    pub fn new(stream: &'a mut TcpStream, keep_alive: bool) -> Self {
+        Self { stream, keep_alive }
+    }
+
+    /// Whether the connection stays open after this response.
+    #[must_use]
+    pub fn keep_alive(&self) -> bool {
+        self.keep_alive
+    }
+
+    /// Closes the connection after this response.
+    pub fn close(&mut self) {
+        self.keep_alive = false;
+    }
+
+    /// Writes a complete response in one write. Any status but `200`
+    /// closes the connection.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn respond(&mut self, status: Status, body: &str) -> std::io::Result<()> {
+        self.keep_alive &= status == Status::Ok;
+        write_response(self.stream, status, &[], self.keep_alive, body)
+    }
+
+    /// Starts a streamed NDJSON response and returns its buffered writer:
+    /// status plus headers, no `Content-Length` — the body is delimited by
+    /// connection close, which is the HTTP/1.1 contract when the producer
+    /// cannot know the length up front (a sweep cut off by its deadline,
+    /// for instance). The caller flushes the writer after the last line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn stream(&mut self, status: Status) -> std::io::Result<BufWriter<&mut TcpStream>> {
+        self.keep_alive = false;
+        let mut out = BufWriter::with_capacity(STREAM_BUFFER_BYTES, &mut *self.stream);
+        write!(
+            out,
+            "HTTP/1.1 {}\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
+            status.line(),
+        )?;
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -399,6 +457,62 @@ mod tests {
             Status::PayloadTooLarge
         );
         assert_eq!(HttpError::LengthRequired.kind(), "length-required");
+    }
+
+    /// Reads one request sent as `raw` over a loopback connection.
+    fn read_raw(raw: &[u8]) -> Request {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(raw).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        read_request(&mut server, 1024, None).unwrap()
+    }
+
+    #[test]
+    fn keep_alive_needs_http11_no_close_and_no_bytes_past_the_request() {
+        let keep = |raw: &str| read_raw(raw.as_bytes()).keep_alive;
+        assert!(keep("GET / HTTP/1.1\r\nHost: t\r\n\r\n"));
+        assert!(keep("GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"));
+        assert!(keep("POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"));
+        assert!(!keep("GET / HTTP/1.0\r\nHost: t\r\n\r\n"));
+        assert!(!keep("GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!keep("GET / HTTP/1.1\r\nConnection: Upgrade, Close\r\n\r\n"));
+        // Pipelined: the next request's bytes arrived with this one.
+        assert!(!keep("GET / HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\n\r\n"));
+        assert!(!keep("POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}GET"));
+    }
+
+    /// A writer that records each `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_fixed_response_is_one_write() {
+        let mut out = Writes::default();
+        write_response(&mut out, Status::Ok, &[], true, "{\"ok\":true}\n").unwrap();
+        assert_eq!(out.0.len(), 1, "head and body in one write");
+        assert_eq!(
+            String::from_utf8(out.0.remove(0)).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: 12\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}\n"
+        );
+        let mut out = Writes::default();
+        write_response(&mut out, Status::Overloaded, &["Retry-After: 1"], false, "x").unwrap();
+        assert_eq!(out.0.len(), 1);
+        let text = String::from_utf8(out.0.remove(0)).unwrap();
+        assert!(text.contains("Connection: close\r\nRetry-After: 1\r\n\r\nx"), "{text}");
     }
 
     #[test]

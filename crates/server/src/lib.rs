@@ -20,6 +20,11 @@
 //!   SIGTERM/ctrl-c by the CLI) the listener stops accepting, in-flight
 //!   requests drain under a deadline, and [`Server::serve`] returns a
 //!   final [`StatsSnapshot`] for the operator's last log line.
+//! * **Persistent connections** — a worker keeps serving requests on a
+//!   connection until the client, an error, a stream, a fault or shutdown
+//!   ends it. While it waits for the next request, a clone of the stream
+//!   sits in an idle set, so shutdown and a starved accept loop can close
+//!   it: an idle connection never holds a worker or the drain hostage.
 //! * **Fault injection** — a [`FaultPlan`] (off by default) deterministically
 //!   injects slow reads, malformed bodies, handler panics, worker kills
 //!   and eval delays, so the chaos harness can prove all of the above
@@ -43,14 +48,14 @@ pub mod routes;
 pub mod stats;
 
 use std::collections::VecDeque;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use faults::{FaultDecision, FaultPlan};
-use http::{HttpError, Status};
+use http::{Connection, HttpError, Status};
 use routes::RouteOutcome;
 use stats::{ServerStats, StatsSnapshot};
 
@@ -119,7 +124,8 @@ impl ShutdownHandle {
 }
 
 /// Recovers a usable guard from a poisoned mutex: the queue only holds
-/// `TcpStream`s, which have no invariants a panicking worker could break.
+/// `TcpStream`s and counts, which have no invariants a panicking worker
+/// could break.
 fn lock_queue(queue: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> {
     match queue.lock() {
         Ok(guard) => guard,
@@ -127,10 +133,26 @@ fn lock_queue(queue: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> {
     }
 }
 
-/// The admission queue: bounded, closeable, condvar-signalled.
+/// The admission queue (bounded, closeable, condvar-signalled) and the idle
+/// set of kept connections, under one lock so that admitting a job and
+/// parking a connection never race.
 struct QueueState {
     jobs: VecDeque<(TcpStream, u64)>,
     closed: bool,
+    /// Workers blocked in `pop`, free to take a job at once.
+    free_workers: usize,
+    /// Kept connections waiting for their next request, longest idle
+    /// first: a clone of each stream, keyed by connection id.
+    idle: VecDeque<(u64, TcpStream)>,
+    /// Set once shutdown began: connections may no longer park.
+    draining: bool,
+}
+
+impl QueueState {
+    /// `true` when a queued job has no free worker to take it.
+    fn starved(&self) -> bool {
+        self.jobs.len() > self.free_workers
+    }
 }
 
 struct Queue {
@@ -142,22 +164,33 @@ struct Queue {
 impl Queue {
     fn new(capacity: usize) -> Self {
         Self {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                closed: false,
+                free_workers: 0,
+                idle: VecDeque::new(),
+                draining: false,
+            }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
 
     /// Admits a connection, or returns it when the queue is full (shed)
-    /// or closed (draining).
+    /// or closed (draining). When no worker is free to take it, the
+    /// longest-idle kept connection is closed to free one.
     fn push(&self, stream: TcpStream, conn_id: u64) -> Result<(), TcpStream> {
         let mut state = lock_queue(&self.state);
         if state.closed || state.jobs.len() >= self.capacity {
             return Err(stream);
         }
         state.jobs.push_back((stream, conn_id));
+        let evicted = if state.starved() { state.idle.pop_front() } else { None };
         drop(state);
         self.ready.notify_one();
+        if let Some((_, idle)) = evicted {
+            let _ = idle.shutdown(Shutdown::Both);
+        }
         Ok(())
     }
 
@@ -171,10 +204,12 @@ impl Queue {
             if state.closed {
                 return None;
             }
+            state.free_workers += 1;
             state = match self.ready.wait_timeout(state, Duration::from_millis(100)) {
                 Ok((guard, _)) => guard,
                 Err(poisoned) => poisoned.into_inner().0,
             };
+            state.free_workers -= 1;
         }
     }
 
@@ -186,6 +221,41 @@ impl Queue {
 
     fn len(&self) -> usize {
         lock_queue(&self.state).jobs.len()
+    }
+
+    /// Parks a clone of a kept connection's stream in the idle set while
+    /// its worker waits for the next request. Refused — the caller closes
+    /// the connection instead — when a queued job needs this worker, when
+    /// shutdown began, or when the stream cannot be cloned.
+    fn park(&self, conn_id: u64, stream: &TcpStream) -> bool {
+        let Ok(clone) = stream.try_clone() else { return false };
+        let mut state = lock_queue(&self.state);
+        if state.draining || state.starved() {
+            return false;
+        }
+        state.idle.push_back((conn_id, clone));
+        true
+    }
+
+    /// Takes a connection back out of the idle set; `false` when it was
+    /// closed while parked.
+    fn unpark(&self, conn_id: u64) -> bool {
+        let mut state = lock_queue(&self.state);
+        match state.idle.iter().position(|(id, _)| *id == conn_id) {
+            Some(pos) => state.idle.remove(pos).is_some(),
+            None => false,
+        }
+    }
+
+    /// Shutdown: closes every parked connection, and refuses new ones.
+    fn close_idle(&self) {
+        let mut state = lock_queue(&self.state);
+        state.draining = true;
+        let parked = std::mem::take(&mut state.idle);
+        drop(state);
+        for (_, idle) in parked {
+            let _ = idle.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -320,10 +390,11 @@ fn accept_loop(
                 ServerStats::bump(&stats.finished);
                 let _ = rejected.set_write_timeout(Some(Duration::from_secs(1)));
                 let body = routes::error_line("overloaded", "admission queue is full");
-                let _ = http::write_response_with_headers(
+                let _ = http::write_response(
                     &mut rejected,
                     Status::Overloaded,
                     &["Retry-After: 1"],
+                    false,
                     &body,
                 );
             }
@@ -332,8 +403,9 @@ fn accept_loop(
 }
 
 /// The housekeeping thread: owns the workers and respawns any that died
-/// (e.g. the kill-worker fault) until shutdown is requested, then wakes
-/// the blocked `accept` and hands the workers back for the drain.
+/// (e.g. the kill-worker fault) until shutdown is requested, then closes
+/// the idle kept connections, wakes the blocked `accept` and hands the
+/// workers back for the drain.
 fn housekeep(
     queue: &Arc<Queue>,
     config: &Arc<ServerConfig>,
@@ -355,6 +427,7 @@ fn housekeep(
         }
         std::thread::sleep(HOUSEKEEPING_TICK);
     }
+    queue.close_idle();
     let _ = TcpStream::connect(wake_addr);
     workers
 }
@@ -370,7 +443,7 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Spawns one worker: pops admitted connections and handles them until
+/// Spawns one worker: pops admitted connections and serves them until
 /// the queue closes (or the kill-worker fault fires).
 fn spawn_worker(
     queue: &Arc<Queue>,
@@ -385,9 +458,7 @@ fn spawn_worker(
     std::thread::spawn(move || {
         while let Some((stream, conn_id)) = queue.pop() {
             stats.queued.store(queue.len() as u64, Ordering::Relaxed);
-            stats.in_flight.fetch_add(1, Ordering::SeqCst);
-            let died = handle_connection(stream, conn_id, &config, &stats, &shutdown);
-            stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+            let died = serve_connection(stream, conn_id, &queue, &config, &stats, &shutdown);
             ServerStats::bump(&stats.finished);
             if died {
                 // Simulated abrupt worker death: exit the loop; the
@@ -398,19 +469,29 @@ fn spawn_worker(
     })
 }
 
-/// Handles one connection end to end. Returns `true` when the kill-worker
-/// fault fired and the worker thread should die.
-fn handle_connection(
+/// What a worker does with a connection after one request.
+enum Next {
+    /// Wait for the next request on it.
+    Keep,
+    /// Close it.
+    Close,
+    /// The kill-worker fault fired: drop it and let the worker die.
+    Die,
+}
+
+/// Serves one connection's requests until it closes. Returns `true` when
+/// the kill-worker fault fired and the worker thread should die.
+fn serve_connection(
     mut stream: TcpStream,
     conn_id: u64,
+    queue: &Queue,
     config: &ServerConfig,
     stats: &ServerStats,
     shutdown: &ShutdownHandle,
 ) -> bool {
-    let deadline = Instant::now() + config.request_deadline;
-
     // Per-request I/O budget: reads and writes both time out well inside
-    // the request deadline so a stalled peer cannot pin a worker.
+    // the request deadline so a stalled peer cannot pin a worker. The same
+    // timeout bounds the idle wait between requests.
     let io_timeout = config.request_deadline.min(Duration::from_secs(5));
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
@@ -422,7 +503,45 @@ fn handle_connection(
         return true;
     }
 
-    let request = http::read_request(&mut stream, config.max_body_bytes, fault.slow_read);
+    loop {
+        stats.in_flight.fetch_add(1, Ordering::SeqCst);
+        let next = serve_request(&mut stream, &fault, config, stats, shutdown);
+        stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        match next {
+            Next::Keep => {}
+            Next::Close => return false,
+            Next::Die => return true,
+        }
+        if !await_next_request(&stream, conn_id, queue) {
+            return false;
+        }
+        ServerStats::bump(&stats.reused);
+    }
+}
+
+/// Waits for the first byte of a kept connection's next request, with the
+/// stream parked in the idle set meanwhile. `false` — close silently, no
+/// error response and no counter — on EOF, on the idle timeout, or when
+/// shutdown or the accept loop closed the parked stream.
+fn await_next_request(stream: &TcpStream, conn_id: u64, queue: &Queue) -> bool {
+    if !queue.park(conn_id, stream) {
+        return false;
+    }
+    let arrived = matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+    queue.unpark(conn_id) && arrived
+}
+
+/// Reads, dispatches and answers one request on `stream`, and says
+/// whether the connection may carry another.
+fn serve_request(
+    stream: &mut TcpStream,
+    conn_fault: &FaultDecision,
+    config: &ServerConfig,
+    stats: &ServerStats,
+    shutdown: &ShutdownHandle,
+) -> Next {
+    let deadline = Instant::now() + config.request_deadline;
+    let request = http::read_request(stream, config.max_body_bytes, conn_fault.slow_read);
     let mut request = match request {
         Ok(request) => request,
         Err(err) => {
@@ -431,8 +550,8 @@ fn handle_connection(
                 _ => ServerStats::bump(&stats.bad_requests),
             }
             let body = routes::error_line(err.kind(), &err.to_string());
-            let _ = http::write_response(&mut stream, err.status(), &body);
-            return false;
+            let _ = http::write_response(stream, err.status(), &[], false, &body);
+            return Next::Close;
         }
     };
 
@@ -440,20 +559,25 @@ fn handle_connection(
     // overrides the probabilistic roll.
     let fault = match request.header("x-act-fault") {
         Some(value) if config.faults.is_some() => {
-            FaultPlan::from_header(value).unwrap_or(fault)
+            FaultPlan::from_header(value).unwrap_or_else(|| conn_fault.clone())
         }
-        _ => fault,
+        _ => conn_fault.clone(),
     };
     if fault.kill_worker {
-        return true;
+        return Next::Die;
     }
     if fault.malformed_body {
         faults::corrupt_body(&mut request.body);
     }
 
+    // A faulted request is its connection's last, so every fault lands on
+    // exactly one request.
+    let keep_alive = request.keep_alive && !fault.any() && !shutdown.is_requested();
+    let mut conn = Connection::new(stream, keep_alive);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        routes::dispatch(&mut stream, &request, config, stats, deadline, &fault)
+        routes::dispatch(&mut conn, &request, config, stats, deadline, &fault)
     }));
+    let keep_alive = conn.keep_alive();
     match outcome {
         Ok(Ok(RouteOutcome::Completed | RouteOutcome::DeadlinePartial)) => {
             ServerStats::bump(&stats.completed);
@@ -466,14 +590,20 @@ fn handle_connection(
         Ok(Err(_write_error)) => {
             // Peer vanished mid-write; nothing to send it.
             ServerStats::bump(&stats.bad_requests);
+            return Next::Close;
         }
         Err(_panic) => {
             ServerStats::bump(&stats.panics_caught);
             let body = routes::error_line("internal", "handler panicked");
-            let _ = http::write_response(&mut stream, Status::InternalError, &body);
+            let _ = http::write_response(stream, Status::InternalError, &[], false, &body);
+            return Next::Close;
         }
     }
-    false
+    if keep_alive && !shutdown.is_requested() {
+        Next::Keep
+    } else {
+        Next::Close
+    }
 }
 
 /// Rolls the fault plan for this connection (no plan → no faults).
@@ -503,6 +633,38 @@ mod tests {
         assert!(queue.push(c, 3).is_err(), "closed queue rejects");
         assert!(queue.pop().is_some(), "drain the admitted job");
         assert!(queue.pop().is_none(), "closed and empty ends the worker");
+    }
+
+    #[test]
+    fn starved_push_closes_the_longest_idle_connection() {
+        let queue = Queue::new(4);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (mut peers, mut kept) = (Vec::new(), Vec::new());
+        for conn_id in 1..=2 {
+            let peer = TcpStream::connect(addr).expect("connect");
+            peer.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
+            peers.push(peer);
+            let (server_side, _) = listener.accept().expect("accept");
+            assert!(queue.park(conn_id, &server_side), "nothing queued: parking allowed");
+            kept.push(server_side);
+        }
+        // No worker waits in `pop`, so the job is starved: connection 1,
+        // the longest idle, is closed to free its worker.
+        assert!(queue.push(TcpStream::connect(addr).expect("connect"), 3).is_ok());
+        let mut byte = [0u8; 1];
+        assert_eq!(std::io::Read::read(&mut peers[0], &mut byte).expect("EOF"), 0);
+        assert!(!queue.unpark(1), "an evicted connection is gone from the set");
+        let (parked, _) = listener.accept().expect("accept");
+        assert!(!queue.park(4, &parked), "a starved queue refuses to park");
+        assert!(queue.unpark(2), "connection 2 stayed parked");
+
+        // Shutdown closes every parked connection and refuses new ones.
+        assert!(queue.pop().is_some());
+        assert!(queue.park(2, &parked));
+        queue.close_idle();
+        assert!(!queue.unpark(2));
+        assert!(!queue.park(5, &parked), "no parking once shutdown began");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! the `threads` the evaluation actually used, so a client can see which
 //! path served it.
 
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Instant;
 
 use act_core::{CompiledFootprint, FreeAxis, ModelParams};
@@ -30,7 +30,7 @@ use act_experiments::{concrete_experiment_ids, try_render_experiment, OutputForm
 use act_json::{format_float, FromJson, JsonValue, ToJson};
 
 use crate::faults::FaultDecision;
-use crate::http::{write_response, write_stream_head, Request, Status};
+use crate::http::{Connection, Request, Status};
 use crate::stats::ServerStats;
 use crate::ServerConfig;
 
@@ -80,13 +80,14 @@ impl Reject {
 /// Dispatches one parsed request and writes the full response.
 ///
 /// Returns the outcome for counter accounting, or the I/O error if the
-/// peer vanished mid-write (the caller just drops the connection).
+/// peer vanished mid-write (the caller just drops the connection). Whether
+/// the connection stays open afterwards is `conn`'s to say.
 ///
 /// # Errors
 ///
 /// Propagates socket write errors.
 pub fn dispatch(
-    stream: &mut TcpStream,
+    conn: &mut Connection<'_>,
     request: &Request,
     config: &ServerConfig,
     stats: &ServerStats,
@@ -104,13 +105,13 @@ pub fn dispatch(
     let path = request.path.as_str();
     match (method, path) {
         ("GET", "/healthz") => {
-            write_response(stream, Status::Ok, "{\"ok\":true}\n")?;
+            conn.respond(Status::Ok, "{\"ok\":true}\n")?;
             Ok(RouteOutcome::Completed)
         }
         ("GET", "/v1/stats") => {
             let mut line = stats.snapshot().to_json().render_compact();
             line.push('\n');
-            write_response(stream, Status::Ok, &line)?;
+            conn.respond(Status::Ok, &line)?;
             Ok(RouteOutcome::Completed)
         }
         ("GET", "/v1/params/reference") => {
@@ -119,7 +120,7 @@ pub fn dispatch(
             // obtain a valid params document.
             let mut line = ModelParams::mobile_reference().to_json().render_compact();
             line.push('\n');
-            write_response(stream, Status::Ok, &line)?;
+            conn.respond(Status::Ok, &line)?;
             Ok(RouteOutcome::Completed)
         }
         ("GET", "/v1/experiments") => {
@@ -127,7 +128,7 @@ pub fn dispatch(
             let obj = act_json::JsonObject::new().with("experiments", ids.to_json());
             let mut line = JsonValue::Object(obj).render_compact();
             line.push('\n');
-            write_response(stream, Status::Ok, &line)?;
+            conn.respond(Status::Ok, &line)?;
             Ok(RouteOutcome::Completed)
         }
         ("GET", _) if path.starts_with("/v1/experiments/") => {
@@ -137,47 +138,46 @@ pub fn dispatch(
                     // Byte-identical to `act --json <id>`: rendering + "\n".
                     let mut body = rendered;
                     body.push('\n');
-                    write_response(stream, Status::Ok, &body)?;
+                    conn.respond(Status::Ok, &body)?;
                     Ok(RouteOutcome::Completed)
                 }
                 Err(act_experiments::ExperimentError::UnknownId(id)) => {
                     let body =
                         error_line("unknown-experiment", &format!("no experiment `{id}`"));
-                    write_response(stream, Status::NotFound, &body)?;
+                    conn.respond(Status::NotFound, &body)?;
                     Ok(RouteOutcome::ClientError)
                 }
                 Err(err) => {
                     let body = error_line("experiment-failed", &err.to_string());
-                    write_response(stream, Status::InternalError, &body)?;
+                    conn.respond(Status::InternalError, &body)?;
                     Ok(RouteOutcome::ClientError)
                 }
             }
         }
-        ("POST", "/v1/footprint") => handle_footprint(stream, request),
-        ("POST", "/v1/scenario") => handle_scenario(stream, request),
-        ("POST", "/v1/fleet") => handle_fleet(stream, request, stats, deadline),
-        ("POST", "/v1/sweep") => handle_sweep(stream, request, config, stats, deadline),
-        ("POST", "/v1/montecarlo") => {
-            handle_montecarlo(stream, request, config, stats, deadline)
-        }
+        ("POST", "/v1/footprint") => handle_footprint(conn, request),
+        ("POST", "/v1/scenario") => handle_scenario(conn, request),
+        ("POST", "/v1/fleet") => handle_fleet(conn, request, stats, deadline),
+        ("POST", "/v1/sweep") => handle_sweep(conn, request, config, stats, deadline),
+        ("POST", "/v1/montecarlo") => handle_montecarlo(conn, request, config, stats, deadline),
         ("POST", "/admin/shutdown") => {
             if config.allow_remote_shutdown {
-                write_response(stream, Status::Ok, "{\"shutting_down\":true}\n")?;
+                conn.close();
+                conn.respond(Status::Ok, "{\"shutting_down\":true}\n")?;
                 Ok(RouteOutcome::ShutdownRequested)
             } else {
                 let body = error_line("forbidden", "remote shutdown is disabled");
-                write_response(stream, Status::NotFound, &body)?;
+                conn.respond(Status::NotFound, &body)?;
                 Ok(RouteOutcome::ClientError)
             }
         }
         ("GET" | "POST", _) => {
             let body = error_line("not-found", &format!("no route for {method} {path}"));
-            write_response(stream, Status::NotFound, &body)?;
+            conn.respond(Status::NotFound, &body)?;
             Ok(RouteOutcome::ClientError)
         }
         _ => {
             let body = error_line("method-not-allowed", &format!("method {method}"));
-            write_response(stream, Status::MethodNotAllowed, &body)?;
+            conn.respond(Status::MethodNotAllowed, &body)?;
             Ok(RouteOutcome::ClientError)
         }
     }
@@ -194,7 +194,7 @@ fn parse_body(request: &Request) -> Result<JsonValue, Reject> {
 /// `{"gco2":...}` line out. Lowered through `CompiledFootprint` with no
 /// free axes so it exercises the same kernel path as sweeps.
 fn handle_footprint(
-    stream: &mut TcpStream,
+    conn: &mut Connection<'_>,
     request: &Request,
 ) -> std::io::Result<RouteOutcome> {
     let result = parse_body(request).and_then(|doc| {
@@ -207,12 +207,12 @@ fn handle_footprint(
     match result {
         Ok(gco2) => {
             let body = format!("{{\"gco2\":{}}}\n", format_float(gco2));
-            write_response(stream, Status::Ok, &body)?;
+            conn.respond(Status::Ok, &body)?;
             Ok(RouteOutcome::Completed)
         }
         Err(reject) => {
             let body = error_line(reject.kind, &reject.message);
-            write_response(stream, reject.status, &body)?;
+            conn.respond(reject.status, &body)?;
             Ok(RouteOutcome::ClientError)
         }
     }
@@ -232,7 +232,10 @@ fn parse_scenario(request: &Request) -> Result<act_scenario::CompiledScenario, R
 /// embodied breakdown and (when a workload is present) the single-device
 /// footprint. The lowering is the exact constant-path fold, so posting a
 /// committed fixture reproduces the built-in device bit-for-bit.
-fn handle_scenario(stream: &mut TcpStream, request: &Request) -> std::io::Result<RouteOutcome> {
+fn handle_scenario(
+    conn: &mut Connection<'_>,
+    request: &Request,
+) -> std::io::Result<RouteOutcome> {
     match parse_scenario(request) {
         Ok(compiled) => {
             let mut obj = act_json::JsonObject::new()
@@ -244,12 +247,12 @@ fn handle_scenario(stream: &mut TcpStream, request: &Request) -> std::io::Result
             }
             let mut line = JsonValue::Object(obj).render_compact();
             line.push('\n');
-            write_response(stream, Status::Ok, &line)?;
+            conn.respond(Status::Ok, &line)?;
             Ok(RouteOutcome::Completed)
         }
         Err(reject) => {
             let body = error_line(reject.kind, &reject.message);
-            write_response(stream, reject.status, &body)?;
+            conn.respond(reject.status, &body)?;
             Ok(RouteOutcome::ClientError)
         }
     }
@@ -261,7 +264,7 @@ fn handle_scenario(stream: &mut TcpStream, request: &Request) -> std::io::Result
 /// budgeted block machinery as `/v1/montecarlo`, so the outcome is
 /// bit-identical whichever thread count the calibration picks.
 fn handle_fleet(
-    stream: &mut TcpStream,
+    conn: &mut Connection<'_>,
     request: &Request,
     stats: &ServerStats,
     deadline: Instant,
@@ -270,13 +273,13 @@ fn handle_fleet(
         Ok(compiled) => compiled,
         Err(reject) => {
             let body = error_line(reject.kind, &reject.message);
-            write_response(stream, reject.status, &body)?;
+            conn.respond(reject.status, &body)?;
             return Ok(RouteOutcome::ClientError);
         }
     };
     let Some(fleet) = compiled.fleet() else {
         let body = error_line("invalid-scenario", "scenario has no `fleet` block");
-        write_response(stream, Status::BadRequest, &body)?;
+        conn.respond(Status::BadRequest, &body)?;
         return Ok(RouteOutcome::ClientError);
     };
 
@@ -296,27 +299,22 @@ fn handle_fleet(
             line.push('\n');
             match run {
                 BatchRun::Completed => {
-                    write_response(stream, Status::Ok, &line)?;
+                    conn.respond(Status::Ok, &line)?;
                     Ok(RouteOutcome::Completed)
                 }
                 BatchRun::DeadlineExceeded { completed } => {
                     ServerStats::bump(&stats.deadline_trailers);
-                    write_stream_head(stream, Status::Ok)?;
-                    use std::io::Write;
-                    stream.write_all(line.as_bytes())?;
-                    let calibration = calibration_fragment();
-                    let trailer = format!(
-                        "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{calibration}}}\n"
-                    );
-                    stream.write_all(trailer.as_bytes())?;
-                    stream.flush()?;
+                    let mut out = conn.stream(Status::Ok)?;
+                    out.write_all(line.as_bytes())?;
+                    write_deadline_trailer(&mut out, completed, threads)?;
+                    out.flush()?;
                     Ok(RouteOutcome::DeadlinePartial)
                 }
             }
         }
         Err(err) => {
             let body = error_line("fleet-failed", &err.to_string());
-            write_response(stream, Status::BadRequest, &body)?;
+            conn.respond(Status::BadRequest, &body)?;
             Ok(RouteOutcome::ClientError)
         }
     }
@@ -445,7 +443,7 @@ fn parse_sweep(request: &Request, config: &ServerConfig) -> Result<SweepRequest,
 /// `POST /v1/sweep` — streams one `{"i":N,"gco2":...}` line per point
 /// (or `{"i":N,"error":reason}` for rejected points), then a trailer.
 fn handle_sweep(
-    stream: &mut TcpStream,
+    conn: &mut Connection<'_>,
     request: &Request,
     config: &ServerConfig,
     stats: &ServerStats,
@@ -455,7 +453,7 @@ fn handle_sweep(
         Ok(sweep) => sweep,
         Err(reject) => {
             let body = error_line(reject.kind, &reject.message);
-            write_response(stream, reject.status, &body)?;
+            conn.respond(reject.status, &body)?;
             return Ok(RouteOutcome::ClientError);
         }
     };
@@ -481,52 +479,59 @@ fn handle_sweep(
         &budget,
     );
 
-    // Evaluation is done; stream the results. Writes after this point are
-    // covered by the socket write timeout, not the eval budget.
-    write_stream_head(stream, Status::Ok)?;
-    use std::io::Write;
+    // Evaluation is done; stream the results through one buffer. Writes
+    // after this point are covered by the socket write timeout, not the
+    // eval budget.
+    let mut stream = conn.stream(Status::Ok)?;
     let completed = match run {
         BatchRun::Completed => sweep.points,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
     let mut rejected_iter = out.rejected().iter().peekable();
-    let mut buf = String::with_capacity(64);
     for (i, value) in out.values().iter().take(completed).enumerate() {
-        buf.clear();
         if rejected_iter.peek().is_some_and(|r| r.index == i) {
             let reason = rejected_iter.next().map(|r| r.reason.as_str()).unwrap_or("rejected");
             let obj = act_json::JsonObject::new()
                 .with("i", i.to_json())
                 .with("error", JsonValue::String(reason.to_owned()));
-            buf.push_str(&JsonValue::Object(obj).render_compact());
+            writeln!(stream, "{}", JsonValue::Object(obj).render_compact())?;
         } else {
-            buf.push_str(&format!("{{\"i\":{i},\"gco2\":{}}}", format_float(*value)));
+            writeln!(stream, "{{\"i\":{i},\"gco2\":{}}}", format_float(*value))?;
         }
-        buf.push('\n');
-        stream.write_all(buf.as_bytes())?;
     }
-    let calibration = calibration_fragment();
-    match run {
+    let outcome = match run {
         BatchRun::Completed => {
-            let trailer = format!(
-                "{{\"done\":true,\"points\":{},\"rejected\":{},\"threads\":{threads},\"calibration\":{calibration}}}\n",
+            writeln!(
+                stream,
+                "{{\"done\":true,\"points\":{},\"rejected\":{},\"threads\":{threads},\"calibration\":{}}}",
                 sweep.points,
-                out.rejected().len()
-            );
-            stream.write_all(trailer.as_bytes())?;
-            stream.flush()?;
-            Ok(RouteOutcome::Completed)
+                out.rejected().len(),
+                calibration_fragment(),
+            )?;
+            RouteOutcome::Completed
         }
         BatchRun::DeadlineExceeded { completed } => {
             ServerStats::bump(&stats.deadline_trailers);
-            let trailer = format!(
-                "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{calibration}}}\n"
-            );
-            stream.write_all(trailer.as_bytes())?;
-            stream.flush()?;
-            Ok(RouteOutcome::DeadlinePartial)
+            write_deadline_trailer(&mut stream, completed, threads)?;
+            RouteOutcome::DeadlinePartial
         }
-    }
+    };
+    stream.flush()?;
+    Ok(outcome)
+}
+
+/// The `{"error":"deadline",...}` line that ends a stream cut off by its
+/// budget after `completed` results on `threads` threads.
+fn write_deadline_trailer(
+    out: &mut impl Write,
+    completed: usize,
+    threads: usize,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{}}}",
+        calibration_fragment(),
+    )
 }
 
 /// The decoded, validated body of a Monte-Carlo request.
@@ -601,7 +606,7 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
 /// `POST /v1/montecarlo` — one summary line (`McOutcome` JSON), or a
 /// deadline trailer when the budget expired before any sample finished.
 fn handle_montecarlo(
-    stream: &mut TcpStream,
+    conn: &mut Connection<'_>,
     request: &Request,
     config: &ServerConfig,
     stats: &ServerStats,
@@ -611,7 +616,7 @@ fn handle_montecarlo(
         Ok(mc) => mc,
         Err(reject) => {
             let body = error_line(reject.kind, &reject.message);
-            write_response(stream, reject.status, &body)?;
+            conn.respond(reject.status, &body)?;
             return Ok(RouteOutcome::ClientError);
         }
     };
@@ -657,27 +662,22 @@ fn handle_montecarlo(
             line.push('\n');
             match run {
                 BatchRun::Completed => {
-                    write_response(stream, Status::Ok, &line)?;
+                    conn.respond(Status::Ok, &line)?;
                     Ok(RouteOutcome::Completed)
                 }
                 BatchRun::DeadlineExceeded { completed } => {
                     ServerStats::bump(&stats.deadline_trailers);
-                    write_stream_head(stream, Status::Ok)?;
-                    use std::io::Write;
-                    stream.write_all(line.as_bytes())?;
-                    let calibration = calibration_fragment();
-                    let trailer = format!(
-                        "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{calibration}}}\n"
-                    );
-                    stream.write_all(trailer.as_bytes())?;
-                    stream.flush()?;
+                    let mut out = conn.stream(Status::Ok)?;
+                    out.write_all(line.as_bytes())?;
+                    write_deadline_trailer(&mut out, completed, threads)?;
+                    out.flush()?;
                     Ok(RouteOutcome::DeadlinePartial)
                 }
             }
         }
         Err(err) => {
             let body = error_line("montecarlo-failed", &err.to_string());
-            write_response(stream, Status::BadRequest, &body)?;
+            conn.respond(Status::BadRequest, &body)?;
             Ok(RouteOutcome::ClientError)
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Every number a soak harness needs to prove "zero hangs, zero leaks,
 //! clean drain" lives here as an atomic: connections accepted vs finished,
-//! requests shed vs completed, panics caught, workers respawned, deadline
-//! trailers emitted. A [`StatsSnapshot`] freezes the counters into a plain
+//! requests shed vs completed, requests that reused a kept connection,
+//! panics caught, workers respawned, deadline trailers emitted. A [`StatsSnapshot`] freezes the counters into a plain
 //! struct that renders as one NDJSON line — the same line `GET /v1/stats`
 //! serves and the CLI prints on shutdown.
 
@@ -20,6 +20,8 @@ pub struct ServerStats {
     pub finished: AtomicU64,
     /// Requests that completed with a 2xx response.
     pub completed: AtomicU64,
+    /// Requests that arrived on a connection that had already carried one.
+    pub reused: AtomicU64,
     /// Requests shed with 503 because the admission queue was full.
     pub shed: AtomicU64,
     /// Requests rejected with a 4xx (framing, size, validation).
@@ -51,6 +53,7 @@ impl ServerStats {
             accepted: self.accepted.load(Ordering::Relaxed),
             finished: self.finished.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
+            reused: self.reused.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
@@ -72,6 +75,8 @@ pub struct StatsSnapshot {
     pub finished: u64,
     /// Requests that completed with a 2xx response.
     pub completed: u64,
+    /// Requests served on an already-used connection.
+    pub reused: u64,
     /// Requests shed with 503.
     pub shed: u64,
     /// Requests rejected with a 4xx.
@@ -106,6 +111,7 @@ impl ToJson for StatsSnapshot {
                 .with("accepted", self.accepted.to_json())
                 .with("finished", self.finished.to_json())
                 .with("completed", self.completed.to_json())
+                .with("reused", self.reused.to_json())
                 .with("shed", self.shed.to_json())
                 .with("bad_requests", self.bad_requests.to_json())
                 .with("timeouts", self.timeouts.to_json())
@@ -127,14 +133,17 @@ mod tests {
         let stats = ServerStats::default();
         ServerStats::bump(&stats.accepted);
         ServerStats::bump(&stats.panics_caught);
+        ServerStats::bump(&stats.reused);
         let snap = stats.snapshot();
         assert_eq!(snap.accepted, 1);
         assert_eq!(snap.panics_caught, 1);
+        assert_eq!(snap.reused, 1);
         let line = snap.to_json().render_compact();
         for key in [
             "accepted",
             "finished",
             "completed",
+            "reused",
             "shed",
             "bad_requests",
             "timeouts",

@@ -37,7 +37,8 @@ impl TestServer {
     }
 }
 
-/// Sends `raw` and reads the whole response (the server always closes).
+/// Sends `raw` and reads the whole response. The server closes after it
+/// because `raw` declares `Connection: close` or draws an error response.
 fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(20))).expect("set timeout");
@@ -48,14 +49,17 @@ fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
 }
 
 fn get(addr: SocketAddr, path: &str) -> String {
-    send_raw(addr, format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())
+    send_raw(
+        addr,
+        format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").as_bytes(),
+    )
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str, extra: &str) -> String {
     send_raw(
         addr,
         format!(
-            "POST {path} HTTP/1.1\r\nHost: test\r\n{extra}Content-Length: {}\r\n\r\n{body}",
+            "POST {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n{extra}Content-Length: {}\r\n\r\n{body}",
             body.len()
         )
         .as_bytes(),
@@ -231,7 +235,7 @@ fn every_error_path_is_one_parseable_json_line() {
         // Unknown route.
         get(addr, "/nope"),
         // Unknown method.
-        send_raw(addr, b"DELETE /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"),
+        send_raw(addr, b"DELETE /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"),
         // POST without Content-Length.
         send_raw(addr, b"POST /v1/footprint HTTP/1.1\r\nHost: t\r\n\r\n"),
         // Declared body beyond the cap.
@@ -300,7 +304,7 @@ fn killed_workers_are_respawned() {
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
     let body = params_json();
     let raw = format!(
-        "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nX-Act-Fault: kill-worker\r\nContent-Length: {}\r\n\r\n{body}",
+        "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Act-Fault: kill-worker\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(raw.as_bytes()).expect("send");
@@ -411,7 +415,8 @@ fn overload_is_shed_with_503_and_retry_after() {
         (0..6).map(|_| TcpStream::connect(addr).expect("connect")).collect();
     for conn in &mut conns {
         conn.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
-        conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .expect("send");
     }
     let mut saw_shed = false;
     for mut conn in conns {
@@ -639,4 +644,159 @@ fn hostile_scenario_payloads_are_clean_400s() {
     assert!(status.contains("400"), "got {status}");
     assert!(body.contains("no `fleet` block"), "{body}");
     server.stop();
+}
+
+/// Reads one `Content-Length`-framed response off a kept connection:
+/// (head, body).
+fn read_framed(stream: &mut TcpStream) -> (String, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("read response head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("head is UTF-8");
+    let length: usize = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .and_then(|value| value.parse().ok())
+        .expect("kept response carries Content-Length");
+    let mut body = vec![0; length];
+    stream.read_exact(&mut body).expect("read response body");
+    (head, String::from_utf8(body).expect("body is UTF-8"))
+}
+
+/// Opens a connection, gets one `keep-alive` answer on it, and leaves it
+/// open and idle.
+fn idle_kept_connection(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("set timeout");
+    stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    let (head, _) = read_framed(&mut stream);
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+    stream
+}
+
+/// Sends `raw` and reads to EOF within 2 s — well inside the server's 5 s
+/// idle timeout, so a server that kept the connection fails the read.
+fn send_expecting_close(addr: SocketAddr, raw: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(2))).expect("set timeout");
+    stream.write_all(raw).expect("send request");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("the server must close the connection");
+    String::from_utf8(response).expect("response is UTF-8")
+}
+
+#[test]
+fn kept_connection_carries_three_requests() {
+    let server = TestServer::start(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("set timeout");
+    let params = params_json();
+    let requests = [
+        "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_owned(),
+        format!(
+            "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{params}",
+            params.len()
+        ),
+        "GET /v1/params/reference HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n"
+            .to_owned(),
+    ];
+    for raw in &requests {
+        stream.write_all(raw.as_bytes()).expect("send on the kept connection");
+        let (head, body) = read_framed(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        assert!(JsonValue::parse(body.trim_end()).is_ok(), "{body}");
+    }
+    drop(stream);
+    let stats = server.stop();
+    assert_eq!(stats.accepted, 1, "one connection: {stats:?}");
+    assert_eq!(stats.completed, 3, "three requests: {stats:?}");
+    assert_eq!(stats.reused, 2, "two requests reused it: {stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+    assert!(stats.is_idle(), "{stats:?}");
+}
+
+#[test]
+fn close_http10_errors_and_streams_end_the_connection() {
+    let server = TestServer::start(ServerConfig::default());
+    let sweep = format!(
+        "{{\"params\":{},\"axes\":[{{\"axis\":\"soc_area_mm2\",\"values\":[50,100]}}]}}",
+        params_json()
+    );
+    let cases = [
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_owned(),
+        "GET /healthz HTTP/1.0\r\nHost: t\r\n\r\n".to_owned(),
+        "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\n{not json"
+            .to_owned(),
+        format!(
+            "POST /v1/sweep HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{sweep}",
+            sweep.len()
+        ),
+    ];
+    for raw in &cases {
+        let response = send_expecting_close(server.addr, raw.as_bytes());
+        let (status, body) = split(&response);
+        let head = response.split("\r\n\r\n").next().unwrap_or_default();
+        assert!(head.contains("Connection: close"), "{head}");
+        assert!(!body.is_empty(), "{status}: a response precedes the close");
+    }
+    let stats = server.stop();
+    assert_eq!(stats.reused, 0, "{stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+}
+
+#[test]
+fn pipelined_request_gets_one_response_then_close() {
+    let server = TestServer::start(ServerConfig::default());
+    let response = send_expecting_close(
+        server.addr,
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\nGET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n",
+    );
+    assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "one response only: {response}");
+    let (status, body) = split(&response);
+    assert!(status.contains("200"), "got {status}");
+    assert_eq!(body, "{\"ok\":true}\n", "the first request's answer, in sync");
+    assert!(response.contains("Connection: close"), "{response}");
+    let stats = server.stop();
+    assert_eq!(stats.completed, 1, "{stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+}
+
+#[test]
+fn idle_kept_connection_yields_its_worker_to_a_new_client() {
+    let server = TestServer::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut idle = idle_kept_connection(server.addr);
+    let started = std::time::Instant::now();
+    let (status, _) = split(&get(server.addr, "/healthz"));
+    let waited = started.elapsed();
+    assert!(status.contains("200"), "got {status}");
+    assert!(waited < Duration::from_secs(1), "the second client waited {waited:?}");
+    // The idle connection was closed to free the worker.
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest).expect("the evicted connection reads EOF");
+    assert!(rest.is_empty(), "no bytes after eviction: {rest:?}");
+    let stats = server.stop();
+    assert_eq!(stats.accepted, 2, "{stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+    assert_eq!(stats.completed, 2, "{stats:?}");
+}
+
+#[test]
+fn idle_kept_connection_does_not_delay_shutdown() {
+    let server = TestServer::start(ServerConfig::default());
+    let _idle = idle_kept_connection(server.addr);
+    // Let the worker park the connection in the idle set.
+    std::thread::sleep(Duration::from_millis(50));
+    let requested = std::time::Instant::now();
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.stop()));
+    let stats = stopped.recv_timeout(Duration::from_secs(10)).expect("serve never returned");
+    let waited = requested.elapsed();
+    assert!(waited < Duration::from_secs(1), "serve took {waited:?} to return");
+    assert!(stats.is_idle(), "clean drain: {stats:?}");
+    assert_eq!(stats.accepted, 1, "{stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
 }

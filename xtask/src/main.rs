@@ -70,12 +70,14 @@ fn usage() -> String {
      kills, delays) and drives a deterministic mix of good and hostile\n\
      traffic at it — including malformed scenario/fleet documents POSTed\n\
      to /v1/scenario and /v1/fleet, which must come back as clean 400s —\n\
-     ending with a SIGTERM delivered mid-traffic. It fails\n\
-     unless: every client operation completes within its timeout (zero\n\
-     hangs), at least one forced panic is answered with a 500 and at least\n\
-     one killed worker is respawned, the drain leaves in_flight=0 and\n\
-     queued=0 with accepted == finished (zero leaked connections), and the\n\
-     server exits 0.\n\
+     and several requests on reused (kept-alive) connections, ending with\n\
+     a SIGTERM delivered mid-traffic while a kept connection sits idle. It\n\
+     fails unless: every client operation completes within its timeout\n\
+     (zero hangs), at least one forced panic is answered with a 500 and at\n\
+     least one killed worker is respawned, at least one request reuses a\n\
+     kept connection, shutdown closes the idle one, the drain leaves\n\
+     in_flight=0 and queued=0 with accepted == finished (zero leaked\n\
+     connections), and the server exits 0.\n\
        --quick       ~80 connections instead of ~320 (CI smoke)\n\
        --seed N      master seed for the traffic mix and fault plan\n\n\
      loadtest starts a fault-free `act serve`, measures sequential\n\
@@ -257,13 +259,14 @@ fn run_soak(config: &xtask::service::ServiceConfig) -> ExitCode {
     match xtask::service::run_soak(config) {
         Ok(report) => {
             eprintln!(
-                "soak: {} connection(s) — {} ok, {} rejected, {} dropped; server caught \
-                 {} panic(s), respawned {} worker(s), accepted == finished == {}; clean drain, \
-                 exit 0",
+                "soak: {} connection(s) — {} ok, {} rejected, {} dropped, {} on reused \
+                 connections; server caught {} panic(s), respawned {} worker(s), accepted == \
+                 finished == {}; clean drain, exit 0",
                 report.connections,
                 report.ok_responses,
                 report.error_responses,
                 report.dropped,
+                report.reused_responses,
                 report.server_panics_caught,
                 report.server_workers_respawned,
                 report.server_finished

@@ -9,9 +9,10 @@
 //! `soak` proves the robustness contract under a deterministic, seeded mix
 //! of good, hostile and fault-injected traffic: zero client hangs (every
 //! socket op has a timeout), at least one forced worker panic and one
-//! forced worker kill survived, a mid-traffic SIGTERM that drains cleanly,
-//! `accepted == finished` in the final stats (no leaked connections), and
-//! a zero exit code.
+//! forced worker kill survived, requests served on reused (kept-alive)
+//! connections, a mid-traffic SIGTERM that drains cleanly while a kept
+//! connection sits idle, `accepted == finished` in the final stats (no
+//! leaked connections), and a zero exit code.
 //!
 //! `loadtest` measures p50/p99 latency and request throughput against a
 //! fault-free server and appends a labeled record to the
@@ -192,13 +193,20 @@ impl ServeProcess {
     }
 }
 
-/// One bounded HTTP exchange. Every socket operation times out, so a
-/// misbehaving server shows up as an `Err`, never a hang.
-fn http_request(addr: &str, raw: &[u8], timeout: Duration) -> Result<String, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|err| format!("connect {addr}: {err}"))?;
+/// Connects with every socket operation bounded by `timeout`.
+fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|err| format!("connect {addr}: {err}"))?;
     stream.set_read_timeout(Some(timeout)).map_err(|err| err.to_string())?;
     stream.set_write_timeout(Some(timeout)).map_err(|err| err.to_string())?;
+    Ok(stream)
+}
+
+/// One bounded HTTP exchange, read to EOF: `raw` declares
+/// `Connection: close` (or draws an error response), so the server closes
+/// after replying. Every socket operation times out, so a misbehaving
+/// server shows up as an `Err`, never a hang.
+fn http_request(addr: &str, raw: &[u8], timeout: Duration) -> Result<String, String> {
+    let mut stream = connect(addr, timeout)?;
     stream.write_all(raw).map_err(|err| format!("send: {err}"))?;
     let mut response = Vec::new();
     stream.read_to_end(&mut response).map_err(|err| format!("read: {err}"))?;
@@ -214,8 +222,20 @@ fn fire_and_close(addr: &str, raw: &[u8]) {
     }
 }
 
+fn get_raw(path: &str, connection: &str) -> String {
+    format!("GET {path} HTTP/1.1\r\nHost: soak\r\nConnection: {connection}\r\n\r\n")
+}
+
+fn post_raw(path: &str, body: &str, extra: &str, connection: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: soak\r\nConnection: {connection}\r\n{extra}\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
 fn get_line(addr: &str, path: &str, timeout: Duration) -> Result<String, String> {
-    http_request(addr, format!("GET {path} HTTP/1.1\r\nHost: soak\r\n\r\n").as_bytes(), timeout)
+    http_request(addr, get_raw(path, "close").as_bytes(), timeout)
 }
 
 fn post_line(
@@ -225,15 +245,69 @@ fn post_line(
     extra: &str,
     timeout: Duration,
 ) -> Result<String, String> {
-    http_request(
-        addr,
-        format!(
-            "POST {path} HTTP/1.1\r\nHost: soak\r\n{extra}Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-        timeout,
-    )
+    http_request(addr, post_raw(path, body, extra, "close").as_bytes(), timeout)
+}
+
+/// Reads one `Content-Length`-framed response off a kept connection.
+/// `Ok(None)` when the server closed the connection before replying (an
+/// idle connection it reclaimed).
+fn read_framed(stream: &mut TcpStream) -> Result<Option<String>, String> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&buf[..end]).to_ascii_lowercase();
+            let length: usize = head
+                .lines()
+                .find_map(|line| line.strip_prefix("content-length:"))
+                .and_then(|value| value.trim().parse().ok())
+                .ok_or_else(|| {
+                    format!("kept-connection response without Content-Length: {head}")
+                })?;
+            let total = end + 4 + length;
+            if buf.len() > total {
+                return Err("bytes past a Content-Length response".to_owned());
+            }
+            if buf.len() == total {
+                return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
+            }
+        }
+        let n = stream.read(&mut chunk).map_err(|err| format!("read: {err}"))?;
+        if n == 0 {
+            return if buf.is_empty() {
+                Ok(None)
+            } else {
+                Err("kept-connection response cut short".to_owned())
+            };
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Whether a response lets the connection carry another request.
+fn keeps_alive(response: &str) -> bool {
+    let head = response.split("\r\n\r\n").next().unwrap_or_default();
+    head.to_ascii_lowercase().contains("\r\nconnection: keep-alive")
+}
+
+/// Sends `raws` one after another on `stream` for as long as the server
+/// keeps it, reading each framed response. Returns the responses in
+/// order: fewer than `raws` when a response closed the connection (a
+/// fault, an error, shutdown) or the server reclaimed it while idle.
+fn kept_requests(stream: &mut TcpStream, raws: &[String]) -> Result<Vec<String>, String> {
+    let mut responses = Vec::with_capacity(raws.len());
+    for raw in raws {
+        if stream.write_all(raw.as_bytes()).is_err() {
+            break;
+        }
+        let Some(response) = read_framed(stream)? else { break };
+        let kept = keeps_alive(&response);
+        responses.push(response);
+        if !kept {
+            break;
+        }
+    }
+    Ok(responses)
 }
 
 /// HTTP status code of a raw response, `0` when unparseable/empty.
@@ -255,6 +329,10 @@ pub struct SoakReport {
     pub dropped: usize,
     /// Forced handler panics acknowledged with a 500.
     pub forced_panics: usize,
+    /// Responses that arrived on a connection that had carried one before.
+    pub reused_responses: usize,
+    /// `reused` from the server's final stats line.
+    pub server_reused: u64,
     /// `panics_caught` from the server's final stats line.
     pub server_panics_caught: u64,
     /// `workers_respawned` from the final stats line.
@@ -330,12 +408,14 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
         let kind = match forced {
             Some(kind) => kind.to_owned(),
             None => {
+                // `kept` sends several requests but, like every other
+                // kind, on one connection.
                 const MIX: [&str; 12] = [
                     "health",
                     "experiment",
                     "footprint",
                     "sweep",
-                    "health",
+                    "kept",
                     "truncated",
                     "garbage",
                     "badjson",
@@ -378,6 +458,31 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
             "experiment" => get_line(&addr, "/v1/experiments/fig1", timeout),
             "footprint" => post_line(&addr, "/v1/footprint", &params, "", timeout),
             "sweep" => post_line(&addr, "/v1/sweep", &sweep_body, "", timeout),
+            "kept" => {
+                // Fault-free requests on one reused connection; a hang
+                // there fails the run, a close is the server's right.
+                let raws = [
+                    get_raw("/healthz", "keep-alive"),
+                    post_raw("/v1/footprint", &params, "", "keep-alive"),
+                    get_raw("/v1/experiments/fig1", "keep-alive"),
+                ];
+                let responses = match connect(&addr, timeout)
+                    .and_then(|mut stream| kept_requests(&mut stream, &raws))
+                {
+                    Err(err) if is_timeout(&err) => {
+                        return Err(format!("kept connection hung: {err}"));
+                    }
+                    other => other.unwrap_or_default(),
+                };
+                report.reused_responses += responses.len().saturating_sub(1);
+                if responses.is_empty() {
+                    report.dropped += 1;
+                }
+                for response in responses {
+                    tally(&mut report, Ok(response));
+                }
+                continue;
+            }
             "truncated" => {
                 // A frame that stops mid-header; the server's read timeout
                 // or disconnect handling must reclaim the worker.
@@ -435,34 +540,23 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
                 post_line(&addr, "/v1/footprint", &params, "X-Act-Fault: delay:50\r\n", timeout)
             }
         };
-        match outcome {
-            Ok(response) if response.is_empty() => report.dropped += 1,
-            Ok(response) => match status_code(&response) {
-                200..=299 => report.ok_responses += 1,
-                400..=599 => report.error_responses += 1,
-                _ => report.dropped += 1,
-            },
-            Err(_) => report.dropped += 1,
-        }
+        tally(&mut report, outcome);
     }
 
-    // Shutdown mid-traffic: park slow requests in flight, then SIGTERM.
-    let in_flight: Vec<_> = (0..3)
-        .map(|_| {
-            let addr = addr.clone();
-            let params = params.clone();
-            std::thread::spawn(move || {
-                post_line(
-                    &addr,
-                    "/v1/footprint",
-                    &params,
-                    "X-Act-Fault: delay:500\r\n",
-                    timeout,
-                )
-            })
+    // Shutdown mid-traffic with a kept connection idle. Wait until the
+    // mix's stragglers (a truncated frame holds a worker for its read
+    // timeout) are gone, so the slow request below finds the free worker
+    // instead of reclaiming the idle connection; then SIGTERM.
+    wait_until_quiet(&addr, timeout)?;
+    let mut idle = idle_kept_connection(&addr, timeout)?;
+    let in_flight = {
+        let (addr, params) = (addr.clone(), params.clone());
+        std::thread::spawn(move || {
+            post_line(&addr, "/v1/footprint", &params, "X-Act-Fault: delay:500\r\n", timeout)
         })
-        .collect();
+    };
     std::thread::sleep(Duration::from_millis(100));
+    let signalled_at = Instant::now();
     let pid = server.pid();
     #[cfg(unix)]
     let signalled = run_silent(Command::new("kill").args(["-TERM", &pid.to_string()])).is_ok();
@@ -474,20 +568,33 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
     }
     let _ = pid;
 
-    // In-flight requests must drain without a client hang. A reset is
+    // The in-flight request must drain without a client hang. A reset is
     // fine — the server's own fault plan may roll a kill on any
     // connection — but a read timeout means the drain left a client
     // dangling, which is the bug this harness exists to catch.
-    for handle in in_flight {
-        let result = handle.join().map_err(|_| "in-flight client panicked")?;
-        match result {
-            Ok(response) if status_code(&response) == 200 => report.ok_responses += 1,
-            Ok(_) => report.dropped += 1,
-            Err(err) if err.contains("timed out") || err.contains("TimedOut") => {
-                return Err(format!("in-flight request hung during drain: {err}"));
-            }
-            Err(_) => report.dropped += 1,
+    match in_flight.join().map_err(|_| "in-flight client panicked")? {
+        Ok(response) if status_code(&response) == 200 => report.ok_responses += 1,
+        Ok(_) => report.dropped += 1,
+        Err(err) if is_timeout(&err) => {
+            return Err(format!("in-flight request hung during drain: {err}"));
         }
+        Err(_) => report.dropped += 1,
+    }
+    // The idle kept connection is closed by the shutdown itself, well
+    // before its idle timeout (the 2 s request deadline) would close it.
+    match read_framed(&mut idle) {
+        Ok(None) => {}
+        Ok(Some(response)) => {
+            return Err(format!("idle kept connection got a response: {response}"));
+        }
+        Err(err) if is_timeout(&err) => {
+            return Err(format!("idle kept connection hung during drain: {err}"));
+        }
+        Err(_) => {}
+    }
+    let closed_after = signalled_at.elapsed();
+    if closed_after > Duration::from_secs(1) {
+        return Err(format!("shutdown left an idle kept connection open {closed_after:?}"));
     }
 
     let (exit_ok, rest) = server.wait_for_exit(Duration::from_secs(30))?;
@@ -503,6 +610,7 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
     report.server_workers_respawned = json_u64(stats_line, "workers_respawned").unwrap_or(0);
     report.server_accepted = json_u64(stats_line, "accepted").unwrap_or(0);
     report.server_finished = json_u64(stats_line, "finished").unwrap_or(0);
+    report.server_reused = json_u64(stats_line, "reused").unwrap_or(0);
     let in_flight_at_exit = json_u64(stats_line, "in_flight").unwrap_or(u64::MAX);
     let queued_at_exit = json_u64(stats_line, "queued").unwrap_or(u64::MAX);
 
@@ -527,10 +635,69 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
             report.server_accepted, report.server_finished
         ));
     }
+    if report.reused_responses == 0 || report.server_reused == 0 {
+        return Err(format!(
+            "no request reused a kept connection (client saw {}, server counted {})",
+            report.reused_responses, report.server_reused
+        ));
+    }
     if report.ok_responses == 0 {
         return Err("no request succeeded — the mix never exercised the happy path".to_owned());
     }
     Ok(report)
+}
+
+/// Counts one soak exchange's outcome in `report`.
+fn tally(report: &mut SoakReport, outcome: Result<String, String>) {
+    match outcome {
+        Ok(response) if response.is_empty() => report.dropped += 1,
+        Ok(response) => match status_code(&response) {
+            200..=299 => report.ok_responses += 1,
+            400..=599 => report.error_responses += 1,
+            _ => report.dropped += 1,
+        },
+        Err(_) => report.dropped += 1,
+    }
+}
+
+/// Whether a client error is a socket timeout — a hang, not a drop.
+fn is_timeout(err: &str) -> bool {
+    err.contains("timed out")
+        || err.contains("TimedOut")
+        || err.contains("temporarily unavailable")
+}
+
+/// Polls `/v1/stats` until the server is working on nothing but that
+/// request, bounded by `timeout`.
+fn wait_until_quiet(addr: &str, timeout: Duration) -> Result<(), String> {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if let Ok(response) = get_line(addr, "/v1/stats", timeout) {
+            let quiet = json_u64(&response, "in_flight") == Some(1)
+                && json_u64(&response, "queued") == Some(0);
+            if status_code(&response) == 200 && quiet {
+                return Ok(());
+            }
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    Err("the server never went quiet before the shutdown phase".to_owned())
+}
+
+/// A connection whose first request was answered `keep-alive`, left idle.
+/// Connections that roll a fault close after their first response, so a
+/// few attempts may be needed.
+fn idle_kept_connection(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+    let health = [get_raw("/healthz", "keep-alive")];
+    for _ in 0..20 {
+        let mut stream = connect(addr, timeout)?;
+        if let Ok(responses) = kept_requests(&mut stream, &health) {
+            if responses.first().is_some_and(|response| keeps_alive(response)) {
+                return Ok(stream);
+            }
+        }
+    }
+    Err("no connection was kept alive for the shutdown phase".to_owned())
 }
 
 /// Latency percentiles and throughput from one loadtest run.
