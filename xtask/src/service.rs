@@ -193,6 +193,16 @@ impl ServeProcess {
     }
 }
 
+/// A run that fails a check returns early; the server must not outlive it.
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        if matches!(self.child.try_wait(), Ok(None)) {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// Connects with every socket operation bounded by `timeout`.
 fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
     let stream = TcpStream::connect(addr).map_err(|err| format!("connect {addr}: {err}"))?;
