@@ -14,6 +14,13 @@
 //! and body in one buffer): with two writes, Nagle's algorithm holds the
 //! body until the client's delayed ACK of the head, ~21 ms per request on
 //! a kept connection. NDJSON streams are close-delimited and buffered.
+//!
+//! An idle kept connection can be closed by the server (shutdown, or a
+//! new connection that needs its worker) just as the client sends its
+//! next request; that request is then dropped unread and the client
+//! reads EOF or a reset. A client retries an idempotent request that
+//! fails that way on a reused connection, and sends a request it cannot
+//! retry on a new connection, which is never idle.
 
 use std::fmt::Write as _;
 use std::io::{BufWriter, ErrorKind, Read, Write};
@@ -40,9 +47,10 @@ pub struct Request {
     /// The request body (empty when no `Content-Length` was sent).
     pub body: Vec<u8>,
     /// Whether the client side allows another request on the connection:
-    /// HTTP/1.1, no `Connection: close`, and no bytes read past this
-    /// request (pipelining is not supported, so such a connection closes
-    /// rather than lose its framing).
+    /// HTTP/1.1, no `Connection: close`, no `Transfer-Encoding` (chunked
+    /// bodies are not read, so their framing is unknown), and no bytes
+    /// read past this request (pipelining is not supported, so such a
+    /// connection closes rather than lose its framing).
     pub keep_alive: bool,
 }
 
@@ -265,12 +273,17 @@ pub fn read_request(
     let wants_close = headers.iter().any(|(name, value)| {
         name == "connection" && value.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
     });
+    // Chunked bodies are not read, so a request with `Transfer-Encoding`
+    // is framed by `Content-Length` (or as empty) and its chunk bytes may
+    // still be in flight: RFC 9112 §6.1 requires closing such a
+    // connection, or those bytes would be parsed as the next request.
+    let transfer_encoded = headers.iter().any(|(name, _)| name == "transfer-encoding");
     let mut request = Request {
         method: method.to_owned(),
         path: path.to_owned(),
         headers,
         body: Vec::new(),
-        keep_alive: version == "HTTP/1.1" && !wants_close,
+        keep_alive: version == "HTTP/1.1" && !wants_close && !transfer_encoded,
     };
 
     let content_length = parse_content_length(&request.headers)?;
@@ -481,6 +494,11 @@ mod tests {
         // Pipelined: the next request's bytes arrived with this one.
         assert!(!keep("GET / HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\n\r\n"));
         assert!(!keep("POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}GET"));
+        // Transfer-Encoding: the chunk bytes may follow in a later segment.
+        assert!(!keep("GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"));
+        assert!(!keep(
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}"
+        ));
     }
 
     /// A writer that records each `write` call.

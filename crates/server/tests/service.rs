@@ -3,6 +3,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use act_core::ModelParams;
@@ -468,6 +469,47 @@ fn graceful_shutdown_drains_and_reports() {
             true
         }
     );
+}
+
+#[test]
+fn queued_work_drains_on_shutdown() {
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        faults: Some(FaultPlan::parse("seed=1").expect("plan")),
+        ..ServerConfig::default()
+    })
+    .expect("bind test server");
+    let (addr, live, shutdown) =
+        (server.local_addr(), server.stats(), server.shutdown_handle());
+    let serving = std::thread::spawn(move || server.serve());
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let body = params_json();
+            std::thread::spawn(move || {
+                post(addr, "/v1/footprint", &body, "X-Act-Fault: delay:300\r\n")
+            })
+        })
+        .collect();
+    // Stop while one request runs and the other waits in the queue.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let one_queued = || {
+        live.in_flight.load(Ordering::SeqCst) == 1 && live.queued.load(Ordering::SeqCst) == 1
+    };
+    while !one_queued() {
+        assert!(std::time::Instant::now() < deadline, "never had one request queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    shutdown.request();
+    for client in clients {
+        let (status, body) = split(&client.join().expect("client must not panic"));
+        assert!(status.contains("200"), "queued work is served, not dropped: {status}");
+        assert!(body.contains("\"gco2\""), "{body}");
+    }
+    let stats = serving.join().expect("no panic").expect("clean exit");
+    assert!(stats.is_idle(), "drained: {stats:?}");
+    assert_eq!(stats.accepted, 2, "{stats:?}");
+    assert_eq!(stats.completed, 2, "{stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
 }
 
 #[test]

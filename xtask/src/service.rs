@@ -10,9 +10,11 @@
 //! of good, hostile and fault-injected traffic: zero client hangs (every
 //! socket op has a timeout), at least one forced worker panic and one
 //! forced worker kill survived, requests served on reused (kept-alive)
-//! connections, a mid-traffic SIGTERM that drains cleanly while a kept
-//! connection sits idle, `accepted == finished` in the final stats (no
-//! leaked connections), and a zero exit code.
+//! connections, a mid-traffic SIGTERM that drains in-flight and queued
+//! requests cleanly, `accepted == finished` in the final stats (no leaked
+//! connections), and a zero exit code. A second, short server run then
+//! takes SIGTERM while a kept connection sits idle, which must close that
+//! connection at once and drain as cleanly.
 //!
 //! `loadtest` measures p50/p99 latency and request throughput against a
 //! fault-free server and appends a labeled record to the
@@ -341,17 +343,22 @@ pub struct SoakReport {
     pub forced_panics: usize,
     /// Responses that arrived on a connection that had carried one before.
     pub reused_responses: usize,
-    /// `reused` from the server's final stats line.
+    /// `reused` from the chaos server's final stats line.
     pub server_reused: u64,
-    /// `panics_caught` from the server's final stats line.
+    /// `panics_caught` from the chaos server's final stats line.
     pub server_panics_caught: u64,
-    /// `workers_respawned` from the final stats line.
+    /// `workers_respawned` from the chaos server's final stats line.
     pub server_workers_respawned: u64,
-    /// `accepted` from the final stats line.
+    /// `accepted` from the final stats lines, summed over both servers.
     pub server_accepted: u64,
-    /// `finished` from the final stats line.
+    /// `finished` from the final stats lines, summed over both servers.
     pub server_finished: u64,
 }
+
+/// The soak servers' limits: two workers, so a few slow requests queue
+/// work behind them.
+const SERVE_ARGS: [&str; 8] =
+    ["--workers", "2", "--queue", "8", "--deadline-ms", "2000", "--drain-ms", "8000"];
 
 /// The deterministic chaos run. Returns the report, or the first contract
 /// violation as an error.
@@ -367,21 +374,9 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
          p_delay=0.10,eval_delay_ms=15",
         config.seed
     );
-    let server = ServeProcess::spawn(
-        &config.root,
-        &[
-            "--workers",
-            "2",
-            "--queue",
-            "8",
-            "--deadline-ms",
-            "2000",
-            "--drain-ms",
-            "8000",
-            "--faults",
-            &fault_spec,
-        ],
-    )?;
+    let mut args = SERVE_ARGS.to_vec();
+    args.extend(["--faults", &fault_spec]);
+    let server = ServeProcess::spawn(&config.root, &args)?;
     let addr = server.addr.clone();
 
     // A valid params document, fetched from the server itself. Retry a
@@ -553,76 +548,20 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
         tally(&mut report, outcome);
     }
 
-    // Shutdown mid-traffic with a kept connection idle. Wait until the
-    // mix's stragglers (a truncated frame holds a worker for its read
-    // timeout) are gone, so the slow request below finds the free worker
-    // instead of reclaiming the idle connection; then SIGTERM.
-    wait_until_quiet(&addr, timeout)?;
-    let mut idle = idle_kept_connection(&addr, timeout)?;
-    let in_flight = {
-        let (addr, params) = (addr.clone(), params.clone());
-        std::thread::spawn(move || {
-            post_line(&addr, "/v1/footprint", &params, "X-Act-Fault: delay:500\r\n", timeout)
-        })
-    };
+    // Shutdown mid-traffic: park slow requests in flight, then SIGTERM.
+    // Two workers take two of them; the others are still queued when the
+    // signal lands (even if the fault plan kills one connection at once),
+    // so the drain must finish queued work too.
+    let in_flight: Vec<_> = (0..4).map(|_| slow_request(&addr, &params, timeout)).collect();
     std::thread::sleep(Duration::from_millis(100));
-    let signalled_at = Instant::now();
-    let pid = server.pid();
-    #[cfg(unix)]
-    let signalled = run_silent(Command::new("kill").args(["-TERM", &pid.to_string()])).is_ok();
-    #[cfg(not(unix))]
-    let signalled = false;
-    if !signalled {
-        // Fallback stop path (non-unix or no `kill` binary).
-        let _ = post_line(&addr, "/admin/shutdown", "{}", "", timeout);
+    signal_shutdown(&server, &addr, timeout);
+    for handle in in_flight {
+        join_in_flight(handle, &mut report)?;
     }
-    let _ = pid;
-
-    // The in-flight request must drain without a client hang. A reset is
-    // fine — the server's own fault plan may roll a kill on any
-    // connection — but a read timeout means the drain left a client
-    // dangling, which is the bug this harness exists to catch.
-    match in_flight.join().map_err(|_| "in-flight client panicked")? {
-        Ok(response) if status_code(&response) == 200 => report.ok_responses += 1,
-        Ok(_) => report.dropped += 1,
-        Err(err) if is_timeout(&err) => {
-            return Err(format!("in-flight request hung during drain: {err}"));
-        }
-        Err(_) => report.dropped += 1,
-    }
-    // The idle kept connection is closed by the shutdown itself, well
-    // before its idle timeout (the 2 s request deadline) would close it.
-    match read_framed(&mut idle) {
-        Ok(None) => {}
-        Ok(Some(response)) => {
-            return Err(format!("idle kept connection got a response: {response}"));
-        }
-        Err(err) if is_timeout(&err) => {
-            return Err(format!("idle kept connection hung during drain: {err}"));
-        }
-        Err(_) => {}
-    }
-    let closed_after = signalled_at.elapsed();
-    if closed_after > Duration::from_secs(1) {
-        return Err(format!("shutdown left an idle kept connection open {closed_after:?}"));
-    }
-
-    let (exit_ok, rest) = server.wait_for_exit(Duration::from_secs(30))?;
-    if !exit_ok {
-        return Err("act serve exited non-zero after the chaos run".to_owned());
-    }
-    let stats_line = rest
-        .lines()
-        .rev()
-        .find(|line| line.contains("\"shutdown\":true"))
-        .ok_or("no final stats line after shutdown")?;
-    report.server_panics_caught = json_u64(stats_line, "panics_caught").unwrap_or(0);
-    report.server_workers_respawned = json_u64(stats_line, "workers_respawned").unwrap_or(0);
-    report.server_accepted = json_u64(stats_line, "accepted").unwrap_or(0);
-    report.server_finished = json_u64(stats_line, "finished").unwrap_or(0);
-    report.server_reused = json_u64(stats_line, "reused").unwrap_or(0);
-    let in_flight_at_exit = json_u64(stats_line, "in_flight").unwrap_or(u64::MAX);
-    let queued_at_exit = json_u64(stats_line, "queued").unwrap_or(u64::MAX);
+    let stats_line = drained_stats(server, &mut report)?;
+    report.server_panics_caught = json_u64(&stats_line, "panics_caught").unwrap_or(0);
+    report.server_workers_respawned = json_u64(&stats_line, "workers_respawned").unwrap_or(0);
+    report.server_reused = json_u64(&stats_line, "reused").unwrap_or(0);
 
     // The robustness contract.
     if report.forced_panics == 0 {
@@ -634,17 +573,6 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
     if report.server_workers_respawned == 0 {
         return Err("server stats report zero workers respawned".to_owned());
     }
-    if in_flight_at_exit != 0 || queued_at_exit != 0 {
-        return Err(format!(
-            "unclean drain: in_flight={in_flight_at_exit} queued={queued_at_exit}"
-        ));
-    }
-    if report.server_accepted != report.server_finished {
-        return Err(format!(
-            "leaked connections: accepted={} finished={}",
-            report.server_accepted, report.server_finished
-        ));
-    }
     if report.reused_responses == 0 || report.server_reused == 0 {
         return Err(format!(
             "no request reused a kept connection (client saw {}, server counted {})",
@@ -654,6 +582,11 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
     if report.ok_responses == 0 {
         return Err("no request succeeded — the mix never exercised the happy path".to_owned());
     }
+
+    // Shutdown with a kept connection idle, on a second server: a queued
+    // job evicts every idle connection, so the two cases cannot share
+    // one signal.
+    idle_shutdown(config, &params, &mut report, timeout)?;
     Ok(report)
 }
 
@@ -677,37 +610,129 @@ fn is_timeout(err: &str) -> bool {
         || err.contains("temporarily unavailable")
 }
 
-/// Polls `/v1/stats` until the server is working on nothing but that
-/// request, bounded by `timeout`.
-fn wait_until_quiet(addr: &str, timeout: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if let Ok(response) = get_line(addr, "/v1/stats", timeout) {
-            let quiet = json_u64(&response, "in_flight") == Some(1)
-                && json_u64(&response, "queued") == Some(0);
-            if status_code(&response) == 200 && quiet {
-                return Ok(());
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
+/// Starts a fault-delayed `/v1/footprint` request on its own thread.
+fn slow_request(
+    addr: &str,
+    params: &str,
+    timeout: Duration,
+) -> std::thread::JoinHandle<Result<String, String>> {
+    let (addr, params) = (addr.to_owned(), params.to_owned());
+    std::thread::spawn(move || {
+        post_line(&addr, "/v1/footprint", &params, "X-Act-Fault: delay:500\r\n", timeout)
+    })
+}
+
+/// Sends SIGTERM, or on non-unix hosts (or without a `kill` binary) the
+/// remote shutdown request.
+fn signal_shutdown(server: &ServeProcess, addr: &str, timeout: Duration) {
+    let pid = server.pid();
+    #[cfg(unix)]
+    let signalled = run_silent(Command::new("kill").args(["-TERM", &pid.to_string()])).is_ok();
+    #[cfg(not(unix))]
+    let signalled = false;
+    if !signalled {
+        let _ = post_line(addr, "/admin/shutdown", "{}", "", timeout);
     }
-    Err("the server never went quiet before the shutdown phase".to_owned())
+    let _ = pid;
+}
+
+/// Waits for a request that was in flight at the signal. It must drain
+/// without a client hang. A reset is fine — the server's own fault plan
+/// may roll a kill on any connection — but a read timeout means the drain
+/// left a client dangling, which is the bug this harness exists to catch.
+fn join_in_flight(
+    handle: std::thread::JoinHandle<Result<String, String>>,
+    report: &mut SoakReport,
+) -> Result<(), String> {
+    match handle.join().map_err(|_| "in-flight client panicked")? {
+        Ok(response) if status_code(&response) == 200 => report.ok_responses += 1,
+        Ok(_) => report.dropped += 1,
+        Err(err) if is_timeout(&err) => {
+            return Err(format!("in-flight request hung during drain: {err}"));
+        }
+        Err(_) => report.dropped += 1,
+    }
+    Ok(())
+}
+
+/// Waits for a signalled server to exit, checks that its drain was clean
+/// (exit 0, nothing in flight or queued, `accepted == finished`), adds its
+/// connection counts to `report`, and returns its final stats line.
+fn drained_stats(server: ServeProcess, report: &mut SoakReport) -> Result<String, String> {
+    let (exit_ok, rest) = server.wait_for_exit(Duration::from_secs(30))?;
+    if !exit_ok {
+        return Err("act serve exited non-zero after shutdown".to_owned());
+    }
+    let stats_line = rest
+        .lines()
+        .rev()
+        .find(|line| line.contains("\"shutdown\":true"))
+        .ok_or("no final stats line after shutdown")?
+        .to_owned();
+    let in_flight = json_u64(&stats_line, "in_flight").unwrap_or(u64::MAX);
+    let queued = json_u64(&stats_line, "queued").unwrap_or(u64::MAX);
+    if in_flight != 0 || queued != 0 {
+        return Err(format!("unclean drain: in_flight={in_flight} queued={queued}"));
+    }
+    let accepted = json_u64(&stats_line, "accepted").unwrap_or(0);
+    let finished = json_u64(&stats_line, "finished").unwrap_or(0);
+    if accepted != finished {
+        return Err(format!("leaked connections: accepted={accepted} finished={finished}"));
+    }
+    report.server_accepted += accepted;
+    report.server_finished += finished;
+    Ok(stats_line)
+}
+
+/// SIGTERM while a kept connection sits idle and one request is in
+/// flight, on a fresh server whose fault plan rolls nothing (only the
+/// request's `X-Act-Fault` delay applies). The in-flight request drains,
+/// and the idle connection is closed by the shutdown itself, within 1 s
+/// of the signal — well before its idle timeout (the 2 s request
+/// deadline) would close it.
+fn idle_shutdown(
+    config: &ServiceConfig,
+    params: &str,
+    report: &mut SoakReport,
+    timeout: Duration,
+) -> Result<(), String> {
+    let mut args = SERVE_ARGS.to_vec();
+    let plan = format!("seed={}", config.seed);
+    args.extend(["--faults", &plan]);
+    let server = ServeProcess::spawn(&config.root, &args)?;
+    let addr = server.addr.clone();
+    let mut idle = idle_kept_connection(&addr, timeout)?;
+    let in_flight = slow_request(&addr, params, timeout);
+    std::thread::sleep(Duration::from_millis(100));
+    let signalled_at = Instant::now();
+    signal_shutdown(&server, &addr, timeout);
+    join_in_flight(in_flight, report)?;
+    match read_framed(&mut idle) {
+        Ok(None) => {}
+        Ok(Some(response)) => {
+            return Err(format!("idle kept connection got a response: {response}"));
+        }
+        Err(err) if is_timeout(&err) => {
+            return Err(format!("idle kept connection hung during drain: {err}"));
+        }
+        Err(_) => {}
+    }
+    let closed_after = signalled_at.elapsed();
+    if closed_after > Duration::from_secs(1) {
+        return Err(format!("shutdown left an idle kept connection open {closed_after:?}"));
+    }
+    drained_stats(server, report)?;
+    Ok(())
 }
 
 /// A connection whose first request was answered `keep-alive`, left idle.
-/// Connections that roll a fault close after their first response, so a
-/// few attempts may be needed.
 fn idle_kept_connection(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
-    let health = [get_raw("/healthz", "keep-alive")];
-    for _ in 0..20 {
-        let mut stream = connect(addr, timeout)?;
-        if let Ok(responses) = kept_requests(&mut stream, &health) {
-            if responses.first().is_some_and(|response| keeps_alive(response)) {
-                return Ok(stream);
-            }
-        }
+    let mut stream = connect(addr, timeout)?;
+    let responses = kept_requests(&mut stream, &[get_raw("/healthz", "keep-alive")])?;
+    if !responses.first().is_some_and(|response| keeps_alive(response)) {
+        return Err(format!("no keep-alive answer for the idle connection: {responses:?}"));
     }
-    Err("no connection was kept alive for the shutdown phase".to_owned())
+    Ok(stream)
 }
 
 /// Latency percentiles and throughput from one loadtest run.
