@@ -1,7 +1,6 @@
 //! Parallel-engine benchmarks: serial-vs-parallel sweep throughput,
 //! Monte-Carlo scaling, and the skyline `pareto_indices` against the
-//! quadratic reference. These are the numbers behind the ISSUE acceptance
-//! bar (>=2x on a 10k-point sweep) and feed `cargo xtask bench`.
+//! quadratic reference.
 
 use act_bench::{black_box, Harness};
 use act_dse::{

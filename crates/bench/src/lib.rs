@@ -3,9 +3,8 @@
 //! The workspace builds hermetically — no registry dependencies — so the
 //! bench targets cannot link criterion. This module is the replacement: a
 //! small wall-clock harness with the same command-line contract the CI
-//! smoke pass and `cargo xtask bench --criterion` already rely on
-//! (`cargo bench ... -- --test` runs every benchmark once as a smoke
-//! test).
+//! smoke pass relies on (`cargo bench ... -- --test` runs every benchmark
+//! once as a smoke test).
 //!
 //! Four bench targets exist:
 //!
@@ -21,9 +20,9 @@
 //!   kernel's block plan on the `act_dse` block engine, with bit-identity
 //!   cross-checks before timing.
 //!
-//! Run with `cargo bench --workspace`. For the machine-readable
-//! wall-clock trajectory (figure timings, sweep throughput, `act all`
-//! speedup) use `cargo xtask bench`, which writes `BENCH_results.json`.
+//! Run with `cargo bench --workspace`. These are per-function
+//! micro-benchmarks; end-to-end numbers and the `BENCH_results.json`
+//! trajectory come from the repository benchmark in `benchmark/`.
 
 use std::time::Instant;
 

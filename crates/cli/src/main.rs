@@ -8,10 +8,8 @@
 //! act --json all      # every result as one JSON array
 //! act all             # everything, in paper order
 //! act all --serial    # same output, single-threaded
-//! act bench-sweep     # synthetic 10k-point sweep throughput probe (JSON)
 //! act scenario f.json # compile a JSON scenario: embodied + device footprint
 //! act fleet f.json    # fleet Monte-Carlo over a scenario's fleet block
-//! act fleet-bench     # fleet MC throughput probe (JSON, for xtask bench)
 //! act serve           # NDJSON model service on 127.0.0.1 (act-server)
 //! ```
 //!
@@ -22,10 +20,6 @@
 //! workers. `--serial` disables threading entirely; `ACT_THREADS=N` caps
 //! the worker count.
 //!
-//! Model sub-terms are memoized by default (`act_core::memo`); `--naive`
-//! disables the caches for A/B timing. Cached values are bit-identical to
-//! the direct computation, so output never depends on the flag.
-//!
 //! Experiments are fault-isolated: a failing or unknown experiment prints
 //! a structured error to stderr and the remaining requested experiments
 //! still run. Pass `--strict` to stop at the first failure instead.
@@ -34,10 +28,8 @@
 //! errors (unknown flags).
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use act_core::{CompiledFootprint, FreeAxis, ModelParams};
-use act_dse::{par_map_ordered, BatchOutput, Parallelism, PointBatch};
+use act_dse::{par_map_ordered, Parallelism};
 use act_experiments::{
     par_try_render_experiment, try_render_experiment, ExperimentError, OutputFormat,
     EXPERIMENT_IDS,
@@ -48,45 +40,28 @@ const EXIT_EXPERIMENT_FAILED: u8 = 1;
 /// Exit code for a malformed invocation (unknown flag).
 const EXIT_USAGE: u8 = 2;
 
-/// Default point count for `act bench-sweep`.
-const BENCH_SWEEP_POINTS: usize = 10_000;
-/// Point count for `act bench-sweep --million`.
-const BENCH_SWEEP_MILLION_POINTS: usize = 1_000_000;
-
 fn usage() -> String {
     format!(
         "act — ACT (ISCA 2022) experiment runner\n\n\
-         usage: act [--json] [--strict] [--serial] [--naive] <experiment>...\n\
+         usage: act [--json] [--strict] [--serial] <experiment>...\n\
                 act list\n\
-                act bench-sweep [points] [--million]\n\
                 act scenario <file.json>\n\
                 act fleet <file.json>\n\
-                act fleet-bench [samples]\n\
                 act serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
                           [--deadline-ms N] [--drain-ms N] [--faults SPEC]\n\
                           [--allow-remote-shutdown]  (see `act serve --help`)\n\n\
          options:\n\
            --json     emit typed results as JSON\n\
            --strict   stop at the first failing experiment\n\
-           --serial   evaluate single-threaded (parallel is the default)\n\
-           --naive    disable the memoized/compiled fast paths (A/B timing;\n\
-                      output is bit-identical either way)\n\n\
+           --serial   evaluate single-threaded (parallel is the default)\n\n\
          environment:\n\
            ACT_THREADS=N  cap the parallel evaluation workers at N\n\n\
-         bench-sweep runs a synthetic parameter sweep serially and in\n\
-         parallel, then times the ACT footprint model per-point (naive)\n\
-         versus as a compiled block kernel — serial and through the calibrated\n\
-         parallel engine — and prints throughput/speedup as JSON (the\n\
-         `cargo xtask bench` trajectory harness consumes it). --million\n\
-         runs the compiled kernel legs only, over 1,000,000 points.\n\n\
          scenario compiles a JSON scenario file (chips, memory, storage,\n\
          optional fab/workload sections) and prints the embodied breakdown\n\
          plus — when a workload is present — the single-device footprint.\n\
          fleet runs the scenario's `fleet` block as a seeded Monte-Carlo\n\
          over N devices and prints per-device stats and the fleet total;\n\
-         the result is bit-identical for any thread count. fleet-bench\n\
-         times a built-in fleet serially and in parallel (JSON record for\n\
-         the xtask trajectory harness).\n\n\
+         the result is bit-identical for any thread count.\n\n\
          exit codes: 0 success, 1 experiment failure, 2 usage error\n\n\
          experiments: {}",
         EXPERIMENT_IDS.join(", ")
@@ -112,231 +87,6 @@ fn report_error(err: &ExperimentError, json: bool) {
         eprintln!("error: {err}");
     }
 }
-
-/// The synthetic per-point model for `bench-sweep`: a few hundred
-/// transcendental ops, the cost shape of one embodied-carbon evaluation.
-fn bench_sweep_model(x: &f64) -> f64 {
-    let mut acc = *x;
-    for _ in 0..256 {
-        acc = (acc + 1.0).sqrt() + (acc + 2.0).ln();
-    }
-    acc
-}
-
-/// `act bench-sweep [points] [--million]`: times the same sweep serially
-/// and in parallel, then times the real footprint model per-point (naive)
-/// versus as a compiled block kernel — serial and through the calibrated
-/// parallel engine — verifies every pair of paths is bitwise identical,
-/// and prints a JSON throughput record.
-///
-/// `--million` is the scale mode: 1,000,000 points through the compiled
-/// kernel legs only. The synthetic closure sweep and the naive per-point
-/// model are skipped there — both cost seconds per million points and
-/// measure nothing the 10k run doesn't already cover, while the compiled
-/// serial-vs-parallel A/B is exactly what changes at scale.
-fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -> ExitCode {
-    let points = match points_arg {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("bench-sweep needs a point count >= 2, got `{raw}`\n\n{}", usage());
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-        None if million => BENCH_SWEEP_MILLION_POINTS,
-        None => BENCH_SWEEP_POINTS,
-    };
-
-    let parallelism = if serial_only { Parallelism::Serial } else { Parallelism::Auto };
-    // Length-aware resolution: surfaces the calibrated break-even decision
-    // (parallel above threshold / serial fallback) alongside the worker
-    // count, its source, and what the machine could have offered — so a
-    // ≈1× "speedup" on a 1-CPU host reads as correct behavior instead of
-    // a silent misconfiguration.
-    let resolved = parallelism.resolve_for(points);
-    let cal = act_dse::calibration();
-
-    let mut synthetic = None;
-    if !million {
-        let inputs = act_dse::logspace(1.0, 1000.0, points);
-
-        let serial_start = Instant::now();
-        let serial_results = act_dse::sweep(inputs.clone(), bench_sweep_model);
-        let serial_ms = serial_start.elapsed().as_secs_f64() * 1e3;
-
-        let parallel_start = Instant::now();
-        let parallel_results = act_dse::par_sweep_with(parallelism, inputs, bench_sweep_model);
-        let parallel_ms = parallel_start.elapsed().as_secs_f64() * 1e3;
-
-        let serial_sum: f64 = serial_results.iter().map(|(_, r)| r).sum();
-        let parallel_sum: f64 = parallel_results.iter().map(|(_, r)| r).sum();
-        if serial_sum.to_bits() != parallel_sum.to_bits() {
-            eprintln!("bench-sweep: parallel results diverged from serial (engine bug)");
-            return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-        synthetic = Some((serial_ms, parallel_ms, parallel_sum));
-    }
-
-    // The model A/B: the mobile reference footprint swept over the SoC-area
-    // axis, once through the full per-point pipeline (fab scenario + system
-    // spec rebuilt for every point) and once through the compiled kernel's
-    // block plan. The serial legs run single-threaded so the ratio isolates
-    // per-point cost; the compiled-parallel leg goes through the calibrated
-    // engine.
-    let params = ModelParams::mobile_reference();
-    let areas = act_dse::logspace(10.0, 1000.0, points);
-
-    let naive = if million {
-        None
-    } else {
-        let naive_start = Instant::now();
-        let naive_results = act_dse::sweep(areas.clone(), |area| {
-            let mut point = params.clone();
-            point.soc_area_mm2 = *area;
-            point.footprint().as_grams()
-        });
-        let naive_ms = naive_start.elapsed().as_secs_f64() * 1e3;
-        Some((naive_ms, naive_results))
-    };
-
-    let kernel = match CompiledFootprint::try_compile(&params, &[FreeAxis::SocArea]) {
-        Ok(kernel) => kernel,
-        Err(err) => {
-            eprintln!("bench-sweep: compiling the footprint kernel failed: {err}");
-            return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-    };
-    // The block plan reads the SoA columns directly in LANES-wide blocks.
-    let plan = kernel.plan();
-    let batch = PointBatch::single_axis(areas);
-    let mut block_out = BatchOutput::new();
-    let block_start = Instant::now();
-    act_dse::sweep_compiled_block(
-        &batch,
-        |cols, range, out| plan.eval_block(cols, range, out),
-        &mut block_out,
-    );
-    let block_ms = block_start.elapsed().as_secs_f64() * 1e3;
-
-    // The compiled path must agree with the naive path to the last bit,
-    // point for point — and the parallel batch path with the serial one.
-    if let Some((_, naive_results)) = &naive {
-        for ((_, naive), block) in naive_results.iter().zip(block_out.values()) {
-            if naive.to_bits() != block.to_bits() {
-                eprintln!(
-                    "bench-sweep: compiled kernel diverged from per-point model (engine bug)"
-                );
-                return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-            }
-        }
-    }
-
-    let mut par_out = BatchOutput::new();
-    let par_compiled_start = Instant::now();
-    act_dse::par_sweep_compiled_block_with(
-        parallelism,
-        &batch,
-        |cols, range, out| plan.eval_block(cols, range, out),
-        &mut par_out,
-    );
-    let par_compiled_ms = par_compiled_start.elapsed().as_secs_f64() * 1e3;
-    if par_out.values() != block_out.values() {
-        eprintln!("bench-sweep: parallel compiled sweep diverged from serial (engine bug)");
-        return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-    }
-
-    let model_checksum: f64 = block_out.values().iter().sum();
-    let block_pps = points as f64 / (block_ms / 1e3).max(1e-12);
-    let par_compiled_pps = points as f64 / (par_compiled_ms / 1e3).max(1e-12);
-
-    // Both legs run the block plan, so the serial baseline for the
-    // parallel speedup is the serial block leg — apples to apples.
-    let compiled_parallel = act_json::obj! {
-        "ms": par_compiled_ms,
-        "points_per_sec": par_compiled_pps,
-        "speedup_vs_serial": block_ms / par_compiled_ms.max(1e-9),
-    };
-    // Through `ToJson`, which encodes the `usize::MAX` single-core pin as
-    // `null` instead of a garbage f64-rounded integer.
-    let calibration = act_json::ToJson::to_json(&cal);
-
-    let body = match (synthetic, naive) {
-        (Some((serial_ms, parallel_ms, parallel_sum)), Some((naive_ms, _))) => {
-            let speedup = serial_ms / parallel_ms.max(1e-9);
-            let evals_per_sec = points as f64 / (parallel_ms / 1e3).max(1e-12);
-            let naive_pps = points as f64 / (naive_ms / 1e3).max(1e-12);
-            act_json::obj! {
-                "points": points,
-                "threads": resolved.workers,
-                "threads_source": resolved.source.as_str(),
-                "machine_threads": resolved.machine,
-                "decision": resolved.decision.as_str(),
-                "calibration": calibration,
-                "serial_ms": serial_ms,
-                "parallel_ms": parallel_ms,
-                "speedup": speedup,
-                "evals_per_sec": evals_per_sec,
-                "checksum": parallel_sum,
-                "naive": act_json::obj! {
-                    "ms": naive_ms,
-                    "points_per_sec": naive_pps,
-                },
-                "compiled_block": act_json::obj! {
-                    "ms": block_ms,
-                    "points_per_sec": block_pps,
-                    "speedup_vs_naive": naive_ms / block_ms.max(1e-9),
-                },
-                "compiled_parallel": compiled_parallel,
-                "model_checksum": model_checksum,
-            }
-        }
-        _ => act_json::obj! {
-            "points": points,
-            "mode": "million",
-            "threads": resolved.workers,
-            "threads_source": resolved.source.as_str(),
-            "machine_threads": resolved.machine,
-            "decision": resolved.decision.as_str(),
-            "calibration": calibration,
-            "compiled_block": act_json::obj! {
-                "ms": block_ms,
-                "points_per_sec": block_pps,
-            },
-            "compiled_parallel": compiled_parallel,
-            "model_checksum": model_checksum,
-        },
-    };
-    println!("{body}");
-    ExitCode::SUCCESS
-}
-
-/// Built-in server-class scenario for `act fleet-bench`: a Dell
-/// R740-shaped system under a datacenter workload with uncertain
-/// lifetime, grid, and utilization. The sample count is overridden by
-/// the CLI argument.
-const FLEET_BENCH_SCENARIO: &str = r#"{
-  "name": "fleet-bench (server class)",
-  "chips": [
-    {"name": "Xeon CPUs", "node": "N14", "area_mm2": 1388.0, "count": 2},
-    {"name": "Chipset + NICs + BMC", "node": "N28", "area_mm2": 400.0, "count": 6}
-  ],
-  "dram": [{"technology": "Ddr4_10nm", "capacity_gb": 576.0}],
-  "ssd": [{"technology": "V3NandTlc", "capacity_gb": 31744.0}],
-  "packaged_ic_count": 40,
-  "workload": {
-    "power_w": 350.0, "utilization": 0.6,
-    "lifetime_years": 4.0, "use_intensity_g_per_kwh": 380.0
-  },
-  "fleet": {
-    "devices": 100000, "samples": 200000, "seed": 2022,
-    "lifetime_years": {"dist": "triangular", "low": 2.0, "mode": 4.0, "high": 7.0},
-    "use_intensity_g_per_kwh": {"dist": "normal", "mean": 380.0, "std_dev": 60.0},
-    "utilization": {"dist": "uniform", "low": 0.3, "high": 0.9}
-  }
-}"#;
-
-/// Default `act fleet-bench` sample count.
-const FLEET_BENCH_SAMPLES: usize = 200_000;
 
 /// Reads and compiles a scenario file, folding every failure into one
 /// stderr line plus the experiment-failed exit code.
@@ -422,109 +172,6 @@ fn run_fleet(path: Option<&str>, serial_only: bool) -> ExitCode {
             ExitCode::from(EXIT_EXPERIMENT_FAILED)
         }
     }
-}
-
-/// `act fleet-bench [samples]`: times the built-in server-class fleet
-/// serially and through the calibrated parallel engine, verifies the two
-/// summaries agree to the bit, and prints a JSON throughput record for
-/// the `cargo xtask bench` trajectory harness. The record deliberately
-/// avoids the exact key `"compiled_block"` — the trajectory guard scrapes
-/// the last such object out of the bench file, and that must remain the
-/// sweep record's.
-fn run_fleet_bench(samples_arg: Option<&str>, serial_only: bool) -> ExitCode {
-    let samples = match samples_arg {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("fleet-bench needs a sample count >= 2, got `{raw}`\n\n{}", usage());
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-        None => FLEET_BENCH_SAMPLES,
-    };
-    let mut scenario = match act_scenario::Scenario::parse(FLEET_BENCH_SCENARIO) {
-        Ok(scenario) => scenario,
-        Err(err) => {
-            eprintln!("fleet-bench: built-in scenario failed to parse: {err}");
-            return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-    };
-    if let Some(fleet) = scenario.fleet.as_mut() {
-        fleet.samples = samples;
-    }
-    let compiled = match scenario.compile() {
-        Ok(compiled) => compiled,
-        Err(err) => {
-            eprintln!("fleet-bench: built-in scenario failed to compile: {err}");
-            return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-    };
-    let Some(fleet) = compiled.fleet() else {
-        eprintln!("fleet-bench: built-in scenario lost its fleet block (CLI bug)");
-        return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-    };
-    let budget = act_dse::EvalBudget::unlimited();
-    let resolved = if serial_only {
-        Parallelism::Serial.resolve_for(samples)
-    } else {
-        Parallelism::Auto.resolve_for(samples)
-    };
-    let threads = resolved.workers.min(samples.max(1));
-
-    let mut serial_buf = act_dse::McBuffer::new();
-    let serial_start = Instant::now();
-    let serial = fleet.run(1, &mut serial_buf, &budget);
-    let serial_ms = serial_start.elapsed().as_secs_f64() * 1e3;
-    let (serial_outcome, _) = match serial {
-        Ok(result) => result,
-        Err(err) => {
-            eprintln!("fleet-bench: serial run failed: {err}");
-            return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-    };
-
-    let mut par_buf = act_dse::McBuffer::new();
-    let par_start = Instant::now();
-    let par = fleet.run(threads, &mut par_buf, &budget);
-    let par_ms = par_start.elapsed().as_secs_f64() * 1e3;
-    let (par_outcome, _) = match par {
-        Ok(result) => result,
-        Err(err) => {
-            eprintln!("fleet-bench: parallel run failed: {err}");
-            return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-        }
-    };
-    if serial_outcome.stats.mean.to_bits() != par_outcome.stats.mean.to_bits()
-        || serial_outcome.rejected != par_outcome.rejected
-    {
-        eprintln!("fleet-bench: parallel summary diverged from serial (engine bug)");
-        return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-    }
-
-    let serial_sps = samples as f64 / (serial_ms / 1e3).max(1e-12);
-    let par_sps = samples as f64 / (par_ms / 1e3).max(1e-12);
-    let body = act_json::obj! {
-        "samples": samples,
-        "devices": fleet.devices(),
-        "seed": fleet.seed(),
-        "threads": threads,
-        "threads_source": resolved.source.as_str(),
-        "machine_threads": resolved.machine,
-        "fleet_serial": act_json::obj! {
-            "ms": serial_ms,
-            "samples_per_sec": serial_sps,
-        },
-        "fleet_parallel": act_json::obj! {
-            "ms": par_ms,
-            "samples_per_sec": par_sps,
-            "speedup_vs_serial": serial_ms / par_ms.max(1e-9),
-        },
-        "mean_g": serial_outcome.stats.mean,
-        "rejected": serial_outcome.rejected,
-        "fleet_total_g": fleet.fleet_total_grams(&serial_outcome),
-    };
-    println!("{body}");
-    ExitCode::SUCCESS
 }
 
 /// The `act serve --help` text.
@@ -734,7 +381,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut strict = false;
     let mut serial = false;
-    let mut million = false;
     let mut ids = Vec::new();
     for arg in args {
         match arg.as_str() {
@@ -745,8 +391,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--strict" => strict = true,
             "--serial" => serial = true,
-            "--million" => million = true,
-            "--naive" => act_core::memo::set_enabled(false),
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag `{flag}`\n\n{}", usage());
                 return ExitCode::from(EXIT_USAGE);
@@ -772,13 +416,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    if ids[0] == "bench-sweep" {
-        if ids.len() > 2 {
-            eprintln!("bench-sweep takes at most one point count\n\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-        return run_bench_sweep(ids.get(1).map(String::as_str), serial, million);
-    }
     if ids[0] == "scenario" {
         if ids.len() > 2 {
             eprintln!("scenario takes exactly one file path\n\n{}", usage());
@@ -792,17 +429,6 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
         return run_fleet(ids.get(1).map(String::as_str), serial);
-    }
-    if ids[0] == "fleet-bench" {
-        if ids.len() > 2 {
-            eprintln!("fleet-bench takes at most one sample count\n\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-        return run_fleet_bench(ids.get(1).map(String::as_str), serial);
-    }
-    if million {
-        eprintln!("--million only applies to bench-sweep\n\n{}", usage());
-        return ExitCode::from(EXIT_USAGE);
     }
 
     let format = if json { OutputFormat::Json } else { OutputFormat::Text };

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `act` binary: the parallel engine must be
-//! output-identical to `--serial`, honour `ACT_THREADS`, and the
-//! `bench-sweep` probe must emit well-formed JSON.
+//! output-identical to `--serial` and honour `ACT_THREADS`, and `act fleet`
+//! must give the same summary on any thread count.
 
 use std::process::{Command, Output};
 
@@ -68,7 +68,7 @@ fn help_documents_the_parallel_controls() {
     let text = stdout(&out);
     assert!(text.contains("--serial"), "help must document --serial:\n{text}");
     assert!(text.contains("ACT_THREADS"), "help must document ACT_THREADS:\n{text}");
-    assert!(text.contains("bench-sweep"), "help must document bench-sweep:\n{text}");
+    assert!(text.contains("act fleet"), "help must document fleet:\n{text}");
 }
 
 #[test]
@@ -100,44 +100,45 @@ fn failures_are_isolated_and_exit_nonzero() {
     assert!(stderr(&out).contains("no-such-figure"));
 }
 
+/// A server-class scenario with a 20k-sample fleet block.
+const FLEET_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/fleet_server.json");
+
 #[test]
-fn bench_sweep_emits_a_throughput_record() {
-    let out = act(&["bench-sweep", "500"]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let record = act_json::JsonValue::parse(stdout(&out).trim()).expect("json");
-    assert_eq!(record["points"], 500);
-    for key in ["serial_ms", "parallel_ms", "speedup", "evals_per_sec", "checksum"] {
-        assert!(record[key].is_number(), "missing {key}: {record}");
+fn fleet_summary_is_identical_on_any_thread_count() {
+    let runs = [
+        ("1 worker", act_with_env(&["fleet", FLEET_FIXTURE], "ACT_THREADS", "1"), 1),
+        ("2 workers", act_with_env(&["fleet", FLEET_FIXTURE], "ACT_THREADS", "2"), 2),
+        ("--serial", act(&["fleet", "--serial", FLEET_FIXTURE]), 1),
+    ];
+    let mut records = Vec::new();
+    for (label, out, threads) in runs {
+        assert!(out.status.success(), "{label}: stderr: {}", stderr(&out));
+        let record = act_json::JsonValue::parse(stdout(&out).trim()).expect("json");
+        assert_eq!(record["threads"], threads, "{label}: {record}");
+        assert!(record["stats"]["mean"].is_number(), "{label}: {record}");
+        records.push(record);
     }
-    assert!(record["threads"].is_number());
+    for record in &records[1..] {
+        for key in ["stats", "rejected", "fleet_total_g"] {
+            // Rendered text compares floats by their shortest round-trip
+            // digits, so this is a bitwise check.
+            assert_eq!(
+                record[key].to_string(),
+                records[0][key].to_string(),
+                "{key} differs across thread counts"
+            );
+        }
+    }
 }
 
 #[test]
-fn bench_sweep_reports_resolved_parallelism() {
-    // An explicit ACT_THREADS override must surface as source "env" with
-    // exactly that worker count.
-    let out = act_with_env(&["bench-sweep", "100"], "ACT_THREADS", "2");
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let record = act_json::JsonValue::parse(stdout(&out).trim()).expect("json");
-    assert_eq!(record["threads"], 2);
-    assert_eq!(record["threads_source"], "env");
-    let machine = record["machine_threads"].as_u64().expect("machine_threads");
-    assert!(machine >= 1, "machine_threads must be positive: {record}");
-
-    // `--serial` pins the policy, and the record says so.
-    let out = act(&["bench-sweep", "100", "--serial"]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let record = act_json::JsonValue::parse(stdout(&out).trim()).expect("json");
-    assert_eq!(record["threads"], 1);
-    assert_eq!(record["threads_source"], "policy");
-}
-
-#[test]
-fn bench_sweep_rejects_bad_point_counts() {
-    for bad in ["1", "0", "-3", "many"] {
-        let out = act(&["bench-sweep", bad]);
-        assert_eq!(out.status.code(), Some(2), "count `{bad}` must be a usage error");
-    }
-    let out = act(&["bench-sweep", "10", "20"]);
-    assert_eq!(out.status.code(), Some(2));
+fn fleet_exit_codes_separate_usage_from_bad_input() {
+    assert_eq!(act(&["fleet"]).status.code(), Some(2), "no path is a usage error");
+    let missing = act(&["fleet", "no/such/scenario.json"]);
+    assert_eq!(missing.status.code(), Some(1), "a missing file fails the run");
+    let no_fleet = concat!(env!("CARGO_MANIFEST_DIR"), "/../data/scenarios/iphone_11.json");
+    let out = act(&["fleet", no_fleet]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("no `fleet` block"), "stderr: {}", stderr(&out));
 }

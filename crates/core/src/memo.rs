@@ -15,9 +15,10 @@
 //! Cached values are bit-for-bit identical to the uncached computation,
 //! which the property tests in `crates/core/tests/compiled.rs` pin.
 //!
-//! [`set_enabled`]`(false)` (the CLI's `--naive` escape hatch) turns every
-//! helper into a pass-through to the underlying computation for A/B
-//! timing; results are unchanged either way.
+//! [`set_enabled`]`(false)` turns every helper into a pass-through to the
+//! underlying computation, which the property tests and the `compiled`
+//! bench use to compare against the uncached path; results are unchanged
+//! either way.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -188,8 +189,8 @@ impl<K: Hash + Eq, V: Copy> MemoCache<K, V> {
     }
 }
 
-/// Whether the global caches intern at all (default: yes). The CLI's
-/// `--naive` flag clears this for A/B timing.
+/// Whether the global caches intern at all (default: yes); cleared by
+/// [`set_enabled`]`(false)`.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables interning. Disabled helpers compute

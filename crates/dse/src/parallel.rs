@@ -81,10 +81,9 @@ impl Parallelism {
     }
 
     /// Resolves the policy to a concrete worker count **and says where the
-    /// number came from** — the observability hook behind the `threads` /
-    /// `threads_source` fields in `act bench-sweep` JSON, added after a
-    /// bench record shipped with a silently-1× "parallel" speedup and
-    /// nothing in the output explained why (the host had one core).
+    /// number came from**, so a report can explain a silently-1×
+    /// "parallel" speedup (a one-core host, an `ACT_THREADS` cap) instead
+    /// of hiding it.
     ///
     /// # Examples
     ///
@@ -267,8 +266,7 @@ impl CalibrationSource {
 
 impl act_json::ToJson for Calibration {
     /// `{"threshold_points": <points|null>, "source": "<name>"}` — the one
-    /// shape shared by `act bench-sweep` records, `cargo xtask bench`
-    /// gates, and `act-server` trailers.
+    /// shape shared by `act-server` trailers and benchmark records.
     ///
     /// The single-core pin `usize::MAX` means "unbounded: parallel can
     /// never win" and has no faithful JSON integer form — through an `f64`

@@ -463,8 +463,7 @@ impl PartialEq<bool> for JsonValue {
 
 /// Formats a float for JSON output.
 ///
-/// Non-finite values have no JSON representation and render as `null`
-/// (matching the bench harness's convention for unavailable timings).
+/// Non-finite values have no JSON representation and render as `null`.
 /// Integral values below 10^15 keep one decimal (`820.0`) so a quantity
 /// never silently reads as an integer; everything else uses Rust's
 /// shortest round-trip formatting.

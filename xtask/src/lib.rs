@@ -6,8 +6,8 @@
 //! rule catalogue ACT001–ACT012 (textual token rules and AST/dataflow
 //! rules — see `crates/analyze/src/lib.rs` for the table). This crate
 //! re-exports the engine under the names the original `cargo xtask lint`
-//! harness established, and adds the bench/soak/loadtest machinery that
-//! drives the built workspace.
+//! harness established, and adds the `soak` chaos harness that drives the
+//! built `act serve` binary.
 //!
 //! Vetted exceptions go in `xtask/lint.allow`, one per line:
 //! `RULE|path-suffix|line-substring|justification` — the justification is
@@ -27,5 +27,4 @@ pub use act_analyze::lexer::scrub;
 pub use act_analyze::test_regions;
 pub use act_analyze::AnalyzeReport as LintReport;
 
-pub mod bench;
 pub mod service;

@@ -1,8 +1,7 @@
-//! Service harnesses for `act serve`: the `soak` chaos run and the
-//! `loadtest` latency recorder.
+//! The `soak` chaos harness for `act serve`.
 //!
-//! Both spawn the release `act` binary, parse its readiness line, and
-//! drive traffic over raw `std::net::TcpStream` — xtask is a
+//! It spawns the release `act` binary, parses its readiness line, and
+//! drives traffic over raw `std::net::TcpStream` — xtask is a
 //! dependency-free workspace, so there is no act-* crate to lean on and
 //! every HTTP/JSON fragment here is hand-rolled.
 //!
@@ -15,20 +14,14 @@
 //! connections), and a zero exit code. A second, short server run then
 //! takes SIGTERM while a kept connection sits idle, which must close that
 //! connection at once and drain as cleanly.
-//!
-//! `loadtest` measures p50/p99 latency and request throughput against a
-//! fault-free server and appends a labeled record to the
-//! `BENCH_results.json` trajectory (schema `act-bench-trajectory/2`, same
-//! append path as `cargo xtask bench`).
 
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Configuration shared by `soak` and `loadtest`.
+/// Configuration for `soak`.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Workspace root (where `Cargo.toml` and `target/` live).
@@ -37,23 +30,13 @@ pub struct ServiceConfig {
     pub quick: bool,
     /// Master seed for the soak traffic mix and the server fault plan.
     pub seed: u64,
-    /// Trajectory path for the loadtest record.
-    pub out: PathBuf,
-    /// Optional label stored in the loadtest record.
-    pub label: Option<String>,
 }
 
 impl ServiceConfig {
     /// Defaults rooted at `root`.
     #[must_use]
     pub fn new(root: PathBuf) -> Self {
-        Self {
-            root,
-            quick: false,
-            seed: 42,
-            out: PathBuf::from("BENCH_results.json"),
-            label: None,
-        }
+        Self { root, quick: false, seed: 42 }
     }
 }
 
@@ -434,6 +417,9 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
         };
         // Hostile scenario documents: every one must come back as a clean
         // 400 (never a 500, never a hang) from /v1/scenario and /v1/fleet.
+        // They are sent with `X-Act-Fault: delay:0`, which overrides the
+        // fault the server's plan rolls for the connection, so an injected
+        // panic's 500 is never mistaken for a breach of that contract.
         const HOSTILE_SCENARIOS: [&str; 4] = [
             // Non-finite numeric literal — rejected by the JSON layer.
             "{\"name\":\"x\",\"chips\":[],\"dram\":[],\"ssd\":[],\"hdd\":[],\
@@ -503,11 +489,10 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
                 let path =
                     if kind == "hostile-scenario" { "/v1/scenario" } else { "/v1/fleet" };
                 let body = HOSTILE_SCENARIOS[(splitmix64(&mut rng) % 4) as usize];
-                let response = post_line(&addr, path, body, "", timeout);
+                let response =
+                    post_line(&addr, path, body, "X-Act-Fault: delay:0\r\n", timeout);
                 if let Ok(response) = &response {
-                    // Injected faults may drop the connection (empty), but a
-                    // delivered response must be the clean 400 contract.
-                    if !response.is_empty() && status_code(response) >= 500 {
+                    if status_code(response) >= 500 {
                         return Err(format!(
                             "hostile scenario payload to {path} provoked a 5xx:\n{response}"
                         ));
@@ -735,119 +720,6 @@ fn idle_kept_connection(addr: &str, timeout: Duration) -> Result<TcpStream, Stri
     Ok(stream)
 }
 
-/// Latency percentiles and throughput from one loadtest run.
-#[derive(Debug)]
-pub struct LoadReport {
-    /// Measured requests (after warmup).
-    pub requests: usize,
-    /// Median end-to-end latency.
-    pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency.
-    pub p99_ms: f64,
-    /// Sustained request throughput.
-    pub req_per_sec: f64,
-    /// Seconds since the epoch at measurement time.
-    pub unix_time: u64,
-    /// Label carried into the trajectory record.
-    pub label: Option<String>,
-}
-
-/// Renders the loadtest trajectory record. Deliberately carries no
-/// `compiled_block` object, so `guard_regression` (which keys on block
-/// sweep throughput) skips these records.
-#[must_use]
-pub fn render_load_record(report: &LoadReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"unix_time\": {},", report.unix_time);
-    match &report.label {
-        None => out.push_str("  \"label\": null,\n"),
-        Some(label) => {
-            let _ = writeln!(out, "  \"label\": \"{}\",", crate::bench::json_escape(label));
-        }
-    }
-    out.push_str("  \"error\": null,\n");
-    out.push_str("  \"server\": {\n");
-    let _ = writeln!(out, "    \"endpoint\": \"/v1/footprint\",");
-    let _ = writeln!(out, "    \"requests\": {},", report.requests);
-    let _ = writeln!(out, "    \"p50_ms\": {:.3},", report.p50_ms);
-    let _ = writeln!(out, "    \"p99_ms\": {:.3},", report.p99_ms);
-    let _ = writeln!(out, "    \"req_per_sec\": {:.1}", report.req_per_sec);
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Runs the loadtest: build, serve (fault-free), warm up, measure, append
-/// the record to the trajectory at `config.out`.
-pub fn run_loadtest(config: &ServiceConfig) -> Result<LoadReport, String> {
-    build_release(&config.root)?;
-    let requests = if config.quick { 100 } else { 400 };
-    let timeout = Duration::from_secs(20);
-
-    let server = ServeProcess::spawn(&config.root, &["--workers", "2"])?;
-    let addr = server.addr.clone();
-
-    let reference = get_line(&addr, "/v1/params/reference", timeout)?;
-    if status_code(&reference) != 200 {
-        return Err("GET /v1/params/reference failed".to_owned());
-    }
-    let params = reference
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.trim().to_owned())
-        .ok_or("reference response without a body")?;
-
-    for _ in 0..10 {
-        let response = post_line(&addr, "/v1/footprint", &params, "", timeout)?;
-        if status_code(&response) != 200 {
-            return Err(format!("warmup request failed: {response}"));
-        }
-    }
-
-    let mut latencies_ms = Vec::with_capacity(requests);
-    let run_start = Instant::now();
-    for _ in 0..requests {
-        let start = Instant::now();
-        let response = post_line(&addr, "/v1/footprint", &params, "", timeout)?;
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        if status_code(&response) != 200 {
-            return Err(format!("measured request failed: {response}"));
-        }
-        latencies_ms.push(elapsed);
-    }
-    let total_s = run_start.elapsed().as_secs_f64();
-
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let percentile = |p: f64| -> f64 {
-        let index = ((latencies_ms.len() as f64 - 1.0) * p).round() as usize;
-        latencies_ms[index.min(latencies_ms.len() - 1)]
-    };
-    let report = LoadReport {
-        requests,
-        p50_ms: percentile(0.50),
-        p99_ms: percentile(0.99),
-        req_per_sec: requests as f64 / total_s.max(1e-9),
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: config.label.clone(),
-    };
-
-    let _ = post_line(&addr, "/admin/shutdown", "{}", "", timeout);
-    let (exit_ok, _) = server.wait_for_exit(Duration::from_secs(30))?;
-    if !exit_ok {
-        return Err("act serve exited non-zero after the loadtest".to_owned());
-    }
-
-    let record = render_load_record(&report);
-    let existing = std::fs::read_to_string(&config.out).unwrap_or_default();
-    let body = crate::bench::append_record(&existing, &record);
-    std::fs::write(&config.out, &body)
-        .map_err(|err| format!("cannot write {}: {err}", config.out.display()))?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,30 +743,6 @@ mod tests {
         assert_eq!(json_u64(line, "pid"), Some(123));
         assert_eq!(json_str(line, "missing"), None);
         assert_eq!(json_u64(line, "missing"), None);
-    }
-
-    #[test]
-    fn load_record_skips_the_regression_guard() {
-        let report = LoadReport {
-            requests: 100,
-            p50_ms: 1.5,
-            p99_ms: 4.0,
-            req_per_sec: 600.0,
-            unix_time: 1,
-            label: Some("pr6".to_owned()),
-        };
-        let record = render_load_record(&report);
-        assert!(record.contains("\"p50_ms\": 1.500"));
-        assert!(record.contains("\"p99_ms\": 4.000"));
-        assert!(record.contains("\"req_per_sec\": 600.0"));
-        // No compiled block ⇒ guard_regression must not fire even against
-        // a trajectory that has one.
-        let existing = "{\"schema\": \"act-bench-trajectory/2\", \"records\": [\
-                        {\"compiled_block\": {\"points_per_sec\": 1000000}}]}";
-        assert_eq!(crate::bench::guard_regression(existing, &record), None);
-        // And the record appends into a well-formed trajectory.
-        let body = crate::bench::append_record(existing, &record);
-        assert_eq!(crate::bench::record_count(&body), 2);
     }
 
     #[test]
