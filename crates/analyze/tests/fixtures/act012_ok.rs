@@ -1,12 +1,12 @@
 //! ACT012 negative fixture: parallel work routed through the pool API,
 //! plus a test-gated raw spawn (tests are exempt).
 
-use act_dse::{par_sweep_with, Parallelism};
+use act_dse::{sweep, Parallelism};
 
 /// The sanctioned path: the calibrated engine decides worker count and
 /// break-even fallback.
 pub fn fan_out(xs: Vec<f64>) -> Vec<(f64, f64)> {
-    par_sweep_with(Parallelism::Auto, xs, |x| x * 2.0)
+    sweep(Parallelism::Auto, xs, |x| x * 2.0)
 }
 
 #[cfg(test)]

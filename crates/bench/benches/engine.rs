@@ -1,12 +1,9 @@
-//! Parallel-engine benchmarks: serial-vs-parallel sweep throughput,
-//! Monte-Carlo scaling, and the skyline `pareto_indices` against the
+//! Parallel-engine benchmarks: one sweep under `Serial` vs `Auto`,
+//! Monte-Carlo on `Auto`, and the skyline `pareto_indices` against the
 //! quadratic reference.
 
 use act_bench::{black_box, Harness};
-use act_dse::{
-    monte_carlo, par_monte_carlo_with, par_sweep_with, pareto_indices,
-    pareto_indices_reference, sweep, Parallelism,
-};
+use act_dse::{monte_carlo, pareto_indices, pareto_indices_reference, sweep, Parallelism};
 use act_rng::Rng;
 
 /// Point count for the headline sweep comparison.
@@ -44,9 +41,11 @@ fn main() {
     let mut h = Harness::from_env();
 
     let inputs = act_dse::logspace(1.0, 1_000.0, SWEEP_POINTS);
-    h.bench("sweep_10k/serial", || black_box(sweep(inputs.clone(), heavy_model)));
+    h.bench("sweep_10k/serial", || {
+        black_box(sweep(Parallelism::Serial, inputs.clone(), heavy_model))
+    });
     h.bench("sweep_10k/parallel", || {
-        black_box(par_sweep_with(Parallelism::Auto, inputs.clone(), heavy_model))
+        black_box(sweep(Parallelism::Auto, inputs.clone(), heavy_model))
     });
 
     let model = |rng: &mut Rng| {
@@ -54,9 +53,8 @@ fn main() {
         let energy: f64 = rng.gen_range(10.0..100.0);
         energy / yield_fraction
     };
-    h.bench("monte_carlo_20k/serial_legacy", || black_box(monte_carlo(MC_SAMPLES, 7, model)));
     h.bench("monte_carlo_20k/parallel", || {
-        black_box(par_monte_carlo_with(Parallelism::Auto, MC_SAMPLES, 7, model))
+        black_box(monte_carlo(Parallelism::Auto, MC_SAMPLES, 7, model))
     });
 
     let cloud = point_cloud(PARETO_POINTS);

@@ -1,12 +1,11 @@
 //! Structure-of-arrays batch evaluation for compiled block kernels.
 //!
-//! The closure-based sweep API ([`sweep`](crate::sweep()),
-//! [`par_sweep_with`](crate::par_sweep_with)) hands the model an owned
-//! parameter and collects `(param, result)` pairs — fine for dozens of
-//! points, wasteful for millions. This module is the batch engine: design
-//! points live in a [`PointBatch`] (one contiguous column per free axis),
-//! results land in a caller-owned reusable [`BatchOutput`], and the model
-//! is a **block kernel** — any `Fn(&[&[f64]], Range<usize>, &mut [f64])`
+//! The closure-based sweep API ([`sweep`](crate::sweep())) hands the
+//! model an owned parameter and collects `(param, result)` pairs — fine
+//! for dozens of points, wasteful for millions. This module is the batch
+//! engine: design points live in a [`PointBatch`] (one contiguous column
+//! per free axis), results land in a caller-owned reusable
+//! [`BatchOutput`], and the model is a **block kernel** — any `Fn(&[&[f64]], Range<usize>, &mut [f64])`
 //! that evaluates points `range` of a column set into an output slice,
 //! typically `act_core::EvalPlan::eval_block`. The kernel reads columns
 //! directly in auto-vectorized blocks, so the hot loop performs no
@@ -26,15 +25,17 @@
 //!   count gives bit-for-bit identical output;
 //! * **deterministic seed-splitting** — [`par_monte_carlo_compiled_block_with`]
 //!   seeds sample `i` with [`mc_sample_seed`]`(seed, i)` exactly like
-//!   [`par_try_monte_carlo_with`](crate::par_try_monte_carlo_with), so its
-//!   outcome is invariant under the thread count too;
+//!   [`try_monte_carlo`](crate::try_monte_carlo), so its outcome is
+//!   invariant under the thread count too;
 //! * **cooperative deadlines** — the `_budgeted` entry points consult an
 //!   [`EvalBudget`] on block boundaries and stop at a completed prefix that
 //!   is bit-identical to the unbudgeted run.
 //!
 //! Every entry point takes a [`Parallelism`] policy except
-//! [`sweep_compiled_block`], the serial convenience form;
-//! `Parallelism::Serial` (or `threads(1)`) runs on the calling thread.
+//! [`sweep_compiled_block`], the serial convenience form. Every worker
+//! count runs through the one chunked engine; `Parallelism::Serial` (or
+//! `threads(1)`) runs it on the calling thread, one budget block per
+//! chunk.
 
 use std::fmt;
 use std::ops::Range;
@@ -361,10 +362,6 @@ fn non_finite_reason(v: f64) -> String {
 pub struct McBuffer {
     draws: Vec<f64>,
     finite: Vec<f64>,
-    /// Reusable structure-of-arrays sample columns for the serial path:
-    /// one column per axis, refilled per block, so sampling allocates
-    /// nothing per point.
-    columns: Vec<Vec<f64>>,
 }
 
 impl McBuffer {
@@ -382,7 +379,7 @@ impl McBuffer {
         &self.draws
     }
 
-    /// The shared tail of both Monte-Carlo paths: trims
+    /// The tail of every block Monte-Carlo run: trims
     /// [`draws`](Self::draws) to the `completed` prefix, counts its
     /// non-finite draws as rejected, and summarizes the finite rest.
     fn outcome(&mut self, completed: usize) -> Result<McOutcome, McError> {
@@ -413,25 +410,31 @@ fn block_points(budget: &EvalBudget, span: usize) -> usize {
 }
 
 /// The skip-and-record scan after a block evaluation: canonicalizes
-/// non-finite results to NaN and records one [`RejectedPoint`] per
-/// offender, with `start` the global index of `slice[0]`. The reason
-/// string uses the raw value (±∞ or NaN), byte-identical to
-/// [`sweep_finite`](crate::sweep_finite)'s.
-fn record_non_finite(slice: &mut [f64], start: usize, rejected: &mut Vec<RejectedPoint>) {
+/// non-finite results to NaN and, when a log is given, records one
+/// [`RejectedPoint`] per offender, with `start` the global index of
+/// `slice[0]`. The reason string uses the raw value (±∞ or NaN),
+/// byte-identical to [`sweep_finite`](crate::sweep_finite)'s.
+fn record_non_finite(
+    slice: &mut [f64],
+    start: usize,
+    mut rejected: Option<&mut Vec<RejectedPoint>>,
+) {
     for (offset, slot) in slice.iter_mut().enumerate() {
         let v = *slot;
         if !v.is_finite() {
             *slot = f64::NAN;
-            rejected
-                .push(RejectedPoint { index: start + offset, reason: non_finite_reason(v) });
+            if let Some(log) = rejected.as_deref_mut() {
+                log.push(RejectedPoint { index: start + offset, reason: non_finite_reason(v) });
+            }
         }
     }
 }
 
-/// Evaluates the whole batch serially through a block kernel —
-/// `block_kernel(columns, range, out)` fills `out` with the results for
+/// Evaluates the whole batch on the calling thread through a block kernel
+/// — `block_kernel(columns, range, out)` fills `out` with the results for
 /// points `range` of the structure-of-arrays `columns` — with
-/// skip-and-record semantics.
+/// skip-and-record semantics: [`par_sweep_compiled_block_with`] under
+/// [`Parallelism::Serial`].
 ///
 /// With `act_core::EvalPlan::eval_block` as the kernel, results are
 /// bit-for-bit identical to evaluating `CompiledFootprint::eval` (or the
@@ -461,40 +464,10 @@ fn record_non_finite(slice: &mut [f64], start: usize, rejected: &mut Vec<Rejecte
 /// ```
 pub fn sweep_compiled_block(
     batch: &PointBatch,
-    block_kernel: impl Fn(&[&[f64]], Range<usize>, &mut [f64]),
+    block_kernel: impl Fn(&[&[f64]], Range<usize>, &mut [f64]) + Sync,
     out: &mut BatchOutput,
 ) {
-    let run = sweep_compiled_block_budgeted(batch, block_kernel, out, &EvalBudget::unlimited());
-    debug_assert!(run.is_complete(), "an unlimited budget cannot expire");
-}
-
-/// The serial leg of [`par_sweep_compiled_block_budgeted`]: evaluates
-/// block by block until the budget expires, then stops at a
-/// **block-aligned completed prefix** (the block size is the budget's
-/// [`check_interval`](EvalBudget::check_interval)). The completed prefix
-/// is bit-for-bit identical to an unbudgeted run and untouched slots hold
-/// NaN.
-fn sweep_compiled_block_budgeted(
-    batch: &PointBatch,
-    block_kernel: impl Fn(&[&[f64]], Range<usize>, &mut [f64]),
-    out: &mut BatchOutput,
-    budget: &EvalBudget,
-) -> BatchRun {
-    let len = batch.len();
-    out.reset(len);
-    let columns = batch.column_slices();
-    let block = block_points(budget, len);
-    let mut start = 0;
-    while start < len {
-        if budget.deadline.is_some() && budget.is_exhausted() {
-            return BatchRun::DeadlineExceeded { completed: start };
-        }
-        let end = (start + block).min(len);
-        block_kernel(&columns, start..end, &mut out.values[start..end]);
-        record_non_finite(&mut out.values[start..end], start, &mut out.rejected);
-        start = end;
-    }
-    BatchRun::Completed
+    par_sweep_compiled_block_with(Parallelism::Serial, batch, block_kernel, out);
 }
 
 /// [`sweep_compiled_block`] under an explicit [`Parallelism`] policy.
@@ -508,8 +481,7 @@ fn sweep_compiled_block_budgeted(
 /// in sweep order. A machine-default [`Parallelism::Auto`] additionally
 /// consults the break-even [`calibration`](crate::calibration): batches
 /// below the calibrated threshold run serial, because pool dispatch would
-/// cost more than it saves. Bit-for-bit identical to the serial path for
-/// any thread count.
+/// cost more than it saves. Bit-for-bit identical for any thread count.
 pub fn par_sweep_compiled_block_with(
     parallelism: Parallelism,
     batch: &PointBatch,
@@ -528,7 +500,7 @@ pub fn par_sweep_compiled_block_with(
 
 /// [`par_sweep_compiled_block_with`] under a cooperative [`EvalBudget`]:
 /// when the deadline passes, the run stops at a **completed prefix** —
-/// chunk-aligned on the pool, block-aligned when one worker runs it. The
+/// chunk-aligned, and one worker's chunk is one budget block. The
 /// completed prefix is bit-for-bit identical to an unbudgeted run, every
 /// slot past it holds NaN, and the rejection log covers exactly the
 /// completed prefix. Inside each chunk the budget is consulted on block
@@ -566,75 +538,16 @@ pub fn par_sweep_compiled_block_budgeted(
 ) -> BatchRun {
     let len = batch.len();
     let workers = parallelism.resolve_for(len).workers.min(len.max(1));
-    if workers <= 1 {
-        return sweep_compiled_block_budgeted(batch, block_kernel, out, budget);
-    }
     out.reset(len);
     let columns = batch.column_slices();
     fill_chunked_block(
         workers,
         &mut out.values,
-        &mut out.rejected,
+        Some(&mut out.rejected),
         &|| (),
         &|_state, range, slice| block_kernel(&columns, range, slice),
         budget,
     )
-}
-
-/// The serial leg of [`par_monte_carlo_compiled_block_budgeted`]: samples
-/// **directly into reusable structure-of-arrays columns** ([`McBuffer`]
-/// keeps them across runs) and evaluates whole blocks through the block
-/// kernel — no per-point scratch, no per-point enum dispatch.
-fn monte_carlo_compiled_block_budgeted(
-    samples: usize,
-    seed: u64,
-    axes: usize,
-    sampler: impl Fn(&mut Rng, usize, &mut [Vec<f64>]),
-    block_kernel: impl Fn(&[&[f64]], Range<usize>, &mut [f64]),
-    buf: &mut McBuffer,
-    budget: &EvalBudget,
-) -> Result<(McOutcome, BatchRun), McError> {
-    if samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    buf.draws.clear();
-    buf.draws.resize(samples, f64::NAN);
-    buf.columns.resize(axes, Vec::new());
-    buf.columns.truncate(axes);
-    let block = block_points(budget, samples);
-    let mut run = BatchRun::Completed;
-    let mut start = 0;
-    while start < samples {
-        if budget.deadline.is_some() && budget.is_exhausted() {
-            run = BatchRun::DeadlineExceeded { completed: start };
-            break;
-        }
-        let end = (start + block).min(samples);
-        let n = end - start;
-        for col in &mut buf.columns {
-            col.clear();
-            col.resize(n, 0.0);
-        }
-        for k in 0..n {
-            let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, (start + k) as u64));
-            sampler(&mut rng, k, &mut buf.columns);
-        }
-        let columns: Vec<&[f64]> = buf.columns.iter().map(Vec::as_slice).collect();
-        block_kernel(&columns, 0..n, &mut buf.draws[start..end]);
-        // Canonicalize non-finite draws to NaN like the pooled path; the
-        // caller only counts rejections, so ±∞ and NaN are equivalent.
-        for slot in &mut buf.draws[start..end] {
-            if !slot.is_finite() {
-                *slot = f64::NAN;
-            }
-        }
-        start = end;
-    }
-    let completed = match run {
-        BatchRun::Completed => samples,
-        BatchRun::DeadlineExceeded { completed } => completed,
-    };
-    Ok((buf.outcome(completed)?, run))
 }
 
 /// Deterministic, fault-tolerant Monte-Carlo over a block kernel under an
@@ -644,7 +557,7 @@ fn monte_carlo_compiled_block_budgeted(
 /// of each of the `axes` columns, with the RNG seeded per *sample* by
 /// [`mc_sample_seed`]`(seed, index)`; `block_kernel` then maps whole column
 /// ranges to values. Together they play the role of the `model` closure
-/// in [`par_try_monte_carlo_with`](crate::par_try_monte_carlo_with), with
+/// in [`try_monte_carlo`](crate::try_monte_carlo), with
 /// identical seed-splitting, so a model decomposed into `(sampler,
 /// kernel)` produces the **bit-identical outcome** — invariant under
 /// thread count, chunking, and block size. Every worker keeps its own
@@ -658,8 +571,7 @@ fn monte_carlo_compiled_block_budgeted(
 /// # Examples
 ///
 /// ```
-/// use act_dse::{par_monte_carlo_compiled_block_with, par_try_monte_carlo_with};
-/// use act_dse::{McBuffer, Parallelism};
+/// use act_dse::{par_monte_carlo_compiled_block_with, try_monte_carlo, McBuffer, Parallelism};
 ///
 /// let mut buf = McBuffer::new();
 /// let block = par_monte_carlo_compiled_block_with(
@@ -675,7 +587,7 @@ fn monte_carlo_compiled_block_budgeted(
 ///     },
 ///     &mut buf,
 /// )?;
-/// let reference = par_try_monte_carlo_with(Parallelism::Auto, 2_000, 42, |rng| {
+/// let reference = try_monte_carlo(Parallelism::Auto, 2_000, 42, |rng| {
 ///     let y: f64 = rng.gen_range(0.7..1.0);
 ///     0.9 * 1370.0 / y
 /// })?;
@@ -708,9 +620,9 @@ pub fn par_monte_carlo_compiled_block_with(
 
 /// [`par_monte_carlo_compiled_block_with`] under a cooperative
 /// [`EvalBudget`]: when the deadline cuts in, the run summarizes the
-/// **completed prefix** of samples (chunk-aligned on the pool,
-/// block-aligned when one worker runs it), which seed-splitting makes
-/// bit-identical to the same prefix of an unbudgeted run. After the call,
+/// **completed prefix** of samples (chunk-aligned, and one worker's chunk
+/// is one budget block), which seed-splitting makes bit-identical to the
+/// same prefix of an unbudgeted run. After the call,
 /// [`McBuffer::draws`] holds exactly the completed prefix.
 ///
 /// # Errors
@@ -733,22 +645,8 @@ pub fn par_monte_carlo_compiled_block_budgeted(
         return Err(McError::NoSamples);
     }
     let workers = parallelism.resolve_for(samples).workers.min(samples);
-    if workers <= 1 {
-        return monte_carlo_compiled_block_budgeted(
-            samples,
-            seed,
-            axes,
-            sampler,
-            block_kernel,
-            buf,
-            budget,
-        );
-    }
     buf.draws.clear();
     buf.draws.resize(samples, f64::NAN);
-    // The rejection log is discarded: the Monte-Carlo contract reports a
-    // rejected *count*, not indexed reasons.
-    let mut discarded: Vec<RejectedPoint> = Vec::new();
     let fill = |columns: &mut Vec<Vec<f64>>, range: Range<usize>, out: &mut [f64]| {
         let n = range.len();
         columns.resize(axes, Vec::new());
@@ -763,8 +661,9 @@ pub fn par_monte_carlo_compiled_block_budgeted(
         let column_refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
         block_kernel(&column_refs, 0..n, out);
     };
-    let run =
-        fill_chunked_block(workers, &mut buf.draws, &mut discarded, &Vec::new, &fill, budget);
+    // No rejection log: the Monte-Carlo contract reports a rejected
+    // *count*, which `McBuffer::outcome` takes from the NaN draws.
+    let run = fill_chunked_block(workers, &mut buf.draws, None, &Vec::new, &fill, budget);
     let completed = match run {
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,
@@ -787,10 +686,24 @@ fn chunk_points(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.max(1) * 4).clamp(1, MAX_CHUNK_POINTS)
 }
 
-/// The chunked-parallel engine: partitions `values` into contiguous
-/// chunks, hands chunk indices to the persistent worker pool through an
-/// atomic cursor (work stealing), evaluates each stolen chunk through
-/// `fill(state, global_range, out_slice)` in whole blocks, and merges
+/// Points per chunk for a run on `workers` workers. A single worker needs
+/// no stealing slack, so its chunk is one budget block — the check
+/// interval under a deadline, else up to [`MAX_CHUNK_POINTS`] — and its
+/// cut-off is block-aligned; a pool uses [`chunk_points`].
+fn chunk_len(len: usize, workers: usize, budget: &EvalBudget) -> usize {
+    if workers <= 1 {
+        block_points(budget, len.min(MAX_CHUNK_POINTS))
+    } else {
+        chunk_points(len, workers)
+    }
+}
+
+/// The chunked engine behind every block entry point: partitions `values`
+/// into contiguous [`chunk_len`] chunks, hands chunk indices to the
+/// persistent worker pool through an atomic cursor (work stealing; one
+/// worker runs inline on the caller), evaluates each stolen chunk through
+/// `fill(state, global_range, out_slice)` in whole blocks, canonicalizes
+/// non-finite results to NaN and, when `rejected` is given, merges
 /// per-chunk rejection logs back in chunk order. `make_state` builds one
 /// per-worker scratch state (unit for sweeps over borrowed batch columns;
 /// reusable sample columns for Monte-Carlo), so workers share nothing
@@ -801,12 +714,11 @@ fn chunk_points(len: usize, workers: usize) -> usize {
 /// boundaries; expiry stops every worker at its next check and the
 /// function reports a **chunk-aligned completed prefix** (all chunks
 /// before the first unfinished one). Slots past the prefix are wiped back
-/// to NaN and their rejections dropped, so the caller sees exactly the
-/// serial budgeted contract with a coarser cut-off.
+/// to NaN and their rejections dropped.
 fn fill_chunked_block<S>(
     workers: usize,
     values: &mut [f64],
-    rejected: &mut Vec<RejectedPoint>,
+    rejected: Option<&mut Vec<RejectedPoint>>,
     make_state: &(impl Fn() -> S + Sync),
     fill: &(impl Fn(&mut S, Range<usize>, &mut [f64]) + Sync),
     budget: &EvalBudget,
@@ -818,7 +730,8 @@ fn fill_chunked_block<S>(
     if len == 0 {
         return BatchRun::Completed;
     }
-    let chunk = chunk_points(len, workers);
+    let keep_log = rejected.is_some();
+    let chunk = chunk_len(len, workers, budget);
     let block = block_points(budget, chunk);
     let completed_chunks;
     {
@@ -857,7 +770,7 @@ fn fill_chunked_block<S>(
                     offset = end;
                 }
                 let mut chunk_log: Vec<RejectedPoint> = Vec::new();
-                record_non_finite(slice, start, &mut chunk_log);
+                record_non_finite(slice, start, keep_log.then_some(&mut chunk_log));
                 done[ci].store(true, Ordering::Release);
                 if !chunk_log.is_empty() {
                     local.push((ci, chunk_log));
@@ -868,11 +781,13 @@ fn fill_chunked_block<S>(
             }
         });
         completed_chunks = done.iter().take_while(|flag| flag.load(Ordering::Acquire)).count();
-        let mut merged = logs.into_inner().unwrap_or_else(PoisonError::into_inner);
-        merged.sort_unstable_by_key(|&(ci, _)| ci);
-        for (ci, chunk_log) in merged {
-            if ci < completed_chunks {
-                rejected.extend(chunk_log);
+        if let Some(rejected) = rejected {
+            let mut merged = logs.into_inner().unwrap_or_else(PoisonError::into_inner);
+            merged.sort_unstable_by_key(|&(ci, _)| ci);
+            for (ci, chunk_log) in merged {
+                if ci < completed_chunks {
+                    rejected.extend(chunk_log);
+                }
             }
         }
         if completed_chunks == chunk_count {
@@ -894,8 +809,8 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::montecarlo::par_try_monte_carlo_with;
-    use crate::sweep::par_sweep_finite_with;
+    use crate::montecarlo::try_monte_carlo;
+    use crate::sweep::sweep_finite;
 
     /// `1 / x` over column 0: the pole at zero exercises rejection.
     fn kernel(cols: &[&[f64]], range: Range<usize>, out: &mut [f64]) {
@@ -958,8 +873,7 @@ mod tests {
     #[test]
     fn serial_sweep_matches_per_point_path() {
         let params = vec![4.0, 0.0, -2.0, f64::NAN, 1.0];
-        let reference =
-            par_sweep_finite_with(Parallelism::Serial, params.clone(), |x: &f64| 1.0 / x);
+        let reference = sweep_finite(Parallelism::Serial, params.clone(), |x: &f64| 1.0 / x);
         let batch = PointBatch::single_axis(params);
         let mut out = BatchOutput::new();
         sweep_compiled_block(&batch, kernel, &mut out);
@@ -1025,8 +939,7 @@ mod tests {
 
     #[test]
     fn mc_compiled_matches_per_point_monte_carlo() {
-        let reference =
-            par_try_monte_carlo_with(Parallelism::Serial, 2_000, 13, mc_model).unwrap();
+        let reference = try_monte_carlo(Parallelism::Serial, 2_000, 13, mc_model).unwrap();
         assert!(reference.rejected > 0);
         let mut buf = McBuffer::new();
         for threads in [1usize, 2, 8] {
@@ -1109,6 +1022,55 @@ mod tests {
         assert!(out.values()[3].is_nan() && out.values()[4].is_nan());
         // The rejection log covers only the completed prefix (point 1).
         assert_eq!(out.rejected().iter().map(|r| r.index).collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn one_worker_mc_expiry_keeps_a_bitwise_identical_prefix() {
+        // The Monte-Carlo twin of the sweep cut-off above: the kernel burns
+        // the clock past the deadline on sample 5's draw, and with the
+        // check interval at 1 the one-worker run stops exactly after it.
+        const SAMPLES: usize = 40;
+        const SEED: u64 = 13;
+        let burn_at = {
+            let mut cols = vec![vec![0.0]];
+            sampler(&mut Rng::seed_from_u64(mc_sample_seed(SEED, 5)), 0, &mut cols);
+            cols[0][0]
+        };
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let slow = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+            if cols[0][range.clone()].iter().any(|y| y.to_bits() == burn_at.to_bits()) {
+                while Instant::now() < deadline + Duration::from_millis(1) {
+                    std::hint::spin_loop();
+                }
+            }
+            mc_kernel(cols, range, out);
+        };
+        let mut buf = McBuffer::new();
+        let (outcome, run) = par_monte_carlo_compiled_block_budgeted(
+            Parallelism::Serial,
+            SAMPLES,
+            SEED,
+            1,
+            sampler,
+            slow,
+            &mut buf,
+            &EvalBudget::with_deadline(deadline).check_every(1),
+        )
+        .unwrap();
+        assert_eq!(run, BatchRun::DeadlineExceeded { completed: 6 });
+        let mut reference = McBuffer::new();
+        par_monte_carlo_compiled_block_with(
+            Parallelism::Serial,
+            SAMPLES,
+            SEED,
+            1,
+            sampler,
+            mc_kernel,
+            &mut reference,
+        )
+        .unwrap();
+        assert_bitwise(buf.draws(), &reference.draws()[..6]);
+        assert_eq!(outcome.stats.samples + outcome.rejected, 6);
     }
 
     #[test]

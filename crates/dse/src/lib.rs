@@ -7,18 +7,17 @@
 //! factors (Figure 15). This crate holds the exploration primitives so each
 //! study only writes its model.
 //!
+//! Every sweep and Monte-Carlo entry point takes a [`Parallelism`] policy
+//! first (`Serial`, `Auto` honoring `ACT_THREADS`, or explicit
+//! `Threads(n)`): serial is a policy, not a separate function. Results
+//! come back in input order and — via per-sample seed-splitting for
+//! Monte-Carlo — are bit-for-bit identical for any thread count.
+//!
 //! Sweeps over untrusted configurations use the fallible primitives
 //! ([`try_sweep`], [`sweep_finite`], [`try_monte_carlo`]): invalid design
 //! points are skipped and recorded in the returned [`SweepOutcome`] /
-//! [`McOutcome`] rather than panicking mid-exploration.
-//!
-//! Large design spaces evaluate in parallel through the `_with` forms
-//! ([`par_sweep_with`], [`par_try_sweep_with`], [`par_sweep_finite_with`],
-//! [`par_monte_carlo_with`], [`par_try_monte_carlo_with`]): results come
-//! back in input order and — via per-sample seed-splitting for
-//! Monte-Carlo — are bit-for-bit identical to their serial counterparts
-//! for any thread count. The [`Parallelism`] policy picks the worker count
-//! (`Serial`, `Auto` honoring `ACT_THREADS`, or explicit `Threads(n)`).
+//! [`McOutcome`] rather than panicking mid-exploration; [`sweep`] and
+//! [`monte_carlo`] are their infallible forms.
 //!
 //! Million-point explorations use the block batch engine ([`PointBatch`],
 //! [`sweep_compiled_block`], [`par_sweep_compiled_block_with`],
@@ -69,8 +68,8 @@ pub use batch::{
     BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, PointBatch,
 };
 pub use montecarlo::{
-    mc_sample_seed, monte_carlo, par_monte_carlo_with, par_try_monte_carlo_with, triangular,
-    try_monte_carlo, try_triangular, McError, McOutcome, McStats, TriangularError,
+    mc_sample_seed, monte_carlo, triangular, try_monte_carlo, try_triangular, McError,
+    McOutcome, McStats, TriangularError,
 };
 pub use optimize::{argmin_by, argmin_feasible, knee_point, normalize_to, normalize_to_last};
 pub use parallel::{
@@ -80,7 +79,6 @@ pub use parallel::{
 };
 pub use pareto::{dominates, pareto_indices, pareto_indices_reference};
 pub use sweep::{
-    linspace, linspace_iter, logspace, logspace_iter, par_sweep_finite_with, par_sweep_with,
-    par_try_sweep_with, powers_of_two, powers_of_two_iter, sweep, sweep_finite, try_sweep,
-    RejectedPoint, SweepOutcome,
+    linspace, linspace_iter, logspace, logspace_iter, powers_of_two, powers_of_two_iter, sweep,
+    sweep_finite, try_sweep, RejectedPoint, SweepOutcome,
 };

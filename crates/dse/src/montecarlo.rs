@@ -98,101 +98,15 @@ pub struct McOutcome {
 act_json::impl_to_json!(McOutcome { stats, rejected });
 act_json::impl_from_json!(McOutcome { stats, rejected });
 
-/// Runs `samples` evaluations of `model`, each fed a fresh RNG-driven
-/// input draw, and summarizes the outputs. Deterministic for a fixed
-/// `seed`.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero or the model produces non-finite outputs.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::monte_carlo;
-///
-/// // Footprint = area x CPA where yield is uncertain in [0.7, 1.0].
-/// let stats = monte_carlo(2_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(0.7..1.0);
-///     0.9 * 1370.0 / y
-/// });
-/// assert!(stats.p05 < stats.mean && stats.mean < stats.p95);
-/// ```
-pub fn monte_carlo(
-    samples: usize,
-    seed: u64,
-    mut model: impl FnMut(&mut Rng) -> f64,
-) -> McStats {
-    assert!(samples > 0, "need at least one sample");
-    let mut rng = Rng::seed_from_u64(seed);
-    let values: Vec<f64> = (0..samples)
-        .map(|_| {
-            let v = model(&mut rng);
-            assert!(v.is_finite(), "model produced a non-finite sample");
-            v
-        })
-        .collect();
-    summarize(values)
-}
-
-/// Fault-tolerant variant of [`monte_carlo`]: draws that evaluate to NaN or
-/// ±∞ are skipped and counted instead of panicking, and the statistics are
-/// computed over the remaining finite samples. Deterministic for a fixed
-/// `seed` (the RNG advances identically whether a draw is kept or not).
-///
-/// # Errors
-///
-/// Returns [`McError::NoSamples`] if `samples` is zero and
-/// [`McError::AllRejected`] if every draw was non-finite.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::try_monte_carlo;
-///
-/// // A model with a pole: some yield draws divide by zero.
-/// let outcome = try_monte_carlo(1_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(-0.1..1.0);
-///     1370.0 / y.max(0.0) // y <= 0 -> +inf, rejected
-/// })?;
-/// assert!(outcome.rejected > 0);
-/// assert!(outcome.stats.samples + outcome.rejected == 1_000);
-/// # Ok::<(), act_dse::McError>(())
-/// ```
-pub fn try_monte_carlo(
-    samples: usize,
-    seed: u64,
-    mut model: impl FnMut(&mut Rng) -> f64,
-) -> Result<McOutcome, McError> {
-    if samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut values = Vec::with_capacity(samples);
-    let mut rejected = 0usize;
-    for _ in 0..samples {
-        let v = model(&mut rng);
-        if v.is_finite() {
-            values.push(v);
-        } else {
-            rejected += 1;
-        }
-    }
-    if values.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok(McOutcome { stats: summarize(values), rejected })
-}
-
 /// Derives the independent RNG seed for sample `index` of a run keyed by
-/// `master` — the seed-splitting scheme behind [`par_monte_carlo_with`].
+/// `master` — the seed-splitting scheme behind [`monte_carlo`].
 ///
 /// This is the SplitMix64 output function evaluated at position
 /// `index + 1` of the stream seeded by `master`: every sample gets its own
 /// statistically independent `Rng`, no RNG state is shared between
 /// samples, and the draw for sample `i` depends only on `(master, i)` —
 /// never on which thread evaluated it or in what order. That is the whole
-/// determinism argument: parallel and serial runs see bit-identical draws.
+/// determinism argument: every thread count sees bit-identical draws.
 #[must_use]
 pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -202,17 +116,14 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic parallel Monte-Carlo under an explicit [`Parallelism`]
-/// policy ([`Parallelism::Auto`] is the usual choice).
+/// Runs `samples` evaluations of `model` under a [`Parallelism`] policy,
+/// each fed its own RNG-driven input draw, and summarizes the outputs.
 ///
-/// Unlike [`monte_carlo`] — which threads one RNG through every draw and
-/// is therefore inherently serial — each sample `i` gets its own `Rng`
-/// seeded with [`mc_sample_seed`]`(seed, i)`. Sample values consequently
-/// depend only on `(seed, i)`, so the returned statistics are **bit-for-bit
-/// identical** for any thread count, including [`Parallelism::Serial`] —
-/// pinned by property tests. The draws differ from [`monte_carlo`]'s for
-/// the same seed (a different, parallelizable RNG schedule), but are
-/// sampled from exactly the same distributions.
+/// Sample `i` gets its own `Rng` seeded with
+/// [`mc_sample_seed`]`(seed, i)`, so sample values depend only on
+/// `(seed, i)` and the returned statistics are **bit-for-bit identical**
+/// for any thread count, including [`Parallelism::Serial`] — pinned by
+/// property tests.
 ///
 /// # Panics
 ///
@@ -221,15 +132,16 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use act_dse::{par_monte_carlo_with, Parallelism};
+/// use act_dse::{monte_carlo, Parallelism};
 ///
-/// let stats = par_monte_carlo_with(Parallelism::Auto, 2_000, 42, |rng| {
+/// // Footprint = area x CPA where yield is uncertain in [0.7, 1.0].
+/// let stats = monte_carlo(Parallelism::Auto, 2_000, 42, |rng| {
 ///     let y: f64 = rng.gen_range(0.7..1.0);
 ///     0.9 * 1370.0 / y
 /// });
 /// assert!(stats.p05 < stats.mean && stats.mean < stats.p95);
 /// ```
-pub fn par_monte_carlo_with(
+pub fn monte_carlo(
     parallelism: Parallelism,
     samples: usize,
     seed: u64,
@@ -245,10 +157,11 @@ pub fn par_monte_carlo_with(
     summarize(values)
 }
 
-/// Fault-tolerant deterministic parallel Monte-Carlo under an explicit
-/// [`Parallelism`] policy: non-finite draws are skipped and counted
-/// exactly as in [`try_monte_carlo`], and — like [`par_monte_carlo_with`]
-/// — the outcome is bit-for-bit identical for any thread count.
+/// Fault-tolerant variant of [`monte_carlo`]: draws that evaluate to NaN or
+/// ±∞ are skipped and counted instead of panicking, and the statistics are
+/// computed over the remaining finite samples. Seeded per sample exactly
+/// like [`monte_carlo`], so the outcome is bit-for-bit identical for any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -258,9 +171,10 @@ pub fn par_monte_carlo_with(
 /// # Examples
 ///
 /// ```
-/// use act_dse::{par_try_monte_carlo_with, Parallelism};
+/// use act_dse::{try_monte_carlo, Parallelism};
 ///
-/// let outcome = par_try_monte_carlo_with(Parallelism::Auto, 1_000, 42, |rng| {
+/// // A model with a pole: some yield draws divide by zero.
+/// let outcome = try_monte_carlo(Parallelism::Auto, 1_000, 42, |rng| {
 ///     let y: f64 = rng.gen_range(-0.1..1.0);
 ///     1370.0 / y.max(0.0) // y <= 0 -> +inf, rejected
 /// })?;
@@ -268,7 +182,7 @@ pub fn par_monte_carlo_with(
 /// assert_eq!(outcome.stats.samples + outcome.rejected, 1_000);
 /// # Ok::<(), act_dse::McError>(())
 /// ```
-pub fn par_try_monte_carlo_with(
+pub fn try_monte_carlo(
     parallelism: Parallelism,
     samples: usize,
     seed: u64,
@@ -435,8 +349,8 @@ mod tests {
     #[test]
     fn stats_are_ordered_and_deterministic() {
         let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let a = monte_carlo(5_000, 7, f);
-        let b = monte_carlo(5_000, 7, f);
+        let a = monte_carlo(Parallelism::Serial, 5_000, 7, f);
+        let b = monte_carlo(Parallelism::Serial, 5_000, 7, f);
         assert_eq!(a, b);
         assert!(a.p05 <= a.p50 && a.p50 <= a.p95);
         assert!((a.mean - 0.5).abs() < 0.02);
@@ -445,7 +359,7 @@ mod tests {
 
     #[test]
     fn constant_model_has_zero_spread() {
-        let s = monte_carlo(100, 0, |_| 42.0);
+        let s = monte_carlo(Parallelism::Serial, 100, 0, |_| 42.0);
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.relative_spread(), 0.0);
     }
@@ -470,13 +384,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_rejected() {
-        let _ = monte_carlo(0, 0, |_| 1.0);
+        let _ = monte_carlo(Parallelism::Serial, 0, 0, |_| 1.0);
     }
 
     #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_model_rejected() {
-        let _ = monte_carlo(10, 0, |_| f64::NAN);
+        let _ = monte_carlo(Parallelism::Serial, 10, 0, |_| f64::NAN);
     }
 
     #[test]
@@ -521,9 +435,9 @@ mod tests {
     #[test]
     fn try_monte_carlo_matches_panicking_variant_on_clean_models() {
         let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let outcome = try_monte_carlo(2_000, 7, f).unwrap();
+        let outcome = try_monte_carlo(Parallelism::Serial, 2_000, 7, f).unwrap();
         assert_eq!(outcome.rejected, 0);
-        assert_eq!(outcome.stats, monte_carlo(2_000, 7, f));
+        assert_eq!(outcome.stats, monte_carlo(Parallelism::Serial, 2_000, 7, f));
     }
 
     #[test]
@@ -536,7 +450,7 @@ mod tests {
                 v
             }
         };
-        let outcome = try_monte_carlo(4_000, 11, f).unwrap();
+        let outcome = try_monte_carlo(Parallelism::Serial, 4_000, 11, f).unwrap();
         assert!(outcome.rejected > 0, "expected some rejections");
         assert_eq!(outcome.stats.samples + outcome.rejected, 4_000);
         assert!(outcome.stats.p05 >= 0.25);
@@ -564,9 +478,9 @@ mod tests {
     #[test]
     fn par_monte_carlo_is_thread_count_invariant() {
         let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let serial = par_monte_carlo_with(Parallelism::Serial, 5_000, 7, f);
-        let two = par_monte_carlo_with(Parallelism::threads(2), 5_000, 7, f);
-        let eight = par_monte_carlo_with(Parallelism::threads(8), 5_000, 7, f);
+        let serial = monte_carlo(Parallelism::Serial, 5_000, 7, f);
+        let two = monte_carlo(Parallelism::threads(2), 5_000, 7, f);
+        let eight = monte_carlo(Parallelism::threads(8), 5_000, 7, f);
         assert_eq!(serial, two);
         assert_eq!(serial, eight);
         assert!((serial.mean - 0.5).abs() < 0.02);
@@ -575,7 +489,7 @@ mod tests {
     #[test]
     fn par_monte_carlo_matches_manual_seed_split_loop() {
         let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let parallel = par_monte_carlo_with(Parallelism::threads(4), 2_000, 11, f);
+        let parallel = monte_carlo(Parallelism::threads(4), 2_000, 11, f);
         let values: Vec<f64> = (0..2_000u64)
             .map(|i| {
                 let mut rng = Rng::seed_from_u64(mc_sample_seed(11, i));
@@ -596,8 +510,8 @@ mod tests {
                 v
             }
         };
-        let serial = par_try_monte_carlo_with(Parallelism::Serial, 4_000, 13, f).unwrap();
-        let parallel = par_try_monte_carlo_with(Parallelism::threads(8), 4_000, 13, f).unwrap();
+        let serial = try_monte_carlo(Parallelism::Serial, 4_000, 13, f).unwrap();
+        let parallel = try_monte_carlo(Parallelism::threads(8), 4_000, 13, f).unwrap();
         assert_eq!(serial, parallel);
         assert!(parallel.rejected > 0);
         assert_eq!(parallel.stats.samples + parallel.rejected, 4_000);
@@ -606,9 +520,9 @@ mod tests {
     #[test]
     fn par_try_monte_carlo_reports_degenerate_runs() {
         let auto = Parallelism::Auto;
-        assert_eq!(par_try_monte_carlo_with(auto, 0, 0, |_| 1.0), Err(McError::NoSamples));
+        assert_eq!(try_monte_carlo(auto, 0, 0, |_| 1.0), Err(McError::NoSamples));
         assert_eq!(
-            par_try_monte_carlo_with(auto, 10, 0, |_| f64::INFINITY),
+            try_monte_carlo(auto, 10, 0, |_| f64::INFINITY),
             Err(McError::AllRejected { rejected: 10 })
         );
     }
@@ -676,17 +590,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn par_zero_samples_rejected() {
-        let _ = par_monte_carlo_with(Parallelism::Auto, 0, 0, |_| 1.0);
+        let _ = monte_carlo(Parallelism::Auto, 0, 0, |_| 1.0);
     }
 
     #[test]
     fn try_monte_carlo_reports_degenerate_runs() {
-        assert_eq!(try_monte_carlo(0, 0, |_| 1.0), Err(McError::NoSamples));
         assert_eq!(
-            try_monte_carlo(10, 0, |_| f64::INFINITY),
+            try_monte_carlo(Parallelism::Serial, 0, 0, |_| 1.0),
+            Err(McError::NoSamples)
+        );
+        assert_eq!(
+            try_monte_carlo(Parallelism::Serial, 10, 0, |_| f64::INFINITY),
             Err(McError::AllRejected { rejected: 10 })
         );
-        let err = try_monte_carlo(10, 0, |_| f64::NAN).unwrap_err();
+        let err = try_monte_carlo(Parallelism::Serial, 10, 0, |_| f64::NAN).unwrap_err();
         assert!(err.to_string().contains("non-finite"));
     }
 }

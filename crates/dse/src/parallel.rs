@@ -14,14 +14,14 @@
 //! core) or an explicit `Threads(n)`. For batch work whose size is known,
 //! [`Parallelism::resolve_for`] additionally consults a one-shot
 //! [`Calibration`] — measured pool-dispatch overhead vs. per-point kernel
-//! cost, overridable via `ACT_PAR_THRESHOLD` — and falls back to serial
+//! cost — and falls back to serial
 //! below the measured break-even batch size, so `Auto` never pays dispatch
 //! overhead on batches too small to amortize it.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-/// Thread-count policy for the `par_*` evaluation primitives.
+/// Thread-count policy every sweep, Monte-Carlo and batch entry point takes.
 ///
 /// # Examples
 ///
@@ -222,13 +222,11 @@ impl BatchDecision {
 /// [`Parallelism::resolve_for`]: the minimum batch size (in points) at
 /// which a machine-default `Auto` dispatches in parallel.
 ///
-/// Resolution order, decided once per process and cached:
+/// Decided once per process and cached:
 ///
-/// 1. `ACT_PAR_THRESHOLD` — a non-negative integer forces the threshold
-///    (`0` means "always parallel"); invalid values are ignored.
-/// 2. Single-core hosts pin the threshold to `usize::MAX`: parallel can
+/// 1. Single-core hosts pin the threshold to `usize::MAX`: parallel can
 ///    never win.
-/// 3. Otherwise a one-shot microcalibration measures pool-dispatch
+/// 2. Otherwise a one-shot microcalibration measures pool-dispatch
 ///    overhead against a reference kernel's per-point cost and picks the
 ///    break-even batch size with a 2× safety margin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -243,8 +241,6 @@ pub struct Calibration {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CalibrationSource {
-    /// A valid `ACT_PAR_THRESHOLD` environment override.
-    Env,
     /// The one-shot dispatch-vs-kernel microcalibration.
     Measured,
     /// A single-core host: parallel dispatch can never win, threshold is
@@ -257,7 +253,6 @@ impl CalibrationSource {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            Self::Env => "env",
             Self::Measured => "measured",
             Self::SingleCore => "single-core",
         }
@@ -288,7 +283,7 @@ impl act_json::ToJson for Calibration {
 }
 
 /// The cached process-wide [`Calibration`]. The first call on a multi-core
-/// host without an `ACT_PAR_THRESHOLD` override runs the microcalibration
+/// host runs the microcalibration
 /// (well under a millisecond); every later call is a load.
 #[must_use]
 pub fn calibration() -> Calibration {
@@ -297,9 +292,6 @@ pub fn calibration() -> Calibration {
 }
 
 fn calibrate() -> Calibration {
-    if let Some(threshold_points) = env_par_threshold() {
-        return Calibration { threshold_points, source: CalibrationSource::Env };
-    }
     if machine_parallelism() <= 1 {
         return Calibration {
             threshold_points: usize::MAX,
@@ -309,26 +301,11 @@ fn calibrate() -> Calibration {
     Calibration { threshold_points: measure_threshold(), source: CalibrationSource::Measured }
 }
 
-/// The `ACT_PAR_THRESHOLD` override, `None` when unset or unusable.
-fn env_par_threshold() -> Option<usize> {
-    match std::env::var("ACT_PAR_THRESHOLD") {
-        Ok(raw) => parse_par_threshold(&raw),
-        Err(_) => None,
-    }
-}
-
-/// Pure parser behind [`env_par_threshold`], split out for tests (same
-/// rationale as [`parse_threads`]). Unlike `ACT_THREADS`, `0` is valid
-/// here — it means "no threshold, always dispatch in parallel".
-fn parse_par_threshold(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok()
-}
-
 /// Measures the break-even batch size: pool-dispatch overhead divided by
 /// the per-point serial win of going parallel, with a 2× safety margin so
 /// borderline batches stay serial. The reference kernel approximates the
-/// flop mix of a compiled footprint point; callers with much heavier
-/// kernels can lower `ACT_PAR_THRESHOLD`, much lighter ones raise it.
+/// flop mix of a compiled footprint point; callers with much heavier or
+/// lighter kernels pick an explicit [`Parallelism`] instead.
 fn measure_threshold() -> usize {
     let workers = machine_parallelism();
     let overhead = crate::pool::measure_dispatch_overhead(workers, 16);
@@ -469,8 +446,8 @@ fn parse_threads(raw: &str) -> Result<usize, ThreadsWarning> {
 /// Applies `f(index, item)` to every element of a conceptual range
 /// `0..len`, in parallel, returning results in index order.
 ///
-/// This is the engine under [`par_map_ordered`] and the `par_*` sweep and
-/// Monte-Carlo entry points; it is public so model code can parallelize
+/// This is the engine under [`par_map_ordered`] and the closure-based
+/// sweep and Monte-Carlo entry points; it is public so model code can parallelize
 /// index-driven work (e.g. per-sample seeding) without materializing an
 /// input slice.
 ///
@@ -639,27 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn par_threshold_overrides_parse() {
-        assert_eq!(parse_par_threshold("0"), Some(0));
-        assert_eq!(parse_par_threshold("4096"), Some(4096));
-        assert_eq!(parse_par_threshold(" 512\n"), Some(512));
-        assert_eq!(parse_par_threshold(""), None);
-        assert_eq!(parse_par_threshold("lots"), None);
-        assert_eq!(parse_par_threshold("-1"), None);
-        assert_eq!(parse_par_threshold("1e6"), None);
-    }
-
-    #[test]
     fn calibration_is_cached_and_coherent() {
         let first = calibration();
         assert_eq!(first, calibration(), "calibration must be stable per process");
         match first.source {
-            CalibrationSource::Env => {
-                let expected = std::env::var("ACT_PAR_THRESHOLD")
-                    .ok()
-                    .and_then(|raw| parse_par_threshold(&raw));
-                assert_eq!(Some(first.threshold_points), expected);
-            }
             CalibrationSource::SingleCore => {
                 assert!(machine_parallelism() <= 1);
                 assert_eq!(first.threshold_points, usize::MAX);
@@ -714,7 +674,6 @@ mod tests {
             BatchDecision::SerialBelowThreshold { threshold: 1 }.as_str(),
             "serial-below-threshold"
         );
-        assert_eq!(CalibrationSource::Env.as_str(), "env");
         assert_eq!(CalibrationSource::Measured.as_str(), "measured");
         assert_eq!(CalibrationSource::SingleCore.as_str(), "single-core");
     }

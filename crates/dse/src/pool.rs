@@ -1,4 +1,4 @@
-//! The persistent worker pool behind every `par_*` entry point.
+//! The persistent worker pool behind every parallel entry point.
 //!
 //! Before this module existed, each parallel call spawned fresh OS threads
 //! through `std::thread::scope` and joined them before returning. Thread
@@ -27,7 +27,7 @@
 //!   Pool threads never unwind, so the pool needs no respawn logic to
 //!   survive a panicking kernel: the next job reuses the same threads.
 //! * **Kernel-shape agnostic.** The pool moves chunk indices, not points:
-//!   the ordered map under the closure-based `par_*` entry points and the
+//!   the ordered map under the closure-based sweep/Monte-Carlo forms and the
 //!   block engine (`fill_chunked_block`, which hands each stolen chunk to
 //!   the kernel as whole structure-of-arrays column ranges) dispatch
 //!   through the same [`run`].

@@ -112,26 +112,33 @@ pub fn logspace(start: f64, end: f64, n: usize) -> Vec<f64> {
     logspace_iter(start, end, n).collect()
 }
 
-/// Evaluates `f` on every parameter, pairing inputs with results.
+/// Evaluates `f` on every parameter under a [`Parallelism`] policy,
+/// pairing inputs with results.
+///
+/// Results come back in input order, so for any pure model the output is
+/// the same for every policy — [`Parallelism::Serial`] runs the plain loop
+/// on the calling thread, [`Parallelism::Auto`] is the usual choice.
 ///
 /// # Examples
 ///
 /// ```
-/// use act_dse::sweep;
-/// let squares = sweep([1, 2, 3], |x| x * x);
+/// use act_dse::{sweep, Parallelism};
+/// let squares = sweep(Parallelism::Serial, [1, 2, 3], |x| x * x);
 /// assert_eq!(squares, vec![(1, 1), (2, 4), (3, 9)]);
+/// assert_eq!(sweep(Parallelism::threads(4), [1, 2, 3], |x| x * x), squares);
 /// ```
 pub fn sweep<P, R>(
+    parallelism: Parallelism,
     params: impl IntoIterator<Item = P>,
-    mut f: impl FnMut(&P) -> R,
-) -> Vec<(P, R)> {
-    params
-        .into_iter()
-        .map(|p| {
-            let r = f(&p);
-            (p, r)
-        })
-        .collect()
+    f: impl Fn(&P) -> R + Sync,
+) -> Vec<(P, R)>
+where
+    P: Sync,
+    R: Send,
+{
+    let params: Vec<P> = params.into_iter().collect();
+    let results = par_map_ordered(parallelism, &params, |_, p| f(p));
+    params.into_iter().zip(results).collect()
 }
 
 /// One design point a fallible sweep rejected, with its position in the
@@ -193,108 +200,24 @@ impl<P, R> SweepOutcome<P, R> {
     }
 }
 
-/// Fallible variant of [`sweep`]: evaluates `f` on every parameter,
-/// collecting successes and recording failures instead of aborting.
+/// Fallible variant of [`sweep`]: evaluates `f` on every parameter under
+/// a [`Parallelism`] policy, collecting successes and recording failures
+/// instead of aborting — successes in sweep order, rejections carrying
+/// their original sweep index and rendered reason, for every policy.
 ///
 /// # Examples
 ///
 /// ```
-/// use act_dse::try_sweep;
+/// use act_dse::{try_sweep, Parallelism};
 ///
-/// let outcome = try_sweep([1.0_f64, -1.0, 4.0], |x| {
+/// let outcome = try_sweep(Parallelism::Auto, [1.0_f64, -1.0, 4.0], |x| {
 ///     if *x >= 0.0 { Ok(x.sqrt()) } else { Err("negative input") }
 /// });
 /// assert_eq!(outcome.results.len(), 2);
 /// assert_eq!(outcome.rejected_count(), 1);
 /// assert_eq!(outcome.rejected[0].index, 1);
 /// ```
-pub fn try_sweep<P, R, E: std::fmt::Display>(
-    params: impl IntoIterator<Item = P>,
-    mut f: impl FnMut(&P) -> Result<R, E>,
-) -> SweepOutcome<P, R> {
-    let mut results = Vec::new();
-    let mut rejected = Vec::new();
-    for (index, p) in params.into_iter().enumerate() {
-        match f(&p) {
-            Ok(r) => results.push((p, r)),
-            Err(e) => rejected.push(RejectedPoint { index, reason: e.to_string() }),
-        }
-    }
-    SweepOutcome { results, rejected }
-}
-
-/// Convenience over [`try_sweep`] for infallible scalar models: evaluates
-/// `f` on every parameter and rejects points whose result is NaN or
-/// infinite.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::sweep_finite;
-///
-/// let outcome = sweep_finite([4.0, 0.0, 1.0], |x| 1.0 / x);
-/// assert_eq!(outcome.results.len(), 2);
-/// assert_eq!(outcome.rejected[0].index, 1);
-/// ```
-pub fn sweep_finite<P>(
-    params: impl IntoIterator<Item = P>,
-    mut f: impl FnMut(&P) -> f64,
-) -> SweepOutcome<P, f64> {
-    try_sweep(params, |p| {
-        let v = f(p);
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(format!("model produced a non-finite result ({v})"))
-        }
-    })
-}
-
-/// Parallel [`sweep`] under an explicit [`Parallelism`] policy
-/// ([`Parallelism::Auto`] is the usual choice).
-///
-/// Results come back in input order, so for any pure model the output
-/// equals [`sweep`]'s for every policy — pinned by property tests.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::{par_sweep_with, Parallelism};
-/// let serial = par_sweep_with(Parallelism::Serial, 0..100u32, |x| x + 1);
-/// let parallel = par_sweep_with(Parallelism::threads(4), 0..100u32, |x| x + 1);
-/// assert_eq!(serial, parallel);
-/// ```
-pub fn par_sweep_with<P, R>(
-    parallelism: Parallelism,
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> R + Sync,
-) -> Vec<(P, R)>
-where
-    P: Sync,
-    R: Send,
-{
-    let params: Vec<P> = params.into_iter().collect();
-    let results = par_map_ordered(parallelism, &params, |_, p| f(p));
-    params.into_iter().zip(results).collect()
-}
-
-/// Parallel [`try_sweep`] under an explicit [`Parallelism`] policy:
-/// evaluates every parameter concurrently while preserving the serial
-/// skip-and-record semantics — successes in sweep order, rejections
-/// carrying their original sweep index and rendered reason.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::{par_try_sweep_with, Parallelism};
-///
-/// let outcome = par_try_sweep_with(Parallelism::Auto, [1.0_f64, -1.0, 4.0], |x| {
-///     if *x >= 0.0 { Ok(x.sqrt()) } else { Err("negative input") }
-/// });
-/// assert_eq!(outcome.results.len(), 2);
-/// assert_eq!(outcome.rejected[0].index, 1);
-/// ```
-pub fn par_try_sweep_with<P, R, E>(
+pub fn try_sweep<P, R, E>(
     parallelism: Parallelism,
     params: impl IntoIterator<Item = P>,
     f: impl Fn(&P) -> Result<R, E> + Sync,
@@ -318,20 +241,20 @@ where
     SweepOutcome { results, rejected }
 }
 
-/// Parallel [`sweep_finite`] under an explicit [`Parallelism`] policy:
-/// rejects NaN/infinite results with the same reason strings as the
-/// serial path.
+/// Convenience over [`try_sweep`] for infallible scalar models: evaluates
+/// `f` on every parameter under a [`Parallelism`] policy and rejects
+/// points whose result is NaN or infinite.
 ///
 /// # Examples
 ///
 /// ```
-/// use act_dse::{par_sweep_finite_with, Parallelism};
+/// use act_dse::{sweep_finite, Parallelism};
 ///
-/// let outcome = par_sweep_finite_with(Parallelism::Auto, [4.0, 0.0, 1.0], |x| 1.0 / x);
+/// let outcome = sweep_finite(Parallelism::Auto, [4.0, 0.0, 1.0], |x| 1.0 / x);
 /// assert_eq!(outcome.results.len(), 2);
 /// assert_eq!(outcome.rejected[0].index, 1);
 /// ```
-pub fn par_sweep_finite_with<P>(
+pub fn sweep_finite<P>(
     parallelism: Parallelism,
     params: impl IntoIterator<Item = P>,
     f: impl Fn(&P) -> f64 + Sync,
@@ -339,7 +262,7 @@ pub fn par_sweep_finite_with<P>(
 where
     P: Sync,
 {
-    par_try_sweep_with(parallelism, params, |p| {
+    try_sweep(parallelism, params, |p| {
         let v = f(p);
         if v.is_finite() {
             Ok(v)
@@ -398,13 +321,19 @@ mod tests {
 
     #[test]
     fn sweep_preserves_order() {
-        let results = sweep(powers_of_two(1, 8), |m| *m * 10);
+        let results = sweep(Parallelism::Serial, powers_of_two(1, 8), |m| *m * 10);
         assert_eq!(results, vec![(1, 10), (2, 20), (4, 40), (8, 80)]);
     }
 
     #[test]
     fn try_sweep_partitions_points() {
-        let outcome = try_sweep(0..6, |i| if i % 2 == 0 { Ok(i * 10) } else { Err("odd") });
+        let outcome = try_sweep(Parallelism::Serial, 0..6, |i| {
+            if i % 2 == 0 {
+                Ok(i * 10)
+            } else {
+                Err("odd")
+            }
+        });
         assert_eq!(outcome.results, vec![(0, 0), (2, 20), (4, 40)]);
         assert_eq!(outcome.rejected_count(), 3);
         assert_eq!(outcome.rejected.iter().map(|r| r.index).collect::<Vec<_>>(), vec![1, 3, 5]);
@@ -415,7 +344,7 @@ mod tests {
 
     #[test]
     fn try_sweep_clean_when_all_succeed() {
-        let outcome = try_sweep(0..4, |i| Ok::<_, String>(i + 1));
+        let outcome = try_sweep(Parallelism::Serial, 0..4, |i| Ok::<_, String>(i + 1));
         assert!(outcome.is_clean());
         assert_eq!(outcome.rejected_count(), 0);
         assert_eq!(outcome.summary(), "4/4 points evaluated, 0 rejected");
@@ -423,7 +352,7 @@ mod tests {
 
     #[test]
     fn sweep_finite_rejects_poisoned_results() {
-        let outcome = sweep_finite([1.0, 0.0, -1.0, 2.0], |x| 1.0 / x);
+        let outcome = sweep_finite(Parallelism::Serial, [1.0, 0.0, -1.0, 2.0], |x| 1.0 / x);
         // 1/0 = inf is rejected; 1/-1 is finite and kept.
         assert_eq!(outcome.results.len(), 3);
         assert_eq!(outcome.rejected_count(), 1);
@@ -434,7 +363,7 @@ mod tests {
     #[test]
     fn rejected_points_serialize() {
         use act_json::ToJson;
-        let outcome = sweep_finite([0.0], |x| 1.0 / x);
+        let outcome = sweep_finite(Parallelism::Serial, [0.0], |x| 1.0 / x);
         let json = outcome.rejected.to_json().render_compact();
         assert!(json.contains("\"index\":0"));
     }
@@ -458,16 +387,16 @@ mod tests {
     #[test]
     fn par_sweep_matches_serial_sweep() {
         let params = powers_of_two(1, 1 << 20);
-        let serial = sweep(params.clone(), |m| u64::from(*m) * 3);
-        let parallel = par_sweep_with(Parallelism::threads(4), params, |m| u64::from(*m) * 3);
+        let serial = sweep(Parallelism::Serial, params.clone(), |m| u64::from(*m) * 3);
+        let parallel = sweep(Parallelism::threads(4), params, |m| u64::from(*m) * 3);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn par_try_sweep_matches_serial_try_sweep() {
         let check = |i: &i32| if i % 3 == 0 { Ok(i * 10) } else { Err("not divisible") };
-        let serial = try_sweep(0..50, check);
-        let parallel = par_try_sweep_with(Parallelism::threads(4), 0..50, check);
+        let serial = try_sweep(Parallelism::Serial, 0..50, check);
+        let parallel = try_sweep(Parallelism::threads(4), 0..50, check);
         assert_eq!(serial.results, parallel.results);
         assert_eq!(serial.rejected, parallel.rejected);
     }
@@ -476,8 +405,8 @@ mod tests {
     fn par_sweep_finite_matches_serial_reasons() {
         let model = |x: &f64| 1.0 / x;
         let params = [1.0, 0.0, -2.0, f64::NAN];
-        let serial = sweep_finite(params, model);
-        let parallel = par_sweep_finite_with(Parallelism::threads(3), params, model);
+        let serial = sweep_finite(Parallelism::Serial, params, model);
+        let parallel = sweep_finite(Parallelism::threads(3), params, model);
         assert_eq!(serial.results, parallel.results);
         assert_eq!(serial.rejected, parallel.rejected);
         assert_eq!(parallel.rejected[0].reason, "model produced a non-finite result (inf)");

@@ -1,7 +1,7 @@
 //! Equivalence and determinism properties of the block-vectorized batch
 //! engine: the `_block` entry points must reproduce the interpreted
-//! per-point oracle (`par_sweep_finite_with` / `par_try_monte_carlo_with`
-//! under `Parallelism::Serial`) bit for bit — same values, same rejection
+//! per-point oracle (`sweep_finite` / `try_monte_carlo` under
+//! `Parallelism::Serial`) bit for bit — same values, same rejection
 //! log, same Monte-Carlo summaries — for any batch length, thread count,
 //! and budget, with cut-offs landing on identical completed prefixes.
 //!
@@ -14,9 +14,8 @@ use std::time::{Duration, Instant};
 
 use act_dse::{
     par_monte_carlo_compiled_block_with, par_sweep_compiled_block_budgeted,
-    par_sweep_compiled_block_with, par_sweep_finite_with, par_try_monte_carlo_with,
-    sweep_compiled_block, BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer,
-    Parallelism, PointBatch,
+    par_sweep_compiled_block_with, sweep_compiled_block, sweep_finite, try_monte_carlo,
+    BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, Parallelism, PointBatch,
 };
 use act_rng::Rng;
 
@@ -56,8 +55,7 @@ fn batch(seed: u64, n: usize) -> PointBatch {
 /// and lays the outcome out like a [`BatchOutput`]: NaN in rejected slots.
 fn oracle(batch: &PointBatch) -> (Vec<f64>, Vec<act_dse::RejectedPoint>) {
     let (xs, ys) = (batch.column(0), batch.column(1));
-    let outcome =
-        par_sweep_finite_with(Parallelism::Serial, 0..batch.len(), |&i| model(xs[i], ys[i]));
+    let outcome = sweep_finite(Parallelism::Serial, 0..batch.len(), |&i| model(xs[i], ys[i]));
     let mut values = vec![f64::NAN; batch.len()];
     for (i, v) in outcome.results {
         values[i] = v;
@@ -184,7 +182,7 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
         for samples in [1, 63, 64, 65, 1024, 3000] {
             let context = format!("seed={seed}, samples={samples}");
             let per_point =
-                par_try_monte_carlo_with(Parallelism::Serial, samples, seed, per_point_model);
+                try_monte_carlo(Parallelism::Serial, samples, seed, per_point_model);
             let mut serial_buf = McBuffer::default();
             let serial = par_monte_carlo_compiled_block_with(
                 Parallelism::Serial,

@@ -1,15 +1,14 @@
 //! Determinism and equivalence properties of the parallel evaluation
-//! engine: `par_sweep_with == sweep`, parallel-vs-serial Monte-Carlo bitwise
-//! equality, and the skyline `pareto_indices` against the quadratic
+//! engine: every sweep and Monte-Carlo form gives the same result under
+//! `Parallelism::Serial` as under `Parallelism::threads(n)`, bit for bit, and the skyline `pareto_indices` against the quadratic
 //! reference oracle.
 //!
 //! Inputs come from seeded `act_rng` streams, so every case is exactly
 //! reproducible.
 
 use act_dse::{
-    monte_carlo, par_monte_carlo_with, par_sweep_finite_with, par_sweep_with,
-    par_try_monte_carlo_with, par_try_sweep_with, pareto_indices, pareto_indices_reference,
-    sweep, sweep_finite, try_monte_carlo, try_sweep, Parallelism,
+    monte_carlo, pareto_indices, pareto_indices_reference, sweep, sweep_finite,
+    try_monte_carlo, try_sweep, Parallelism,
 };
 use act_rng::Rng;
 
@@ -34,9 +33,9 @@ fn par_sweep_equals_serial_sweep() {
     let model = |x: &f64| x.mul_add(3.0, 1.0).abs().sqrt();
     for (i, n) in SIZES.into_iter().enumerate() {
         let params = draws(i as u64, n, -1e6, 1e6);
-        let serial = sweep(params.clone(), model);
+        let serial = sweep(Parallelism::Serial, params.clone(), model);
         for workers in WORKERS {
-            let parallel = par_sweep_with(threads(workers), params.clone(), model);
+            let parallel = sweep(threads(workers), params.clone(), model);
             assert_eq!(serial, parallel, "n={n}, workers={workers}");
         }
     }
@@ -55,9 +54,9 @@ fn par_try_sweep_equals_serial_try_sweep() {
         let mut rng = Rng::seed_from_u64(100 + i as u64);
         #[allow(clippy::cast_possible_wrap)]
         let params: Vec<i64> = (0..n).map(|_| rng.gen_range(0..200_u64) as i64 - 100).collect();
-        let serial = try_sweep(params.clone(), model);
+        let serial = try_sweep(Parallelism::Serial, params.clone(), model);
         for workers in WORKERS {
-            let parallel = par_try_sweep_with(threads(workers), params.clone(), model);
+            let parallel = try_sweep(threads(workers), params.clone(), model);
             assert_eq!(serial.results, parallel.results, "n={n}, workers={workers}");
             assert_eq!(serial.rejected, parallel.rejected, "n={n}, workers={workers}");
         }
@@ -74,9 +73,9 @@ fn par_sweep_finite_equals_serial_sweep_finite() {
         for slot in params.iter_mut().step_by(5) {
             *slot = 0.0;
         }
-        let serial = sweep_finite(params.clone(), model);
+        let serial = sweep_finite(Parallelism::Serial, params.clone(), model);
         for workers in WORKERS {
-            let parallel = par_sweep_finite_with(threads(workers), params.clone(), model);
+            let parallel = sweep_finite(threads(workers), params.clone(), model);
             assert_eq!(serial.results, parallel.results, "n={n}, workers={workers}");
             assert_eq!(serial.rejected, parallel.rejected, "n={n}, workers={workers}");
         }
@@ -91,9 +90,9 @@ fn par_monte_carlo_is_bitwise_thread_count_invariant() {
     };
     for seed in [0, 1, 0xDEAD_BEEF, u64::MAX] {
         for samples in [1, 2, 63, 500, 2999] {
-            let serial = par_monte_carlo_with(Parallelism::Serial, samples, seed, model);
+            let serial = monte_carlo(Parallelism::Serial, samples, seed, model);
             for workers in [2, 3, 8] {
-                let parallel = par_monte_carlo_with(threads(workers), samples, seed, model);
+                let parallel = monte_carlo(threads(workers), samples, seed, model);
                 // PartialEq on McStats is f64 equality — bit-for-bit stats.
                 assert_eq!(
                     serial, parallel,
@@ -112,29 +111,14 @@ fn par_try_monte_carlo_is_bitwise_thread_count_invariant() {
     };
     for seed in [7, 0xAC70, u64::MAX - 1] {
         for samples in [1, 64, 1000] {
-            let serial = par_try_monte_carlo_with(Parallelism::Serial, samples, seed, model);
+            let serial = try_monte_carlo(Parallelism::Serial, samples, seed, model);
             for workers in [2, 5, 8] {
-                let parallel = par_try_monte_carlo_with(threads(workers), samples, seed, model);
+                let parallel = try_monte_carlo(threads(workers), samples, seed, model);
                 assert_eq!(
                     serial, parallel,
                     "seed={seed}, samples={samples}, workers={workers}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn serial_apis_unchanged_by_engine() {
-    // The legacy single-RNG entry points still agree with themselves
-    // run-to-run (regression guard for the shared-RNG schedule).
-    let model = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-    for seed in [0, 42, u64::MAX] {
-        for samples in [1, 17, 500] {
-            assert_eq!(monte_carlo(samples, seed, model), monte_carlo(samples, seed, model));
-            let a = try_monte_carlo(samples, seed, model);
-            let b = try_monte_carlo(samples, seed, model);
-            assert_eq!(a, b, "seed={seed}, samples={samples}");
         }
     }
 }

@@ -170,9 +170,7 @@ fn sweep_streams_ndjson_and_matches_compiled_eval() {
     // `ACT_THREADS` override this runs serial.
     let threads = trailer.get("threads").and_then(JsonValue::as_u64).expect("threads");
     assert!(threads >= 1, "threads must be positive: {trailer:?}");
-    if std::env::var_os("ACT_THREADS").is_none()
-        && std::env::var_os("ACT_PAR_THRESHOLD").is_none()
-    {
+    if std::env::var_os("ACT_THREADS").is_none() {
         // The measured break-even threshold is never below 512 points.
         assert_eq!(threads, 1, "a 3-point sweep must stay below break-even");
     }
@@ -187,7 +185,7 @@ fn sweep_streams_ndjson_and_matches_compiled_eval() {
 fn assert_calibration_encoding(doc: &JsonValue, raw: &str) {
     let calibration = doc.get("calibration").expect("calibration object");
     let source = calibration.get("source").and_then(JsonValue::as_str).expect("source");
-    assert!(["env", "measured", "single-core"].contains(&source), "{source}");
+    assert!(["measured", "single-core"].contains(&source), "{source}");
     let threshold = calibration.get("threshold_points").expect("threshold_points");
     assert!(
         threshold.is_null() || threshold.as_u64().is_some_and(|t| t < u64::MAX / 2),

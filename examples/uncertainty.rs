@@ -8,7 +8,7 @@
 
 use act::core::{FabScenario, SystemSpec};
 use act::data::{devices, Abatement};
-use act::dse::{monte_carlo, triangular};
+use act::dse::{monte_carlo, triangular, Parallelism};
 use act::units::{CarbonIntensity, Fraction};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     );
 
     // Monte Carlo over the three fab unknowns.
-    let stats = monte_carlo(5_000, 2022, |rng| {
+    let stats = monte_carlo(Parallelism::Auto, 5_000, 2022, |rng| {
         // Yield: expert-judgment triangular around 0.875.
         let y = triangular(rng, 0.7, 0.875, 0.98);
         // Fab energy CI: anywhere between mostly-solar and the full grid.

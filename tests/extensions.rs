@@ -7,7 +7,7 @@ use act::core::{
     TransportLeg, TransportModel,
 };
 use act::data::{devices, reports, Location};
-use act::dse::{monte_carlo, triangular};
+use act::dse::{monte_carlo, triangular, Parallelism};
 use act::units::{CarbonIntensity, Energy, Fraction, MassCo2};
 
 #[test]
@@ -56,7 +56,7 @@ fn scheduling_and_grid_choice_compose() {
 fn monte_carlo_brackets_the_point_estimate() {
     let spec = SystemSpec::from_bom(&devices::FAIRPHONE_3);
     let point = spec.embodied(&FabScenario::default()).total().as_kilograms();
-    let stats = monte_carlo(2_000, 9, |rng| {
+    let stats = monte_carlo(Parallelism::Auto, 2_000, 9, |rng| {
         let y = triangular(rng, 0.7, 0.875, 0.98);
         let fab = FabScenario::default().with_yield(Fraction::new(y).unwrap());
         spec.embodied(&fab).total().as_kilograms()

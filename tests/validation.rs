@@ -6,7 +6,7 @@
 use std::error::Error as _;
 
 use act::core::{total_footprint, try_total_footprint, ModelParams, Validate};
-use act::dse::{sweep_finite, try_monte_carlo, try_sweep, McError};
+use act::dse::{sweep_finite, try_monte_carlo, try_sweep, McError, Parallelism};
 use act::experiments::{
     render_experiment_json, try_render_experiment, ExperimentError, OutputFormat,
     EXPERIMENT_IDS,
@@ -63,7 +63,7 @@ fn try_total_footprint_guards_the_paper_equation() {
 #[test]
 fn sweeps_skip_invalid_design_points_and_report_them() {
     let lifetimes = vec![-1.0, 0.0, 1.0, 2.0, f64::NAN, 4.0];
-    let outcome = try_sweep(lifetimes, |lt| {
+    let outcome = try_sweep(Parallelism::Serial, lifetimes, |lt| {
         let mut p = ModelParams::mobile_reference();
         p.lifetime_years = *lt;
         p.try_footprint().map(|m| m.as_kilograms())
@@ -82,14 +82,14 @@ fn sweeps_skip_invalid_design_points_and_report_them() {
 
 #[test]
 fn finite_sweeps_reject_poles() {
-    let outcome = sweep_finite([4.0f64, 0.0, 1.0], |x| 1.0 / x);
+    let outcome = sweep_finite(Parallelism::Serial, [4.0f64, 0.0, 1.0], |x| 1.0 / x);
     assert_eq!(outcome.results.len(), 2);
     assert_eq!(outcome.rejected[0].index, 1);
 }
 
 #[test]
 fn monte_carlo_skips_non_finite_draws() {
-    let outcome = try_monte_carlo(500, 7, |rng| {
+    let outcome = try_monte_carlo(Parallelism::Serial, 500, 7, |rng| {
         let y: f64 = rng.gen_range(-0.2..1.0);
         100.0 / y.max(0.0)
     })
@@ -97,7 +97,10 @@ fn monte_carlo_skips_non_finite_draws() {
     assert!(outcome.rejected > 0);
     assert_eq!(outcome.stats.samples + outcome.rejected, 500);
     assert!(outcome.stats.mean.is_finite());
-    assert_eq!(try_monte_carlo(0, 7, |_| 1.0).unwrap_err(), McError::NoSamples);
+    assert_eq!(
+        try_monte_carlo(Parallelism::Serial, 0, 7, |_| 1.0).unwrap_err(),
+        McError::NoSamples
+    );
 }
 
 #[test]
@@ -162,7 +165,7 @@ fn arbitrary_lifetime_sweeps_never_panic() {
     ];
     for lifetimes in vectors {
         let n = lifetimes.len();
-        let outcome = try_sweep(lifetimes, |lt| {
+        let outcome = try_sweep(Parallelism::Serial, lifetimes, |lt| {
             let mut p = ModelParams::mobile_reference();
             p.lifetime_years = *lt;
             p.try_footprint()
