@@ -64,6 +64,16 @@ fn main() {
         black_box(ftl.measure_steady_state_wa(&mut trace, 20_000))
     });
 
+    // The 4 % row of Figure 15: the GC-bound FTL run (WA ~7.4) and the
+    // longest job of a parallel `act all`, so a regression in garbage
+    // collection shows here and not only inside the whole fig15 bench.
+    h.bench("ftl/steady_state_pf04", || {
+        let config = FtlConfig::small(OverProvisioning::new_const(0.04));
+        let mut ftl = FtlSimulator::new(config);
+        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 7);
+        black_box(ftl.measure_steady_state_wa(&mut trace, 40_000))
+    });
+
     // DRAM-node assignment sensitivity: a 4 GB phone's memory footprint
     // under every characterized DRAM technology.
     h.bench("ablate_dram_node", || {

@@ -12,7 +12,8 @@
 //!   the artifact end to end (`bench_fig1` … `bench_table12`).
 //! * `ablations` — the design-choice sensitivity studies DESIGN.md calls
 //!   out (yield, abatement, fab energy source, WA model, DRAM-node
-//!   assignment).
+//!   assignment), plus `ftl/steady_state_pf04`, the GC-bound 4 % row of
+//!   Figure 15 on its own.
 //! * `engine` — the parallel evaluation engine: serial-vs-parallel sweep
 //!   and Monte-Carlo throughput, and the skyline `pareto_indices` against
 //!   the quadratic reference.

@@ -1,4 +1,5 @@
-//! Byte-level golden pin for the Figure 15 study.
+//! Byte-level golden pin for the Figure 15 study, plus bit-exact pins of
+//! every simulated write amplification in fig15 and the ablations.
 //!
 //! The fig15 FTL hot loop has been rewritten for speed several times
 //! (cached geometry, incremental GC scan keys, bulk victim copies, the
@@ -13,7 +14,7 @@
 //! the same commit that justifies the change.
 
 use act_dse::Parallelism;
-use act_experiments::fig15;
+use act_experiments::{ablations, fig15};
 
 const GOLDEN: &str = "\
 == Figure 15: SSD over-provisioning study ==
@@ -37,15 +38,61 @@ fn rendered_study_is_byte_identical_to_the_golden() {
 
 #[test]
 fn simulated_wa_values_are_pinned_to_full_precision_within_display_rounding() {
-    // The table rounds to 2 decimals; additionally pin the raw simulated
-    // WA of the heaviest point so sub-rounding drift is caught too.
+    // The table rounds to 2 decimals; additionally pin every raw simulated
+    // WA bit for bit (captured before the one-loop host-write path and the
+    // chunked victim search), so sub-rounding drift is caught too.
+    const PINNED: [(&str, u64); 7] = [
+        ("4%", 0x401d_bdd9_7f62_b6ae),
+        ("10%", 0x4011_49c7_79a6_b50b),
+        ("16%", 0x4009_5837_b4a2_339c),
+        ("22%", 0x4004_6e7d_566c_f41f),
+        ("28%", 0x4001_db71_758e_2196),
+        ("34%", 0x3fff_c7e2_8240_b780),
+        ("40%", 0x3ffd_290f_f972_4745),
+    ];
     let rows = fig15::run(Parallelism::Serial).rows;
-    let wa0 = rows[0].wa_simulated;
-    assert!((wa0 - 7.44).abs() < 0.005, "PF 4% simulated WA drifted: {wa0}");
+    assert_eq!(rows.len(), PINNED.len());
+    for (row, (pf, bits)) in rows.iter().zip(PINNED) {
+        assert_eq!(row.pf.to_string(), pf);
+        assert_eq!(
+            row.wa_simulated.to_bits(),
+            bits,
+            "PF {pf} simulated WA drifted: {} vs {}",
+            row.wa_simulated,
+            f64::from_bits(bits)
+        );
+    }
+    assert!((rows[0].wa_simulated - 7.44).abs() < 0.005);
     // Determinism: a second run, its rows spread over workers, is
     // bit-identical to the first.
     let again = fig15::run(Parallelism::threads(4)).rows;
     for (a, b) in rows.iter().zip(&again) {
         assert!(a.wa_simulated.to_bits() == b.wa_simulated.to_bits());
+    }
+}
+
+#[test]
+fn ablation_ftl_wa_values_are_pinned_to_full_precision() {
+    // The two "FTL sim @ PF" points of the write-amplification ablation
+    // (trace seed 5), captured with the fig15 pins above.
+    const PINNED: [(&str, u64); 2] =
+        [("FTL sim @ 16%", 0x4007_cfaa_cd9e_83e4), ("FTL sim @ 34%", 0x3ffe_dce9_32ed_4b81)];
+    for parallelism in [Parallelism::Serial, Parallelism::threads(2)] {
+        let simulated: Vec<(String, f64)> = ablations::run(parallelism)
+            .studies
+            .into_iter()
+            .flat_map(|study| study.series)
+            .filter(|(label, _)| label.starts_with("FTL sim"))
+            .collect();
+        assert_eq!(simulated.len(), PINNED.len());
+        for ((label, value), (pinned_label, bits)) in simulated.iter().zip(PINNED) {
+            assert_eq!(label, pinned_label);
+            assert_eq!(
+                value.to_bits(),
+                bits,
+                "{label} drifted: {value} vs {}",
+                f64::from_bits(bits)
+            );
+        }
     }
 }

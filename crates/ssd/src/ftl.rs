@@ -169,10 +169,8 @@ pub struct FtlSimulator {
     logical_pages: u64,
     /// `config.pages_per_block` widened once.
     ppb: u64,
-    /// `log2(pages_per_block)` when it is a power of two (the common
-    /// geometry), letting `block_of` shift instead of divide.
-    ppb_shift: u32,
-    ppb_is_pow2: bool,
+    /// Physical page -> block, a shift on power-of-two geometries.
+    block_of: BlockOf,
     /// Cost-benefit needs per-block write stamps; greedy does not, so the
     /// stamp store is skipped on the (hotter) greedy path.
     track_stamps: bool,
@@ -183,15 +181,64 @@ pub struct FtlSimulator {
     /// Per-block greedy-GC scan key: the block's valid count while it is a
     /// victim candidate (full and not active), [`NOT_A_CANDIDATE`] otherwise.
     /// Maintained incrementally so victim selection is two flat passes over
-    /// a dense `u16` array (min, then first position of the min) instead of
-    /// a branchy filtered scan — the autovectorizer turns both into SIMD.
+    /// a dense `u16` array (min, then the first 16-key chunk holding it)
+    /// instead of a branchy filtered scan — both vectorize.
     gc_scan: Vec<u16>,
+}
+
+/// The block containing a physical page: a shift for power-of-two
+/// geometries (`shift = log2(pages_per_block)`), a divide otherwise.
+/// `Copy`, so the host-write loop can hold it while it borrows the
+/// simulator's tables.
+#[derive(Clone, Copy, Debug)]
+struct BlockOf {
+    ppb: u64,
+    shift: u32,
+    pow2: bool,
+}
+
+impl BlockOf {
+    /// Bit-identical to `ppn / pages_per_block`.
+    #[inline]
+    fn of(self, ppn: u32) -> usize {
+        if self.pow2 {
+            (ppn >> self.shift) as usize
+        } else {
+            (u64::from(ppn) / self.ppb) as usize
+        }
+    }
 }
 
 /// `gc_scan` marker for blocks that are not GC victim candidates (free,
 /// active, or partially written). `u16::MAX` sorts after every real valid
 /// count, so the min-scan skips them without a filter branch.
 const NOT_A_CANDIDATE: u16 = u16::MAX;
+
+/// Most host pages one stretch of [`FtlSimulator::write_pages`] draws
+/// before it applies them: a 256-byte stack buffer, and a whole block of the
+/// default geometry.
+const LPN_BATCH: usize = 64;
+
+/// Drops one valid page from `block`, keeping its GC scan key in step
+/// while the block is a victim candidate.
+#[inline]
+fn drop_valid_page(valid_per_block: &mut [u32], gc_scan: &mut [u16], block: usize) {
+    valid_per_block[block] -= 1;
+    gc_scan[block] -= u16::from(gc_scan[block] != NOT_A_CANDIDATE);
+}
+
+/// Makes a retiring active block a GC victim candidate: its scan key
+/// becomes its valid count. This happens when the next page pops a fresh
+/// block, not when the block fills — matching the `b != active_block`
+/// filter of the reference selection.
+#[inline]
+fn retire(valid_per_block: &[u32], gc_scan: &mut [u16], block: usize) {
+    // Valid counts are at most pages_per_block < u16::MAX (asserted in `new`).
+    #[allow(clippy::cast_possible_truncation)]
+    {
+        gc_scan[block] = valid_per_block[block] as u16;
+    }
+}
 
 impl FtlSimulator {
     /// Creates a simulator with all blocks erased.
@@ -238,22 +285,10 @@ impl FtlSimulator {
             stats: FtlStats::default(),
             logical_pages,
             ppb,
-            ppb_shift: ppb.trailing_zeros(),
-            ppb_is_pow2: ppb.is_power_of_two(),
+            block_of: BlockOf { ppb, shift: ppb.trailing_zeros(), pow2: ppb.is_power_of_two() },
             track_stamps: config.gc_policy == GcPolicy::CostBenefit,
             gc_scratch: Vec::with_capacity(config.pages_per_block as usize),
             gc_scan: vec![NOT_A_CANDIDATE; config.blocks as usize],
-        }
-    }
-
-    /// The block containing physical page `ppn`: a shift for power-of-two
-    /// geometries, a divide otherwise. Bit-identical to `ppn / ppb`.
-    #[inline]
-    fn block_of(&self, ppn: u32) -> usize {
-        if self.ppb_is_pow2 {
-            (ppn >> self.ppb_shift) as usize
-        } else {
-            (u64::from(ppn) / self.ppb) as usize
         }
     }
 
@@ -294,15 +329,13 @@ impl FtlSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is outside the logical space.
+    /// Panics if `lpn` is outside the logical space, or if garbage
+    /// collection cannot make room because the over-provisioning is too
+    /// small: every victim candidate is fully valid, so collecting one
+    /// frees no page.
     #[inline]
     pub fn write(&mut self, lpn: u64) {
-        assert!(lpn < self.logical_pages, "logical page {lpn} out of range");
-        self.stats.host_writes += 1;
-        self.ensure_space();
-        // The assert above bounds lpn by logical_pages < u32::MAX.
-        #[allow(clippy::cast_possible_truncation)]
-        self.append(lpn as u32);
+        self.write_pages(1, || lpn);
     }
 
     /// TRIMs a logical page: the mapping is dropped and the physical page
@@ -316,24 +349,38 @@ impl FtlSimulator {
         assert!(lpn < self.logical_pages, "logical page {lpn} out of range");
         let ppn = self.l2p[lpn as usize];
         if ppn != NO_PAGE {
-            let block = self.block_of(ppn);
             self.p2l[ppn as usize] = NO_PAGE;
-            self.invalidate_in(block);
+            drop_valid_page(
+                &mut self.valid_per_block,
+                &mut self.gc_scan,
+                self.block_of.of(ppn),
+            );
             self.l2p[lpn as usize] = NO_PAGE;
         }
     }
 
     /// Feeds `count` writes from a trace into the device.
+    ///
+    /// # Panics
+    ///
+    /// As [`write`](Self::write): if the trace draws a page outside the
+    /// logical space, or if the over-provisioning is too small for
+    /// garbage collection to make room. Pages are drawn a stretch at a
+    /// time (at most 64 of them, within one block) and bounds-checked
+    /// before any is written, so an out-of-range page also drops the
+    /// pages drawn just before it in its stretch.
     pub fn run(&mut self, trace: &mut WriteTrace, count: u64) {
-        for _ in 0..count {
-            let lpn = trace.next_page();
-            self.write(lpn);
-        }
+        self.write_pages(count, || trace.next_page());
     }
 
-    /// Measures steady-state write amplification: writes the whole logical
-    /// space twice as warmup, resets counters, then measures over
-    /// `measure_writes` trace writes.
+    /// Measures steady-state write amplification: warms up with
+    /// `2 × logical_pages` trace writes (random traces revisit some pages
+    /// and miss others, so this need not touch every page), resets the
+    /// counters, then measures over `measure_writes` trace writes.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run).
     #[must_use]
     pub fn measure_steady_state_wa(
         &mut self,
@@ -347,63 +394,102 @@ impl FtlSimulator {
         self.stats.write_amplification()
     }
 
+    /// The one host-write path, behind both [`write`](Self::write) and
+    /// [`run`](Self::run): `count` pages drawn from `next_lpn`, each
+    /// handled exactly as a lone write — GC headroom, then invalidating
+    /// the page's old copy, then retiring a full active block and popping
+    /// a free one, then placing the page.
+    ///
+    /// The pages go in stretches that share one active block, with the
+    /// tables borrowed once as slices and the block and write pointer in
+    /// locals; the counters, the write pointer and the active block are
+    /// flushed back per stretch. `free_blocks` only shrinks at a pop, so
+    /// GC headroom needs checking only before a stretch: a stretch is the
+    /// one page that pops a block, or else at most the active block's
+    /// remaining room.
     #[inline]
-    fn append(&mut self, lpn: u32) {
-        // Invalidate the previous location.
-        let old = self.l2p[lpn as usize];
-        if old != NO_PAGE {
-            let old_block = self.block_of(old);
-            self.p2l[old as usize] = NO_PAGE;
-            self.invalidate_in(old_block);
-        }
-        self.place(lpn);
-    }
-
-    /// Drops one valid page from `block`, keeping the GC scan key in step
-    /// when the block is currently a victim candidate.
-    #[inline]
-    fn invalidate_in(&mut self, block: usize) {
-        self.valid_per_block[block] -= 1;
-        if self.gc_scan[block] != NOT_A_CANDIDATE {
-            self.gc_scan[block] -= 1;
-        }
-    }
-
-    /// The placement half of [`append`](Self::append): writes `lpn` to the
-    /// next page of the active block. The GC copy loop calls this directly
-    /// after invalidating the source page itself (it already knows the
-    /// victim block, so the `l2p` lookup and block divide are redundant).
-    #[inline]
-    fn place(&mut self, lpn: u32) {
-        if self.write_pointer[self.active_block as usize] == self.config.pages_per_block {
-            // The retiring active block becomes a GC victim candidate now —
-            // not when it filled — matching the `b != active_block` filter
-            // of the original selection scan.
+    fn write_pages(&mut self, count: u64, mut next_lpn: impl FnMut() -> u64) {
+        let ppb = self.config.pages_per_block;
+        let gc_threshold = self.config.gc_free_block_threshold as usize;
+        let logical_pages = self.logical_pages;
+        let block_of = self.block_of;
+        let mut lpn_buf = [0_u32; LPN_BATCH];
+        let mut left = count;
+        while left > 0 {
+            while self.free_blocks.len() < gc_threshold {
+                self.collect_garbage();
+            }
+            let mut block = self.active_block;
+            let mut wp = self.write_pointer[block as usize];
+            // A full active block retires at the next page, which then
+            // pops a fresh one: that page is a stretch of its own.
+            #[allow(clippy::cast_possible_truncation)]
+            let n = if wp == ppb {
+                1
+            } else {
+                left.min(u64::from(ppb - wp)).min(LPN_BATCH as u64) as usize
+            };
+            // Draw (and bounds-check) the whole stretch before touching any
+            // table: the trace generator then runs alone in a tight loop,
+            // and an out-of-range page panics with the tables consistent.
+            let lpns = &mut lpn_buf[..n];
+            for slot in lpns.iter_mut() {
+                let lpn = next_lpn();
+                assert!(lpn < logical_pages, "logical page {lpn} out of range");
+                // The assert above bounds lpn by logical_pages < u32::MAX.
+                #[allow(clippy::cast_possible_truncation)]
+                {
+                    *slot = lpn as u32;
+                }
+            }
+            let Self { l2p, p2l, valid_per_block, gc_scan, free_blocks, .. } = self;
+            // Slices, not `&mut Vec`s: indexing through a `Vec` reloads its
+            // pointer and length after every store into its buffer.
+            let (l2p, p2l) = (l2p.as_mut_slice(), p2l.as_mut_slice());
+            let (valid_per_block, gc_scan) =
+                (valid_per_block.as_mut_slice(), gc_scan.as_mut_slice());
+            // The stretch's pages all land in one block — the one about to
+            // be popped when the active block retires — so its valid count
+            // takes them up front.
+            let target = if wp == ppb {
+                free_blocks.last().copied().expect("GC headroom guarantees a free block")
+            } else {
+                block
+            };
             #[allow(clippy::cast_possible_truncation)]
             {
-                self.gc_scan[self.active_block as usize] =
-                    self.valid_per_block[self.active_block as usize] as u16;
+                valid_per_block[target as usize] += n as u32;
             }
-            self.active_block =
-                self.free_blocks.pop().expect("ensure_space guarantees a free block");
-        }
-        let block = self.active_block as usize;
-        // u32 arithmetic cannot overflow: ppn < physical_pages < u32::MAX.
-        let ppn = self.active_block * self.config.pages_per_block + self.write_pointer[block];
-        self.write_pointer[block] += 1;
-        self.valid_per_block[block] += 1;
-        self.l2p[lpn as usize] = ppn;
-        self.p2l[ppn as usize] = lpn;
-        self.stats.nand_writes += 1;
-        if self.track_stamps {
-            self.last_write_stamp[block] = self.stats.nand_writes;
-        }
-    }
-
-    fn ensure_space(&mut self) {
-        // Keep enough free blocks for the incoming write and GC headroom.
-        while self.free_blocks.len() < self.config.gc_free_block_threshold as usize {
-            self.collect_garbage();
+            for &lpn in &*lpns {
+                let old = l2p[lpn as usize];
+                if old != NO_PAGE {
+                    p2l[old as usize] = NO_PAGE;
+                    drop_valid_page(valid_per_block, gc_scan, block_of.of(old));
+                }
+                if wp == ppb {
+                    // After this page invalidated its old copy, which may
+                    // sit in the retiring block.
+                    retire(valid_per_block, gc_scan, block as usize);
+                    block = free_blocks.pop().expect("GC headroom guarantees a free block");
+                    wp = 0;
+                }
+                // u32 arithmetic cannot overflow: ppn < physical_pages < u32::MAX.
+                let ppn = block * ppb + wp;
+                wp += 1;
+                l2p[lpn as usize] = ppn;
+                p2l[ppn as usize] = lpn;
+            }
+            let n = n as u64;
+            self.active_block = block;
+            self.write_pointer[block as usize] = wp;
+            self.stats.host_writes += n;
+            self.stats.nand_writes += n;
+            if self.track_stamps {
+                // Overwritten on every placement, so only the stretch's
+                // last value is observable.
+                self.last_write_stamp[block as usize] = self.stats.nand_writes;
+            }
+            left -= n;
         }
     }
 
@@ -420,31 +506,58 @@ impl FtlSimulator {
         }
     }
 
+    /// Reclaims one victim block: selects it per the GC policy, copies its
+    /// live pages to the write frontier, and erases it onto the free list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every candidate is fully valid. The only invalid pages
+    /// left then sit in the active block: collecting any victim frees no
+    /// page, and the GC-headroom loop of the host-write path would spin
+    /// forever. (Cost-benefit may pick a fully valid victim while emptier
+    /// ones exist, when `reset_stats` zeroed the ages; that is slow, not
+    /// stuck.)
     fn collect_garbage(&mut self) {
-        // Victim among full, inactive blocks, per the configured policy.
+        let ppb = self.config.pages_per_block;
+        // The fewest valid pages of any candidate (full, inactive block).
+        let min = self.gc_scan.iter().copied().min().unwrap_or(NOT_A_CANDIDATE);
+        assert!(min != NOT_A_CANDIDATE, "a full victim block always exists");
+        assert!(
+            u32::from(min) < ppb,
+            "over-provisioning too small: every GC candidate is fully valid"
+        );
+        // Victim among the candidates, per the configured policy.
         let victim = match self.config.gc_policy {
-            // Two unconditional passes over the dense scan-key array (min,
-            // then first index holding it). Non-candidates carry
-            // `NOT_A_CANDIDATE = u16::MAX`, which never wins the min, so
-            // both passes are branch-free and the compiler vectorizes them —
-            // an order of magnitude cheaper than the equivalent
-            // filter + min_by_key scan this replaces, with the identical
-            // lowest-index tie-break.
+            // Two passes over the dense scan-key array: the min above, then
+            // a find-first over 16-key chunks — the first chunk holding the
+            // min, then its first match inside that chunk. Non-candidates
+            // carry `NOT_A_CANDIDATE = u16::MAX`, which never wins the min;
+            // the min and each chunk's hit test are branch-free folds that
+            // vectorize, and only the chunk loop exits early (a key-by-key
+            // `position` would branch on every key). An order of magnitude
+            // cheaper than the equivalent filter + min_by_key scan, with
+            // the identical lowest-index tie-break.
             GcPolicy::Greedy => {
-                let min = self.gc_scan.iter().copied().min().unwrap_or(NOT_A_CANDIDATE);
-                assert!(min != NOT_A_CANDIDATE, "a full victim block always exists");
+                let (chunks, tail) = self.gc_scan.as_chunks::<16>();
+                let chunk = chunks
+                    .iter()
+                    .position(|keys| keys.iter().fold(false, |hit, &key| hit | (key == min)));
+                let (offset, keys) = match chunk {
+                    Some(c) => (c * 16, &chunks[c][..]),
+                    None => (chunks.len() * 16, tail),
+                };
                 // The assert above proved `min` occupies some slot, so the
                 // fallback index is unreachable — it only keeps this
                 // library-code path free of unwrap/expect.
                 #[allow(clippy::cast_possible_truncation)]
-                let victim =
-                    self.gc_scan.iter().position(|&key| key == min).unwrap_or_default() as u32;
+                let victim = (offset
+                    + keys.iter().position(|&key| key == min).unwrap_or_default())
+                    as u32;
                 debug_assert_eq!(
                     Some(victim),
                     (0..self.config.blocks)
                         .filter(|&b| {
-                            b != self.active_block
-                                && self.write_pointer[b as usize] == self.config.pages_per_block
+                            b != self.active_block && self.write_pointer[b as usize] == ppb
                         })
                         .min_by_key(|&b| self.valid_per_block[b as usize]),
                     "scan-key victim must match the reference selection"
@@ -452,10 +565,7 @@ impl FtlSimulator {
                 victim
             }
             GcPolicy::CostBenefit => (0..self.config.blocks)
-                .filter(|&b| {
-                    b != self.active_block
-                        && self.write_pointer[b as usize] == self.config.pages_per_block
-                })
+                .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb)
                 .max_by(|&a, &b| {
                     self.cost_benefit_score(a).total_cmp(&self.cost_benefit_score(b))
                 })
@@ -465,9 +575,9 @@ impl FtlSimulator {
         self.gc_scan[victim as usize] = NOT_A_CANDIDATE;
         // Gather the victim's still-valid pages, then erase its reverse map
         // in one memset. Mapping integrity (`l2p[p2l[x]] == x`) makes the
-        // per-page l2p lookup and block divide of a generic `append`
-        // redundant here, and batching turns the per-page bookkeeping into
-        // one update per victim.
+        // per-page l2p lookup and block divide of a host write redundant
+        // here, and batching turns the per-page bookkeeping into one update
+        // per victim.
         //
         // The gather is a branch-free compaction: every entry is stored and
         // the length advances only past live ones. A victim is typically
@@ -503,24 +613,20 @@ impl FtlSimulator {
         self.free_blocks.push(victim);
     }
 
-    /// Bulk twin of [`place`](Self::place) for GC copies: writes `scratch`
-    /// to the write frontier in block-sized chunks — the p2l stores become
-    /// one `copy_from_slice` per chunk and the write-pointer/valid/stats
-    /// updates one addition each, leaving only the (inherently random)
-    /// l2p store per copied page. State after the call is identical to
-    /// calling `place` once per page.
+    /// Places GC copies: writes `scratch` to the write frontier in
+    /// block-sized chunks — the p2l stores become one `copy_from_slice` per
+    /// chunk and the write-pointer/valid/stats updates one addition each,
+    /// leaving only the (inherently random) l2p store per copied page.
+    /// State after the call is identical to placing the pages one at a
+    /// time as host writes do (retire a full active block, pop, place).
     fn place_gc_copies(&mut self, scratch: &[u32]) {
         let ppb = self.config.pages_per_block;
         let mut rest = scratch;
         while !rest.is_empty() {
             if self.write_pointer[self.active_block as usize] == ppb {
-                #[allow(clippy::cast_possible_truncation)]
-                {
-                    self.gc_scan[self.active_block as usize] =
-                        self.valid_per_block[self.active_block as usize] as u16;
-                }
+                retire(&self.valid_per_block, &mut self.gc_scan, self.active_block as usize);
                 self.active_block =
-                    self.free_blocks.pop().expect("ensure_space guarantees a free block");
+                    self.free_blocks.pop().expect("GC headroom guarantees a free block");
             }
             let block = self.active_block as usize;
             let wp = self.write_pointer[block];
@@ -541,8 +647,8 @@ impl FtlSimulator {
             }
             self.stats.nand_writes += n as u64;
             if self.track_stamps {
-                // Overwritten on every placement in the one-page path, so
-                // only the post-batch value is observable — identical.
+                // Overwritten on every placement, so only the post-batch
+                // value is observable — identical.
                 self.last_write_stamp[block] = self.stats.nand_writes;
             }
             rest = tail;
@@ -574,22 +680,43 @@ mod tests {
         assert_eq!(config.logical_pages(), 12_800);
     }
 
+    /// Every mapped logical page maps back to itself, and the valid counts
+    /// agree with the reverse map.
+    fn assert_mapping_integrity(ftl: &FtlSimulator) {
+        for (lpn, &ppn) in ftl.l2p.iter().enumerate() {
+            if ppn != NO_PAGE {
+                assert_eq!(u64::from(ftl.p2l[ppn as usize]), lpn as u64);
+            }
+        }
+        let valid_total: u32 = ftl.valid_per_block.iter().sum();
+        let mapped = ftl.p2l.iter().filter(|&&l| l != NO_PAGE).count() as u32;
+        assert_eq!(valid_total, mapped);
+        assert_eq!(mapped as usize, ftl.l2p.iter().filter(|&&p| p != NO_PAGE).count());
+    }
+
     #[test]
     fn mapping_integrity_after_traffic() {
         let config = FtlConfig::small(pf(0.2));
         let mut ftl = FtlSimulator::new(config);
         let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 5);
         ftl.run(&mut trace, 30_000);
-        // Every mapped logical page maps back to itself.
-        for (lpn, &ppn) in ftl.l2p.iter().enumerate() {
-            if ppn != NO_PAGE {
-                assert_eq!(u64::from(ftl.p2l[ppn as usize]), lpn as u64);
+        assert_mapping_integrity(&ftl);
+
+        // Cost-benefit GC with every fifth operation a TRIM.
+        let config = config.with_gc_policy(GcPolicy::CostBenefit);
+        let mut ftl = FtlSimulator::new(config);
+        let skew = TracePattern::Skewed { hot_fraction: 0.2, hot_share: 0.8 };
+        let mut trace = WriteTrace::new(skew, config.logical_pages(), 6);
+        for i in 0..30_000 {
+            let lpn = trace.next_page();
+            if i % 5 == 0 {
+                ftl.trim(lpn);
+            } else {
+                ftl.write(lpn);
             }
         }
-        // Valid counts agree with the reverse map.
-        let valid_total: u32 = ftl.valid_per_block.iter().sum();
-        let mapped = ftl.p2l.iter().filter(|&&l| l != NO_PAGE).count() as u32;
-        assert_eq!(valid_total, mapped);
+        assert!(ftl.stats().erases > 0, "the run must reach garbage collection");
+        assert_mapping_integrity(&ftl);
     }
 
     #[test]
@@ -746,9 +873,10 @@ mod tests {
         assert_eq!(stats.nand_writes, stats.host_writes + stats.gc_copies);
     }
 
-    /// Exact counters after a fixed-seed run: warm the whole logical space
-    /// twice, reset, then `ops` trace operations, every `trim_every`-th of
-    /// which TRIMs its page instead of writing it (`0` = never).
+    /// Exact counters after a fixed-seed run: warm up with
+    /// `2 × logical_pages` trace writes, reset, then 40 000 trace
+    /// operations, every `trim_every`-th of which TRIMs its page instead
+    /// of writing it (`0` = never).
     fn pinned_stats(
         op: f64,
         pattern: TracePattern,
@@ -804,6 +932,228 @@ mod tests {
             pinned(30_000, 61_297, 31_297, 958),
             "greedy + trim-then-write mix"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "over-provisioning too small: every GC candidate is fully valid")]
+    fn fully_valid_victim_panics_instead_of_livelocking() {
+        // At PF 0.4 % the spare area is about one block, below the GC
+        // threshold: once the logical space is mapped, every candidate is
+        // fully valid and collecting one frees no page.
+        let config = FtlConfig::small(pf(0.004));
+        let mut ftl = FtlSimulator::new(config);
+        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 7);
+        let _ = ftl.measure_steady_state_wa(&mut trace, 40_000);
+    }
+
+    /// A textbook page-mapping FTL: per-page append, `filter` +
+    /// `min_by_key` greedy and `max_by` cost-benefit victim selection, and
+    /// a `filter` gather of the victim's live pages. It shares no code with
+    /// [`FtlSimulator`], which must match it exactly.
+    struct ReferenceFtl {
+        config: FtlConfig,
+        logical_pages: u64,
+        l2p: Vec<u32>,
+        p2l: Vec<u32>,
+        valid_per_block: Vec<u32>,
+        erase_counts: Vec<u64>,
+        write_pointer: Vec<u32>,
+        last_write_stamp: Vec<u64>,
+        free_blocks: Vec<u32>,
+        active_block: u32,
+        stats: FtlStats,
+    }
+
+    impl ReferenceFtl {
+        fn new(config: FtlConfig) -> Self {
+            let blocks = config.blocks as usize;
+            Self {
+                config,
+                logical_pages: config.logical_pages(),
+                l2p: vec![NO_PAGE; config.logical_pages() as usize],
+                p2l: vec![NO_PAGE; config.physical_pages() as usize],
+                valid_per_block: vec![0; blocks],
+                erase_counts: vec![0; blocks],
+                write_pointer: vec![0; blocks],
+                last_write_stamp: vec![0; blocks],
+                free_blocks: (1..config.blocks).rev().collect(),
+                active_block: 0,
+                stats: FtlStats::default(),
+            }
+        }
+
+        fn write(&mut self, lpn: u64) {
+            assert!(lpn < self.logical_pages);
+            self.stats.host_writes += 1;
+            while self.free_blocks.len() < self.config.gc_free_block_threshold as usize {
+                self.collect_garbage();
+            }
+            self.invalidate(lpn as u32);
+            self.place(lpn as u32);
+        }
+
+        fn trim(&mut self, lpn: u64) {
+            self.invalidate(lpn as u32);
+            self.l2p[lpn as usize] = NO_PAGE;
+        }
+
+        fn invalidate(&mut self, lpn: u32) {
+            let ppn = self.l2p[lpn as usize];
+            if ppn != NO_PAGE {
+                self.p2l[ppn as usize] = NO_PAGE;
+                self.valid_per_block[(ppn / self.config.pages_per_block) as usize] -= 1;
+            }
+        }
+
+        fn place(&mut self, lpn: u32) {
+            let ppb = self.config.pages_per_block;
+            if self.write_pointer[self.active_block as usize] == ppb {
+                self.active_block = self.free_blocks.pop().unwrap();
+            }
+            let block = self.active_block as usize;
+            let ppn = self.active_block * ppb + self.write_pointer[block];
+            self.write_pointer[block] += 1;
+            self.valid_per_block[block] += 1;
+            self.l2p[lpn as usize] = ppn;
+            self.p2l[ppn as usize] = lpn;
+            self.stats.nand_writes += 1;
+            self.last_write_stamp[block] = self.stats.nand_writes;
+        }
+
+        fn collect_garbage(&mut self) {
+            let ppb = self.config.pages_per_block;
+            let candidates = (0..self.config.blocks)
+                .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb);
+            let victim = match self.config.gc_policy {
+                GcPolicy::Greedy => {
+                    candidates.min_by_key(|&b| self.valid_per_block[b as usize]).unwrap()
+                }
+                GcPolicy::CostBenefit => {
+                    let score = |b: u32| {
+                        let u = f64::from(self.valid_per_block[b as usize]) / f64::from(ppb);
+                        // Stamps count NAND writes since construction and
+                        // `reset_stats` restarts the counter, so an age
+                        // saturates at zero after a reset.
+                        let age = (self.stats.nand_writes + 1)
+                            .saturating_sub(self.last_write_stamp[b as usize])
+                            as f64;
+                        if u == 0.0 {
+                            f64::INFINITY
+                        } else {
+                            age * (1.0 - u) / (2.0 * u)
+                        }
+                    };
+                    candidates.max_by(|&a, &b| score(a).total_cmp(&score(b))).unwrap()
+                }
+            };
+            let base = (victim * ppb) as usize;
+            let live: Vec<u32> = self.p2l[base..base + ppb as usize]
+                .iter()
+                .copied()
+                .filter(|&lpn| lpn != NO_PAGE)
+                .collect();
+            for lpn in live {
+                self.invalidate(lpn);
+                self.stats.gc_copies += 1;
+                self.place(lpn);
+            }
+            self.write_pointer[victim as usize] = 0;
+            self.erase_counts[victim as usize] += 1;
+            self.stats.erases += 1;
+            self.free_blocks.push(victim);
+        }
+    }
+
+    /// Drives `ftl` and the reference through the same seeded mix of
+    /// `run`, `write`, `trim` and `reset_stats`, comparing the full state
+    /// after every operation batch.
+    fn assert_matches_reference(config: FtlConfig, pattern: TracePattern, seed: u64) {
+        let logical = config.logical_pages();
+        let mut ftl = FtlSimulator::new(config);
+        let mut reference = ReferenceFtl::new(config);
+        let mut trace = WriteTrace::new(pattern, logical, seed);
+        let mut twin = trace.clone();
+        let mut ops = act_rng::Rng::seed_from_u64(seed ^ 0x5eed);
+        let mut total_erases = 0;
+        for step in 0..60 {
+            match ops.gen_range(0..8_u32) {
+                0..=3 => {
+                    let count = ops.gen_range(0..logical / 2);
+                    ftl.run(&mut trace, count);
+                    for _ in 0..count {
+                        reference.write(twin.next_page());
+                    }
+                }
+                4 | 5 => {
+                    for _ in 0..ops.gen_range(1..200_u64) {
+                        let lpn = ops.gen_range(0..logical);
+                        ftl.write(lpn);
+                        reference.write(lpn);
+                    }
+                }
+                6 => {
+                    for _ in 0..ops.gen_range(1..(logical / 8)) {
+                        let lpn = ops.gen_range(0..logical);
+                        ftl.trim(lpn);
+                        reference.trim(lpn);
+                    }
+                }
+                _ => {
+                    total_erases += ftl.stats().erases;
+                    ftl.reset_stats();
+                    reference.stats = FtlStats::default();
+                }
+            }
+            let context = format!("{pattern:?} {:?} seed {seed} step {step}", config.gc_policy);
+            assert_eq!(ftl.stats(), reference.stats, "stats, {context}");
+            assert_eq!(ftl.active_block, reference.active_block, "active block, {context}");
+            assert_eq!(ftl.free_blocks, reference.free_blocks, "free blocks, {context}");
+            assert_eq!(ftl.write_pointer, reference.write_pointer, "write pointers, {context}");
+            assert_eq!(
+                ftl.valid_per_block, reference.valid_per_block,
+                "valid counts, {context}"
+            );
+            assert_eq!(ftl.erase_counts, reference.erase_counts, "erase counts, {context}");
+            assert!(ftl.l2p == reference.l2p, "l2p, {context}");
+            assert!(ftl.p2l == reference.p2l, "p2l, {context}");
+        }
+        total_erases += ftl.stats().erases;
+        assert!(total_erases > 0, "the mix must reach garbage collection");
+    }
+
+    #[test]
+    fn matches_the_reference_ftl_on_every_policy_and_pattern() {
+        let skew = TracePattern::Skewed { hot_fraction: 0.2, hot_share: 0.8 };
+        let patterns = [TracePattern::UniformRandom, TracePattern::Sequential, skew];
+        for (i, pattern) in patterns.into_iter().enumerate() {
+            for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
+                let config = FtlConfig::small(pf(0.1)).with_gc_policy(policy);
+                assert_matches_reference(config, pattern, 31 + i as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_ftl_on_a_non_power_of_two_geometry() {
+        // 24 pages per block: `block_of` takes its divide branch.
+        let skew = TracePattern::Skewed { hot_fraction: 0.1, hot_share: 0.9 };
+        for (i, pattern) in [TracePattern::UniformRandom, TracePattern::Sequential, skew]
+            .into_iter()
+            .enumerate()
+        {
+            for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
+                let config = FtlConfig {
+                    blocks: 40,
+                    pages_per_block: 24,
+                    over_provisioning: pf(0.25),
+                    gc_free_block_threshold: 3,
+                    gc_policy: policy,
+                };
+                let ftl = FtlSimulator::new(config);
+                assert!(!ftl.block_of.pow2);
+                assert_matches_reference(config, pattern, 47 + i as u64);
+            }
+        }
     }
 
     #[test]
