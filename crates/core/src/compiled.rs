@@ -9,8 +9,15 @@
 //! of declared [`FreeAxis`] values: every sweep-invariant sub-term
 //! (per-component embodied gCO₂, the CPA numerator pieces of eq. 5, the
 //! operational coefficient of eq. 2, the `T/LT` amortization ratio of
-//! eq. 1) is folded into a plain `f64` coefficient at compile time, so
-//! [`CompiledFootprint::eval`] runs with **zero heap allocation**.
+//! eq. 1) is folded into a plain `f64` coefficient at compile time.
+//!
+//! The compiled form is one flat [`EvalPlan`]: an operational term, an
+//! instruction list for the eq. 3 sum, and an amortization ratio, whose
+//! operands are folded constants or columns of a point. It has two
+//! evaluators over the same operations: a scalar chain for one point
+//! ([`CompiledFootprint::eval`] and the short tail of a block), and a
+//! lane chain that walks [`LANES`] points per instruction
+//! ([`EvalPlan::eval_block`]). Neither allocates.
 //!
 //! Folding replays the *exact* floating-point operation sequence of the
 //! interpreted model (same associativity, same division-vs-multiply
@@ -40,8 +47,9 @@
 use std::fmt;
 use std::ops::Range;
 
-use act_units::{Area, Capacity, CarbonIntensity, Energy, TimeSpan, UnitError};
+use act_units::{Area, Capacity, CarbonIntensity, Energy, TimeSpan};
 
+use crate::params::{domain_error, INTENSITY_RANGE, LIFETIME_RANGE};
 use crate::{memo, ModelError, ModelParams, OperationalModel, PACKAGING_FOOTPRINT};
 
 /// Lane width of the block-vectorized evaluation path: [`EvalPlan::eval_block`]
@@ -103,196 +111,28 @@ impl FreeAxis {
     /// Validates one point coordinate against the same Table 1 range the
     /// corresponding [`ModelParams`] field enforces.
     fn check(self, value: f64) -> Result<(), ModelError> {
-        let domain = |quantity: &'static str, expected: &'static str| {
-            let err = if value.is_finite() {
-                UnitError::out_of_domain(quantity, value, expected)
-            } else {
-                UnitError::non_finite(quantity, value)
-            };
-            Err(ModelError::from(err))
+        let non_negative = value >= 0.0 && value.is_finite();
+        let (in_range, quantity, expected) = match self {
+            Self::ExecutionTime => (non_negative, "execution time", "non-negative seconds"),
+            Self::Lifetime => {
+                (LIFETIME_RANGE.contains(&value), "hardware lifetime", "within [0.1, 50] years")
+            }
+            Self::SocArea => (non_negative, "SoC area", "non-negative mm^2"),
+            Self::UseIntensity | Self::FabIntensity => (
+                INTENSITY_RANGE.contains(&value),
+                "carbon intensity",
+                "within [0, 2000] g CO2/kWh",
+            ),
+            Self::FabYield => (value > 0.0 && value <= 1.0, "fab yield", "within (0, 1]"),
+            Self::Energy => (non_negative, "application energy", "non-negative joules"),
+            Self::DramCapacity(_) | Self::SsdCapacity(_) | Self::HddCapacity(_) => {
+                (non_negative, "storage capacity", "non-negative GB")
+            }
         };
-        match self {
-            Self::ExecutionTime if !(value >= 0.0 && value.is_finite()) => {
-                domain("execution time", "non-negative seconds")
-            }
-            Self::Lifetime if !(0.1..=50.0).contains(&value) => {
-                domain("hardware lifetime", "within [0.1, 50] years")
-            }
-            Self::SocArea if !(value >= 0.0 && value.is_finite()) => {
-                domain("SoC area", "non-negative mm^2")
-            }
-            Self::UseIntensity | Self::FabIntensity if !(0.0..=2000.0).contains(&value) => {
-                domain("carbon intensity", "within [0, 2000] g CO2/kWh")
-            }
-            Self::FabYield if !(value > 0.0 && value <= 1.0) => {
-                domain("fab yield", "within (0, 1]")
-            }
-            Self::Energy if !(value >= 0.0 && value.is_finite()) => {
-                domain("application energy", "non-negative joules")
-            }
-            Self::DramCapacity(_) | Self::SsdCapacity(_) | Self::HddCapacity(_)
-                if !(value >= 0.0 && value.is_finite()) =>
-            {
-                domain("storage capacity", "non-negative GB")
-            }
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A scalar operand of the compiled kernel: either folded to a constant or
-/// read from a point coordinate (already in the oracle's base unit).
-#[derive(Clone, Copy, Debug)]
-enum Scalar {
-    Const(f64),
-    Axis(usize),
-}
-
-impl Scalar {
-    #[inline]
-    fn get(self, point: &[f64]) -> f64 {
-        match self {
-            Self::Const(value) => value,
-            Self::Axis(index) => point[index],
-        }
-    }
-}
-
-/// The operational term of eq. 2, `CIuse × (E × effectiveness)`.
-#[derive(Clone, Copy, Debug)]
-enum OpTerm {
-    /// Fully invariant: the folded gCO₂ value.
-    Const(f64),
-    /// At least one operand varies per point.
-    Dynamic { intensity: Scalar, energy: EnergySource },
-}
-
-/// Where the per-point useful energy (kWh) comes from.
-#[derive(Clone, Copy, Debug)]
-enum EnergySource {
-    /// Invariant energy, pre-converted to the model's kWh base.
-    KwhConst(f64),
-    /// Free axis carrying joules; converted per point exactly like the
-    /// oracle's `Energy::joules` constructor.
-    JoulesAxis(usize),
-}
-
-/// Where the per-point SoC die area (cm²) comes from.
-#[derive(Clone, Copy, Debug)]
-enum AreaSource {
-    /// Invariant area, pre-converted to the model's cm² base.
-    Cm2Const(f64),
-    /// Free axis carrying mm²; converted per point exactly like the
-    /// oracle's `Area::square_millimeters` constructor.
-    Mm2Axis(usize),
-}
-
-/// One addend of the eq. 3 embodied sum, in component order.
-#[derive(Clone, Copy, Debug)]
-enum EmbodiedTerm {
-    /// Fully invariant component: its folded gCO₂ footprint.
-    Const(f64),
-    /// SoC with an invariant CPA but a free die area: `CPA × A` (eq. 4).
-    SocAreaScaled { cpa_g_per_cm2: f64, area: AreaSource },
-    /// SoC whose CPA itself varies (free fab intensity and/or yield):
-    /// the full eq. 5 residual `(CI·EPA + GPA + MPA) / Y × A`.
-    SocCpa {
-        epa_kwh_per_cm2: f64,
-        gpa_g_per_cm2: f64,
-        mpa_g_per_cm2: f64,
-        intensity: Scalar,
-        fab_yield: Scalar,
-        area: AreaSource,
-    },
-    /// Storage entry with a free capacity: `CPS × capacity` (eqs. 6–8).
-    StorageScaled { grams_per_gb: f64, capacity_axis: usize },
-}
-
-impl EmbodiedTerm {
-    #[inline]
-    fn eval(&self, point: &[f64]) -> f64 {
-        match self {
-            Self::Const(value) => *value,
-            Self::SocAreaScaled { cpa_g_per_cm2, area } => cpa_g_per_cm2 * area.get(point),
-            Self::SocCpa {
-                epa_kwh_per_cm2,
-                gpa_g_per_cm2,
-                mpa_g_per_cm2,
-                intensity,
-                fab_yield,
-                area,
-            } => {
-                // Exactly eq. 5 as `FabScenario::cpa_breakdown` + `total()`
-                // compute it: CI×EPA, then left-associated additions, then
-                // the yield division, then eq. 4's area multiply.
-                let energy = intensity.get(point) * epa_kwh_per_cm2;
-                let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
-                let cpa = before_yield / fab_yield.get(point);
-                cpa * area.get(point)
-            }
-            Self::StorageScaled { grams_per_gb, capacity_axis } => {
-                grams_per_gb * point[*capacity_axis]
-            }
-        }
-    }
-}
-
-impl EnergySource {
-    #[inline]
-    fn get(self, point: &[f64]) -> f64 {
-        match self {
-            Self::KwhConst(value) => value,
-            Self::JoulesAxis(index) => Energy::joules(point[index]).as_kilowatt_hours(),
-        }
-    }
-}
-
-impl AreaSource {
-    #[inline]
-    fn get(self, point: &[f64]) -> f64 {
-        match self {
-            Self::Cm2Const(value) => value,
-            Self::Mm2Axis(index) => {
-                Area::square_millimeters(point[index]).as_square_centimeters()
-            }
-        }
-    }
-}
-
-/// The embodied sum of eq. 3: either folded entirely or a term list that
-/// is re-summed per point in the oracle's component order (f64 addition is
-/// not associative, so constants are *not* merged across terms).
-#[derive(Clone, Debug)]
-enum EcfTerm {
-    Const(f64),
-    Terms(Vec<EmbodiedTerm>),
-}
-
-/// The `T / LT` amortization ratio of eq. 1.
-#[derive(Clone, Copy, Debug)]
-enum AmortTerm {
-    Const(f64),
-    Dynamic { run_time: TimeSource, lifetime: TimeSource },
-}
-
-/// Where a per-point time span (seconds) comes from.
-#[derive(Clone, Copy, Debug)]
-enum TimeSource {
-    SecondsConst(f64),
-    /// Free axis carrying seconds (already the model's base unit).
-    SecondsAxis(usize),
-    /// Free axis carrying years; converted per point exactly like the
-    /// oracle's `TimeSpan::years` constructor.
-    YearsAxis(usize),
-}
-
-impl TimeSource {
-    #[inline]
-    fn get(self, point: &[f64]) -> f64 {
-        match self {
-            Self::SecondsConst(value) => value,
-            Self::SecondsAxis(index) => point[index],
-            Self::YearsAxis(index) => TimeSpan::years(point[index]).as_seconds(),
+        if in_range {
+            Ok(())
+        } else {
+            Err(domain_error(quantity, value, expected).into())
         }
     }
 }
@@ -305,9 +145,7 @@ impl TimeSource {
 #[derive(Clone, Debug)]
 pub struct CompiledFootprint {
     axes: Vec<FreeAxis>,
-    op: OpTerm,
-    ecf: EcfTerm,
-    amortization: AmortTerm,
+    plan: EvalPlan,
 }
 
 impl CompiledFootprint {
@@ -341,18 +179,19 @@ impl CompiledFootprint {
             }
         }
         let position = |wanted: FreeAxis| axes.iter().position(|axis| *axis == wanted);
+        // A free axis reads its column; a fixed one folds its baseline
+        // through the same conversion a column value would take.
+        let operand = |axis: FreeAxis, unit: Unit, baseline: f64| match position(axis) {
+            Some(col) => Operand::Col(col, unit),
+            None => Operand::Const(unit.to_base(baseline)),
+        };
 
         // Operational term (eq. 2).
-        let use_intensity = match position(FreeAxis::UseIntensity) {
-            Some(index) => Scalar::Axis(index),
-            None => Scalar::Const(params.use_intensity_g_per_kwh),
-        };
-        let energy = match position(FreeAxis::Energy) {
-            Some(index) => EnergySource::JoulesAxis(index),
-            None => EnergySource::KwhConst(Energy::joules(params.energy_j).as_kilowatt_hours()),
-        };
-        let op = match (use_intensity, energy) {
-            (Scalar::Const(_), EnergySource::KwhConst(_)) => OpTerm::Const(
+        let op = match (
+            operand(FreeAxis::UseIntensity, Unit::Base, params.use_intensity_g_per_kwh),
+            operand(FreeAxis::Energy, Unit::Joules, params.energy_j),
+        ) {
+            (Operand::Const(_), Operand::Const(_)) => PlanOp::Const(
                 // Fold by replaying the oracle's own call chain.
                 OperationalModel::new(CarbonIntensity::grams_per_kwh(
                     params.use_intensity_g_per_kwh,
@@ -360,43 +199,30 @@ impl CompiledFootprint {
                 .footprint(Energy::joules(params.energy_j))
                 .as_grams(),
             ),
-            (intensity, energy) => OpTerm::Dynamic { intensity, energy },
+            (intensity, energy) => PlanOp::Product { intensity, energy },
         };
 
         // Embodied terms (eq. 3), in `SystemSpec::embodied` component
         // order: SoC, DRAM entries, SSD entries, HDD entries, packaging.
         let fab = params.try_fab_scenario()?;
-        let fab_intensity = match position(FreeAxis::FabIntensity) {
-            Some(index) => Scalar::Axis(index),
-            None => Scalar::Const(params.fab_intensity_g_per_kwh),
-        };
-        let fab_yield = match position(FreeAxis::FabYield) {
-            Some(index) => Scalar::Axis(index),
-            None => Scalar::Const(params.fab_yield),
-        };
-        let area = match position(FreeAxis::SocArea) {
-            Some(index) => AreaSource::Mm2Axis(index),
-            None => AreaSource::Cm2Const(
-                Area::square_millimeters(params.soc_area_mm2).as_square_centimeters(),
+        let soc = match (
+            operand(FreeAxis::FabIntensity, Unit::Base, params.fab_intensity_g_per_kwh),
+            operand(FreeAxis::FabYield, Unit::Base, params.fab_yield),
+            operand(FreeAxis::SocArea, Unit::Mm2, params.soc_area_mm2),
+        ) {
+            (Operand::Const(_), Operand::Const(_), Operand::Const(_)) => PlanInstr::Const(
+                (memo::carbon_per_area(&fab, params.process_node)
+                    * Area::square_millimeters(params.soc_area_mm2))
+                .as_grams(),
             ),
-        };
-        let mut terms = Vec::new();
-        terms.push(match (fab_intensity, fab_yield, area) {
-            (Scalar::Const(_), Scalar::Const(_), AreaSource::Cm2Const(_)) => {
-                EmbodiedTerm::Const(
-                    (memo::carbon_per_area(&fab, params.process_node)
-                        * Area::square_millimeters(params.soc_area_mm2))
-                    .as_grams(),
-                )
-            }
-            (Scalar::Const(_), Scalar::Const(_), area) => EmbodiedTerm::SocAreaScaled {
+            (Operand::Const(_), Operand::Const(_), area) => PlanInstr::AreaScaled {
                 cpa_g_per_cm2: memo::carbon_per_area(&fab, params.process_node)
                     .as_grams_per_cm2(),
                 area,
             },
             (intensity, fab_yield, area) => {
                 let node = params.process_node;
-                EmbodiedTerm::SocCpa {
+                PlanInstr::Cpa {
                     epa_kwh_per_cm2: node.energy_per_area().as_kwh_per_cm2(),
                     gpa_g_per_cm2: node.gas_per_area(fab.abatement).as_grams_per_cm2(),
                     mpa_g_per_cm2: node.materials_per_area().as_grams_per_cm2(),
@@ -405,76 +231,69 @@ impl CompiledFootprint {
                     area,
                 }
             }
-        });
+        };
+        let mut instrs = vec![soc];
         for (k, (technology, gb)) in params.dram.iter().enumerate() {
-            terms.push(match position(FreeAxis::DramCapacity(k)) {
-                Some(index) => EmbodiedTerm::StorageScaled {
+            instrs.push(match position(FreeAxis::DramCapacity(k)) {
+                Some(capacity_col) => PlanInstr::Storage {
                     grams_per_gb: technology.carbon_per_gb().as_grams_per_gb(),
-                    capacity_axis: index,
+                    capacity_col,
                 },
-                None => EmbodiedTerm::Const(
+                None => PlanInstr::Const(
                     memo::dram_embodied(*technology, Capacity::gigabytes(*gb)).as_grams(),
                 ),
             });
         }
         for (k, (technology, gb)) in params.ssd.iter().enumerate() {
-            terms.push(match position(FreeAxis::SsdCapacity(k)) {
-                Some(index) => EmbodiedTerm::StorageScaled {
+            instrs.push(match position(FreeAxis::SsdCapacity(k)) {
+                Some(capacity_col) => PlanInstr::Storage {
                     grams_per_gb: technology.carbon_per_gb().as_grams_per_gb(),
-                    capacity_axis: index,
+                    capacity_col,
                 },
-                None => EmbodiedTerm::Const(
+                None => PlanInstr::Const(
                     memo::ssd_embodied(*technology, Capacity::gigabytes(*gb)).as_grams(),
                 ),
             });
         }
         for (k, (model, gb)) in params.hdd.iter().enumerate() {
-            terms.push(match position(FreeAxis::HddCapacity(k)) {
-                Some(index) => EmbodiedTerm::StorageScaled {
+            instrs.push(match position(FreeAxis::HddCapacity(k)) {
+                Some(capacity_col) => PlanInstr::Storage {
                     grams_per_gb: model.carbon_per_gb().as_grams_per_gb(),
-                    capacity_axis: index,
+                    capacity_col,
                 },
-                None => EmbodiedTerm::Const(
+                None => PlanInstr::Const(
                     memo::hdd_embodied(*model, Capacity::gigabytes(*gb)).as_grams(),
                 ),
             });
         }
         if params.packaged_ic_count > 0 {
-            terms.push(EmbodiedTerm::Const(
+            instrs.push(PlanInstr::Const(
                 (PACKAGING_FOOTPRINT * f64::from(params.packaged_ic_count)).as_grams(),
             ));
         }
-        let all_const = terms.iter().all(|term| matches!(term, EmbodiedTerm::Const(_)));
-        let ecf = if all_const {
-            // Replay the oracle's `.sum()` fold (0.0, then += per
-            // component, in order) so the folded constant carries the same
-            // rounding as the interpreted sum.
-            EcfTerm::Const(terms.iter().fold(0.0, |acc, term| acc + term.eval(&[])))
-        } else {
-            EcfTerm::Terms(terms)
+        // All-constant sums fold by replaying the oracle's `.sum()` (0.0,
+        // then += per component, in order), so the folded constant carries
+        // the same rounding as the interpreted sum.
+        let folded = instrs.iter().try_fold(0.0, |acc, instr| match instr {
+            PlanInstr::Const(value) => Some(acc + value),
+            _ => None,
+        });
+        let embodied = match folded {
+            Some(value) => PlanEmbodied::Const(value),
+            None => PlanEmbodied::Instrs(instrs),
         };
 
         // Amortization (eq. 1's T / LT).
-        let run_time = match position(FreeAxis::ExecutionTime) {
-            Some(index) => TimeSource::SecondsAxis(index),
-            None => TimeSource::SecondsConst(
-                TimeSpan::seconds(params.execution_time_s).as_seconds(),
-            ),
-        };
-        let lifetime = match position(FreeAxis::Lifetime) {
-            Some(index) => TimeSource::YearsAxis(index),
-            None => {
-                TimeSource::SecondsConst(TimeSpan::years(params.lifetime_years).as_seconds())
-            }
-        };
-        let amortization = match (run_time, lifetime) {
-            (TimeSource::SecondsConst(t), TimeSource::SecondsConst(lt)) => {
-                AmortTerm::Const(t / lt)
-            }
-            (run_time, lifetime) => AmortTerm::Dynamic { run_time, lifetime },
+        let amort = match (
+            operand(FreeAxis::ExecutionTime, Unit::Base, params.execution_time_s),
+            operand(FreeAxis::Lifetime, Unit::Years, params.lifetime_years),
+        ) {
+            (Operand::Const(t), Operand::Const(lt)) => PlanAmort::Const(t / lt),
+            (run_time, lifetime) => PlanAmort::Ratio { run_time, lifetime },
         };
 
-        Ok(Self { axes: axes.to_vec(), op, ecf, amortization })
+        let plan = EvalPlan { arity: axes.len(), op, embodied, amort };
+        Ok(Self { axes: axes.to_vec(), plan })
     }
 
     /// Panicking convenience for [`Self::try_compile`] — for baselines and
@@ -521,28 +340,7 @@ impl CompiledFootprint {
             self.axes.len(),
             "point arity must match the compiled free axes"
         );
-        if !point.iter().all(|value| value.is_finite()) {
-            return f64::NAN;
-        }
-        let operational = match &self.op {
-            OpTerm::Const(value) => *value,
-            OpTerm::Dynamic { intensity, energy } => {
-                // Eq. 2 exactly as `OperationalModel::footprint`:
-                // CI × (E × effectiveness), effectiveness folded at 1.0.
-                intensity.get(point) * (energy.get(point) * 1.0)
-            }
-        };
-        let embodied = match &self.ecf {
-            EcfTerm::Const(value) => *value,
-            EcfTerm::Terms(terms) => terms.iter().fold(0.0, |acc, term| acc + term.eval(point)),
-        };
-        let ratio = match self.amortization {
-            AmortTerm::Const(value) => value,
-            AmortTerm::Dynamic { run_time, lifetime } => {
-                run_time.get(point) / lifetime.get(point)
-            }
-        };
-        operational + embodied * ratio
+        self.plan.eval_point(|col| point[col])
     }
 
     /// Checked variant of [`Self::eval`]: validates every coordinate
@@ -572,277 +370,173 @@ impl CompiledFootprint {
         }
     }
 
-    /// Lowers the kernel's term trees into a flat [`EvalPlan`] for the
-    /// block-vectorized batch path: every operand becomes either a folded
-    /// constant or a column index into a structure-of-arrays batch, so
-    /// [`EvalPlan::eval_block`] dispatches each instruction **once per
-    /// block** instead of walking the enums once per point.
-    ///
-    /// The plan replays the exact per-point floating-point operation
-    /// sequence of [`Self::eval`] (same associativity, same unit
-    /// conversions, same eq. 3 component order), so block results are
-    /// bit-for-bit identical to the per-point kernel and the interpreted
-    /// oracle.
+    /// The kernel's [`EvalPlan`], for block-vectorized batch evaluation
+    /// with [`EvalPlan::eval_block`]: bit-for-bit identical to
+    /// [`Self::eval`] per point.
     #[must_use]
     pub fn plan(&self) -> EvalPlan {
-        let op = match &self.op {
-            OpTerm::Const(value) => PlanOp::Const(*value),
-            OpTerm::Dynamic { intensity, energy } => PlanOp::Product {
-                intensity: ColOperand::from_scalar(*intensity),
-                energy: match energy {
-                    EnergySource::KwhConst(kwh) => PlanEnergy::KwhConst(*kwh),
-                    EnergySource::JoulesAxis(col) => PlanEnergy::JoulesCol(*col),
-                },
-            },
-        };
-        let embodied = match &self.ecf {
-            EcfTerm::Const(value) => PlanEmbodied::Const(*value),
-            EcfTerm::Terms(terms) => PlanEmbodied::Instrs(
-                terms
-                    .iter()
-                    .map(|term| match term {
-                        EmbodiedTerm::Const(value) => PlanInstr::Const(*value),
-                        EmbodiedTerm::SocAreaScaled { cpa_g_per_cm2, area } => {
-                            PlanInstr::AreaScaled {
-                                cpa_g_per_cm2: *cpa_g_per_cm2,
-                                area: PlanArea::from_source(*area),
-                            }
-                        }
-                        EmbodiedTerm::SocCpa {
-                            epa_kwh_per_cm2,
-                            gpa_g_per_cm2,
-                            mpa_g_per_cm2,
-                            intensity,
-                            fab_yield,
-                            area,
-                        } => PlanInstr::Cpa {
-                            epa_kwh_per_cm2: *epa_kwh_per_cm2,
-                            gpa_g_per_cm2: *gpa_g_per_cm2,
-                            mpa_g_per_cm2: *mpa_g_per_cm2,
-                            intensity: ColOperand::from_scalar(*intensity),
-                            fab_yield: ColOperand::from_scalar(*fab_yield),
-                            area: PlanArea::from_source(*area),
-                        },
-                        EmbodiedTerm::StorageScaled { grams_per_gb, capacity_axis } => {
-                            PlanInstr::Storage {
-                                grams_per_gb: *grams_per_gb,
-                                capacity_col: *capacity_axis,
-                            }
-                        }
-                    })
-                    .collect(),
-            ),
-        };
-        let amort = match self.amortization {
-            AmortTerm::Const(value) => PlanAmort::Const(value),
-            AmortTerm::Dynamic { run_time, lifetime } => PlanAmort::Ratio {
-                run_time: PlanTime::from_source(run_time),
-                lifetime: PlanTime::from_source(lifetime),
-            },
-        };
-        EvalPlan { arity: self.axes.len(), op, embodied, amort }
+        self.plan.clone()
     }
 }
 
-/// A block-instruction operand that is either a folded constant or a raw
-/// read of column `col` (no unit conversion).
+/// The unit a point coordinate is given in, and its conversion to the
+/// model's base unit — exactly the oracle's unit constructor.
 #[derive(Clone, Copy, Debug)]
-enum ColOperand {
-    Const(f64),
-    Col(usize),
+enum Unit {
+    /// Already the base unit (seconds, g CO₂/kWh, a yield fraction).
+    Base,
+    /// Joules, converted like `Energy::joules` to kWh.
+    Joules,
+    /// mm², converted like `Area::square_millimeters` to cm².
+    Mm2,
+    /// Years, converted like `TimeSpan::years` to seconds.
+    Years,
 }
 
-impl ColOperand {
-    fn from_scalar(scalar: Scalar) -> Self {
-        match scalar {
-            Scalar::Const(value) => Self::Const(value),
-            Scalar::Axis(col) => Self::Col(col),
+impl Unit {
+    #[inline]
+    fn to_base(self, value: f64) -> f64 {
+        match self {
+            Self::Base => value,
+            Self::Joules => Energy::joules(value).as_kilowatt_hours(),
+            Self::Mm2 => Area::square_millimeters(value).as_square_centimeters(),
+            Self::Years => TimeSpan::years(value).as_seconds(),
         }
     }
+}
 
+/// An operand of the plan: a folded constant (already in the base unit)
+/// or column `col` of the point, converted from `Unit` per point.
+#[derive(Clone, Copy, Debug)]
+enum Operand {
+    Const(f64),
+    Col(usize, Unit),
+}
+
+impl Operand {
     #[inline]
-    fn at(self, columns: &[&[f64]], index: usize) -> f64 {
+    fn at(self, coord: &impl Fn(usize) -> f64) -> f64 {
         match self {
             Self::Const(value) => value,
-            Self::Col(col) => columns[col][index],
+            Self::Col(col, unit) => unit.to_base(coord(col)),
         }
     }
 
     /// Fills `dst` with this operand over `start..start + dst.len()`.
     #[inline]
     fn lane(self, dst: &mut [f64], columns: &[&[f64]], start: usize) {
+        /// One loop per unit, so the conversion is resolved once per lane
+        /// rather than per point.
+        fn convert(dst: &mut [f64], src: &[f64], to_base: impl Fn(f64) -> f64) {
+            for (slot, &value) in dst.iter_mut().zip(src) {
+                // The unit layer rejects non-finite magnitudes; such points
+                // are poisoned to NaN by the block's finite mask, so any
+                // NaN placeholder is equivalent here.
+                *slot = if value.is_finite() { to_base(value) } else { f64::NAN };
+            }
+        }
         match self {
             Self::Const(value) => dst.fill(value),
-            Self::Col(col) => dst.copy_from_slice(&columns[col][start..start + dst.len()]),
-        }
-    }
-}
-
-/// Where the per-point useful energy (kWh) comes from in a plan.
-#[derive(Clone, Copy, Debug)]
-enum PlanEnergy {
-    KwhConst(f64),
-    /// Column carrying joules; converted per point exactly like the
-    /// oracle's `Energy::joules` constructor.
-    JoulesCol(usize),
-}
-
-/// Where the per-point SoC die area (cm²) comes from in a plan.
-#[derive(Clone, Copy, Debug)]
-enum PlanArea {
-    Cm2Const(f64),
-    /// Column carrying mm²; converted per point exactly like the oracle's
-    /// `Area::square_millimeters` constructor.
-    Mm2Col(usize),
-}
-
-impl PlanArea {
-    fn from_source(source: AreaSource) -> Self {
-        match source {
-            AreaSource::Cm2Const(value) => Self::Cm2Const(value),
-            AreaSource::Mm2Axis(col) => Self::Mm2Col(col),
-        }
-    }
-
-    #[inline]
-    fn at(self, columns: &[&[f64]], index: usize) -> f64 {
-        match self {
-            Self::Cm2Const(value) => value,
-            Self::Mm2Col(col) => {
-                Area::square_millimeters(columns[col][index]).as_square_centimeters()
-            }
-        }
-    }
-
-    #[inline]
-    fn lane(self, dst: &mut [f64], columns: &[&[f64]], start: usize) {
-        match self {
-            Self::Cm2Const(value) => dst.fill(value),
-            Self::Mm2Col(col) => {
+            Self::Col(col, unit) => {
                 let src = &columns[col][start..start + dst.len()];
-                for (slot, &mm2) in dst.iter_mut().zip(src) {
-                    // The unit layer rejects non-finite magnitudes; such
-                    // points are poisoned to NaN by the block's finite
-                    // mask, so any NaN placeholder is equivalent here.
-                    *slot = if mm2.is_finite() {
-                        Area::square_millimeters(mm2).as_square_centimeters()
-                    } else {
-                        f64::NAN
-                    };
+                match unit {
+                    Unit::Base => dst.copy_from_slice(src),
+                    Unit::Joules => convert(dst, src, |value| Unit::Joules.to_base(value)),
+                    Unit::Mm2 => convert(dst, src, |value| Unit::Mm2.to_base(value)),
+                    Unit::Years => convert(dst, src, |value| Unit::Years.to_base(value)),
                 }
             }
         }
     }
 }
 
-/// Where a per-point time span (seconds) comes from in a plan.
-#[derive(Clone, Copy, Debug)]
-enum PlanTime {
-    SecondsConst(f64),
-    SecondsCol(usize),
-    /// Column carrying years; converted per point exactly like the
-    /// oracle's `TimeSpan::years` constructor.
-    YearsCol(usize),
-}
-
-impl PlanTime {
-    fn from_source(source: TimeSource) -> Self {
-        match source {
-            TimeSource::SecondsConst(value) => Self::SecondsConst(value),
-            TimeSource::SecondsAxis(col) => Self::SecondsCol(col),
-            TimeSource::YearsAxis(col) => Self::YearsCol(col),
-        }
-    }
-
-    #[inline]
-    fn at(self, columns: &[&[f64]], index: usize) -> f64 {
-        match self {
-            Self::SecondsConst(value) => value,
-            Self::SecondsCol(col) => columns[col][index],
-            Self::YearsCol(col) => TimeSpan::years(columns[col][index]).as_seconds(),
-        }
-    }
-
-    #[inline]
-    fn lane(self, dst: &mut [f64], columns: &[&[f64]], start: usize) {
-        match self {
-            Self::SecondsConst(value) => dst.fill(value),
-            Self::SecondsCol(col) => {
-                dst.copy_from_slice(&columns[col][start..start + dst.len()]);
-            }
-            Self::YearsCol(col) => {
-                let src = &columns[col][start..start + dst.len()];
-                for (slot, &years) in dst.iter_mut().zip(src) {
-                    // Non-finite magnitudes would trip the unit layer;
-                    // the block's finite mask poisons them to NaN anyway.
-                    *slot = if years.is_finite() {
-                        TimeSpan::years(years).as_seconds()
-                    } else {
-                        f64::NAN
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// The operational term of a plan (eq. 2).
+/// The operational term of eq. 2.
 #[derive(Clone, Copy, Debug)]
 enum PlanOp {
+    /// Fully invariant: the folded gCO₂ value.
     Const(f64),
-    Product { intensity: ColOperand, energy: PlanEnergy },
+    /// `CIuse × (E × effectiveness)` with at least one operand free.
+    Product { intensity: Operand, energy: Operand },
 }
 
-/// One flat, branch-free instruction of the embodied sum (eq. 3): each
-/// adds its term into the block's embodied accumulator lane. Instruction
-/// order is the oracle's component order — f64 addition is not
-/// associative, so the lowering never merges or reorders terms.
+/// One addend of the eq. 3 embodied sum. Instruction order is the
+/// oracle's component order — f64 addition is not associative, so
+/// compilation never merges or reorders terms.
 #[derive(Clone, Copy, Debug)]
 enum PlanInstr {
+    /// Fully invariant component: its folded gCO₂ footprint.
     Const(f64),
-    AreaScaled {
-        cpa_g_per_cm2: f64,
-        area: PlanArea,
-    },
+    /// SoC with an invariant CPA but a free die area: `CPA × A` (eq. 4).
+    AreaScaled { cpa_g_per_cm2: f64, area: Operand },
+    /// SoC whose CPA itself varies (free fab intensity and/or yield):
+    /// the full eq. 5 residual `(CI·EPA + GPA + MPA) / Y × A`.
     Cpa {
         epa_kwh_per_cm2: f64,
         gpa_g_per_cm2: f64,
         mpa_g_per_cm2: f64,
-        intensity: ColOperand,
-        fab_yield: ColOperand,
-        area: PlanArea,
+        intensity: Operand,
+        fab_yield: Operand,
+        area: Operand,
     },
-    Storage {
-        grams_per_gb: f64,
-        capacity_col: usize,
-    },
+    /// Storage entry with a free capacity: `CPS × capacity` (eqs. 6–8).
+    Storage { grams_per_gb: f64, capacity_col: usize },
 }
 
-/// The embodied sum of a plan: folded entirely or an instruction list.
+impl PlanInstr {
+    /// This term's gCO₂ at one point.
+    #[inline]
+    fn term(self, coord: &impl Fn(usize) -> f64) -> f64 {
+        match self {
+            Self::Const(value) => value,
+            Self::AreaScaled { cpa_g_per_cm2, area } => cpa_g_per_cm2 * area.at(coord),
+            Self::Cpa {
+                epa_kwh_per_cm2,
+                gpa_g_per_cm2,
+                mpa_g_per_cm2,
+                intensity,
+                fab_yield,
+                area,
+            } => {
+                // Exactly eq. 5 as `FabScenario::cpa_breakdown` + `total()`
+                // compute it: CI×EPA, then left-associated additions, then
+                // the yield division, then eq. 4's area multiply.
+                let energy = intensity.at(coord) * epa_kwh_per_cm2;
+                let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
+                let cpa = before_yield / fab_yield.at(coord);
+                cpa * area.at(coord)
+            }
+            Self::Storage { grams_per_gb, capacity_col } => grams_per_gb * coord(capacity_col),
+        }
+    }
+}
+
+/// The embodied sum of eq. 3: folded entirely, or an instruction list
+/// re-summed per point (constants are *not* merged across terms).
 #[derive(Clone, Debug)]
 enum PlanEmbodied {
     Const(f64),
     Instrs(Vec<PlanInstr>),
 }
 
-/// The `T / LT` amortization of a plan (eq. 1).
+/// The `T / LT` amortization ratio of eq. 1.
 #[derive(Clone, Copy, Debug)]
 enum PlanAmort {
     Const(f64),
-    Ratio { run_time: PlanTime, lifetime: PlanTime },
+    Ratio { run_time: Operand, lifetime: Operand },
 }
 
-/// A [`CompiledFootprint`] lowered for block-vectorized batch evaluation:
-/// a flat instruction list whose operands are constants or column indices
-/// into a structure-of-arrays point batch.
+/// The compiled form of a [`CompiledFootprint`]: a flat instruction list
+/// whose operands are constants or column indices into a
+/// structure-of-arrays point batch.
 ///
 /// [`Self::eval_block`] reads the columns directly — no per-point gather
 /// into a scratch slice, no per-point enum dispatch — processing
 /// [`LANES`]-wide blocks whose inner loops rustc auto-vectorizes (no
-/// `unsafe`, no intrinsics; the tail shorter than a block runs through a
-/// scalar loop). Because every per-point operation chain is identical to
-/// [`CompiledFootprint::eval`], results are **bit-for-bit identical** to
-/// the per-point kernel and the interpreted oracle; the property tests in
+/// `unsafe`, no intrinsics); the tail shorter than a block runs through
+/// the scalar chain [`CompiledFootprint::eval`] uses. Because the lane
+/// chain replays every per-point operation of the scalar one, results
+/// are **bit-for-bit identical** to the per-point kernel and the
+/// interpreted oracle; the property tests in
 /// `crates/core/tests/compiled.rs` pin the equivalence.
 ///
 /// # Examples
@@ -908,11 +602,43 @@ impl EvalPlan {
             start += LANES;
             done += LANES;
         }
-        // ...and a scalar tail for the remainder.
+        // ...and the scalar chain for the remainder.
         for slot in &mut out[done..] {
-            *slot = self.eval_scalar(columns, start);
+            *slot = self.eval_point(|col| columns[col][start]);
             start += 1;
         }
+    }
+
+    /// The scalar chain: eq. 1 at one point whose column `c` reads as
+    /// `coord(c)`. [`CompiledFootprint::eval`] and the tail of
+    /// [`Self::eval_block`] both run it, so there is one per-point
+    /// operation sequence for [`Self::eval_lane_block`] to replay.
+    #[inline]
+    fn eval_point(&self, coord: impl Fn(usize) -> f64) -> f64 {
+        if !(0..self.arity).all(|col| coord(col).is_finite()) {
+            return f64::NAN;
+        }
+        let operational = match self.op {
+            PlanOp::Const(value) => value,
+            // Eq. 2 exactly as `OperationalModel::footprint`:
+            // CI × (E × effectiveness), effectiveness folded at 1.0.
+            PlanOp::Product { intensity, energy } => {
+                intensity.at(&coord) * (energy.at(&coord) * 1.0)
+            }
+        };
+        let embodied = match &self.embodied {
+            PlanEmbodied::Const(value) => *value,
+            PlanEmbodied::Instrs(instrs) => {
+                instrs.iter().fold(0.0, |acc, instr| acc + instr.term(&coord))
+            }
+        };
+        let ratio = match self.amort {
+            PlanAmort::Const(value) => value,
+            PlanAmort::Ratio { run_time, lifetime } => {
+                run_time.at(&coord) / lifetime.at(&coord)
+            }
+        };
+        operational + embodied * ratio
     }
 
     /// One `n ≤ LANES` block: every instruction is dispatched once, its
@@ -928,38 +654,15 @@ impl EvalPlan {
         match self.op {
             PlanOp::Const(value) => op_lane.fill(value),
             PlanOp::Product { intensity, energy } => {
+                let mut ci_buf = [0.0f64; LANES];
                 let mut energy_buf = [0.0f64; LANES];
+                let ci_lane = &mut ci_buf[..n];
                 let energy_lane = &mut energy_buf[..n];
-                match energy {
-                    PlanEnergy::KwhConst(kwh) => energy_lane.fill(kwh),
-                    PlanEnergy::JoulesCol(col) => {
-                        let src = &columns[col][start..start + n];
-                        for (slot, &joules) in energy_lane.iter_mut().zip(src) {
-                            // Non-finite magnitudes would trip the unit
-                            // layer; the finite mask below poisons such
-                            // points to NaN regardless of this value.
-                            *slot = if joules.is_finite() {
-                                Energy::joules(joules).as_kilowatt_hours()
-                            } else {
-                                f64::NAN
-                            };
-                        }
-                    }
-                }
-                match intensity {
-                    ColOperand::Const(ci) => {
-                        for (slot, &kwh) in op_lane.iter_mut().zip(&*energy_lane) {
-                            *slot = ci * (kwh * 1.0);
-                        }
-                    }
-                    ColOperand::Col(col) => {
-                        let src = &columns[col][start..start + n];
-                        for ((slot, &kwh), &ci) in
-                            op_lane.iter_mut().zip(&*energy_lane).zip(src)
-                        {
-                            *slot = ci * (kwh * 1.0);
-                        }
-                    }
+                intensity.lane(ci_lane, columns, start);
+                energy.lane(energy_lane, columns, start);
+                for ((slot, &ci), &kwh) in op_lane.iter_mut().zip(&*ci_lane).zip(&*energy_lane)
+                {
+                    *slot = ci * (kwh * 1.0);
                 }
             }
         }
@@ -1002,9 +705,9 @@ impl EvalPlan {
                             intensity.lane(ci_lane, columns, start);
                             fab_yield.lane(yield_lane, columns, start);
                             area.lane(area_lane, columns, start);
-                            // Exactly the eq. 5 chain of the per-point
-                            // path: CI×EPA, left-associated additions,
-                            // yield division, eq. 4 area multiply.
+                            // Exactly the eq. 5 chain of `PlanInstr::term`:
+                            // CI×EPA, left-associated additions, yield
+                            // division, eq. 4 area multiply.
                             for i in 0..n {
                                 let energy = ci_lane[i] * epa_kwh_per_cm2;
                                 let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
@@ -1042,8 +745,8 @@ impl EvalPlan {
         }
 
         // Combine, then poison points with a non-finite coordinate to NaN
-        // — same outcome as `eval`'s up-front finiteness bail-out, applied
-        // as a mask so the lane loops stay branch-free.
+        // — same outcome as the scalar chain's up-front finiteness
+        // bail-out, applied as a mask so the lane loops stay branch-free.
         let mut finite_buf = [true; LANES];
         let finite_lane = &mut finite_buf[..n];
         for column in columns {
@@ -1056,60 +759,6 @@ impl EvalPlan {
             let value = op_lane[i] + emb_lane[i] * ratio_lane[i];
             out[i] = if finite_lane[i] { value } else { f64::NAN };
         }
-    }
-
-    /// Scalar tail: the same per-point operation chain as
-    /// [`CompiledFootprint::eval`], reading columns directly.
-    fn eval_scalar(&self, columns: &[&[f64]], index: usize) -> f64 {
-        if !columns.iter().all(|column| column[index].is_finite()) {
-            return f64::NAN;
-        }
-        let operational = match self.op {
-            PlanOp::Const(value) => value,
-            PlanOp::Product { intensity, energy } => {
-                let kwh = match energy {
-                    PlanEnergy::KwhConst(kwh) => kwh,
-                    PlanEnergy::JoulesCol(col) => {
-                        Energy::joules(columns[col][index]).as_kilowatt_hours()
-                    }
-                };
-                intensity.at(columns, index) * (kwh * 1.0)
-            }
-        };
-        let embodied = match &self.embodied {
-            PlanEmbodied::Const(value) => *value,
-            PlanEmbodied::Instrs(instrs) => instrs.iter().fold(0.0, |acc, instr| {
-                acc + match *instr {
-                    PlanInstr::Const(value) => value,
-                    PlanInstr::AreaScaled { cpa_g_per_cm2, area } => {
-                        cpa_g_per_cm2 * area.at(columns, index)
-                    }
-                    PlanInstr::Cpa {
-                        epa_kwh_per_cm2,
-                        gpa_g_per_cm2,
-                        mpa_g_per_cm2,
-                        intensity,
-                        fab_yield,
-                        area,
-                    } => {
-                        let energy = intensity.at(columns, index) * epa_kwh_per_cm2;
-                        let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
-                        let cpa = before_yield / fab_yield.at(columns, index);
-                        cpa * area.at(columns, index)
-                    }
-                    PlanInstr::Storage { grams_per_gb, capacity_col } => {
-                        grams_per_gb * columns[capacity_col][index]
-                    }
-                }
-            }),
-        };
-        let ratio = match self.amort {
-            PlanAmort::Const(value) => value,
-            PlanAmort::Ratio { run_time, lifetime } => {
-                run_time.at(columns, index) / lifetime.at(columns, index)
-            }
-        };
-        operational + embodied * ratio
     }
 }
 
@@ -1223,6 +872,18 @@ mod tests {
         assert!(kernel.try_eval(&[0.0]).is_err());
         assert!(kernel.try_eval(&[f64::NAN]).is_err());
         assert!(kernel.try_eval(&[0.5, 0.5]).is_err(), "arity mismatch");
+    }
+
+    #[test]
+    fn try_eval_rejects_a_finite_point_whose_footprint_overflows() {
+        let params = ModelParams::mobile_reference();
+        let axes = [FreeAxis::SocArea, FreeAxis::ExecutionTime];
+        let kernel = CompiledFootprint::try_compile(&params, &axes).expect("compiles");
+        // Both coordinates are inside their axis ranges; the product is not.
+        let point = [1.5e308, 1e300];
+        assert!(kernel.eval(&point).is_infinite());
+        let err = kernel.try_eval(&point).expect_err("an overflowing footprint is an error");
+        assert_eq!(err.to_string(), ModelError::non_finite("total footprint").to_string());
     }
 
     #[test]
@@ -1344,6 +1005,50 @@ mod tests {
                         axes.len()
                     );
                 }
+            }
+        }
+    }
+
+    /// The eq. 5 chain on its own: no operational term, no other
+    /// component, a 1 cm² die at yield 1 and `T == LT`, so the footprint
+    /// is exactly `(CI·EPA + GPA) + MPA`. Elsewhere a last-bit change in
+    /// that sum is mostly absorbed by the terms around it; here every
+    /// such change reaches the result, for every node's EPA and GPA.
+    #[test]
+    fn eq5_chain_reaches_the_result_bitwise_on_every_node() {
+        let len = 8 * LANES + 17;
+        let mut rng = TestRng(0xe95c_0000_0000_0004);
+        for node in act_data::ProcessNode::ALL {
+            let params = ModelParams {
+                execution_time_s: TimeSpan::years(3.0).as_seconds(),
+                lifetime_years: 3.0,
+                packaged_ic_count: 0,
+                soc_area_mm2: 100.0,
+                process_node: node,
+                use_intensity_g_per_kwh: 0.0,
+                fab_yield: 1.0,
+                dram: Vec::new(),
+                ssd: Vec::new(),
+                ..ModelParams::mobile_reference()
+            };
+            let axes = [FreeAxis::FabIntensity];
+            let kernel = CompiledFootprint::try_compile(&params, &axes).expect("compiles");
+            let intensities: Vec<f64> = (0..len).map(|_| rng.in_range(0.0, 2000.0)).collect();
+            let mut out = vec![0.0; len];
+            kernel.plan().eval_block(&[&intensities], 0..len, &mut out);
+            for (i, &ci) in intensities.iter().enumerate() {
+                let scalar = kernel.eval(&[ci]);
+                let oracle = oracle_with(&params, &axes, &[ci]);
+                assert_eq!(
+                    scalar.to_bits(),
+                    oracle.to_bits(),
+                    "{node:?}: eval vs oracle at {ci}"
+                );
+                assert_eq!(
+                    out[i].to_bits(),
+                    scalar.to_bits(),
+                    "{node:?}: block vs eval at {ci}"
+                );
             }
         }
     }

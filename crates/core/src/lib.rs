@@ -70,7 +70,7 @@ pub use intensity::IntensityProfile;
 pub use lifecycle::LifecycleEstimate;
 pub use metrics::{DesignPoint, OptimizationMetric};
 pub use operational::OperationalModel;
-pub use params::{ModelParams, ParamsError};
+pub use params::{ModelParams, ParamsError, INTENSITY_RANGE, LIFETIME_RANGE};
 pub use transport::{FreightMode, TransportLeg, TransportModel};
 
 use act_units::{MassCo2, TimeSpan};

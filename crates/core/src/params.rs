@@ -2,6 +2,8 @@
 //! ACT model in one validated, serializable struct, with a facade that
 //! evaluates eq. 1 directly.
 
+use std::ops::RangeInclusive;
+
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};
 use act_units::{
     Area, Capacity, CarbonIntensity, Energy, Fraction, MassCo2, TimeSpan, UnitError,
@@ -125,9 +127,19 @@ fn err_from_unit(message: impl Into<String>, source: UnitError) -> ParamsError {
     ParamsError { message: message.into(), source: Some(source) }
 }
 
+/// Table 1 hardware-lifetime range, years.
+pub const LIFETIME_RANGE: RangeInclusive<f64> = 0.1..=50.0;
+
+/// Table 1 carbon-intensity range (use and fab), g CO₂/kWh.
+pub const INTENSITY_RANGE: RangeInclusive<f64> = 0.0..=2000.0;
+
 /// Builds the [`UnitError`] describing a range violation, classifying NaN
 /// and infinities as non-finite rather than out-of-domain.
-fn domain_error(quantity: &'static str, value: f64, expected: &'static str) -> UnitError {
+pub(crate) fn domain_error(
+    quantity: &'static str,
+    value: f64,
+    expected: &'static str,
+) -> UnitError {
     if value.is_finite() {
         UnitError::out_of_domain(quantity, value, expected)
     } else {
@@ -169,7 +181,7 @@ impl ModelParams {
                 domain_error("execution time", self.execution_time_s, "non-negative seconds"),
             ));
         }
-        if !(0.1..=50.0).contains(&self.lifetime_years) {
+        if !LIFETIME_RANGE.contains(&self.lifetime_years) {
             return Err(err_from_unit(
                 format!(
                     "lifetime {} years outside the plausible 0.1-50 range",
@@ -191,7 +203,7 @@ impl ModelParams {
         for (label, ci) in
             [("use", self.use_intensity_g_per_kwh), ("fab", self.fab_intensity_g_per_kwh)]
         {
-            if !(0.0..=2000.0).contains(&ci) {
+            if !INTENSITY_RANGE.contains(&ci) {
                 return Err(err_from_unit(
                     format!("{label} carbon intensity {ci} outside 0-2000 g/kWh"),
                     domain_error("carbon intensity", ci, "within [0, 2000] g CO2/kWh"),

@@ -44,7 +44,7 @@ pub mod table12;
 pub mod table4;
 pub mod tables;
 
-/// Experiment IDs in paper order, as accepted by [`render_experiment`].
+/// Experiment IDs in paper order, as accepted by [`try_render_experiment`].
 pub const EXPERIMENT_IDS: [&str; 21] = [
     "fig1",
     "fig4",
@@ -68,27 +68,6 @@ pub const EXPERIMENT_IDS: [&str; 21] = [
     "devices",
     "all",
 ];
-
-/// Renders one experiment (or `"all"`) to text. Returns `None` for an
-/// unknown ID. Runs entirely on the calling thread.
-#[must_use]
-pub fn render_experiment(id: &str) -> Option<String> {
-    render(id, OutputFormat::Text, Parallelism::Serial)
-}
-
-/// Serializes one experiment's typed result to compact JSON. For `"all"`,
-/// emits a JSON array of `{"id": ..., "result": ...}` objects, one per
-/// concrete experiment in paper order. Returns `None` for unknown IDs.
-/// Runs entirely on the calling thread.
-///
-/// # Panics
-///
-/// Panics if serialization fails (experiment results contain only plain
-/// data and always serialize).
-#[must_use]
-pub fn render_experiment_json(id: &str) -> Option<String> {
-    render(id, OutputFormat::Json, Parallelism::Serial)
-}
 
 /// Serializes a result struct to one compact JSON line — experiment
 /// results contain only plain data, and `ToJson` is total, so this cannot
@@ -185,9 +164,11 @@ fn assemble_all<E>(
 /// Output format accepted by [`try_render_experiment`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OutputFormat {
-    /// The human-readable rendering of [`render_experiment`].
+    /// The human-readable rendering, one report per experiment.
     Text,
-    /// The compact one-line JSON rendering of [`render_experiment_json`].
+    /// The compact one-line JSON rendering of each experiment's typed
+    /// result. For `"all"`, a JSON array of `{"id": ..., "result": ...}`
+    /// objects, one per concrete experiment in paper order.
     Json,
 }
 
@@ -252,10 +233,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fault-isolating variant of [`render_experiment`] /
-/// [`render_experiment_json`]: an unknown ID or a panicking experiment
-/// becomes an [`ExperimentError`] instead of aborting the caller, so a
-/// batch run can report one failure and keep rendering the rest.
+/// Renders one experiment (or `"all"`) in `format`, entirely on the
+/// calling thread. An unknown ID or a panicking experiment becomes an
+/// [`ExperimentError`] instead of aborting the caller, so a batch run can
+/// report one failure and keep rendering the rest.
 ///
 /// # Errors
 ///
@@ -369,21 +350,22 @@ mod tests {
     #[test]
     fn every_experiment_renders_nonempty_text() {
         for id in EXPERIMENT_IDS {
-            let text = render_experiment(id).unwrap_or_else(|| panic!("unknown id {id}"));
+            let text = try_render_experiment(id, OutputFormat::Text)
+                .unwrap_or_else(|err| panic!("{id}: {err}"));
             assert!(text.len() > 80, "{id} rendered only {} bytes", text.len());
         }
     }
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(render_experiment("fig99").is_none());
+        assert!(try_render_experiment("fig99", OutputFormat::Text).is_err());
     }
 
     #[test]
     fn every_concrete_experiment_serializes_to_json() {
         for id in EXPERIMENT_IDS.iter().filter(|id| **id != "all") {
-            let json =
-                render_experiment_json(id).unwrap_or_else(|| panic!("{id} should serialize"));
+            let json = try_render_experiment(id, OutputFormat::Json)
+                .unwrap_or_else(|err| panic!("{id} should serialize: {err}"));
             let parsed =
                 act_json::JsonValue::parse(&json).unwrap_or_else(|e| panic!("{id}: {e}"));
             assert!(parsed.is_object() || parsed.is_array() || parsed.is_null(), "{id}");
@@ -392,7 +374,8 @@ mod tests {
 
     #[test]
     fn all_serializes_to_a_json_array_of_every_experiment() {
-        let json = render_experiment_json("all").expect("`all` should serialize");
+        let json =
+            try_render_experiment("all", OutputFormat::Json).expect("`all` should serialize");
         let parsed = act_json::JsonValue::parse(&json).unwrap();
         // The spliced assembly is exactly what rendering the parsed tree
         // gives back.
@@ -411,9 +394,9 @@ mod tests {
         assert_eq!(err, ExperimentError::UnknownId("fig99".to_owned()));
         assert!(err.to_string().contains("fig99"));
         let text = try_render_experiment("fig12", OutputFormat::Text).unwrap();
-        assert_eq!(text, render_experiment("fig12").unwrap());
+        assert_eq!(Some(text), render("fig12", OutputFormat::Text, Parallelism::Serial));
         let json = try_render_experiment("fig12", OutputFormat::Json).unwrap();
-        assert_eq!(json, render_experiment_json("fig12").unwrap());
+        assert_eq!(Some(json), render("fig12", OutputFormat::Json, Parallelism::Serial));
     }
 
     #[test]

@@ -33,6 +33,7 @@ use std::fmt;
 
 use act_core::{
     CompiledFootprint, EmbodiedReport, FreeAxis, ModelError, ModelParams, SystemSpec,
+    INTENSITY_RANGE, LIFETIME_RANGE,
 };
 use act_data::ProcessNode;
 use act_json::JsonError;
@@ -41,10 +42,6 @@ use act_units::{Area, Capacity, SECONDS_PER_YEAR};
 use crate::fleet::FleetKernel;
 use crate::schema::{Scenario, Workload};
 
-/// Table 1 lifetime range, years.
-pub(crate) const LIFETIME_RANGE: std::ops::RangeInclusive<f64> = 0.1..=50.0;
-/// Table 1 carbon-intensity range, g CO₂/kWh.
-pub(crate) const INTENSITY_RANGE: std::ops::RangeInclusive<f64> = 0.0..=2000.0;
 /// Duty cycle is a fraction of wall time.
 pub(crate) const UTILIZATION_RANGE: std::ops::RangeInclusive<f64> = 0.0..=1.0;
 /// Sanity ceiling on average power (a megawatt device is a typo).

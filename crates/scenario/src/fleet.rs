@@ -14,15 +14,14 @@
 //! layer counts such samples as `rejected` instead of corrupting the
 //! statistics.
 
-use act_core::CompiledFootprint;
+use act_core::{CompiledFootprint, INTENSITY_RANGE, LIFETIME_RANGE};
 use act_dse::{
     par_monte_carlo_compiled_block_budgeted, try_triangular, BatchRun, EvalBudget, McBuffer,
     McError, McOutcome, Parallelism,
 };
 use act_rng::Rng;
-use act_units::SECONDS_PER_YEAR;
 
-use crate::compile::{INTENSITY_RANGE, LIFETIME_RANGE, UTILIZATION_RANGE};
+use crate::compile::{device_point, UTILIZATION_RANGE};
 use crate::schema::{Distribution, FleetSpec};
 
 impl Distribution {
@@ -118,15 +117,7 @@ impl FleetKernel {
             let valid = LIFETIME_RANGE.contains(&l)
                 && INTENSITY_RANGE.contains(&ci)
                 && UTILIZATION_RANGE.contains(&u);
-            let point = if valid {
-                // Exactly `TimeSpan::years(l).as_seconds()`: the ratio
-                // axis divides this by the lifetime column and must see
-                // x/x == 1.0 (see `crate::compile` module docs).
-                let exec_s = l * SECONDS_PER_YEAR;
-                [exec_s, l, ci, power_w * u * exec_s]
-            } else {
-                [f64::NAN; 4]
-            };
+            let point = if valid { device_point(power_w, u, l, ci) } else { [f64::NAN; 4] };
             for (column, value) in columns.iter_mut().zip(point) {
                 if let Some(slot) = column.get_mut(k) {
                     *slot = value;

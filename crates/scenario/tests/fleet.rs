@@ -6,6 +6,7 @@
 use std::time::{Duration, Instant};
 
 use act_dse::{BatchRun, EvalBudget, McBuffer, McError};
+use act_rng::Rng;
 use act_scenario::{Scenario, ScenarioError};
 
 /// A phone-class scenario with genuinely random distributions.
@@ -90,37 +91,55 @@ fn fleet_percentiles_are_sorted_order_statistics_of_the_draws() {
 
 /// Point distributions pin every draw to the workload's values, so each
 /// Monte-Carlo sample reproduces the single-device footprint exactly —
-/// the fleet path and the device path are the same kernel.
+/// the fleet path and the device path are the same kernel. Checked for
+/// the reference workload and 16 seeded workloads spanning the validated
+/// ranges; 257 samples run both the lane body and the scalar tail.
 #[test]
 fn point_distributions_reproduce_the_device_footprint_bitwise() {
-    let doc = r#"{
-        "name": "degenerate fleet",
-        "chips": [{"name": "SoC", "node": "N7", "area_mm2": 98.5, "count": 1}],
-        "packaged_ic_count": 30,
-        "workload": {
-            "power_w": 2.5, "utilization": 0.15,
-            "lifetime_years": 3.0, "use_intensity_g_per_kwh": 301.0
-        },
-        "fleet": {
-            "devices": 50, "samples": 257, "seed": 1,
-            "lifetime_years": {"dist": "point", "value": 3.0},
-            "use_intensity_g_per_kwh": {"dist": "point", "value": 301.0},
-            "utilization": {"dist": "point", "value": 0.15}
-        }
-    }"#;
-    let compiled = Scenario::parse(doc).expect("parse").compile().expect("compile");
-    let device = compiled.device().expect("device footprint");
-    let fleet = compiled.fleet().expect("fleet block");
-
-    let mut buf = McBuffer::new();
-    let (outcome, _) = fleet.run(1, &mut buf, &EvalBudget::unlimited()).expect("run");
-    assert_eq!(outcome.rejected, 0);
-    for (i, draw) in buf.draws().iter().enumerate() {
-        assert_eq!(
-            draw.to_bits(),
-            device.total_g.to_bits(),
-            "sample {i} diverged from the device footprint"
+    let mut rng = Rng::seed_from_u64(0xf1ee7);
+    let mut workloads = vec![(2.5, 0.15, 3.0, 301.0)];
+    workloads.extend((0..16).map(|_| {
+        let power_w = 10f64.powf(rng.gen_range(-3.0..6.0));
+        let utilization = rng.gen_range(0.0..1.0);
+        let lifetime_years = rng.gen_range(0.1..50.0);
+        let intensity = rng.gen_range(0.0..2000.0);
+        (power_w, utilization, lifetime_years, intensity)
+    }));
+    for (power_w, utilization, lifetime_years, intensity) in workloads {
+        let doc = format!(
+            r#"{{
+            "name": "degenerate fleet",
+            "chips": [{{"name": "SoC", "node": "N7", "area_mm2": 98.5, "count": 1}}],
+            "packaged_ic_count": 30,
+            "workload": {{
+                "power_w": {power_w}, "utilization": {utilization},
+                "lifetime_years": {lifetime_years}, "use_intensity_g_per_kwh": {intensity}
+            }},
+            "fleet": {{
+                "devices": 50, "samples": 257, "seed": 1,
+                "lifetime_years": {{"dist": "point", "value": {lifetime_years}}},
+                "use_intensity_g_per_kwh": {{"dist": "point", "value": {intensity}}},
+                "utilization": {{"dist": "point", "value": {utilization}}}
+            }}
+        }}"#
         );
+        let workload =
+            format!("{power_w} W, u {utilization}, {lifetime_years} y, {intensity} g/kWh");
+        let compiled = Scenario::parse(&doc).expect("parse").compile().expect("compile");
+        let device = compiled.device().expect("device footprint");
+        let fleet = compiled.fleet().expect("fleet block");
+
+        let mut buf = McBuffer::new();
+        let (outcome, _) = fleet.run(1, &mut buf, &EvalBudget::unlimited()).expect("run");
+        assert_eq!(outcome.rejected, 0, "{workload}");
+        assert_eq!(buf.draws().len(), 257, "{workload}");
+        for (i, draw) in buf.draws().iter().enumerate() {
+            assert_eq!(
+                draw.to_bits(),
+                device.total_g.to_bits(),
+                "sample {i} diverged from the device footprint at {workload}"
+            );
+        }
     }
 }
 

@@ -191,8 +191,9 @@ fn parse_body(request: &Request) -> Result<JsonValue, Reject> {
 }
 
 /// `POST /v1/footprint` — one `ModelParams` document in, one
-/// `{"gco2":...}` line out. Lowered through `CompiledFootprint` with no
-/// free axes so it exercises the same kernel path as sweeps.
+/// `{"gco2":...}` line out. Compiled through `CompiledFootprint` with no
+/// free axes so it exercises the same kernel path as sweeps; a
+/// non-finite footprint is a 400 `invalid-params`, like any bad input.
 fn handle_footprint(
     conn: &mut Connection<'_>,
     request: &Request,
@@ -200,9 +201,11 @@ fn handle_footprint(
     let result = parse_body(request).and_then(|doc| {
         let params = ModelParams::from_json(&doc)
             .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
-        let compiled = CompiledFootprint::try_compile(&params, &[])
-            .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
-        Ok(compiled.eval(&[]))
+        // Params that validate can still overflow (a huge area times a
+        // huge run time); the checked evaluation reports that as an error.
+        CompiledFootprint::try_compile(&params, &[])
+            .and_then(|compiled| compiled.try_eval(&[]))
+            .map_err(|err| Reject::bad("invalid-params", err.to_string()))
     });
     match result {
         Ok(gco2) => {

@@ -589,7 +589,8 @@ fn fleet_endpoint_serves_deterministic_summaries() {
 
 /// Hostile scenario payloads — overflowing literals, malformed
 /// distributions, ragged components, missing workloads, out-of-range
-/// supports — are all clean 400s with typed error bodies, never 500s.
+/// supports — are all clean 400s with typed error bodies, never 500s;
+/// so is a params document whose footprint overflows.
 #[test]
 fn hostile_scenario_payloads_are_clean_400s() {
     let server = TestServer::start(ServerConfig::default());
@@ -683,6 +684,19 @@ fn hostile_scenario_payloads_are_clean_400s() {
         split(&post(server.addr, "/v1/fleet", act_data::scenarios::WEARABLE, ""));
     assert!(status.contains("400"), "got {status}");
     assert!(body.contains("no `fleet` block"), "{body}");
+
+    // A params document inside every Table 1 range whose footprint still
+    // overflows is a typed 400, never a 200 carrying `"gco2":null`.
+    let mut overflowing = ModelParams::mobile_reference();
+    overflowing.soc_area_mm2 = 1.5e308;
+    overflowing.execution_time_s = 1e300;
+    assert!(overflowing.validate().is_ok(), "the document passes validation");
+    let payload = overflowing.to_json().render_compact();
+    let (status, body) = split(&post(server.addr, "/v1/footprint", &payload, ""));
+    assert!(status.contains("400"), "overflowing footprint must 400, got {status}: {body}");
+    let doc = JsonValue::parse(body.trim_end()).expect("error body parses");
+    let kind = doc.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+    assert_eq!(kind, Some("invalid-params"), "{body}");
     server.stop();
 }
 

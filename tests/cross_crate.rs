@@ -6,6 +6,7 @@ use act::core::{total_footprint, FabScenario, OperationalModel, SystemSpec};
 use act::data::{
     DramTechnology, EnergySource, Location, ProcessNode, SsdTechnology, MOBILE_SOCS,
 };
+use act::experiments::{try_render_experiment, OutputFormat};
 use act::soc::{geekbench_suite, DvfsGovernor, SocSimulator};
 use act::ssd::{LifetimeModel, OverProvisioning};
 use act::units::{Capacity, MassCo2, TimeSpan};
@@ -117,7 +118,7 @@ fn dvfs_policy_affects_the_carbon_bottom_line() {
 fn cli_experiment_registry_is_complete() {
     // Every ID the CLI advertises renders.
     for id in act::experiments::EXPERIMENT_IDS {
-        assert!(act::experiments::render_experiment(id).is_some(), "{id}");
+        assert!(try_render_experiment(id, OutputFormat::Text).is_ok(), "{id}");
     }
 }
 

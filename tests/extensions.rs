@@ -8,6 +8,7 @@ use act::core::{
 };
 use act::data::{devices, reports, Location};
 use act::dse::{monte_carlo, triangular, Parallelism};
+use act::experiments::{try_render_experiment, OutputFormat};
 use act::units::{CarbonIntensity, Energy, Fraction, MassCo2};
 
 #[test]
@@ -93,8 +94,8 @@ fn fab_bounds_contain_all_named_scenarios() {
 #[test]
 fn extension_experiments_are_registered() {
     for id in ["ablations", "datacenter", "devices"] {
-        assert!(act::experiments::render_experiment(id).is_some(), "{id}");
-        assert!(act::experiments::render_experiment_json(id).is_some(), "{id}");
+        assert!(try_render_experiment(id, OutputFormat::Text).is_ok(), "{id}");
+        assert!(try_render_experiment(id, OutputFormat::Json).is_ok(), "{id}");
     }
 }
 

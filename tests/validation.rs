@@ -7,10 +7,7 @@ use std::error::Error as _;
 
 use act::core::{total_footprint, try_total_footprint, ModelParams, Validate};
 use act::dse::{sweep_finite, try_monte_carlo, try_sweep, McError, Parallelism};
-use act::experiments::{
-    render_experiment_json, try_render_experiment, ExperimentError, OutputFormat,
-    EXPERIMENT_IDS,
-};
+use act::experiments::{try_render_experiment, ExperimentError, OutputFormat, EXPERIMENT_IDS};
 use act::units::{MassCo2, TimeSpan};
 
 #[test]
@@ -105,7 +102,8 @@ fn monte_carlo_skips_non_finite_draws() {
 
 #[test]
 fn all_experiments_render_as_one_json_array() {
-    let json = render_experiment_json("all").expect("`all` is supported in JSON mode");
+    let json = try_render_experiment("all", OutputFormat::Json)
+        .expect("`all` is supported in JSON mode");
     let parsed = act_json::JsonValue::parse(&json).unwrap();
     let entries = parsed.as_array().expect("`all` should parse as an array");
     assert_eq!(entries.len(), EXPERIMENT_IDS.len() - 1);
