@@ -4,8 +4,9 @@
 //! sensitivity.
 
 use act_bench::{black_box, Harness};
-use act_core::{FabScenario, SystemSpec};
-use act_data::{Abatement, DramTechnology, ProcessNode};
+use act_core::FabScenario;
+use act_data::{scenarios, Abatement, DramTechnology, ProcessNode};
+use act_scenario::Scenario;
 use act_ssd::{
     analytical_write_amplification, FtlConfig, FtlSimulator, OverProvisioning, TracePattern,
     WriteTrace,
@@ -40,7 +41,11 @@ fn main() {
 
     // Fab energy-source sensitivity: device embodied footprint under four
     // fab scenarios.
-    let spec = SystemSpec::from_bom(&act_data::devices::IPHONE_11);
+    let iphone = match Scenario::parse(scenarios::IPHONE_11).and_then(|s| s.compile()) {
+        Ok(compiled) => compiled,
+        Err(err) => panic!("the iPhone 11 document must compile: {err}"),
+    };
+    let spec = iphone.system();
     h.bench("ablate_fab_ci", || {
         let mut total = 0.0;
         for fab in [

@@ -4,7 +4,6 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use act_data::devices::DeviceBom;
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};
 use act_units::{Area, Capacity, MassCo2, UnitError};
 
@@ -113,8 +112,8 @@ fn validate_components(components: &[Component]) -> Result<(), ModelError> {
 }
 
 /// A hardware platform description: the inputs to the embodied model
-/// (eq. 3). Build one with [`SystemSpec::builder`] or from a device teardown
-/// with [`SystemSpec::from_bom`].
+/// (eq. 3). Build one with [`SystemSpec::builder`]; the committed device
+/// teardowns compile to one through `act-scenario`.
 ///
 /// # Examples
 ///
@@ -144,25 +143,6 @@ impl SystemSpec {
     #[must_use]
     pub fn builder() -> SystemSpecBuilder {
         SystemSpecBuilder::default()
-    }
-
-    /// Builds a system from one of the encoded device teardowns.
-    #[must_use]
-    pub fn from_bom(bom: &DeviceBom) -> Self {
-        let mut builder = Self::builder();
-        for chip in bom.chips {
-            builder = builder.soc(chip.name, chip.area(), chip.node);
-        }
-        for dram in bom.dram {
-            builder = builder.dram(dram.technology, dram.capacity());
-        }
-        for ssd in bom.ssd {
-            builder = builder.ssd(ssd.technology, ssd.capacity());
-        }
-        for hdd in bom.hdd {
-            builder = builder.hdd(hdd.model, Capacity::gigabytes(hdd.capacity_gb));
-        }
-        builder.packaged_ics(bom.packaged_ic_count).build()
     }
 
     /// Number of packaged ICs, `Nr` in eq. 3.
@@ -395,7 +375,20 @@ impl EmbodiedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use act_data::devices;
+
+    /// A phone-class board in the shape of the iPhone 11 teardown: four
+    /// logic dies, one DRAM and one NAND population, 30 packaged ICs.
+    fn phone() -> SystemSpec {
+        SystemSpec::builder()
+            .soc("A13 Bionic SoC", Area::square_millimeters(98.5), ProcessNode::N7)
+            .soc("Camera ICs", Area::square_millimeters(200.0), ProcessNode::N28)
+            .soc("Modem", Area::square_millimeters(60.0), ProcessNode::N14)
+            .soc("Other ICs", Area::square_millimeters(560.0), ProcessNode::N28)
+            .dram(DramTechnology::Lpddr4, Capacity::gigabytes(4.0))
+            .ssd(SsdTechnology::V3NandTlc, Capacity::gigabytes(64.0))
+            .packaged_ics(30)
+            .build()
+    }
 
     #[test]
     fn eq4_soc_footprint_is_area_times_cpa() {
@@ -432,25 +425,10 @@ mod tests {
 
     #[test]
     fn report_total_is_sum_of_components() {
-        let spec = SystemSpec::from_bom(&devices::IPHONE_11);
+        let spec = phone();
         let report = spec.embodied(&FabScenario::default());
         let sum: MassCo2 = ComponentKind::ALL.iter().map(|k| report.by_kind(*k)).sum();
         assert!((report.total().ratio(sum) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn figure4_iphone11_lands_near_17kg() {
-        let report =
-            SystemSpec::from_bom(&devices::IPHONE_11).embodied(&FabScenario::default());
-        let kg = report.total().as_kilograms();
-        assert!((15.0..=19.0).contains(&kg), "iPhone 11 ICs = {kg} kg");
-    }
-
-    #[test]
-    fn figure4_ipad_lands_near_21kg() {
-        let report = SystemSpec::from_bom(&devices::IPAD).embodied(&FabScenario::default());
-        let kg = report.total().as_kilograms();
-        assert!((18.5..=23.5).contains(&kg), "iPad ICs = {kg} kg");
     }
 
     #[test]
@@ -466,7 +444,7 @@ mod tests {
 
     #[test]
     fn greener_fab_shrinks_only_soc_share() {
-        let spec = SystemSpec::from_bom(&devices::IPHONE_11);
+        let spec = phone();
         let default_fab = spec.embodied(&FabScenario::default());
         let green = spec.embodied(&FabScenario::renewable());
         assert!(green.by_kind(ComponentKind::Soc) < default_fab.by_kind(ComponentKind::Soc));
@@ -482,7 +460,7 @@ mod tests {
 
     #[test]
     fn bounds_bracket_the_point_estimate() {
-        let spec = SystemSpec::from_bom(&devices::IPHONE_11);
+        let spec = phone();
         let fab = FabScenario::default();
         let (lo, hi) = spec.embodied_bounds(&fab);
         let point = spec.embodied(&fab).total();
@@ -494,8 +472,7 @@ mod tests {
 
     #[test]
     fn component_iteration_exposes_labels() {
-        let report =
-            SystemSpec::from_bom(&devices::IPHONE_11).embodied(&FabScenario::default());
+        let report = phone().embodied(&FabScenario::default());
         let labels: Vec<_> = report.components().map(|c| c.label.as_str()).collect();
         assert!(labels.contains(&"A13 Bionic SoC"));
         assert!(labels.iter().any(|l| l.contains("packaged ICs")));
@@ -536,7 +513,7 @@ mod tests {
 
     #[test]
     fn try_embodied_agrees_with_unchecked_path() {
-        let spec = SystemSpec::from_bom(&devices::IPHONE_11);
+        let spec = phone();
         let fab = FabScenario::default();
         let checked = spec.try_embodied(&fab).unwrap();
         assert_eq!(checked.total(), spec.embodied(&fab).total());

@@ -11,7 +11,7 @@
 use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};
 use act_rng::Rng;
-use act_units::Capacity;
+use act_units::{Capacity, TimeSpan};
 
 /// The seven scalar (non-storage) axes, in a fixed order for masking.
 const SCALAR_AXES: [FreeAxis; 7] = [
@@ -158,6 +158,141 @@ fn compiled_eval_matches_try_footprint_bitwise() {
             interpreted.to_bits(),
             "case {case}, axes {axes:?}: compiled {compiled} vs interpreted {interpreted}"
         );
+    }
+}
+
+/// A baseline in which every eq. 1 term is exactly zero and the `T/LT`
+/// ratio is exactly `1.0`, so the one term a case switches back on *is*
+/// the footprint: a last-bit change in that term cannot be absorbed by a
+/// larger addend or rounded away by the amortization multiply.
+fn silent(node: ProcessNode) -> ModelParams {
+    ModelParams {
+        execution_time_s: TimeSpan::years(3.0).as_seconds(),
+        lifetime_years: 3.0,
+        packaged_ic_count: 0,
+        soc_area_mm2: 0.0,
+        process_node: node,
+        use_intensity_g_per_kwh: 0.0,
+        fab_intensity_g_per_kwh: 0.0,
+        fab_yield: 1.0,
+        dram: Vec::new(),
+        ssd: Vec::new(),
+        hdd: Vec::new(),
+        energy_j: 0.0,
+    }
+}
+
+/// One term of eq. 1 / eq. 5 in isolation: its baseline, its free axes
+/// and the coordinate range of each.
+struct Isolated {
+    term: String,
+    params: ModelParams,
+    axes: Vec<(FreeAxis, f64, f64)>,
+}
+
+/// One isolated case per term, per process node or storage technology.
+fn isolated_terms() -> Vec<Isolated> {
+    let mut cases = Vec::new();
+    for node in ProcessNode::ALL {
+        let soc = ModelParams { soc_area_mm2: 100.0, ..silent(node) };
+        // Eq. 5 with CI_fab × EPA dominating GPA + MPA.
+        cases.push(Isolated {
+            term: format!("CPA energy, {node:?}"),
+            params: soc.clone(),
+            axes: vec![
+                (FreeAxis::FabIntensity, 200.0, 2000.0),
+                (FreeAxis::FabYield, 0.05, 1.0),
+                (FreeAxis::SocArea, 1.0, 1500.0),
+            ],
+        });
+        // Eq. 5 with the constant GPA + MPA dominating a small CI_fab × EPA:
+        // the regime where `(energy + GPA) + MPA` rounds twice.
+        cases.push(Isolated {
+            term: format!("GPA + MPA, {node:?}"),
+            params: soc,
+            axes: vec![
+                (FreeAxis::FabIntensity, 0.0, 20.0),
+                (FreeAxis::FabYield, 0.05, 1.0),
+                (FreeAxis::SocArea, 1.0, 1500.0),
+            ],
+        });
+    }
+    for technology in DramTechnology::ALL {
+        cases.push(Isolated {
+            term: format!("DRAM, {technology:?}"),
+            params: ModelParams { dram: vec![(technology, 1.0)], ..silent(ProcessNode::N7) },
+            axes: vec![(FreeAxis::DramCapacity(0), 0.0, 4096.0)],
+        });
+    }
+    for technology in SsdTechnology::ALL {
+        cases.push(Isolated {
+            term: format!("SSD, {technology:?}"),
+            params: ModelParams { ssd: vec![(technology, 1.0)], ..silent(ProcessNode::N7) },
+            axes: vec![(FreeAxis::SsdCapacity(0), 0.0, 4096.0)],
+        });
+    }
+    for model in HddModel::ALL {
+        cases.push(Isolated {
+            term: format!("HDD, {model:?}"),
+            params: ModelParams { hdd: vec![(model, 1.0)], ..silent(ProcessNode::N7) },
+            axes: vec![(FreeAxis::HddCapacity(0), 0.0, 8192.0)],
+        });
+    }
+    // Packaging alone, under a free amortization ratio.
+    for count in [1, 7, 30, 255] {
+        cases.push(Isolated {
+            term: format!("packaging, {count} ICs"),
+            params: ModelParams { packaged_ic_count: count, ..silent(ProcessNode::N7) },
+            axes: vec![(FreeAxis::ExecutionTime, 0.0, 1e9), (FreeAxis::Lifetime, 0.1, 50.0)],
+        });
+    }
+    // The operational term (eq. 2) alone.
+    cases.push(Isolated {
+        term: "operational".to_owned(),
+        params: silent(ProcessNode::N7),
+        axes: vec![(FreeAxis::UseIntensity, 0.0, 2000.0), (FreeAxis::Energy, 0.0, 1e9)],
+    });
+    cases
+}
+
+/// Each eq. 1 / eq. 5 term on its own: per-point `eval` matches the
+/// oracle bit for bit, and `eval_block` matches `eval`, on 256 points per
+/// case. With every other term zero, reassociating the eq. 5 additions or
+/// turning the yield division into a reciprocal multiply shows up in the
+/// result.
+#[test]
+fn every_isolated_term_reaches_the_result_bitwise() {
+    const POINTS: usize = 256;
+    for (case, isolated) in isolated_terms().into_iter().enumerate() {
+        let Isolated { term, params, axes } = isolated;
+        let free: Vec<FreeAxis> = axes.iter().map(|(axis, _, _)| *axis).collect();
+        let kernel = match CompiledFootprint::try_compile(&params, &free) {
+            Ok(kernel) => kernel,
+            Err(err) => panic!("{term}: valid params must compile: {err}"),
+        };
+        let mut rng = Rng::seed_from_u64(act_rng::split_seed(0x1507, case as u64));
+        let columns: Vec<Vec<f64>> = axes
+            .iter()
+            .map(|&(_, low, high)| (0..POINTS).map(|_| rng.gen_range(low..high)).collect())
+            .collect();
+        let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let mut block = vec![f64::NAN; POINTS];
+        kernel.plan().eval_block(&views, 0..POINTS, &mut block);
+        for (i, blocked) in block.iter().enumerate() {
+            let point: Vec<f64> = columns.iter().map(|column| column[i]).collect();
+            let compiled = kernel.eval(&point);
+            let interpreted = oracle(&params, &free, &point);
+            assert_eq!(
+                compiled.to_bits(),
+                interpreted.to_bits(),
+                "{term} at {point:?}: compiled {compiled} vs interpreted {interpreted}"
+            );
+            assert_eq!(
+                blocked.to_bits(),
+                compiled.to_bits(),
+                "{term} at {point:?}: block {blocked} vs eval {compiled}"
+            );
+        }
     }
 }
 

@@ -14,7 +14,9 @@
 //!   database behind Figures 8 and 14,
 //! * [`snapdragon845`] — Table 4's CPU/GPU/DSP provisioning study inputs,
 //! * [`smiv`] — the CPU / ASIC / eFPGA data behind Figure 11,
-//! * [`devices`] — bill-of-material teardowns behind Figures 1 and 4,
+//! * [`scenarios`] — the device teardowns behind Figure 4 and the
+//!   device-class and data-center studies, as committed `act-scenario`
+//!   documents (the only copy of that data),
 //! * [`reports`] — LCA product-report breakdowns behind Figures 16–17 and
 //!   Table 12.
 //!
@@ -31,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod devices;
 mod dram;
 mod energy;
 mod hdd;

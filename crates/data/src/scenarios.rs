@@ -1,26 +1,34 @@
-//! Committed JSON scenario fixtures mirroring [`crate::devices`].
+//! Bill-of-material teardowns for the platforms ACT characterizes
+//! bottom-up (Figure 4 and the device-class and data-center studies), as
+//! committed `act-scenario` JSON documents.
 //!
 //! Each constant is the verbatim text of a file under
-//! `crates/data/scenarios/` — a field-for-field transcription of the
-//! corresponding [`DeviceBom`](crate::devices::DeviceBom) constant into
-//! the `act-scenario` schema. The golden tests in `act-scenario` compile
-//! each fixture and assert the embodied footprint is **bitwise** equal to
-//! the constant path, so these files double as the schema's conformance
-//! corpus: editing a fixture or a teardown without the other fails CI.
+//! `crates/data/scenarios/`, and these files are the only copy of the
+//! device data: the experiments, `/v1/scenario`, `act fleet` and the
+//! benchmark all parse and compile them through `act-scenario`. Hardware
+//! specifications follow publicly available device teardowns. Die areas
+//! for "camera" and "other" ICs aggregate the many small analog, RF,
+//! power-management and sensor dies on each board; their totals are
+//! calibrated so the ACT model's platform estimates land on the paper's
+//! Figure 4 results (iPhone 11 ≈ 17 kg, iPad ≈ 21 kg of IC embodied
+//! carbon). `act-scenario`'s fixture pin test holds every document to
+//! its embodied bits.
 
-/// JSON transcription of [`crate::devices::IPHONE_11`].
+/// Apple iPhone 11 (A13 Bionic, 4 GB LPDDR4X, 64 GB NAND).
 pub const IPHONE_11: &str = include_str!("../scenarios/iphone_11.json");
-/// JSON transcription of [`crate::devices::IPAD`].
+/// Apple iPad, 7th generation (A10 Fusion, 3 GB LPDDR4, 32 GB NAND).
 pub const IPAD: &str = include_str!("../scenarios/ipad.json");
-/// JSON transcription of [`crate::devices::FAIRPHONE_3`].
+/// Fairphone 3 (Snapdragon 632-class 14 nm SoC, 4 GB LPDDR4, 64 GB
+/// eMMC). The "CPU" area aggregates the SoC package contents the
+/// Fairphone LCA attributes to the processor.
 pub const FAIRPHONE_3: &str = include_str!("../scenarios/fairphone_3.json");
-/// JSON transcription of [`crate::devices::DELL_R740`].
+/// Dell PowerEdge R740 server (2× 14 nm Xeon, 576 GB DDR4, ~31 TB SSD).
 pub const DELL_R740: &str = include_str!("../scenarios/dell_r740.json");
-/// JSON transcription of [`crate::devices::LAPTOP`].
+/// A 2020-class thin-and-light laptop (5 nm Arm SoC, 8 GB LPDDR4X,
+/// 512 GB NAND).
 pub const LAPTOP: &str = include_str!("../scenarios/laptop.json");
-/// JSON transcription of [`crate::devices::WEARABLE`].
+/// A smartwatch-class wearable (7 nm SiP, 1 GB DRAM, 32 GB NAND).
 pub const WEARABLE: &str = include_str!("../scenarios/wearable.json");
 
-/// All fixtures, in [`crate::devices::ALL`] order — zip the two arrays
-/// to pair each document with its Rust-constant oracle.
+/// All documents, paper platforms first.
 pub const ALL: [&str; 6] = [IPHONE_11, IPAD, FAIRPHONE_3, DELL_R740, LAPTOP, WEARABLE];

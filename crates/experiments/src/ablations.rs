@@ -3,8 +3,8 @@
 
 use std::fmt;
 
-use act_core::{FabScenario, SystemSpec};
-use act_data::{Abatement, DramTechnology, ProcessNode};
+use act_core::FabScenario;
+use act_data::{scenarios, Abatement, DramTechnology, ProcessNode};
 use act_dse::Parallelism;
 use act_ssd::{
     analytical_write_amplification, FtlConfig, FtlSimulator, OverProvisioning, TracePattern,
@@ -81,7 +81,7 @@ pub fn run(parallelism: Parallelism) -> AblationsResult {
     };
 
     // Fab energy source: a whole device under four fabs.
-    let spec = SystemSpec::from_bom(&act_data::devices::IPHONE_11);
+    let iphone = crate::device(scenarios::IPHONE_11);
     let fab_study = Sensitivity {
         parameter: "fab energy source (iPhone 11 ICs, kg CO2)".into(),
         series: [
@@ -91,7 +91,9 @@ pub fn run(parallelism: Parallelism) -> AblationsResult {
             ("solar", FabScenario::renewable()),
         ]
         .into_iter()
-        .map(|(label, fab)| (label.to_owned(), spec.embodied(&fab).total().as_kilograms()))
+        .map(|(label, fab)| {
+            (label.to_owned(), iphone.system().embodied(&fab).total().as_kilograms())
+        })
         .collect(),
     };
 

@@ -9,8 +9,8 @@
 
 use std::fmt;
 
-use act_core::{FabScenario, OperationalModel, SystemSpec};
-use act_data::{devices, Location};
+use act_core::OperationalModel;
+use act_data::{scenarios, Location};
 use act_soc::ReplacementModel;
 use act_units::{MassCo2, Power, TimeSpan};
 
@@ -59,8 +59,7 @@ act_json::impl_to_json!(DatacenterResult { server_embodied, rows });
 /// Runs the study over a spectrum of grids.
 #[must_use]
 pub fn run() -> DatacenterResult {
-    let server_embodied =
-        SystemSpec::from_bom(&devices::DELL_R740).embodied(&FabScenario::default()).total();
+    let server_embodied = crate::device(scenarios::DELL_R740).embodied().total();
     let yearly_energy = Power::watts(SERVER_POWER_W) * TimeSpan::years(1.0);
     let rows = [
         Location::India,

@@ -5,8 +5,8 @@
 
 use std::fmt;
 
-use act_core::{FabScenario, SystemSpec};
-use act_data::devices;
+use act_core::FabScenario;
+use act_data::scenarios;
 use act_units::MassCo2;
 
 use crate::render::{kg, TextTable};
@@ -40,20 +40,20 @@ act_json::impl_to_json!(DevicesResult { rows });
 pub fn run() -> DevicesResult {
     let fab = FabScenario::default();
     let rows = [
-        &devices::WEARABLE,
-        &devices::FAIRPHONE_3,
-        &devices::IPHONE_11,
-        &devices::IPAD,
-        &devices::LAPTOP,
-        &devices::DELL_R740,
+        scenarios::WEARABLE,
+        scenarios::FAIRPHONE_3,
+        scenarios::IPHONE_11,
+        scenarios::IPAD,
+        scenarios::LAPTOP,
+        scenarios::DELL_R740,
     ]
     .into_iter()
-    .map(|bom| {
-        let spec = SystemSpec::from_bom(bom);
-        let (lower, upper) = spec.embodied_bounds(&fab);
+    .map(|doc| {
+        let device = crate::device(doc);
+        let (lower, upper) = device.system().embodied_bounds(&fab);
         DeviceClassRow {
-            name: bom.name.to_owned(),
-            embodied: spec.embodied(&fab).total(),
+            name: device.name().to_owned(),
+            embodied: device.embodied().total(),
             lower,
             upper,
         }

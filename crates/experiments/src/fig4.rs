@@ -4,9 +4,8 @@
 
 use std::fmt;
 
-use act_core::{ComponentKind, EmbodiedReport, FabScenario, SystemSpec};
-use act_data::devices;
-use act_data::reports;
+use act_core::{ComponentKind, EmbodiedReport};
+use act_data::{reports, scenarios};
 use act_lca::top_down_ic_estimate;
 use act_units::MassCo2;
 
@@ -44,18 +43,21 @@ pub struct Fig4Result {
 
 act_json::impl_to_json!(Fig4Result { iphone, ipad });
 
-/// Runs the experiment under the paper's default fab scenario.
+/// Runs the experiment under the paper's default fab scenario (the
+/// device documents name no fab).
 #[must_use]
 pub fn run() -> Fig4Result {
-    let fab = FabScenario::default();
-    let estimate = |bom: &act_data::devices::DeviceBom, report| DeviceEstimate {
-        name: bom.name.to_owned(),
-        act: SystemSpec::from_bom(bom).embodied(&fab),
-        lca: top_down_ic_estimate(report),
+    let estimate = |doc, report| {
+        let device = crate::device(doc);
+        DeviceEstimate {
+            name: device.name().to_owned(),
+            act: device.embodied().clone(),
+            lca: top_down_ic_estimate(report),
+        }
     };
     Fig4Result {
-        iphone: estimate(&devices::IPHONE_11, &reports::IPHONE_11),
-        ipad: estimate(&devices::IPAD, &reports::IPAD),
+        iphone: estimate(scenarios::IPHONE_11, &reports::IPHONE_11),
+        ipad: estimate(scenarios::IPAD, &reports::IPAD),
     }
 }
 

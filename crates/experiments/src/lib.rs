@@ -204,10 +204,11 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// Postfix lookup for elements that exist by construction of the result
-/// structs (every `run()` builds its rows from fixed configuration tables).
-/// A miss means the experiment itself is broken, so this panics with a
-/// message naming the violated invariant instead of a bare `expect`.
+/// Postfix lookup for values that exist by construction of the result
+/// structs (every `run()` builds its rows from fixed configuration tables
+/// and committed device documents). A miss means the experiment itself is
+/// broken, so this panics with a message naming the violated invariant
+/// instead of a bare `expect`.
 pub(crate) trait Present<T> {
     /// Unwraps, naming the construction invariant that guarantees presence.
     fn present(self, invariant: &str) -> T;
@@ -220,6 +221,23 @@ impl<T> Present<T> for Option<T> {
             None => panic!("experiment invariant violated: {invariant}"),
         }
     }
+}
+
+impl<T, E: std::fmt::Display> Present<T> for Result<T, E> {
+    fn present(self, invariant: &str) -> T {
+        match self {
+            Ok(value) => value,
+            Err(err) => panic!("experiment invariant violated: {invariant}: {err}"),
+        }
+    }
+}
+
+/// One committed device document of [`act_data::scenarios`], parsed and
+/// compiled through the same path `/v1/scenario` and `act fleet` take.
+pub(crate) fn device(doc: &str) -> act_scenario::CompiledScenario {
+    act_scenario::Scenario::parse(doc)
+        .and_then(|scenario| scenario.compile())
+        .present("committed device documents parse and compile")
 }
 
 /// Extracts a human-readable message from a panic payload.

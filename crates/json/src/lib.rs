@@ -583,6 +583,13 @@ impl JsonError {
         Self::new(format!("missing field `{field}`"))
     }
 
+    /// A [`FromJson`] error for an object key outside the schema's
+    /// `known` keys.
+    #[must_use]
+    pub fn unknown_field(field: &str, known: &[&str]) -> Self {
+        Self::new(format!("unknown field `{field}` (expected one of: {})", known.join(", ")))
+    }
+
     /// The byte offset of a parse error (`None` for conversion errors).
     #[must_use]
     pub fn offset(&self) -> Option<usize> {

@@ -44,8 +44,8 @@ fn ssd(tech: SsdTechnology, gb: f64) -> MassCo2 {
 ///
 /// Node-1 estimates use the technology the published LCA assumed (50 nm
 /// DDR3, 30 nm NAND, 28 nm logic); node-2 estimates use the shipping parts
-/// (10 nm-class DDR4/LPDDR4, V3 TLC NAND, 14 nm logic). Logic areas come
-/// from the device teardowns in `act_data::devices`.
+/// (10 nm-class DDR4/LPDDR4, V3 TLC NAND, 14 nm logic). Logic areas are
+/// those of the device teardowns in `act_data::scenarios`.
 #[must_use]
 pub fn table12(fab: &FabScenario) -> Vec<NodeComparison> {
     TABLE12

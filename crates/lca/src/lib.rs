@@ -56,9 +56,9 @@ mod tests {
     fn top_down_overestimates_bottom_up() {
         // Figure 4: ACT's bottom-up estimates (17/21 kg) sit below the
         // coarse top-down numbers (23/28 kg).
-        use act_core::{FabScenario, SystemSpec};
-        let act = SystemSpec::from_bom(&act_data::devices::IPHONE_11)
-            .embodied(&FabScenario::default());
-        assert!(act.total() < top_down_ic_estimate(&reports::IPHONE_11));
+        let act = act_scenario::Scenario::parse(act_data::scenarios::IPHONE_11)
+            .and_then(|scenario| scenario.compile())
+            .expect("the iPhone 11 document compiles");
+        assert!(act.embodied().total() < top_down_ic_estimate(&reports::IPHONE_11));
     }
 }

@@ -1,20 +1,19 @@
 //! Scenario validation and lowering.
 //!
 //! [`Scenario::compile`] turns a parsed document into a
-//! [`CompiledScenario`]: an [`EmbodiedReport`] for the bill of materials,
-//! an optional single-device [`DeviceFootprint`] when a workload is
-//! present, and an optional [`FleetKernel`] when a fleet block is.
+//! [`CompiledScenario`]: the [`SystemSpec`] of the bill of materials and
+//! its [`EmbodiedReport`], an optional single-device [`DeviceFootprint`]
+//! when a workload is present, and an optional [`FleetKernel`] when a
+//! fleet block is.
 //!
-//! ## Bit-identity with the constant path
+//! ## Embodied fold order
 //!
-//! The embodied side is lowered through the *same* builder calls, in the
-//! same order, as [`SystemSpec::from_bom`]: every chip through
-//! [`SystemSpecBuilder::soc`], then DRAM, SSD, HDD populations, then the
-//! packaged-IC count. IEEE-754 addition is order-sensitive, so replaying
-//! the identical fold is what makes a JSON transcription of a built-in
-//! teardown produce bitwise-equal component and total footprints — the
-//! property the golden tests pin for every [`act_data::devices::ALL`]
-//! system.
+//! The bill of materials goes through [`SystemSpec::builder`] in document
+//! order: every chip through [`act_core::SystemSpecBuilder::soc`], then
+//! the DRAM, SSD and HDD populations, then the packaged-IC count. IEEE-754
+//! addition is order-sensitive, so this order is part of the result; the
+//! fixture pin test in this crate holds every committed device to its
+//! component and total bits.
 //!
 //! ## Use-phase kernel
 //!
@@ -123,6 +122,7 @@ act_json::impl_to_json!(DeviceFootprint { operational_g, total_g });
 #[derive(Debug)]
 pub struct CompiledScenario {
     name: String,
+    system: SystemSpec,
     report: EmbodiedReport,
     device: Option<DeviceFootprint>,
     fleet: Option<FleetKernel>,
@@ -135,14 +135,21 @@ impl CompiledScenario {
         &self.name
     }
 
-    /// Per-component embodied breakdown (eq. 3).
+    /// The bill of materials as the embodied model sees it, for
+    /// evaluating under another fab than the document's.
+    #[must_use]
+    pub fn system(&self) -> &SystemSpec {
+        &self.system
+    }
+
+    /// Per-component embodied breakdown (eq. 3) under the document's fab.
     #[must_use]
     pub fn embodied(&self) -> &EmbodiedReport {
         &self.report
     }
 
-    /// Embodied total in grams CO₂ — the exact left-fold the constant
-    /// path produces.
+    /// Embodied total in grams CO₂, the left fold of
+    /// [`Self::embodied`]'s components.
     #[must_use]
     pub fn embodied_grams(&self) -> f64 {
         self.report.total().as_grams()
@@ -256,9 +263,8 @@ impl Scenario {
     /// block lacks a workload; [`ScenarioError::Model`] when the embodied
     /// or compiled-kernel layer rejects the lowered parameters.
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
-        // Mirror `SystemSpec::from_bom` exactly: chips (in order), then
-        // DRAM, SSD, HDD populations, then the packaging count. The fold
-        // order is load-bearing for the golden bit-identity tests.
+        // Chips (in order), then DRAM, SSD, HDD populations, then the
+        // packaging count: the fold order the fixture pins hold.
         let mut builder = SystemSpec::builder();
         for (i, chip) in self.chips.iter().enumerate() {
             if chip.name.is_empty() {
@@ -292,10 +298,10 @@ impl Scenario {
             check_finite_positive("hdd.capacity_gb", "capacity_gb", entry.capacity_gb)?;
             builder = builder.hdd(entry.model, Capacity::gigabytes(entry.capacity_gb));
         }
-        let spec = builder.packaged_ics(self.packaged_ic_count).build();
+        let system = builder.packaged_ics(self.packaged_ic_count).build();
 
         let fab = self.fab.unwrap_or_default();
-        let report = spec.try_embodied(&fab)?;
+        let report = system.try_embodied(&fab)?;
         let embodied_g = report.total().as_grams();
 
         let node = self.chips.first().map_or(ProcessNode::N7, |chip| chip.node);
@@ -345,6 +351,6 @@ impl Scenario {
             ));
         }
 
-        Ok(CompiledScenario { name: self.name.clone(), report, device, fleet })
+        Ok(CompiledScenario { name: self.name.clone(), system, report, device, fleet })
     }
 }

@@ -13,15 +13,14 @@
 //!    errors (missing fields, wrong types, unknown distribution tags)
 //!    surface here as [`act_json::JsonError`].
 //! 2. [`compile`] — validation against the paper's Table 1 ranges and
-//!    lowering to the exact same code paths the built-in Rust constants
-//!    use: the embodied model goes through
-//!    [`SystemSpecBuilder`](act_core::SystemSpecBuilder) in
-//!    [`SystemSpec::from_bom`](act_core::SystemSpec::from_bom) order, and
-//!    the use phase through a [`CompiledFootprint`](act_core::CompiledFootprint)
-//!    kernel. Compiling a committed JSON fixture of a built-in
-//!    [`act_data::devices`] system is therefore **bit-identical** to
-//!    compiling the Rust constant — the golden tests in this crate pin
-//!    that equivalence per component.
+//!    lowering: the embodied model goes through
+//!    [`SystemSpecBuilder`](act_core::SystemSpecBuilder) in document
+//!    order, and the use phase through a
+//!    [`CompiledFootprint`](act_core::CompiledFootprint) kernel. The
+//!    paper's devices are committed documents in
+//!    [`act_data::scenarios`], and every experiment that reads a device
+//!    compiles it here; the fixture pin test in this crate holds each one
+//!    to its per-component bits.
 //! 3. [`fleet`] — sharded block-path Monte-Carlo over the compiled
 //!    kernel via `act_dse::batch`'s `_block` family. Per-sample seed
 //!    splitting (`mc_sample_seed`) makes the outcome bit-identical for

@@ -5,11 +5,12 @@
 //! required and type-checked. [`Scenario`], [`FleetSpec`], and
 //! [`Distribution`] parse manually because they carry optional sections
 //! (`fab`, `workload`, `fleet`, `seed`) or a tagged-union shape.
+//! [`Scenario`] and [`FleetSpec`] reject keys they do not define, so a
+//! misspelled optional section (`"drams"`, `"sead"`) is an error instead
+//! of a silently dropped term.
 //!
-//! The schema is deliberately the same vocabulary as
-//! [`act_data::devices`]: a committed fixture of a built-in teardown is a
-//! field-for-field transcription of the Rust constant, which is what lets
-//! the golden tests pin bitwise equality between the two paths.
+//! The committed device teardowns in [`act_data::scenarios`] are written
+//! in this schema; they are the only copy of the paper's devices.
 
 use act_core::FabScenario;
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};
@@ -17,7 +18,7 @@ use act_json::{FromJson, JsonError, JsonValue};
 
 use crate::compile::ScenarioError;
 
-/// One logic die population: mirrors [`act_data::devices::ChipEntry`].
+/// One logic die population.
 ///
 /// `area_mm2` is the **total** silicon area across all `count` units —
 /// the same convention the teardown tables use — so the embodied model
@@ -226,8 +227,25 @@ pub struct FleetSpec {
     pub utilization: Distribution,
 }
 
+/// The keys a fleet block may carry.
+const FLEET_KEYS: [&str; 6] =
+    ["devices", "samples", "seed", "lifetime_years", "use_intensity_g_per_kwh", "utilization"];
+
+/// The keys a scenario document may carry.
+const SCENARIO_KEYS: [&str; 9] =
+    ["name", "chips", "dram", "ssd", "hdd", "packaged_ic_count", "fab", "workload", "fleet"];
+
+/// Rejects the first key of `value` outside `known`.
+fn reject_unknown_keys(value: &JsonValue, known: &[&str]) -> Result<(), JsonError> {
+    match value.as_object().and_then(|obj| obj.keys().find(|key| !known.contains(key))) {
+        Some(key) => Err(JsonError::unknown_field(key, known)),
+        None => Ok(()),
+    }
+}
+
 impl FromJson for FleetSpec {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        reject_unknown_keys(value, &FLEET_KEYS)?;
         let require =
             |name: &str| value.get(name).ok_or_else(|| JsonError::missing_field(name));
         let seed = match value.get("seed") {
@@ -275,6 +293,7 @@ pub struct Scenario {
 
 impl FromJson for Scenario {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        reject_unknown_keys(value, &SCENARIO_KEYS)?;
         let require =
             |name: &str| value.get(name).ok_or_else(|| JsonError::missing_field(name));
         fn optional<T: FromJson>(
@@ -389,5 +408,28 @@ mod tests {
             FleetSpec::from_json(&JsonValue::parse(doc).expect("parse")).expect("fleet");
         assert_eq!(fleet.seed, 0);
         assert_eq!(fleet.devices, 10);
+    }
+
+    #[test]
+    fn misspelled_optional_keys_are_rejected_by_name() {
+        let doc = r#"{
+            "devices": 10, "samples": 4, "sead": 99,
+            "lifetime_years": {"dist": "point", "value": 3.0},
+            "use_intensity_g_per_kwh": {"dist": "point", "value": 300.0},
+            "utilization": {"dist": "point", "value": 0.5}
+        }"#;
+        let err = FleetSpec::from_json(&JsonValue::parse(doc).expect("parse"))
+            .expect_err("`sead` must not default the seed to 0");
+        assert!(err.to_string().contains("unknown field `sead`"), "{err}");
+
+        let doc = r#"{
+            "name": "typo",
+            "chips": [{"name": "SoC", "node": "N7", "area_mm2": 10.0, "count": 1}],
+            "drams": [{"technology": "Lpddr4", "capacity_gb": 4.0}],
+            "packaged_ic_count": 1
+        }"#;
+        let err = Scenario::parse(doc).expect_err("`drams` must not drop the DRAM term");
+        assert!(matches!(err, ScenarioError::Json(_)), "{err}");
+        assert!(err.to_string().contains("unknown field `drams`"), "{err}");
     }
 }

@@ -522,10 +522,10 @@ fn slow_read_fault_still_completes_within_timeouts() {
     server.stop();
 }
 
-/// `/v1/scenario` reproduces the constant path bit-for-bit: posting the
-/// committed iPhone 11 fixture returns the same embodied total as the
-/// library computing the Rust constant, through JSON's shortest
-/// round-trip rendering.
+/// `/v1/scenario` reproduces the library bit-for-bit: posting the
+/// committed iPhone 11 fixture returns the same embodied total as
+/// compiling that fixture in-process, through JSON's shortest round-trip
+/// rendering.
 #[test]
 fn scenario_endpoint_matches_the_constant_device() {
     let server = TestServer::start(ServerConfig::default());
@@ -535,11 +535,10 @@ fn scenario_endpoint_matches_the_constant_device() {
     let doc = JsonValue::parse(body.trim_end()).expect("scenario body parses");
     assert_eq!(doc.get("name").and_then(JsonValue::as_str), Some("iPhone 11"));
     let got = doc.get("embodied_g").and_then(JsonValue::as_f64).expect("embodied_g");
-    let oracle = act_core::SystemSpec::from_bom(&act_data::devices::IPHONE_11)
-        .try_embodied(&act_core::FabScenario::default())
+    let oracle = act_scenario::Scenario::parse(act_data::scenarios::IPHONE_11)
+        .and_then(|scenario| scenario.compile())
         .expect("oracle")
-        .total()
-        .as_grams();
+        .embodied_grams();
     assert_eq!(got.to_bits(), oracle.to_bits(), "server {got} vs library {oracle}");
     let components = doc
         .get("embodied")
@@ -612,6 +611,15 @@ fn hostile_scenario_payloads_are_clean_400s() {
             r#"{"name": "x", "chips": [{"name": "SoC", "node": "N3000", "area_mm2": 5.0,
                 "count": 1}], "packaged_ic_count": 1}"#
                 .to_owned(),
+            "invalid-scenario",
+        ),
+        // Misspelled optional section: ignoring `drams` would silently
+        // drop the DRAM term.
+        (
+            format!(
+                r#"{{"name": "x", {chip}, "packaged_ic_count": 1,
+                    "drams": [{{"technology": "Lpddr4", "capacity_gb": 4.0}}]}}"#
+            ),
             "invalid-scenario",
         ),
         // Inverted triangular distribution.

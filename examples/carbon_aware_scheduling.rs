@@ -6,8 +6,9 @@
 //! cargo run --example carbon_aware_scheduling
 //! ```
 
-use act::core::{FabScenario, IntensityProfile, SystemSpec};
-use act::data::{devices, Location};
+use act::core::IntensityProfile;
+use act::data::{scenarios, Location};
+use act::scenario::Scenario;
 use act::units::{Energy, Power, TimeSpan};
 
 fn main() {
@@ -39,8 +40,11 @@ fn main() {
     // Perspective: the server's own embodied carbon, amortized per day of
     // a 4-year life, is on the same scale as everything scheduling can
     // save — so manufacturing can no longer be ignored (the ACT thesis).
-    let server =
-        SystemSpec::from_bom(&devices::DELL_R740).embodied(&FabScenario::default()).total();
+    let server = Scenario::parse(scenarios::DELL_R740)
+        .and_then(|scenario| scenario.compile())
+        .expect("the Dell R740 document compiles")
+        .embodied()
+        .total();
     let per_day = server * (1.0 / (4.0 * 365.0));
     println!(
         "Server embodied carbon: {:.0} kg total, {:.0} g per day of a 4-year life.",

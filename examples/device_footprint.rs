@@ -6,18 +6,22 @@
 //! cargo run --example device_footprint
 //! ```
 
-use act::core::{ComponentKind, FabScenario, SystemSpec};
-use act::data::{devices, reports};
+use act::core::{ComponentKind, FabScenario};
+use act::data::{reports, scenarios};
 use act::lca::{table12, top_down_ic_estimate, EioLca};
+use act::scenario::Scenario;
 
 fn main() {
     let fab = FabScenario::default();
 
-    for (bom, report) in
-        [(&devices::IPHONE_11, &reports::IPHONE_11), (&devices::IPAD, &reports::IPAD)]
+    for (doc, report) in
+        [(scenarios::IPHONE_11, &reports::IPHONE_11), (scenarios::IPAD, &reports::IPAD)]
     {
-        let act = SystemSpec::from_bom(bom).embodied(&fab);
-        println!("{} — ACT bottom-up estimate:", bom.name);
+        let device = Scenario::parse(doc)
+            .and_then(|scenario| scenario.compile())
+            .expect("committed device documents compile");
+        let act = device.embodied();
+        println!("{} — ACT bottom-up estimate:", device.name());
         for component in act.components() {
             println!("  {:7.2} kg  {}", component.footprint.as_kilograms(), component.label);
         }

@@ -6,13 +6,17 @@
 //! cargo run --example uncertainty
 //! ```
 
-use act::core::{FabScenario, SystemSpec};
-use act::data::{devices, Abatement};
+use act::core::FabScenario;
+use act::data::{scenarios, Abatement};
 use act::dse::{monte_carlo, triangular, Parallelism};
+use act::scenario::Scenario;
 use act::units::{CarbonIntensity, Fraction};
 
 fn main() {
-    let spec = SystemSpec::from_bom(&devices::IPHONE_11);
+    let iphone = Scenario::parse(scenarios::IPHONE_11)
+        .and_then(|scenario| scenario.compile())
+        .expect("the iPhone 11 document compiles");
+    let spec = iphone.system();
 
     // Point estimate and analytical bounds (Figure 6's band).
     let default_fab = FabScenario::default();

@@ -19,6 +19,7 @@ pub use act_data as data;
 pub use act_dse as dse;
 pub use act_experiments as experiments;
 pub use act_lca as lca;
+pub use act_scenario as scenario;
 pub use act_soc as soc;
 pub use act_ssd as ssd;
 pub use act_units as units;

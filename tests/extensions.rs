@@ -3,21 +3,26 @@
 //! uncertainty propagation, and the extension studies.
 
 use act::core::{
-    FabScenario, FreightMode, IntensityProfile, LifecycleEstimate, ModelParams, SystemSpec,
-    TransportLeg, TransportModel,
+    FabScenario, FreightMode, IntensityProfile, LifecycleEstimate, ModelParams, TransportLeg,
+    TransportModel,
 };
-use act::data::{devices, reports, Location};
+use act::data::{reports, scenarios, Location};
 use act::dse::{monte_carlo, triangular, Parallelism};
 use act::experiments::{try_render_experiment, OutputFormat};
+use act::scenario::{CompiledScenario, Scenario};
 use act::units::{CarbonIntensity, Energy, Fraction, MassCo2};
+
+/// One committed device document, compiled under its default fab.
+fn device(doc: &str) -> CompiledScenario {
+    Scenario::parse(doc).and_then(|scenario| scenario.compile()).expect("device compiles")
+}
 
 #[test]
 fn full_lifecycle_assembly_from_act_components() {
     // Build the iPhone 11's four phases: ACT manufacturing, modeled
     // transport, report use/EOL — and confirm the assembly still tells the
     // Figure 1 story (manufacturing-dominated).
-    let manufacturing_ics =
-        SystemSpec::from_bom(&devices::IPHONE_11).embodied(&FabScenario::default()).total();
+    let manufacturing_ics = device(scenarios::IPHONE_11).embodied().total();
     // ICs are ~44 % of manufacturing; scale up to whole-device.
     let manufacturing = manufacturing_ics / reports::IC_SHARE_OF_MANUFACTURING;
 
@@ -55,7 +60,8 @@ fn scheduling_and_grid_choice_compose() {
 
 #[test]
 fn monte_carlo_brackets_the_point_estimate() {
-    let spec = SystemSpec::from_bom(&devices::FAIRPHONE_3);
+    let fairphone = device(scenarios::FAIRPHONE_3);
+    let spec = fairphone.system();
     let point = spec.embodied(&FabScenario::default()).total().as_kilograms();
     let stats = monte_carlo(Parallelism::Auto, 2_000, 9, |rng| {
         let y = triangular(rng, 0.7, 0.875, 0.98);
@@ -79,7 +85,8 @@ fn params_facade_round_trips_through_json_config() {
 
 #[test]
 fn fab_bounds_contain_all_named_scenarios() {
-    let spec = SystemSpec::from_bom(&devices::IPAD);
+    let ipad = device(scenarios::IPAD);
+    let spec = ipad.system();
     let (lo, hi) = spec.embodied_bounds(&FabScenario::default());
     for fab in [FabScenario::default(), FabScenario::taiwan_grid(), FabScenario::renewable()] {
         let e = spec.embodied(&fab).total();
