@@ -618,6 +618,55 @@ pub fn par_monte_carlo_compiled_block_with(
     Ok(outcome)
 }
 
+/// How a block Monte-Carlo run draws its samples into columns.
+///
+/// Sample `i` of a run keyed by `seed` must depend on `(seed, i)` alone —
+/// drawn from `Rng::seed_from_u64(`[`mc_sample_seed`]`(seed, i))` — which
+/// is what keeps the outcome bit-identical for every thread count,
+/// chunking and deadline.
+///
+/// Every per-sample closure `Fn(&mut Rng, usize, &mut [Vec<f64>]) +
+/// Sync` is a sampler: the blanket impl seeds each sample's RNG in turn
+/// and lets the closure write slot `k` of the columns. A sampler that can
+/// do better on a whole block (draw every sample's raw uniforms first,
+/// then transform them column by column, as the scenario fleet does)
+/// implements [`sample_block`](Self::sample_block) itself.
+pub trait BlockSampler: Sync {
+    /// Per-worker scratch, reused across blocks (unit for closures).
+    type Scratch: Default;
+
+    /// Draws samples `range` (global sample indices) into slots
+    /// `0..range.len()` of `columns`, which the engine has sized to
+    /// `range.len()` each.
+    fn sample_block(
+        &self,
+        seed: u64,
+        range: Range<usize>,
+        columns: &mut [Vec<f64>],
+        scratch: &mut Self::Scratch,
+    );
+}
+
+impl<F> BlockSampler for F
+where
+    F: Fn(&mut Rng, usize, &mut [Vec<f64>]) + Sync,
+{
+    type Scratch = ();
+
+    fn sample_block(
+        &self,
+        seed: u64,
+        range: Range<usize>,
+        columns: &mut [Vec<f64>],
+        _: &mut (),
+    ) {
+        for (k, index) in range.enumerate() {
+            let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, index as u64));
+            self(&mut rng, k, columns);
+        }
+    }
+}
+
 /// [`par_monte_carlo_compiled_block_with`] under a cooperative
 /// [`EvalBudget`]: when the deadline cuts in, the run summarizes the
 /// **completed prefix** of samples (chunk-aligned, and one worker's chunk
@@ -625,18 +674,23 @@ pub fn par_monte_carlo_compiled_block_with(
 /// same prefix of an unbudgeted run. After the call,
 /// [`McBuffer::draws`] holds exactly the completed prefix.
 ///
+/// The sampler is any [`BlockSampler`]: a per-sample closure, as for
+/// [`par_monte_carlo_compiled_block_with`], or a type that fills a whole
+/// block at once. Every worker keeps its own sample columns and sampler
+/// scratch.
+///
 /// # Errors
 ///
 /// Returns [`McError::NoSamples`] when `samples` is zero or the budget
 /// expired before the first block completed, and [`McError::AllRejected`]
 /// when every completed draw was non-finite.
 #[allow(clippy::too_many_arguments)]
-pub fn par_monte_carlo_compiled_block_budgeted(
+pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
     parallelism: Parallelism,
     samples: usize,
     seed: u64,
     axes: usize,
-    sampler: impl Fn(&mut Rng, usize, &mut [Vec<f64>]) + Sync,
+    sampler: S,
     block_kernel: impl Fn(&[&[f64]], Range<usize>, &mut [f64]) + Sync,
     buf: &mut McBuffer,
     budget: &EvalBudget,
@@ -647,23 +701,29 @@ pub fn par_monte_carlo_compiled_block_budgeted(
     let workers = parallelism.resolve_for(samples).workers.min(samples);
     buf.draws.clear();
     buf.draws.resize(samples, f64::NAN);
-    let fill = |columns: &mut Vec<Vec<f64>>, range: Range<usize>, out: &mut [f64]| {
+    let fill = |(columns, scratch): &mut (Vec<Vec<f64>>, S::Scratch),
+                range: Range<usize>,
+                out: &mut [f64]| {
         let n = range.len();
         columns.resize(axes, Vec::new());
         for col in columns.iter_mut() {
             col.clear();
             col.resize(n, 0.0);
         }
-        for k in 0..n {
-            let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, (range.start + k) as u64));
-            sampler(&mut rng, k, columns);
-        }
+        sampler.sample_block(seed, range, columns, scratch);
         let column_refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
         block_kernel(&column_refs, 0..n, out);
     };
     // No rejection log: the Monte-Carlo contract reports a rejected
     // *count*, which `McBuffer::outcome` takes from the NaN draws.
-    let run = fill_chunked_block(workers, &mut buf.draws, None, &Vec::new, &fill, budget);
+    let run = fill_chunked_block(
+        workers,
+        &mut buf.draws,
+        None,
+        &|| (Vec::new(), S::Scratch::default()),
+        &fill,
+        budget,
+    );
     let completed = match run {
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,

@@ -65,7 +65,7 @@ mod sweep;
 pub use batch::{
     par_monte_carlo_compiled_block_budgeted, par_monte_carlo_compiled_block_with,
     par_sweep_compiled_block_budgeted, par_sweep_compiled_block_with, sweep_compiled_block,
-    BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, PointBatch,
+    BatchOutput, BatchRun, BatchShapeError, BlockSampler, EvalBudget, McBuffer, PointBatch,
 };
 pub use montecarlo::{
     mc_sample_seed, monte_carlo, triangular, try_monte_carlo, try_triangular, McError,

@@ -298,7 +298,8 @@ impl std::error::Error for TriangularError {}
 /// instead of a caught-panic 500.
 ///
 /// The RNG is only advanced when the parameters are valid, so a rejected
-/// draw consumes no randomness.
+/// draw consumes no randomness. A valid draw is
+/// [`act_rng::unit_to_triangular`] of one uniform.
 ///
 /// # Errors
 ///
@@ -318,13 +319,7 @@ pub fn try_triangular(
     if !valid {
         return Err(TriangularError { low, mode, high });
     }
-    let u: f64 = rng.gen();
-    let cut = (mode - low) / (high - low);
-    Ok(if u < cut {
-        low + ((high - low) * (mode - low) * u).sqrt()
-    } else {
-        high - ((high - low) * (high - mode) * (1.0 - u)).sqrt()
-    })
+    Ok(act_rng::unit_to_triangular(rng.gen(), low, mode, high))
 }
 
 /// Draws a triangular-distributed value on `[low, high]` with the given

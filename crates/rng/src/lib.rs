@@ -16,12 +16,24 @@
 //! * Uniform, range, Bernoulli and normal (Box-Muller) draws with the same
 //!   method names the `rand` crate used (`gen`, `gen_range`, `gen_bool`),
 //!   so call sites migrate without churn.
+//! * The transforms from raw `[0, 1)` uniforms to each distribution —
+//!   [`unit_to_range`], [`unit_to_triangular`], [`unit_to_normal`] —
+//!   defined once. `gen_range`, [`Rng::normal`] and block samplers that
+//!   draw a column of uniforms first and transform it afterwards all call
+//!   them, so the per-draw and the column forms agree bit for bit.
 //!
-//! Determinism contract: the output of every method on [`Rng`] for a given
-//! seed is **pinned** — regression tests in this crate hard-code reference
-//! draws, and the workspace's Monte-Carlo golden values depend on them.
-//! Any change to the algorithms here is a breaking change to every
-//! committed golden value and must regenerate them in the same commit.
+//! Determinism contract (stream **v2**): the output of every method on
+//! [`Rng`] for a given seed is **pinned** — regression tests in this crate
+//! hard-code reference draws of the raw stream and of the normal stream,
+//! and the workspace's Monte-Carlo golden values depend on them. Any
+//! change to the algorithms here is a breaking change to every committed
+//! golden value and must regenerate them in the same commit.
+//!
+//! v2 replaced the platform libm's `ln` and `cos` inside Box–Muller with
+//! [`act_units::math`]'s fixed-algorithm ones, which are built from IEEE
+//! basic operations only: the normal stream is now the same bits on every
+//! host, not a fact about one libc. It also made `f64` `gen_range`
+//! strictly half-open (see [`unit_to_range`]).
 //!
 //! # Examples
 //!
@@ -42,6 +54,8 @@
 #![warn(missing_docs)]
 
 use std::ops::Range;
+
+use act_units::math;
 
 /// Weyl-sequence increment for SplitMix64 (the fractional part of the
 /// golden ratio scaled to 64 bits).
@@ -133,22 +147,80 @@ impl Rng {
         self.gen::<f64>() < p
     }
 
-    /// A standard-normal draw via Box-Muller.
+    /// A standard-normal draw via Box-Muller: [`unit_to_normal`] of two
+    /// uniform draws, `u1` then `u2`.
     ///
     /// Consumes exactly two uniform draws per call (the second transform
     /// output is discarded so the per-call draw count stays fixed — that
     /// keeps interleaved draw sequences easy to reason about in tests).
+    /// The bits are portable: the transform uses [`act_units::math`], not
+    /// the platform libm (stream contract v2).
     pub fn normal(&mut self) -> f64 {
-        // u1 in (0, 1]: avoids ln(0) without branching on a rejection loop.
-        let u1 = 1.0 - self.gen::<f64>();
+        let u1: f64 = self.gen();
         let u2: f64 = self.gen();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        unit_to_normal(u1, u2)
     }
 
     /// A normal draw with the given mean and standard deviation.
     pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.normal()
     }
+}
+
+/// Maps a raw uniform `u ∈ [0, 1)` onto `[low, high)`: the transform
+/// behind `f64` [`Rng::gen_range`].
+///
+/// `low + (high - low) · u` can round up to `high` itself at the top
+/// draws (`u = 1 - 2^-53` on `60.0..120.0` gives exactly `120.0`); such a
+/// sum returns `high`'s predecessor instead, so the range stays
+/// half-open. Every other draw keeps its stream-v1 bits. NaN passes
+/// through.
+///
+/// # Examples
+///
+/// ```
+/// let top = 1.0 - f64::EPSILON / 2.0; // the largest draw `gen` yields
+/// assert!(act_rng::unit_to_range(top, 60.0, 120.0) < 120.0);
+/// assert_eq!(act_rng::unit_to_range(0.5, 60.0, 120.0), 90.0);
+/// ```
+#[inline]
+#[must_use]
+pub fn unit_to_range(u: f64, low: f64, high: f64) -> f64 {
+    let x = low + (high - low) * u;
+    if x >= high {
+        high.next_down()
+    } else {
+        x
+    }
+}
+
+/// Maps a raw uniform `u ∈ [0, 1)` onto the triangular distribution on
+/// `[low, high]` peaking at `mode` (inverse CDF). Parameters are not
+/// checked here; `act_dse::try_triangular` is the validating draw.
+///
+/// Both branches are computed and one is selected, so a loop over a
+/// column has no data-dependent branch; the bits equal the branchy form.
+#[inline]
+#[must_use]
+pub fn unit_to_triangular(u: f64, low: f64, mode: f64, high: f64) -> f64 {
+    let cut = (mode - low) / (high - low);
+    let rising = low + ((high - low) * (mode - low) * u).sqrt();
+    let falling = high - ((high - low) * (high - mode) * (1.0 - u)).sqrt();
+    if u < cut {
+        rising
+    } else {
+        falling
+    }
+}
+
+/// Box–Muller: maps two raw uniforms `u1, u2 ∈ [0, 1)` to one standard
+/// normal, `sqrt(-2 ln(1 - u1)) · cos(2π u2)`. `1 - u1 ∈ (0, 1]`, so the
+/// logarithm never sees zero. `ln` and `cos` are [`act_units::math`]'s
+/// portable ones.
+#[inline]
+#[must_use]
+pub fn unit_to_normal(u1: f64, u2: f64) -> f64 {
+    (-2.0 * math::ln(1.0 - u1)).sqrt() * math::cos(std::f64::consts::TAU * u2)
 }
 
 /// Types with a canonical "standard" distribution under [`Rng::gen`].
@@ -198,8 +270,7 @@ impl SampleRange for f64 {
     #[inline]
     fn sample_range(rng: &mut Rng, range: Range<Self>) -> Self {
         assert!(range.start < range.end, "cannot sample empty range");
-        let span = range.end - range.start;
-        range.start + span * rng.gen::<f64>()
+        unit_to_range(rng.gen(), range.start, range.end)
     }
 }
 
@@ -424,6 +495,94 @@ mod tests {
                 0xbf08_119f_05cd_56d6,
             ]
         );
+    }
+
+    /// Pins stream contract v2's normal stream: the bits of the first 8
+    /// `normal()` draws for two seeds, and a fold of 4096 more. Box–Muller
+    /// runs on `act_units::math`, so these hold on every IEEE-754 host.
+    #[test]
+    fn normal_stream_is_pinned() {
+        let pinned: [(u64, [u64; 8]); 2] = [
+            (
+                1,
+                [
+                    0xbfa1_0473_e028_5fef,
+                    0xbf86_5cc9_844f_2c0a,
+                    0xbfe1_3b77_9018_468f,
+                    0xc007_4be4_5ad7_3838,
+                    0x3fd3_2c7a_6631_0f6f,
+                    0xbff3_f361_9ee5_ac30,
+                    0xbfd3_91f4_24f8_e7f2,
+                    0x3fce_c41c_8c20_f29f,
+                ],
+            ),
+            (
+                17,
+                [
+                    0x3ff6_df22_a4e5_820e,
+                    0xbfc8_6252_a786_a85a,
+                    0x3fca_b28b_74fe_b60f,
+                    0x3fd9_9b55_64f7_ac4a,
+                    0x3fd1_7711_9e7d_1a00,
+                    0xbfb0_7ceb_e568_5884,
+                    0xbfd5_cc70_7a6a_6648,
+                    0xbfe5_90aa_dc96_83d5,
+                ],
+            ),
+        ];
+        for (seed, bits) in pinned {
+            let mut rng = Rng::seed_from_u64(seed);
+            let drawn: Vec<u64> = (0..8).map(|_| rng.normal().to_bits()).collect();
+            assert_eq!(drawn, bits, "seed {seed}");
+        }
+        // A last-bit change hits only a few percent of draws, so also pin
+        // an FNV-1a fold of the bits of the first 4096 draws of seed 1.
+        let mut rng = Rng::seed_from_u64(1);
+        let mut fold: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..4096 {
+            for byte in rng.normal().to_bits().to_le_bytes() {
+                fold = (fold ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(fold, 0x532d_c042_6feb_17a0);
+    }
+
+    /// `normal` is `unit_to_normal` of two consecutive uniforms, `u1`
+    /// first: the contract block samplers rely on.
+    #[test]
+    fn normal_is_the_transform_of_two_uniforms() {
+        let mut rng = Rng::seed_from_u64(5);
+        let mut twin = rng.clone();
+        for _ in 0..1_000 {
+            let (u1, u2): (f64, f64) = (twin.gen(), twin.gen());
+            assert_eq!(rng.normal().to_bits(), unit_to_normal(u1, u2).to_bits());
+        }
+        assert_eq!(rng, twin);
+    }
+
+    /// The top uniform, `1 - 2^-53`, used to round `low + span·u` up to
+    /// the excluded bound on these ranges; it now yields the predecessor.
+    #[test]
+    fn float_range_excludes_its_upper_bound_at_the_top_draw() {
+        let top = 1.0 - f64::EPSILON / 2.0;
+        for (low, high) in [(60.0, 120.0), (0.7, 1.0), (1.5, 5.0)] {
+            assert_eq!(low + (high - low) * top, high, "{low}..{high} rounds up");
+            assert_eq!(unit_to_range(top, low, high), high.next_down(), "{low}..{high}");
+        }
+        for (low, high) in [(-3.0, -1.0), (-1.0, 0.0), (0.0, 1e-300)] {
+            assert!(unit_to_range(top, low, high) < high, "{low}..{high}");
+        }
+        // Every other draw keeps its v1 bits.
+        let (low, high) = (0.7, 1.0);
+        let mut units = Rng::seed_from_u64(8);
+        for _ in 0..10_000 {
+            let u: f64 = units.gen();
+            assert_eq!(
+                unit_to_range(u, low, high).to_bits(),
+                (low + (high - low) * u).to_bits()
+            );
+        }
+        assert!(unit_to_range(f64::NAN, 0.0, 1.0).is_nan());
     }
 
     #[test]

@@ -1,42 +1,135 @@
 //! Fleet-scale Monte-Carlo over a compiled scenario kernel.
 //!
-//! [`FleetKernel::run`] drives `act_dse::batch`'s block-vectorized
-//! Monte-Carlo family: sample `i` draws from an RNG seeded with
+//! [`FleetKernel::run`] drives `act_dse::batch`'s block Monte-Carlo
+//! engine: sample `i` draws from an RNG seeded with
 //! [`act_dse::mc_sample_seed`]`(seed, i)`, so the outcome is
 //! **bit-identical** for any thread count, block size, or deadline
 //! budget — sharding is a scheduling decision, never a numerical one.
 //!
 //! Each sample draws, in fixed order, a lifetime, a grid intensity, and
 //! a utilization from the scenario's distributions, then evaluates the
-//! operational kernel and adds the embodied total. Draws that land
-//! outside the model's documented ranges (or are non-finite, e.g. a
-//! wide normal's tail) poison the sample's columns to NaN; the batch
-//! layer counts such samples as `rejected` instead of corrupting the
-//! statistics.
+//! operational kernel and adds the embodied total. The sampler works on
+//! a whole block at a time, column by column:
+//!
+//! 1. seed each sample's `Rng` and write its raw `[0, 1)` uniforms, in
+//!    the draw order above (a normal takes two, `u1` then `u2`; uniform
+//!    and triangular one; a point none), into per-worker scratch columns;
+//! 2. run one tight transform loop per distribution over its columns —
+//!    the same `act_rng::unit_to_*` functions `Rng::gen_range`,
+//!    `Rng::normal_with` and `act_dse::try_triangular` use, so every draw
+//!    is bit-identical to the per-sample API;
+//! 3. range-check each sample and lay out the kernel's columns.
+//!
+//! Draws that land outside the model's documented ranges (or are
+//! non-finite) poison the sample's columns to NaN; the batch layer counts
+//! such samples as `rejected` instead of corrupting the statistics.
+
+use std::ops::Range;
 
 use act_core::{CompiledFootprint, INTENSITY_RANGE, LIFETIME_RANGE};
 use act_dse::{
-    par_monte_carlo_compiled_block_budgeted, try_triangular, BatchRun, EvalBudget, McBuffer,
-    McError, McOutcome, Parallelism,
+    mc_sample_seed, par_monte_carlo_compiled_block_budgeted, BatchRun, BlockSampler,
+    EvalBudget, McBuffer, McError, McOutcome, Parallelism,
 };
-use act_rng::Rng;
+use act_rng::{unit_to_normal, unit_to_range, unit_to_triangular, Rng};
 
 use crate::compile::{device_point, UTILIZATION_RANGE};
 use crate::schema::{Distribution, FleetSpec};
 
 impl Distribution {
-    /// One draw. Invalid parameters (unreachable after
-    /// [`Distribution::validate`], but kept total for safety) and
-    /// non-finite results surface as NaN, which the sampler treats as a
-    /// rejection.
-    fn sample(&self, rng: &mut Rng) -> f64 {
+    /// Raw uniforms one draw consumes.
+    fn uniforms(&self) -> usize {
+        match self {
+            Self::Point { .. } => 0,
+            Self::Uniform { .. } | Self::Triangular { .. } => 1,
+            Self::Normal { .. } => 2,
+        }
+    }
+
+    /// Pass 2: maps this distribution's raw uniform columns, taken in
+    /// order from `raw`, to one value per slot of `out`. Parameters were
+    /// validated at compile time.
+    fn transform(&self, raw: &mut std::slice::ChunksExact<'_, f64>, out: &mut [f64]) {
+        let mut column = || raw.next().unwrap_or_default();
         match *self {
-            Self::Point { value } => value,
-            Self::Uniform { low, high } => rng.gen_range(low..high),
-            Self::Triangular { low, mode, high } => {
-                try_triangular(rng, low, mode, high).unwrap_or(f64::NAN)
+            Self::Point { value } => out.fill(value),
+            Self::Uniform { low, high } => {
+                for (slot, &u) in out.iter_mut().zip(column()) {
+                    *slot = unit_to_range(u, low, high);
+                }
             }
-            Self::Normal { mean, std_dev } => rng.normal_with(mean, std_dev),
+            Self::Triangular { low, mode, high } => {
+                for (slot, &u) in out.iter_mut().zip(column()) {
+                    *slot = unit_to_triangular(u, low, mode, high);
+                }
+            }
+            Self::Normal { mean, std_dev } => {
+                let (u1, u2) = (column(), column());
+                for (slot, (&a, &b)) in out.iter_mut().zip(u1.iter().zip(u2)) {
+                    *slot = mean + std_dev * unit_to_normal(a, b);
+                }
+            }
+        }
+    }
+}
+
+/// The fleet's column-wise [`BlockSampler`]; its scratch holds the raw
+/// uniforms, one `range.len()`-long column per draw slot.
+struct FleetSampler {
+    /// Lifetime, intensity, utilization: the seed contract's draw order.
+    dists: [Distribution; 3],
+    power_w: f64,
+}
+
+impl BlockSampler for FleetSampler {
+    type Scratch = Vec<f64>;
+
+    fn sample_block(
+        &self,
+        seed: u64,
+        range: Range<usize>,
+        columns: &mut [Vec<f64>],
+        uniforms: &mut Vec<f64>,
+    ) {
+        let n = range.len();
+        // Column layout matches the kernel's axes: [ExecutionTime,
+        // Lifetime, UseIntensity, Energy]; the energy column holds the
+        // utilization draws until pass 3.
+        let [exec, lifetime, intensity, energy] = columns else {
+            unreachable!("the fleet kernel has four axes")
+        };
+        if n == 0 {
+            return;
+        }
+        let slots: usize = self.dists.iter().map(Distribution::uniforms).sum();
+        uniforms.clear();
+        uniforms.resize(slots * n, 0.0);
+        if slots > 0 {
+            for (k, index) in range.enumerate() {
+                let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, index as u64));
+                for slot in uniforms[k..].iter_mut().step_by(n) {
+                    *slot = rng.gen();
+                }
+            }
+        }
+        let mut raw = uniforms.chunks_exact(n);
+        for (dist, out) in
+            self.dists.iter().zip([&mut *lifetime, &mut *intensity, &mut *energy])
+        {
+            dist.transform(&mut raw, out);
+        }
+        let power_w = self.power_w;
+        for (((e, l), ci), u) in exec
+            .iter_mut()
+            .zip(lifetime.iter_mut())
+            .zip(intensity.iter_mut())
+            .zip(energy.iter_mut())
+        {
+            let valid = LIFETIME_RANGE.contains(l)
+                & INTENSITY_RANGE.contains(ci)
+                & UTILIZATION_RANGE.contains(u);
+            let point = if valid { device_point(power_w, *u, *l, *ci) } else { [f64::NAN; 4] };
+            [*e, *l, *ci, *u] = point;
         }
     }
 }
@@ -102,27 +195,13 @@ impl FleetKernel {
         buf: &mut McBuffer,
         budget: &EvalBudget,
     ) -> Result<(McOutcome, BatchRun), McError> {
-        let lifetime = self.spec.lifetime_years;
-        let intensity = self.spec.use_intensity_g_per_kwh;
-        let utilization = self.spec.utilization;
-        let power_w = self.power_w;
-        // Column layout matches the kernel's axes: [ExecutionTime,
-        // Lifetime, UseIntensity, Energy]. The draw order (lifetime,
-        // intensity, utilization) is part of the seed contract — changing
-        // it would change every result.
-        let sampler = move |rng: &mut Rng, k: usize, columns: &mut [Vec<f64>]| {
-            let l = lifetime.sample(rng);
-            let ci = intensity.sample(rng);
-            let u = utilization.sample(rng);
-            let valid = LIFETIME_RANGE.contains(&l)
-                && INTENSITY_RANGE.contains(&ci)
-                && UTILIZATION_RANGE.contains(&u);
-            let point = if valid { device_point(power_w, u, l, ci) } else { [f64::NAN; 4] };
-            for (column, value) in columns.iter_mut().zip(point) {
-                if let Some(slot) = column.get_mut(k) {
-                    *slot = value;
-                }
-            }
+        let sampler = FleetSampler {
+            dists: [
+                self.spec.lifetime_years,
+                self.spec.use_intensity_g_per_kwh,
+                self.spec.utilization,
+            ],
+            power_w: self.power_w,
         };
         let plan = self.kernel.plan();
         let embodied = self.embodied_g;

@@ -1,13 +1,17 @@
 //! Fleet Monte-Carlo contract tests: thread-count bit-identity, the
-//! point-distribution ↔ single-device consistency law, rejection
+//! point-distribution ↔ single-device consistency law, per-draw identity
+//! of the column sampler with the scalar `Rng` API, rejection
 //! accounting, deadline prefix determinism, and compile-time validation
 //! of fleet blocks.
 
 use std::time::{Duration, Instant};
 
-use act_dse::{BatchRun, EvalBudget, McBuffer, McError};
+use act_core::{ModelParams, INTENSITY_RANGE, LIFETIME_RANGE};
+use act_data::ProcessNode;
+use act_dse::{mc_sample_seed, try_triangular, BatchRun, EvalBudget, McBuffer, McError};
 use act_rng::Rng;
-use act_scenario::{Scenario, ScenarioError};
+use act_scenario::{Distribution, Scenario, ScenarioError};
+use act_units::SECONDS_PER_YEAR;
 
 /// A phone-class scenario with genuinely random distributions.
 fn fleet_doc() -> &'static str {
@@ -139,6 +143,159 @@ fn point_distributions_reproduce_the_device_footprint_bitwise() {
                 device.total_g.to_bits(),
                 "sample {i} diverged from the device footprint at {workload}"
             );
+        }
+    }
+}
+
+/// `{"dist": ...}` for a distribution.
+fn dist_json(dist: Distribution) -> String {
+    match dist {
+        Distribution::Point { value } => format!(r#"{{"dist": "point", "value": {value:?}}}"#),
+        Distribution::Uniform { low, high } => {
+            format!(r#"{{"dist": "uniform", "low": {low:?}, "high": {high:?}}}"#)
+        }
+        Distribution::Triangular { low, mode, high } => format!(
+            r#"{{"dist": "triangular", "low": {low:?}, "mode": {mode:?}, "high": {high:?}}}"#
+        ),
+        Distribution::Normal { mean, std_dev } => {
+            format!(r#"{{"dist": "normal", "mean": {mean:?}, "std_dev": {std_dev:?}}}"#)
+        }
+    }
+}
+
+/// One draw through the scalar `Rng` API: the interpreted form the
+/// column sampler must reproduce bit for bit.
+fn scalar_draw(dist: Distribution, rng: &mut Rng) -> f64 {
+    match dist {
+        Distribution::Point { value } => value,
+        Distribution::Uniform { low, high } => rng.gen_range(low..high),
+        Distribution::Triangular { low, mode, high } => {
+            try_triangular(rng, low, mode, high).expect("valid triangular")
+        }
+        Distribution::Normal { mean, std_dev } => rng.normal_with(mean, std_dev),
+    }
+}
+
+/// Every distribution kind in every slot (lifetime, intensity,
+/// utilization), with sample counts that are not a multiple of a block or
+/// a lane pair, on 1 and 3 threads and under a deadline: each entry of
+/// `McBuffer::draws()` equals the scalar re-derivation — the sample's
+/// `Rng` from `mc_sample_seed`, three scalar draws in the contract's
+/// order, the Table 1 range check, and the interpreted model plus the
+/// embodied total — bit for bit. Each kind's parameters put some draws
+/// out of range, so rejections are covered too.
+#[test]
+fn column_sampler_matches_scalar_draws_bitwise() {
+    let kinds: [[Distribution; 4]; 3] = [
+        [
+            Distribution::Point { value: 3.0 },
+            Distribution::Uniform { low: 0.5, high: 8.0 },
+            Distribution::Triangular { low: 0.05, mode: 2.0, high: 3.0 },
+            Distribution::Normal { mean: 4.0, std_dev: 3.0 },
+        ],
+        [
+            Distribution::Point { value: 301.0 },
+            Distribution::Uniform { low: 0.0, high: 900.0 },
+            Distribution::Triangular { low: 30.0, mode: 380.0, high: 2100.0 },
+            Distribution::Normal { mean: 380.0, std_dev: 200.0 },
+        ],
+        [
+            Distribution::Point { value: 0.2 },
+            Distribution::Uniform { low: 0.05, high: 0.95 },
+            Distribution::Triangular { low: 0.0, mode: 0.3, high: 1.0 },
+            Distribution::Normal { mean: 0.2, std_dev: 0.15 },
+        ],
+    ];
+    let power_w = 2.5;
+    for rotation in 0..4 {
+        let [lifetime, intensity, utilization] =
+            [0, 1, 2].map(|slot| kinds[slot][(rotation + slot) % 4]);
+        for samples in [63, 4097] {
+            let seed = 11 + rotation as u64;
+            let doc = format!(
+                r#"{{
+                "name": "every kind",
+                "chips": [{{"name": "SoC", "node": "N7", "area_mm2": 98.5, "count": 1}}],
+                "packaged_ic_count": 30,
+                "workload": {{
+                    "power_w": {power_w}, "utilization": 0.2,
+                    "lifetime_years": 3.0, "use_intensity_g_per_kwh": 301.0
+                }},
+                "fleet": {{
+                    "devices": 10, "samples": {samples}, "seed": {seed},
+                    "lifetime_years": {},
+                    "use_intensity_g_per_kwh": {},
+                    "utilization": {}
+                }}
+            }}"#,
+                dist_json(lifetime),
+                dist_json(intensity),
+                dist_json(utilization),
+            );
+            let compiled = Scenario::parse(&doc).expect("parse").compile().expect("compile");
+            let embodied_g = compiled.embodied_grams();
+            let expected: Vec<f64> = (0..samples)
+                .map(|i| {
+                    let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
+                    let l = scalar_draw(lifetime, &mut rng);
+                    let ci = scalar_draw(intensity, &mut rng);
+                    let u = scalar_draw(utilization, &mut rng);
+                    if !(LIFETIME_RANGE.contains(&l)
+                        && INTENSITY_RANGE.contains(&ci)
+                        && (0.0..=1.0).contains(&u))
+                    {
+                        return f64::NAN;
+                    }
+                    let exec_s = l * SECONDS_PER_YEAR;
+                    let params = ModelParams {
+                        execution_time_s: exec_s,
+                        lifetime_years: l,
+                        packaged_ic_count: 0,
+                        soc_area_mm2: 0.0,
+                        process_node: ProcessNode::N7,
+                        use_intensity_g_per_kwh: ci,
+                        fab_intensity_g_per_kwh: 447.5,
+                        fab_yield: 0.875,
+                        dram: Vec::new(),
+                        ssd: Vec::new(),
+                        hdd: Vec::new(),
+                        energy_j: power_w * u * exec_s,
+                    };
+                    params.try_footprint().expect("in-range draw").as_grams() + embodied_g
+                })
+                .collect();
+            let rejected = expected.iter().filter(|v| v.is_nan()).count();
+            let context = format!("rotation {rotation}, {samples} samples");
+            assert!(rejected < samples, "{context}: every draw rejected");
+
+            let fleet = compiled.fleet().expect("fleet block");
+            let check = |draws: &[f64], label: &str| {
+                for (i, (got, want)) in draws.iter().zip(&expected).enumerate() {
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{context}, {label}: sample {i} is {got}, scalar path {want}"
+                    );
+                }
+            };
+            for threads in [1, 3] {
+                let mut buf = McBuffer::new();
+                let (outcome, run) =
+                    fleet.run(threads, &mut buf, &EvalBudget::unlimited()).expect("run");
+                assert_eq!(run, BatchRun::Completed);
+                assert_eq!(outcome.rejected, rejected, "{context}, {threads} threads");
+                assert_eq!(buf.draws().len(), samples);
+                check(buf.draws(), &format!("{threads} threads"));
+            }
+            let budget = EvalBudget::with_deadline(Instant::now() + Duration::from_micros(300))
+                .check_every(16);
+            let mut buf = McBuffer::new();
+            match fleet.run(1, &mut buf, &budget) {
+                Ok(_) | Err(McError::AllRejected { .. }) => {
+                    check(buf.draws(), "deadline prefix")
+                }
+                Err(McError::NoSamples) => {}
+                Err(other) => panic!("{context}: unexpected error {other:?}"),
+            }
         }
     }
 }

@@ -84,6 +84,7 @@ mod json_impls;
 mod quantity;
 
 pub mod dim;
+pub mod math;
 pub mod typelevel;
 
 mod rates;

@@ -2,10 +2,14 @@
 //! into full pipelines the way a downstream user would wire them.
 
 use act::accel::{AccelConfig, Network};
-use act::core::{total_footprint, FabScenario, OperationalModel, SystemSpec};
+use act::core::{
+    total_footprint, CompiledFootprint, FabScenario, FreeAxis, ModelParams, OperationalModel,
+    SystemSpec,
+};
 use act::data::{
     DramTechnology, EnergySource, Location, ProcessNode, SsdTechnology, MOBILE_SOCS,
 };
+use act::dse::{logspace, par_sweep_compiled_block_with, BatchOutput, Parallelism, PointBatch};
 use act::experiments::{try_render_experiment, OutputFormat};
 use act::soc::{geekbench_suite, DvfsGovernor, SocSimulator};
 use act::ssd::{LifetimeModel, OverProvisioning};
@@ -129,4 +133,35 @@ fn umbrella_crate_re_exports_compose() {
     let die = act::units::Area::square_millimeters(100.0);
     let mass: MassCo2 = cpa * die;
     assert!(mass.as_kilograms() > 1.0);
+}
+
+/// The compiled block path through the act-dse engine is bit-identical
+/// to the full per-point `ModelParams` pipeline: a 10k-point SoC-area
+/// sweep (the `compiled` bench's workload), serial and pooled.
+#[test]
+fn compiled_block_sweep_matches_the_per_point_pipeline() {
+    let params = ModelParams::mobile_reference();
+    let areas = logspace(10.0, 1000.0, 10_000);
+    let plan = CompiledFootprint::compile(&params, &[FreeAxis::SocArea]).plan();
+    let batch = PointBatch::single_axis(areas.clone());
+    for parallelism in [Parallelism::Serial, Parallelism::threads(3)] {
+        let mut out = BatchOutput::new();
+        par_sweep_compiled_block_with(
+            parallelism,
+            &batch,
+            |cols, range, slot| plan.eval_block(cols, range, slot),
+            &mut out,
+        );
+        assert!(out.is_clean());
+        for (area, block) in areas.iter().zip(out.values()) {
+            let mut point = params.clone();
+            point.soc_area_mm2 = *area;
+            let per_point = point.footprint().as_grams();
+            assert_eq!(
+                block.to_bits(),
+                per_point.to_bits(),
+                "{parallelism:?}, area {area}: block {block} vs per-point {per_point}"
+            );
+        }
+    }
 }
