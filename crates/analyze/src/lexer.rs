@@ -1,85 +1,11 @@
-//! Source scrubbing and tokenization.
+//! Tokenization: the one lexer behind every rule.
 //!
-//! Two layers share this module:
-//!
-//! * [`scrub`] — the original `xtask lint` lexer, absorbed here: it blanks
-//!   comments and string/char literals while preserving byte offsets, so
-//!   the textual rules (ACT001–ACT005) never fire inside a comment or
-//!   string and keep byte-identical positions with the PR 2 harness.
-//! * [`tokenize`] — a real token stream over the same Rust subset, with
-//!   line/column positions on every token, feeding the recursive-descent
-//!   parser in [`crate::parser`]. String literals keep their text (the
-//!   `obj!` duplicate-key check needs the keys); comments are dropped.
-
-/// Returns a copy of `src` where every comment and every string, raw
-/// string, byte string and char literal is replaced by spaces (newlines
-/// kept), so byte offsets and line numbers still line up with the input.
-#[must_use]
-pub fn scrub(src: &str) -> String {
-    let b = src.as_bytes();
-    let mut out = b.to_vec();
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                while i < b.len() && b[i] != b'\n' {
-                    out[i] = b' ';
-                    i += 1;
-                }
-            }
-            b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let mut depth = 0usize;
-                while i < b.len() {
-                    if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-                        depth += 1;
-                        blank2(&mut out, &mut i, b);
-                    } else if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b'/' {
-                        depth -= 1;
-                        blank2(&mut out, &mut i, b);
-                        if depth == 0 {
-                            break;
-                        }
-                    } else {
-                        if b[i] != b'\n' {
-                            out[i] = b' ';
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            b'r' | b'b' if is_raw_string_start(b, i) => {
-                i = blank_raw_string(&mut out, b, i);
-            }
-            b'b' if i + 1 < b.len() && b[i + 1] == b'"' && !prev_is_ident(b, i) => {
-                out[i] = b' ';
-                i = blank_quoted(&mut out, b, i + 1);
-            }
-            b'b' if i + 1 < b.len() && b[i + 1] == b'\'' && !prev_is_ident(b, i) => {
-                out[i] = b' ';
-                i = blank_char_literal(&mut out, b, i + 1);
-            }
-            b'"' => {
-                i = blank_quoted(&mut out, b, i);
-            }
-            b'\'' if is_char_literal(b, i) => {
-                i = blank_char_literal(&mut out, b, i);
-            }
-            _ => i += 1,
-        }
-    }
-    String::from_utf8(out).unwrap_or_default()
-}
-
-fn blank2(out: &mut [u8], i: &mut usize, b: &[u8]) {
-    for _ in 0..2 {
-        if *i < b.len() {
-            if b[*i] != b'\n' {
-                out[*i] = b' ';
-            }
-            *i += 1;
-        }
-    }
-}
+//! [`tokenize`] turns a file into a token stream over the Rust subset the
+//! workspace uses, with a line/column position on every token. The
+//! textual rules (ACT001–ACT005, ACT012) match short token sequences on it,
+//! and the recursive-descent parser in [`crate::parser`] builds the AST
+//! the dataflow rules walk. String literals keep their text (the `obj!`
+//! duplicate-key check needs the keys); comments are dropped.
 
 fn prev_is_ident(b: &[u8], i: usize) -> bool {
     i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_')
@@ -104,65 +30,6 @@ fn is_raw_string_start(b: &[u8], i: usize) -> bool {
     j < b.len() && b[j] == b'"'
 }
 
-fn blank_raw_string(out: &mut [u8], b: &[u8], start: usize) -> usize {
-    let mut i = start;
-    if b[i] == b'b' {
-        out[i] = b' ';
-        i += 1;
-    }
-    out[i] = b' '; // the `r`
-    i += 1;
-    let mut hashes = 0;
-    while i < b.len() && b[i] == b'#' {
-        out[i] = b' ';
-        hashes += 1;
-        i += 1;
-    }
-    out[i] = b' '; // opening quote
-    i += 1;
-    while i < b.len() {
-        if b[i] == b'"' {
-            let close = &b[i + 1..];
-            if close.len() >= hashes && close[..hashes].iter().all(|&c| c == b'#') {
-                out[i..=i + hashes].fill(b' ');
-                return i + hashes + 1;
-            }
-        }
-        if b[i] != b'\n' {
-            out[i] = b' ';
-        }
-        i += 1;
-    }
-    i
-}
-
-fn blank_quoted(out: &mut [u8], b: &[u8], start: usize) -> usize {
-    let mut i = start;
-    out[i] = b' '; // opening quote
-    i += 1;
-    while i < b.len() {
-        match b[i] {
-            b'\\' => {
-                out[i] = b' ';
-                if i + 1 < b.len() && b[i + 1] != b'\n' {
-                    out[i + 1] = b' ';
-                }
-                i += 2;
-            }
-            b'"' => {
-                out[i] = b' ';
-                return i + 1;
-            }
-            b'\n' => i += 1,
-            _ => {
-                out[i] = b' ';
-                i += 1;
-            }
-        }
-    }
-    i
-}
-
 /// Distinguishes `'a'` / `'\n'` (char literals) from `'static` (lifetimes).
 fn is_char_literal(b: &[u8], i: usize) -> bool {
     if i + 1 >= b.len() {
@@ -174,37 +41,6 @@ fn is_char_literal(b: &[u8], i: usize) -> bool {
     // `'X'` with exactly one character between the quotes.
     i + 2 < b.len() && b[i + 2] == b'\'' && b[i + 1] != b'\''
 }
-
-fn blank_char_literal(out: &mut [u8], b: &[u8], start: usize) -> usize {
-    let mut i = start;
-    out[i] = b' ';
-    i += 1;
-    if i < b.len() && b[i] == b'\\' {
-        out[i] = b' ';
-        i += 1;
-        if i < b.len() {
-            out[i] = b' ';
-            i += 1;
-        }
-        // multi-byte escapes like \u{1F600} or \x7f
-        while i < b.len() && b[i] != b'\'' && b[i] != b'\n' {
-            out[i] = b' ';
-            i += 1;
-        }
-    } else if i < b.len() {
-        out[i] = b' ';
-        i += 1;
-    }
-    if i < b.len() && b[i] == b'\'' {
-        out[i] = b' ';
-        i += 1;
-    }
-    i
-}
-
-// ---------------------------------------------------------------------------
-// Token stream.
-// ---------------------------------------------------------------------------
 
 /// Token category.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -560,16 +396,6 @@ mod tests {
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
         tokenize(src).into_iter().map(|t| (t.kind, t.text)).collect()
-    }
-
-    #[test]
-    fn scrub_blanks_strings_and_comments() {
-        let src = "let s = \"a.base()\"; // .unwrap()\nlet c = 'x';";
-        let out = scrub(src);
-        assert!(!out.contains(".base()"));
-        assert!(!out.contains(".unwrap()"));
-        assert_eq!(out.len(), src.len());
-        assert_eq!(out.matches('\n').count(), src.matches('\n').count());
     }
 
     #[test]

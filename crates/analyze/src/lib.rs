@@ -1,14 +1,14 @@
 //! AST-level static analysis for the ACT workspace.
 //!
-//! `act-analyze` grows the PR 2 lexer-based lint harness into a real
-//! analyzer: a std-only, dependency-free Rust-subset recursive-descent
-//! parser ([`parser`]) over a positioned token stream ([`lexer`]), plus a
-//! rule engine with two tiers:
+//! `act-analyze` is a std-only, dependency-free analyzer: one lexer
+//! ([`lexer`]) produces a positioned token stream per file, and a rule
+//! engine with two tiers reads it:
 //!
-//! * **Textual rules** ACT001–ACT005 (ported unchanged from `xtask`) and
-//!   ACT012: token-level contracts like "no `.unwrap()` in library code"
-//!   or "no raw `thread::spawn` outside the worker pool".
-//! * **AST/dataflow rules** ACT006–ACT011: contracts that need items,
+//! * **Textual rules** ACT001–ACT005 and ACT012 match token sequences
+//!   directly: contracts like "no `.unwrap()` in library code" or "no raw
+//!   `thread::spawn` outside the worker pool".
+//! * **AST/dataflow rules** ACT006–ACT011 run on the Rust-subset
+//!   recursive-descent parser's AST ([`parser`]): contracts that need items,
 //!   bindings and call structure — JSON impls that drift from their
 //!   structs, budget-blind eval loops, nondeterministic APIs in library
 //!   crates, lock guards held across I/O, non-total float comparators, and
@@ -43,8 +43,6 @@ pub mod lexer;
 pub mod parser;
 mod rules;
 mod textual;
-
-pub use textual::test_regions;
 
 /// One rule violation at a source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,11 +124,20 @@ impl From<std::io::Error> for LintError {
 /// the file contents. Findings come back in `(line, col, rule)` order.
 #[must_use]
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
-    let mut findings = textual::check(path, src);
-    let file = parser::parse_source(src);
-    findings.extend(rules::check(path, src, &file));
+    let (mut findings, _) = analyze_file(path, src);
     findings.sort_by_key(|f| (f.line, f.col, f.rule));
     findings
+}
+
+/// Tokenizes `src` once and runs both tiers over the tokens: the textual
+/// rules directly, the AST rules on the parsed file. Returns the findings
+/// unsorted, with the parser's recovery count.
+fn analyze_file(path: &str, src: &str) -> (Vec<Finding>, usize) {
+    let toks = lexer::tokenize(src);
+    let mut findings = textual::check(path, src, &toks);
+    let file = parser::parse_file(&toks);
+    findings.extend(rules::check(path, src, &file));
+    (findings, file.recoveries)
 }
 
 // ---------------------------------------------------------------------------
@@ -277,10 +284,9 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeReport, LintError> {
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
         let display = rel.to_string_lossy().replace('\\', "/");
-        findings.extend(textual::check(&display, &src));
-        let file = parser::parse_source(&src);
-        parse_recoveries += file.recoveries;
-        findings.extend(rules::check(&display, &src, &file));
+        let (file_findings, recoveries) = analyze_file(&display, &src);
+        findings.extend(file_findings);
+        parse_recoveries += recoveries;
     }
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))

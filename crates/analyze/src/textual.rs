@@ -1,53 +1,16 @@
-//! The lexer-level rules: ACT001–ACT005 (ported unchanged from the PR 2
-//! `xtask` harness so rule IDs, positions and exemptions stay stable) plus
-//! ACT012, the thread-pool-bypass rule.
+//! The token-level rules ACT001–ACT005 and ACT012.
 //!
-//! These rules are genuinely textual — a banned literal, a `.unwrap()`
-//! token or a `thread::spawn(` call needs no structure — so they run on
-//! the scrubbed source directly rather than the AST, and keep their
-//! original `#[cfg(test)]`-region tracking.
+//! These rules need no structure — a banned literal, a `.unwrap()` call
+//! or a `thread::spawn(` path is a short run of tokens — so they match
+//! token sequences from [`crate::lexer::tokenize`] directly. Comments
+//! never become tokens and string/char literals are single tokens, so
+//! neither can fire a rule. `#[cfg(test)]` items are found by matching
+//! braces over the same tokens.
 
-use crate::lexer::scrub;
+use std::ops::Range;
+
+use crate::lexer::{Tok, TokKind};
 use crate::Finding;
-
-/// Byte ranges of `#[cfg(test)]` items in scrubbed source: from the
-/// attribute to the matching close brace of the item it gates (or to the
-/// terminating `;` for brace-less items like `use`).
-#[must_use]
-pub fn test_regions(scrubbed: &str) -> Vec<(usize, usize)> {
-    let b = scrubbed.as_bytes();
-    let mut regions = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = scrubbed[from..].find("#[cfg(test)]") {
-        let start = from + pos;
-        let mut i = start + "#[cfg(test)]".len();
-        let mut depth = 0usize;
-        let end = loop {
-            if i >= b.len() {
-                break b.len();
-            }
-            match b[i] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break i + 1;
-                    }
-                }
-                b';' if depth == 0 => break i + 1,
-                _ => {}
-            }
-            i += 1;
-        };
-        regions.push((start, end));
-        from = end;
-    }
-    regions
-}
-
-fn in_regions(regions: &[(usize, usize)], offset: usize) -> bool {
-    regions.iter().any(|&(s, e)| offset >= s && offset < e)
-}
 
 /// Crates that own the raw-`f64` boundary and the paper constants.
 fn is_unit_home(path: &str) -> bool {
@@ -94,126 +57,110 @@ const MSG_ACT012: &str = "direct `thread::spawn`/`thread::scope` in a library cr
      bypasses the calibrated worker pool; route parallel work through \
      `act_dse::parallel` so break-even calibration and `ACT_THREADS` apply";
 
-/// Runs ACT001–ACT005 over one file. `path` is the repo-relative path used
-/// for both crate classification and reporting; `src` is the file contents.
+/// `true` if the tokens from `at` on spell out `seq`. Comparing text is
+/// enough: literal and lifetime tokens carry their quotes or digits, so
+/// they never spell a keyword, an identifier or a punctuation mark.
+fn seq_at(toks: &[Tok], at: usize, seq: &[&str]) -> bool {
+    toks.get(at..at + seq.len())
+        .is_some_and(|run| run.iter().zip(seq).all(|(t, s)| t.text == *s))
+}
+
+/// Token-index ranges of `#[cfg(test)]` items: from the attribute's `#`
+/// to the brace closing the gated item (or to the `;` ending a
+/// brace-less item like `use`).
+fn test_regions(toks: &[Tok]) -> Vec<Range<usize>> {
+    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut regions = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if !seq_at(toks, i, &CFG_TEST) {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut end = toks.len();
+        for (j, t) in toks.iter().enumerate().skip(i + CFG_TEST.len()) {
+            if t.is_punct("{") {
+                depth += 1;
+            } else if t.is_punct("}") {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    end = j + 1;
+                    break;
+                }
+            } else if t.is_punct(";") && depth == 0 {
+                end = j + 1;
+                break;
+            }
+        }
+        regions.push(i..end);
+        i = end;
+    }
+    regions
+}
+
+/// The rule whose token sequence starts at `toks[i]`: the index of the
+/// token the finding points at, the rule ID and its message. Free
+/// function, macro and path calls must not follow a `.`, so a method of
+/// the same name never matches.
+fn rule_at(toks: &[Tok], i: usize) -> Option<(usize, &'static str, &'static str)> {
+    let tok = &toks[i];
+    let next = |seq: &[&str]| seq_at(toks, i + 1, seq);
+    match tok.kind {
+        TokKind::Punct if tok.text == "." => {
+            if next(&["base", "(", ")"]) {
+                Some((i + 1, "ACT001", MSG_ACT001))
+            } else if next(&["unwrap", "(", ")"]) || next(&["expect", "("]) {
+                Some((i + 1, "ACT002", MSG_ACT002))
+            } else {
+                None
+            }
+        }
+        TokKind::Float if BANNED_LITERALS.contains(&tok.text.as_str()) => {
+            Some((i, "ACT003", MSG_ACT003))
+        }
+        TokKind::Ident if i == 0 || !toks[i - 1].is_punct(".") => match tok.text.as_str() {
+            "from_base" if next(&["("]) => Some((i, "ACT004", MSG_ACT004)),
+            "dbg" | "todo" | "unimplemented" if next(&["!", "("]) => {
+                Some((i, "ACT005", MSG_ACT005))
+            }
+            "thread" if next(&["::", "spawn", "("]) || next(&["::", "scope", "("]) => {
+                Some((i, "ACT012", MSG_ACT012))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Runs ACT001–ACT005 and ACT012 over one file's tokens. `path` is the
+/// repo-relative path used for both crate classification and reporting;
+/// `src` is the file contents the tokens came from.
 #[must_use]
-pub fn check(path: &str, src: &str) -> Vec<Finding> {
-    let scrubbed = scrub(src);
-    let tests = test_regions(&scrubbed);
+pub fn check(path: &str, src: &str, toks: &[Tok]) -> Vec<Finding> {
+    let regions = test_regions(toks);
     let lines: Vec<&str> = src.lines().collect();
     let mut findings = Vec::new();
-
-    let mut emit = |offset: usize, rule: &'static str, message: &'static str| {
-        let line = scrubbed[..offset].bytes().filter(|&c| c == b'\n').count() + 1;
-        let col = offset - scrubbed[..offset].rfind('\n').map_or(0, |p| p + 1) + 1;
-        findings.push(Finding {
-            path: path.to_owned(),
-            line,
-            col,
-            rule,
-            message,
-            line_text: lines.get(line - 1).copied().unwrap_or_default().to_owned(),
-        });
-    };
-
-    let unit_home = is_unit_home(path);
-    let cli = is_cli_binary(path);
-
-    for (offset, token) in token_matches(&scrubbed, ".base()") {
-        if !unit_home && !in_regions(&tests, offset) {
-            emit(offset + token, "ACT001", MSG_ACT001);
+    for i in 0..toks.len() {
+        let Some((at, rule, message)) = rule_at(toks, i) else { continue };
+        let in_test = regions.iter().any(|r| r.contains(&i));
+        let applies = match rule {
+            "ACT001" | "ACT003" | "ACT004" => !is_unit_home(path) && !in_test,
+            "ACT002" => !is_cli_binary(path) && !in_test,
+            "ACT005" => true,
+            _ => !act012_exempt(path) && !in_test,
+        };
+        if applies {
+            let (line, col) = (toks[at].line as usize, toks[at].col as usize);
+            findings.push(Finding {
+                path: path.to_owned(),
+                line,
+                col,
+                rule,
+                message,
+                line_text: lines.get(line - 1).copied().unwrap_or_default().to_owned(),
+            });
         }
     }
-    for needle in [".unwrap()", ".expect("] {
-        for (offset, token) in token_matches(&scrubbed, needle) {
-            if !cli && !in_regions(&tests, offset) {
-                emit(offset + token, "ACT002", MSG_ACT002);
-            }
-        }
-    }
-    if !unit_home {
-        for lit in BANNED_LITERALS {
-            for offset in literal_matches(&scrubbed, lit) {
-                if !in_regions(&tests, offset) {
-                    emit(offset, "ACT003", MSG_ACT003);
-                }
-            }
-        }
-        for offset in ident_matches(&scrubbed, "from_base(") {
-            if !in_regions(&tests, offset) {
-                emit(offset, "ACT004", MSG_ACT004);
-            }
-        }
-    }
-    for needle in ["dbg!(", "todo!(", "unimplemented!("] {
-        for offset in ident_matches(&scrubbed, needle) {
-            emit(offset, "ACT005", MSG_ACT005);
-        }
-    }
-    if !act012_exempt(path) {
-        // `ident_matches` makes `std::thread::spawn(` hit too (the `:`
-        // before `thread` is not an identifier character) while
-        // `my_thread::spawn(` stays clean.
-        for needle in ["thread::spawn(", "thread::scope("] {
-            for offset in ident_matches(&scrubbed, needle) {
-                if !in_regions(&tests, offset) {
-                    emit(offset, "ACT012", MSG_ACT012);
-                }
-            }
-        }
-    }
-
     findings
-}
-
-fn prev_is_ident(b: &[u8], i: usize) -> bool {
-    i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_')
-}
-
-/// Occurrences of a `.`-prefixed call token. Returns `(offset, 1)` so the
-/// reported column points at the method name, not the dot.
-fn token_matches(scrubbed: &str, needle: &str) -> Vec<(usize, usize)> {
-    let mut hits = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = scrubbed[from..].find(needle) {
-        hits.push((from + pos, 1));
-        from += pos + needle.len();
-    }
-    hits
-}
-
-/// Occurrences of `needle` not preceded by an identifier character (so
-/// `try_from_base(` never matches a search for `from_base(`).
-fn ident_matches(scrubbed: &str, needle: &str) -> Vec<usize> {
-    let b = scrubbed.as_bytes();
-    let mut hits = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = scrubbed[from..].find(needle) {
-        let at = from + pos;
-        if !prev_is_ident(b, at) && (at == 0 || b[at - 1] != b'.') {
-            hits.push(at);
-        }
-        from = at + needle.len();
-    }
-    hits
-}
-
-/// Occurrences of a numeric literal with no digit/ident/`.` on either side
-/// (`13600.0` and `3600.05` both miss a search for `3600.0`).
-fn literal_matches(scrubbed: &str, lit: &str) -> Vec<usize> {
-    let b = scrubbed.as_bytes();
-    let boundary = |c: u8| c.is_ascii_alphanumeric() || c == b'_' || c == b'.';
-    let mut hits = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = scrubbed[from..].find(lit) {
-        let at = from + pos;
-        let end = at + lit.len();
-        let ok_before = at == 0 || !boundary(b[at - 1]);
-        let ok_after = end >= b.len() || !boundary(b[end]);
-        if ok_before && ok_after {
-            hits.push(at);
-        }
-        from = at + lit.len();
-    }
-    hits
 }

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use act_analyze::{analyze_source, apply_allowlist, parse_allowlist};
+use act_analyze::{analyze_source, apply_allowlist, parse_allowlist, LintError};
 
 /// `(rule, fake-path, fixture-stem)` — `<stem>_bad.rs` must produce only
 /// `rule` findings (at least one); `<stem>_ok.rs` must produce none at all.
@@ -88,4 +88,30 @@ ACT001|gone/two.rs|no such line either|stale two\n";
     assert_eq!(suppressed.len(), 1);
     let stale_paths: Vec<&str> = stale.iter().map(|e| e.path_suffix.as_str()).collect();
     assert_eq!(stale_paths, ["gone/one.rs", "gone/two.rs"], "all stale entries, in order");
+}
+
+#[test]
+fn allowlist_suppresses_matching_findings_and_reports_stale_entries() {
+    let findings =
+        analyze_source("crates/fixture/src/violations.rs", &fixture("violations.rs"));
+    let entries = parse_allowlist(
+        "# comment\n\
+         ACT001|src/violations.rs|q.base()|fixture demonstrates the raw escape\n\
+         ACT002|src/other.rs|nothing here|stale entry that matches no finding\n",
+    )
+    .expect("well-formed allowlist");
+    let (kept, suppressed, stale) = apply_allowlist(findings, &entries);
+    assert_eq!(suppressed.len(), 1);
+    assert_eq!(suppressed[0].rule, "ACT001");
+    assert!(kept.iter().all(|f| f.rule != "ACT001"));
+    assert_eq!(stale.len(), 1);
+    assert_eq!(stale[0].path_suffix, "src/other.rs");
+}
+
+#[test]
+fn allowlist_justification_is_mandatory() {
+    let err = parse_allowlist("ACT002|a.rs|line|\n").expect_err("empty justification");
+    assert!(matches!(err, LintError::MalformedAllowEntry { line: 1, .. }), "{err}");
+    let err = parse_allowlist("ACT002|a.rs|line\n").expect_err("three fields only");
+    assert!(err.to_string().contains("RULE|path-suffix|line-substring|justification"));
 }

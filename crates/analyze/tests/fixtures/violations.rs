@@ -1,5 +1,5 @@
 //! Fixture with one known violation per rule. Line numbers are asserted
-//! by `tests/lint.rs` — keep them stable when editing.
+//! by `tests/textual.rs` — keep them stable when editing.
 
 pub fn act001_raw_escape(q: act_units::Energy) -> f64 {
     q.base()
@@ -23,4 +23,8 @@ pub fn act004_infallible(raw: f64) -> act_units::Energy {
 
 pub fn act005_debug(x: u32) -> u32 {
     dbg!(x)
+}
+
+pub fn act012_raw_spawn() {
+    std::thread::spawn(|| ()).join().ok();
 }

@@ -12,7 +12,7 @@ fn workspace_is_clean_under_the_allowlist() {
         Ok(report) => report,
         Err(err) => panic!("analyzer failed to run: {err}"),
     };
-    assert!(report.files_scanned > 0, "no workspace sources found under {}", root.display());
+    assert!(report.files_scanned > 50, "only {} files scanned", report.files_scanned);
     let findings: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
     assert!(findings.is_empty(), "{} finding(s):\n{}", findings.len(), findings.join("\n"));
     let stale: Vec<String> = report
@@ -22,4 +22,9 @@ fn workspace_is_clean_under_the_allowlist() {
         .collect();
     assert!(stale.is_empty(), "stale xtask/lint.allow entries:\n{}", stale.join("\n"));
     assert_eq!(report.parse_recoveries, 0, "the parser skipped code it could not structure");
+    assert!(
+        report.suppressed.iter().any(|f| f.path.ends_with("ssd/src/ftl.rs")),
+        "the vetted ftl.rs invariants should be suppressed: {:#?}",
+        report.suppressed
+    );
 }

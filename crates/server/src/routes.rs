@@ -24,7 +24,7 @@ use std::time::Instant;
 use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
     calibration, par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
-    BatchOutput, BatchRun, EvalBudget, McBuffer, Parallelism, PointBatch,
+    BatchOutput, BatchRun, EvalBudget, McBuffer, McOutcome, Parallelism, PointBatch,
 };
 use act_experiments::{concrete_experiment_ids, try_render_experiment, OutputFormat};
 use act_json::{format_float, FromJson, JsonValue, ToJson};
@@ -74,6 +74,12 @@ struct Reject {
 impl Reject {
     fn bad(kind: &'static str, message: impl Into<String>) -> Self {
         Self { status: Status::BadRequest, kind, message: message.into() }
+    }
+
+    /// Writes the reject's status and error line.
+    fn respond(self, conn: &mut Connection<'_>) -> std::io::Result<RouteOutcome> {
+        conn.respond(self.status, &error_line(self.kind, &self.message))?;
+        Ok(RouteOutcome::ClientError)
     }
 }
 
@@ -213,11 +219,7 @@ fn handle_footprint(
             conn.respond(Status::Ok, &body)?;
             Ok(RouteOutcome::Completed)
         }
-        Err(reject) => {
-            let body = error_line(reject.kind, &reject.message);
-            conn.respond(reject.status, &body)?;
-            Ok(RouteOutcome::ClientError)
-        }
+        Err(reject) => reject.respond(conn),
     }
 }
 
@@ -253,11 +255,7 @@ fn handle_scenario(
             conn.respond(Status::Ok, &line)?;
             Ok(RouteOutcome::Completed)
         }
-        Err(reject) => {
-            let body = error_line(reject.kind, &reject.message);
-            conn.respond(reject.status, &body)?;
-            Ok(RouteOutcome::ClientError)
-        }
+        Err(reject) => reject.respond(conn),
     }
 }
 
@@ -274,16 +272,10 @@ fn handle_fleet(
 ) -> std::io::Result<RouteOutcome> {
     let compiled = match parse_scenario(request) {
         Ok(compiled) => compiled,
-        Err(reject) => {
-            let body = error_line(reject.kind, &reject.message);
-            conn.respond(reject.status, &body)?;
-            return Ok(RouteOutcome::ClientError);
-        }
+        Err(reject) => return reject.respond(conn),
     };
     let Some(fleet) = compiled.fleet() else {
-        let body = error_line("invalid-scenario", "scenario has no `fleet` block");
-        conn.respond(Status::BadRequest, &body)?;
-        return Ok(RouteOutcome::ClientError);
+        return Reject::bad("invalid-scenario", "scenario has no `fleet` block").respond(conn);
     };
 
     let mut buf = McBuffer::default();
@@ -291,35 +283,13 @@ fn handle_fleet(
     let threads = batch_threads(fleet.samples());
     match fleet.run(threads, &mut buf, &budget) {
         Ok((outcome, run)) => {
-            let mut doc = outcome.to_json();
-            if let JsonValue::Object(obj) = &mut doc {
-                obj.insert("devices", fleet.devices().to_json());
-                obj.insert("fleet_total_g", fleet.fleet_total_grams(&outcome).to_json());
-                obj.insert("threads", threads.to_json());
-                obj.insert("calibration", calibration().to_json());
-            }
-            let mut line = doc.render_compact();
-            line.push('\n');
-            match run {
-                BatchRun::Completed => {
-                    conn.respond(Status::Ok, &line)?;
-                    Ok(RouteOutcome::Completed)
-                }
-                BatchRun::DeadlineExceeded { completed } => {
-                    ServerStats::bump(&stats.deadline_trailers);
-                    let mut out = conn.stream(Status::Ok)?;
-                    out.write_all(line.as_bytes())?;
-                    write_deadline_trailer(&mut out, completed, threads)?;
-                    out.flush()?;
-                    Ok(RouteOutcome::DeadlinePartial)
-                }
-            }
+            let fields = [
+                ("devices", fleet.devices().to_json()),
+                ("fleet_total_g", fleet.fleet_total_grams(&outcome).to_json()),
+            ];
+            respond_mc_summary(conn, stats, &outcome, fields, run, threads)
         }
-        Err(err) => {
-            let body = error_line("fleet-failed", &err.to_string());
-            conn.respond(Status::BadRequest, &body)?;
-            Ok(RouteOutcome::ClientError)
-        }
+        Err(err) => Reject::bad("fleet-failed", err.to_string()).respond(conn),
     }
 }
 
@@ -454,11 +424,7 @@ fn handle_sweep(
 ) -> std::io::Result<RouteOutcome> {
     let sweep = match parse_sweep(request, config) {
         Ok(sweep) => sweep,
-        Err(reject) => {
-            let body = error_line(reject.kind, &reject.message);
-            conn.respond(reject.status, &body)?;
-            return Ok(RouteOutcome::ClientError);
-        }
+        Err(reject) => return reject.respond(conn),
     };
 
     let mut out = BatchOutput::default();
@@ -535,6 +501,43 @@ fn write_deadline_trailer(
         "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{}}}",
         calibration_fragment(),
     )
+}
+
+/// Writes one Monte-Carlo summary line: `outcome` with `fields` appended,
+/// then the `threads` that ran it and the calibration. A run cut off by
+/// its budget streams the line and then a deadline trailer.
+fn respond_mc_summary(
+    conn: &mut Connection<'_>,
+    stats: &ServerStats,
+    outcome: &McOutcome,
+    fields: impl IntoIterator<Item = (&'static str, JsonValue)>,
+    run: BatchRun,
+    threads: usize,
+) -> std::io::Result<RouteOutcome> {
+    let mut doc = outcome.to_json();
+    if let JsonValue::Object(obj) = &mut doc {
+        for (key, value) in fields {
+            obj.insert(key, value);
+        }
+        obj.insert("threads", threads.to_json());
+        obj.insert("calibration", calibration().to_json());
+    }
+    let mut line = doc.render_compact();
+    line.push('\n');
+    match run {
+        BatchRun::Completed => {
+            conn.respond(Status::Ok, &line)?;
+            Ok(RouteOutcome::Completed)
+        }
+        BatchRun::DeadlineExceeded { completed } => {
+            ServerStats::bump(&stats.deadline_trailers);
+            let mut out = conn.stream(Status::Ok)?;
+            out.write_all(line.as_bytes())?;
+            write_deadline_trailer(&mut out, completed, threads)?;
+            out.flush()?;
+            Ok(RouteOutcome::DeadlinePartial)
+        }
+    }
 }
 
 /// The decoded, validated body of a Monte-Carlo request.
@@ -617,11 +620,7 @@ fn handle_montecarlo(
 ) -> std::io::Result<RouteOutcome> {
     let mc = match parse_montecarlo(request, config) {
         Ok(mc) => mc,
-        Err(reject) => {
-            let body = error_line(reject.kind, &reject.message);
-            conn.respond(reject.status, &body)?;
-            return Ok(RouteOutcome::ClientError);
-        }
+        Err(reject) => return reject.respond(conn),
     };
 
     let mut buf = McBuffer::default();
@@ -655,34 +654,8 @@ fn handle_montecarlo(
         &budget,
     );
     match result {
-        Ok((outcome, run)) => {
-            let mut doc = outcome.to_json();
-            if let JsonValue::Object(obj) = &mut doc {
-                obj.insert("threads", threads.to_json());
-                obj.insert("calibration", calibration().to_json());
-            }
-            let mut line = doc.render_compact();
-            line.push('\n');
-            match run {
-                BatchRun::Completed => {
-                    conn.respond(Status::Ok, &line)?;
-                    Ok(RouteOutcome::Completed)
-                }
-                BatchRun::DeadlineExceeded { completed } => {
-                    ServerStats::bump(&stats.deadline_trailers);
-                    let mut out = conn.stream(Status::Ok)?;
-                    out.write_all(line.as_bytes())?;
-                    write_deadline_trailer(&mut out, completed, threads)?;
-                    out.flush()?;
-                    Ok(RouteOutcome::DeadlinePartial)
-                }
-            }
-        }
-        Err(err) => {
-            let body = error_line("montecarlo-failed", &err.to_string());
-            conn.respond(Status::BadRequest, &body)?;
-            Ok(RouteOutcome::ClientError)
-        }
+        Ok((outcome, run)) => respond_mc_summary(conn, stats, &outcome, [], run, threads),
+        Err(err) => Reject::bad("montecarlo-failed", err.to_string()).respond(conn),
     }
 }
 

@@ -3,7 +3,6 @@
 //! ```text
 //! cargo xtask analyze             # run the ACT static-analysis rules
 //! cargo xtask analyze --json F    # also write a machine-readable report
-//! cargo xtask lint                # alias for `analyze` (the PR 2 name)
 //! cargo xtask soak                # seeded chaos run against `act serve`
 //! ```
 //!
@@ -17,7 +16,6 @@ fn usage() -> String {
     "xtask — ACT workspace static analysis & service soak\n\n\
      usage: cargo xtask analyze [--root DIR] [--json FILE]\n\
             cargo xtask analyze --file F [--as PATH]   (one file, no allowlist)\n\
-            cargo xtask lint    [--root DIR] [--json FILE]   (alias)\n\
             cargo xtask soak [--root DIR] [--quick] [--seed N]\n\n\
      Rules (see crates/analyze/src/lib.rs for the catalogue):\n\
        ACT001  no `.base()` raw-f64 escape outside act-units/act-data\n\
@@ -34,9 +32,10 @@ fn usage() -> String {
        ACT012  no raw thread::spawn/scope outside the act-dse worker pool\n\n\
      Allowlist: xtask/lint.allow, lines of\n\
        RULE|path-suffix|line-substring|justification\n\n\
-     analyze parses every workspace source with the in-tree Rust-subset\n\
-     parser and applies all twelve rules; --json FILE additionally writes\n\
-     a machine-readable findings report (schema act-analyze-findings/1).\n\n\
+     analyze tokenizes every workspace source once and applies all twelve\n\
+     rules: ACT001-ACT005 and ACT012 to the tokens, ACT006-ACT011 to the\n\
+     in-tree Rust-subset parser's AST. --json FILE additionally writes a\n\
+     machine-readable findings report (schema act-analyze-findings/1).\n\n\
      soak builds the workspace in release mode, starts `act serve` with a\n\
      seeded fault plan (slow reads, malformed bodies, worker panics and\n\
      kills, delays) and drives a deterministic mix of good and hostile\n\
@@ -68,7 +67,7 @@ fn main() -> ExitCode {
             println!("{}", usage());
             ExitCode::SUCCESS
         }
-        "analyze" | "lint" => {
+        "analyze" => {
             let mut root = PathBuf::from(".");
             let mut json_out: Option<PathBuf> = None;
             let mut file: Option<PathBuf> = None;

@@ -1,6 +1,6 @@
 //! Exit-code contract over the per-rule fixtures: `cargo xtask analyze
 //! --file` must exit 1 on every `_bad` fixture and 0 on every `_ok`
-//! fixture, for all eleven rules. This is the user-visible behavior the
+//! fixture, for all twelve rules. This is the user-visible behavior the
 //! in-crate fixture tests model with `analyze_source`.
 
 use std::path::Path;
@@ -18,6 +18,7 @@ const CASES: &[(&str, &str)] = &[
     ("crates/server/src/hub.rs", "act009"),
     ("crates/dse/src/pareto.rs", "act010"),
     ("crates/server/src/routes.rs", "act011"),
+    ("crates/lca/src/batch.rs", "act012"),
 ];
 
 fn analyze_file(fixture: &Path, fake_path: &str) -> (i32, String) {
@@ -46,4 +47,11 @@ fn bad_fixtures_exit_1_and_ok_fixtures_exit_0() {
         let (code, stdout) = analyze_file(&fixtures.join(format!("{stem}_ok.rs")), fake_path);
         assert_eq!(code, 0, "{stem}_ok.rs should pass analysis; stdout:\n{stdout}");
     }
+}
+
+#[test]
+fn lint_is_an_unknown_command() {
+    let out = Command::new(env!("CARGO_BIN_EXE_xtask")).arg("lint").output().expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command `lint`"));
 }
