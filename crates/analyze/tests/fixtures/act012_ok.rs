@@ -1,12 +1,12 @@
 //! ACT012 negative fixture: parallel work routed through the pool API,
 //! plus a test-gated raw spawn (tests are exempt).
 
-use act_dse::{sweep, Parallelism};
+use act_dse::{par_map_ordered, Parallelism};
 
 /// The sanctioned path: the calibrated engine decides worker count and
 /// break-even fallback.
-pub fn fan_out(xs: Vec<f64>) -> Vec<(f64, f64)> {
-    sweep(Parallelism::Auto, xs, |x| x * 2.0)
+pub fn fan_out(xs: &[f64]) -> Vec<f64> {
+    par_map_ordered(Parallelism::Auto, xs, |_, x| x * 2.0)
 }
 
 #[cfg(test)]

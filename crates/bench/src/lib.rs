@@ -6,7 +6,7 @@
 //! smoke pass relies on (`cargo bench ... -- --test` runs every benchmark
 //! once as a smoke test).
 //!
-//! Four bench targets exist:
+//! Three bench targets exist:
 //!
 //! * `paper` — one benchmark per figure/table; each iteration regenerates
 //!   the artifact end to end (`bench_fig1` … `bench_table12`).
@@ -14,9 +14,6 @@
 //!   out (yield, abatement, fab energy source, WA model, DRAM-node
 //!   assignment), plus `ftl/steady_state_pf04`, the GC-bound 4 % row of
 //!   Figure 15 on its own.
-//! * `engine` — the parallel evaluation engine: serial-vs-parallel sweep
-//!   and Monte-Carlo throughput, and the skyline `pareto_indices` against
-//!   the quadratic reference.
 //! * `compiled` — the per-point footprint pipeline versus the compiled
 //!   kernel's block plan on the `act_dse` block engine, with bit-identity
 //!   cross-checks before timing.

@@ -109,8 +109,15 @@ impl fmt::Display for FreeAxis {
 
 impl FreeAxis {
     /// Validates one point coordinate against the same Table 1 range the
-    /// corresponding [`ModelParams`] field enforces.
-    fn check(self, value: f64) -> Result<(), ModelError> {
+    /// corresponding [`ModelParams`] field enforces — the per-coordinate
+    /// check of [`CompiledFootprint::try_eval`], for callers that validate
+    /// a whole column before a block evaluation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ModelError`] naming the quantity and its valid range
+    /// when `value` is outside it (or not finite).
+    pub fn check(self, value: f64) -> Result<(), ModelError> {
         let non_negative = value >= 0.0 && value.is_finite();
         let (in_range, quantity, expected) = match self {
             Self::ExecutionTime => (non_negative, "execution time", "non-negative seconds"),
@@ -137,7 +144,9 @@ impl FreeAxis {
     }
 }
 
-/// A partially-evaluated eq. 1 kernel: see the [module docs](self).
+/// A partially-evaluated eq. 1 kernel: every sweep-invariant sub-term of a
+/// [`ModelParams`] folded into constants, with only the declared
+/// [`FreeAxis`] values read per point.
 ///
 /// Compile once with [`Self::try_compile`], then call [`Self::eval`] per
 /// point — a handful of FLOPs, no heap allocation, bit-for-bit identical

@@ -1,22 +1,20 @@
-//! Structure-of-arrays batch evaluation for compiled block kernels.
+//! Structure-of-arrays batch evaluation for compiled block kernels: the
+//! one sweep and Monte-Carlo engine.
 //!
-//! The closure-based sweep API ([`sweep`](crate::sweep())) hands the
-//! model an owned parameter and collects `(param, result)` pairs — fine
-//! for dozens of points, wasteful for millions. This module is the batch
-//! engine: design points live in a [`PointBatch`] (one contiguous column
-//! per free axis), results land in a caller-owned reusable
-//! [`BatchOutput`], and the model is a **block kernel** — any `Fn(&[&[f64]], Range<usize>, &mut [f64])`
-//! that evaluates points `range` of a column set into an output slice,
-//! typically `act_core::EvalPlan::eval_block`. The kernel reads columns
-//! directly in auto-vectorized blocks, so the hot loop performs no
+//! Design points live in a [`PointBatch`] (one contiguous column per free
+//! axis), results land in a caller-owned reusable [`BatchOutput`], and the
+//! model is a **block kernel** — any `Fn(&[&[f64]], Range<usize>, &mut
+//! [f64])` that evaluates points `range` of a column set into an output
+//! slice, typically `act_core::EvalPlan::eval_block`. The kernel reads
+//! columns directly in auto-vectorized blocks, so the hot loop performs no
 //! per-point gather, enum dispatch, or heap allocation.
 //!
-//! Semantics match the interpreted closure path exactly:
+//! The engine guarantees:
 //!
 //! * **skip-and-record** — a non-finite kernel result does not abort the
 //!   sweep; the point's output slot is poisoned to NaN and a
-//!   [`RejectedPoint`] with the same reason string as
-//!   [`sweep_finite`](crate::sweep_finite) is recorded, in sweep order;
+//!   [`RejectedPoint`] reading `model produced a non-finite result (v)`
+//!   is recorded, in sweep order;
 //! * **thread-count invariance** — the parallel entry points partition the
 //!   output buffer into cache-friendly contiguous chunks
 //!   (`slice::chunks_mut`, no `unsafe`) and hand chunk indices to the
@@ -24,9 +22,11 @@
 //!   each point's value depends only on its coordinates, so every thread
 //!   count gives bit-for-bit identical output;
 //! * **deterministic seed-splitting** — [`par_monte_carlo_compiled_block_with`]
-//!   seeds sample `i` with [`mc_sample_seed`]`(seed, i)` exactly like
-//!   [`try_monte_carlo`](crate::try_monte_carlo), so its outcome is
-//!   invariant under the thread count too;
+//!   seeds sample `i` with [`mc_sample_seed`]`(seed, i)`, so each draw
+//!   depends on `(seed, i)` alone and the outcome is invariant under the
+//!   thread count too. A model that is one closure over the RNG is the
+//!   special case of a sampler that writes `model(rng)` into column 0 and
+//!   a kernel that copies column 0;
 //! * **cooperative deadlines** — the `_budgeted` entry points consult an
 //!   [`EvalBudget`] on block boundaries and stop at a completed prefix that
 //!   is bit-identical to the unbudgeted run.
@@ -349,8 +349,7 @@ impl BatchOutput {
     }
 }
 
-/// The reason string shared with [`sweep_finite`](crate::sweep_finite) —
-/// byte-identical so batch and closure-path rejection logs agree.
+/// The reason a non-finite kernel result is rejected with.
 fn non_finite_reason(v: f64) -> String {
     format!("model produced a non-finite result ({v})")
 }
@@ -412,8 +411,7 @@ fn block_points(budget: &EvalBudget, span: usize) -> usize {
 /// The skip-and-record scan after a block evaluation: canonicalizes
 /// non-finite results to NaN and, when a log is given, records one
 /// [`RejectedPoint`] per offender, with `start` the global index of
-/// `slice[0]`. The reason string uses the raw value (±∞ or NaN),
-/// byte-identical to [`sweep_finite`](crate::sweep_finite)'s.
+/// `slice[0]`. The reason string uses the raw value (±∞ or NaN).
 fn record_non_finite(
     slice: &mut [f64],
     start: usize,
@@ -473,7 +471,7 @@ pub fn sweep_compiled_block(
 /// [`sweep_compiled_block`] under an explicit [`Parallelism`] policy.
 ///
 /// The output buffer is partitioned into cache-friendly contiguous chunks
-/// of at most [`MAX_CHUNK_POINTS`] points, and the persistent worker pool
+/// of at most 4096 points, and the persistent worker pool
 /// steals chunk *indices* from an atomic cursor, so a skewed kernel cannot
 /// strand a whole static partition on one worker. Each stolen chunk goes
 /// to the block kernel as whole column ranges, and per-chunk rejection
@@ -556,12 +554,10 @@ pub fn par_sweep_compiled_block_budgeted(
 /// `sampler(rng, k, columns)` draws point `k`'s coordinates into slot `k`
 /// of each of the `axes` columns, with the RNG seeded per *sample* by
 /// [`mc_sample_seed`]`(seed, index)`; `block_kernel` then maps whole column
-/// ranges to values. Together they play the role of the `model` closure
-/// in [`try_monte_carlo`](crate::try_monte_carlo), with
-/// identical seed-splitting, so a model decomposed into `(sampler,
-/// kernel)` produces the **bit-identical outcome** — invariant under
-/// thread count, chunking, and block size. Every worker keeps its own
-/// sample columns. Non-finite draws are skipped and counted.
+/// ranges to values. Sample `i`'s value depends on `(seed, i)` alone, so
+/// the outcome is **bit-identical** under any thread count, chunking, and
+/// block size. Every worker keeps its own sample columns. Non-finite
+/// draws are skipped and counted.
 ///
 /// # Errors
 ///
@@ -571,10 +567,11 @@ pub fn par_sweep_compiled_block_budgeted(
 /// # Examples
 ///
 /// ```
-/// use act_dse::{par_monte_carlo_compiled_block_with, try_monte_carlo, McBuffer, Parallelism};
+/// use act_dse::{par_monte_carlo_compiled_block_with, McBuffer, Parallelism};
 ///
+/// // Footprint = area x CPA where yield is uncertain in [0.7, 1.0].
 /// let mut buf = McBuffer::new();
-/// let block = par_monte_carlo_compiled_block_with(
+/// let outcome = par_monte_carlo_compiled_block_with(
 ///     Parallelism::Auto,
 ///     2_000,
 ///     42,
@@ -587,11 +584,9 @@ pub fn par_sweep_compiled_block_budgeted(
 ///     },
 ///     &mut buf,
 /// )?;
-/// let reference = try_monte_carlo(Parallelism::Auto, 2_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(0.7..1.0);
-///     0.9 * 1370.0 / y
-/// })?;
-/// assert_eq!(block, reference);
+/// let stats = outcome.stats;
+/// assert_eq!((stats.samples, outcome.rejected), (2_000, 0));
+/// assert!(stats.p05 < stats.mean && stats.mean < stats.p95);
 /// # Ok::<(), act_dse::McError>(())
 /// ```
 #[allow(clippy::too_many_arguments)]
@@ -869,8 +864,6 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::montecarlo::try_monte_carlo;
-    use crate::sweep::sweep_finite;
 
     /// `1 / x` over column 0: the pole at zero exercises rejection.
     fn kernel(cols: &[&[f64]], range: Range<usize>, out: &mut [f64]) {
@@ -891,10 +884,21 @@ mod tests {
         }
     }
 
-    /// [`sampler`] and [`mc_kernel`] as one closure-path model.
-    fn mc_model(rng: &mut Rng) -> f64 {
-        let y: f64 = rng.gen_range(-0.1..1.0);
-        1370.0 / y.max(0.0)
+    /// [`sampler`] then [`mc_kernel`] for sample `i` of a run keyed by
+    /// `seed`, in a plain serial loop: the oracle for [`McBuffer::draws`],
+    /// with non-finite draws canonicalized to NaN.
+    fn serial_draws(samples: u64, seed: u64) -> Vec<f64> {
+        (0..samples)
+            .map(|i| {
+                let y: f64 = Rng::seed_from_u64(mc_sample_seed(seed, i)).gen_range(-0.1..1.0);
+                let v = 1370.0 / y.max(0.0);
+                if v.is_finite() {
+                    v
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect()
     }
 
     fn expired() -> EvalBudget {
@@ -933,16 +937,24 @@ mod tests {
     #[test]
     fn serial_sweep_matches_per_point_path() {
         let params = vec![4.0, 0.0, -2.0, f64::NAN, 1.0];
-        let reference = sweep_finite(Parallelism::Serial, params.clone(), |x: &f64| 1.0 / x);
-        let batch = PointBatch::single_axis(params);
+        let batch = PointBatch::single_axis(params.clone());
         let mut out = BatchOutput::new();
         sweep_compiled_block(&batch, kernel, &mut out);
-        assert_eq!(out.rejected(), &reference.rejected[..]);
-        let mut finite = out.values().iter().copied().filter(|v| v.is_finite());
-        for (_, expected) in &reference.results {
-            assert_eq!(finite.next().unwrap().to_bits(), expected.to_bits());
-        }
-        assert!(finite.next().is_none());
+        let want: Vec<f64> = params
+            .iter()
+            .map(|x| 1.0 / x)
+            .map(|v| if v.is_finite() { v } else { f64::NAN })
+            .collect();
+        assert_bitwise(out.values(), &want);
+        let reasons: Vec<(usize, &str)> =
+            out.rejected().iter().map(|r| (r.index, r.reason.as_str())).collect();
+        assert_eq!(
+            reasons,
+            [
+                (1, "model produced a non-finite result (inf)"),
+                (3, "model produced a non-finite result (NaN)"),
+            ]
+        );
     }
 
     #[test]
@@ -999,8 +1011,9 @@ mod tests {
 
     #[test]
     fn mc_compiled_matches_per_point_monte_carlo() {
-        let reference = try_monte_carlo(Parallelism::Serial, 2_000, 13, mc_model).unwrap();
-        assert!(reference.rejected > 0);
+        let draws = serial_draws(2_000, 13);
+        let rejected = draws.iter().filter(|v| v.is_nan()).count();
+        assert!(rejected > 0);
         let mut buf = McBuffer::new();
         for threads in [1usize, 2, 8] {
             let block = par_monte_carlo_compiled_block_with(
@@ -1013,7 +1026,9 @@ mod tests {
                 &mut buf,
             )
             .unwrap();
-            assert_eq!(block, reference, "threads = {threads}");
+            assert_bitwise(buf.draws(), &draws);
+            assert_eq!(block.rejected, rejected, "threads = {threads}");
+            assert_eq!(block.stats.samples, 2_000 - rejected, "threads = {threads}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Design-space exploration machinery shared by the ACT case studies:
-//! parameter sweeps, Pareto frontiers, constrained optima and normalization.
+//! block sweeps, Monte-Carlo runs, sweep axes and constrained optima.
 //!
 //! Every case study in the paper is a design-space exploration — over SoC
 //! generations (Figure 8), engine provisioning (Figures 9–10), MAC-array
@@ -7,44 +7,37 @@
 //! factors (Figure 15). This crate holds the exploration primitives so each
 //! study only writes its model.
 //!
-//! Every sweep and Monte-Carlo entry point takes a [`Parallelism`] policy
-//! first (`Serial`, `Auto` honoring `ACT_THREADS`, or explicit
-//! `Threads(n)`): serial is a policy, not a separate function. Results
-//! come back in input order and — via per-sample seed-splitting for
-//! Monte-Carlo — are bit-for-bit identical for any thread count.
-//!
-//! Sweeps over untrusted configurations use the fallible primitives
-//! ([`try_sweep`], [`sweep_finite`], [`try_monte_carlo`]): invalid design
-//! points are skipped and recorded in the returned [`SweepOutcome`] /
-//! [`McOutcome`] rather than panicking mid-exploration; [`sweep`] and
-//! [`monte_carlo`] are their infallible forms.
-//!
-//! Million-point explorations use the block batch engine ([`PointBatch`],
-//! [`sweep_compiled_block`], [`par_sweep_compiled_block_with`],
+//! Sweeps and Monte-Carlo runs go through the block batch engine
+//! ([`PointBatch`], [`sweep_compiled_block`],
+//! [`par_sweep_compiled_block_with`],
 //! [`par_monte_carlo_compiled_block_with`] and the `_budgeted` forms that
-//! take an [`EvalBudget`] deadline): design points live in
+//! take an [`EvalBudget`] deadline). Design points live in
 //! structure-of-arrays columns, results land in reusable buffers, and the
 //! kernel receives whole column ranges (pair with
 //! `act_core::EvalPlan::eval_block`), so the hot loop reads columns
-//! directly with no per-point gather, enum dispatch or heap allocation —
-//! with the same skip-and-record and seed-splitting semantics as the
-//! closure path, bit for bit.
+//! directly with no per-point gather, enum dispatch or heap allocation.
+//!
+//! Every parallel entry point takes a [`Parallelism`] policy first
+//! (`Serial`, `Auto` honoring `ACT_THREADS`, or explicit `Threads(n)`):
+//! serial is a policy, not a separate function. Results come back in
+//! input order and — via per-sample seed-splitting ([`mc_sample_seed`])
+//! for Monte-Carlo — are bit-for-bit identical for any thread count.
+//! Invalid design points are skipped and recorded ([`RejectedPoint`],
+//! [`McOutcome::rejected`]) rather than aborting the exploration.
 //!
 //! # Examples
 //!
 //! ```
-//! use act_dse::{argmin_by, pareto_indices, powers_of_two};
+//! use act_dse::{argmin_feasible, powers_of_two};
 //!
 //! let macs = powers_of_two(64, 2048);
 //! assert_eq!(macs, vec![64, 128, 256, 512, 1024, 2048]);
 //!
-//! // Smallest design meeting a constraint.
-//! let best = argmin_by(&macs, |m| f64::from(*m));
-//! assert_eq!(best, Some(0));
-//!
-//! // Two objectives: (cost, -quality). Only non-dominated points survive.
-//! let points = vec![vec![1.0, 5.0], vec![2.0, 1.0], vec![3.0, 3.0]];
-//! assert_eq!(pareto_indices(&points), vec![0, 1]);
+//! // Smallest MAC array that reaches 30 FPS, if a frame takes
+//! // 16384 / macs milliseconds.
+//! let fps = |macs: &u32| 1000.0 * f64::from(*macs) / 16384.0;
+//! let best = argmin_feasible(&macs, |m| f64::from(*m), |m| fps(m) >= 30.0);
+//! assert_eq!(best, Some(3)); // 512 MACs: 31.25 FPS
 //! ```
 
 // `deny`, not `forbid`: the persistent worker pool (`pool` module) needs
@@ -58,7 +51,6 @@ mod batch;
 mod montecarlo;
 mod optimize;
 mod parallel;
-mod pareto;
 mod pool;
 mod sweep;
 
@@ -68,17 +60,12 @@ pub use batch::{
     BatchOutput, BatchRun, BatchShapeError, BlockSampler, EvalBudget, McBuffer, PointBatch,
 };
 pub use montecarlo::{
-    mc_sample_seed, monte_carlo, triangular, try_monte_carlo, try_triangular, McError,
-    McOutcome, McStats, TriangularError,
+    mc_sample_seed, try_triangular, McError, McOutcome, McStats, TriangularError,
 };
-pub use optimize::{argmin_by, argmin_feasible, knee_point, normalize_to, normalize_to_last};
+pub use optimize::argmin_feasible;
 pub use parallel::{
-    calibration, machine_parallelism, par_map_ordered, par_map_range, BatchDecision,
-    Calibration, CalibrationSource, Parallelism, ResolvedParallelism, ThreadsSource,
-    ThreadsWarning, ThreadsWarningReason,
+    calibration, machine_parallelism, par_map_ordered, BatchDecision, Calibration,
+    CalibrationSource, Parallelism, ResolvedParallelism, ThreadsSource, ThreadsWarning,
+    ThreadsWarningReason,
 };
-pub use pareto::{dominates, pareto_indices, pareto_indices_reference};
-pub use sweep::{
-    linspace, linspace_iter, logspace, logspace_iter, powers_of_two, powers_of_two_iter, sweep,
-    sweep_finite, try_sweep, RejectedPoint, SweepOutcome,
-};
+pub use sweep::{logspace, powers_of_two, powers_of_two_iter, RejectedPoint};

@@ -4,17 +4,15 @@
 //! intensities, abatement effectiveness. Sampling the model under a
 //! distribution of inputs turns a point estimate into a defensible range.
 //!
-//! The closure-based entry points here take one sample at a time. For
-//! compiled-kernel hot loops, the block-vectorized entry points in
-//! [`batch`](crate::batch) —
-//! [`crate::par_monte_carlo_compiled_block_with`] and its budgeted
-//! twin — sample straight into reusable structure-of-arrays columns and
-//! evaluate whole blocks per kernel call, with the same per-sample
-//! seed-splitting and therefore bit-identical [`McStats`].
+//! The sampling loops live in [`batch`](crate::batch):
+//! [`crate::par_monte_carlo_compiled_block_with`] and its budgeted twin
+//! draw straight into reusable structure-of-arrays columns and evaluate
+//! whole blocks per kernel call. This module holds what they share: the
+//! per-sample seed split ([`mc_sample_seed`]), the summary statistics
+//! ([`McStats`], [`McOutcome`], [`McError`]) and the validating
+//! triangular draw ([`try_triangular`]).
 
 use act_rng::Rng;
-
-use crate::parallel::{par_map_range, Parallelism};
 
 /// Summary statistics of a Monte-Carlo run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,7 +57,7 @@ impl McStats {
     }
 }
 
-/// Error returned by [`try_monte_carlo`].
+/// Error returned by the block Monte-Carlo entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum McError {
@@ -99,7 +97,9 @@ act_json::impl_to_json!(McOutcome { stats, rejected });
 act_json::impl_from_json!(McOutcome { stats, rejected });
 
 /// Derives the independent RNG seed for sample `index` of a run keyed by
-/// `master` — the seed-splitting scheme behind [`monte_carlo`].
+/// `master` — the seed-splitting scheme behind every block Monte-Carlo
+/// run ([`crate::par_monte_carlo_compiled_block_with`] and its budgeted
+/// twin).
 ///
 /// This is the SplitMix64 output function evaluated at position
 /// `index + 1` of the stream seeded by `master`: every sample gets its own
@@ -116,108 +116,9 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `samples` evaluations of `model` under a [`Parallelism`] policy,
-/// each fed its own RNG-driven input draw, and summarizes the outputs.
-///
-/// Sample `i` gets its own `Rng` seeded with
-/// [`mc_sample_seed`]`(seed, i)`, so sample values depend only on
-/// `(seed, i)` and the returned statistics are **bit-for-bit identical**
-/// for any thread count, including [`Parallelism::Serial`] — pinned by
-/// property tests.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero or the model produces non-finite outputs.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::{monte_carlo, Parallelism};
-///
-/// // Footprint = area x CPA where yield is uncertain in [0.7, 1.0].
-/// let stats = monte_carlo(Parallelism::Auto, 2_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(0.7..1.0);
-///     0.9 * 1370.0 / y
-/// });
-/// assert!(stats.p05 < stats.mean && stats.mean < stats.p95);
-/// ```
-pub fn monte_carlo(
-    parallelism: Parallelism,
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> McStats {
-    assert!(samples > 0, "need at least one sample");
-    let values = par_map_range(parallelism, samples, |i| {
-        let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
-        let v = model(&mut rng);
-        assert!(v.is_finite(), "model produced a non-finite sample");
-        v
-    });
-    summarize(values)
-}
-
-/// Fault-tolerant variant of [`monte_carlo`]: draws that evaluate to NaN or
-/// ±∞ are skipped and counted instead of panicking, and the statistics are
-/// computed over the remaining finite samples. Seeded per sample exactly
-/// like [`monte_carlo`], so the outcome is bit-for-bit identical for any
-/// thread count.
-///
-/// # Errors
-///
-/// Returns [`McError::NoSamples`] if `samples` is zero and
-/// [`McError::AllRejected`] if every draw was non-finite.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::{try_monte_carlo, Parallelism};
-///
-/// // A model with a pole: some yield draws divide by zero.
-/// let outcome = try_monte_carlo(Parallelism::Auto, 1_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(-0.1..1.0);
-///     1370.0 / y.max(0.0) // y <= 0 -> +inf, rejected
-/// })?;
-/// assert!(outcome.rejected > 0);
-/// assert_eq!(outcome.stats.samples + outcome.rejected, 1_000);
-/// # Ok::<(), act_dse::McError>(())
-/// ```
-pub fn try_monte_carlo(
-    parallelism: Parallelism,
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> Result<McOutcome, McError> {
-    if samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    let draws = par_map_range(parallelism, samples, |i| {
-        let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
-        model(&mut rng)
-    });
-    let mut values = Vec::with_capacity(samples);
-    let mut rejected = 0usize;
-    for v in draws {
-        if v.is_finite() {
-            values.push(v);
-        } else {
-            rejected += 1;
-        }
-    }
-    if values.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok(McOutcome { stats: summarize(values), rejected })
-}
-
-/// Extracts the summary statistics of the finite samples; see
-/// [`summarize_slice`].
-fn summarize(mut values: Vec<f64>) -> McStats {
-    summarize_slice(&mut values)
-}
-
-/// Slice-borrowing core of [`summarize`], so the batch path can summarize
-/// a reusable buffer without reallocating. Runs in O(n) with no sort:
+/// Summary statistics of the finite samples in `values`, computed in
+/// place so the batch path summarizes its reusable buffer without
+/// reallocating. Runs in O(n) with no sort:
 ///
 /// - the mean is a Neumaier-compensated sum taken in **input order**
 ///   before anything is reordered. Every caller passes draws in sample
@@ -291,11 +192,11 @@ impl std::fmt::Display for TriangularError {
 
 impl std::error::Error for TriangularError {}
 
-/// Fallible twin of [`triangular`]: draws a triangular-distributed value
-/// on `[low, high]` with the given mode, rejecting bad parameters with a
-/// typed error instead of panicking — the form user-supplied fleet
-/// distributions must go through, so a hostile payload becomes a 400
-/// instead of a caught-panic 500.
+/// Draws a triangular-distributed value on `[low, high]` with the given
+/// mode — the standard shape for expert-judgment parameters like yield —
+/// rejecting bad parameters with a typed error instead of panicking. It
+/// is the form user-supplied fleet distributions go through, so a hostile
+/// payload becomes a 400 instead of a caught-panic 500.
 ///
 /// The RNG is only advanced when the parameters are valid, so a rejected
 /// draw consumes no randomness. A valid draw is
@@ -322,30 +223,21 @@ pub fn try_triangular(
     Ok(act_rng::unit_to_triangular(rng.gen(), low, mode, high))
 }
 
-/// Draws a triangular-distributed value on `[low, high]` with the given
-/// mode — the standard shape for expert-judgment parameters like yield.
-/// Delegates to [`try_triangular`]; use that form directly when the
-/// parameters come from untrusted input.
-///
-/// # Panics
-///
-/// Panics unless `low <= mode <= high` and `low < high` (all finite).
-pub fn triangular(rng: &mut Rng, low: f64, mode: f64, high: f64) -> f64 {
-    match try_triangular(rng, low, mode, high) {
-        Ok(value) => value,
-        Err(err) => panic!("{err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `n` uniform draws in `0..1`, sample `i` from its own split seed.
+    fn uniform_draws(seed: u64, n: u64) -> Vec<f64> {
+        (0..n)
+            .map(|i| Rng::seed_from_u64(mc_sample_seed(seed, i)).gen_range(0.0..1.0))
+            .collect()
+    }
+
     #[test]
     fn stats_are_ordered_and_deterministic() {
-        let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let a = monte_carlo(Parallelism::Serial, 5_000, 7, f);
-        let b = monte_carlo(Parallelism::Serial, 5_000, 7, f);
+        let a = summarize_slice(&mut uniform_draws(7, 5_000));
+        let b = summarize_slice(&mut uniform_draws(7, 5_000));
         assert_eq!(a, b);
         assert!(a.p05 <= a.p50 && a.p50 <= a.p95);
         assert!((a.mean - 0.5).abs() < 0.02);
@@ -354,7 +246,7 @@ mod tests {
 
     #[test]
     fn constant_model_has_zero_spread() {
-        let s = monte_carlo(Parallelism::Serial, 100, 0, |_| 42.0);
+        let s = summarize_slice(&mut [42.0; 100]);
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.relative_spread(), 0.0);
     }
@@ -365,7 +257,7 @@ mod tests {
         let mut below = 0;
         let n = 20_000;
         for _ in 0..n {
-            let v = triangular(&mut rng, 0.5, 0.9, 1.0);
+            let v = try_triangular(&mut rng, 0.5, 0.9, 1.0).unwrap();
             assert!((0.5..=1.0).contains(&v));
             if v < 0.9 {
                 below += 1;
@@ -374,25 +266,6 @@ mod tests {
         // P(X < mode) = (mode-low)/(high-low) = 0.8 for the triangular.
         let frac = f64::from(below) / f64::from(n);
         assert!((frac - 0.8).abs() < 0.02, "fraction below mode {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn zero_samples_rejected() {
-        let _ = monte_carlo(Parallelism::Serial, 0, 0, |_| 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn non_finite_model_rejected() {
-        let _ = monte_carlo(Parallelism::Serial, 10, 0, |_| f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "triangular")]
-    fn bad_triangular_rejected() {
-        let mut rng = Rng::seed_from_u64(0);
-        let _ = triangular(&mut rng, 1.0, 0.5, 0.9);
     }
 
     #[test]
@@ -417,38 +290,14 @@ mod tests {
     }
 
     #[test]
-    fn try_triangular_matches_panicking_variant_on_valid_parameters() {
+    fn try_triangular_is_one_uniform_through_unit_to_triangular() {
         let mut a = Rng::seed_from_u64(9);
         let mut b = Rng::seed_from_u64(9);
         for _ in 0..1_000 {
-            let x = triangular(&mut a, 0.5, 0.9, 1.0);
-            let y = try_triangular(&mut b, 0.5, 0.9, 1.0).unwrap();
+            let x = try_triangular(&mut a, 0.5, 0.9, 1.0).unwrap();
+            let y = act_rng::unit_to_triangular(b.gen(), 0.5, 0.9, 1.0);
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn try_monte_carlo_matches_panicking_variant_on_clean_models() {
-        let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let outcome = try_monte_carlo(Parallelism::Serial, 2_000, 7, f).unwrap();
-        assert_eq!(outcome.rejected, 0);
-        assert_eq!(outcome.stats, monte_carlo(Parallelism::Serial, 2_000, 7, f));
-    }
-
-    #[test]
-    fn try_monte_carlo_skips_and_counts_poisoned_draws() {
-        let f = |rng: &mut Rng| {
-            let v: f64 = rng.gen_range(0.0..1.0);
-            if v < 0.25 {
-                f64::NAN
-            } else {
-                v
-            }
-        };
-        let outcome = try_monte_carlo(Parallelism::Serial, 4_000, 11, f).unwrap();
-        assert!(outcome.rejected > 0, "expected some rejections");
-        assert_eq!(outcome.stats.samples + outcome.rejected, 4_000);
-        assert!(outcome.stats.p05 >= 0.25);
     }
 
     #[test]
@@ -468,58 +317,6 @@ mod tests {
         // Poisoned stats never produce NaN either.
         let poisoned = McStats { mean: f64::NAN, p05: 0.0, p50: 1.0, p95: 2.0, samples: 10 };
         assert_eq!(poisoned.relative_spread(), f64::INFINITY);
-    }
-
-    #[test]
-    fn par_monte_carlo_is_thread_count_invariant() {
-        let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let serial = monte_carlo(Parallelism::Serial, 5_000, 7, f);
-        let two = monte_carlo(Parallelism::threads(2), 5_000, 7, f);
-        let eight = monte_carlo(Parallelism::threads(8), 5_000, 7, f);
-        assert_eq!(serial, two);
-        assert_eq!(serial, eight);
-        assert!((serial.mean - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn par_monte_carlo_matches_manual_seed_split_loop() {
-        let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let parallel = monte_carlo(Parallelism::threads(4), 2_000, 11, f);
-        let values: Vec<f64> = (0..2_000u64)
-            .map(|i| {
-                let mut rng = Rng::seed_from_u64(mc_sample_seed(11, i));
-                f(&mut rng)
-            })
-            .collect();
-        let reference = summarize(values);
-        assert_eq!(parallel, reference);
-    }
-
-    #[test]
-    fn par_try_monte_carlo_is_thread_count_invariant() {
-        let f = |rng: &mut Rng| {
-            let v: f64 = rng.gen_range(0.0..1.0);
-            if v < 0.25 {
-                f64::NAN
-            } else {
-                v
-            }
-        };
-        let serial = try_monte_carlo(Parallelism::Serial, 4_000, 13, f).unwrap();
-        let parallel = try_monte_carlo(Parallelism::threads(8), 4_000, 13, f).unwrap();
-        assert_eq!(serial, parallel);
-        assert!(parallel.rejected > 0);
-        assert_eq!(parallel.stats.samples + parallel.rejected, 4_000);
-    }
-
-    #[test]
-    fn par_try_monte_carlo_reports_degenerate_runs() {
-        let auto = Parallelism::Auto;
-        assert_eq!(try_monte_carlo(auto, 0, 0, |_| 1.0), Err(McError::NoSamples));
-        assert_eq!(
-            try_monte_carlo(auto, 10, 0, |_| f64::INFINITY),
-            Err(McError::AllRejected { rejected: 10 })
-        );
     }
 
     /// p05/p50/p95 by full sort and `round((n - 1) * q)` indexing, as bits.
@@ -550,7 +347,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let stats = summarize(values.clone());
+                let stats = summarize_slice(&mut values.clone());
                 assert_eq!(stats.samples, n);
                 assert_eq!(
                     [stats.p05.to_bits(), stats.p50.to_bits(), stats.p95.to_bits()],
@@ -564,11 +361,11 @@ mod tests {
     #[test]
     fn compensated_mean_is_exact_where_a_plain_sum_drifts() {
         // A plain left-to-right (or sorted) sum gives 0.09999999999999999.
-        assert_eq!(summarize(vec![0.1; 10]).mean, 0.1);
+        assert_eq!(summarize_slice(&mut [0.1; 10]).mean, 0.1);
         // A plain sum loses both 1.0s to the 1e100 and gives 0.0.
-        assert_eq!(summarize(vec![1.0, 1e100, 1.0, -1e100]).mean, 0.5);
+        assert_eq!(summarize_slice(&mut [1.0, 1e100, 1.0, -1e100]).mean, 0.5);
         // An overflowing sum stays infinite instead of turning NaN.
-        assert_eq!(summarize(vec![f64::MAX, f64::MAX]).mean, f64::INFINITY);
+        assert_eq!(summarize_slice(&mut [f64::MAX, f64::MAX]).mean, f64::INFINITY);
     }
 
     #[test]
@@ -580,25 +377,5 @@ mod tests {
                 assert!(seen.insert(mc_sample_seed(master, index)));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn par_zero_samples_rejected() {
-        let _ = monte_carlo(Parallelism::Auto, 0, 0, |_| 1.0);
-    }
-
-    #[test]
-    fn try_monte_carlo_reports_degenerate_runs() {
-        assert_eq!(
-            try_monte_carlo(Parallelism::Serial, 0, 0, |_| 1.0),
-            Err(McError::NoSamples)
-        );
-        assert_eq!(
-            try_monte_carlo(Parallelism::Serial, 10, 0, |_| f64::INFINITY),
-            Err(McError::AllRejected { rejected: 10 })
-        );
-        let err = try_monte_carlo(Parallelism::Serial, 10, 0, |_| f64::NAN).unwrap_err();
-        assert!(err.to_string().contains("non-finite"));
     }
 }

@@ -1,26 +1,4 @@
-//! Selection helpers: unconstrained and constrained argmin, normalization.
-
-/// Index of the item with the smallest cost. Returns `None` for empty input
-/// or when every cost is NaN.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::argmin_by;
-/// let v = [3.0, 1.0, 2.0];
-/// assert_eq!(argmin_by(&v, |x| *x), Some(1));
-/// ```
-pub fn argmin_by<T>(items: &[T], mut cost: impl FnMut(&T) -> f64) -> Option<usize> {
-    items
-        .iter()
-        .enumerate()
-        .filter_map(|(i, item)| {
-            let c = cost(item);
-            c.is_finite().then_some((i, c))
-        })
-        .min_by(|(_, a), (_, b)| a.total_cmp(b))
-        .map(|(i, _)| i)
-}
+//! Constrained selection: the cheapest design that meets a requirement.
 
 /// Index of the cheapest item satisfying `feasible` — the QoS- and
 /// area-constrained optimization of Figure 13. Returns `None` when nothing
@@ -52,104 +30,28 @@ pub fn argmin_feasible<T>(
         .map(|(i, _)| i)
 }
 
-/// Index of the knee point of a two-objective frontier: the point closest
-/// (in normalized Euclidean distance) to the utopia point formed by the
-/// per-objective minima. A standard heuristic for "balanced" designs when
-/// no Table-2 metric is mandated.
-///
-/// Returns `None` on empty input.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::knee_point;
-/// // (carbon, delay) frontier: the middle point balances both.
-/// let points = [(10.0, 1.0), (4.0, 4.0), (1.0, 10.0)];
-/// assert_eq!(knee_point(&points, |p| p.0, |p| p.1), Some(1));
-/// ```
-pub fn knee_point<T>(
-    items: &[T],
-    mut objective_a: impl FnMut(&T) -> f64,
-    mut objective_b: impl FnMut(&T) -> f64,
-) -> Option<usize> {
-    if items.is_empty() {
-        return None;
-    }
-    let a: Vec<f64> = items.iter().map(&mut objective_a).collect();
-    let b: Vec<f64> = items.iter().map(&mut objective_b).collect();
-    let (a_min, a_max) = min_max(&a)?;
-    let (b_min, b_max) = min_max(&b)?;
-    let a_span = (a_max - a_min).max(f64::MIN_POSITIVE);
-    let b_span = (b_max - b_min).max(f64::MIN_POSITIVE);
-    (0..items.len())
-        .map(|i| {
-            let da = (a[i] - a_min) / a_span;
-            let db = (b[i] - b_min) / b_span;
-            (i, da * da + db * db)
-        })
-        .min_by(|(_, x), (_, y)| x.total_cmp(y))
-        .map(|(i, _)| i)
-}
-
-fn min_max(values: &[f64]) -> Option<(f64, f64)> {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &v in values {
-        if !v.is_finite() {
-            return None;
-        }
-        min = min.min(v);
-        max = max.max(v);
-    }
-    Some((min, max))
-}
-
-/// Divides every value by `baseline` (Figure 8(d)-style normalization).
-///
-/// # Panics
-///
-/// Panics if `baseline` is zero or not finite.
-#[must_use]
-pub fn normalize_to(values: &[f64], baseline: f64) -> Vec<f64> {
-    assert!(
-        baseline.is_finite() && baseline != 0.0,
-        "normalization baseline must be finite and nonzero, got {baseline}"
-    );
-    values.iter().map(|v| v / baseline).collect()
-}
-
-/// Normalizes a series to its last element — the paper normalizes each SoC
-/// family to its newest member.
-///
-/// # Panics
-///
-/// Panics if `values` is empty or the last element is zero.
-#[must_use]
-pub fn normalize_to_last(values: &[f64]) -> Vec<f64> {
-    let Some(&last) = values.last() else { panic!("cannot normalize an empty series") };
-    normalize_to(values, last)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The unconstrained argmin: every item is feasible.
+    fn argmin(values: &[f64]) -> Option<usize> {
+        argmin_feasible(values, |x| *x, |_| true)
+    }
+
     #[test]
     fn argmin_skips_nan() {
-        let v = [f64::NAN, 2.0, 1.0];
-        assert_eq!(argmin_by(&v, |x| *x), Some(2));
+        assert_eq!(argmin(&[f64::NAN, 2.0, 1.0]), Some(2));
     }
 
     #[test]
     fn argmin_empty_is_none() {
-        let v: [f64; 0] = [];
-        assert_eq!(argmin_by(&v, |x| *x), None);
+        assert_eq!(argmin(&[]), None);
     }
 
     #[test]
     fn argmin_all_nan_is_none() {
-        let v = [f64::NAN, f64::NAN];
-        assert_eq!(argmin_by(&v, |x| *x), None);
+        assert_eq!(argmin(&[f64::NAN, f64::NAN]), None);
     }
 
     #[test]
@@ -163,48 +65,5 @@ mod tests {
     fn constrained_argmin_none_when_infeasible() {
         let designs = [(1.0_f64, 10.0_f64)];
         assert_eq!(argmin_feasible(&designs, |d| d.0, |d| d.1 >= 30.0), None);
-    }
-
-    #[test]
-    fn knee_point_prefers_balanced_designs() {
-        let points = [(100.0, 1.0), (20.0, 3.0), (10.0, 10.0), (1.0, 100.0)];
-        let knee = knee_point(&points, |p| p.0, |p| p.1).unwrap();
-        assert!(knee == 1 || knee == 2, "knee at {knee}");
-    }
-
-    #[test]
-    fn knee_point_of_single_item_is_it() {
-        assert_eq!(knee_point(&[(5.0, 5.0)], |p| p.0, |p| p.1), Some(0));
-    }
-
-    #[test]
-    fn knee_point_empty_is_none() {
-        let empty: [(f64, f64); 0] = [];
-        assert_eq!(knee_point(&empty, |p| p.0, |p| p.1), None);
-    }
-
-    #[test]
-    fn knee_point_rejects_nan_gracefully() {
-        let points = [(f64::NAN, 1.0), (1.0, 2.0)];
-        assert_eq!(knee_point(&points, |p| p.0, |p| p.1), None);
-    }
-
-    #[test]
-    fn normalization_round_trip() {
-        let v = [2.0, 4.0, 8.0];
-        assert_eq!(normalize_to(&v, 2.0), vec![1.0, 2.0, 4.0]);
-        assert_eq!(normalize_to_last(&v), vec![0.25, 0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline must be finite and nonzero")]
-    fn zero_baseline_panics() {
-        let _ = normalize_to(&[1.0], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn normalize_empty_panics() {
-        let _ = normalize_to_last(&[]);
     }
 }

@@ -443,39 +443,11 @@ fn parse_threads(raw: &str) -> Result<usize, ThreadsWarning> {
     }
 }
 
-/// Applies `f(index, item)` to every element of a conceptual range
-/// `0..len`, in parallel, returning results in index order.
-///
-/// This is the engine under [`par_map_ordered`] and the closure-based
-/// sweep and Monte-Carlo entry points; it is public so model code can parallelize
-/// index-driven work (e.g. per-sample seeding) without materializing an
-/// input slice.
+/// Applies `f(index, &item)` to every element of `items`, in parallel,
+/// returning results in input order.
 ///
 /// A panicking `f` propagates its payload to the caller after every worker
 /// has stopped, matching the serial loop's failure mode.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::{par_map_range, Parallelism};
-///
-/// let squares = par_map_range(Parallelism::Auto, 5, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
-/// ```
-pub fn par_map_range<R, F>(parallelism: Parallelism, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = parallelism.worker_count().min(len.max(1));
-    if workers <= 1 {
-        return (0..len).map(f).collect();
-    }
-    par_map_threaded(workers, len, &f)
-}
-
-/// Applies `f(index, &item)` to every element of `items`, in parallel,
-/// returning results in input order.
 ///
 /// # Examples
 ///
@@ -491,7 +463,11 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_range(parallelism, items.len(), |index| f(index, &items[index]))
+    let workers = parallelism.worker_count().min(items.len().max(1));
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(index, item)| f(index, item)).collect();
+    }
+    par_map_threaded(workers, items.len(), &|index| f(index, &items[index]))
 }
 
 fn par_map_threaded<R, F>(workers: usize, len: usize, f: &F) -> Vec<R>
@@ -561,7 +537,6 @@ mod tests {
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_ordered(four(), &empty, |_, x| *x).is_empty());
-        assert_eq!(par_map_range(four(), 0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_ordered(four(), &[9], |_, x| *x + 1), vec![10]);
     }
 
@@ -758,14 +733,14 @@ mod tests {
 
     #[test]
     fn index_is_passed_through() {
-        let out = par_map_range(four(), 10, |i| i * i);
+        let out = par_map_ordered(four(), &[0u8; 10], |i, _| i * i);
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn panics_propagate_with_payload() {
         let caught = std::panic::catch_unwind(|| {
-            par_map_range(four(), 100, |i| {
+            par_map_ordered(four(), &[0u8; 100], |i, _| {
                 assert!(i != 37, "poisoned index");
                 i
             })

@@ -27,10 +27,10 @@
 //!   Pool threads never unwind, so the pool needs no respawn logic to
 //!   survive a panicking kernel: the next job reuses the same threads.
 //! * **Kernel-shape agnostic.** The pool moves chunk indices, not points:
-//!   the ordered map under the closure-based sweep/Monte-Carlo forms and the
-//!   block engine (`fill_chunked_block`, which hands each stolen chunk to
-//!   the kernel as whole structure-of-arrays column ranges) dispatch
-//!   through the same [`run`].
+//!   the ordered map (`par_map_ordered`) and the block engine
+//!   (`fill_chunked_block`, which hands each stolen chunk to the kernel as
+//!   whole structure-of-arrays column ranges) dispatch through the same
+//!   [`run`].
 //!
 //! # Why there is `unsafe` here
 //!

@@ -1,9 +1,10 @@
 //! Equivalence and determinism properties of the block-vectorized batch
-//! engine: the `_block` entry points must reproduce the interpreted
-//! per-point oracle (`sweep_finite` / `try_monte_carlo` under
-//! `Parallelism::Serial`) bit for bit — same values, same rejection
-//! log, same Monte-Carlo summaries — for any batch length, thread count,
-//! and budget, with cut-offs landing on identical completed prefixes.
+//! engine: the `_block` entry points must reproduce a plain serial
+//! per-point loop bit for bit — same values, same rejection log, same
+//! Monte-Carlo draws from `Rng::seed_from_u64(mc_sample_seed(seed, i))` —
+//! for any batch length, thread count, and budget, with cut-offs landing
+//! on identical completed prefixes. The oracles share no code with the
+//! engine: not its worker pool, its chunking, nor its summary statistics.
 //!
 //! The kernels here are plain closures (act-dse is model-agnostic); the
 //! `act_core::EvalPlan::eval_block` pairing is pinned by the property
@@ -13,9 +14,9 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use act_dse::{
-    par_monte_carlo_compiled_block_with, par_sweep_compiled_block_budgeted,
-    par_sweep_compiled_block_with, sweep_compiled_block, sweep_finite, try_monte_carlo,
-    BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, Parallelism, PointBatch,
+    mc_sample_seed, par_monte_carlo_compiled_block_with, par_sweep_compiled_block_budgeted,
+    par_sweep_compiled_block_with, sweep_compiled_block, BatchOutput, BatchRun,
+    BatchShapeError, EvalBudget, McBuffer, McError, Parallelism, PointBatch, RejectedPoint,
 };
 use act_rng::Rng;
 
@@ -51,16 +52,47 @@ fn batch(seed: u64, n: usize) -> PointBatch {
     PointBatch::from_columns(vec![xs, ys])
 }
 
-/// Sweeps `batch` through the interpreted oracle, one point at a time,
-/// and lays the outcome out like a [`BatchOutput`]: NaN in rejected slots.
-fn oracle(batch: &PointBatch) -> (Vec<f64>, Vec<act_dse::RejectedPoint>) {
+/// Evaluates `model` on every point of `batch` in a plain loop and lays
+/// the outcome out like a [`BatchOutput`]: NaN in rejected slots, one
+/// [`RejectedPoint`] per non-finite result, reason spelled out here.
+fn oracle(batch: &PointBatch) -> (Vec<f64>, Vec<RejectedPoint>) {
     let (xs, ys) = (batch.column(0), batch.column(1));
-    let outcome = sweep_finite(Parallelism::Serial, 0..batch.len(), |&i| model(xs[i], ys[i]));
-    let mut values = vec![f64::NAN; batch.len()];
-    for (i, v) in outcome.results {
-        values[i] = v;
+    let mut values = Vec::with_capacity(batch.len());
+    let mut rejected = Vec::new();
+    for (index, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+        let v = model(x, y);
+        if v.is_finite() {
+            values.push(v);
+        } else {
+            values.push(f64::NAN);
+            let reason = format!("model produced a non-finite result ({v})");
+            rejected.push(RejectedPoint { index, reason });
+        }
     }
-    (values, outcome.rejected)
+    (values, rejected)
+}
+
+/// The two Monte-Carlo axes: `x` on the pole axis, then `y`.
+const MC_RANGES: [(f64, f64); 2] = [(-4.0, 4.0), (-2.0, 2.0)];
+
+/// Sample `i` of a run keyed by `seed` in a plain loop: its own
+/// `Rng::seed_from_u64(mc_sample_seed(seed, i))`, one draw per axis in
+/// axis order, then `model`. Non-finite draws read NaN, as in
+/// [`McBuffer::draws`].
+fn oracle_draws(seed: u64, samples: usize) -> Vec<f64> {
+    (0..samples as u64)
+        .map(|i| {
+            let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i));
+            let x = rng.gen_range(MC_RANGES[0].0..MC_RANGES[0].1);
+            let y = rng.gen_range(MC_RANGES[1].0..MC_RANGES[1].1);
+            let v = model(x, y);
+            if v.is_finite() {
+                v
+            } else {
+                f64::NAN
+            }
+        })
+        .collect()
 }
 
 fn assert_bitwise_eq(a: &[f64], b: &[f64], context: &str) {
@@ -167,49 +199,46 @@ fn expired_budget_reports_an_empty_block_prefix() {
 
 #[test]
 fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
-    let ranges = [(-4.0_f64, 4.0_f64), (-2.0, 2.0)];
-    let per_point_model = |rng: &mut Rng| {
-        let x = rng.gen_range(ranges[0].0..ranges[0].1);
-        let y = rng.gen_range(ranges[1].0..ranges[1].1);
-        model(x, y)
-    };
     let block_sampler = |rng: &mut Rng, k: usize, columns: &mut [Vec<f64>]| {
-        for (column, (low, high)) in columns.iter_mut().zip(&ranges) {
+        for (column, (low, high)) in columns.iter_mut().zip(&MC_RANGES) {
             column[k] = rng.gen_range(*low..*high);
         }
     };
     for seed in [0, 42, 0xAC70, u64::MAX] {
         for samples in [1, 63, 64, 65, 1024, 3000] {
             let context = format!("seed={seed}, samples={samples}");
-            let per_point =
-                try_monte_carlo(Parallelism::Serial, samples, seed, per_point_model);
-            let mut serial_buf = McBuffer::default();
-            let serial = par_monte_carlo_compiled_block_with(
-                Parallelism::Serial,
-                samples,
-                seed,
-                2,
-                block_sampler,
-                block_kernel,
-                &mut serial_buf,
-            );
-            assert_eq!(per_point, serial, "{context}: summaries diverged");
-            // The pooled block engine is invariant under thread count too,
-            // down to the per-sample draws.
-            for workers in [2, 5, 8] {
-                let mut par_buf = McBuffer::default();
-                let parallel = par_monte_carlo_compiled_block_with(
+            let draws = oracle_draws(seed, samples);
+            let mut finite: Vec<f64> = draws.iter().copied().filter(|v| !v.is_nan()).collect();
+            let rejected = samples - finite.len();
+            // Percentiles by full sort and `round((n - 1) * q)`.
+            finite.sort_by(f64::total_cmp);
+            let at =
+                |q: f64| finite[((finite.len() - 1) as f64 * q).round() as usize].to_bits();
+            let mean = finite.iter().sum::<f64>() / finite.len() as f64;
+            for workers in WORKERS {
+                let mut buf = McBuffer::default();
+                let result = par_monte_carlo_compiled_block_with(
                     Parallelism::threads(workers),
                     samples,
                     seed,
                     2,
                     block_sampler,
                     block_kernel,
-                    &mut par_buf,
+                    &mut buf,
                 );
                 let context = format!("{context}, workers={workers}");
-                assert_eq!(serial, parallel, "{context}");
-                assert_bitwise_eq(serial_buf.draws(), par_buf.draws(), &context);
+                assert_bitwise_eq(&draws, buf.draws(), &context);
+                if finite.is_empty() {
+                    assert_eq!(result, Err(McError::AllRejected { rejected }), "{context}");
+                    continue;
+                }
+                let outcome = result.expect("some draws are finite");
+                assert_eq!(outcome.rejected, rejected, "{context}");
+                let stats = outcome.stats;
+                assert_eq!(stats.samples, finite.len(), "{context}");
+                let got = [stats.p05, stats.p50, stats.p95].map(f64::to_bits);
+                assert_eq!(got, [at(0.05), at(0.5), at(0.95)], "{context}");
+                assert!((stats.mean - mean).abs() <= 1e-9 * mean.abs().max(1.0), "{context}");
             }
         }
     }

@@ -322,6 +322,25 @@ fn parse_axis_name(name: &str) -> Result<FreeAxis, Reject> {
     }
 }
 
+/// Rejects a coordinate outside `axis`'s Table 1 range with a 400
+/// `invalid-axes` naming the wire axis, the value and where it sits
+/// (`position`, rendered only on failure). The block kernels behind
+/// `/v1/sweep` and `/v1/montecarlo` do not validate points themselves, so
+/// this keeps them to the ranges `/v1/footprint` enforces.
+fn check_axis_value(
+    axis: FreeAxis,
+    name: &str,
+    value: f64,
+    position: impl FnOnce() -> String,
+) -> Result<(), Reject> {
+    axis.check(value).map_err(|err| {
+        Reject::bad(
+            "invalid-axes",
+            format!("axis `{name}` value {value} {}: {err}", position()),
+        )
+    })
+}
+
 /// Threads the calibrated policy grants a batch of `len` points: the
 /// [`Parallelism::Auto`] resolution (machine size, `ACT_THREADS`, and the
 /// measured break-even threshold), never more than one thread per point.
@@ -365,16 +384,20 @@ fn parse_sweep(request: &Request, config: &ServerConfig) -> Result<SweepRequest,
             .get("axis")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| Reject::bad("invalid-axes", "axis entry missing `axis` name"))?;
-        axes.push(parse_axis_name(name)?);
+        let axis = parse_axis_name(name)?;
+        axes.push(axis);
         let values = entry.get("values").and_then(JsonValue::as_array).ok_or_else(|| {
             Reject::bad("invalid-axes", format!("axis `{name}` missing `values` array"))
         })?;
         let column: Vec<f64> = values
             .iter()
-            .map(|v| {
-                v.as_f64().ok_or_else(|| {
+            .enumerate()
+            .map(|(index, v)| {
+                let value = v.as_f64().ok_or_else(|| {
                     Reject::bad("invalid-axes", format!("axis `{name}` has a non-number value"))
-                })
+                })?;
+                check_axis_value(axis, name, value, || format!("at index {index}"))?;
+                Ok(value)
             })
             .collect::<Result<_, _>>()?;
         if column.is_empty() {
@@ -587,7 +610,8 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
             .get("axis")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| Reject::bad("invalid-axes", "axis entry missing `axis` name"))?;
-        axes.push(parse_axis_name(name)?);
+        let axis = parse_axis_name(name)?;
+        axes.push(axis);
         let low = entry.get("low").and_then(JsonValue::as_f64);
         let high = entry.get("high").and_then(JsonValue::as_f64);
         let (Some(low), Some(high)) = (low, high) else {
@@ -602,6 +626,10 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
                 format!("axis `{name}` needs finite low < high"),
             ));
         }
+        // Every draw lies in [low, high), so both ends in range means
+        // every sample is.
+        check_axis_value(axis, name, low, || "as `low`".to_owned())?;
+        check_axis_value(axis, name, high, || "as `high`".to_owned())?;
         ranges.push((low, high));
     }
     let compiled = CompiledFootprint::try_compile(&params, &axes)

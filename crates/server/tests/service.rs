@@ -221,6 +221,55 @@ fn montecarlo_summarizes_with_deterministic_seed() {
     server.stop();
 }
 
+/// Posts `body` to `path` and returns the error message of the 400
+/// `invalid-axes` response it must draw.
+fn invalid_axes_message(addr: SocketAddr, path: &str, body: &str) -> String {
+    let (status, response_body) = split(&post(addr, path, body, ""));
+    assert!(status.contains("400"), "got {status}: {response_body}");
+    let doc = JsonValue::parse(response_body.trim_end()).expect("error body parses");
+    let error = doc.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(JsonValue::as_str), Some("invalid-axes"));
+    error.get("message").and_then(JsonValue::as_str).expect("message").to_owned()
+}
+
+#[test]
+fn sweep_rejects_axis_values_outside_table_1() {
+    let server = TestServer::start(ServerConfig::default());
+    // `/v1/footprint` rejects a 400-year lifetime; so must a sweep over it.
+    let body = format!(
+        "{{\"params\":{},\"axes\":[{{\"axis\":\"lifetime_years\",\"values\":[400]}}]}}",
+        params_json()
+    );
+    let message = invalid_axes_message(server.addr, "/v1/sweep", &body);
+    assert!(message.contains("lifetime_years"), "{message}");
+    assert!(message.contains("400 at index 0"), "{message}");
+    assert!(message.contains("within [0.1, 50] years"), "{message}");
+    // The offending value is found wherever it sits, on any axis.
+    let body = format!(
+        "{{\"params\":{},\"axes\":[{{\"axis\":\"soc_area_mm2\",\"values\":[50,100,150]}},\
+         {{\"axis\":\"fab_yield\",\"values\":[0.9,1.5,0.8]}}]}}",
+        params_json()
+    );
+    let message = invalid_axes_message(server.addr, "/v1/sweep", &body);
+    assert!(message.contains("fab_yield") && message.contains("1.5 at index 1"), "{message}");
+    server.stop();
+}
+
+#[test]
+fn montecarlo_rejects_axis_ranges_outside_table_1() {
+    let server = TestServer::start(ServerConfig::default());
+    for (low, high, bad) in [(1.0, 60.0, "60 as `high`"), (0.05, 5.0, "0.05 as `low`")] {
+        let body = format!(
+            "{{\"params\":{},\"samples\":200,\"seed\":7,\
+             \"axes\":[{{\"axis\":\"lifetime_years\",\"low\":{low},\"high\":{high}}}]}}",
+            params_json()
+        );
+        let message = invalid_axes_message(server.addr, "/v1/montecarlo", &body);
+        assert!(message.contains("lifetime_years") && message.contains(bad), "{message}");
+    }
+    server.stop();
+}
+
 #[test]
 fn every_error_path_is_one_parseable_json_line() {
     let server =

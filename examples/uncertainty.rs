@@ -8,7 +8,7 @@
 
 use act::core::FabScenario;
 use act::data::{scenarios, Abatement};
-use act::dse::{monte_carlo, triangular, Parallelism};
+use act::dse::{par_monte_carlo_compiled_block_with, try_triangular, McBuffer, Parallelism};
 use act::scenario::Scenario;
 use act::units::{CarbonIntensity, Fraction};
 
@@ -29,10 +29,11 @@ fn main() {
         upper.as_kilograms()
     );
 
-    // Monte Carlo over the three fab unknowns.
-    let stats = monte_carlo(Parallelism::Auto, 5_000, 2022, |rng| {
+    // Monte Carlo over the three fab unknowns. The sampler evaluates the
+    // whole model for sample `k` into column 0; the kernel copies it out.
+    let model = |rng: &mut act_rng::Rng| {
         // Yield: expert-judgment triangular around 0.875.
-        let y = triangular(rng, 0.7, 0.875, 0.98);
+        let y = try_triangular(rng, 0.7, 0.875, 0.98).expect("valid triangular");
         // Fab energy CI: anywhere between mostly-solar and the full grid.
         let ci = rng.gen_range(150.0..583.0);
         // Abatement: fabs report 95-99 %.
@@ -45,7 +46,18 @@ fn main() {
             .with_yield(Fraction::new(y).expect("triangular stays in range"))
             .with_abatement(abatement);
         spec.embodied(&fab).total().as_kilograms()
-    });
+    };
+    let stats = par_monte_carlo_compiled_block_with(
+        Parallelism::Auto,
+        5_000,
+        2022,
+        1,
+        |rng, k, cols| cols[0][k] = model(rng),
+        |cols, range, out| out.copy_from_slice(&cols[0][range]),
+        &mut McBuffer::new(),
+    )
+    .expect("every draw is finite")
+    .stats;
 
     println!("\nMonte Carlo over yield x fab CI x abatement ({} samples):", stats.samples);
     println!(

@@ -7,7 +7,7 @@ use act::core::{
     TransportModel,
 };
 use act::data::{reports, scenarios, Location};
-use act::dse::{monte_carlo, triangular, Parallelism};
+use act::dse::{par_monte_carlo_compiled_block_with, try_triangular, McBuffer, Parallelism};
 use act::experiments::{try_render_experiment, OutputFormat};
 use act::scenario::{CompiledScenario, Scenario};
 use act::units::{CarbonIntensity, Energy, Fraction, MassCo2};
@@ -63,11 +63,24 @@ fn monte_carlo_brackets_the_point_estimate() {
     let fairphone = device(scenarios::FAIRPHONE_3);
     let spec = fairphone.system();
     let point = spec.embodied(&FabScenario::default()).total().as_kilograms();
-    let stats = monte_carlo(Parallelism::Auto, 2_000, 9, |rng| {
-        let y = triangular(rng, 0.7, 0.875, 0.98);
-        let fab = FabScenario::default().with_yield(Fraction::new(y).unwrap());
-        spec.embodied(&fab).total().as_kilograms()
-    });
+    // The sampler evaluates the whole model into column 0; the kernel
+    // copies it out.
+    let outcome = par_monte_carlo_compiled_block_with(
+        Parallelism::Auto,
+        2_000,
+        9,
+        1,
+        |rng, k, cols| {
+            let y = try_triangular(rng, 0.7, 0.875, 0.98).unwrap();
+            let fab = FabScenario::default().with_yield(Fraction::new(y).unwrap());
+            cols[0][k] = spec.embodied(&fab).total().as_kilograms();
+        },
+        |cols, range, out| out.copy_from_slice(&cols[0][range]),
+        &mut McBuffer::new(),
+    )
+    .expect("the model evaluates");
+    assert_eq!(outcome.rejected, 0, "every draw is finite");
+    let stats = outcome.stats;
     assert!(stats.p05 <= point && point <= stats.p95, "{point} outside {stats:?}");
 }
 

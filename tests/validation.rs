@@ -5,8 +5,13 @@
 
 use std::error::Error as _;
 
-use act::core::{total_footprint, try_total_footprint, ModelParams, Validate};
-use act::dse::{sweep_finite, try_monte_carlo, try_sweep, McError, Parallelism};
+use act::core::{
+    total_footprint, try_total_footprint, CompiledFootprint, FreeAxis, ModelParams, Validate,
+};
+use act::dse::{
+    par_monte_carlo_compiled_block_with, sweep_compiled_block, BatchOutput, McBuffer, McError,
+    Parallelism, PointBatch,
+};
 use act::experiments::{try_render_experiment, ExperimentError, OutputFormat, EXPERIMENT_IDS};
 use act::units::{MassCo2, TimeSpan};
 
@@ -57,47 +62,79 @@ fn try_total_footprint_guards_the_paper_equation() {
     assert!(try_total_footprint(MassCo2::ZERO / 0.0, em, run, life).is_err());
 }
 
+/// The reference params with `lifetime_years` left free.
+fn lifetime_kernel() -> CompiledFootprint {
+    CompiledFootprint::try_compile(&ModelParams::mobile_reference(), &[FreeAxis::Lifetime])
+        .expect("the reference params compile")
+}
+
 #[test]
 fn sweeps_skip_invalid_design_points_and_report_them() {
-    let lifetimes = vec![-1.0, 0.0, 1.0, 2.0, f64::NAN, 4.0];
-    let outcome = try_sweep(Parallelism::Serial, lifetimes, |lt| {
+    let lifetimes = [-1.0, 0.0, 1.0, 2.0, f64::NAN, 4.0];
+    let kernel = lifetime_kernel();
+    let mut evaluated = Vec::new();
+    let mut rejected = Vec::new();
+    for (index, &lifetime) in lifetimes.iter().enumerate() {
         let mut p = ModelParams::mobile_reference();
-        p.lifetime_years = *lt;
-        p.try_footprint().map(|m| m.as_kilograms())
-    });
-    assert_eq!(outcome.results.len(), 3);
-    assert_eq!(outcome.rejected_count(), 3);
-    assert!(!outcome.is_clean());
-    assert_eq!(outcome.summary(), "3/6 points evaluated, 3 rejected");
-    for (_, kg) in &outcome.results {
+        p.lifetime_years = lifetime;
+        let direct = p.try_footprint();
+        let compiled = kernel.try_eval(&[lifetime]);
+        assert_eq!(direct.is_ok(), compiled.is_ok(), "lifetime {lifetime}");
+        match direct {
+            Ok(footprint) => evaluated.push((index, footprint.as_kilograms())),
+            Err(err) => rejected.push((index, err.to_string())),
+        }
+    }
+    assert_eq!(evaluated.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [2, 3, 5]);
+    assert_eq!(rejected.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 1, 4]);
+    for (_, kg) in &evaluated {
         assert!(kg.is_finite() && *kg >= 0.0);
     }
-    for rejected in &outcome.rejected {
-        assert!(!rejected.reason.is_empty());
+    for (_, reason) in &rejected {
+        assert!(reason.contains("lifetime"), "{reason}");
     }
 }
 
 #[test]
 fn finite_sweeps_reject_poles() {
-    let outcome = sweep_finite(Parallelism::Serial, [4.0f64, 0.0, 1.0], |x| 1.0 / x);
-    assert_eq!(outcome.results.len(), 2);
-    assert_eq!(outcome.rejected[0].index, 1);
+    let batch = PointBatch::single_axis(vec![4.0, 0.0, 1.0]);
+    let mut out = BatchOutput::new();
+    sweep_compiled_block(
+        &batch,
+        |cols, range, out| {
+            for (slot, &x) in out.iter_mut().zip(&cols[0][range]) {
+                *slot = 1.0 / x;
+            }
+        },
+        &mut out,
+    );
+    assert_eq!(out.values().iter().filter(|v| v.is_finite()).count(), 2);
+    assert_eq!(out.rejected()[0].index, 1);
 }
 
 #[test]
 fn monte_carlo_skips_non_finite_draws() {
-    let outcome = try_monte_carlo(Parallelism::Serial, 500, 7, |rng| {
-        let y: f64 = rng.gen_range(-0.2..1.0);
-        100.0 / y.max(0.0)
-    })
-    .expect("some draws are finite");
+    // The closure form of a Monte-Carlo model: the sampler writes the
+    // whole model's value into column 0 and the kernel copies it out.
+    let run = |samples| {
+        par_monte_carlo_compiled_block_with(
+            Parallelism::Serial,
+            samples,
+            7,
+            1,
+            |rng, k, cols| {
+                let y: f64 = rng.gen_range(-0.2..1.0);
+                cols[0][k] = 100.0 / y.max(0.0);
+            },
+            |cols, range, out| out.copy_from_slice(&cols[0][range]),
+            &mut McBuffer::new(),
+        )
+    };
+    let outcome = run(500).expect("some draws are finite");
     assert!(outcome.rejected > 0);
     assert_eq!(outcome.stats.samples + outcome.rejected, 500);
     assert!(outcome.stats.mean.is_finite());
-    assert_eq!(
-        try_monte_carlo(Parallelism::Serial, 0, 7, |_| 1.0).unwrap_err(),
-        McError::NoSamples
-    );
+    assert_eq!(run(0).unwrap_err(), McError::NoSamples);
 }
 
 #[test]
@@ -149,7 +186,8 @@ fn in_domain_params_always_yield_finite_nonnegative_footprints() {
 }
 
 /// Sweeps over adversarial lifetime vectors (every IEEE special value)
-/// never panic and always account for every point.
+/// never panic, and the compiled kernel accepts exactly the points the
+/// model does.
 #[test]
 fn arbitrary_lifetime_sweeps_never_panic() {
     let specials =
@@ -161,14 +199,17 @@ fn arbitrary_lifetime_sweeps_never_panic() {
         vec![f64::NAN; 20],
         (0..20).map(f64::from).collect(),
     ];
+    let kernel = lifetime_kernel();
     for lifetimes in vectors {
-        let n = lifetimes.len();
-        let outcome = try_sweep(Parallelism::Serial, lifetimes, |lt| {
+        for lifetime in lifetimes {
             let mut p = ModelParams::mobile_reference();
-            p.lifetime_years = *lt;
-            p.try_footprint()
-        });
-        assert_eq!(outcome.total_points(), n);
-        assert_eq!(outcome.results.len() + outcome.rejected_count(), n);
+            p.lifetime_years = lifetime;
+            let direct = p.try_footprint().map(|m| m.as_grams());
+            let compiled = kernel.try_eval(&[lifetime]);
+            assert_eq!(direct.is_ok(), compiled.is_ok(), "lifetime {lifetime}");
+            if let (Ok(a), Ok(b)) = (direct, compiled) {
+                assert_eq!(a.to_bits(), b.to_bits(), "lifetime {lifetime}: {a} vs {b}");
+            }
+        }
     }
 }
