@@ -27,7 +27,7 @@
 //! | ACT007 | loops calling `eval` without an `EvalBudget` | `act-dse`, `act-server` |
 //! | ACT008 | `Instant::now`/`SystemTime::now`/`thread::sleep`/`env::var` | library crates |
 //! | ACT009 | lock guard live across I/O or a callback | `act-server` |
-//! | ACT010 | raw f64 comparison without `total_cmp` | Pareto/stats modules |
+//! | ACT010 | raw f64 comparison without `total_cmp` | `dse` `montecarlo.rs`, `optimize.rs` |
 //! | ACT011 | indexing/slicing/unwrap in route handlers | `crates/server/src/routes.rs` |
 //! | ACT012 | raw `thread::spawn`/`thread::scope` pool bypass | library crates; pool, server, CLI, bench exempt |
 //!

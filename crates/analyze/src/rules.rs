@@ -23,7 +23,7 @@ const MSG_ACT008: &str = "nondeterministic API in a library crate; \
      wall-clock, sleeps and env reads belong in the server/CLI/bench shells";
 const MSG_ACT009: &str = "lock guard held across blocking I/O or a callback; \
      drop the guard (or narrow its scope) before leaving the critical section";
-const MSG_ACT010: &str = "raw f64 comparison in Pareto/stats code; \
+const MSG_ACT010: &str = "raw f64 comparison in order-statistics code; \
      use `total_cmp` so NaNs cannot poison the ordering";
 const MSG_ACT011: &str = "panic surface in the request path: indexing/slicing/\
      unwrap/expect in a route handler must become a 4xx/5xx response";
@@ -85,10 +85,10 @@ fn act009_in_scope(path: &str) -> bool {
     path.starts_with("crates/server/src/")
 }
 
-/// ACT010 targets Pareto-front and statistics modules.
+/// ACT010 targets the modules that order `f64` draws: the Monte-Carlo
+/// percentile selection and the optimizer's argmin.
 fn act010_in_scope(path: &str) -> bool {
-    let name = path.rsplit('/').next().unwrap_or(path);
-    name.contains("pareto") || name.contains("stats")
+    path == "crates/dse/src/montecarlo.rs" || path == "crates/dse/src/optimize.rs"
 }
 
 /// ACT011 targets the request path: the server's route handlers.
@@ -927,11 +927,19 @@ fn dropped_binding(e: &Expr) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// ACT010 — raw f64 comparison in Pareto/stats code.
+// ACT010 — raw f64 comparison in order-statistics code.
 // ---------------------------------------------------------------------------
 
-const COMPARATOR_SINKS: [&str; 6] =
-    ["sort_by", "sort_unstable_by", "min_by", "max_by", "binary_search_by", "partition_point"];
+/// Methods whose last argument is a comparator or ordering predicate.
+const COMPARATOR_SINKS: [&str; 7] = [
+    "sort_by",
+    "sort_unstable_by",
+    "select_nth_unstable_by",
+    "min_by",
+    "max_by",
+    "binary_search_by",
+    "partition_point",
+];
 
 fn act010_raw_float_cmp(file: &File, sink: &mut Sink<'_>) {
     for_each_fn(&file.items, &mut |fn_item| {
@@ -945,8 +953,7 @@ fn act010_raw_float_cmp(file: &File, sink: &mut Sink<'_>) {
                     positions.push(e.pos);
                 }
                 if COMPARATOR_SINKS.contains(&name.as_str()) {
-                    if let Some(Expr { kind: ExprKind::Closure { body, .. }, .. }) =
-                        args.first()
+                    if let Some(Expr { kind: ExprKind::Closure { body, .. }, .. }) = args.last()
                     {
                         if closure_compares_raw(body) {
                             positions.push(e.pos);
@@ -1103,10 +1110,20 @@ mod tests {
         let raw = "pub fn front(v: &mut Vec<f64>) {\n\
                    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));\n\
                    }\n";
-        let found = run("crates/dse/src/pareto.rs", raw);
+        let found = run("crates/dse/src/montecarlo.rs", raw);
         assert!(rules(&found).contains(&"ACT010"), "{found:#?}");
         let total = "pub fn front(v: &mut Vec<f64>) { v.sort_by(|a, b| a.total_cmp(b)); }\n";
-        assert!(run("crates/dse/src/pareto.rs", total).is_empty());
+        assert!(run("crates/dse/src/montecarlo.rs", total).is_empty());
+        // The percentile selector takes its comparator second.
+        let select = "pub fn p50(v: &mut [f64]) -> f64 {\n\
+                      *v.select_nth_unstable_by(v.len() / 2, |a, b| if a < b { Less } else { Greater }).1\n\
+                      }\n";
+        let found = run("crates/dse/src/montecarlo.rs", select);
+        assert!(rules(&found).contains(&"ACT010"), "{found:#?}");
+        let select = "pub fn p50(v: &mut [f64]) -> f64 {\n\
+                      *v.select_nth_unstable_by(v.len() / 2, |a, b| a.total_cmp(b)).1\n\
+                      }\n";
+        assert!(run("crates/dse/src/optimize.rs", select).is_empty());
         // Raw `<` in a plain for-loop scan is allowed; only comparator
         // closures and partial_cmp are the footgun.
         let scan = "pub fn min(v: &[f64]) -> f64 {\n\
@@ -1114,7 +1131,7 @@ mod tests {
                     for x in v { if *x < m { m = *x; } }\n\
                     m\n\
                     }\n";
-        assert!(run("crates/dse/src/pareto.rs", scan).is_empty());
+        assert!(run("crates/dse/src/montecarlo.rs", scan).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@ const CASES: &[(&str, &str, &str)] = &[
     ("ACT007", "crates/dse/src/sweep.rs", "act007"),
     ("ACT008", "crates/model/src/energy.rs", "act008"),
     ("ACT009", "crates/server/src/hub.rs", "act009"),
-    ("ACT010", "crates/dse/src/pareto.rs", "act010"),
+    ("ACT010", "crates/dse/src/montecarlo.rs", "act010"),
     ("ACT011", "crates/server/src/routes.rs", "act011"),
     ("ACT012", "crates/lca/src/batch.rs", "act012"),
 ];

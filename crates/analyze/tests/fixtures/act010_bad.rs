@@ -1,5 +1,5 @@
-//! ACT010 positive fixture (analyzed as a Pareto module): raw `<` in a
-//! comparator and a bare `partial_cmp` — one NaN poisons the ordering.
+//! ACT010 positive fixture (analyzed as the Monte-Carlo module): raw `<`
+//! in a comparator and a bare `partial_cmp` — one NaN poisons the ordering.
 
 use std::cmp::Ordering;
 

@@ -468,6 +468,23 @@ mod tests {
         // Memory, storage and packaging don't spread, so the band is
         // moderate for a device dominated by packaging and report factors.
         assert!(hi.ratio(lo) < 2.0, "band {lo}..{hi}");
+
+        // A lone die spreads by its node's CPA band alone; every named fab
+        // lands inside it, the solar + 99 % abatement fab on its floor.
+        for node in ProcessNode::ALL {
+            let die =
+                SystemSpec::builder().soc("die", Area::square_millimeters(100.0), node).build();
+            let (lo, hi) = die.embodied_bounds(&fab);
+            assert!(lo < hi, "{node}");
+            for named in [
+                FabScenario::taiwan_grid(),
+                FabScenario::default(),
+                FabScenario::renewable().with_abatement(act_data::Abatement::Percent99),
+            ] {
+                let e = die.embodied(&named).total();
+                assert!(lo <= e && e <= hi, "{node}: {e} outside [{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

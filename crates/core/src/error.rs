@@ -100,8 +100,8 @@ impl From<ParamsError> for ModelError {
 ///
 /// Implemented by every deserializable input surface of the model
 /// ([`crate::ModelParams`], [`crate::FabScenario`], [`crate::SystemSpec`],
-/// [`crate::OperationalModel`], [`crate::TransportModel`]), so a driver can
-/// reject a config file before evaluating anything with it.
+/// [`crate::OperationalModel`]), so a driver can reject a config file
+/// before evaluating anything with it.
 pub trait Validate {
     /// Checks every invariant the checked entry points rely on.
     ///

@@ -136,22 +136,6 @@ impl FabScenario {
         self.validate()?;
         self.cpa_breakdown(node).try_total()
     }
-
-    /// The uncertainty band of Figure 6 (bottom): lower bound with a solar
-    /// fab and 99 % abatement, upper bound with the Taiwan grid and 95 %
-    /// abatement, both at this scenario's yield.
-    #[must_use]
-    pub fn cpa_bounds(&self, node: ProcessNode) -> (MassPerArea, MassPerArea) {
-        let lower = FabScenario::renewable()
-            .with_abatement(Abatement::Percent99)
-            .with_yield(self.fab_yield)
-            .carbon_per_area(node);
-        let upper = FabScenario::taiwan_grid()
-            .with_abatement(Abatement::Percent95)
-            .with_yield(self.fab_yield)
-            .carbon_per_area(node);
-        (lower, upper)
-    }
 }
 
 impl Default for FabScenario {
@@ -321,22 +305,6 @@ mod tests {
         let mid = FabScenario::default();
         assert!(best.carbon_per_area(node) < mid.carbon_per_area(node));
         assert!(mid.carbon_per_area(node) < worst.carbon_per_area(node));
-    }
-
-    #[test]
-    fn bounds_bracket_every_scenario() {
-        for node in ProcessNode::ALL {
-            let (lo, hi) = FabScenario::default().cpa_bounds(node);
-            assert!(lo < hi);
-            for fab in [
-                FabScenario::default(),
-                FabScenario::taiwan_grid(),
-                FabScenario::renewable().with_abatement(Abatement::Percent99),
-            ] {
-                let cpa = fab.carbon_per_area(node);
-                assert!(lo <= cpa && cpa <= hi, "{node}: {cpa} outside [{lo}, {hi}]");
-            }
-        }
     }
 
     #[test]

@@ -52,12 +52,10 @@ mod embodied;
 mod error;
 mod fab;
 mod intensity;
-mod lifecycle;
 pub mod memo;
 mod metrics;
 mod operational;
 mod params;
-mod transport;
 
 pub use compiled::{CompiledFootprint, EvalPlan, FreeAxis, LANES};
 pub use embodied::{
@@ -67,11 +65,9 @@ pub use embodied::{
 pub use error::{ModelError, Validate};
 pub use fab::{CpaBreakdown, FabScenario};
 pub use intensity::IntensityProfile;
-pub use lifecycle::LifecycleEstimate;
 pub use metrics::{DesignPoint, OptimizationMetric};
 pub use operational::OperationalModel;
 pub use params::{ModelParams, ParamsError, INTENSITY_RANGE, LIFETIME_RANGE};
-pub use transport::{FreightMode, TransportLeg, TransportModel};
 
 use act_units::{MassCo2, TimeSpan};
 

@@ -595,7 +595,14 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
             ),
         });
     }
-    let seed = doc.get("seed").and_then(JsonValue::as_u64).unwrap_or(0);
+    // A missing seed is 0, as in a fleet block; a present one must be a
+    // non-negative integer, never silently read as 0.
+    let seed = match doc.get("seed") {
+        Some(raw) => {
+            u64::from_json(raw).map_err(|err| Reject::bad("invalid-seed", err.to_string()))?
+        }
+        None => 0,
+    };
     let axes_json = doc
         .get("axes")
         .and_then(JsonValue::as_array)

@@ -221,6 +221,31 @@ fn montecarlo_summarizes_with_deterministic_seed() {
     server.stop();
 }
 
+#[test]
+fn montecarlo_rejects_a_seed_that_is_not_a_non_negative_integer() {
+    let server = TestServer::start(ServerConfig::default());
+    let body = |seed: &str| {
+        format!(
+            "{{\"params\":{},\"samples\":50{seed},\
+             \"axes\":[{{\"axis\":\"lifetime_years\",\"low\":1.0,\"high\":5.0}}]}}",
+            params_json()
+        )
+    };
+    for seed in ["-1", "1.5", "\"7\"", "null"] {
+        let request = body(&format!(",\"seed\":{seed}"));
+        let (status, response_body) = split(&post(server.addr, "/v1/montecarlo", &request, ""));
+        assert!(status.contains("400"), "seed {seed}: got {status}: {response_body}");
+        let doc = JsonValue::parse(response_body.trim_end()).expect("error body parses");
+        let kind = doc.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+        assert_eq!(kind, Some("invalid-seed"), "seed {seed}: {response_body}");
+    }
+    // A missing seed still means seed 0.
+    let missing = post(server.addr, "/v1/montecarlo", &body(""), "");
+    assert!(split(&missing).0.contains("200"), "{missing}");
+    assert_eq!(missing, post(server.addr, "/v1/montecarlo", &body(",\"seed\":0"), ""));
+    server.stop();
+}
+
 /// Posts `body` to `path` and returns the error message of the 400
 /// `invalid-axes` response it must draw.
 fn invalid_axes_message(addr: SocketAddr, path: &str, body: &str) -> String {

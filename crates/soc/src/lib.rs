@@ -37,6 +37,6 @@ mod trend;
 mod workload;
 
 pub use lifetime::ReplacementModel;
-pub use sim::{DvfsGovernor, Placement, RunResult, SocSimulator, SuiteResult, ThermalModel};
+pub use sim::{DvfsGovernor, RunResult, SocSimulator, SuiteResult};
 pub use trend::annual_efficiency_improvement;
 pub use workload::{geekbench_suite, Workload};

@@ -71,60 +71,6 @@ act_json::impl_from_json!(SuiteResult { score, energy, runs });
 /// Leakage share of TDP at maximum frequency.
 const LEAKAGE_SHARE: f64 = 0.15;
 
-/// A first-order skin-temperature throttling model: phones sustain only a
-/// fraction of TDP; workloads longer than the thermal time constant run at
-/// a reduced frequency.
-///
-/// # Examples
-///
-/// ```
-/// use act_soc::ThermalModel;
-/// let t = ThermalModel::passive_phone();
-/// // Short bursts run unthrottled, long runs are clamped.
-/// assert_eq!(t.frequency_cap(1.0), 1.0);
-/// assert!(t.frequency_cap(600.0) < 1.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ThermalModel {
-    /// Fraction of TDP sustainable indefinitely.
-    pub sustained_power_fraction: f64,
-    /// Seconds of full-power headroom before throttling engages.
-    pub burst_seconds: f64,
-}
-
-act_json::impl_to_json!(ThermalModel { sustained_power_fraction, burst_seconds });
-act_json::impl_from_json!(ThermalModel { sustained_power_fraction, burst_seconds });
-
-impl ThermalModel {
-    /// A passively cooled phone: ~60 % of TDP sustained, 30 s of burst.
-    #[must_use]
-    pub fn passive_phone() -> Self {
-        Self { sustained_power_fraction: 0.6, burst_seconds: 30.0 }
-    }
-
-    /// The frequency multiplier for a run of `duration_s` seconds. Power
-    /// scales ~cubically with frequency, so sustaining a power fraction
-    /// `p` means clamping frequency to `p^(1/3)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model parameters are out of range.
-    #[must_use]
-    pub fn frequency_cap(&self, duration_s: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&self.sustained_power_fraction)
-                && self.sustained_power_fraction > 0.0,
-            "sustained power fraction must be in (0, 1]"
-        );
-        assert!(self.burst_seconds >= 0.0, "burst window cannot be negative");
-        if duration_s <= self.burst_seconds {
-            1.0
-        } else {
-            self.sustained_power_fraction.cbrt()
-        }
-    }
-}
-
 /// Score scale, calibrated so flagship 2020 SoCs land near Geekbench-5
 /// multi-core magnitudes.
 const SCORE_SCALE: f64 = 2200.0;
@@ -135,19 +81,6 @@ const MEMORY_RATE_2015: f64 = 1.2;
 
 /// Annual improvement of the memory-limited rate.
 const MEMORY_RATE_PER_YEAR: f64 = 0.25;
-
-/// Thread-placement policy across big.LITTLE clusters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Placement {
-    /// Fill the fastest clusters first (performance scheduling).
-    #[default]
-    BigFirst,
-    /// Fill the most efficient (littlest) clusters first (energy
-    /// scheduling, as mobile EAS does for background work).
-    LittleFirst,
-}
-
-act_json::impl_json_enum!(Placement { BigFirst, LittleFirst });
 
 /// A simulator bound to one SoC description.
 ///
@@ -165,28 +98,13 @@ act_json::impl_json_enum!(Placement { BigFirst, LittleFirst });
 pub struct SocSimulator {
     soc: &'static SocSpec,
     governor: DvfsGovernor,
-    placement: Placement,
-    thermal: Option<ThermalModel>,
 }
 
 impl SocSimulator {
-    /// Binds a simulator to an SoC with the default performance governor
-    /// and big-first placement.
+    /// Binds a simulator to an SoC with the default performance governor.
     #[must_use]
     pub fn new(soc: &'static SocSpec) -> Self {
-        Self {
-            soc,
-            governor: DvfsGovernor::default(),
-            placement: Placement::default(),
-            thermal: None,
-        }
-    }
-
-    /// Enables skin-temperature throttling.
-    #[must_use]
-    pub fn with_thermal(mut self, thermal: ThermalModel) -> Self {
-        self.thermal = Some(thermal);
-        self
+        Self { soc, governor: DvfsGovernor::default() }
     }
 
     /// Replaces the DVFS governor.
@@ -196,35 +114,26 @@ impl SocSimulator {
         self
     }
 
-    /// Replaces the thread-placement policy.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// The SoC under simulation.
     #[must_use]
     pub fn soc(&self) -> &'static SocSpec {
         self.soc
     }
 
-    /// Greedy thread placement per the policy: returns active core counts
-    /// per cluster (same order as `soc.clusters`, which lists the biggest
-    /// tier first).
+    /// Greedy thread placement that fills the fastest clusters first:
+    /// returns active core counts per cluster (same order as
+    /// `soc.clusters`, which lists the biggest tier first).
     fn schedule(&self, parallelism: f64) -> Vec<f64> {
         let mut remaining = parallelism;
-        let mut active = vec![0.0; self.soc.clusters.len()];
-        let order: Vec<usize> = match self.placement {
-            Placement::BigFirst => (0..self.soc.clusters.len()).collect(),
-            Placement::LittleFirst => (0..self.soc.clusters.len()).rev().collect(),
-        };
-        for idx in order {
-            let take = remaining.min(f64::from(self.soc.clusters[idx].count));
-            active[idx] = take;
-            remaining -= take;
-        }
-        active
+        self.soc
+            .clusters
+            .iter()
+            .map(|cluster| {
+                let take = remaining.min(f64::from(cluster.count));
+                remaining -= take;
+                take
+            })
+            .collect()
     }
 
     /// Memory-limited per-core rate for this SoC's generation: memory
@@ -266,17 +175,7 @@ impl SocSimulator {
 
     /// Runs one workload to completion.
     pub fn run(&self, workload: &Workload) -> RunResult {
-        let mut freq_fraction = self.governor.frequency_fraction(workload);
-        // Thermal throttling: estimate the unthrottled duration, and clamp
-        // frequency if it outlasts the burst window.
-        if let Some(thermal) = self.thermal {
-            let unthrottled = self.run_at(workload, freq_fraction);
-            freq_fraction *= thermal.frequency_cap(unthrottled.time.as_seconds());
-        }
-        self.run_at(workload, freq_fraction)
-    }
-
-    fn run_at(&self, workload: &Workload, freq_fraction: f64) -> RunResult {
+        let freq_fraction = self.governor.frequency_fraction(workload);
         let active = self.schedule(workload.parallelism());
 
         let memory_rate = self.memory_rate();
@@ -431,61 +330,6 @@ mod tests {
             SocSimulator::new(soc).with_governor(DvfsGovernor::OnDemand).run(&memory);
         assert!(ondemand.energy < perf.energy);
         assert!(ondemand.time >= perf.time);
-    }
-
-    #[test]
-    fn thermal_throttling_slows_sustained_work_only() {
-        let soc = by_name("Snapdragon 865");
-        let burst = Workload::new("burst", 5.0, 0.2, 8.0); // sub-second
-        let sustained = Workload::new("export", 5000.0, 0.2, 8.0); // minutes
-        let cool = SocSimulator::new(soc);
-        let hot = SocSimulator::new(soc).with_thermal(ThermalModel::passive_phone());
-        assert_eq!(cool.run(&burst).time, hot.run(&burst).time);
-        assert!(hot.run(&sustained).time > cool.run(&sustained).time);
-        // Throttled runs draw less power.
-        assert!(hot.run(&sustained).power < cool.run(&sustained).power);
-    }
-
-    #[test]
-    fn throttled_frequency_follows_cube_root_of_power_budget() {
-        let t = ThermalModel { sustained_power_fraction: 0.512, burst_seconds: 10.0 };
-        assert!((t.frequency_cap(100.0) - 0.8).abs() < 1e-12);
-        assert_eq!(t.frequency_cap(5.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sustained power fraction")]
-    fn bad_thermal_model_rejected() {
-        let t = ThermalModel { sustained_power_fraction: 0.0, burst_seconds: 1.0 };
-        let _ = t.frequency_cap(10.0);
-    }
-
-    #[test]
-    fn little_first_placement_prefers_little_cores() {
-        let sim =
-            SocSimulator::new(by_name("Snapdragon 865")).with_placement(Placement::LittleFirst);
-        let active = sim.schedule(3.0);
-        assert_eq!(active[2], 3.0, "little cluster should host all threads");
-        assert_eq!(active[0] + active[1], 0.0);
-    }
-
-    #[test]
-    fn little_first_saves_energy_on_memory_bound_background_work() {
-        // Background, memory-bound work runs nearly as fast on little
-        // cores (the memory wall caps both) at far lower power — the
-        // premise of energy-aware scheduling.
-        let soc = by_name("Snapdragon 865");
-        let background = Workload::new("sync", 6.0, 0.8, 2.0);
-        let big = SocSimulator::new(soc).run(&background);
-        let little =
-            SocSimulator::new(soc).with_placement(Placement::LittleFirst).run(&background);
-        assert!(little.energy < big.energy, "little {} vs big {}", little.energy, big.energy);
-        // ...while compute-bound foreground work belongs on big cores.
-        let foreground = Workload::new("render", 6.0, 0.05, 2.0);
-        let big_fg = SocSimulator::new(soc).run(&foreground);
-        let little_fg =
-            SocSimulator::new(soc).with_placement(Placement::LittleFirst).run(&foreground);
-        assert!(big_fg.time < little_fg.time * 0.7);
     }
 
     #[test]

@@ -10,21 +10,7 @@
 use crate::provisioning::OverProvisioning;
 use crate::trace::WriteTrace;
 
-/// Garbage-collection victim-selection policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum GcPolicy {
-    /// Reclaim the block with the fewest valid pages (min-copy).
-    #[default]
-    Greedy,
-    /// LFS-style cost-benefit: maximize `age × (1 − u) / 2u`, preferring
-    /// cold, mostly-invalid blocks. Separates hot and cold data better
-    /// under skewed writes.
-    CostBenefit,
-}
-
-act_json::impl_json_enum!(GcPolicy { Greedy, CostBenefit });
-
-/// Geometry and policy of the simulated SSD.
+/// Geometry of the simulated SSD.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FtlConfig {
     /// Number of physical erase blocks.
@@ -35,24 +21,7 @@ pub struct FtlConfig {
     pub over_provisioning: OverProvisioning,
     /// Garbage collection triggers when free blocks drop below this count.
     pub gc_free_block_threshold: u32,
-    /// Victim-selection policy.
-    pub gc_policy: GcPolicy,
 }
-
-act_json::impl_to_json!(FtlConfig {
-    blocks,
-    pages_per_block,
-    over_provisioning,
-    gc_free_block_threshold,
-    gc_policy
-});
-act_json::impl_from_json!(FtlConfig {
-    blocks,
-    pages_per_block,
-    over_provisioning,
-    gc_free_block_threshold,
-    gc_policy
-});
 
 impl FtlConfig {
     /// A small but representative device: 256 blocks × 64 pages.
@@ -67,20 +36,7 @@ impl FtlConfig {
     /// ```
     #[must_use]
     pub fn small(over_provisioning: OverProvisioning) -> Self {
-        Self {
-            blocks: 256,
-            pages_per_block: 64,
-            over_provisioning,
-            gc_free_block_threshold: 4,
-            gc_policy: GcPolicy::Greedy,
-        }
-    }
-
-    /// Replaces the GC policy.
-    #[must_use]
-    pub fn with_gc_policy(mut self, gc_policy: GcPolicy) -> Self {
-        self.gc_policy = gc_policy;
-        self
+        Self { blocks: 256, pages_per_block: 64, over_provisioning, gc_free_block_threshold: 4 }
     }
 
     /// Total physical pages.
@@ -158,7 +114,6 @@ pub struct FtlSimulator {
     valid_per_block: Vec<u32>,
     erase_counts: Vec<u64>,
     write_pointer: Vec<u32>,
-    last_write_stamp: Vec<u64>,
     free_blocks: Vec<u32>,
     active_block: u32,
     stats: FtlStats,
@@ -171,9 +126,6 @@ pub struct FtlSimulator {
     ppb: u64,
     /// Physical page -> block, a shift on power-of-two geometries.
     block_of: BlockOf,
-    /// Cost-benefit needs per-block write stamps; greedy does not, so the
-    /// stamp store is skipped on the (hotter) greedy path.
-    track_stamps: bool,
     /// Reusable staging buffer for the still-valid pages of a GC victim,
     /// so the copy loop is two flat passes (gather, then bulk placement)
     /// instead of one interleaved read-modify-write per page.
@@ -276,7 +228,6 @@ impl FtlSimulator {
             valid_per_block: vec![0; config.blocks as usize],
             erase_counts: vec![0; config.blocks as usize],
             write_pointer: vec![0; config.blocks as usize],
-            last_write_stamp: vec![0; config.blocks as usize],
             free_blocks: {
                 free_blocks.shrink_to_fit();
                 free_blocks
@@ -286,7 +237,6 @@ impl FtlSimulator {
             logical_pages,
             ppb,
             block_of: BlockOf { ppb, shift: ppb.trailing_zeros(), pow2: ppb.is_power_of_two() },
-            track_stamps: config.gc_policy == GcPolicy::CostBenefit,
             gc_scratch: Vec::with_capacity(config.pages_per_block as usize),
             gc_scan: vec![NOT_A_CANDIDATE; config.blocks as usize],
         }
@@ -336,27 +286,6 @@ impl FtlSimulator {
     #[inline]
     pub fn write(&mut self, lpn: u64) {
         self.write_pages(1, || lpn);
-    }
-
-    /// TRIMs a logical page: the mapping is dropped and the physical page
-    /// invalidated without writing anything, so subsequent garbage
-    /// collection finds emptier victims. No-op for unmapped pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lpn` is outside the logical space.
-    pub fn trim(&mut self, lpn: u64) {
-        assert!(lpn < self.logical_pages, "logical page {lpn} out of range");
-        let ppn = self.l2p[lpn as usize];
-        if ppn != NO_PAGE {
-            self.p2l[ppn as usize] = NO_PAGE;
-            drop_valid_page(
-                &mut self.valid_per_block,
-                &mut self.gc_scan,
-                self.block_of.of(ppn),
-            );
-            self.l2p[lpn as usize] = NO_PAGE;
-        }
     }
 
     /// Feeds `count` writes from a trace into the device.
@@ -484,39 +413,20 @@ impl FtlSimulator {
             self.write_pointer[block as usize] = wp;
             self.stats.host_writes += n;
             self.stats.nand_writes += n;
-            if self.track_stamps {
-                // Overwritten on every placement, so only the stretch's
-                // last value is observable.
-                self.last_write_stamp[block as usize] = self.stats.nand_writes;
-            }
             left -= n;
         }
     }
 
-    /// Cost-benefit score (higher = better victim): `age × (1 − u) / 2u`.
-    fn cost_benefit_score(&self, block: u32) -> f64 {
-        let u = f64::from(self.valid_per_block[block as usize])
-            / f64::from(self.config.pages_per_block);
-        let age = (self.stats.nand_writes + 1)
-            .saturating_sub(self.last_write_stamp[block as usize]) as f64;
-        if u == 0.0 {
-            f64::INFINITY
-        } else {
-            age * (1.0 - u) / (2.0 * u)
-        }
-    }
-
-    /// Reclaims one victim block: selects it per the GC policy, copies its
-    /// live pages to the write frontier, and erases it onto the free list.
+    /// Reclaims one victim block: selects the candidate with the fewest
+    /// valid pages (lowest index on ties), copies its live pages to the
+    /// write frontier, and erases it onto the free list.
     ///
     /// # Panics
     ///
     /// Panics if every candidate is fully valid. The only invalid pages
     /// left then sit in the active block: collecting any victim frees no
     /// page, and the GC-headroom loop of the host-write path would spin
-    /// forever. (Cost-benefit may pick a fully valid victim while emptier
-    /// ones exist, when `reset_stats` zeroed the ages; that is slow, not
-    /// stuck.)
+    /// forever.
     fn collect_garbage(&mut self) {
         let ppb = self.config.pages_per_block;
         // The fewest valid pages of any candidate (full, inactive block).
@@ -526,51 +436,36 @@ impl FtlSimulator {
             u32::from(min) < ppb,
             "over-provisioning too small: every GC candidate is fully valid"
         );
-        // Victim among the candidates, per the configured policy.
-        let victim = match self.config.gc_policy {
-            // Two passes over the dense scan-key array: the min above, then
-            // a find-first over 16-key chunks — the first chunk holding the
-            // min, then its first match inside that chunk. Non-candidates
-            // carry `NOT_A_CANDIDATE = u16::MAX`, which never wins the min;
-            // the min and each chunk's hit test are branch-free folds that
-            // vectorize, and only the chunk loop exits early (a key-by-key
-            // `position` would branch on every key). An order of magnitude
-            // cheaper than the equivalent filter + min_by_key scan, with
-            // the identical lowest-index tie-break.
-            GcPolicy::Greedy => {
-                let (chunks, tail) = self.gc_scan.as_chunks::<16>();
-                let chunk = chunks
-                    .iter()
-                    .position(|keys| keys.iter().fold(false, |hit, &key| hit | (key == min)));
-                let (offset, keys) = match chunk {
-                    Some(c) => (c * 16, &chunks[c][..]),
-                    None => (chunks.len() * 16, tail),
-                };
-                // The assert above proved `min` occupies some slot, so the
-                // fallback index is unreachable — it only keeps this
-                // library-code path free of unwrap/expect.
-                #[allow(clippy::cast_possible_truncation)]
-                let victim = (offset
-                    + keys.iter().position(|&key| key == min).unwrap_or_default())
-                    as u32;
-                debug_assert_eq!(
-                    Some(victim),
-                    (0..self.config.blocks)
-                        .filter(|&b| {
-                            b != self.active_block && self.write_pointer[b as usize] == ppb
-                        })
-                        .min_by_key(|&b| self.valid_per_block[b as usize]),
-                    "scan-key victim must match the reference selection"
-                );
-                victim
-            }
-            GcPolicy::CostBenefit => (0..self.config.blocks)
-                .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb)
-                .max_by(|&a, &b| {
-                    self.cost_benefit_score(a).total_cmp(&self.cost_benefit_score(b))
-                })
-                .expect("a full victim block always exists"),
+        // Two passes over the dense scan-key array: the min above, then a
+        // find-first over 16-key chunks — the first chunk holding the min,
+        // then its first match inside that chunk. Non-candidates carry
+        // `NOT_A_CANDIDATE = u16::MAX`, which never wins the min; the min
+        // and each chunk's hit test are branch-free folds that vectorize,
+        // and only the chunk loop exits early (a key-by-key `position`
+        // would branch on every key). An order of magnitude cheaper than
+        // the equivalent filter + min_by_key scan, with the identical
+        // lowest-index tie-break.
+        let (chunks, tail) = self.gc_scan.as_chunks::<16>();
+        let chunk = chunks
+            .iter()
+            .position(|keys| keys.iter().fold(false, |hit, &key| hit | (key == min)));
+        let (offset, keys) = match chunk {
+            Some(c) => (c * 16, &chunks[c][..]),
+            None => (chunks.len() * 16, tail),
         };
+        // The assert above proved `min` occupies some slot, so the fallback
+        // index is unreachable — it only keeps this library-code path free
+        // of unwrap/expect.
+        #[allow(clippy::cast_possible_truncation)]
+        let victim =
+            (offset + keys.iter().position(|&key| key == min).unwrap_or_default()) as u32;
+        debug_assert_eq!(
+            Some(victim),
+            (0..self.config.blocks)
+                .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb)
+                .min_by_key(|&b| self.valid_per_block[b as usize]),
+            "scan-key victim must match the reference selection"
+        );
         // The victim leaves candidacy immediately (it will be erased below).
         self.gc_scan[victim as usize] = NOT_A_CANDIDATE;
         // Gather the victim's still-valid pages, then erase its reverse map
@@ -646,11 +541,6 @@ impl FtlSimulator {
                 self.valid_per_block[block] += n as u32;
             }
             self.stats.nand_writes += n as u64;
-            if self.track_stamps {
-                // Overwritten on every placement, so only the post-batch
-                // value is observable — identical.
-                self.last_write_stamp[block] = self.stats.nand_writes;
-            }
             rest = tail;
         }
     }
@@ -700,21 +590,6 @@ mod tests {
         let mut ftl = FtlSimulator::new(config);
         let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 5);
         ftl.run(&mut trace, 30_000);
-        assert_mapping_integrity(&ftl);
-
-        // Cost-benefit GC with every fifth operation a TRIM.
-        let config = config.with_gc_policy(GcPolicy::CostBenefit);
-        let mut ftl = FtlSimulator::new(config);
-        let skew = TracePattern::Skewed { hot_fraction: 0.2, hot_share: 0.8 };
-        let mut trace = WriteTrace::new(skew, config.logical_pages(), 6);
-        for i in 0..30_000 {
-            let lpn = trace.next_page();
-            if i % 5 == 0 {
-                ftl.trim(lpn);
-            } else {
-                ftl.write(lpn);
-            }
-        }
         assert!(ftl.stats().erases > 0, "the run must reach garbage collection");
         assert_mapping_integrity(&ftl);
     }
@@ -783,119 +658,17 @@ mod tests {
         assert_eq!(ftl.stats().write_amplification(), 1.0);
     }
 
-    fn steady_wa_with_policy(op: f64, pattern: TracePattern, policy: GcPolicy) -> f64 {
-        let config = FtlConfig::small(pf(op)).with_gc_policy(policy);
-        let mut ftl = FtlSimulator::new(config);
-        let mut trace = WriteTrace::new(pattern, config.logical_pages(), 123);
-        ftl.measure_steady_state_wa(&mut trace, 60_000)
-    }
-
-    #[test]
-    fn trim_invalidate_reduces_write_amplification() {
-        // A filesystem that trims deleted data effectively raises the
-        // spare factor: steady-state WA drops.
-        let config = FtlConfig::small(pf(0.1));
-        let logical = config.logical_pages();
-
-        let wa_without_trim = {
-            let mut ftl = FtlSimulator::new(config);
-            let mut trace = WriteTrace::new(TracePattern::UniformRandom, logical, 42);
-            ftl.measure_steady_state_wa(&mut trace, 40_000)
-        };
-
-        let wa_with_trim = {
-            let mut ftl = FtlSimulator::new(config);
-            let mut trace = WriteTrace::new(TracePattern::UniformRandom, logical, 42);
-            ftl.run(&mut trace, logical * 2);
-            // The filesystem keeps 25 % of the disk trimmed.
-            for lpn in 0..logical / 4 {
-                ftl.trim(lpn);
-            }
-            let mut hot =
-                WriteTrace::new(TracePattern::UniformRandom, logical - logical / 4, 43);
-            ftl.reset_stats();
-            for _ in 0..40_000 {
-                let lpn = logical / 4 + hot.next_page();
-                ftl.write(lpn);
-            }
-            ftl.stats().write_amplification()
-        };
-
-        assert!(
-            wa_with_trim < wa_without_trim * 0.9,
-            "trim {wa_with_trim} vs no-trim {wa_without_trim}"
-        );
-    }
-
-    #[test]
-    fn trim_is_idempotent_and_preserves_accounting() {
-        let config = FtlConfig::small(pf(0.2));
-        let mut ftl = FtlSimulator::new(config);
-        ftl.write(5);
-        let writes = ftl.stats().nand_writes;
-        ftl.trim(5);
-        ftl.trim(5); // no-op on the unmapped page
-        ftl.trim(6); // no-op on a never-written page
-        assert_eq!(ftl.stats().nand_writes, writes, "trim writes nothing");
-        let valid: u32 = ftl.valid_per_block.iter().sum();
-        assert_eq!(valid, 0);
-    }
-
-    #[test]
-    fn cost_benefit_stays_competitive_under_skew() {
-        // With a single append point (no hot/cold stream separation),
-        // cost-benefit cannot beat greedy — its aging term just delays
-        // reclaiming hot blocks — but it must stay within a small constant
-        // factor. (This is the classic argument for multi-stream FTLs.)
-        let skew = TracePattern::Skewed { hot_fraction: 0.1, hot_share: 0.9 };
-        let greedy = steady_wa_with_policy(0.16, skew, GcPolicy::Greedy);
-        let cb = steady_wa_with_policy(0.16, skew, GcPolicy::CostBenefit);
-        assert!(cb >= 1.0 && greedy >= 1.0);
-        assert!(cb < greedy * 1.4, "cost-benefit {cb} drifted too far from greedy {greedy}");
-    }
-
-    #[test]
-    fn cost_benefit_remains_sane_under_uniform_traffic() {
-        let uniform =
-            steady_wa_with_policy(0.2, TracePattern::UniformRandom, GcPolicy::CostBenefit);
-        let predicted = analytical_write_amplification(pf(0.2));
-        assert!(uniform >= 1.0);
-        assert!(uniform < predicted * 2.0, "uniform cost-benefit WA {uniform}");
-    }
-
-    #[test]
-    fn policies_share_geometry_and_accounting() {
-        let config = FtlConfig::small(pf(0.2)).with_gc_policy(GcPolicy::CostBenefit);
-        let mut ftl = FtlSimulator::new(config);
-        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 9);
-        ftl.run(&mut trace, 30_000);
-        let stats = ftl.stats();
-        assert_eq!(stats.nand_writes, stats.host_writes + stats.gc_copies);
-    }
-
     /// Exact counters after a fixed-seed run: warm up with
-    /// `2 × logical_pages` trace writes, reset, then 40 000 trace
-    /// operations, every `trim_every`-th of which TRIMs its page instead
-    /// of writing it (`0` = never).
-    fn pinned_stats(
-        op: f64,
-        pattern: TracePattern,
-        policy: GcPolicy,
-        seed: u64,
-        trim_every: u64,
-    ) -> FtlStats {
-        let config = FtlConfig::small(pf(op)).with_gc_policy(policy);
+    /// `2 × logical_pages` trace writes, reset, then 40 000 single-page
+    /// writes drawn from the trace.
+    fn pinned_stats(op: f64, pattern: TracePattern, seed: u64) -> FtlStats {
+        let config = FtlConfig::small(pf(op));
         let mut ftl = FtlSimulator::new(config);
         let mut trace = WriteTrace::new(pattern, config.logical_pages(), seed);
         ftl.run(&mut trace, config.logical_pages() * 2);
         ftl.reset_stats();
-        for i in 1..=40_000 {
-            let lpn = trace.next_page();
-            if trim_every != 0 && i % trim_every == 0 {
-                ftl.trim(lpn);
-            } else {
-                ftl.write(lpn);
-            }
+        for _ in 0..40_000 {
+            ftl.write(trace.next_page());
         }
         ftl.stats()
     }
@@ -913,24 +686,14 @@ mod tests {
         let uniform = TracePattern::UniformRandom;
         let skew = TracePattern::Skewed { hot_fraction: 0.2, hot_share: 0.8 };
         assert_eq!(
-            pinned_stats(0.2, uniform, GcPolicy::Greedy, 11, 0),
+            pinned_stats(0.2, uniform, 11),
             pinned(40_000, 109_322, 69_322, 1_708),
             "greedy + uniform"
         );
         assert_eq!(
-            pinned_stats(0.16, skew, GcPolicy::Greedy, 12, 0),
+            pinned_stats(0.16, skew, 12),
             pinned(40_000, 62_674, 22_674, 979),
             "greedy + skewed"
-        );
-        assert_eq!(
-            pinned_stats(0.16, skew, GcPolicy::CostBenefit, 13, 0),
-            pinned(40_000, 78_769, 38_769, 1_231),
-            "cost-benefit + skewed"
-        );
-        assert_eq!(
-            pinned_stats(0.1, uniform, GcPolicy::Greedy, 14, 4),
-            pinned(30_000, 61_297, 31_297, 958),
-            "greedy + trim-then-write mix"
         );
     }
 
@@ -947,8 +710,8 @@ mod tests {
     }
 
     /// A textbook page-mapping FTL: per-page append, `filter` +
-    /// `min_by_key` greedy and `max_by` cost-benefit victim selection, and
-    /// a `filter` gather of the victim's live pages. It shares no code with
+    /// `min_by_key` greedy victim selection, and a `filter` gather of the
+    /// victim's live pages. It shares no code with
     /// [`FtlSimulator`], which must match it exactly.
     struct ReferenceFtl {
         config: FtlConfig,
@@ -958,7 +721,6 @@ mod tests {
         valid_per_block: Vec<u32>,
         erase_counts: Vec<u64>,
         write_pointer: Vec<u32>,
-        last_write_stamp: Vec<u64>,
         free_blocks: Vec<u32>,
         active_block: u32,
         stats: FtlStats,
@@ -975,7 +737,6 @@ mod tests {
                 valid_per_block: vec![0; blocks],
                 erase_counts: vec![0; blocks],
                 write_pointer: vec![0; blocks],
-                last_write_stamp: vec![0; blocks],
                 free_blocks: (1..config.blocks).rev().collect(),
                 active_block: 0,
                 stats: FtlStats::default(),
@@ -990,11 +751,6 @@ mod tests {
             }
             self.invalidate(lpn as u32);
             self.place(lpn as u32);
-        }
-
-        fn trim(&mut self, lpn: u64) {
-            self.invalidate(lpn as u32);
-            self.l2p[lpn as usize] = NO_PAGE;
         }
 
         fn invalidate(&mut self, lpn: u32) {
@@ -1017,35 +773,14 @@ mod tests {
             self.l2p[lpn as usize] = ppn;
             self.p2l[ppn as usize] = lpn;
             self.stats.nand_writes += 1;
-            self.last_write_stamp[block] = self.stats.nand_writes;
         }
 
         fn collect_garbage(&mut self) {
             let ppb = self.config.pages_per_block;
-            let candidates = (0..self.config.blocks)
-                .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb);
-            let victim = match self.config.gc_policy {
-                GcPolicy::Greedy => {
-                    candidates.min_by_key(|&b| self.valid_per_block[b as usize]).unwrap()
-                }
-                GcPolicy::CostBenefit => {
-                    let score = |b: u32| {
-                        let u = f64::from(self.valid_per_block[b as usize]) / f64::from(ppb);
-                        // Stamps count NAND writes since construction and
-                        // `reset_stats` restarts the counter, so an age
-                        // saturates at zero after a reset.
-                        let age = (self.stats.nand_writes + 1)
-                            .saturating_sub(self.last_write_stamp[b as usize])
-                            as f64;
-                        if u == 0.0 {
-                            f64::INFINITY
-                        } else {
-                            age * (1.0 - u) / (2.0 * u)
-                        }
-                    };
-                    candidates.max_by(|&a, &b| score(a).total_cmp(&score(b))).unwrap()
-                }
-            };
+            let victim = (0..self.config.blocks)
+                .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb)
+                .min_by_key(|&b| self.valid_per_block[b as usize])
+                .unwrap();
             let base = (victim * ppb) as usize;
             let live: Vec<u32> = self.p2l[base..base + ppb as usize]
                 .iter()
@@ -1065,7 +800,7 @@ mod tests {
     }
 
     /// Drives `ftl` and the reference through the same seeded mix of
-    /// `run`, `write`, `trim` and `reset_stats`, comparing the full state
+    /// `run`, `write` and `reset_stats`, comparing the full state
     /// after every operation batch.
     fn assert_matches_reference(config: FtlConfig, pattern: TracePattern, seed: u64) {
         let logical = config.logical_pages();
@@ -1084,18 +819,11 @@ mod tests {
                         reference.write(twin.next_page());
                     }
                 }
-                4 | 5 => {
+                4..=6 => {
                     for _ in 0..ops.gen_range(1..200_u64) {
                         let lpn = ops.gen_range(0..logical);
                         ftl.write(lpn);
                         reference.write(lpn);
-                    }
-                }
-                6 => {
-                    for _ in 0..ops.gen_range(1..(logical / 8)) {
-                        let lpn = ops.gen_range(0..logical);
-                        ftl.trim(lpn);
-                        reference.trim(lpn);
                     }
                 }
                 _ => {
@@ -1104,7 +832,7 @@ mod tests {
                     reference.stats = FtlStats::default();
                 }
             }
-            let context = format!("{pattern:?} {:?} seed {seed} step {step}", config.gc_policy);
+            let context = format!("{pattern:?} seed {seed} step {step}");
             assert_eq!(ftl.stats(), reference.stats, "stats, {context}");
             assert_eq!(ftl.active_block, reference.active_block, "active block, {context}");
             assert_eq!(ftl.free_blocks, reference.free_blocks, "free blocks, {context}");
@@ -1122,14 +850,11 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_reference_ftl_on_every_policy_and_pattern() {
+    fn matches_the_reference_ftl_on_every_pattern() {
         let skew = TracePattern::Skewed { hot_fraction: 0.2, hot_share: 0.8 };
         let patterns = [TracePattern::UniformRandom, TracePattern::Sequential, skew];
         for (i, pattern) in patterns.into_iter().enumerate() {
-            for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
-                let config = FtlConfig::small(pf(0.1)).with_gc_policy(policy);
-                assert_matches_reference(config, pattern, 31 + i as u64);
-            }
+            assert_matches_reference(FtlConfig::small(pf(0.1)), pattern, 31 + i as u64);
         }
     }
 
@@ -1141,18 +866,15 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
-                let config = FtlConfig {
-                    blocks: 40,
-                    pages_per_block: 24,
-                    over_provisioning: pf(0.25),
-                    gc_free_block_threshold: 3,
-                    gc_policy: policy,
-                };
-                let ftl = FtlSimulator::new(config);
-                assert!(!ftl.block_of.pow2);
-                assert_matches_reference(config, pattern, 47 + i as u64);
-            }
+            let config = FtlConfig {
+                blocks: 40,
+                pages_per_block: 24,
+                over_provisioning: pf(0.25),
+                gc_free_block_threshold: 3,
+            };
+            let ftl = FtlSimulator::new(config);
+            assert!(!ftl.block_of.pow2);
+            assert_matches_reference(config, pattern, 47 + i as u64);
         }
     }
 

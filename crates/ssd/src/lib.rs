@@ -41,7 +41,7 @@ mod lifetime;
 mod provisioning;
 mod trace;
 
-pub use ftl::{FtlConfig, FtlSimulator, FtlStats, GcPolicy};
+pub use ftl::{FtlConfig, FtlSimulator, FtlStats};
 pub use lifetime::{analytical_write_amplification, LifetimeModel};
 pub use provisioning::{
     effective_embodied, try_effective_embodied, OverProvisioning, OverProvisioningError,

@@ -1,48 +1,17 @@
 //! Integration tests for the capabilities built beyond the paper's
-//! artifacts: full life-cycle assembly, transport, carbon-aware scheduling,
-//! uncertainty propagation, and the extension studies.
+//! artifacts: carbon-aware scheduling, uncertainty propagation, and the
+//! extension studies.
 
-use act::core::{
-    FabScenario, FreightMode, IntensityProfile, LifecycleEstimate, ModelParams, TransportLeg,
-    TransportModel,
-};
-use act::data::{reports, scenarios, Location};
+use act::core::{FabScenario, IntensityProfile, ModelParams};
+use act::data::{scenarios, Location};
 use act::dse::{par_monte_carlo_compiled_block_with, try_triangular, McBuffer, Parallelism};
 use act::experiments::{try_render_experiment, OutputFormat};
 use act::scenario::{CompiledScenario, Scenario};
-use act::units::{CarbonIntensity, Energy, Fraction, MassCo2};
+use act::units::{Energy, Fraction, MassCo2};
 
 /// One committed device document, compiled under its default fab.
 fn device(doc: &str) -> CompiledScenario {
     Scenario::parse(doc).and_then(|scenario| scenario.compile()).expect("device compiles")
-}
-
-#[test]
-fn full_lifecycle_assembly_from_act_components() {
-    // Build the iPhone 11's four phases: ACT manufacturing, modeled
-    // transport, report use/EOL — and confirm the assembly still tells the
-    // Figure 1 story (manufacturing-dominated).
-    let manufacturing_ics = device(scenarios::IPHONE_11).embodied().total();
-    // ICs are ~44 % of manufacturing; scale up to whole-device.
-    let manufacturing = manufacturing_ics / reports::IC_SHARE_OF_MANUFACTURING;
-
-    let transport = TransportModel::new(
-        0.4,
-        vec![
-            TransportLeg { mode: FreightMode::Air, distance_km: 10_000.0 },
-            TransportLeg { mode: FreightMode::Road, distance_km: 500.0 },
-        ],
-    )
-    .footprint();
-
-    let lifecycle =
-        LifecycleEstimate::from_report(&reports::IPHONE_11).with_manufacturing(manufacturing);
-    let assembled = LifecycleEstimate { transport, ..lifecycle };
-
-    assert!(assembled.is_embodied_dominated());
-    // The assembled total lands in the same regime as the published report.
-    let ratio = assembled.total() / reports::IPHONE_11.total();
-    assert!((0.6..=1.4).contains(&ratio), "ratio {ratio}");
 }
 
 #[test]
@@ -117,20 +86,4 @@ fn extension_experiments_are_registered() {
         assert!(try_render_experiment(id, OutputFormat::Text).is_ok(), "{id}");
         assert!(try_render_experiment(id, OutputFormat::Json).is_ok(), "{id}");
     }
-}
-
-#[test]
-fn sea_freight_and_grid_shifts_compound() {
-    // Two operational decarbonization levers compose multiplicatively
-    // against the air-freight + dirty-grid baseline.
-    let air = TransportModel::new(
-        0.4,
-        vec![TransportLeg { mode: FreightMode::Air, distance_km: 9_000.0 }],
-    );
-    let sea = air.sea_freight_alternative();
-    assert!(air.footprint() / sea.footprint() > 30.0);
-    let dirty = CarbonIntensity::grams_per_kwh(700.0) * Energy::kilowatt_hours(10.0);
-    let clean = CarbonIntensity::grams_per_kwh(30.0) * Energy::kilowatt_hours(10.0);
-    let combined = (air.footprint() + dirty) / (sea.footprint() + clean);
-    assert!(combined > 10.0, "combined factor {combined}");
 }

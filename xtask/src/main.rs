@@ -27,7 +27,7 @@ fn usage() -> String {
        ACT007  no budget-blind `CompiledFootprint::eval` loops in dse/server\n\
        ACT008  no Instant/SystemTime/sleep/env reads in library crates\n\
        ACT009  no Mutex/RwLock guard held across I/O or a callback (server)\n\
-       ACT010  no raw f64 comparators without total_cmp in Pareto/stats code\n\
+       ACT010  no raw f64 comparators without total_cmp in dse order statistics\n\
        ACT011  no indexing/slicing/unwrap in server route handlers\n\
        ACT012  no raw thread::spawn/scope outside the act-dse worker pool\n\n\
      Allowlist: xtask/lint.allow, lines of\n\

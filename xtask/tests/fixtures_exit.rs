@@ -16,7 +16,7 @@ const CASES: &[(&str, &str)] = &[
     ("crates/dse/src/sweep.rs", "act007"),
     ("crates/model/src/energy.rs", "act008"),
     ("crates/server/src/hub.rs", "act009"),
-    ("crates/dse/src/pareto.rs", "act010"),
+    ("crates/dse/src/montecarlo.rs", "act010"),
     ("crates/server/src/routes.rs", "act011"),
     ("crates/lca/src/batch.rs", "act012"),
 ];
