@@ -1,11 +1,11 @@
 //! Tokenization: the one lexer behind every rule.
 //!
 //! [`tokenize`] turns a file into a token stream over the Rust subset the
-//! workspace uses, with a line/column position on every token. The
-//! textual rules (ACT001–ACT005, ACT012) match short token sequences on it,
-//! and the recursive-descent parser in [`crate::parser`] builds the AST
-//! the dataflow rules walk. String literals keep their text (the `obj!`
-//! duplicate-key check needs the keys); comments are dropped.
+//! workspace uses, with a line/column position on every token. The token
+//! rules match short token sequences on it, and the structural rules walk
+//! it through the bracket partner table built in [`crate::textual`].
+//! String literals keep their text (the `obj!` duplicate-key check needs
+//! the keys); comments are dropped.
 
 fn prev_is_ident(b: &[u8], i: usize) -> bool {
     i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_')
@@ -70,8 +70,6 @@ pub struct Tok {
     pub kind: TokKind,
     /// Exact source text of the token.
     pub text: String,
-    /// Byte offset into the source.
-    pub off: usize,
     /// 1-indexed line.
     pub line: u32,
     /// 1-indexed byte column.
@@ -99,8 +97,8 @@ const MULTI_PUNCT: [&str; 24] = [
 ];
 
 /// Tokenizes `src`, dropping comments and whitespace. Never fails: bytes
-/// that fit no token class are emitted as single-character puncts so the
-/// parser's recovery machinery can step over them.
+/// that fit no token class are emitted as single-character puncts, which
+/// no rule matches.
 #[must_use]
 pub fn tokenize(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
@@ -110,7 +108,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
     let mut line_start = 0usize;
     macro_rules! pos {
         ($at:expr) => {
-            ($at, line, ($at - line_start + 1) as u32)
+            (line, ($at - line_start + 1) as u32)
         };
     }
     while i < b.len() {
@@ -151,41 +149,41 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                 }
             }
             b'r' | b'b' if is_raw_string_start(b, i) => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let end = raw_string_end(b, i);
                 let text = String::from_utf8_lossy(&b[i..end]).into_owned();
                 line += text.bytes().filter(|&c| c == b'\n').count() as u32;
                 if let Some(last_nl) = text.rfind('\n') {
                     line_start = i + last_nl + 1;
                 }
-                toks.push(Tok { kind: TokKind::Str, text, off, line: l, col });
+                toks.push(Tok { kind: TokKind::Str, text, line: l, col });
                 i = end;
             }
             b'b' if i + 1 < b.len() && b[i + 1] == b'"' && !prev_is_ident(b, i) => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let end = quoted_end(b, i + 1);
-                push_str_tok(&mut toks, b, i, end, off, l, col, &mut line, &mut line_start);
+                push_str_tok(&mut toks, b, i, end, l, col, &mut line, &mut line_start);
                 i = end;
             }
             b'b' if i + 1 < b.len() && b[i + 1] == b'\'' && !prev_is_ident(b, i) => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let end = char_end(b, i + 1);
                 let text = String::from_utf8_lossy(&b[i..end]).into_owned();
-                toks.push(Tok { kind: TokKind::Char, text, off, line: l, col });
+                toks.push(Tok { kind: TokKind::Char, text, line: l, col });
                 i = end;
             }
             b'"' => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let end = quoted_end(b, i);
-                push_str_tok(&mut toks, b, i, end, off, l, col, &mut line, &mut line_start);
+                push_str_tok(&mut toks, b, i, end, l, col, &mut line, &mut line_start);
                 i = end;
             }
             b'\'' => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 if is_char_literal(b, i) {
                     let end = char_end(b, i);
                     let text = String::from_utf8_lossy(&b[i..end]).into_owned();
-                    toks.push(Tok { kind: TokKind::Char, text, off, line: l, col });
+                    toks.push(Tok { kind: TokKind::Char, text, line: l, col });
                     i = end;
                 } else {
                     // Lifetime / label: `'` + identifier.
@@ -194,31 +192,31 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         j += 1;
                     }
                     let text = String::from_utf8_lossy(&b[i..j]).into_owned();
-                    toks.push(Tok { kind: TokKind::Lifetime, text, off, line: l, col });
+                    toks.push(Tok { kind: TokKind::Lifetime, text, line: l, col });
                     i = j;
                 }
             }
             c if c.is_ascii_digit() => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let (end, float) = number_end(b, i);
                 let text = String::from_utf8_lossy(&b[i..end]).into_owned();
                 let kind = if float { TokKind::Float } else { TokKind::Int };
-                toks.push(Tok { kind, text, off, line: l, col });
+                toks.push(Tok { kind, text, line: l, col });
                 i = end;
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let mut j = i;
                 while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                     j += 1;
                 }
                 // `r#ident` raw identifiers: keep the ident part.
                 let text = String::from_utf8_lossy(&b[i..j]).into_owned();
-                toks.push(Tok { kind: TokKind::Ident, text, off, line: l, col });
+                toks.push(Tok { kind: TokKind::Ident, text, line: l, col });
                 i = j;
             }
             _ => {
-                let (off, l, col) = pos!(i);
+                let (l, col) = pos!(i);
                 let rest = &src[i..];
                 let mut matched = None;
                 for op in MULTI_PUNCT {
@@ -232,7 +230,6 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         toks.push(Tok {
                             kind: TokKind::Punct,
                             text: op.to_owned(),
-                            off,
                             line: l,
                             col,
                         });
@@ -242,7 +239,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         let ch_len = utf8_len(c);
                         let text = String::from_utf8_lossy(&b[i..(i + ch_len).min(b.len())])
                             .into_owned();
-                        toks.push(Tok { kind: TokKind::Punct, text, off, line: l, col });
+                        toks.push(Tok { kind: TokKind::Punct, text, line: l, col });
                         i += ch_len;
                     }
                 }
@@ -267,7 +264,6 @@ fn push_str_tok(
     b: &[u8],
     start: usize,
     end: usize,
-    off: usize,
     l: u32,
     col: u32,
     line: &mut u32,
@@ -278,7 +274,7 @@ fn push_str_tok(
     if let Some(last_nl) = text.rfind('\n') {
         *line_start = start + last_nl + 1;
     }
-    toks.push(Tok { kind: TokKind::Str, text, off, line: l, col });
+    toks.push(Tok { kind: TokKind::Str, text, line: l, col });
 }
 
 /// End offset of a raw string starting at `start` (`r"`, `br#"` …).

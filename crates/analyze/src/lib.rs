@@ -1,18 +1,19 @@
-//! AST-level static analysis for the ACT workspace.
+//! Token-level static analysis for the ACT workspace.
 //!
 //! `act-analyze` is a std-only, dependency-free analyzer: one lexer
-//! ([`lexer`]) produces a positioned token stream per file, and a rule
-//! engine with two tiers reads it:
+//! produces a positioned token stream per file, one bracket partner table
+//! over it gives every `(`, `[` and `{` its closing partner, and every
+//! rule reads those two:
 //!
-//! * **Textual rules** ACT001–ACT005 and ACT012 match token sequences
-//!   directly: contracts like "no `.unwrap()` in library code" or "no raw
-//!   `thread::spawn` outside the worker pool".
-//! * **AST/dataflow rules** ACT006–ACT011 run on the Rust-subset
-//!   recursive-descent parser's AST ([`parser`]): contracts that need items,
-//!   bindings and call structure — JSON impls that drift from their
-//!   structs, budget-blind eval loops, nondeterministic APIs in library
-//!   crates, lock guards held across I/O, non-total float comparators, and
-//!   panic surface in the server request path.
+//! * **Token rules** ACT001–ACT005, ACT008 and ACT012 match token
+//!   sequences directly: contracts like "no `.unwrap()` in library code",
+//!   "no `Instant::now` in model code" or "no raw `thread::spawn`
+//!   outside the worker pool".
+//! * **Structural rules** ACT006, ACT007 and ACT009–ACT011 find fns,
+//!   loops, closures, `let`s and struct/enum bodies through the partner
+//!   table: JSON impls that drift from their structs, kernel loops that
+//!   never check an `EvalBudget`, lock guards held across I/O, non-total
+//!   float comparators, and panic surface in the server request path.
 //!
 //! # Rule catalogue
 //!
@@ -24,7 +25,7 @@
 //! | ACT004 | no infallible `from_base` | all but `act-units`/`act-data`, tests |
 //! | ACT005 | no `dbg!`/`todo!`/`unimplemented!` | everywhere, tests included |
 //! | ACT006 | JSON impl/literal field drift | everywhere |
-//! | ACT007 | loops calling `eval` without an `EvalBudget` | `act-dse`, `act-server` |
+//! | ACT007 | kernel loops (`eval`/`try_eval`/`eval_block`/block-kernel parameter) without an `EvalBudget` check | `act-dse`, `act-server` |
 //! | ACT008 | `Instant::now`/`SystemTime::now`/`thread::sleep`/`env::var` | library crates |
 //! | ACT009 | lock guard live across I/O or a callback | `act-server` |
 //! | ACT010 | raw f64 comparison without `total_cmp` | `dse` `montecarlo.rs`, `optimize.rs` |
@@ -39,8 +40,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod lexer;
-pub mod parser;
+mod lexer;
 mod rules;
 mod textual;
 
@@ -119,25 +119,19 @@ impl From<std::io::Error> for LintError {
 // Analysis entry points.
 // ---------------------------------------------------------------------------
 
-/// Analyzes one file with every applicable rule (textual + AST). `path` is
-/// the repo-relative path used for both scoping and reporting; `src` is
-/// the file contents. Findings come back in `(line, col, rule)` order.
+/// Analyzes one file with every applicable rule. `path` is the
+/// repo-relative path used for both scoping and reporting; `src` is the
+/// file contents. Tokenizes once, builds the bracket partner table once,
+/// and runs both tiers over them. Findings come back in
+/// `(line, col, rule)` order.
 #[must_use]
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
-    let (mut findings, _) = analyze_file(path, src);
+    let toks = lexer::tokenize(src);
+    let scan = textual::Scan::new(path, src, &toks);
+    let mut findings = textual::check(&scan);
+    findings.extend(rules::check(&scan));
     findings.sort_by_key(|f| (f.line, f.col, f.rule));
     findings
-}
-
-/// Tokenizes `src` once and runs both tiers over the tokens: the textual
-/// rules directly, the AST rules on the parsed file. Returns the findings
-/// unsorted, with the parser's recovery count.
-fn analyze_file(path: &str, src: &str) -> (Vec<Finding>, usize) {
-    let toks = lexer::tokenize(src);
-    let mut findings = textual::check(path, src, &toks);
-    let file = parser::parse_file(&toks);
-    findings.extend(rules::check(path, src, &file));
-    (findings, file.recoveries)
 }
 
 // ---------------------------------------------------------------------------
@@ -261,8 +255,6 @@ pub struct AnalyzeReport {
     pub stale: Vec<AllowEntry>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Total parser recovery events across the tree (0 = full coverage).
-    pub parse_recoveries: usize,
 }
 
 /// Analyzes the whole workspace under `root`, applying
@@ -280,20 +272,17 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeReport, LintError> {
     };
     let files = collect_workspace_files(root)?;
     let mut findings = Vec::new();
-    let mut parse_recoveries = 0;
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
         let display = rel.to_string_lossy().replace('\\', "/");
-        let (file_findings, recoveries) = analyze_file(&display, &src);
-        findings.extend(file_findings);
-        parse_recoveries += recoveries;
+        findings.extend(analyze_source(&display, &src));
     }
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
     let files_scanned = files.len();
     let (kept, suppressed, stale) = apply_allowlist(findings, &entries);
-    Ok(AnalyzeReport { findings: kept, suppressed, stale, files_scanned, parse_recoveries })
+    Ok(AnalyzeReport { findings: kept, suppressed, stale, files_scanned })
 }
 
 // ---------------------------------------------------------------------------
@@ -301,14 +290,13 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeReport, LintError> {
 // ---------------------------------------------------------------------------
 
 /// Renders an [`AnalyzeReport`] as a JSON document (schema
-/// `act-analyze-findings/1`). Hand-rolled: `act-analyze` is consumed by
+/// `act-analyze-findings/2`). Hand-rolled: `act-analyze` is consumed by
 /// the dependency-free `xtask` workspace and cannot pull in `act-json`.
 #[must_use]
 pub fn render_json_report(report: &AnalyzeReport) -> String {
     let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"schema\": \"act-analyze-findings/1\",\n");
+    out.push_str("{\n  \"schema\": \"act-analyze-findings/2\",\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!("  \"parse_recoveries\": {},\n", report.parse_recoveries));
     out.push_str(&format!("  \"suppressed\": {},\n", report.suppressed.len()));
     out.push_str("  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {
@@ -393,12 +381,49 @@ mod tests {
             suppressed: Vec::new(),
             stale: Vec::new(),
             files_scanned: 1,
-            parse_recoveries: 0,
         };
         let json = render_json_report(&report);
-        assert!(json.contains("\"schema\": \"act-analyze-findings/1\""), "{json}");
+        assert!(json.contains("\"schema\": \"act-analyze-findings/2\""), "{json}");
         assert!(json.contains("a\\\"b.rs"), "{json}");
         assert!(json.contains("\"line\": 3, \"col\": 7"), "{json}");
+    }
+
+    #[test]
+    fn every_rule_is_total_on_hostile_input() {
+        // Unbalanced, truncated and garbage inputs must never panic or
+        // loop: the analyzer runs before the tree compiles.
+        let paths = [
+            "crates/server/src/routes.rs",
+            "crates/dse/src/montecarlo.rs",
+            "crates/core/src/x.rs",
+        ];
+        for src in [
+            "",
+            "fn",
+            "fn f(",
+            "fn f<T",
+            "fn f() { let x = ",
+            "fn f() { let x = |",
+            "fn f() { for x in",
+            "fn f(m: Mutex<u8>) { let g = m.lock(); drop(",
+            "struct S { a: ",
+            "enum E {",
+            "impl X for",
+            "match x {",
+            "obj! {",
+            "act_json::impl_to_json!(S {",
+            "act_json::impl_json_enum!(E }",
+            "v.sort_by(|a",
+            "x[",
+            ")))(((",
+            "}}]] let [ | || move |",
+            "#[cfg(test)]",
+            "#[cfg(test)] mod t {",
+        ] {
+            for path in paths {
+                let _ = analyze_source(path, src);
+            }
+        }
     }
 
     #[test]

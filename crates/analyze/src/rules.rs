@@ -1,26 +1,26 @@
-//! The AST-level dataflow rules ACT006–ACT011.
+//! The structural rules ACT006, ACT007 and ACT009–ACT011.
 //!
-//! Each rule walks the [`crate::parser`] AST with whatever context it
-//! needs — the per-file symbol table of struct fields and typed bindings,
-//! the set of `EvalBudget` bindings in a function, or the live
-//! `Mutex`/`RwLock` guards in a block. Items gated by `#[cfg(test)]` (and
-//! `#[test]` functions) are skipped by every rule here: these are
-//! production-contract checks.
+//! They read the same token stream as the textual rules and recover the
+//! little structure they need from the bracket partner table in [`Scan`]:
+//! a fn is its `(…)` parameter group and its `{…}` body, a loop is its
+//! keyword and its `{…}` body, a closure is its `|…|` parameters and the
+//! block or expression after them, a macro call is its name and its
+//! group, a struct or enum is its name and its `{…}` body. Nothing inside
+//! a `#[cfg(test)]` region is reported: these are production-contract
+//! checks.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::lexer::{Tok, TokKind};
-use crate::parser::{
-    Block, Expr, ExprKind, File, FnItem, Item, ItemKind, MacroCall, Pos, Stmt,
-};
+use crate::textual::{path_start, seq_at, Scan};
 use crate::Finding;
 
 const MSG_ACT006: &str = "JSON impl/literal drifts from the struct: \
      field list must exactly match the struct's declared fields (no duplicate keys)";
-const MSG_ACT007: &str = "loop calls `CompiledFootprint::eval` without consulting an \
-     `EvalBudget`; use the budgeted batch entry points or check the budget in the loop";
-const MSG_ACT008: &str = "nondeterministic API in a library crate; \
-     wall-clock, sleeps and env reads belong in the server/CLI/bench shells";
+const MSG_ACT007: &str = "loop calls a model kernel (`eval`, `try_eval`, `eval_block` or a \
+     `Range<usize>` block-kernel parameter) without referencing an `EvalBudget`; \
+     check the budget in this loop or an enclosing one";
 const MSG_ACT009: &str = "lock guard held across blocking I/O or a callback; \
      drop the guard (or narrow its scope) before leaving the critical section";
 const MSG_ACT010: &str = "raw f64 comparison in order-statistics code; \
@@ -28,55 +28,35 @@ const MSG_ACT010: &str = "raw f64 comparison in order-statistics code; \
 const MSG_ACT011: &str = "panic surface in the request path: indexing/slicing/\
      unwrap/expect in a route handler must become a 4xx/5xx response";
 
-/// Runs every AST rule that applies to `path` over an already-parsed file.
-#[must_use]
-pub fn check(path: &str, src: &str, file: &File) -> Vec<Finding> {
-    let lines: Vec<&str> = src.lines().collect();
-    let symbols = SymbolTable::build(file);
-    let mut sink = Sink { path, lines: &lines, findings: Vec::new() };
-
-    act006_json_drift(file, &symbols, &mut sink);
+/// Runs every structural rule that applies to the scanned file.
+pub(crate) fn check(scan: &Scan<'_>) -> Vec<Finding> {
+    let path = scan.path;
+    let decls = Decls::build(scan);
+    let fns = fn_items(scan);
+    let mut out = Vec::new();
+    act006_json_drift(scan, &decls, &mut out);
     if act007_in_scope(path) {
-        act007_budget_blind_loops(file, &mut sink);
-    }
-    if !act008_allowed(path) {
-        act008_nondeterminism(file, &mut sink);
+        act007_budget_blind_loops(scan, &fns, &mut out);
     }
     if act009_in_scope(path) {
-        act009_guard_across_call(file, &symbols, &mut sink);
+        act009_guard_across_call(scan, &decls, &fns, &mut out);
     }
     if act010_in_scope(path) {
-        act010_raw_float_cmp(file, &mut sink);
+        act010_raw_float_cmp(scan, &mut out);
     }
     if act011_in_scope(path) {
-        act011_panic_surface(file, &mut sink);
+        act011_panic_surface(scan, &mut out);
     }
-
-    sink.findings
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Rule scoping.
 // ---------------------------------------------------------------------------
 
-/// ACT007 applies where compiled-kernel sweep loops live.
+/// ACT007 applies where sweep loops and the chunk engine live.
 fn act007_in_scope(path: &str) -> bool {
     path.starts_with("crates/dse/src/") || path.starts_with("crates/server/src/")
-}
-
-/// Modules allowed to touch wall-clock, sleeps and the environment: the
-/// service shell, the CLI binary, benchmarking code, and the `act-dse`
-/// modules whose deadline/thread-count/break-even behavior is the
-/// documented contract (the pool times its own dispatch overhead for the
-/// one-shot calibration).
-fn act008_allowed(path: &str) -> bool {
-    path.starts_with("crates/server/")
-        || path.starts_with("crates/cli/")
-        || path.starts_with("crates/bench/")
-        || path.contains("/benches/")
-        || path == "crates/dse/src/batch.rs"
-        || path == "crates/dse/src/parallel.rs"
-        || path == "crates/dse/src/pool.rs"
 }
 
 /// ACT009 targets the server, where a guard held across I/O deadlocks the
@@ -97,565 +77,405 @@ fn act011_in_scope(path: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Shared walking machinery.
+// Shared structure: items, fns, lets and closures.
 // ---------------------------------------------------------------------------
 
-struct Sink<'a> {
-    path: &'a str,
-    lines: &'a [&'a str],
-    findings: Vec<Finding>,
+/// `true` if token `k` follows a `p` token.
+fn after(toks: &[Tok], k: usize, p: &str) -> bool {
+    k > 0 && toks[k - 1].is_punct(p)
 }
 
-impl Sink<'_> {
-    fn emit(&mut self, pos: Pos, rule: &'static str, message: &'static str) {
-        let line = pos.line as usize;
-        self.findings.push(Finding {
-            path: self.path.to_owned(),
-            line,
-            col: pos.col as usize,
-            rule,
-            message,
-            line_text: self
-                .lines
-                .get(line.saturating_sub(1))
-                .copied()
-                .unwrap_or_default()
-                .to_owned(),
-        });
-    }
+/// `true` if some identifier in `ty` (a type's tokens) contains `word`.
+fn names(ty: &[Tok], word: &str) -> bool {
+    ty.iter().any(|t| t.kind == TokKind::Ident && t.text.contains(word))
 }
 
-/// Per-file symbol table: named-struct fields, enum variants, and the
-/// declared type text of struct fields (for guard-receiver resolution).
-struct SymbolTable {
-    /// Struct name → declared field names, in order.
-    struct_fields: HashMap<String, Vec<String>>,
-    /// Enum name → variant names.
-    enum_variants: HashMap<String, Vec<String>>,
-    /// Field name → type text, across all structs in the file.
-    field_types: HashMap<String, String>,
+/// `true` for a `Mutex`/`RwLock` type (or a guard of one).
+fn is_lock_type(ty: &[Tok]) -> bool {
+    names(ty, "Mutex") || names(ty, "RwLock")
 }
 
-impl SymbolTable {
-    fn build(file: &File) -> Self {
-        let mut table = SymbolTable {
-            struct_fields: HashMap::new(),
-            enum_variants: HashMap::new(),
-            field_types: HashMap::new(),
+/// The file's named structs and enums (test items included: lookups want
+/// them), each with the token indices of its field or variant names.
+struct Decls<'a> {
+    structs: HashMap<&'a str, Vec<usize>>,
+    enums: HashMap<&'a str, Vec<usize>>,
+    /// Struct fields declared as a `Mutex`/`RwLock`.
+    lock_fields: HashSet<&'a str>,
+}
+
+impl<'a> Decls<'a> {
+    fn build(scan: &Scan<'a>) -> Self {
+        let toks = scan.toks;
+        let mut decls = Decls {
+            structs: HashMap::new(),
+            enums: HashMap::new(),
+            lock_fields: HashSet::new(),
         };
-        collect_items(&file.items, &mut |item| match &item.kind {
-            ItemKind::Struct { name, named: true, fields } => {
-                table
-                    .struct_fields
-                    .insert(name.clone(), fields.iter().map(|f| f.name.clone()).collect());
-                for f in fields {
-                    table.field_types.insert(f.name.clone(), f.ty.clone());
-                }
+        for i in 0..toks.len().saturating_sub(1) {
+            let is_struct = toks[i].is_ident("struct");
+            if !(is_struct || toks[i].is_ident("enum")) || toks[i + 1].kind != TokKind::Ident {
+                continue;
             }
-            ItemKind::Enum { name, variants } => {
-                table.enum_variants.insert(name.clone(), variants.clone());
+            // Tuple and unit structs reach their `;` first.
+            let open = scan.find(i + 2, &["{", ";"]);
+            if !scan.is(open, "{") {
+                continue;
             }
-            _ => {}
-        });
-        table
-    }
-}
-
-/// Depth-first item walk (including test items — symbol lookup wants them).
-fn collect_items(items: &[Item], f: &mut impl FnMut(&Item)) {
-    for item in items {
-        f(item);
-        match &item.kind {
-            ItemKind::Mod { items: Some(inner), .. }
-            | ItemKind::Impl { items: inner, .. }
-            | ItemKind::Trait { items: inner, .. } => collect_items(inner, f),
-            ItemKind::Fn(fn_item) => {
-                if let Some(body) = &fn_item.body {
-                    collect_block_items(body, f);
+            let close = scan.partner[open];
+            // A field is a top-level name followed by `:`; a variant is a
+            // top-level name after the brace, a `,` or an attribute.
+            let mut members = Vec::new();
+            let (mut prev, mut k) = (open, open + 1);
+            while k < close {
+                let named = toks[k].kind == TokKind::Ident
+                    && if is_struct {
+                        scan.is(k + 1, ":")
+                    } else {
+                        prev == open || scan.is(prev, ",") || scan.is(prev, "[")
+                    };
+                if named {
+                    members.push(k);
                 }
+                prev = k;
+                k = scan.skip(k);
             }
-            _ => {}
-        }
-    }
-}
-
-fn collect_block_items(block: &Block, f: &mut impl FnMut(&Item)) {
-    for stmt in &block.stmts {
-        if let Stmt::Item(item) = stmt {
-            f(item);
-            if let ItemKind::Fn(fn_item) = &item.kind {
-                if let Some(body) = &fn_item.body {
-                    collect_block_items(body, f);
-                }
-            }
-        }
-    }
-}
-
-/// Visits every production (non-`cfg(test)`) function item.
-fn for_each_fn(items: &[Item], f: &mut impl FnMut(&FnItem)) {
-    for item in items {
-        if item.cfg_test {
-            continue;
-        }
-        match &item.kind {
-            ItemKind::Fn(fn_item) => f(fn_item),
-            ItemKind::Mod { items: Some(inner), .. }
-            | ItemKind::Impl { items: inner, .. }
-            | ItemKind::Trait { items: inner, .. } => for_each_fn(inner, f),
-            _ => {}
-        }
-    }
-}
-
-/// Depth-first expression walk over a block, skipping nested `cfg(test)`
-/// items but descending into closures, conditions and nested blocks.
-fn walk_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    walk_expr(init, f);
-                }
-                if let Some(e) = &l.else_block {
-                    walk_block(e, f);
-                }
-            }
-            Stmt::Expr(e) => walk_expr(e, f),
-            Stmt::Item(item) => {
-                if item.cfg_test {
-                    continue;
-                }
-                if let ItemKind::Fn(fn_item) = &item.kind {
-                    if let Some(body) = &fn_item.body {
-                        walk_block(body, f);
+            let name = toks[i + 1].text.as_str();
+            if is_struct {
+                for (n, &m) in members.iter().enumerate() {
+                    let end = members.get(n + 1).copied().unwrap_or(close);
+                    if is_lock_type(&toks[m + 1..end]) {
+                        decls.lock_fields.insert(&toks[m].text);
                     }
                 }
+                decls.structs.insert(name, members);
+            } else {
+                decls.enums.insert(name, members);
             }
         }
+        decls
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(expr);
-    match &expr.kind {
-        ExprKind::Call { callee, args } => {
-            walk_expr(callee, f);
-            for a in args {
-                walk_expr(a, f);
-            }
+/// A fn parameter: its name and the tokens of its type.
+struct Param<'a> {
+    name: &'a str,
+    ty: &'a [Tok],
+}
+
+/// A fn item outside the test regions, with a body.
+struct FnItem<'a> {
+    params: Vec<Param<'a>>,
+    /// Token indices inside the body's braces.
+    body: Range<usize>,
+}
+
+impl<'a> FnItem<'a> {
+    /// The bodies (braces included) of the fns nested in this one.
+    fn nested(&self, fns: &[FnItem<'_>]) -> Vec<Range<usize>> {
+        fns.iter()
+            .filter(|g| g.body.start > self.body.start && g.body.end <= self.body.end)
+            .map(|g| g.body.start - 1..g.body.end + 1)
+            .collect()
+    }
+
+    /// Names of the parameters whose type satisfies `pred`.
+    fn params_where(&self, pred: impl Fn(&[Tok]) -> bool) -> HashSet<&'a str> {
+        self.params.iter().filter(|p| pred(p.ty)).map(|p| p.name).collect()
+    }
+}
+
+fn fn_items<'a>(scan: &Scan<'a>) -> Vec<FnItem<'a>> {
+    let toks = scan.toks;
+    let mut fns = Vec::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        if !toks[i].is_ident("fn") || toks[i + 1].kind != TokKind::Ident || scan.in_test(i) {
+            continue;
         }
-        ExprKind::MethodCall { recv, args, .. } => {
-            walk_expr(recv, f);
-            for a in args {
-                walk_expr(a, f);
-            }
+        let open = skip_generics(toks, i + 2);
+        if !scan.is(open, "(") {
+            continue;
         }
-        ExprKind::Field { recv, .. }
-        | ExprKind::Unary(recv)
-        | ExprKind::Cast(recv)
-        | ExprKind::Try(recv) => walk_expr(recv, f),
-        ExprKind::Index { recv, index } => {
-            walk_expr(recv, f);
-            walk_expr(index, f);
+        let body = scan.find(scan.partner[open] + 1, &["{", ";"]);
+        if scan.is(body, "{") {
+            fns.push(FnItem { params: params(scan, open), body: body + 1..scan.partner[body] });
         }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
+    }
+    fns
+}
+
+/// How token `t` moves the nesting depth of `<…>` generics.
+fn angle_step(t: &Tok) -> i32 {
+    match t.text.as_str() {
+        "<" => 1,
+        ">" => -1,
+        ">>" => -2,
+        _ => 0,
+    }
+}
+
+/// The index past a `<…>` generics list starting at `j` (or `j` itself).
+fn skip_generics(toks: &[Tok], mut j: usize) -> usize {
+    if !toks.get(j).is_some_and(|t| t.is_punct("<")) {
+        return j;
+    }
+    let mut depth = 0;
+    while let Some(t) = toks.get(j) {
+        j += 1;
+        depth += angle_step(t);
+        if depth <= 0 {
+            break;
         }
-        ExprKind::Range { lo, hi } => {
-            if let Some(lo) = lo {
-                walk_expr(lo, f);
-            }
-            if let Some(hi) = hi {
-                walk_expr(hi, f);
-            }
-        }
-        ExprKind::Closure { body, .. } => walk_expr(body, f),
-        ExprKind::If { cond, then_block, else_branch } => {
-            walk_expr(cond, f);
-            walk_block(then_block, f);
-            if let Some(e) = else_branch {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            walk_expr(cond, f);
-            walk_block(body, f);
-        }
-        ExprKind::For { iter, body, .. } => {
-            walk_expr(iter, f);
-            walk_block(body, f);
-        }
-        ExprKind::Loop { body } => walk_block(body, f),
-        ExprKind::Match { scrutinee, arms } => {
-            walk_expr(scrutinee, f);
-            for arm in arms {
-                walk_expr(&arm.body, f);
-            }
-        }
-        ExprKind::Block(b) | ExprKind::Unsafe(b) => walk_block(b, f),
-        ExprKind::StructLit { fields, .. } => {
-            for (_, value) in fields {
-                if let Some(v) = value {
-                    walk_expr(v, f);
+    }
+    j
+}
+
+/// The `name: Type` parameters of the group opening at `open`, split at
+/// the commas outside brackets and generics (`self` receivers have no
+/// `:` and are left out).
+fn params<'a>(scan: &Scan<'a>, open: usize) -> Vec<Param<'a>> {
+    let toks = scan.toks;
+    let close = scan.partner[open];
+    let mut out = Vec::new();
+    let (mut seg, mut angle, mut j) = (open + 1, 0, open + 1);
+    loop {
+        let at_end = j >= close;
+        if at_end || (angle == 0 && toks[j].is_punct(",")) {
+            if let Some(colon) = (seg..j).find(|&c| toks[c].is_punct(":")) {
+                if colon > seg && toks[colon - 1].kind == TokKind::Ident {
+                    out.push(Param { name: &toks[colon - 1].text, ty: &toks[colon + 1..j] });
                 }
             }
-        }
-        ExprKind::Tuple(elems) | ExprKind::Array(elems) => {
-            for e in elems {
-                walk_expr(e, f);
+            if at_end {
+                return out;
             }
+            seg = j + 1;
+        } else {
+            angle += angle_step(&toks[j]);
         }
-        ExprKind::LetCond { expr, .. } => walk_expr(expr, f),
-        ExprKind::Return(Some(e)) => walk_expr(e, f),
-        ExprKind::Path(_)
-        | ExprKind::Lit(_)
-        | ExprKind::Macro(_)
-        | ExprKind::Return(None)
-        | ExprKind::BreakContinue
-        | ExprKind::Opaque => {}
+        j = scan.skip(j);
     }
+}
+
+/// A `let` statement: its bound names, its initialiser's tokens and the
+/// index of its closing `;`.
+struct Let<'a> {
+    names: Vec<&'a str>,
+    init: Range<usize>,
+    end: usize,
+}
+
+/// The `let` statement at `k`, or `None` when `k` is no statement `let`
+/// (an `if let`/`while let` condition binds no statement).
+fn let_at<'a>(scan: &Scan<'a>, k: usize) -> Option<Let<'a>> {
+    let toks = scan.toks;
+    let stmt = k == 0 || matches!(toks[k - 1].text.as_str(), ";" | "{" | "}" | "]");
+    if !toks[k].is_ident("let") || !stmt {
+        return None;
+    }
+    let pattern_end = scan.find(k + 1, &[":", "=", ";"]);
+    let eq = scan.find(pattern_end, &["=", ";"]);
+    let end = scan.find(eq, &[";"]);
+    let mut names = Vec::new();
+    let mut braces = 0i32;
+    for j in k + 1..pattern_end {
+        let t = &toks[j];
+        match t.text.as_str() {
+            "{" => braces += 1,
+            "}" => braces -= 1,
+            _ => {}
+        }
+        let next = toks.get(j + 1).map_or("", |n| n.text.as_str());
+        // In `S { field: binding }` the name before `:` is a field.
+        let binds = t.kind == TokKind::Ident
+            && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+            && !matches!(
+                t.text.as_str(),
+                "_" | "mut" | "ref" | "box" | "true" | "false" | "self"
+            )
+            && !matches!(next, "::" | "(" | "{" | "!")
+            && !(braces > 0 && next == ":");
+        if binds {
+            names.push(t.text.as_str());
+        }
+    }
+    let init = if scan.is(eq, "=") { eq + 1..end } else { end..end };
+    Some(Let { names, init, end })
+}
+
+/// The body of the closure whose parameter list opens at `k` (`|` or
+/// `||`): a `{…}` block with its braces, or an expression up to the `,`,
+/// `;` or closing bracket that ends it. `None` when `k` opens no closure:
+/// after an operand (identifier, literal, `)`, `]`, `}` or `?`), a `|` or
+/// `||` is an operator.
+fn closure_body(scan: &Scan<'_>, k: usize) -> Option<Range<usize>> {
+    let toks = scan.toks;
+    let t = &toks[k];
+    if !(t.is_punct("|") || t.is_punct("||")) {
+        return None;
+    }
+    if let Some(p) = k.checked_sub(1).map(|p| &toks[p]) {
+        let operand = match p.kind {
+            TokKind::Ident => !matches!(p.text.as_str(), "move" | "return" | "break"),
+            TokKind::Punct => matches!(p.text.as_str(), ")" | "]" | "}" | "?"),
+            _ => true,
+        };
+        if operand {
+            return None;
+        }
+    }
+    let start = if t.text == "||" { k + 1 } else { scan.find(k + 1, &["|"]) + 1 };
+    let block = if scan.is(start, "->") { scan.find(start, &["{"]) } else { start };
+    if scan.is(block, "{") {
+        return Some(block..scan.partner[block] + 1);
+    }
+    Some(start..scan.find(start, &[",", ";", ")", "]", "}"]))
 }
 
 // ---------------------------------------------------------------------------
 // ACT006 — JSON drift.
 // ---------------------------------------------------------------------------
 
-/// Macro invocations visible to ACT006, including ones nested inside the
-/// token streams of other macros (`obj!` inside `obj!`).
-struct SeenMacro<'a> {
-    pos: Pos,
-    last_seg: String,
-    tokens: &'a [Tok],
-}
-
-fn gather_macros<'a>(file: &'a File) -> Vec<SeenMacro<'a>> {
-    let mut out = Vec::new();
-    gather_macros_in_items(&file.items, &mut out);
-    // Nested invocations only exist inside already-collected token streams.
-    let mut i = 0;
-    while i < out.len() {
-        let tokens = out[i].tokens;
-        gather_macros_in_tokens(tokens, &mut out);
-        i += 1;
-    }
-    out
-}
-
-fn gather_macros_in_items<'a>(items: &'a [Item], out: &mut Vec<SeenMacro<'a>>) {
-    for item in items {
-        if item.cfg_test {
+fn act006_json_drift(scan: &Scan<'_>, decls: &Decls<'_>, out: &mut Vec<Finding>) {
+    let toks = scan.toks;
+    for i in 0..toks.len().saturating_sub(2) {
+        let open = i + 2;
+        let call = toks[i].kind == TokKind::Ident
+            && toks[i + 1].is_punct("!")
+            && matches!(toks[open].text.as_str(), "(" | "[" | "{");
+        if !call || scan.in_test(i) {
             continue;
         }
-        match &item.kind {
-            ItemKind::MacroCall(mac) => push_macro(mac, out),
-            ItemKind::Mod { items: Some(inner), .. }
-            | ItemKind::Impl { items: inner, .. }
-            | ItemKind::Trait { items: inner, .. } => gather_macros_in_items(inner, out),
-            ItemKind::Fn(fn_item) => {
-                if let Some(body) = &fn_item.body {
-                    let mut macs: Vec<&MacroCall> = Vec::new();
-                    walk_block(body, &mut |e| {
-                        if let ExprKind::Macro(mac) = &e.kind {
-                            macs.push(mac);
-                        }
-                    });
-                    for mac in macs {
-                        push_macro(mac, out);
-                    }
-                }
+        let declared = match toks[i].text.as_str() {
+            "impl_to_json" | "impl_from_json" => &decls.structs,
+            "impl_json_enum" => &decls.enums,
+            "obj" => {
+                check_obj_keys(scan, open, out);
+                continue;
             }
-            ItemKind::Const { init: Some(init), .. } => {
-                let mut macs: Vec<&MacroCall> = Vec::new();
-                walk_expr(init, &mut |e| {
-                    if let ExprKind::Macro(mac) = &e.kind {
-                        macs.push(mac);
-                    }
-                });
-                for mac in macs {
-                    push_macro(mac, out);
-                }
-            }
-            _ => {}
+            _ => continue,
+        };
+        let group = toks.get(open + 1..scan.partner[open]).unwrap_or_default();
+        let Some((ty, listed)) = split_macro_target(group) else { continue };
+        let Some(members) = declared.get(ty) else { continue };
+        let declared: HashSet<&str> = members.iter().map(|&m| toks[m].text.as_str()).collect();
+        let listed_set: HashSet<&str> = listed.iter().copied().collect();
+        if declared != listed_set || listed.len() != listed_set.len() {
+            out.push(scan.finding(path_start(toks, i), "ACT006", MSG_ACT006));
         }
     }
 }
 
-fn push_macro<'a>(mac: &'a MacroCall, out: &mut Vec<SeenMacro<'a>>) {
-    let last_seg = mac.path.rsplit("::").next().unwrap_or_default().to_owned();
-    out.push(SeenMacro { pos: mac.pos, last_seg, tokens: &mac.tokens });
-}
-
-/// Scans a raw token stream for `path ! ( … )` shapes and records them.
-fn gather_macros_in_tokens<'a>(toks: &'a [Tok], out: &mut Vec<SeenMacro<'a>>) {
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].kind == TokKind::Ident
-            && toks[i + 1].is_punct("!")
-            && matches!(toks[i + 2].text.as_str(), "(" | "[" | "{")
-        {
-            let close = match toks[i + 2].text.as_str() {
-                "(" => ")",
-                "[" => "]",
-                _ => "}",
-            };
-            let open = toks[i + 2].text.clone();
-            let start = i + 3;
-            let mut depth = 1usize;
-            let mut j = start;
-            while j < toks.len() {
-                if toks[j].kind == TokKind::Punct {
-                    if toks[j].text == open {
-                        depth += 1;
-                    } else if toks[j].text == close {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                }
-                j += 1;
-            }
-            out.push(SeenMacro {
-                pos: Pos { line: toks[i].line, col: toks[i].col },
-                last_seg: toks[i].text.clone(),
-                tokens: &toks[start..j.min(toks.len())],
-            });
-            i = start;
-        } else {
-            i += 1;
-        }
-    }
-}
-
-fn act006_json_drift(file: &File, symbols: &SymbolTable, sink: &mut Sink<'_>) {
-    for mac in gather_macros(file) {
-        match mac.last_seg.as_str() {
-            "impl_to_json" | "impl_from_json" => {
-                check_impl_json(&mac, &symbols.struct_fields, sink);
-            }
-            "impl_json_enum" => {
-                check_impl_json_enum(&mac, &symbols.enum_variants, sink);
-            }
-            "obj" => check_obj_keys(&mac, sink),
-            _ => {}
-        }
-    }
-}
-
-/// `impl_to_json!(Type { field, field })`: the listed fields must be
-/// exactly the struct's declared fields (any order, no omissions, no
-/// unknowns). Skips types not defined (as named structs) in this file.
-fn check_impl_json(
-    mac: &SeenMacro<'_>,
-    structs: &HashMap<String, Vec<String>>,
-    sink: &mut Sink<'_>,
-) {
-    let Some((ty, listed)) = split_macro_target(mac.tokens) else { return };
-    let Some(declared) = structs.get(&ty) else { return };
-    let declared_set: HashSet<&str> = declared.iter().map(String::as_str).collect();
-    let listed_set: HashSet<&str> = listed.iter().map(String::as_str).collect();
-    let drift = declared_set != listed_set || listed.len() != listed_set.len();
-    if drift {
-        sink.emit(mac.pos, "ACT006", MSG_ACT006);
-    }
-}
-
-/// `impl_json_enum!(Type { Variant, Variant })` against the enum's variants.
-fn check_impl_json_enum(
-    mac: &SeenMacro<'_>,
-    enums: &HashMap<String, Vec<String>>,
-    sink: &mut Sink<'_>,
-) {
-    let Some((ty, listed)) = split_macro_target(mac.tokens) else { return };
-    let Some(declared) = enums.get(&ty) else { return };
-    let declared_set: HashSet<&str> = declared.iter().map(String::as_str).collect();
-    let listed_set: HashSet<&str> = listed.iter().map(String::as_str).collect();
-    if declared_set != listed_set {
-        sink.emit(mac.pos, "ACT006", MSG_ACT006);
-    }
-}
-
-/// Splits `Type { a, b, c }` macro tokens into the type name and the listed
-/// identifiers. Returns `None` when the shape doesn't match.
-fn split_macro_target(toks: &[Tok]) -> Option<(String, Vec<String>)> {
+/// Splits `Type { a, b, c }` macro tokens into the type name and the
+/// listed identifiers: the listed names must be exactly the struct's
+/// fields or the enum's variants (any order, no omissions, no unknowns,
+/// no repeats). Returns `None` when the shape doesn't match.
+fn split_macro_target(toks: &[Tok]) -> Option<(&str, Vec<&str>)> {
     let brace = toks.iter().position(|t| t.is_punct("{"))?;
     let ty = toks[..brace]
         .iter()
         .filter(|t| t.kind == TokKind::Ident)
-        .find(|t| !matches!(t.text.as_str(), "crate" | "super" | "self"))?
-        .text
-        .clone();
-    // Matching close brace from the end (the group runs to the last `}`).
+        .find(|t| !matches!(t.text.as_str(), "crate" | "super" | "self"))?;
+    // The group runs to the last `}`.
     let close = toks.iter().rposition(|t| t.is_punct("}"))?;
     let mut listed = Vec::new();
     let mut expect = true;
-    for t in &toks[brace + 1..close] {
+    for t in toks.get(brace + 1..close)? {
         if t.is_punct(",") {
             expect = true;
         } else if expect && t.kind == TokKind::Ident {
-            listed.push(t.text.clone());
+            listed.push(t.text.as_str());
             expect = false;
         }
     }
-    Some((ty, listed))
+    Some((&ty.text, listed))
 }
 
 /// `obj! { "key": …, "key": … }` — a duplicate key silently overwrites the
-/// first value, the literal-object flavor of JSON drift.
-fn check_obj_keys(mac: &SeenMacro<'_>, sink: &mut Sink<'_>) {
+/// first value, the literal-object flavor of JSON drift. Nested `obj!`
+/// calls sit inside brackets here and are checked as calls of their own.
+fn check_obj_keys(scan: &Scan<'_>, open: usize, out: &mut Vec<Finding>) {
     let mut seen: HashSet<&str> = HashSet::new();
-    let mut depth = 0i32;
-    for (i, t) in mac.tokens.iter().enumerate() {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                _ => {}
-            }
+    let mut k = open + 1;
+    while k < scan.partner[open] {
+        let t = &scan.toks[k];
+        if t.kind == TokKind::Str && scan.is(k + 1, ":") && !seen.insert(&t.text) {
+            out.push(scan.finding(k, "ACT006", MSG_ACT006));
         }
-        let next_is_colon = mac.tokens.get(i + 1).is_some_and(|n| n.is_punct(":"));
-        if depth == 0
-            && t.kind == TokKind::Str
-            && next_is_colon
-            && !seen.insert(t.text.as_str())
-        {
-            sink.emit(Pos { line: t.line, col: t.col }, "ACT006", MSG_ACT006);
-        }
+        k = scan.skip(k);
     }
 }
 
 // ---------------------------------------------------------------------------
-// ACT007 — budget-blind loops.
+// ACT007 — budget-blind kernel loops.
 // ---------------------------------------------------------------------------
 
-fn act007_budget_blind_loops(file: &File, sink: &mut Sink<'_>) {
-    for_each_fn(&file.items, &mut |fn_item| {
-        let Some(body) = &fn_item.body else { return };
+/// Methods that evaluate the model: the compiled point kernel and the
+/// block kernel.
+const KERNEL_METHODS: [&str; 3] = ["eval", "try_eval", "eval_block"];
 
-        // Budget bindings in scope: `EvalBudget`-typed parameters plus lets
-        // whose ascription or initializer names `EvalBudget`.
-        let mut budgets: HashSet<String> = fn_item
-            .params
+/// `true` for a callable taking a `Range<usize>`: the block-kernel shape
+/// the chunk engine drives.
+fn is_block_kernel(ty: &[Tok]) -> bool {
+    let range = (0..ty.len()).any(|j| seq_at(ty, j, &["Range", "<", "usize", ">"]));
+    range && ty.iter().any(|t| t.kind == TokKind::Ident && t.text.starts_with("Fn"))
+}
+
+/// The body (inside the braces) of the `for`/`while`/`loop` at `k`, or
+/// `None` when `k` starts no loop (`impl X for Y`, `for<'a>`).
+fn loop_body(scan: &Scan<'_>, k: usize) -> Option<Range<usize>> {
+    let t = &scan.toks[k];
+    if t.kind != TokKind::Ident || !matches!(t.text.as_str(), "for" | "while" | "loop") {
+        return None;
+    }
+    let open = scan.find(k + 1, &["{", ";"]);
+    let for_in = t.text != "for" || scan.toks[k..open].iter().any(|t| t.is_ident("in"));
+    (scan.is(open, "{") && for_in).then(|| open + 1..scan.partner[open])
+}
+
+/// Every loop whose body calls a kernel must reference an `EvalBudget`
+/// binding (a parameter, or a `let` that names the type) in itself or in
+/// an enclosing loop.
+fn act007_budget_blind_loops(scan: &Scan<'_>, fns: &[FnItem<'_>], out: &mut Vec<Finding>) {
+    let toks = scan.toks;
+    for f in fns {
+        let nested = f.nested(fns);
+        let own: Vec<usize> =
+            f.body.clone().filter(|k| !nested.iter().any(|r| r.contains(k))).collect();
+        let mut budgets = f.params_where(|ty| names(ty, "EvalBudget"));
+        for &k in &own {
+            if let Some(l) = let_at(scan, k) {
+                if toks[k..l.end].iter().any(|t| t.is_ident("EvalBudget")) {
+                    budgets.extend(l.names);
+                }
+            }
+        }
+        let kernels = f.params_where(is_block_kernel);
+        let budgeted = |r: Range<usize>| {
+            toks[r].iter().any(|t| {
+                t.kind == TokKind::Ident
+                    && (t.text == "EvalBudget" || budgets.contains(t.text.as_str()))
+            })
+        };
+        let loops: Vec<(Range<usize>, bool)> = own
             .iter()
-            .filter(|p| p.ty.contains("EvalBudget"))
-            .map(|p| p.name.clone())
+            .filter_map(|&k| {
+                loop_body(scan, k).map(|body| (body.clone(), budgeted(k..body.end)))
+            })
             .collect();
-        collect_budget_lets(body, &mut budgets);
-
-        // Does the function consult any of them (or the type directly)?
-        let mut consulted = false;
-        walk_block(body, &mut |e| match &e.kind {
-            ExprKind::Path(segs)
-                if segs.iter().any(|s| s == "EvalBudget")
-                    || segs.first().is_some_and(|s| budgets.contains(s)) =>
-            {
-                consulted = true;
+        for &k in &own {
+            let name = toks[k].text.as_str();
+            let method = after(toks, k, ".") && KERNEL_METHODS.contains(&name);
+            let param = !after(toks, k, ".") && !after(toks, k, "::") && kernels.contains(name);
+            if !(method || param) || !scan.is(k + 1, "(") {
+                continue;
             }
-            ExprKind::Field { name, .. } if budgets.contains(name) => consulted = true,
-            _ => {}
-        });
-        if consulted {
-            return;
-        }
-
-        // Unconsulted budget (or none at all): flag every `.eval(` inside a
-        // loop body.
-        let mut eval_positions = Vec::new();
-        walk_block(body, &mut |e| {
-            let mut in_loop = |b: &Block| {
-                walk_block(b, &mut |inner| {
-                    if let ExprKind::MethodCall { name, .. } = &inner.kind {
-                        if name == "eval" {
-                            eval_positions.push(inner.pos);
-                        }
-                    }
-                });
-            };
-            match &e.kind {
-                ExprKind::For { body, .. }
-                | ExprKind::While { body, .. }
-                | ExprKind::Loop { body } => in_loop(body),
-                _ => {}
-            }
-        });
-        eval_positions.sort_by_key(|p| (p.line, p.col));
-        eval_positions.dedup();
-        for pos in eval_positions {
-            sink.emit(pos, "ACT007", MSG_ACT007);
-        }
-    });
-}
-
-fn collect_budget_lets(block: &Block, budgets: &mut HashSet<String>) {
-    // walk_block doesn't expose lets; do a direct statement walk instead.
-    fn go(block: &Block, budgets: &mut HashSet<String>) {
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Let(l) => {
-                    let mut from_budget = l.ty.contains("EvalBudget");
-                    if let Some(init) = &l.init {
-                        walk_expr(init, &mut |e| {
-                            if let ExprKind::Path(segs) = &e.kind {
-                                if segs.iter().any(|s| s == "EvalBudget") {
-                                    from_budget = true;
-                                }
-                            }
-                        });
-                    }
-                    if from_budget {
-                        for name in &l.names {
-                            budgets.insert(name.clone());
-                        }
-                    }
-                    if let Some(init) = &l.init {
-                        walk_expr(init, &mut |e| go_expr(e, budgets));
-                    }
-                }
-                Stmt::Expr(e) => walk_expr(e, &mut |e| go_expr(e, budgets)),
-                Stmt::Item(_) => {}
+            let mut enclosing = loops.iter().filter(|(body, _)| body.contains(&k)).peekable();
+            if enclosing.peek().is_some() && !enclosing.any(|(_, budgeted)| *budgeted) {
+                out.push(scan.finding(k, "ACT007", MSG_ACT007));
             }
         }
     }
-    fn go_expr(e: &Expr, budgets: &mut HashSet<String>) {
-        match &e.kind {
-            ExprKind::If { then_block, .. } => go(then_block, budgets),
-            ExprKind::While { body, .. }
-            | ExprKind::For { body, .. }
-            | ExprKind::Loop { body } => go(body, budgets),
-            ExprKind::Block(b) | ExprKind::Unsafe(b) => go(b, budgets),
-            _ => {}
-        }
-    }
-    go(block, budgets);
-}
-
-// ---------------------------------------------------------------------------
-// ACT008 — nondeterminism in library crates.
-// ---------------------------------------------------------------------------
-
-fn act008_nondeterminism(file: &File, sink: &mut Sink<'_>) {
-    for_each_fn(&file.items, &mut |fn_item| {
-        let Some(body) = &fn_item.body else { return };
-        walk_block(body, &mut |e| {
-            if let ExprKind::Path(segs) = &e.kind {
-                if is_nondeterministic_path(segs) {
-                    sink.emit(e.pos, "ACT008", MSG_ACT008);
-                }
-            }
-        });
-    });
-}
-
-fn is_nondeterministic_path(segs: &[String]) -> bool {
-    let pair = |a: &str, b: &str| segs.windows(2).any(|w| w[0] == a && w[1] == b);
-    pair("Instant", "now")
-        || pair("SystemTime", "now")
-        || pair("thread", "sleep")
-        || pair("env", "var")
-        || pair("env", "var_os")
 }
 
 // ---------------------------------------------------------------------------
@@ -680,250 +500,157 @@ const IO_METHODS: [&str; 15] = [
     "shutdown",
 ];
 
-fn act009_guard_across_call(file: &File, symbols: &SymbolTable, sink: &mut Sink<'_>) {
-    for_each_fn(&file.items, &mut |fn_item| {
-        let Some(body) = &fn_item.body else { return };
-        // Bindings whose declared type is a lock (for `.read()`/`.write()`
-        // receiver resolution) and callback parameters.
-        let mut lock_symbols: HashSet<String> = symbols
-            .field_types
-            .iter()
-            .filter(|(_, ty)| ty.contains("Mutex") || ty.contains("RwLock"))
-            .map(|(name, _)| name.clone())
-            .collect();
-        let mut callbacks: HashSet<String> = HashSet::new();
-        for p in &fn_item.params {
-            if p.ty.contains("Mutex") || p.ty.contains("RwLock") {
-                lock_symbols.insert(p.name.clone());
-            }
-            if p.ty.contains("Fn") {
-                callbacks.insert(p.name.clone());
-            }
-        }
-        let ctx = GuardCtx { lock_symbols, callbacks };
-        let mut live: Vec<String> = Vec::new();
-        scan_block_for_guards(body, &ctx, &mut live, sink);
-    });
+/// What a fn's guard scan resolves names against.
+struct GuardCtx<'a> {
+    /// Bindings declared as a `Mutex`/`RwLock`: struct fields and the
+    /// fn's own parameters (for `.read()`/`.write()` receivers).
+    locks: HashSet<&'a str>,
+    /// Callable parameters: calling one runs unknown code.
+    callbacks: HashSet<&'a str>,
+    /// Nested fn bodies, which the scan steps over.
+    nested: Vec<Range<usize>>,
 }
 
-struct GuardCtx {
-    lock_symbols: HashSet<String>,
-    callbacks: HashSet<String>,
-}
-
-/// Walks a block in statement order, tracking live guard bindings; guards
-/// born in this block die at its end.
-fn scan_block_for_guards(
-    block: &Block,
-    ctx: &GuardCtx,
-    live: &mut Vec<String>,
-    sink: &mut Sink<'_>,
+fn act009_guard_across_call(
+    scan: &Scan<'_>,
+    decls: &Decls<'_>,
+    fns: &[FnItem<'_>],
+    out: &mut Vec<Finding>,
 ) {
-    let born_at = live.len();
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    scan_expr_for_guards(init, ctx, live, sink);
-                    if acquires_guard(init, ctx) {
-                        for name in &l.names {
-                            live.push(name.clone());
-                        }
-                    }
-                }
-                if let Some(else_block) = &l.else_block {
-                    scan_block_for_guards(else_block, ctx, live, sink);
-                }
-            }
-            Stmt::Expr(e) => {
-                // `drop(guard)` ends liveness before any later I/O check.
-                if let Some(dropped) = dropped_binding(e) {
-                    live.retain(|g| g != &dropped);
-                    continue;
-                }
-                scan_expr_for_guards(e, ctx, live, sink);
-            }
-            Stmt::Item(_) => {}
-        }
-    }
-    live.truncate(born_at);
-}
-
-/// Reports I/O/callback calls in `e` while any guard is live, recursing
-/// into control flow (each branch sees the same incoming guard set).
-fn scan_expr_for_guards(e: &Expr, ctx: &GuardCtx, live: &mut Vec<String>, sink: &mut Sink<'_>) {
-    match &e.kind {
-        ExprKind::Block(b) | ExprKind::Unsafe(b) => {
-            scan_block_for_guards(b, ctx, live, sink);
-        }
-        ExprKind::If { cond, then_block, else_branch } => {
-            scan_expr_for_guards(cond, ctx, live, sink);
-            scan_block_for_guards(then_block, ctx, live, sink);
-            if let Some(eb) = else_branch {
-                scan_expr_for_guards(eb, ctx, live, sink);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            scan_expr_for_guards(cond, ctx, live, sink);
-            scan_block_for_guards(body, ctx, live, sink);
-        }
-        ExprKind::For { iter, body, .. } => {
-            scan_expr_for_guards(iter, ctx, live, sink);
-            scan_block_for_guards(body, ctx, live, sink);
-        }
-        ExprKind::Loop { body } => scan_block_for_guards(body, ctx, live, sink),
-        ExprKind::Match { scrutinee, arms } => {
-            scan_expr_for_guards(scrutinee, ctx, live, sink);
-            for arm in arms {
-                scan_expr_for_guards(&arm.body, ctx, live, sink);
-            }
-        }
-        // Closures run elsewhere; a guard moved inside has its own scope.
-        ExprKind::Closure { .. } => {}
-        _ => {
-            if live.is_empty() {
-                return;
-            }
-            // Flat scan of this expression for I/O and callback calls,
-            // without crossing into closures or nested blocks (handled
-            // above via the structured arms).
-            let mut hits = Vec::new();
-            collect_io_calls(e, ctx, &mut hits);
-            for pos in hits {
-                sink.emit(pos, "ACT009", MSG_ACT009);
-            }
-        }
+    for f in fns {
+        let mut locks = decls.lock_fields.clone();
+        locks.extend(f.params_where(is_lock_type));
+        let callbacks = f.params_where(|ty| names(ty, "Fn"));
+        let ctx = GuardCtx { locks, callbacks, nested: f.nested(fns) };
+        scan_guards(scan, &ctx, f.body.clone(), out);
     }
 }
 
-fn collect_io_calls(e: &Expr, ctx: &GuardCtx, hits: &mut Vec<Pos>) {
-    match &e.kind {
-        ExprKind::MethodCall { recv, name, args } => {
-            let io_named = IO_METHODS.contains(&name.as_str());
-            // `read`/`write` WITH arguments are `io::Read`/`io::Write`
-            // calls; without arguments they are RwLock acquisitions.
-            let io_rw = matches!(name.as_str(), "read" | "write") && !args.is_empty();
-            if io_named || io_rw {
-                hits.push(e.pos);
-            }
-            collect_io_calls(recv, ctx, hits);
-            for a in args {
-                collect_io_calls(a, ctx, hits);
-            }
+/// Walks one scope (a fn body or a closure body) in token order. A guard
+/// is born at the `;` of a `let` whose initialiser acquires a lock, and
+/// dies at the `}` closing the block it was born in or at `drop(name);`.
+/// Closure bodies are scopes of their own: outer guards are not live in
+/// them.
+fn scan_guards(
+    scan: &Scan<'_>,
+    ctx: &GuardCtx<'_>,
+    scope: Range<usize>,
+    out: &mut Vec<Finding>,
+) {
+    let toks = scan.toks;
+    // (name, born, dies) per guard; the closers of the open blocks.
+    let mut live: Vec<(&str, usize, usize)> = Vec::new();
+    let mut blocks: Vec<usize> = Vec::new();
+    let mut k = scope.start;
+    while k < scope.end {
+        live.retain(|g| k < g.2);
+        blocks.retain(|&close| k < close);
+        if let Some(r) = ctx.nested.iter().find(|r| r.start == k) {
+            k = r.end;
+            continue;
         }
-        ExprKind::Call { callee, args } => {
-            if let ExprKind::Path(segs) = &callee.kind {
-                if segs.len() == 1 && ctx.callbacks.contains(&segs[0]) {
-                    hits.push(e.pos);
-                }
-                if segs.windows(2).any(|w| w[0] == "thread" && w[1] == "sleep") {
-                    hits.push(e.pos);
-                }
-            }
-            collect_io_calls(callee, ctx, hits);
-            for a in args {
-                collect_io_calls(a, ctx, hits);
-            }
+        if let Some(body) = closure_body(scan, k) {
+            scan_guards(scan, ctx, body.clone(), out);
+            k = body.end;
+            continue;
         }
-        ExprKind::Field { recv, .. }
-        | ExprKind::Unary(recv)
-        | ExprKind::Cast(recv)
-        | ExprKind::Try(recv) => collect_io_calls(recv, ctx, hits),
-        ExprKind::Index { recv, index } => {
-            collect_io_calls(recv, ctx, hits);
-            collect_io_calls(index, ctx, hits);
+        if toks[k].is_punct("{") {
+            blocks.push(scan.partner[k]);
         }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs } => {
-            collect_io_calls(lhs, ctx, hits);
-            collect_io_calls(rhs, ctx, hits);
-        }
-        ExprKind::Tuple(elems) | ExprKind::Array(elems) => {
-            for el in elems {
-                collect_io_calls(el, ctx, hits);
+        if live.iter().any(|g| g.1 < k) {
+            if let Some(at) = hazard(scan, ctx, k) {
+                out.push(scan.finding(at, "ACT009", MSG_ACT009));
             }
         }
-        ExprKind::Return(Some(inner)) => collect_io_calls(inner, ctx, hits),
-        ExprKind::StructLit { fields, .. } => {
-            for (_, v) in fields {
-                if let Some(v) = v {
-                    collect_io_calls(v, ctx, hits);
-                }
+        if let Some(l) = let_at(scan, k) {
+            if acquires_guard(scan, ctx, l.init) {
+                let dies = blocks.last().copied().unwrap_or(scope.end);
+                live.extend(l.names.iter().map(|&name| (name, l.end, dies)));
             }
         }
-        _ => {}
+        let dropped = toks[k].is_ident("drop") && !after(toks, k, ".") && !after(toks, k, "::");
+        if dropped && scan.is(k + 1, "(") && scan.is(k + 3, ")") && scan.is(k + 4, ";") {
+            live.retain(|g| !scan.is(k + 2, g.0));
+        }
+        k += 1;
     }
 }
 
-/// Does this initializer acquire a lock guard that flows into the binding?
-///
-/// Deliberately does NOT descend into nested blocks or closures: a lock
-/// taken inside `let v = { let g = m.lock(); … };` is scoped to that inner
-/// block — `v` holds a copy of the data, not the guard.
-fn acquires_guard(e: &Expr, ctx: &GuardCtx) -> bool {
-    match &e.kind {
-        ExprKind::MethodCall { recv, name, args } => {
-            (name == "lock" && args.is_empty())
-                || (matches!(name.as_str(), "read" | "write")
-                    && args.is_empty()
-                    && receiver_is_lock(recv, ctx))
-                || acquires_guard(recv, ctx)
-                || args.iter().any(|a| acquires_guard(a, ctx))
-        }
-        ExprKind::Call { callee, args } => {
-            if let ExprKind::Path(segs) = &callee.kind {
-                if segs.last().is_some_and(|s| s.starts_with("lock_") || s == "lock") {
-                    return true;
-                }
-            }
-            acquires_guard(callee, ctx) || args.iter().any(|a| acquires_guard(a, ctx))
-        }
-        ExprKind::Unary(inner) | ExprKind::Try(inner) | ExprKind::Cast(inner) => {
-            acquires_guard(inner, ctx)
-        }
-        ExprKind::Field { recv, .. } => acquires_guard(recv, ctx),
-        ExprKind::Match { scrutinee, arms } => {
-            acquires_guard(scrutinee, ctx)
-                || arms.iter().any(|arm| acquires_guard(&arm.body, ctx))
-        }
-        ExprKind::Binary { lhs, rhs, .. } => {
-            acquires_guard(lhs, ctx) || acquires_guard(rhs, ctx)
-        }
-        ExprKind::Tuple(elems) => elems.iter().any(|el| acquires_guard(el, ctx)),
-        _ => false,
+/// The position to report if token `k` starts blocking I/O (an
+/// `IO_METHODS` call, or `.read(…)`/`.write(…)` with arguments) or a call
+/// of a callback parameter or `thread::sleep`.
+fn hazard(scan: &Scan<'_>, ctx: &GuardCtx<'_>, k: usize) -> Option<usize> {
+    let toks = scan.toks;
+    let name = toks[k].text.as_str();
+    if toks[k].kind != TokKind::Ident || !scan.is(k + 1, "(") {
+        return None;
     }
+    if after(toks, k, ".") {
+        // Without arguments, `read()`/`write()` acquire an `RwLock`.
+        let rw = matches!(name, "read" | "write") && !scan.is(k + 2, ")");
+        return (IO_METHODS.contains(&name) || rw).then_some(k);
+    }
+    let callback = !after(toks, k, "::") && ctx.callbacks.contains(name);
+    let sleep = name == "sleep" && k >= 2 && seq_at(toks, k - 2, &["thread", "::"]);
+    (callback || sleep).then_some(k + 1)
 }
 
-/// Resolves a `.read()`/`.write()` receiver against the lock symbols:
+/// Does this initialiser acquire a guard that flows into the binding: a
+/// `.lock()`, a call of `lock`/`lock_*`, or an argument-less
+/// `.read()`/`.write()` on a lock? Blocks and closures inside it are not
+/// searched: a lock taken in `let v = { let g = m.lock(); … };` is
+/// scoped to that block, and `v` holds a copy of the data.
+fn acquires_guard(scan: &Scan<'_>, ctx: &GuardCtx<'_>, init: Range<usize>) -> bool {
+    let toks = scan.toks;
+    let mut k = init.start;
+    while k < init.end {
+        if let Some(body) = closure_body(scan, k) {
+            k = body.end;
+            continue;
+        }
+        if toks[k].is_punct("{") {
+            k = scan.skip(k);
+            continue;
+        }
+        let name = toks[k].text.as_str();
+        let acquires = if after(toks, k, ".") {
+            seq_at(toks, k + 1, &["(", ")"])
+                && (name == "lock"
+                    || (matches!(name, "read" | "write") && receiver_is_lock(scan, ctx, k - 1)))
+        } else {
+            toks[k].kind == TokKind::Ident
+                && scan.is(k + 1, "(")
+                && (name == "lock" || name.starts_with("lock_"))
+        };
+        if acquires {
+            return true;
+        }
+        k += 1;
+    }
+    false
+}
+
+/// Resolves the receiver of the `.` at `dot` against the lock bindings:
 /// `self.state.read()` and `queue.read()` both count when `state`/`queue`
-/// is declared as a `Mutex`/`RwLock`.
-fn receiver_is_lock(recv: &Expr, ctx: &GuardCtx) -> bool {
-    match &recv.kind {
-        ExprKind::Field { name, .. } => ctx.lock_symbols.contains(name),
-        ExprKind::Path(segs) => segs.last().is_some_and(|s| ctx.lock_symbols.contains(s)),
-        ExprKind::Unary(inner) | ExprKind::Try(inner) => receiver_is_lock(inner, ctx),
-        ExprKind::MethodCall { recv: inner, name, .. } => {
-            // `self.queue.as_ref().read()` — look through adapters.
-            matches!(name.as_str(), "as_ref" | "borrow" | "deref" | "clone")
-                && receiver_is_lock(inner, ctx)
+/// is declared as a `Mutex`/`RwLock`, also through `?` and the
+/// `as_ref`/`borrow`/`deref`/`clone` adapters.
+fn receiver_is_lock(scan: &Scan<'_>, ctx: &GuardCtx<'_>, mut dot: usize) -> bool {
+    let toks = scan.toks;
+    loop {
+        let Some(mut r) = dot.checked_sub(1) else { return false };
+        if toks[r].is_punct("?") && r > 0 {
+            r -= 1;
         }
-        _ => false,
-    }
-}
-
-/// Matches a statement-position `drop(binding)` call.
-fn dropped_binding(e: &Expr) -> Option<String> {
-    if let ExprKind::Call { callee, args } = &e.kind {
-        if let ExprKind::Path(segs) = &callee.kind {
-            if segs.len() == 1 && segs[0] == "drop" && args.len() == 1 {
-                if let ExprKind::Path(arg_segs) = &args[0].kind {
-                    if arg_segs.len() == 1 {
-                        return Some(arg_segs[0].clone());
-                    }
-                }
-            }
+        let adapter = r >= 3
+            && toks[r].is_punct(")")
+            && scan.partner[r] + 1 == r
+            && matches!(toks[r - 2].text.as_str(), "as_ref" | "borrow" | "deref" | "clone")
+            && toks[r - 3].is_punct(".");
+        if !adapter {
+            return toks[r].kind == TokKind::Ident && ctx.locks.contains(toks[r].text.as_str());
         }
+        dot = r - 3;
     }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -941,56 +668,50 @@ const COMPARATOR_SINKS: [&str; 7] = [
     "partition_point",
 ];
 
-fn act010_raw_float_cmp(file: &File, sink: &mut Sink<'_>) {
-    for_each_fn(&file.items, &mut |fn_item| {
-        let Some(body) = &fn_item.body else { return };
-        let mut positions = Vec::new();
-        walk_block(body, &mut |e| {
-            if let ExprKind::MethodCall { name, args, .. } = &e.kind {
-                // Any `partial_cmp` in scope files: `total_cmp` is total and
-                // NaN-safe, `partial_cmp(..).unwrap()` is the panic we hunt.
-                if name == "partial_cmp" {
-                    positions.push(e.pos);
-                }
-                if COMPARATOR_SINKS.contains(&name.as_str()) {
-                    if let Some(Expr { kind: ExprKind::Closure { body, .. }, .. }) = args.last()
-                    {
-                        if closure_compares_raw(body) {
-                            positions.push(e.pos);
-                        }
-                    }
-                }
-            }
-        });
-        positions.sort_by_key(|p| (p.line, p.col));
-        positions.dedup();
-        for pos in positions {
-            sink.emit(pos, "ACT010", MSG_ACT010);
+/// Flags every `.partial_cmp(` (`total_cmp` is total and NaN-safe;
+/// `partial_cmp(..).unwrap()` is the panic we hunt), and every comparator
+/// closure passed last to a `COMPARATOR_SINKS` method that orders with
+/// `<`/`>`/`partial_cmp` and never reaches for `total_cmp`/`cmp`.
+fn act010_raw_float_cmp(scan: &Scan<'_>, out: &mut Vec<Finding>) {
+    let toks = scan.toks;
+    for k in 1..toks.len() {
+        if !after(toks, k, ".") || !scan.is(k + 1, "(") || scan.in_test(k) {
+            continue;
         }
-    });
+        let name = toks[k].text.as_str();
+        let raw = name == "partial_cmp"
+            || (COMPARATOR_SINKS.contains(&name)
+                && last_closure_arg(scan, k + 1).is_some_and(|body| compares_raw(toks, body)));
+        if raw {
+            out.push(scan.finding(k, "ACT010", MSG_ACT010));
+        }
+    }
 }
 
-/// A comparator closure that orders with `<`/`>`/`partial_cmp` and never
-/// reaches for `total_cmp` is ordering floats unsoundly.
-fn closure_compares_raw(body: &Expr) -> bool {
-    let mut total = false;
-    let mut raw = false;
-    walk_expr(body, &mut |e| match &e.kind {
-        ExprKind::MethodCall { name, .. } => {
-            if name == "total_cmp" || name == "cmp" {
-                total = true;
-            }
-            if name == "partial_cmp" {
-                raw = true;
-            }
+/// The body of the call's last argument (group opening at `open`) if that
+/// argument is a closure.
+fn last_closure_arg(scan: &Scan<'_>, open: usize) -> Option<Range<usize>> {
+    let mut last = None;
+    let mut j = open + 1;
+    while j < scan.partner[open] {
+        let start = j + usize::from(scan.toks[j].is_ident("move"));
+        last = closure_body(scan, start);
+        j = last.as_ref().map_or_else(|| scan.find(j, &[",", ")"]), |body| body.end) + 1;
+    }
+    last
+}
+
+fn compares_raw(toks: &[Tok], body: Range<usize>) -> bool {
+    let (mut raw, mut total) = (false, false);
+    for k in body {
+        let t = &toks[k];
+        if t.kind == TokKind::Punct && matches!(t.text.as_str(), "<" | ">" | "<=" | ">=") {
+            raw |= !after(toks, k, "::");
+        } else if after(toks, k, ".") {
+            raw |= t.text == "partial_cmp";
+            total |= t.text == "total_cmp" || t.text == "cmp";
         }
-        ExprKind::Binary { op, .. } => {
-            if matches!(op.as_str(), "<" | ">" | "<=" | ">=") {
-                raw = true;
-            }
-        }
-        _ => {}
-    });
+    }
     raw && !total
 }
 
@@ -998,28 +719,35 @@ fn closure_compares_raw(body: &Expr) -> bool {
 // ACT011 — panic surface in the request path.
 // ---------------------------------------------------------------------------
 
-fn act011_panic_surface(file: &File, sink: &mut Sink<'_>) {
-    for_each_fn(&file.items, &mut |fn_item| {
-        let Some(body) = &fn_item.body else { return };
-        walk_block(body, &mut |e| match &e.kind {
-            ExprKind::Index { .. } => sink.emit(e.pos, "ACT011", MSG_ACT011),
-            ExprKind::MethodCall { name, .. } if name == "unwrap" || name == "expect" => {
-                sink.emit(e.pos, "ACT011", MSG_ACT011);
-            }
-            _ => {}
-        });
-    });
+/// Keywords a `[` can follow without indexing anything (a slice pattern,
+/// an array expression or type).
+const NOT_INDEXED: [&str; 10] =
+    ["let", "in", "mut", "return", "match", "if", "while", "for", "break", "where"];
+
+/// Flags indexing — a `[` after an identifier, `)`, `]` or `?` — and
+/// `.unwrap(`/`.expect(`.
+fn act011_panic_surface(scan: &Scan<'_>, out: &mut Vec<Finding>) {
+    let toks = scan.toks;
+    for k in 1..toks.len() {
+        let (prev, t) = (&toks[k - 1], &toks[k]);
+        let index = t.is_punct("[")
+            && match prev.kind {
+                TokKind::Ident => !NOT_INDEXED.contains(&prev.text.as_str()),
+                TokKind::Punct => matches!(prev.text.as_str(), ")" | "]" | "?"),
+                _ => false,
+            };
+        let unwrap = prev.is_punct(".")
+            && (t.is_ident("unwrap") || t.is_ident("expect"))
+            && scan.is(k + 1, "(");
+        if (index || unwrap) && !scan.in_test(k) {
+            out.push(scan.finding(k, "ACT011", MSG_ACT011));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::parser::parse_source;
-
-    fn run(path: &str, src: &str) -> Vec<Finding> {
-        let file = parse_source(src);
-        check(path, src, &file)
-    }
+    use crate::{analyze_source as run, Finding};
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
@@ -1069,6 +797,29 @@ mod tests {
     }
 
     #[test]
+    fn act007_follows_block_kernels_and_enclosing_loops() {
+        // A budget consulted outside the loop does not cover it.
+        let outside = "pub fn fill(k: &CompiledFootprint, budget: &EvalBudget) {\n\
+                       if budget.is_exhausted() { return; }\n\
+                       loop { let _ = k.try_eval(&[]); }\n\
+                       }\n";
+        assert_eq!(rules(&run("crates/server/src/routes.rs", outside)), vec!["ACT007"]);
+        // A block-kernel parameter is a kernel; an enclosing loop's check covers it.
+        let block =
+            "fn chunks(fill: &impl Fn(Range<usize>, &mut [f64]), budget: &EvalBudget) {\n\
+                     while !budget.is_exhausted() {\n\
+                     for r in ranges() { fill(r, out()); }\n\
+                     }\n\
+                     }\n";
+        assert!(run("crates/dse/src/batch.rs", block).is_empty());
+        let blind = block.replace("!budget.is_exhausted()", "more()");
+        assert_eq!(rules(&run("crates/dse/src/batch.rs", &blind)), vec!["ACT007"]);
+        // A kernel call outside any loop needs no budget.
+        let once = "fn one(plan: &Plan) { plan.eval_block(c, 0..8, o); }\n";
+        assert!(run("crates/dse/src/batch.rs", once).is_empty());
+    }
+
+    #[test]
     fn act008_scopes_to_library_crates() {
         let src = "pub fn f() -> Instant { let t = Instant::now(); t }\n";
         assert_eq!(rules(&run("crates/core/src/x.rs", src)), vec!["ACT008"]);
@@ -1076,6 +827,10 @@ mod tests {
         assert!(run("crates/dse/src/batch.rs", src).is_empty());
         let env = "pub fn f() { let v = std::env::var(\"X\"); drop(v); }\n";
         assert_eq!(rules(&run("crates/json/src/lib.rs", env)), vec!["ACT008"]);
+        // A path passed as a function value counts too.
+        let value =
+            "pub fn f(t: Option<Instant>) -> Instant { t.unwrap_or_else(Instant::now) }\n";
+        assert_eq!(rules(&run("crates/core/src/x.rs", value)), vec!["ACT008"]);
     }
 
     #[test]
@@ -1103,6 +858,16 @@ mod tests {
                       stream.write_all(b\"x\");\n\
                       }\n";
         assert!(run("crates/server/src/lib.rs", scoped).is_empty());
+        // A closure body is a scope of its own: the outer guard is not live
+        // in it, and its own guard is.
+        let closure = "pub fn f(s: &mut TcpStream) {\n\
+                       let g = q.lock();\n\
+                       let later = || s.flush();\n\
+                       let inner = || { let h = q.lock(); s.flush(); };\n\
+                       drop(g);\n\
+                       }\n";
+        let found = run("crates/server/src/lib.rs", closure);
+        assert_eq!(found.iter().map(|f| (f.rule, f.line)).collect::<Vec<_>>(), [("ACT009", 4)]);
     }
 
     #[test]
@@ -1151,5 +916,11 @@ mod tests {
                     }\n\
                     }\n";
         assert!(run("crates/server/src/routes.rs", safe).is_empty());
+        // Array types, literals and slice patterns index nothing.
+        let arrays = "pub fn h(b: &[u8], t: [u8; 2]) -> Vec<[u8; 2]> {\n\
+                      let [x, y] = t;\n\
+                      vec![[x, y], [b.len() as u8, 0]]\n\
+                      }\n";
+        assert!(run("crates/server/src/routes.rs", arrays).is_empty());
     }
 }

@@ -1,16 +1,103 @@
-//! The token-level rules ACT001–ACT005 and ACT012.
+//! The token-level rules ACT001–ACT005, ACT008 and ACT012, and the
+//! [`Scan`] every rule reads.
 //!
 //! These rules need no structure — a banned literal, a `.unwrap()` call
 //! or a `thread::spawn(` path is a short run of tokens — so they match
 //! token sequences from [`crate::lexer::tokenize`] directly. Comments
 //! never become tokens and string/char literals are single tokens, so
-//! neither can fire a rule. `#[cfg(test)]` items are found by matching
-//! braces over the same tokens.
+//! neither can fire a rule. `#[cfg(test)]` items are found with the
+//! bracket partner table that the structural rules share.
 
 use std::ops::Range;
 
 use crate::lexer::{Tok, TokKind};
 use crate::Finding;
+
+/// One file as the rules see it: its tokens, the bracket partner table
+/// and the `#[cfg(test)]` regions, each built once.
+pub(crate) struct Scan<'a> {
+    /// Repo-relative path, for rule scoping and reporting.
+    pub path: &'a str,
+    pub toks: &'a [Tok],
+    /// For every `(`/`[`/`{` the index of its closing partner (the last
+    /// token when it has none), for a matched closer its opener; every
+    /// other token maps to itself.
+    pub partner: Vec<usize>,
+    /// Token-index ranges of `#[cfg(test)]` items.
+    tests: Vec<Range<usize>>,
+    lines: Vec<&'a str>,
+}
+
+impl<'a> Scan<'a> {
+    pub fn new(path: &'a str, src: &'a str, toks: &'a [Tok]) -> Self {
+        let mut partner: Vec<usize> = (0..toks.len()).collect();
+        let mut open: Vec<usize> = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            let opener = match t.text.as_str() {
+                _ if t.kind != TokKind::Punct => continue,
+                "(" | "[" | "{" => {
+                    open.push(i);
+                    partner[i] = toks.len() - 1;
+                    continue;
+                }
+                ")" => "(",
+                "]" => "[",
+                "}" => "{",
+                _ => continue,
+            };
+            if let Some(o) = open.pop_if(|o| toks[*o].text == opener) {
+                partner[o] = i;
+                partner[i] = o;
+            }
+        }
+        let mut scan =
+            Scan { path, toks, partner, tests: Vec::new(), lines: src.lines().collect() };
+        scan.tests = test_regions(&scan);
+        scan
+    }
+
+    /// `true` if token `i` exists and spells `text` (see [`seq_at`]).
+    pub fn is(&self, i: usize, text: &str) -> bool {
+        self.toks.get(i).is_some_and(|t| t.text == text)
+    }
+
+    /// The index after token `i` on `i`'s bracket level: past the whole
+    /// group when `i` opens one.
+    pub fn skip(&self, i: usize) -> usize {
+        let t = &self.toks[i];
+        if t.kind == TokKind::Punct && matches!(t.text.as_str(), "(" | "[" | "{") {
+            self.partner[i] + 1
+        } else {
+            i + 1
+        }
+    }
+
+    /// The first index from `i` on `i`'s bracket level that spells one of
+    /// `stops`, or `toks.len()`.
+    pub fn find(&self, mut i: usize, stops: &[&str]) -> usize {
+        while i < self.toks.len() && !stops.contains(&self.toks[i].text.as_str()) {
+            i = self.skip(i);
+        }
+        i
+    }
+
+    pub fn in_test(&self, i: usize) -> bool {
+        self.tests.iter().any(|r| r.contains(&i))
+    }
+
+    /// A finding pointing at token `i`.
+    pub fn finding(&self, i: usize, rule: &'static str, message: &'static str) -> Finding {
+        let (line, col) = (self.toks[i].line as usize, self.toks[i].col as usize);
+        Finding {
+            path: self.path.to_owned(),
+            line,
+            col,
+            rule,
+            message,
+            line_text: self.lines.get(line - 1).copied().unwrap_or_default().to_owned(),
+        }
+    }
+}
 
 /// Crates that own the raw-`f64` boundary and the paper constants.
 fn is_unit_home(path: &str) -> bool {
@@ -20,6 +107,21 @@ fn is_unit_home(path: &str) -> bool {
 /// The CLI binary is allowed to panic at top level (ACT002 exemption).
 fn is_cli_binary(path: &str) -> bool {
     path.starts_with("crates/cli/src/")
+}
+
+/// Modules allowed to touch wall-clock, sleeps and the environment
+/// (ACT008): the service shell, the CLI binary, benchmarking code, and
+/// the `act-dse` modules whose deadline/thread-count/break-even behavior
+/// is the documented contract (the pool times its own dispatch overhead
+/// for the one-shot calibration).
+fn act008_allowed(path: &str) -> bool {
+    path.starts_with("crates/server/")
+        || path.starts_with("crates/cli/")
+        || path.starts_with("crates/bench/")
+        || path.contains("/benches/")
+        || path == "crates/dse/src/batch.rs"
+        || path == "crates/dse/src/parallel.rs"
+        || path == "crates/dse/src/pool.rs"
 }
 
 /// ACT012 targets library crates: raw `thread::spawn`/`thread::scope`
@@ -53,6 +155,8 @@ const MSG_ACT003: &str = "unit-conversion constant retyped as a literal; \
 const MSG_ACT004: &str = "infallible `from_base` outside the unit-definition crates; \
      use `try_from_base` at model boundaries";
 const MSG_ACT005: &str = "debug/stub macro left in source";
+const MSG_ACT008: &str = "nondeterministic API in a library crate; \
+     wall-clock, sleeps and env reads belong in the server/CLI/bench shells";
 const MSG_ACT012: &str = "direct `thread::spawn`/`thread::scope` in a library crate \
      bypasses the calibrated worker pool; route parallel work through \
      `act_dse::parallel` so break-even calibration and `ACT_THREADS` apply";
@@ -60,7 +164,7 @@ const MSG_ACT012: &str = "direct `thread::spawn`/`thread::scope` in a library cr
 /// `true` if the tokens from `at` on spell out `seq`. Comparing text is
 /// enough: literal and lifetime tokens carry their quotes or digits, so
 /// they never spell a keyword, an identifier or a punctuation mark.
-fn seq_at(toks: &[Tok], at: usize, seq: &[&str]) -> bool {
+pub(crate) fn seq_at(toks: &[Tok], at: usize, seq: &[&str]) -> bool {
     toks.get(at..at + seq.len())
         .is_some_and(|run| run.iter().zip(seq).all(|(t, s)| t.text == *s))
 }
@@ -68,41 +172,37 @@ fn seq_at(toks: &[Tok], at: usize, seq: &[&str]) -> bool {
 /// Token-index ranges of `#[cfg(test)]` items: from the attribute's `#`
 /// to the brace closing the gated item (or to the `;` ending a
 /// brace-less item like `use`).
-fn test_regions(toks: &[Tok]) -> Vec<Range<usize>> {
+fn test_regions(scan: &Scan<'_>) -> Vec<Range<usize>> {
     const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
     let mut regions = Vec::new();
     let mut i = 0;
-    while i < toks.len() {
-        if !seq_at(toks, i, &CFG_TEST) {
+    while i < scan.toks.len() {
+        if !seq_at(scan.toks, i, &CFG_TEST) {
             i += 1;
             continue;
         }
-        let mut depth = 0usize;
-        let mut end = toks.len();
-        for (j, t) in toks.iter().enumerate().skip(i + CFG_TEST.len()) {
-            if t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct("}") {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    end = j + 1;
-                    break;
-                }
-            } else if t.is_punct(";") && depth == 0 {
-                end = j + 1;
-                break;
-            }
-        }
+        let end = scan.find(i + CFG_TEST.len(), &["{", ";"]);
+        let end = if scan.is(end, "{") { scan.partner[end] + 1 } else { end + 1 };
         regions.push(i..end);
         i = end;
     }
     regions
 }
 
+/// Index of the first segment of the path ending at `toks[i]`: `std` for
+/// the `Instant` of `std::time::Instant`.
+pub(crate) fn path_start(toks: &[Tok], mut i: usize) -> usize {
+    while i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].kind == TokKind::Ident {
+        i -= 2;
+    }
+    i
+}
+
 /// The rule whose token sequence starts at `toks[i]`: the index of the
 /// token the finding points at, the rule ID and its message. Free
 /// function, macro and path calls must not follow a `.`, so a method of
-/// the same name never matches.
+/// the same name never matches. ACT008 needs no call: the path alone
+/// counts, as in `unwrap_or_else(Instant::now)`.
 fn rule_at(toks: &[Tok], i: usize) -> Option<(usize, &'static str, &'static str)> {
     let tok = &toks[i];
     let next = |seq: &[&str]| seq_at(toks, i + 1, seq);
@@ -124,6 +224,15 @@ fn rule_at(toks: &[Tok], i: usize) -> Option<(usize, &'static str, &'static str)
             "dbg" | "todo" | "unimplemented" if next(&["!", "("]) => {
                 Some((i, "ACT005", MSG_ACT005))
             }
+            "Instant" | "SystemTime" if next(&["::", "now"]) => {
+                Some((path_start(toks, i), "ACT008", MSG_ACT008))
+            }
+            "thread" if next(&["::", "sleep"]) => {
+                Some((path_start(toks, i), "ACT008", MSG_ACT008))
+            }
+            "env" if next(&["::", "var"]) || next(&["::", "var_os"]) => {
+                Some((path_start(toks, i), "ACT008", MSG_ACT008))
+            }
             "thread" if next(&["::", "spawn", "("]) || next(&["::", "scope", "("]) => {
                 Some((i, "ACT012", MSG_ACT012))
             }
@@ -133,33 +242,22 @@ fn rule_at(toks: &[Tok], i: usize) -> Option<(usize, &'static str, &'static str)
     }
 }
 
-/// Runs ACT001–ACT005 and ACT012 over one file's tokens. `path` is the
-/// repo-relative path used for both crate classification and reporting;
-/// `src` is the file contents the tokens came from.
-#[must_use]
-pub fn check(path: &str, src: &str, toks: &[Tok]) -> Vec<Finding> {
-    let regions = test_regions(toks);
-    let lines: Vec<&str> = src.lines().collect();
+/// Runs ACT001–ACT005, ACT008 and ACT012 over one file's tokens.
+pub(crate) fn check(scan: &Scan<'_>) -> Vec<Finding> {
+    let path = scan.path;
     let mut findings = Vec::new();
-    for i in 0..toks.len() {
-        let Some((at, rule, message)) = rule_at(toks, i) else { continue };
-        let in_test = regions.iter().any(|r| r.contains(&i));
+    for i in 0..scan.toks.len() {
+        let Some((at, rule, message)) = rule_at(scan.toks, i) else { continue };
+        let in_test = scan.in_test(i);
         let applies = match rule {
             "ACT001" | "ACT003" | "ACT004" => !is_unit_home(path) && !in_test,
             "ACT002" => !is_cli_binary(path) && !in_test,
             "ACT005" => true,
+            "ACT008" => !act008_allowed(path) && !in_test,
             _ => !act012_exempt(path) && !in_test,
         };
         if applies {
-            let (line, col) = (toks[at].line as usize, toks[at].col as usize);
-            findings.push(Finding {
-                path: path.to_owned(),
-                line,
-                col,
-                rule,
-                message,
-                line_text: lines.get(line - 1).copied().unwrap_or_default().to_owned(),
-            });
+            findings.push(scan.finding(at, rule, message));
         }
     }
     findings

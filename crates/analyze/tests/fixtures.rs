@@ -18,6 +18,7 @@ const CASES: &[(&str, &str, &str)] = &[
     ("ACT005", "crates/model/src/energy.rs", "act005"),
     ("ACT006", "crates/model/src/params.rs", "act006"),
     ("ACT007", "crates/dse/src/sweep.rs", "act007"),
+    ("ACT007", "crates/dse/src/batch.rs", "act007_block"),
     ("ACT008", "crates/model/src/energy.rs", "act008"),
     ("ACT009", "crates/server/src/hub.rs", "act009"),
     ("ACT010", "crates/dse/src/montecarlo.rs", "act010"),
@@ -57,6 +58,44 @@ fn every_rule_stays_silent_on_its_ok_fixture() {
         let findings = analyze_source(fake_path, &src);
         assert!(findings.is_empty(), "{stem}_ok.rs is not clean: {findings:?}");
     }
+}
+
+#[test]
+fn bad_fixtures_fire_at_exact_positions() {
+    // `(stem, line, col)` of every finding on the structural rules' bad
+    // fixtures, so a change of engine cannot move a finding unnoticed.
+    let pins: &[(&str, usize, usize)] = &[
+        ("act006", 12, 1),
+        ("act006", 20, 1),
+        ("act006", 25, 9),
+        ("act007", 7, 25),
+        ("act008", 5, 5),
+        ("act008", 9, 5),
+        ("act008", 13, 5),
+        ("act009", 15, 24),
+        ("act010", 7, 12),
+        ("act010", 11, 7),
+        ("act011", 6, 21),
+        ("act011", 7, 20),
+    ];
+    for (rule, fake_path, stem) in CASES.iter().filter(|c| pins.iter().any(|p| p.0 == c.2)) {
+        let findings = analyze_source(fake_path, &fixture(&format!("{stem}_bad.rs")));
+        let got: Vec<(&str, usize, usize)> =
+            findings.iter().map(|f| (f.rule, f.line, f.col)).collect();
+        let want: Vec<(&str, usize, usize)> =
+            pins.iter().filter(|p| p.0 == *stem).map(|p| (*rule, p.1, p.2)).collect();
+        assert_eq!(got, want, "{stem}_bad.rs");
+    }
+}
+
+#[test]
+fn act007_block_bad_points_at_the_block_kernel_call() {
+    // `fill` is a `Range<usize>` block-kernel parameter; the budget check
+    // before the loop does not cover the loop.
+    let findings = analyze_source("crates/dse/src/batch.rs", &fixture("act007_block_bad.rs"));
+    let got: Vec<(&str, usize, usize)> =
+        findings.iter().map(|f| (f.rule, f.line, f.col)).collect();
+    assert_eq!(got, [("ACT007", 19, 9)]);
 }
 
 #[test]

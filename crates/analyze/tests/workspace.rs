@@ -1,14 +1,21 @@
 //! The analyzer's verdict on the real tree, as a test: the workspace with
-//! `xtask/lint.allow` applied has no findings, no stale allowlist entries
-//! and no parser recoveries — the same contract `cargo xtask analyze`
-//! enforces, checked by every `cargo test`.
+//! `xtask/lint.allow` applied has no findings and no stale allowlist
+//! entries — the same contract `cargo xtask analyze` enforces, checked by
+//! every `cargo test`. And the converse: a violation planted in a real
+//! workspace file is caught, so no rule can go on passing while guarding
+//! nothing.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+use act_analyze::analyze_source;
+
+fn root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 #[test]
 fn workspace_is_clean_under_the_allowlist() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = match act_analyze::analyze_workspace(&root) {
+    let report = match act_analyze::analyze_workspace(&root()) {
         Ok(report) => report,
         Err(err) => panic!("analyzer failed to run: {err}"),
     };
@@ -21,10 +28,95 @@ fn workspace_is_clean_under_the_allowlist() {
         .map(|entry| format!("{}|{}|{}", entry.rule, entry.path_suffix, entry.line_substring))
         .collect();
     assert!(stale.is_empty(), "stale xtask/lint.allow entries:\n{}", stale.join("\n"));
-    assert_eq!(report.parse_recoveries, 0, "the parser skipped code it could not structure");
     assert!(
         report.suppressed.iter().any(|f| f.path.ends_with("ssd/src/ftl.rs")),
         "the vetted ftl.rs invariants should be suppressed: {:#?}",
         report.suppressed
     );
+}
+
+/// `(rule, file, anchor, replacement)`: the anchor is an exact excerpt of
+/// the real file, and swapping in the replacement plants one violation.
+const PLANTS: &[(&str, &str, &str, &str)] = &[
+    (
+        "ACT006",
+        "crates/dse/src/sweep.rs",
+        "impl_to_json!(RejectedPoint { index, reason });",
+        "impl_to_json!(RejectedPoint { index });",
+    ),
+    (
+        "ACT007",
+        "crates/server/src/routes.rs",
+        "    let result = parse_body(request).and_then(|doc| {",
+        "    for _ in 0..4 {\n        let _ = COMPILED.try_eval(&[]);\n    }\n\
+         \x20   let result = parse_body(request).and_then(|doc| {",
+    ),
+    (
+        "ACT007",
+        "crates/dse/src/batch.rs",
+        "if budget.deadline.is_some() && budget.is_exhausted() {",
+        "if false {",
+    ),
+    (
+        "ACT008",
+        "crates/core/src/embodied.rs",
+        "pub fn packaged_ic_count(&self) -> u32 {\n        self.packaged_ic_count",
+        "pub fn packaged_ic_count(&self) -> u32 {\n        \
+         let _ = std::time::Instant::now();\n        self.packaged_ic_count",
+    ),
+    (
+        "ACT009",
+        "crates/server/src/lib.rs",
+        "        let mut state = lock_queue(&self.state);\n        \
+         if state.closed || state.jobs.len() >= self.capacity {",
+        "        let mut state = lock_queue(&self.state);\n        \
+         let _ = stream.set_read_timeout(None);\n        \
+         if state.closed || state.jobs.len() >= self.capacity {",
+    ),
+    (
+        "ACT009",
+        "crates/server/src/lib.rs",
+        "        drop(state);\n        self.ready.notify_one();\n        \
+         if let Some((_, idle)) = evicted {\n            \
+         let _ = idle.shutdown(Shutdown::Both);\n        }\n",
+        "        if let Some((_, idle)) = evicted {\n            \
+         let _ = idle.shutdown(Shutdown::Both);\n        }\n        \
+         drop(state);\n        self.ready.notify_one();\n",
+    ),
+    (
+        "ACT010",
+        "crates/dse/src/optimize.rs",
+        ".min_by(|(_, a), (_, b)| a.total_cmp(b))",
+        ".min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))",
+    ),
+    (
+        "ACT010",
+        "crates/dse/src/montecarlo.rs",
+        "values.select_nth_unstable_by(i50, f64::total_cmp);",
+        "values.select_nth_unstable_by(i50, |a, b| {\n        \
+         if a < b { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater }\n    });",
+    ),
+    (
+        "ACT011",
+        "crates/server/src/routes.rs",
+        "    let result = parse_body(request).and_then(|doc| {",
+        "    let _tail = &request.body[1..];\n    let result = parse_body(request).and_then(|doc| {",
+    ),
+];
+
+#[test]
+fn every_rule_catches_a_violation_planted_in_real_code() {
+    let mut missed = Vec::new();
+    for &(rule, rel, anchor, replacement) in PLANTS {
+        let src = std::fs::read_to_string(root().join(rel))
+            .unwrap_or_else(|err| panic!("{rel} unreadable: {err}"));
+        assert!(src.contains(anchor), "anchor missing from {rel}: {anchor:?}");
+        let planted = src.replacen(anchor, replacement, 1);
+        let count =
+            |text: &str| analyze_source(rel, text).iter().filter(|f| f.rule == rule).count();
+        if count(&planted) <= count(&src) {
+            missed.push(format!("{rule} in {rel}: {replacement:?}"));
+        }
+    }
+    assert!(missed.is_empty(), "planted violations not caught:\n{}", missed.join("\n"));
 }

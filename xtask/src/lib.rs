@@ -2,10 +2,10 @@
 //! workspace.
 //!
 //! The analysis engine lives in the std-only, dependency-free
-//! [`act_analyze`] crate: one lexer whose token stream feeds both the
-//! token rules ACT001–ACT005 and ACT012 and a Rust-subset
-//! recursive-descent parser for the AST/dataflow rules ACT006–ACT011 (see
-//! `crates/analyze/src/lib.rs` for the table). This crate
+//! [`act_analyze`] crate: one lexer whose token stream every rule reads —
+//! the token rules ACT001–ACT005, ACT008 and ACT012 directly, the
+//! structural rules ACT006, ACT007 and ACT009–ACT011 through a bracket
+//! partner table (see `crates/analyze/src/lib.rs` for the table). This crate
 //! re-exports the engine for `cargo xtask analyze` and adds the `soak`
 //! chaos harness that drives the built `act serve` binary.
 //!

@@ -24,7 +24,8 @@ fn usage() -> String {
        ACT004  no infallible `from_base` outside act-units/act-data\n\
        ACT005  no dbg!/todo!/unimplemented! anywhere\n\
        ACT006  JSON impl/obj! field lists must match the struct (no drift)\n\
-       ACT007  no budget-blind `CompiledFootprint::eval` loops in dse/server\n\
+       ACT007  no kernel loop (eval/try_eval/eval_block/block-kernel param)\n\
+               without an EvalBudget check in dse/server\n\
        ACT008  no Instant/SystemTime/sleep/env reads in library crates\n\
        ACT009  no Mutex/RwLock guard held across I/O or a callback (server)\n\
        ACT010  no raw f64 comparators without total_cmp in dse order statistics\n\
@@ -33,9 +34,11 @@ fn usage() -> String {
      Allowlist: xtask/lint.allow, lines of\n\
        RULE|path-suffix|line-substring|justification\n\n\
      analyze tokenizes every workspace source once and applies all twelve\n\
-     rules: ACT001-ACT005 and ACT012 to the tokens, ACT006-ACT011 to the\n\
-     in-tree Rust-subset parser's AST. --json FILE additionally writes a\n\
-     machine-readable findings report (schema act-analyze-findings/1).\n\n\
+     rules to the token stream: ACT001-ACT005, ACT008 and ACT012 match\n\
+     token runs, ACT006, ACT007 and ACT009-ACT011 read items, loops,\n\
+     closures and lets off a bracket partner table. --json FILE\n\
+     additionally writes a machine-readable findings report (schema\n\
+     act-analyze-findings/2).\n\n\
      soak builds the workspace in release mode, starts `act serve` with a\n\
      seeded fault plan (slow reads, malformed bodies, worker panics and\n\
      kills, delays) and drives a deterministic mix of good and hostile\n\
@@ -226,12 +229,11 @@ fn run_analyze(root: &std::path::Path, json_out: Option<&std::path::Path>) -> Ex
     let clean = report.findings.is_empty() && report.stale.is_empty();
     eprintln!(
         "analyze: {} file(s) scanned, {} violation(s), {} suppressed, {} stale allow \
-         entr(y/ies), {} parse recover(y/ies)",
+         entr(y/ies)",
         report.files_scanned,
         report.findings.len(),
         report.suppressed.len(),
-        report.stale.len(),
-        report.parse_recoveries
+        report.stale.len()
     );
     if clean {
         ExitCode::SUCCESS

@@ -14,6 +14,7 @@ const CASES: &[(&str, &str)] = &[
     ("crates/model/src/energy.rs", "act005"),
     ("crates/model/src/params.rs", "act006"),
     ("crates/dse/src/sweep.rs", "act007"),
+    ("crates/dse/src/batch.rs", "act007_block"),
     ("crates/model/src/energy.rs", "act008"),
     ("crates/server/src/hub.rs", "act009"),
     ("crates/dse/src/montecarlo.rs", "act010"),
@@ -37,7 +38,7 @@ fn bad_fixtures_exit_1_and_ok_fixtures_exit_0() {
     let fixtures =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates/analyze/tests/fixtures");
     for (fake_path, stem) in CASES {
-        let rule = format!("ACT{}", &stem[3..]);
+        let rule = format!("ACT{}", &stem[3..6]);
         let (code, stdout) = analyze_file(&fixtures.join(format!("{stem}_bad.rs")), fake_path);
         assert_eq!(code, 1, "{stem}_bad.rs should fail analysis; stdout:\n{stdout}");
         assert!(
