@@ -1,33 +1,30 @@
-//! Partially-evaluated footprint kernels: eq. 1 compiled down to a
-//! handful of FLOPs per design point.
+//! Partially-evaluated footprint kernels: eq. 1 lowered to a handful of
+//! FLOPs per design point.
 //!
-//! Every point of a sweep or Monte-Carlo run that goes through
-//! [`ModelParams::footprint`] re-derives the whole pipeline — a fresh
-//! [`crate::FabScenario`], a fresh [`crate::SystemSpec`] (heap-allocated
-//! component list), per-GB table lookups — even when only one axis varies.
-//! [`CompiledFootprint`] partially evaluates a `ModelParams` against a set
-//! of declared [`FreeAxis`] values: every sweep-invariant sub-term
-//! (per-component embodied gCO₂, the CPA numerator pieces of eq. 5, the
-//! operational coefficient of eq. 2, the `T/LT` amortization ratio of
-//! eq. 1) is folded into a plain `f64` coefficient at compile time.
+//! [`CompiledFootprint::try_lower`] is the one lowering of eq. 1: a
+//! [`SystemSpec`] under a [`FabScenario`], its [`UsePhase`] baselines,
+//! and a set of declared [`FreeAxis`] values. Every sweep-invariant
+//! sub-term (each component's embodied gCO₂, the CPA pieces of eq. 5, the
+//! operational term of eq. 2, the `T/LT` ratio of eq. 1) folds into a
+//! plain `f64` at compile time. [`CompiledFootprint::try_compile`] is its
+//! one-chip [`ModelParams`] case.
 //!
-//! The compiled form is one flat [`EvalPlan`]: an operational term, an
-//! instruction list for the eq. 3 sum, and an amortization ratio, whose
-//! operands are folded constants or columns of a point. It has two
-//! evaluators over the same operations: a scalar chain for one point
-//! ([`CompiledFootprint::eval`] and the short tail of a block), and a
-//! lane chain that walks [`LANES`] points per instruction
-//! ([`EvalPlan::eval_block`]). Neither allocates.
+//! The compiled form is one flat [`EvalPlan`]: an operational term, one
+//! instruction per eq. 3 component in [`SystemSpec::embodied`]'s fold
+//! order, and an amortization ratio, whose operands are folded constants
+//! or columns of a point. One evaluator walks up to [`LANES`] points per
+//! instruction ([`EvalPlan::eval_block`]); [`CompiledFootprint::eval`] is
+//! a block of one point. Neither allocates.
 //!
 //! Folding replays the *exact* floating-point operation sequence of the
 //! interpreted model (same associativity, same division-vs-multiply
 //! choices, same component order in the eq. 3 sum), so results are
-//! bit-for-bit identical to [`ModelParams::try_footprint`] — the old
-//! per-point path stays public as the oracle, and the property tests in
-//! `crates/core/tests/compiled.rs` pin the equivalence. Expensive
-//! discrete sub-terms (CPA, per-device storage footprints) are interned
-//! through [`crate::memo`] at compile time, so repeated configurations
-//! across kernels share work.
+//! bit-for-bit identical to [`ModelParams::try_footprint`], and to
+//! [`SystemSpec::embodied`] plus [`OperationalModel::footprint`] for a
+//! whole system; the tests in `crates/core/tests/compiled.rs` and
+//! `crates/scenario/tests/devices.rs` pin the equivalence. A fixed
+//! component's term is the footprint the interpreted fold adds, interned
+//! through [`crate::memo`].
 //!
 //! # Examples
 //!
@@ -47,10 +44,14 @@
 use std::fmt;
 use std::ops::Range;
 
-use act_units::{Area, Capacity, CarbonIntensity, Energy, TimeSpan};
+use act_units::{Area, CarbonIntensity, Energy, MassPerCapacity, TimeSpan};
 
+use crate::embodied::Component;
 use crate::params::{domain_error, INTENSITY_RANGE, LIFETIME_RANGE};
-use crate::{memo, ModelError, ModelParams, OperationalModel, PACKAGING_FOOTPRINT};
+use crate::{
+    memo, ComponentKind, FabScenario, ModelError, ModelParams, OperationalModel, SystemSpec,
+    Validate,
+};
 
 /// Lane width of the block-vectorized evaluation path: [`EvalPlan::eval_block`]
 /// walks design points in fixed blocks of `LANES` so every inner loop has a
@@ -59,9 +60,9 @@ use crate::{memo, ModelError, ModelParams, OperationalModel, PACKAGING_FOOTPRINT
 /// inside L1 even with several live lanes.
 pub const LANES: usize = 64;
 
-/// One `ModelParams` field (or storage-population entry) left *free* — i.e.
-/// supplied per point at [`CompiledFootprint::eval`] time instead of folded
-/// into the kernel's constants.
+/// One input of eq. 1 left *free* — i.e. supplied per point at
+/// [`CompiledFootprint::eval`] time instead of folded into the kernel's
+/// constants.
 ///
 /// Point coordinates are given in the same units as the corresponding
 /// `ModelParams` field (seconds, years, mm², g CO₂/kWh, a yield fraction,
@@ -72,13 +73,13 @@ pub enum FreeAxis {
     ExecutionTime,
     /// `LT` — hardware lifetime in years.
     Lifetime,
-    /// `A` — application-processor die area in mm².
+    /// `A` — application-processor (first logic die) area in mm².
     SocArea,
     /// `CIuse` — use-phase carbon intensity in g CO₂/kWh.
     UseIntensity,
-    /// `CIfab` — fab carbon intensity in g CO₂/kWh.
+    /// `CIfab` — fab carbon intensity in g CO₂/kWh, for every logic die.
     FabIntensity,
-    /// `Y` — fab yield in `(0, 1]`.
+    /// `Y` — fab yield in `(0, 1]`, for every logic die.
     FabYield,
     /// Application energy over `T`, in joules.
     Energy,
@@ -108,6 +109,18 @@ impl fmt::Display for FreeAxis {
 }
 
 impl FreeAxis {
+    /// The component this axis frees, as its kind and its index among the
+    /// components of that kind; `None` for a use-phase or fab axis.
+    fn component(self) -> Option<(ComponentKind, usize)> {
+        match self {
+            Self::SocArea => Some((ComponentKind::Soc, 0)),
+            Self::DramCapacity(k) => Some((ComponentKind::Dram, k)),
+            Self::SsdCapacity(k) => Some((ComponentKind::Ssd, k)),
+            Self::HddCapacity(k) => Some((ComponentKind::Hdd, k)),
+            _ => None,
+        }
+    }
+
     /// Validates one point coordinate against the same Table 1 range the
     /// corresponding [`ModelParams`] field enforces — the per-coordinate
     /// check of [`CompiledFootprint::try_eval`], for callers that validate
@@ -144,13 +157,29 @@ impl FreeAxis {
     }
 }
 
+/// The use-phase baselines a lowering folds next to a [`SystemSpec`]:
+/// eq. 1's `T` and `LT` and eq. 2's `CIuse` and energy, in the units of
+/// the matching [`ModelParams`] fields and [`FreeAxis`] coordinates.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct UsePhase {
+    /// `T` — application execution time in seconds.
+    pub execution_time_s: f64,
+    /// `LT` — hardware lifetime in years.
+    pub lifetime_years: f64,
+    /// `CIuse` — use-phase carbon intensity in g CO₂/kWh.
+    pub use_intensity_g_per_kwh: f64,
+    /// Application energy over `T`, in joules.
+    pub energy_j: f64,
+}
+
 /// A partially-evaluated eq. 1 kernel: every sweep-invariant sub-term of a
-/// [`ModelParams`] folded into constants, with only the declared
-/// [`FreeAxis`] values read per point.
+/// system, its fab and its use phase folded into constants, with only the
+/// declared [`FreeAxis`] values read per point.
 ///
-/// Compile once with [`Self::try_compile`], then call [`Self::eval`] per
-/// point — a handful of FLOPs, no heap allocation, bit-for-bit identical
-/// to [`ModelParams::try_footprint`] with the free axes substituted.
+/// Lower once with [`Self::try_lower`] (or [`Self::try_compile`], its
+/// one-chip [`ModelParams`] case), then call [`Self::eval`] per point — a
+/// handful of FLOPs, no heap allocation, bit-for-bit identical to the
+/// interpreted model with the free axes substituted.
 #[derive(Clone, Debug)]
 pub struct CompiledFootprint {
     axes: Vec<FreeAxis>,
@@ -158,7 +187,8 @@ pub struct CompiledFootprint {
 }
 
 impl CompiledFootprint {
-    /// Partially evaluates `params` against `axes`.
+    /// Partially evaluates `params` against `axes`: the one-chip case of
+    /// [`Self::try_lower`].
     ///
     /// The baseline `params` must fully validate (free fields included —
     /// their baseline values are simply never read at eval time), matching
@@ -170,138 +200,153 @@ impl CompiledFootprint {
     /// validate, an axis is listed twice, or a storage axis indexes past
     /// the corresponding population vector.
     pub fn try_compile(params: &ModelParams, axes: &[FreeAxis]) -> Result<Self, ModelError> {
-        params.validate()?;
+        let use_phase = UsePhase {
+            execution_time_s: params.execution_time_s,
+            lifetime_years: params.lifetime_years,
+            use_intensity_g_per_kwh: params.use_intensity_g_per_kwh,
+            energy_j: params.energy_j,
+        };
+        Self::try_lower(
+            &params.try_system_spec()?,
+            &params.try_fab_scenario()?,
+            &use_phase,
+            axes,
+        )
+    }
+
+    /// Lowers eq. 1 for `system` under `fab` and `use_phase` against
+    /// `axes`: one plan instruction per component, in
+    /// [`SystemSpec::embodied`]'s fold order. A component with no free
+    /// input is the very footprint that fold adds. [`FreeAxis::SocArea`]
+    /// frees the first logic die's area; [`FreeAxis::FabIntensity`] and
+    /// [`FreeAxis::FabYield`] reach every logic die.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ModelError`] if the system, the fab or a use-phase
+    /// baseline does not validate, an axis is listed twice, or a
+    /// component axis indexes past its population.
+    pub fn try_lower(
+        system: &SystemSpec,
+        fab: &FabScenario,
+        use_phase: &UsePhase,
+        axes: &[FreeAxis],
+    ) -> Result<Self, ModelError> {
+        system.validate()?;
+        fab.validate()?;
+        FreeAxis::ExecutionTime.check(use_phase.execution_time_s)?;
+        FreeAxis::Lifetime.check(use_phase.lifetime_years)?;
+        FreeAxis::UseIntensity.check(use_phase.use_intensity_g_per_kwh)?;
+        FreeAxis::Energy.check(use_phase.energy_j)?;
+        let components = &system.components;
         for (i, axis) in axes.iter().enumerate() {
             if axes[..i].contains(axis) {
                 return Err(ModelError::invariant(format!("free axis {axis} is listed twice")));
             }
-            let (population, in_range) = match axis {
-                FreeAxis::DramCapacity(k) => ("DRAM", *k < params.dram.len()),
-                FreeAxis::SsdCapacity(k) => ("SSD", *k < params.ssd.len()),
-                FreeAxis::HddCapacity(k) => ("HDD", *k < params.hdd.len()),
-                _ => continue,
-            };
-            if !in_range {
-                return Err(ModelError::invariant(format!(
-                    "free axis {axis} indexes past the {population} population"
-                )));
+            if let Some((kind, k)) = axis.component() {
+                if components.iter().filter(|c| c.kind() == kind).count() <= k {
+                    return Err(ModelError::invariant(format!(
+                        "free axis {axis} indexes past the {kind} population"
+                    )));
+                }
             }
         }
         let position = |wanted: FreeAxis| axes.iter().position(|axis| *axis == wanted);
-        // A free axis reads its column; a fixed one folds its baseline
-        // through the same conversion a column value would take.
-        let operand = |axis: FreeAxis, unit: Unit, baseline: f64| match position(axis) {
+        // A free axis reads its column; a fixed one is its baseline, already
+        // in the base unit a column value is converted to.
+        let operand = |axis: FreeAxis, unit: Unit, base: f64| match position(axis) {
             Some(col) => Operand::Col(col, unit),
-            None => Operand::Const(unit.to_base(baseline)),
+            None => Operand::Const(base),
         };
 
         // Operational term (eq. 2).
+        let UsePhase { execution_time_s, lifetime_years, use_intensity_g_per_kwh, energy_j } =
+            *use_phase;
         let op = match (
-            operand(FreeAxis::UseIntensity, Unit::Base, params.use_intensity_g_per_kwh),
-            operand(FreeAxis::Energy, Unit::Joules, params.energy_j),
+            operand(FreeAxis::UseIntensity, Unit::Base, use_intensity_g_per_kwh),
+            operand(FreeAxis::Energy, Unit::Joules, Unit::Joules.to_base(energy_j)),
         ) {
             (Operand::Const(_), Operand::Const(_)) => PlanOp::Const(
                 // Fold by replaying the oracle's own call chain.
-                OperationalModel::new(CarbonIntensity::grams_per_kwh(
-                    params.use_intensity_g_per_kwh,
-                ))
-                .footprint(Energy::joules(params.energy_j))
-                .as_grams(),
+                OperationalModel::new(CarbonIntensity::grams_per_kwh(use_intensity_g_per_kwh))
+                    .footprint(Energy::joules(energy_j))
+                    .as_grams(),
             ),
             (intensity, energy) => PlanOp::Product { intensity, energy },
         };
 
-        // Embodied terms (eq. 3), in `SystemSpec::embodied` component
-        // order: SoC, DRAM entries, SSD entries, HDD entries, packaging.
-        let fab = params.try_fab_scenario()?;
-        let soc = match (
-            operand(FreeAxis::FabIntensity, Unit::Base, params.fab_intensity_g_per_kwh),
-            operand(FreeAxis::FabYield, Unit::Base, params.fab_yield),
-            operand(FreeAxis::SocArea, Unit::Mm2, params.soc_area_mm2),
-        ) {
-            (Operand::Const(_), Operand::Const(_), Operand::Const(_)) => PlanInstr::Const(
-                (memo::carbon_per_area(&fab, params.process_node)
-                    * Area::square_millimeters(params.soc_area_mm2))
-                .as_grams(),
-            ),
-            (Operand::Const(_), Operand::Const(_), area) => PlanInstr::AreaScaled {
-                cpa_g_per_cm2: memo::carbon_per_area(&fab, params.process_node)
-                    .as_grams_per_cm2(),
-                area,
-            },
-            (intensity, fab_yield, area) => {
-                let node = params.process_node;
-                PlanInstr::Cpa {
-                    epa_kwh_per_cm2: node.energy_per_area().as_kwh_per_cm2(),
-                    gpa_g_per_cm2: node.gas_per_area(fab.abatement).as_grams_per_cm2(),
-                    mpa_g_per_cm2: node.materials_per_area().as_grams_per_cm2(),
-                    intensity,
-                    fab_yield,
-                    area,
+        // Embodied terms (eq. 3), one per component in fold order, then
+        // packaging. A component with no free input is its footprint.
+        let intensity = operand(
+            FreeAxis::FabIntensity,
+            Unit::Base,
+            fab.energy_intensity.as_grams_per_kwh(),
+        );
+        let fab_yield = operand(FreeAxis::FabYield, Unit::Base, fab.fab_yield.get());
+        // The leading run of fixed terms folds by replaying the oracle's
+        // `.sum()` (0.0, then += per component, in order), so the folded
+        // prefix carries the same rounding as the interpreted sum.
+        let mut embodied = 0.0;
+        let mut instrs = Vec::new();
+        let mut push = |instr| match instr {
+            PlanInstr::Const(value) if instrs.is_empty() => embodied += value,
+            instr => instrs.push(instr),
+        };
+        for (i, component) in components.iter().enumerate() {
+            let kind = component.kind();
+            let nth = components[..i].iter().filter(|c| c.kind() == kind).count();
+            let column = axes.iter().position(|axis| axis.component() == Some((kind, nth)));
+            let storage = |cps: MassPerCapacity| {
+                column.map(|capacity_col| PlanInstr::Storage {
+                    grams_per_gb: cps.as_grams_per_gb(),
+                    capacity_col,
+                })
+            };
+            let free = match *component {
+                Component::Soc { area, node, .. } => {
+                    let area = match column {
+                        Some(col) => Operand::Col(col, Unit::Mm2),
+                        None => Operand::Const(area.as_square_centimeters()),
+                    };
+                    match (intensity, fab_yield, area) {
+                        (Operand::Const(_), Operand::Const(_), Operand::Const(_)) => None,
+                        (Operand::Const(_), Operand::Const(_), area) => {
+                            Some(PlanInstr::AreaScaled {
+                                cpa_g_per_cm2: memo::carbon_per_area(fab, node)
+                                    .as_grams_per_cm2(),
+                                area,
+                            })
+                        }
+                        (intensity, fab_yield, area) => Some(PlanInstr::Cpa {
+                            epa_kwh_per_cm2: node.energy_per_area().as_kwh_per_cm2(),
+                            gpa_g_per_cm2: node.gas_per_area(fab.abatement).as_grams_per_cm2(),
+                            mpa_g_per_cm2: node.materials_per_area().as_grams_per_cm2(),
+                            intensity,
+                            fab_yield,
+                            area,
+                        }),
+                    }
                 }
-            }
-        };
-        let mut instrs = vec![soc];
-        for (k, (technology, gb)) in params.dram.iter().enumerate() {
-            instrs.push(match position(FreeAxis::DramCapacity(k)) {
-                Some(capacity_col) => PlanInstr::Storage {
-                    grams_per_gb: technology.carbon_per_gb().as_grams_per_gb(),
-                    capacity_col,
-                },
-                None => PlanInstr::Const(
-                    memo::dram_embodied(*technology, Capacity::gigabytes(*gb)).as_grams(),
-                ),
-            });
+                Component::Dram { technology, .. } => storage(technology.carbon_per_gb()),
+                Component::Ssd { technology, .. } => storage(technology.carbon_per_gb()),
+                Component::Hdd { model, .. } => storage(model.carbon_per_gb()),
+            };
+            push(free.unwrap_or_else(|| PlanInstr::Const(component.footprint(fab).as_grams())));
         }
-        for (k, (technology, gb)) in params.ssd.iter().enumerate() {
-            instrs.push(match position(FreeAxis::SsdCapacity(k)) {
-                Some(capacity_col) => PlanInstr::Storage {
-                    grams_per_gb: technology.carbon_per_gb().as_grams_per_gb(),
-                    capacity_col,
-                },
-                None => PlanInstr::Const(
-                    memo::ssd_embodied(*technology, Capacity::gigabytes(*gb)).as_grams(),
-                ),
-            });
+        if let Some(packaging) = system.packaging() {
+            push(PlanInstr::Const(packaging.as_grams()));
         }
-        for (k, (model, gb)) in params.hdd.iter().enumerate() {
-            instrs.push(match position(FreeAxis::HddCapacity(k)) {
-                Some(capacity_col) => PlanInstr::Storage {
-                    grams_per_gb: model.carbon_per_gb().as_grams_per_gb(),
-                    capacity_col,
-                },
-                None => PlanInstr::Const(
-                    memo::hdd_embodied(*model, Capacity::gigabytes(*gb)).as_grams(),
-                ),
-            });
-        }
-        if params.packaged_ic_count > 0 {
-            instrs.push(PlanInstr::Const(
-                (PACKAGING_FOOTPRINT * f64::from(params.packaged_ic_count)).as_grams(),
-            ));
-        }
-        // All-constant sums fold by replaying the oracle's `.sum()` (0.0,
-        // then += per component, in order), so the folded constant carries
-        // the same rounding as the interpreted sum.
-        let folded = instrs.iter().try_fold(0.0, |acc, instr| match instr {
-            PlanInstr::Const(value) => Some(acc + value),
-            _ => None,
-        });
-        let embodied = match folded {
-            Some(value) => PlanEmbodied::Const(value),
-            None => PlanEmbodied::Instrs(instrs),
-        };
 
         // Amortization (eq. 1's T / LT).
         let amort = match (
-            operand(FreeAxis::ExecutionTime, Unit::Base, params.execution_time_s),
-            operand(FreeAxis::Lifetime, Unit::Years, params.lifetime_years),
+            operand(FreeAxis::ExecutionTime, Unit::Base, execution_time_s),
+            operand(FreeAxis::Lifetime, Unit::Years, Unit::Years.to_base(lifetime_years)),
         ) {
             (Operand::Const(t), Operand::Const(lt)) => PlanAmort::Const(t / lt),
             (run_time, lifetime) => PlanAmort::Ratio { run_time, lifetime },
         };
 
-        let plan = EvalPlan { arity: axes.len(), op, embodied, amort };
+        let plan = EvalPlan { arity: axes.len(), op, embodied, instrs, amort };
         Ok(Self { axes: axes.to_vec(), plan })
     }
 
@@ -349,7 +394,9 @@ impl CompiledFootprint {
             self.axes.len(),
             "point arity must match the compiled free axes"
         );
-        self.plan.eval_point(|col| point[col])
+        let mut out = [0.0];
+        self.plan.eval_lanes(&|col| std::slice::from_ref(&point[col]), 0, &mut out);
+        out[0]
     }
 
     /// Checked variant of [`Self::eval`]: validates every coordinate
@@ -423,17 +470,10 @@ enum Operand {
 }
 
 impl Operand {
+    /// Fills `dst` with this operand over `start..start + dst.len()` of
+    /// the columns `column` reads.
     #[inline]
-    fn at(self, coord: &impl Fn(usize) -> f64) -> f64 {
-        match self {
-            Self::Const(value) => value,
-            Self::Col(col, unit) => unit.to_base(coord(col)),
-        }
-    }
-
-    /// Fills `dst` with this operand over `start..start + dst.len()`.
-    #[inline]
-    fn lane(self, dst: &mut [f64], columns: &[&[f64]], start: usize) {
+    fn lane<'a>(self, dst: &mut [f64], column: &impl Fn(usize) -> &'a [f64], start: usize) {
         /// One loop per unit, so the conversion is resolved once per lane
         /// rather than per point.
         fn convert(dst: &mut [f64], src: &[f64], to_base: impl Fn(f64) -> f64) {
@@ -447,7 +487,7 @@ impl Operand {
         match self {
             Self::Const(value) => dst.fill(value),
             Self::Col(col, unit) => {
-                let src = &columns[col][start..start + dst.len()];
+                let src = &column(col)[start..start + dst.len()];
                 match unit {
                     Unit::Base => dst.copy_from_slice(src),
                     Unit::Joules => convert(dst, src, |value| Unit::Joules.to_base(value)),
@@ -470,7 +510,8 @@ enum PlanOp {
 
 /// One addend of the eq. 3 embodied sum. Instruction order is the
 /// oracle's component order — f64 addition is not associative, so
-/// compilation never merges or reorders terms.
+/// compilation never reorders terms, and merges only the leading run of
+/// constants, which the oracle's sum adds first anyway.
 #[derive(Clone, Copy, Debug)]
 enum PlanInstr {
     /// Fully invariant component: its folded gCO₂ footprint.
@@ -491,42 +532,6 @@ enum PlanInstr {
     Storage { grams_per_gb: f64, capacity_col: usize },
 }
 
-impl PlanInstr {
-    /// This term's gCO₂ at one point.
-    #[inline]
-    fn term(self, coord: &impl Fn(usize) -> f64) -> f64 {
-        match self {
-            Self::Const(value) => value,
-            Self::AreaScaled { cpa_g_per_cm2, area } => cpa_g_per_cm2 * area.at(coord),
-            Self::Cpa {
-                epa_kwh_per_cm2,
-                gpa_g_per_cm2,
-                mpa_g_per_cm2,
-                intensity,
-                fab_yield,
-                area,
-            } => {
-                // Exactly eq. 5 as `FabScenario::cpa_breakdown` + `total()`
-                // compute it: CI×EPA, then left-associated additions, then
-                // the yield division, then eq. 4's area multiply.
-                let energy = intensity.at(coord) * epa_kwh_per_cm2;
-                let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
-                let cpa = before_yield / fab_yield.at(coord);
-                cpa * area.at(coord)
-            }
-            Self::Storage { grams_per_gb, capacity_col } => grams_per_gb * coord(capacity_col),
-        }
-    }
-}
-
-/// The embodied sum of eq. 3: folded entirely, or an instruction list
-/// re-summed per point (constants are *not* merged across terms).
-#[derive(Clone, Debug)]
-enum PlanEmbodied {
-    Const(f64),
-    Instrs(Vec<PlanInstr>),
-}
-
 /// The `T / LT` amortization ratio of eq. 1.
 #[derive(Clone, Copy, Debug)]
 enum PlanAmort {
@@ -541,12 +546,11 @@ enum PlanAmort {
 /// [`Self::eval_block`] reads the columns directly — no per-point gather
 /// into a scratch slice, no per-point enum dispatch — processing
 /// [`LANES`]-wide blocks whose inner loops rustc auto-vectorizes (no
-/// `unsafe`, no intrinsics); the tail shorter than a block runs through
-/// the scalar chain [`CompiledFootprint::eval`] uses. Because the lane
-/// chain replays every per-point operation of the scalar one, results
-/// are **bit-for-bit identical** to the per-point kernel and the
-/// interpreted oracle; the property tests in
-/// `crates/core/tests/compiled.rs` pin the equivalence.
+/// `unsafe`, no intrinsics). The tail shorter than a block is one shorter
+/// block, and [`CompiledFootprint::eval`] is a block of one point, so
+/// there is one per-point operation sequence. It replays the interpreted
+/// model's, so results are **bit-for-bit identical** to the oracle; the
+/// property tests in `crates/core/tests/compiled.rs` pin the equivalence.
 ///
 /// # Examples
 ///
@@ -568,7 +572,10 @@ enum PlanAmort {
 pub struct EvalPlan {
     arity: usize,
     op: PlanOp,
-    embodied: PlanEmbodied,
+    /// The folded sum of the leading constant terms of eq. 3.
+    embodied: f64,
+    /// The rest of eq. 3, added per point on top of `embodied`.
+    instrs: Vec<PlanInstr>,
     amort: PlanAmort,
 }
 
@@ -602,62 +609,39 @@ impl EvalPlan {
                 range.end
             );
         }
+        // Cache-blocked: LANES-wide blocks with fixed-size lane buffers,
+        // then one shorter block for the remainder.
+        let column = |col: usize| columns[col];
+        let mut blocks = out.chunks_exact_mut(LANES);
         let mut start = range.start;
-        let mut done = 0;
-        // Cache-blocked hot path: full LANES-wide blocks with fixed-size
-        // lane buffers...
-        while out.len() - done >= LANES {
-            self.eval_lane_block(columns, start, &mut out[done..done + LANES]);
+        for lanes in &mut blocks {
+            self.eval_lanes(&column, start, lanes);
             start += LANES;
-            done += LANES;
         }
-        // ...and the scalar chain for the remainder.
-        for slot in &mut out[done..] {
-            *slot = self.eval_point(|col| columns[col][start]);
-            start += 1;
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.eval_lanes(&column, start, tail);
         }
     }
 
-    /// The scalar chain: eq. 1 at one point whose column `c` reads as
-    /// `coord(c)`. [`CompiledFootprint::eval`] and the tail of
-    /// [`Self::eval_block`] both run it, so there is one per-point
-    /// operation sequence for [`Self::eval_lane_block`] to replay.
-    #[inline]
-    fn eval_point(&self, coord: impl Fn(usize) -> f64) -> f64 {
-        if !(0..self.arity).all(|col| coord(col).is_finite()) {
-            return f64::NAN;
-        }
-        let operational = match self.op {
-            PlanOp::Const(value) => value,
-            // Eq. 2 exactly as `OperationalModel::footprint`:
-            // CI × (E × effectiveness), effectiveness folded at 1.0.
-            PlanOp::Product { intensity, energy } => {
-                intensity.at(&coord) * (energy.at(&coord) * 1.0)
-            }
-        };
-        let embodied = match &self.embodied {
-            PlanEmbodied::Const(value) => *value,
-            PlanEmbodied::Instrs(instrs) => {
-                instrs.iter().fold(0.0, |acc, instr| acc + instr.term(&coord))
-            }
-        };
-        let ratio = match self.amort {
-            PlanAmort::Const(value) => value,
-            PlanAmort::Ratio { run_time, lifetime } => {
-                run_time.at(&coord) / lifetime.at(&coord)
-            }
-        };
-        operational + embodied * ratio
-    }
-
-    /// One `n ≤ LANES` block: every instruction is dispatched once, its
+    /// One `n ≤ LANES` block of the points `start..start + n` of the
+    /// columns `column` reads: every instruction is dispatched once, its
     /// inner loop runs branch-free over the lane. Loop interchange (term
     /// loops over points instead of point loops over terms) preserves each
     /// point's operation chain exactly, so it cannot change a single bit.
-    fn eval_lane_block(&self, columns: &[&[f64]], start: usize, out: &mut [f64]) {
+    /// Inlined into each caller, so a full block's loops keep their
+    /// compile-time trip count of [`LANES`].
+    #[inline(always)]
+    fn eval_lanes<'a>(
+        &self,
+        column: &impl Fn(usize) -> &'a [f64],
+        start: usize,
+        out: &mut [f64],
+    ) {
         let n = out.len();
 
-        // Eq. 2, exactly `intensity * (energy * 1.0)` per point.
+        // Eq. 2 exactly as `OperationalModel::footprint`:
+        // CI × (E × effectiveness), effectiveness folded at 1.0.
         let mut op_buf = [0.0f64; LANES];
         let op_lane = &mut op_buf[..n];
         match self.op {
@@ -667,8 +651,8 @@ impl EvalPlan {
                 let mut energy_buf = [0.0f64; LANES];
                 let ci_lane = &mut ci_buf[..n];
                 let energy_lane = &mut energy_buf[..n];
-                intensity.lane(ci_lane, columns, start);
-                energy.lane(energy_lane, columns, start);
+                intensity.lane(ci_lane, column, start);
+                energy.lane(energy_lane, column, start);
                 for ((slot, &ci), &kwh) in op_lane.iter_mut().zip(&*ci_lane).zip(&*energy_lane)
                 {
                     *slot = ci * (kwh * 1.0);
@@ -676,60 +660,58 @@ impl EvalPlan {
             }
         }
 
-        // Eq. 3: accumulate from 0.0 in instruction (= component) order.
+        // Eq. 3: accumulate on the folded prefix in instruction
+        // (= component) order.
         let mut emb_buf = [0.0f64; LANES];
         let emb_lane = &mut emb_buf[..n];
-        match &self.embodied {
-            PlanEmbodied::Const(value) => emb_lane.fill(*value),
-            PlanEmbodied::Instrs(instrs) => {
-                for instr in instrs {
-                    match *instr {
-                        PlanInstr::Const(value) => {
-                            for slot in emb_lane.iter_mut() {
-                                *slot += value;
-                            }
-                        }
-                        PlanInstr::AreaScaled { cpa_g_per_cm2, area } => {
-                            let mut area_buf = [0.0f64; LANES];
-                            let area_lane = &mut area_buf[..n];
-                            area.lane(area_lane, columns, start);
-                            for (slot, &cm2) in emb_lane.iter_mut().zip(&*area_lane) {
-                                *slot += cpa_g_per_cm2 * cm2;
-                            }
-                        }
-                        PlanInstr::Cpa {
-                            epa_kwh_per_cm2,
-                            gpa_g_per_cm2,
-                            mpa_g_per_cm2,
-                            intensity,
-                            fab_yield,
-                            area,
-                        } => {
-                            let mut ci_buf = [0.0f64; LANES];
-                            let mut yield_buf = [0.0f64; LANES];
-                            let mut area_buf = [0.0f64; LANES];
-                            let ci_lane = &mut ci_buf[..n];
-                            let yield_lane = &mut yield_buf[..n];
-                            let area_lane = &mut area_buf[..n];
-                            intensity.lane(ci_lane, columns, start);
-                            fab_yield.lane(yield_lane, columns, start);
-                            area.lane(area_lane, columns, start);
-                            // Exactly the eq. 5 chain of `PlanInstr::term`:
-                            // CI×EPA, left-associated additions, yield
-                            // division, eq. 4 area multiply.
-                            for i in 0..n {
-                                let energy = ci_lane[i] * epa_kwh_per_cm2;
-                                let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
-                                let cpa = before_yield / yield_lane[i];
-                                emb_lane[i] += cpa * area_lane[i];
-                            }
-                        }
-                        PlanInstr::Storage { grams_per_gb, capacity_col } => {
-                            let src = &columns[capacity_col][start..start + n];
-                            for (slot, &gb) in emb_lane.iter_mut().zip(src) {
-                                *slot += grams_per_gb * gb;
-                            }
-                        }
+        emb_lane.fill(self.embodied);
+        for instr in &self.instrs {
+            match *instr {
+                PlanInstr::Const(value) => {
+                    for slot in emb_lane.iter_mut() {
+                        *slot += value;
+                    }
+                }
+                PlanInstr::AreaScaled { cpa_g_per_cm2, area } => {
+                    let mut area_buf = [0.0f64; LANES];
+                    let area_lane = &mut area_buf[..n];
+                    area.lane(area_lane, column, start);
+                    for (slot, &cm2) in emb_lane.iter_mut().zip(&*area_lane) {
+                        *slot += cpa_g_per_cm2 * cm2;
+                    }
+                }
+                PlanInstr::Cpa {
+                    epa_kwh_per_cm2,
+                    gpa_g_per_cm2,
+                    mpa_g_per_cm2,
+                    intensity,
+                    fab_yield,
+                    area,
+                } => {
+                    let mut ci_buf = [0.0f64; LANES];
+                    let mut yield_buf = [0.0f64; LANES];
+                    let mut area_buf = [0.0f64; LANES];
+                    let ci_lane = &mut ci_buf[..n];
+                    let yield_lane = &mut yield_buf[..n];
+                    let area_lane = &mut area_buf[..n];
+                    intensity.lane(ci_lane, column, start);
+                    fab_yield.lane(yield_lane, column, start);
+                    area.lane(area_lane, column, start);
+                    // Exactly eq. 5 as `FabScenario::cpa_breakdown` +
+                    // `total()` compute it: CI×EPA, then left-associated
+                    // additions, then the yield division, then eq. 4's
+                    // area multiply.
+                    for i in 0..n {
+                        let energy = ci_lane[i] * epa_kwh_per_cm2;
+                        let before_yield = (energy + gpa_g_per_cm2) + mpa_g_per_cm2;
+                        let cpa = before_yield / yield_lane[i];
+                        emb_lane[i] += cpa * area_lane[i];
+                    }
+                }
+                PlanInstr::Storage { grams_per_gb, capacity_col } => {
+                    let src = &column(capacity_col)[start..start + n];
+                    for (slot, &gb) in emb_lane.iter_mut().zip(src) {
+                        *slot += grams_per_gb * gb;
                     }
                 }
             }
@@ -745,8 +727,8 @@ impl EvalPlan {
                 let mut life_buf = [0.0f64; LANES];
                 let time_lane = &mut time_buf[..n];
                 let life_lane = &mut life_buf[..n];
-                run_time.lane(time_lane, columns, start);
-                lifetime.lane(life_lane, columns, start);
+                run_time.lane(time_lane, column, start);
+                lifetime.lane(life_lane, column, start);
                 for i in 0..n {
                     ratio_lane[i] = time_lane[i] / life_lane[i];
                 }
@@ -754,12 +736,11 @@ impl EvalPlan {
         }
 
         // Combine, then poison points with a non-finite coordinate to NaN
-        // — same outcome as the scalar chain's up-front finiteness
-        // bail-out, applied as a mask so the lane loops stay branch-free.
+        // — applied as a mask so the lane loops stay branch-free.
         let mut finite_buf = [true; LANES];
         let finite_lane = &mut finite_buf[..n];
-        for column in columns {
-            let src = &column[start..start + n];
+        for col in 0..self.arity {
+            let src = &column(col)[start..start + n];
             for (flag, &value) in finite_lane.iter_mut().zip(src) {
                 *flag &= value.is_finite();
             }
@@ -1100,7 +1081,7 @@ mod tests {
         let mut rng = TestRng(0xbad0_0000_0000_0003);
         let mut columns = fill_columns(&mut rng, &axes, len);
         // Poison a scatter of slots across both the lane body and the
-        // scalar tail, alternating NaN and infinity across the two axes.
+        // short last block, alternating NaN and infinity across the two axes.
         let poisoned = [0, 5, LANES - 1, LANES, len - 1];
         for (which, &i) in poisoned.iter().enumerate() {
             columns[which % 2][i] = if which % 3 == 0 { f64::NAN } else { f64::INFINITY };

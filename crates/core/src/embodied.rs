@@ -7,7 +7,7 @@ use std::fmt;
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};
 use act_units::{Area, Capacity, MassCo2, UnitError};
 
-use crate::{FabScenario, ModelError, Validate};
+use crate::{memo, FabScenario, ModelError, Validate};
 
 /// Per-IC packaging footprint `Kr` (eq. 3), from SPIL's environmental
 /// reporting: 0.15 kg CO₂ per packaged IC.
@@ -51,11 +51,36 @@ impl fmt::Display for ComponentKind {
 
 /// One hardware component of a [`SystemSpec`].
 #[derive(Clone, Debug, PartialEq)]
-enum Component {
+pub(crate) enum Component {
     Soc { label: Cow<'static, str>, area: Area, node: ProcessNode },
     Dram { technology: DramTechnology, capacity: Capacity },
     Ssd { technology: SsdTechnology, capacity: Capacity },
     Hdd { model: HddModel, capacity: Capacity },
+}
+
+impl Component {
+    pub(crate) fn kind(&self) -> ComponentKind {
+        match self {
+            Self::Soc { .. } => ComponentKind::Soc,
+            Self::Dram { .. } => ComponentKind::Dram,
+            Self::Ssd { .. } => ComponentKind::Ssd,
+            Self::Hdd { .. } => ComponentKind::Hdd,
+        }
+    }
+
+    /// This component's embodied footprint under `fab`: eq. 4's
+    /// `Area × CPA` for a logic die, eqs. 6–8's `CPS × capacity` for
+    /// memory and storage (memoized, bit-identical to the direct
+    /// products). [`SystemSpec::embodied`] and the compiled plan's fixed
+    /// terms both come from here.
+    pub(crate) fn footprint(&self, fab: &FabScenario) -> MassCo2 {
+        match self {
+            Self::Soc { area, node, .. } => memo::carbon_per_area(fab, *node) * *area,
+            Self::Dram { technology, capacity } => memo::dram_embodied(*technology, *capacity),
+            Self::Ssd { technology, capacity } => memo::ssd_embodied(*technology, *capacity),
+            Self::Hdd { model, capacity } => memo::hdd_embodied(*model, *capacity),
+        }
+    }
 }
 
 impl act_json::ToJson for Component {
@@ -132,7 +157,8 @@ fn validate_components(components: &[Component]) -> Result<(), ModelError> {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemSpec {
-    components: Vec<Component>,
+    /// The chips, memory and storage, in eq. 3 fold order.
+    pub(crate) components: Vec<Component>,
     packaged_ic_count: u32,
 }
 
@@ -174,40 +200,30 @@ impl SystemSpec {
     pub fn embodied(&self, fab: &FabScenario) -> EmbodiedReport {
         let mut components = Vec::with_capacity(self.components.len() + 1);
         for component in &self.components {
-            let (kind, label, mass) = match component {
-                Component::Soc { label, area, node } => (
-                    ComponentKind::Soc,
-                    label.clone().into_owned(),
-                    // Eq. 4: E_SoC = Area x CPA (memoized — bit-identical
-                    // to `fab.carbon_per_area(*node) * *area`).
-                    crate::memo::carbon_per_area(fab, *node) * *area,
-                ),
-                Component::Dram { technology, capacity } => (
-                    ComponentKind::Dram,
-                    technology.to_string(),
-                    crate::memo::dram_embodied(*technology, *capacity),
-                ),
-                Component::Ssd { technology, capacity } => (
-                    ComponentKind::Ssd,
-                    technology.to_string(),
-                    crate::memo::ssd_embodied(*technology, *capacity),
-                ),
-                Component::Hdd { model, capacity } => (
-                    ComponentKind::Hdd,
-                    model.to_string(),
-                    crate::memo::hdd_embodied(*model, *capacity),
-                ),
+            let label = match component {
+                Component::Soc { label, .. } => label.clone().into_owned(),
+                Component::Dram { technology, .. } => technology.to_string(),
+                Component::Ssd { technology, .. } => technology.to_string(),
+                Component::Hdd { model, .. } => model.to_string(),
             };
-            components.push(EmbodiedComponent { kind, label, footprint: mass });
+            let footprint = component.footprint(fab);
+            components.push(EmbodiedComponent { kind: component.kind(), label, footprint });
         }
-        if self.packaged_ic_count > 0 {
+        if let Some(footprint) = self.packaging() {
             components.push(EmbodiedComponent {
                 kind: ComponentKind::Packaging,
                 label: format!("{} packaged ICs", self.packaged_ic_count),
-                footprint: PACKAGING_FOOTPRINT * f64::from(self.packaged_ic_count),
+                footprint,
             });
         }
         EmbodiedReport { components }
+    }
+
+    /// Packaging's `Nr × Kr`, the last term of eq. 3; `None` for a spec
+    /// with no packaged ICs.
+    pub(crate) fn packaging(&self) -> Option<MassCo2> {
+        (self.packaged_ic_count > 0)
+            .then(|| PACKAGING_FOOTPRINT * f64::from(self.packaged_ic_count))
     }
 
     /// Checked variant of [`Self::embodied`]: validates the spec and the fab

@@ -57,7 +57,7 @@ mod metrics;
 mod operational;
 mod params;
 
-pub use compiled::{CompiledFootprint, EvalPlan, FreeAxis, LANES};
+pub use compiled::{CompiledFootprint, EvalPlan, FreeAxis, UsePhase, LANES};
 pub use embodied::{
     ComponentKind, EmbodiedComponent, EmbodiedReport, SystemSpec, SystemSpecBuilder,
     PACKAGING_FOOTPRINT,

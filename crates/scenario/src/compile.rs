@@ -15,28 +15,25 @@
 //! fixture pin test in this crate holds every committed device to its
 //! component and total bits.
 //!
-//! ## Use-phase kernel
+//! ## Use phase
 //!
-//! The workload/fleet path compiles a [`CompiledFootprint`] over the axes
-//! `[ExecutionTime, Lifetime, UseIntensity, Energy]` with **zero** SoC
-//! area, no storage, and no packaging, so the kernel's embodied term
-//! folds to `Const(0.0)` and each evaluation returns the operational term
-//! alone. Callers then add the scenario's embodied total computed by the
-//! [`SystemSpec`] oracle. Feeding the execution-time axis
-//! `lifetime_years * SECONDS_PER_YEAR` — the exact product
-//! [`TimeSpan::years`](act_units::TimeSpan::years) stores — makes the
-//! kernel's `T/LT` amortization ratio exactly `1.0`, so nothing but the
-//! operational energy varies per sample.
+//! With a workload, the document's own [`SystemSpec`] lowers through
+//! [`CompiledFootprint::try_lower`] to one eq. 1 plan: one instruction per
+//! component, in the fold order above, under the document's fab. The
+//! footprint covers the device's whole lifetime, so `T = LT` and the
+//! amortization ratio folds to exactly `1.0` at compile time. The plan's
+//! free axes are the use-phase grid intensity and lifetime energy, the
+//! two columns a fleet sample draws; the device footprint is the plan at
+//! the workload's point.
 
 use std::fmt;
 
 use act_core::{
-    CompiledFootprint, EmbodiedReport, FreeAxis, ModelError, ModelParams, SystemSpec,
-    INTENSITY_RANGE, LIFETIME_RANGE,
+    CompiledFootprint, EmbodiedReport, FreeAxis, ModelError, OperationalModel, SystemSpec,
+    UsePhase, INTENSITY_RANGE, LIFETIME_RANGE,
 };
-use act_data::ProcessNode;
 use act_json::JsonError;
-use act_units::{Area, Capacity, SECONDS_PER_YEAR};
+use act_units::{Area, Capacity, CarbonIntensity, Energy, TimeSpan};
 
 use crate::fleet::FleetKernel;
 use crate::schema::{Scenario, Workload};
@@ -45,9 +42,12 @@ use crate::schema::{Scenario, Workload};
 pub(crate) const UTILIZATION_RANGE: std::ops::RangeInclusive<f64> = 0.0..=1.0;
 /// Sanity ceiling on average power (a megawatt device is a typo).
 const MAX_POWER_W: f64 = 1.0e6;
-/// Ceiling on per-request Monte-Carlo samples (matches the server's
-/// sweep-size guard; keeps a hostile fleet block from pinning a core).
+/// Ceiling on a fleet block's Monte-Carlo samples; keeps a hostile
+/// document from pinning a core.
 const MAX_SAMPLES: usize = 4_000_000;
+/// The free axes of a scenario's plan, in column order: the two use-phase
+/// inputs a fleet sample draws.
+const FLEET_AXES: [FreeAxis; 2] = [FreeAxis::UseIntensity, FreeAxis::Energy];
 
 /// Error from scenario parsing, validation, or model lowering.
 #[derive(Debug)]
@@ -215,43 +215,10 @@ fn check_workload(workload: &Workload) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// Compiles the operational-only kernel described in the module docs.
-/// Every embodied input is zeroed so the kernel's embodied term folds to
-/// a constant `0.0` and each evaluation yields the operational term.
-pub(crate) fn operational_kernel(
-    node: ProcessNode,
-) -> Result<CompiledFootprint, ScenarioError> {
-    let params = ModelParams {
-        execution_time_s: 1.0,
-        lifetime_years: 1.0,
-        packaged_ic_count: 0,
-        soc_area_mm2: 0.0,
-        process_node: node,
-        use_intensity_g_per_kwh: 301.0,
-        fab_intensity_g_per_kwh: 447.5,
-        fab_yield: 0.875,
-        dram: Vec::new(),
-        ssd: Vec::new(),
-        hdd: Vec::new(),
-        energy_j: 1.0,
-    };
-    let axes =
-        [FreeAxis::ExecutionTime, FreeAxis::Lifetime, FreeAxis::UseIntensity, FreeAxis::Energy];
-    Ok(CompiledFootprint::try_compile(&params, &axes)?)
-}
-
-/// The kernel evaluation point for one device configuration. Feeding the
-/// execution-time axis the exact seconds-per-lifetime product keeps the
-/// amortization ratio at exactly `1.0` (see module docs), so the result
-/// is the operational term alone.
-pub(crate) fn device_point(
-    power_w: f64,
-    utilization: f64,
-    lifetime_years: f64,
-    intensity: f64,
-) -> [f64; 4] {
-    let exec_s = lifetime_years * SECONDS_PER_YEAR;
-    [exec_s, lifetime_years, intensity, power_w * utilization * exec_s]
+/// Use-phase energy of a device drawing `power_w` at `utilization` over
+/// its whole `lifetime_years`, in joules.
+pub(crate) fn lifetime_energy_j(power_w: f64, utilization: f64, lifetime_years: f64) -> f64 {
+    power_w * utilization * TimeSpan::years(lifetime_years).as_seconds()
 }
 
 impl Scenario {
@@ -302,23 +269,30 @@ impl Scenario {
 
         let fab = self.fab.unwrap_or_default();
         let report = system.try_embodied(&fab)?;
-        let embodied_g = report.total().as_grams();
 
-        let node = self.chips.first().map_or(ProcessNode::N7, |chip| chip.node);
         let mut device = None;
         let mut fleet = None;
         if let Some(workload) = &self.workload {
             check_workload(workload)?;
-            let kernel = operational_kernel(node)?;
-            let point = device_point(
-                workload.power_w,
-                workload.utilization,
-                workload.lifetime_years,
-                workload.use_intensity_g_per_kwh,
-            );
-            let operational_g = kernel.eval(&point);
-            device =
-                Some(DeviceFootprint { operational_g, total_g: operational_g + embodied_g });
+            let &Workload { power_w, utilization, lifetime_years, use_intensity_g_per_kwh } =
+                workload;
+            let energy_j = lifetime_energy_j(power_w, utilization, lifetime_years);
+            // The footprint covers the whole lifetime: T = LT.
+            let execution_time_s = TimeSpan::years(lifetime_years).as_seconds();
+            let use_phase = UsePhase {
+                execution_time_s,
+                lifetime_years,
+                use_intensity_g_per_kwh,
+                energy_j,
+            };
+            let kernel = CompiledFootprint::try_lower(&system, &fab, &use_phase, &FLEET_AXES)?;
+            let intensity = CarbonIntensity::grams_per_kwh(use_intensity_g_per_kwh);
+            device = Some(DeviceFootprint {
+                operational_g: OperationalModel::new(intensity)
+                    .footprint(Energy::joules(energy_j))
+                    .as_grams(),
+                total_g: kernel.eval(&[use_intensity_g_per_kwh, energy_j]),
+            });
             if let Some(spec) = &self.fleet {
                 if spec.devices == 0 {
                     return Err(ScenarioError::invalid(
@@ -341,8 +315,7 @@ impl Scenario {
                 spec.lifetime_years.validate("fleet.lifetime_years")?;
                 spec.use_intensity_g_per_kwh.validate("fleet.use_intensity_g_per_kwh")?;
                 spec.utilization.validate("fleet.utilization")?;
-                fleet =
-                    Some(FleetKernel::new(kernel, embodied_g, workload.power_w, spec.clone()));
+                fleet = Some(FleetKernel::new(kernel.plan(), power_w, spec.clone()));
             }
         } else if self.fleet.is_some() {
             return Err(ScenarioError::invalid(

@@ -1,4 +1,4 @@
-//! Fleet-scale Monte-Carlo over a compiled scenario kernel.
+//! Fleet-scale Monte-Carlo over a scenario's compiled eq. 1 plan.
 //!
 //! [`FleetKernel::run`] drives `act_dse::batch`'s block Monte-Carlo
 //! engine: sample `i` draws from an RNG seeded with
@@ -8,8 +8,9 @@
 //!
 //! Each sample draws, in fixed order, a lifetime, a grid intensity, and
 //! a utilization from the scenario's distributions, then evaluates the
-//! operational kernel and adds the embodied total. The sampler works on
-//! a whole block at a time, column by column:
+//! plan at its grid intensity and lifetime energy; the plan's embodied
+//! term and its `T/LT = 1` are folded constants. The sampler works on a
+//! whole block at a time, column by column:
 //!
 //! 1. seed each sample's `Rng` and write its raw `[0, 1)` uniforms, in
 //!    the draw order above (a normal takes two, `u1` then `u2`; uniform
@@ -18,7 +19,7 @@
 //!    the same `act_rng::unit_to_*` functions `Rng::gen_range`,
 //!    `Rng::normal_with` and `act_dse::try_triangular` use, so every draw
 //!    is bit-identical to the per-sample API;
-//! 3. range-check each sample and lay out the kernel's columns.
+//! 3. range-check each sample and lay out the plan's columns.
 //!
 //! Draws that land outside the model's documented ranges (or are
 //! non-finite) poison the sample's columns to NaN; the batch layer counts
@@ -26,14 +27,14 @@
 
 use std::ops::Range;
 
-use act_core::{CompiledFootprint, INTENSITY_RANGE, LIFETIME_RANGE};
+use act_core::{EvalPlan, INTENSITY_RANGE, LIFETIME_RANGE};
 use act_dse::{
     mc_sample_seed, par_monte_carlo_compiled_block_budgeted, BatchRun, BlockSampler,
     EvalBudget, McBuffer, McError, McOutcome, Parallelism,
 };
 use act_rng::{unit_to_normal, unit_to_range, unit_to_triangular, Rng};
 
-use crate::compile::{device_point, UTILIZATION_RANGE};
+use crate::compile::{lifetime_energy_j, UTILIZATION_RANGE};
 use crate::schema::{Distribution, FleetSpec};
 
 impl Distribution {
@@ -74,7 +75,8 @@ impl Distribution {
 }
 
 /// The fleet's column-wise [`BlockSampler`]; its scratch holds the raw
-/// uniforms, one `range.len()`-long column per draw slot.
+/// uniforms, one `range.len()`-long column per draw slot, and the
+/// lifetime draws.
 struct FleetSampler {
     /// Lifetime, intensity, utilization: the seed contract's draw order.
     dists: [Distribution; 3],
@@ -82,22 +84,19 @@ struct FleetSampler {
 }
 
 impl BlockSampler for FleetSampler {
-    type Scratch = Vec<f64>;
+    type Scratch = (Vec<f64>, Vec<f64>);
 
     fn sample_block(
         &self,
         seed: u64,
         range: Range<usize>,
         columns: &mut [Vec<f64>],
-        uniforms: &mut Vec<f64>,
+        (uniforms, lifetime): &mut (Vec<f64>, Vec<f64>),
     ) {
         let n = range.len();
-        // Column layout matches the kernel's axes: [ExecutionTime,
-        // Lifetime, UseIntensity, Energy]; the energy column holds the
-        // utilization draws until pass 3.
-        let [exec, lifetime, intensity, energy] = columns else {
-            unreachable!("the fleet kernel has four axes")
-        };
+        // Column layout matches the plan's axes: [UseIntensity, Energy];
+        // the energy column holds the utilization draws until pass 3.
+        let [intensity, energy] = columns else { unreachable!("the fleet plan has two axes") };
         if n == 0 {
             return;
         }
@@ -112,6 +111,8 @@ impl BlockSampler for FleetSampler {
                 }
             }
         }
+        lifetime.clear();
+        lifetime.resize(n, 0.0);
         let mut raw = uniforms.chunks_exact(n);
         for (dist, out) in
             self.dists.iter().zip([&mut *lifetime, &mut *intensity, &mut *energy])
@@ -119,39 +120,29 @@ impl BlockSampler for FleetSampler {
             dist.transform(&mut raw, out);
         }
         let power_w = self.power_w;
-        for (((e, l), ci), u) in exec
-            .iter_mut()
-            .zip(lifetime.iter_mut())
-            .zip(intensity.iter_mut())
-            .zip(energy.iter_mut())
-        {
+        for ((ci, e), l) in intensity.iter_mut().zip(energy.iter_mut()).zip(lifetime.iter()) {
+            let u = *e;
             let valid = LIFETIME_RANGE.contains(l)
                 & INTENSITY_RANGE.contains(ci)
-                & UTILIZATION_RANGE.contains(u);
-            let point = if valid { device_point(power_w, *u, *l, *ci) } else { [f64::NAN; 4] };
-            [*e, *l, *ci, *u] = point;
+                & UTILIZATION_RANGE.contains(&u);
+            [*ci, *e] =
+                if valid { [*ci, lifetime_energy_j(power_w, u, *l)] } else { [f64::NAN; 2] };
         }
     }
 }
 
-/// A compiled fleet block: the operational kernel, the embodied constant,
-/// and the per-device distributions.
+/// A compiled fleet block: the scenario's eq. 1 plan, free in grid
+/// intensity and lifetime energy, and the per-device distributions.
 #[derive(Debug)]
 pub struct FleetKernel {
-    kernel: CompiledFootprint,
-    embodied_g: f64,
+    plan: EvalPlan,
     power_w: f64,
     spec: FleetSpec,
 }
 
 impl FleetKernel {
-    pub(crate) fn new(
-        kernel: CompiledFootprint,
-        embodied_g: f64,
-        power_w: f64,
-        spec: FleetSpec,
-    ) -> Self {
-        Self { kernel, embodied_g, power_w, spec }
+    pub(crate) fn new(plan: EvalPlan, power_w: f64, spec: FleetSpec) -> Self {
+        Self { plan, power_w, spec }
     }
 
     /// Number of devices the fleet total scales to.
@@ -203,22 +194,15 @@ impl FleetKernel {
             ],
             power_w: self.power_w,
         };
-        let plan = self.kernel.plan();
-        let embodied = self.embodied_g;
-        let block_kernel =
-            move |cols: &[&[f64]], range: std::ops::Range<usize>, out: &mut [f64]| {
-                plan.eval_block(cols, range, out);
-                // The kernel's embodied term folded to 0.0; add the oracle's
-                // embodied total so each draw is a full per-device footprint.
-                for slot in out.iter_mut() {
-                    *slot += embodied;
-                }
-            };
+        let plan = &self.plan;
+        let block_kernel = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+            plan.eval_block(cols, range, out);
+        };
         par_monte_carlo_compiled_block_budgeted(
             Parallelism::threads(threads),
             self.spec.samples,
             self.spec.seed,
-            4,
+            plan.arity(),
             sampler,
             block_kernel,
             buf,

@@ -13,18 +13,20 @@
 //!    errors (missing fields, wrong types, unknown distribution tags)
 //!    surface here as [`act_json::JsonError`].
 //! 2. [`compile`] — validation against the paper's Table 1 ranges and
-//!    lowering: the embodied model goes through
+//!    lowering: the bill of materials goes through
 //!    [`SystemSpecBuilder`](act_core::SystemSpecBuilder) in document
-//!    order, and the use phase through a
-//!    [`CompiledFootprint`](act_core::CompiledFootprint) kernel. The
-//!    paper's devices are committed documents in
+//!    order, and with a workload that [`SystemSpec`](act_core::SystemSpec)
+//!    lowers to one eq. 1 plan through
+//!    [`CompiledFootprint::try_lower`](act_core::CompiledFootprint::try_lower):
+//!    one instruction per component, operational and embodied terms
+//!    together. The paper's devices are committed documents in
 //!    [`act_data::scenarios`], and every experiment that reads a device
 //!    compiles it here; the fixture pin test in this crate holds each one
 //!    to its per-component bits.
-//! 3. [`fleet`] — sharded block-path Monte-Carlo over the compiled
-//!    kernel via `act_dse::batch`'s `_block` family. Per-sample seed
-//!    splitting (`mc_sample_seed`) makes the outcome bit-identical for
-//!    any thread count, block size, or deadline budget.
+//! 3. [`fleet`] — sharded block-path Monte-Carlo over that plan via
+//!    `act_dse::batch`'s `_block` family. Per-sample seed splitting
+//!    (`mc_sample_seed`) makes the outcome bit-identical for any thread
+//!    count, block size, or deadline budget.
 //!
 //! ```
 //! use act_scenario::Scenario;

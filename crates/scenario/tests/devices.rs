@@ -10,9 +10,12 @@
 //! `Scenario::compile` (chips, then DRAM, SSD, HDD, then packaging) or to
 //! the embodied model fails here on the first differing bit.
 
-use act_core::{ComponentKind, FabScenario};
+use act_core::{
+    CompiledFootprint, ComponentKind, FabScenario, FreeAxis, OperationalModel, UsePhase,
+};
 use act_data::scenarios;
-use act_scenario::{CompiledScenario, Scenario};
+use act_scenario::{CompiledScenario, Scenario, Workload};
+use act_units::{CarbonIntensity, Energy, Fraction, TimeSpan};
 
 /// One document's pinned result.
 struct Pin {
@@ -172,6 +175,88 @@ fn system_reevaluates_under_another_fab_bitwise() {
         {
             let grams = default.system().embodied(&fab).total().as_grams();
             assert_eq!(grams.to_bits(), *bits, "{} under {fab:?}", pin.name);
+        }
+    }
+}
+
+/// The fleet fixture's workload, given to every device document below.
+fn fixture_workload() -> Workload {
+    let doc = include_str!("../../cli/tests/fixtures/fleet_server.json");
+    parse(doc).workload.expect("the fleet fixture has a workload")
+}
+
+/// The interpreted eq. 1 over a whole lifetime (`T = LT`): eq. 2's
+/// operational term plus eq. 3's embodied total, no amortization.
+fn interpreted(workload: &Workload, embodied_g: f64) -> f64 {
+    let lifetime_s = TimeSpan::years(workload.lifetime_years).as_seconds();
+    let energy = Energy::joules(workload.power_w * workload.utilization * lifetime_s);
+    let intensity = CarbonIntensity::grams_per_kwh(workload.use_intensity_g_per_kwh);
+    OperationalModel::new(intensity).footprint(energy).as_grams() + embodied_g
+}
+
+/// The fleet fixture's workload, and the same workload on a zero-carbon
+/// grid: there the operational term is `0.0` and the plan's result is its
+/// embodied sum alone, so a change in the sum's last bit is not absorbed
+/// by a server-class operational term.
+fn workloads() -> [Workload; 2] {
+    let workload = fixture_workload();
+    [workload.clone(), Workload { use_intensity_g_per_kwh: 0.0, ..workload }]
+}
+
+/// Every device document with the fleet fixture's workload: the lowered
+/// plan at the workload point, under the default, coal and renewable
+/// fabs, is bit for bit the operational model plus the interpreted
+/// embodied total. The plan adds one term per component in
+/// `SystemSpec::embodied`'s order, so a reordered lowering (packaging
+/// before storage, say) fails here.
+#[test]
+fn lowered_device_plans_match_the_interpreted_model_bitwise() {
+    for workload in workloads() {
+        for pin in &PINS {
+            let mut scenario = parse(pin.doc);
+            scenario.workload = Some(workload.clone());
+            for fab in [FabScenario::default(), FabScenario::coal(), FabScenario::renewable()] {
+                scenario.fab = Some(fab);
+                let compiled = compile(&scenario);
+                let embodied = compiled.system().try_embodied(&fab).expect("embodied").total();
+                let want = interpreted(&workload, embodied.as_grams());
+                let got = compiled.device().expect("device footprint").total_g;
+                let context = format!("{} under {fab:?}, {workload:?}", pin.name);
+                assert_eq!(got.to_bits(), want.to_bits(), "{context}");
+            }
+        }
+    }
+}
+
+/// The same devices lowered with the fab yield (and the grid intensity)
+/// free: the plan at three yields is bit for bit the interpreted model
+/// under a fab with that yield, every logic die reading the yield column.
+#[test]
+fn lowered_plans_with_a_free_yield_match_the_interpreted_model_bitwise() {
+    let workload = fixture_workload();
+    let lifetime_s = TimeSpan::years(workload.lifetime_years).as_seconds();
+    let use_phase = UsePhase {
+        execution_time_s: lifetime_s,
+        lifetime_years: workload.lifetime_years,
+        use_intensity_g_per_kwh: workload.use_intensity_g_per_kwh,
+        energy_j: workload.power_w * workload.utilization * lifetime_s,
+    };
+    let axes = [FreeAxis::FabYield, FreeAxis::UseIntensity];
+    for pin in &PINS {
+        let system = compile(&parse(pin.doc)).system().clone();
+        let fab = FabScenario::default();
+        let kernel =
+            CompiledFootprint::try_lower(&system, &fab, &use_phase, &axes).expect("lowers");
+        for fab_yield in [0.5, 0.875, 0.97] {
+            let with_yield = fab.with_yield(Fraction::new(fab_yield).expect("a yield"));
+            let embodied_g = system.embodied(&with_yield).total().as_grams();
+            for workload in workloads() {
+                let intensity = workload.use_intensity_g_per_kwh;
+                let want = interpreted(&workload, embodied_g);
+                let got = kernel.eval(&[fab_yield, intensity]);
+                let context = format!("{} at yield {fab_yield}, {intensity} g/kWh", pin.name);
+                assert_eq!(got.to_bits(), want.to_bits(), "{context}");
+            }
         }
     }
 }

@@ -6,12 +6,11 @@
 
 use std::time::{Duration, Instant};
 
-use act_core::{ModelParams, INTENSITY_RANGE, LIFETIME_RANGE};
-use act_data::ProcessNode;
+use act_core::{OperationalModel, INTENSITY_RANGE, LIFETIME_RANGE};
 use act_dse::{mc_sample_seed, try_triangular, BatchRun, EvalBudget, McBuffer, McError};
 use act_rng::Rng;
 use act_scenario::{Distribution, Scenario, ScenarioError};
-use act_units::SECONDS_PER_YEAR;
+use act_units::{CarbonIntensity, Energy, SECONDS_PER_YEAR};
 
 /// A phone-class scenario with genuinely random distributions.
 fn fleet_doc() -> &'static str {
@@ -67,6 +66,43 @@ fn fleet_outcome_is_bit_identical_across_thread_counts() {
     // The fleet total scales the per-device mean; with a million devices
     // it must dwarf a single handset's footprint.
     assert!(fleet.fleet_total_grams(&serial) > serial.stats.mean * 1e5);
+}
+
+/// The committed server-class fleet fixture, pinned bit for bit: the
+/// embodied total, the device footprint, the Monte-Carlo statistics and
+/// the fleet total, identical on 1 and 2 threads. A lowering that drops
+/// the embodied term or amortizes it by anything but exactly `T/LT = 1`
+/// moves every one of these bits.
+#[test]
+fn server_fleet_fixture_is_pinned_bitwise() {
+    let doc = include_str!("../../cli/tests/fixtures/fleet_server.json");
+    let compiled = Scenario::parse(doc).expect("parse").compile().expect("compile");
+    assert_eq!(compiled.embodied_grams().to_bits(), 0x4110_4f28_80bb_3ee7);
+    let device = compiled.device().expect("device footprint");
+    assert_eq!(device.operational_g.to_bits(), 0x4145_5550_0000_0000);
+    assert_eq!(device.total_g.to_bits(), 0x4147_5f35_1017_67dd);
+
+    let fleet = compiled.fleet().expect("fleet block");
+    for threads in [1, 2] {
+        let mut buf = McBuffer::new();
+        let (outcome, run) =
+            fleet.run(threads, &mut buf, &EvalBudget::unlimited()).expect("fleet run");
+        assert_eq!(run, BatchRun::Completed);
+        let stats = &outcome.stats;
+        let bits = [stats.mean, stats.p05, stats.p50, stats.p95].map(f64::to_bits);
+        assert_eq!(
+            bits,
+            [
+                0x4149_3185_dca8_8a8b,
+                0x4138_56ac_d911_4b01,
+                0x4147_bb3e_b533_9b8b,
+                0x4155_a71b_0ca1_bb72
+            ],
+            "mean, p05, p50, p95 on {threads} thread(s)"
+        );
+        assert_eq!((stats.samples, outcome.rejected), (20_000, 0), "{threads} thread(s)");
+        assert_eq!(fleet.fleet_total_grams(&outcome).to_bits(), 0x4253_3898_70e9_5633);
+    }
 }
 
 /// The reported percentiles are order statistics of the finite draws:
@@ -181,7 +217,7 @@ fn scalar_draw(dist: Distribution, rng: &mut Rng) -> f64 {
 /// a lane pair, on 1 and 3 threads and under a deadline: each entry of
 /// `McBuffer::draws()` equals the scalar re-derivation — the sample's
 /// `Rng` from `mc_sample_seed`, three scalar draws in the contract's
-/// order, the Table 1 range check, and the interpreted model plus the
+/// order, the Table 1 range check, and the operational model plus the
 /// embodied total — bit for bit. Each kind's parameters put some draws
 /// out of range, so rejections are covered too.
 #[test]
@@ -246,22 +282,10 @@ fn column_sampler_matches_scalar_draws_bitwise() {
                     {
                         return f64::NAN;
                     }
-                    let exec_s = l * SECONDS_PER_YEAR;
-                    let params = ModelParams {
-                        execution_time_s: exec_s,
-                        lifetime_years: l,
-                        packaged_ic_count: 0,
-                        soc_area_mm2: 0.0,
-                        process_node: ProcessNode::N7,
-                        use_intensity_g_per_kwh: ci,
-                        fab_intensity_g_per_kwh: 447.5,
-                        fab_yield: 0.875,
-                        dram: Vec::new(),
-                        ssd: Vec::new(),
-                        hdd: Vec::new(),
-                        energy_j: power_w * u * exec_s,
-                    };
-                    params.try_footprint().expect("in-range draw").as_grams() + embodied_g
+                    // Eq. 1 over the whole lifetime: `T/LT = 1`.
+                    let energy = Energy::joules(power_w * u * (l * SECONDS_PER_YEAR));
+                    let intensity = CarbonIntensity::grams_per_kwh(ci);
+                    OperationalModel::new(intensity).footprint(energy).as_grams() + embodied_g
                 })
                 .collect();
             let rejected = expected.iter().filter(|v| v.is_nan()).count();
@@ -452,4 +476,10 @@ fn fleet_validation_rejects_bad_blocks_with_typed_errors() {
     let err =
         Scenario::parse(zero_samples).expect("parse").compile().expect_err("zero samples");
     assert!(matches!(err, ScenarioError::Invalid { field: "fleet.samples", .. }), "{err}");
+
+    // One past the 4,000,000-sample ceiling.
+    let too_many = zero_samples.replace("\"samples\": 0", "\"samples\": 4000001");
+    let err = Scenario::parse(&too_many).expect("parse").compile().expect_err("too many");
+    assert!(matches!(err, ScenarioError::Invalid { field: "fleet.samples", .. }), "{err}");
+    assert!(err.to_string().contains("at most 4000000 samples"), "{err}");
 }

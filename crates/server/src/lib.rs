@@ -59,6 +59,12 @@ use http::{Connection, HttpError, Status};
 use routes::RouteOutcome;
 use stats::{ServerStats, StatsSnapshot};
 
+/// Largest accepted `/v1/sweep` (points per request).
+pub const MAX_SWEEP_POINTS: usize = 1_000_000;
+
+/// Largest accepted `/v1/montecarlo` run (samples per request).
+pub const MAX_MC_SAMPLES: usize = 10_000_000;
+
 /// Everything tunable about the service; `Default` is a sane local setup.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -74,10 +80,6 @@ pub struct ServerConfig {
     pub drain_deadline: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Largest accepted sweep (points per request).
-    pub max_sweep_points: usize,
-    /// Largest accepted Monte-Carlo run (samples per request).
-    pub max_mc_samples: usize,
     /// Whether `POST /admin/shutdown` stops the server (used by harnesses;
     /// off it answers 404).
     pub allow_remote_shutdown: bool,
@@ -97,8 +99,6 @@ impl Default for ServerConfig {
             request_deadline: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(15),
             max_body_bytes: 1024 * 1024,
-            max_sweep_points: 1_000_000,
-            max_mc_samples: 10_000_000,
             allow_remote_shutdown: false,
             faults: None,
         }

@@ -32,7 +32,7 @@ use act_json::{format_float, FromJson, JsonValue, ToJson};
 use crate::faults::FaultDecision;
 use crate::http::{Connection, Request, Status};
 use crate::stats::ServerStats;
-use crate::ServerConfig;
+use crate::{ServerConfig, MAX_MC_SAMPLES, MAX_SWEEP_POINTS};
 
 /// How a dispatched request ended, for the caller's accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,8 +163,8 @@ pub fn dispatch(
         ("POST", "/v1/footprint") => handle_footprint(conn, request),
         ("POST", "/v1/scenario") => handle_scenario(conn, request),
         ("POST", "/v1/fleet") => handle_fleet(conn, request, stats, deadline),
-        ("POST", "/v1/sweep") => handle_sweep(conn, request, config, stats, deadline),
-        ("POST", "/v1/montecarlo") => handle_montecarlo(conn, request, config, stats, deadline),
+        ("POST", "/v1/sweep") => handle_sweep(conn, request, stats, deadline),
+        ("POST", "/v1/montecarlo") => handle_montecarlo(conn, request, stats, deadline),
         ("POST", "/admin/shutdown") => {
             if config.allow_remote_shutdown {
                 conn.close();
@@ -363,28 +363,43 @@ struct SweepRequest {
     points: usize,
 }
 
-fn parse_sweep(request: &Request, config: &ServerConfig) -> Result<SweepRequest, Reject> {
-    let doc = parse_body(request)?;
-    let params_json =
+/// The `params` object that opens a `/v1/sweep` or `/v1/montecarlo` body.
+fn body_params(doc: &JsonValue) -> Result<ModelParams, Reject> {
+    let params =
         doc.get("params").ok_or_else(|| Reject::bad("invalid-params", "missing `params`"))?;
-    let params = ModelParams::from_json(params_json)
-        .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
-    let axes_json = doc
+    ModelParams::from_json(params).map_err(|err| Reject::bad("invalid-params", err.to_string()))
+}
+
+/// The non-empty `axes` array of a `/v1/sweep` or `/v1/montecarlo` body,
+/// read one entry at a time as `(axis, wire name, entry)`: a route checks
+/// an entry's own fields before the next entry's name is read.
+fn body_axes(
+    doc: &JsonValue,
+) -> Result<impl Iterator<Item = Result<(FreeAxis, &str, &JsonValue), Reject>>, Reject> {
+    let entries = doc
         .get("axes")
         .and_then(JsonValue::as_array)
         .ok_or_else(|| Reject::bad("invalid-axes", "missing `axes` array"))?;
-    if axes_json.is_empty() {
+    if entries.is_empty() {
         return Err(Reject::bad("invalid-axes", "`axes` must not be empty"));
     }
-    let mut axes = Vec::with_capacity(axes_json.len());
-    let mut columns: Vec<Vec<f64>> = Vec::with_capacity(axes_json.len());
-    let mut points = None;
-    for entry in axes_json {
+    Ok(entries.iter().map(|entry| {
         let name = entry
             .get("axis")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| Reject::bad("invalid-axes", "axis entry missing `axis` name"))?;
-        let axis = parse_axis_name(name)?;
+        Ok((parse_axis_name(name)?, name, entry))
+    }))
+}
+
+fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
+    let doc = parse_body(request)?;
+    let params = body_params(&doc)?;
+    let mut axes = Vec::new();
+    let mut columns: Vec<Vec<f64>> = Vec::new();
+    let mut points = None;
+    for entry in body_axes(&doc)? {
+        let (axis, name, entry) = entry?;
         axes.push(axis);
         let values = entry.get("values").and_then(JsonValue::as_array).ok_or_else(|| {
             Reject::bad("invalid-axes", format!("axis `{name}` missing `values` array"))
@@ -416,14 +431,11 @@ fn parse_sweep(request: &Request, config: &ServerConfig) -> Result<SweepRequest,
         columns.push(column);
     }
     let points = points.unwrap_or(0);
-    if points > config.max_sweep_points {
+    if points > MAX_SWEEP_POINTS {
         return Err(Reject {
             status: Status::PayloadTooLarge,
             kind: "too-many-points",
-            message: format!(
-                "{points} points exceed the {}-point limit",
-                config.max_sweep_points
-            ),
+            message: format!("{points} points exceed the {MAX_SWEEP_POINTS}-point limit"),
         });
     }
     let compiled = CompiledFootprint::try_compile(&params, &axes)
@@ -441,11 +453,10 @@ fn parse_sweep(request: &Request, config: &ServerConfig) -> Result<SweepRequest,
 fn handle_sweep(
     conn: &mut Connection<'_>,
     request: &Request,
-    config: &ServerConfig,
     stats: &ServerStats,
     deadline: Instant,
 ) -> std::io::Result<RouteOutcome> {
-    let sweep = match parse_sweep(request, config) {
+    let sweep = match parse_sweep(request) {
         Ok(sweep) => sweep,
         Err(reject) => return reject.respond(conn),
     };
@@ -571,12 +582,9 @@ struct McRequest {
     seed: u64,
 }
 
-fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McRequest, Reject> {
+fn parse_montecarlo(request: &Request) -> Result<McRequest, Reject> {
     let doc = parse_body(request)?;
-    let params_json =
-        doc.get("params").ok_or_else(|| Reject::bad("invalid-params", "missing `params`"))?;
-    let params = ModelParams::from_json(params_json)
-        .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
+    let params = body_params(&doc)?;
     let samples = doc
         .get("samples")
         .and_then(JsonValue::as_u64)
@@ -585,14 +593,11 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
     if samples == 0 {
         return Err(Reject::bad("invalid-samples", "`samples` must be positive"));
     }
-    if samples > config.max_mc_samples {
+    if samples > MAX_MC_SAMPLES {
         return Err(Reject {
             status: Status::PayloadTooLarge,
             kind: "too-many-points",
-            message: format!(
-                "{samples} samples exceed the {}-sample limit",
-                config.max_mc_samples
-            ),
+            message: format!("{samples} samples exceed the {MAX_MC_SAMPLES}-sample limit"),
         });
     }
     // A missing seed is 0, as in a fleet block; a present one must be a
@@ -603,21 +608,10 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
         }
         None => 0,
     };
-    let axes_json = doc
-        .get("axes")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| Reject::bad("invalid-axes", "missing `axes` array"))?;
-    if axes_json.is_empty() {
-        return Err(Reject::bad("invalid-axes", "`axes` must not be empty"));
-    }
-    let mut axes = Vec::with_capacity(axes_json.len());
-    let mut ranges = Vec::with_capacity(axes_json.len());
-    for entry in axes_json {
-        let name = entry
-            .get("axis")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| Reject::bad("invalid-axes", "axis entry missing `axis` name"))?;
-        let axis = parse_axis_name(name)?;
+    let mut axes = Vec::new();
+    let mut ranges = Vec::new();
+    for entry in body_axes(&doc)? {
+        let (axis, name, entry) = entry?;
         axes.push(axis);
         let low = entry.get("low").and_then(JsonValue::as_f64);
         let high = entry.get("high").and_then(JsonValue::as_f64);
@@ -649,11 +643,10 @@ fn parse_montecarlo(request: &Request, config: &ServerConfig) -> Result<McReques
 fn handle_montecarlo(
     conn: &mut Connection<'_>,
     request: &Request,
-    config: &ServerConfig,
     stats: &ServerStats,
     deadline: Instant,
 ) -> std::io::Result<RouteOutcome> {
-    let mc = match parse_montecarlo(request, config) {
+    let mc = match parse_montecarlo(request) {
         Ok(mc) => mc,
         Err(reject) => return reject.respond(conn),
     };

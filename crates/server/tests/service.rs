@@ -10,7 +10,7 @@ use act_core::ModelParams;
 use act_json::{JsonValue, ToJson};
 use act_server::faults::FaultPlan;
 use act_server::stats::StatsSnapshot;
-use act_server::{Server, ServerConfig, ShutdownHandle};
+use act_server::{Server, ServerConfig, ShutdownHandle, MAX_MC_SAMPLES, MAX_SWEEP_POINTS};
 
 /// A running test server plus the means to stop it.
 struct TestServer {
@@ -243,6 +243,18 @@ fn montecarlo_rejects_a_seed_that_is_not_a_non_negative_integer() {
     let missing = post(server.addr, "/v1/montecarlo", &body(""), "");
     assert!(split(&missing).0.contains("200"), "{missing}");
     assert_eq!(missing, post(server.addr, "/v1/montecarlo", &body(",\"seed\":0"), ""));
+    // `samples` and `seed` are checked before `axes`: a body without axes
+    // still gets the sample or seed error.
+    for (fields, want) in
+        [("\"samples\":0", "invalid-samples"), ("\"samples\":50,\"seed\":-1", "invalid-seed")]
+    {
+        let request = format!("{{\"params\":{},{fields}}}", params_json());
+        let (status, response_body) = split(&post(server.addr, "/v1/montecarlo", &request, ""));
+        assert!(status.contains("400"), "{fields}: got {status}: {response_body}");
+        let doc = JsonValue::parse(response_body.trim_end()).expect("error body parses");
+        let kind = doc.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+        assert_eq!(kind, Some(want), "{fields}: {response_body}");
+    }
     server.stop();
 }
 
@@ -292,6 +304,48 @@ fn montecarlo_rejects_axis_ranges_outside_table_1() {
         let message = invalid_axes_message(server.addr, "/v1/montecarlo", &body);
         assert!(message.contains("lifetime_years") && message.contains(bad), "{message}");
     }
+    server.stop();
+}
+
+/// Posts `body` to `path` and asserts the 413 `too-many-points` it must
+/// draw, returning the error message.
+fn too_many_points_message(addr: SocketAddr, path: &str, body: &str) -> String {
+    let (status, response_body) = split(&post(addr, path, body, ""));
+    assert!(status.contains("413"), "got {status}: {response_body}");
+    let doc = JsonValue::parse(response_body.trim_end()).expect("error body parses");
+    let error = doc.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(JsonValue::as_str), Some("too-many-points"));
+    error.get("message").and_then(JsonValue::as_str).expect("message").to_owned()
+}
+
+#[test]
+fn montecarlo_past_the_sample_limit_is_a_413() {
+    let server = TestServer::start(ServerConfig::default());
+    let samples = MAX_MC_SAMPLES + 1;
+    let body = format!(
+        "{{\"params\":{},\"samples\":{samples},\
+         \"axes\":[{{\"axis\":\"lifetime_years\",\"low\":1.0,\"high\":5.0}}]}}",
+        params_json()
+    );
+    let message = too_many_points_message(server.addr, "/v1/montecarlo", &body);
+    assert!(message.starts_with(&format!("{samples} samples exceed")), "{message}");
+    server.stop();
+}
+
+#[test]
+fn sweep_past_the_point_limit_is_a_413() {
+    // One more point than the limit, as `1,` per value: about 2 MB, so
+    // the body cap is raised past it.
+    let server =
+        TestServer::start(ServerConfig { max_body_bytes: 4 << 20, ..ServerConfig::default() });
+    let points = MAX_SWEEP_POINTS + 1;
+    let values = vec!["1"; points].join(",");
+    let body = format!(
+        "{{\"params\":{},\"axes\":[{{\"axis\":\"soc_area_mm2\",\"values\":[{values}]}}]}}",
+        params_json()
+    );
+    let message = too_many_points_message(server.addr, "/v1/sweep", &body);
+    assert!(message.starts_with(&format!("{points} points exceed")), "{message}");
     server.stop();
 }
 
