@@ -92,8 +92,8 @@ const PLANTS: &[(&str, &str, &str, &str)] = &[
     (
         "ACT010",
         "crates/dse/src/montecarlo.rs",
-        "values.select_nth_unstable_by(i50, f64::total_cmp);",
-        "values.select_nth_unstable_by(i50, |a, b| {\n        \
+        "keys.select_nth_unstable(i50);",
+        "keys.select_nth_unstable_by(i50, |a, b| {\n        \
          if a < b { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater }\n    });",
     ),
     (

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use act_rng::Rng;
 
-use crate::montecarlo::{mc_sample_seed, summarize_slice, McError, McOutcome};
+use crate::montecarlo::{mc_sample_seed, summarize, McError, McOutcome};
 use crate::parallel::Parallelism;
 use crate::sweep::RejectedPoint;
 
@@ -355,12 +355,12 @@ fn non_finite_reason(v: f64) -> String {
 }
 
 /// Reusable sample buffer for the block Monte-Carlo entry points: the raw
-/// draws (finite and not) plus the compacted finite subset the statistics
-/// are computed over. Reuse one buffer across runs to amortize allocation.
+/// draws (finite and not) plus the scratch the percentile selection runs
+/// in. Reuse one buffer across runs to amortize allocation.
 #[derive(Clone, Debug, Default)]
 pub struct McBuffer {
     draws: Vec<f64>,
-    finite: Vec<f64>,
+    keys: Vec<u64>,
 }
 
 impl McBuffer {
@@ -379,20 +379,15 @@ impl McBuffer {
     }
 
     /// The tail of every block Monte-Carlo run: trims
-    /// [`draws`](Self::draws) to the `completed` prefix, counts its
-    /// non-finite draws as rejected, and summarizes the finite rest.
-    fn outcome(&mut self, completed: usize) -> Result<McOutcome, McError> {
+    /// [`draws`](Self::draws) to the `completed` prefix and reduces it on
+    /// `workers` threads, counting its non-finite draws as rejected and
+    /// summarizing the finite rest.
+    fn outcome(&mut self, completed: usize, workers: usize) -> Result<McOutcome, McError> {
         if completed == 0 {
             return Err(McError::NoSamples);
         }
         self.draws.truncate(completed);
-        self.finite.clear();
-        self.finite.extend(self.draws.iter().copied().filter(|v| v.is_finite()));
-        let rejected = completed - self.finite.len();
-        if self.finite.is_empty() {
-            return Err(McError::AllRejected { rejected });
-        }
-        Ok(McOutcome { stats: summarize_slice(&mut self.finite), rejected })
+        summarize(&self.draws, &mut self.keys, workers)
     }
 }
 
@@ -672,7 +667,8 @@ where
 /// The sampler is any [`BlockSampler`]: a per-sample closure, as for
 /// [`par_monte_carlo_compiled_block_with`], or a type that fills a whole
 /// block at once. Every worker keeps its own sample columns and sampler
-/// scratch.
+/// scratch. The block kernel must write every slot of its output: the
+/// buffer's draws are not refilled between runs.
 ///
 /// # Errors
 ///
@@ -694,7 +690,8 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
         return Err(McError::NoSamples);
     }
     let workers = parallelism.resolve_for(samples).workers.min(samples);
-    buf.draws.clear();
+    // No refill: the engine writes every completed slot and wipes the
+    // rest back to NaN, so the last run's draws never leak through.
     buf.draws.resize(samples, f64::NAN);
     let fill = |(columns, scratch): &mut (Vec<Vec<f64>>, S::Scratch),
                 range: Range<usize>,
@@ -710,7 +707,7 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
         block_kernel(&column_refs, 0..n, out);
     };
     // No rejection log: the Monte-Carlo contract reports a rejected
-    // *count*, which `McBuffer::outcome` takes from the NaN draws.
+    // *count*, which `McBuffer::outcome` takes from the non-finite draws.
     let run = fill_chunked_block(
         workers,
         &mut buf.draws,
@@ -723,7 +720,7 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
-    Ok((buf.outcome(completed)?, run))
+    Ok((buf.outcome(completed, workers)?, run))
 }
 
 /// Upper bound on points per work-stealing chunk: 4096 points are 32 KiB
@@ -1011,24 +1008,31 @@ mod tests {
 
     #[test]
     fn mc_compiled_matches_per_point_monte_carlo() {
-        let draws = serial_draws(2_000, 13);
-        let rejected = draws.iter().filter(|v| v.is_nan()).count();
-        assert!(rejected > 0);
+        const SAMPLES: usize = 60_000;
+        let draws = serial_draws(SAMPLES as u64, 13);
+        assert!(draws.iter().any(|v| v.is_nan()));
         let mut buf = McBuffer::new();
-        for threads in [1usize, 2, 8] {
-            let block = par_monte_carlo_compiled_block_with(
-                Parallelism::threads(threads),
-                2_000,
-                13,
-                1,
-                sampler,
-                mc_kernel,
-                &mut buf,
-            )
-            .unwrap();
+        for threads in [1usize, 2, 3, 8] {
+            let run = |seed, buf: &mut McBuffer| {
+                let parallelism = Parallelism::threads(threads);
+                par_monte_carlo_compiled_block_with(
+                    parallelism,
+                    SAMPLES,
+                    seed,
+                    1,
+                    sampler,
+                    mc_kernel,
+                    buf,
+                )
+            };
+            // A run under another seed first: none of its draws may
+            // survive into the run under test.
+            let _ = run(30, &mut buf);
+            let outcome = run(13, &mut buf);
+            // The reduction reads the draws in place: all of them stay, in
+            // sample order, NaN included.
             assert_bitwise(buf.draws(), &draws);
-            assert_eq!(block.rejected, rejected, "threads = {threads}");
-            assert_eq!(block.stats.samples, 2_000 - rejected, "threads = {threads}");
+            crate::montecarlo::tests::assert_reference(outcome, &draws, &format!("{threads}t"));
         }
     }
 
@@ -1146,6 +1150,8 @@ mod tests {
         .unwrap();
         assert_bitwise(buf.draws(), &reference.draws()[..6]);
         assert_eq!(outcome.stats.samples + outcome.rejected, 6);
+        // The statistics cover the prefix and nothing past it.
+        assert_eq!(Ok(outcome), summarize(&reference.draws()[..6], &mut Vec::new(), 1));
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! draw straight into reusable structure-of-arrays columns and evaluate
 //! whole blocks per kernel call. This module holds what they share: the
 //! per-sample seed split ([`mc_sample_seed`]), the summary statistics
-//! ([`McStats`], [`McOutcome`], [`McError`]) and the validating
-//! triangular draw ([`try_triangular`]).
+//! ([`McStats`], [`McOutcome`], [`McError`]), the reduction that computes
+//! them from a run's draws, and the validating triangular draw
+//! ([`try_triangular`]).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use act_rng::Rng;
 
@@ -116,46 +120,115 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Summary statistics of the finite samples in `values`, computed in
-/// place so the batch path summarizes its reusable buffer without
-/// reallocating. Runs in O(n) with no sort:
+/// The reduction at the end of every block Monte-Carlo run: statistics
+/// over the finite entries of `draws` plus the count of the rest, with
+/// `keys` as reused percentile scratch. No pass compacts the finite draws
+/// out first; the two tasks below read `draws` as it is and share nothing,
+/// so they run side by side on the pool with the run's `workers` (both
+/// inline on the caller when `workers <= 1`):
 ///
-/// - the mean is a Neumaier-compensated sum taken in **input order**
-///   before anything is reordered. Every caller passes draws in sample
-///   order, which seed-splitting fixes for any thread count, so the mean
-///   is thread-count invariant without an order-normalizing sort;
-/// - p50 is selected with `select_nth_unstable_by(f64::total_cmp)`, then
-///   p05 from the partition left of it and p95 from the one right of it.
-///   `total_cmp` is a total order on bit patterns, so each order statistic
-///   is unique and bit-identical to `sorted[round((n - 1) * q)]`.
+/// - **the mean** is a Neumaier-compensated sum over the finite draws in
+///   **input order** ([`compensated_sum`]). Every caller passes draws in
+///   sample order, which seed-splitting fixes for any thread count, so
+///   the mean is thread-count invariant without an order-normalizing sort;
+/// - **the percentiles** come from [`order_statistics`], which copies the
+///   draws into `keys` as [`order_key`]s, counts the finite ones, and
+///   selects p50, then p05 left of it and p95 right of it. A non-finite
+///   draw's key is `u64::MAX`, above every finite key, so every rank below
+///   the finite count lands on a finite draw. The key order is
+///   `f64::total_cmp`'s, so each order statistic is bit-identical to
+///   `sorted[round((n - 1) * q)]` over the `n` finite draws.
 ///
-/// `values` is left permuted. It must be non-empty and finite.
-pub(crate) fn summarize_slice(values: &mut [f64]) -> McStats {
-    let samples = values.len();
-    let mean = compensated_sum(values) / samples as f64;
-    let rank = |q: f64| ((samples - 1) as f64 * q).round() as usize;
-    let (i05, i50, i95) = (rank(0.05), rank(0.5), rank(0.95));
-    let (left, p50, right) = values.select_nth_unstable_by(i50, f64::total_cmp);
-    let p50 = *p50;
-    let p05 =
-        if i05 == i50 { p50 } else { *left.select_nth_unstable_by(i05, f64::total_cmp).1 };
-    let p95 = if i95 == i50 {
-        p50
-    } else {
-        *right.select_nth_unstable_by(i95 - i50 - 1, f64::total_cmp).1
+/// # Errors
+///
+/// [`McError::AllRejected`] when no draw is finite.
+pub(crate) fn summarize(
+    draws: &[f64],
+    keys: &mut Vec<u64>,
+    workers: usize,
+) -> Result<McOutcome, McError> {
+    let cursor = AtomicUsize::new(0);
+    let keys = Mutex::new(keys);
+    let (sum, order) = (OnceLock::new(), OnceLock::new());
+    // The longer task first: the caller claims it while the pool wakes.
+    crate::pool::run(workers.min(2), &|| loop {
+        match cursor.fetch_add(1, Ordering::Relaxed) {
+            0 => {
+                let mut keys = keys.lock().unwrap_or_else(PoisonError::into_inner);
+                let _ = order.set(order_statistics(draws, &mut keys));
+            }
+            1 => {
+                let _ = sum.set(compensated_sum(draws));
+            }
+            _ => break,
+        }
+    });
+    // Every participant drains the cursor, so both tasks ran before
+    // `pool::run` returned (a panic in either resumes on this thread).
+    let (Some(&sum), Some(&(samples, [p05, p50, p95]))) = (sum.get(), order.get()) else {
+        unreachable!("pool::run returns after both reduction tasks ran")
     };
-    McStats { mean, p05, p50, p95, samples }
+    let rejected = draws.len() - samples;
+    if samples == 0 {
+        return Err(McError::AllRejected { rejected });
+    }
+    let stats = McStats { mean: sum / samples as f64, p05, p50, p95, samples };
+    Ok(McOutcome { stats, rejected })
 }
 
-/// Neumaier-compensated sum of `values` in slice order: the running
-/// compensation recovers the low-order bits each addition rounds away, so
-/// the result is within an ulp or so of the exact sum regardless of
-/// magnitude ordering. An overflowing sum returns the plain (infinite)
-/// running sum rather than the `inf - inf` NaN the compensation would add.
+/// `v`'s position in the `f64::total_cmp` order as an unsigned key: the
+/// bits of a non-negative value with the sign bit set, and the bits of a
+/// negative one inverted. Keys compare as `u64` exactly as the values
+/// compare under `total_cmp`, and [`from_order_key`] inverts the map.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// The value whose [`order_key`] is `key`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
+/// The percentile task of [`summarize`]: the number of finite `draws` and
+/// their p05/p50/p95. `keys` is overwritten with the draws' order keys
+/// (non-finite draws as `u64::MAX`) and left permuted by the selections.
+fn order_statistics(draws: &[f64], keys: &mut Vec<u64>) -> (usize, [f64; 3]) {
+    let mut finite = 0;
+    keys.clear();
+    keys.extend(draws.iter().map(|&v| {
+        let is_finite = v.is_finite();
+        finite += usize::from(is_finite);
+        if is_finite {
+            order_key(v)
+        } else {
+            u64::MAX
+        }
+    }));
+    if finite == 0 {
+        return (0, [f64::NAN; 3]);
+    }
+    let rank = |q: f64| ((finite - 1) as f64 * q).round() as usize;
+    let (i05, i50, i95) = (rank(0.05), rank(0.5), rank(0.95));
+    let (left, &mut p50, right) = keys.select_nth_unstable(i50);
+    let p05 = if i05 == i50 { p50 } else { *left.select_nth_unstable(i05).1 };
+    let p95 = if i95 == i50 { p50 } else { *right.select_nth_unstable(i95 - i50 - 1).1 };
+    (finite, [p05, p50, p95].map(from_order_key))
+}
+
+/// Neumaier-compensated sum of the finite `values` in slice order,
+/// skipping the rest: the running compensation recovers the low-order
+/// bits each addition rounds away, so the result is within an ulp or so
+/// of the exact sum regardless of magnitude ordering. An overflowing sum
+/// returns the plain (infinite) running sum rather than the `inf - inf`
+/// NaN the compensation would add.
 fn compensated_sum(values: &[f64]) -> f64 {
     let mut sum = 0.0_f64;
     let mut compensation = 0.0_f64;
     for &v in values {
+        if !v.is_finite() {
+            continue;
+        }
         let t = sum + v;
         compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
         sum = t;
@@ -224,7 +297,7 @@ pub fn try_triangular(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// `n` uniform draws in `0..1`, sample `i` from its own split seed.
@@ -234,10 +307,15 @@ mod tests {
             .collect()
     }
 
+    /// [`summarize`]'s statistics on one thread with fresh scratch.
+    fn stats_of(values: &[f64]) -> McStats {
+        summarize(values, &mut Vec::new(), 1).unwrap().stats
+    }
+
     #[test]
     fn stats_are_ordered_and_deterministic() {
-        let a = summarize_slice(&mut uniform_draws(7, 5_000));
-        let b = summarize_slice(&mut uniform_draws(7, 5_000));
+        let a = stats_of(&uniform_draws(7, 5_000));
+        let b = stats_of(&uniform_draws(7, 5_000));
         assert_eq!(a, b);
         assert!(a.p05 <= a.p50 && a.p50 <= a.p95);
         assert!((a.mean - 0.5).abs() < 0.02);
@@ -246,7 +324,7 @@ mod tests {
 
     #[test]
     fn constant_model_has_zero_spread() {
-        let s = summarize_slice(&mut [42.0; 100]);
+        let s = stats_of(&[42.0; 100]);
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.relative_spread(), 0.0);
     }
@@ -327,33 +405,100 @@ mod tests {
         [at(0.05), at(0.5), at(0.95)]
     }
 
-    #[test]
-    fn selected_percentiles_match_sorted_index_bitwise() {
-        // Duplicates, signed zeros, negatives and subnormals: the values
-        // `total_cmp` orders by bit pattern rather than by `==`.
+    /// Asserts that `outcome` is the reduction of `draws` by definition:
+    /// the finite draws compacted in sample order, their compensated mean
+    /// and their percentiles from a full sort, all compared as bits.
+    pub(crate) fn assert_reference(
+        outcome: Result<McOutcome, McError>,
+        draws: &[f64],
+        case: &str,
+    ) {
+        let finite: Vec<f64> = draws.iter().copied().filter(|v| v.is_finite()).collect();
+        let rejected = draws.len() - finite.len();
+        if finite.is_empty() {
+            assert_eq!(outcome, Err(McError::AllRejected { rejected }), "{case}");
+            return;
+        }
+        let outcome = outcome.unwrap_or_else(|err| panic!("{case}: {err}"));
+        let stats = outcome.stats;
+        assert_eq!((stats.samples, outcome.rejected), (finite.len(), rejected), "{case}");
+        let mean = compensated_sum(&finite) / finite.len() as f64;
+        assert_eq!(stats.mean.to_bits(), mean.to_bits(), "mean, {case}");
+        assert_eq!(
+            [stats.p05.to_bits(), stats.p50.to_bits(), stats.p95.to_bits()],
+            sorted_percentile_bits(&finite),
+            "percentiles, {case}"
+        );
+    }
+
+    /// `n` values from the split seeds of `trial`: by `trial % 3`,
+    /// duplicates, signed zeros, negatives and subnormals; those mixed
+    /// with uniform noise; or `+b, noise, -b` triples with `b` up to
+    /// ~1.8e16, whose cancellation leaves the compensated mean's last bits
+    /// dependent on the summation order.
+    fn mixed_values(trial: u64, n: usize) -> Vec<f64> {
+        // The values `total_cmp` orders by bit pattern rather than by `==`.
         const POOL: [f64; 10] =
             [0.0, -0.0, 1.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -7.25, 1e300];
+        let noise = |h: u64| (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        (0..n as u64)
+            .map(|i| {
+                let h = mc_sample_seed(trial, i);
+                match (trial % 3, i % 3) {
+                    (0, _) => POOL[(h >> 1) as usize % POOL.len()],
+                    (1, _) if h & 1 == 0 => POOL[(h >> 1) as usize % POOL.len()],
+                    (1, _) | (_, 1) => noise(h),
+                    (_, k) => {
+                        let b = (mc_sample_seed(trial, i - k) >> 10) as f64;
+                        if k == 0 {
+                            b
+                        } else {
+                            -b
+                        }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Where the non-finite draws of a case go.
+    const PLACEMENTS: [&str; 5] = ["none", "first", "last", "interleaved", "all but one"];
+
+    /// `values` with non-finite draws planted per `placement`. Canonical
+    /// NaN is what the engine hands over; ±∞ and negative NaN show that
+    /// the reduction does not lean on that.
+    fn with_non_finite(mut values: Vec<f64>, placement: &str) -> Vec<f64> {
+        const BAD: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
+        let n = values.len();
+        for (i, slot) in values.iter_mut().enumerate() {
+            let poisoned = match placement {
+                "first" => i == 0,
+                "last" => i == n - 1,
+                "interleaved" => i % 3 == 1,
+                "all but one" => i != n / 2,
+                _ => false,
+            };
+            if poisoned {
+                *slot = BAD[i % BAD.len()];
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn selected_percentiles_match_sorted_index_bitwise() {
         // n = 1 has i05 == i50 == i95 and n = 2 has i95 == i50, so the
         // skip-the-second-selection branches are exercised too.
+        let mut keys = Vec::new();
         for n in [1usize, 2, 3, 19, 20, 21, 64, 1000] {
             for trial in 0..16u64 {
-                let values: Vec<f64> = (0..n as u64)
-                    .map(|i| {
-                        let h = mc_sample_seed(trial, i);
-                        if trial % 2 == 0 || h & 1 == 0 {
-                            POOL[(h >> 1) as usize % POOL.len()]
-                        } else {
-                            (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-                        }
-                    })
-                    .collect();
-                let stats = summarize_slice(&mut values.clone());
-                assert_eq!(stats.samples, n);
-                assert_eq!(
-                    [stats.p05.to_bits(), stats.p50.to_bits(), stats.p95.to_bits()],
-                    sorted_percentile_bits(&values),
-                    "n = {n}, trial = {trial}"
-                );
+                for placement in PLACEMENTS {
+                    let draws = with_non_finite(mixed_values(trial, n), placement);
+                    for workers in [1, 2] {
+                        let case = format!("n = {n}, trial = {trial}, {placement}, {workers}w");
+                        assert_reference(summarize(&draws, &mut keys, workers), &draws, &case);
+                    }
+                }
             }
         }
     }
@@ -361,11 +506,11 @@ mod tests {
     #[test]
     fn compensated_mean_is_exact_where_a_plain_sum_drifts() {
         // A plain left-to-right (or sorted) sum gives 0.09999999999999999.
-        assert_eq!(summarize_slice(&mut [0.1; 10]).mean, 0.1);
+        assert_eq!(stats_of(&[0.1; 10]).mean, 0.1);
         // A plain sum loses both 1.0s to the 1e100 and gives 0.0.
-        assert_eq!(summarize_slice(&mut [1.0, 1e100, 1.0, -1e100]).mean, 0.5);
+        assert_eq!(stats_of(&[1.0, 1e100, 1.0, -1e100]).mean, 0.5);
         // An overflowing sum stays infinite instead of turning NaN.
-        assert_eq!(summarize_slice(&mut [f64::MAX, f64::MAX]).mean, f64::INFINITY);
+        assert_eq!(stats_of(&[f64::MAX, f64::MAX]).mean, f64::INFINITY);
     }
 
     #[test]

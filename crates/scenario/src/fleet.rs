@@ -100,8 +100,9 @@ impl BlockSampler for FleetSampler {
         if n == 0 {
             return;
         }
+        // Pass 1 writes every uniform slot and pass 2 every lifetime slot,
+        // so the scratch is only resized, never refilled.
         let slots: usize = self.dists.iter().map(Distribution::uniforms).sum();
-        uniforms.clear();
         uniforms.resize(slots * n, 0.0);
         if slots > 0 {
             for (k, index) in range.enumerate() {
@@ -111,7 +112,6 @@ impl BlockSampler for FleetSampler {
                 }
             }
         }
-        lifetime.clear();
         lifetime.resize(n, 0.0);
         let mut raw = uniforms.chunks_exact(n);
         for (dist, out) in

@@ -404,6 +404,16 @@ fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
         let values = entry.get("values").and_then(JsonValue::as_array).ok_or_else(|| {
             Reject::bad("invalid-axes", format!("axis `{name}` missing `values` array"))
         })?;
+        // The limit comes before decoding: an oversized axis is a 413
+        // without one of its values read.
+        let len = values.len();
+        if len > MAX_SWEEP_POINTS {
+            return Err(Reject {
+                status: Status::PayloadTooLarge,
+                kind: "too-many-points",
+                message: format!("{len} points exceed the {MAX_SWEEP_POINTS}-point limit"),
+            });
+        }
         let column: Vec<f64> = values
             .iter()
             .enumerate()
@@ -415,15 +425,15 @@ fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
                 Ok(value)
             })
             .collect::<Result<_, _>>()?;
-        if column.is_empty() {
+        if len == 0 {
             return Err(Reject::bad("invalid-axes", format!("axis `{name}` has no values")));
         }
         match points {
-            None => points = Some(column.len()),
-            Some(n) if n != column.len() => {
+            None => points = Some(len),
+            Some(n) if n != len => {
                 return Err(Reject::bad(
                     "invalid-axes",
-                    format!("axis `{name}` has {} values, expected {n}", column.len()),
+                    format!("axis `{name}` has {len} values, expected {n}"),
                 ));
             }
             Some(_) => {}
@@ -431,13 +441,6 @@ fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
         columns.push(column);
     }
     let points = points.unwrap_or(0);
-    if points > MAX_SWEEP_POINTS {
-        return Err(Reject {
-            status: Status::PayloadTooLarge,
-            kind: "too-many-points",
-            message: format!("{points} points exceed the {MAX_SWEEP_POINTS}-point limit"),
-        });
-    }
     let compiled = CompiledFootprint::try_compile(&params, &axes)
         .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
     // The per-axis checks above already reject empty/ragged columns, but a

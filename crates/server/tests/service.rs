@@ -350,6 +350,23 @@ fn sweep_past_the_point_limit_is_a_413() {
 }
 
 #[test]
+fn an_oversized_sweep_is_a_413_before_its_values_are_read() {
+    // The first value is not a number: a sweep decoded before its size
+    // check would answer 400 `invalid-axes` here.
+    let server =
+        TestServer::start(ServerConfig { max_body_bytes: 4 << 20, ..ServerConfig::default() });
+    let points = MAX_SWEEP_POINTS + 1;
+    let values = vec!["1"; points - 1].join(",");
+    let body = format!(
+        "{{\"params\":{},\"axes\":[{{\"axis\":\"soc_area_mm2\",\"values\":[\"x\",{values}]}}]}}",
+        params_json()
+    );
+    let message = too_many_points_message(server.addr, "/v1/sweep", &body);
+    assert!(message.starts_with(&format!("{points} points exceed")), "{message}");
+    server.stop();
+}
+
+#[test]
 fn every_error_path_is_one_parseable_json_line() {
     let server =
         TestServer::start(ServerConfig { max_body_bytes: 256, ..ServerConfig::default() });
