@@ -1,8 +1,9 @@
 //! Compiled-kernel benchmarks: the per-point footprint pipeline versus
 //! [`CompiledFootprint`]'s block plan through the `act_dse` block engine,
-//! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo. The
-//! benches only time: that the block path is bit-identical to the
-//! per-point one is a tier-1 test
+//! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo, plus
+//! bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block) calls on
+//! three plan shapes. The benches only time: that the block path is
+//! bit-identical to the per-point one is a tier-1 test
 //! (`tests/cross_crate.rs::compiled_block_sweep_matches_the_per_point_pipeline`).
 
 use std::ops::Range;
@@ -13,9 +14,38 @@ use act_dse::{
     logspace, par_monte_carlo_compiled_block_with, sweep_compiled_block, BatchOutput, McBuffer,
     Parallelism, PointBatch,
 };
+use act_rng::Rng;
 
 /// Point count for the headline single-axis sweep.
 const SWEEP_POINTS: usize = 10_000;
+
+/// Point count for each bare `eval_block` plan-shape case.
+const SHAPE_POINTS: usize = 1 << 16;
+
+/// A bench name, a two-axis plan and each axis's sampling range.
+type PlanShape = (&'static str, [FreeAxis; 2], [Range<f64>; 2]);
+
+/// One plan shape per instruction kind a lane-width change reaches: the
+/// `sweep` workload's `AreaScaled` plus eq. 2 product, a `Cpa` with a
+/// free yield, and the `T / LT` `Ratio`. Each axis is sampled uniformly
+/// from a range inside Table 1.
+const PLAN_SHAPES: [PlanShape; 3] = [
+    (
+        "eval_block_sweep_shape_64k",
+        [FreeAxis::SocArea, FreeAxis::UseIntensity],
+        [10.0..1000.0, 20.0..900.0],
+    ),
+    (
+        "eval_block_cpa_shape_64k",
+        [FreeAxis::FabYield, FreeAxis::SocArea],
+        [0.5..1.0, 10.0..1000.0],
+    ),
+    (
+        "eval_block_ratio_shape_64k",
+        [FreeAxis::Lifetime, FreeAxis::Energy],
+        [0.5..10.0, 100.0..100_000.0],
+    ),
+];
 
 /// The swept axis: SoC area in mm2 across a mobile-to-server range.
 fn area_axis() -> Vec<f64> {
@@ -59,8 +89,8 @@ fn main() {
     });
 
     // The compiled block path: partial evaluation once, lowered to a flat
-    // plan, then LANES-wide blocks read straight from the SoA columns with
-    // zero heap allocation per point.
+    // plan, then `LANES`-point blocks (16 points) read straight from the
+    // SoA columns with zero heap allocation per point.
     let plan = CompiledFootprint::compile(&params, &[FreeAxis::SocArea]).plan();
     let kernel = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
         plan.eval_block(cols, range, out);
@@ -96,6 +126,24 @@ fn main() {
         };
         black_box(outcome.stats.mean)
     });
+
+    // One `eval_block` call over 2^16 points per plan shape, with no
+    // engine, pool or chunking around it, so the per-block cost of each
+    // instruction kind shows on its own.
+    let mut rng = Rng::seed_from_u64(2022);
+    for (name, axes, ranges) in PLAN_SHAPES {
+        let plan = CompiledFootprint::compile(&params, &axes).plan();
+        let columns: Vec<Vec<f64>> = ranges
+            .into_iter()
+            .map(|range| (0..SHAPE_POINTS).map(|_| rng.gen_range(range.clone())).collect())
+            .collect();
+        let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0.0; SHAPE_POINTS];
+        h.bench(name, || {
+            plan.eval_block(&views, 0..SHAPE_POINTS, &mut out);
+            black_box(out.last().copied())
+        });
+    }
 
     h.finish();
 }

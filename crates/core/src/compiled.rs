@@ -14,7 +14,9 @@
 //! order, and an amortization ratio, whose operands are folded constants
 //! or columns of a point. One evaluator walks up to [`LANES`] points per
 //! instruction ([`EvalPlan::eval_block`]); [`CompiledFootprint::eval`] is
-//! a block of one point. Neither allocates.
+//! a block of one point. Neither allocates. The block width, 16, was
+//! chosen by measurement: its lane buffers are small enough that the
+//! compiler folds their zeroing into the unrolled loops (see [`LANES`]).
 //!
 //! Folding replays the *exact* floating-point operation sequence of the
 //! interpreted model (same associativity, same division-vs-multiply
@@ -55,10 +57,17 @@ use crate::{
 
 /// Lane width of the block-vectorized evaluation path: [`EvalPlan::eval_block`]
 /// walks design points in fixed blocks of `LANES` so every inner loop has a
-/// compile-time trip count rustc can unroll and auto-vectorize. 64 lanes of
-/// `f64` are 512 bytes per operand buffer — a handful of cache lines, well
-/// inside L1 even with several live lanes.
-pub const LANES: usize = 64;
+/// compile-time trip count rustc can unroll and auto-vectorize.
+///
+/// The width is measured, not derived. A block zero-fills and round-trips
+/// each term through up to eight `[f64; LANES]` stack buffers. At 16 lanes
+/// (128 bytes each) the zeroing folds into the unrolled loops; at 64 lanes
+/// (512 bytes each) the release build calls `memset` for it 11 times per
+/// block and touches the stack about 2.5× as often. Single-threaded, 64
+/// lanes evaluated the sweep, CPA and `T/LT` plan shapes 1.8–2.1× slower
+/// per point than 16, and 8 or 32 lanes were no faster than 16 (DESIGN §4f
+/// has the table).
+pub const LANES: usize = 16;
 
 /// One input of eq. 1 left *free* — i.e. supplied per point at
 /// [`CompiledFootprint::eval`] time instead of folded into the kernel's
@@ -630,7 +639,8 @@ impl EvalPlan {
     /// loops over points instead of point loops over terms) preserves each
     /// point's operation chain exactly, so it cannot change a single bit.
     /// Inlined into each caller, so a full block's loops keep their
-    /// compile-time trip count of [`LANES`].
+    /// compile-time trip count of [`LANES`]; as a plain `#[inline]`
+    /// function it ran 1.6–1.9× slower per point at 16 lanes.
     #[inline(always)]
     fn eval_lanes<'a>(
         &self,
@@ -735,19 +745,17 @@ impl EvalPlan {
             }
         }
 
-        // Combine, then poison points with a non-finite coordinate to NaN
-        // — applied as a mask so the lane loops stay branch-free.
-        let mut finite_buf = [true; LANES];
-        let finite_lane = &mut finite_buf[..n];
+        // Combine, then poison points with a non-finite coordinate to NaN:
+        // one select pass per column straight over the result, so the lane
+        // loops stay branch-free and no mask buffer is kept.
+        for i in 0..n {
+            out[i] = op_lane[i] + emb_lane[i] * ratio_lane[i];
+        }
         for col in 0..self.arity {
             let src = &column(col)[start..start + n];
-            for (flag, &value) in finite_lane.iter_mut().zip(src) {
-                *flag &= value.is_finite();
+            for (slot, &value) in out.iter_mut().zip(src) {
+                *slot = if value.is_finite() { *slot } else { f64::NAN };
             }
-        }
-        for i in 0..n {
-            let value = op_lane[i] + emb_lane[i] * ratio_lane[i];
-            out[i] = if finite_lane[i] { value } else { f64::NAN };
         }
     }
 }
@@ -963,12 +971,21 @@ mod tests {
         subsets
     }
 
+    /// Batch lengths and window edges pinned independently of [`LANES`]:
+    /// one point, the edges of 8-, 16-, 32-, 64- and 128-lane blocks, and
+    /// the edges of the `act-dse` block engine's 4096-point chunk.
+    const FIXED_LENGTHS: [usize; 19] =
+        [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097];
+
     #[test]
     fn eval_block_is_bitwise_identical_to_eval_and_oracle_for_every_length() {
         let params = ModelParams::mobile_reference();
         // Lengths straddle every lane boundary: empty, single, LANES-1,
-        // LANES, LANES+1, and a multi-block run with a ragged tail.
-        let lengths = [0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 17];
+        // LANES, LANES+1, and a multi-block run with a ragged tail. The
+        // fixed ones keep the edges of other widths (8 to 128 lanes) and
+        // the block engine's 4096-point chunk covered whatever `LANES` is.
+        let mut lengths = vec![0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 17];
+        lengths.extend(FIXED_LENGTHS);
         let mut rng = TestRng(0x5eed_ac70_0000_0001);
         for axes in axis_subsets() {
             let kernel = CompiledFootprint::try_compile(&params, &axes).expect("compiles");
@@ -1049,7 +1066,7 @@ mod tests {
         let axes = [FreeAxis::SocArea, FreeAxis::FabYield, FreeAxis::Energy];
         let kernel = CompiledFootprint::try_compile(&params, &axes).expect("compiles");
         let plan = kernel.plan();
-        let len = 2 * LANES + 31;
+        let len = 4097 + 2 * LANES + 31;
         let mut rng = TestRng(0xfeed_0000_0000_0002);
         let columns = fill_columns(&mut rng, &axes, len);
         let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
@@ -1057,8 +1074,13 @@ mod tests {
         plan.eval_block(&views, 0..len, &mut full);
         // Sub-ranges starting mid-column and ending mid-lane must produce
         // the same bits as the corresponding window of the full run —
-        // the chunked engines in act-dse depend on this.
-        for (start, end) in [(0, 1), (3, LANES + 5), (LANES - 1, 2 * LANES + 1), (7, len)] {
+        // the chunked engines in act-dse depend on this. Each fixed edge
+        // ends one window, starts another and, shifted by 3, ends a third.
+        let mut windows = vec![(0, 1), (3, LANES + 5), (LANES - 1, 2 * LANES + 1), (7, len)];
+        for edge in FIXED_LENGTHS {
+            windows.extend([(0, edge), (edge, len), (3, edge + 3)]);
+        }
+        for (start, end) in windows {
             let mut window = vec![f64::NAN; end - start];
             plan.eval_block(&views, start..end, &mut window);
             for (offset, value) in window.iter().enumerate() {

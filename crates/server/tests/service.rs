@@ -731,17 +731,16 @@ fn fleet_endpoint_serves_deterministic_summaries() {
     server.stop();
 }
 
-/// Hostile scenario payloads — overflowing literals, malformed
-/// distributions, ragged components, missing workloads, out-of-range
-/// supports — are all clean 400s with typed error bodies, never 500s;
-/// so is a params document whose footprint overflows.
-#[test]
-fn hostile_scenario_payloads_are_clean_400s() {
-    let server = TestServer::start(ServerConfig::default());
+/// The hostile scenario corpus as `(path, payload, kind)` requests:
+/// overflowing literals, malformed distributions, ragged components,
+/// missing workloads and out-of-range supports, each posted to
+/// `/v1/scenario` and `/v1/fleet` where it is invalid there. Each must be
+/// a 400; `kind` is the error kind `/v1/fleet` answers with.
+fn hostile_scenario_requests() -> Vec<(&'static str, String, &'static str)> {
     let workload = r#""workload": {"power_w": 1.0, "utilization": 0.5,
                       "lifetime_years": 3.0, "use_intensity_g_per_kwh": 300.0}"#;
     let chip = r#""chips": [{"name": "SoC", "node": "N7", "area_mm2": 50.0, "count": 1}]"#;
-    let corpus: Vec<(String, &str)> = vec![
+    let corpus: Vec<(String, &'static str)> = vec![
         // Non-finite numeric literal (rejected by the JSON layer).
         (format!(r#"{{"name": "x", {chip}, "packaged_ic_count": 1e999}}"#), "invalid-json"),
         // Ragged component entry: missing area_mm2.
@@ -801,6 +800,7 @@ fn hostile_scenario_payloads_are_clean_400s() {
             "fleet-failed",
         ),
     ];
+    let mut requests = Vec::new();
     for (payload, want_kind) in corpus {
         for path in ["/v1/scenario", "/v1/fleet"] {
             // The no-workload fleet doc is a *valid* /v1/scenario (the
@@ -816,20 +816,33 @@ fn hostile_scenario_payloads_are_clean_400s() {
             if want_kind == "fleet-failed" && path == "/v1/scenario" {
                 continue;
             }
-            let (status, body) = split(&post(server.addr, path, &payload, ""));
-            assert!(
-                status.contains("400"),
-                "{path} must 400 on hostile payload, got {status}: {body}"
-            );
-            let doc = JsonValue::parse(body.trim_end()).expect("error body parses");
-            let kind = doc
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(JsonValue::as_str)
-                .expect("error kind");
-            if path == "/v1/fleet" {
-                assert_eq!(kind, want_kind, "{path}: {body}");
-            }
+            requests.push((path, payload.clone(), want_kind));
+        }
+    }
+    requests
+}
+
+/// Hostile scenario payloads — overflowing literals, malformed
+/// distributions, ragged components, missing workloads, out-of-range
+/// supports — are all clean 400s with typed error bodies, never 500s;
+/// so is a params document whose footprint overflows.
+#[test]
+fn hostile_scenario_payloads_are_clean_400s() {
+    let server = TestServer::start(ServerConfig::default());
+    for (path, payload, want_kind) in hostile_scenario_requests() {
+        let (status, body) = split(&post(server.addr, path, &payload, ""));
+        assert!(
+            status.contains("400"),
+            "{path} must 400 on hostile payload, got {status}: {body}"
+        );
+        let doc = JsonValue::parse(body.trim_end()).expect("error body parses");
+        let kind = doc
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(JsonValue::as_str)
+            .expect("error kind");
+        if path == "/v1/fleet" {
+            assert_eq!(kind, want_kind, "{path}: {body}");
         }
     }
     // A scenario without a fleet block posted to /v1/fleet is a 400 too.
@@ -1006,4 +1019,158 @@ fn idle_kept_connection_does_not_delay_shutdown() {
     assert!(stats.is_idle(), "clean drain: {stats:?}");
     assert_eq!(stats.accepted, 1, "{stats:?}");
     assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+}
+
+/// Sends `raw` on a fresh connection and reads to EOF: `None` when the
+/// server dropped the connection without an answer (an injected kill).
+/// A read that times out is a hang and fails the test.
+fn send_under_faults(addr: SocketAddr, raw: &[u8]) -> Option<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("set timeout");
+    stream.write_all(raw).expect("send request");
+    let mut response = Vec::new();
+    match stream.read_to_end(&mut response) {
+        Ok(_) if response.is_empty() => None,
+        Ok(_) => Some(String::from_utf8(response).expect("response is UTF-8")),
+        Err(err) if err.kind() == std::io::ErrorKind::ConnectionReset => None,
+        Err(err) => panic!("no answer and no close: {err}"),
+    }
+}
+
+/// The seeded in-process soak: one fault plan rolling slow reads,
+/// corrupted bodies, handler panics, worker kills and stalls, with the
+/// hostile scenario corpus, valid traffic, one kept connection and a stop
+/// with work queued against the same server. Hostile input is always a
+/// 400, never a 5xx; every other request is answered or dropped, never
+/// left hanging; and the drain finishes every accepted connection.
+#[test]
+fn mini_soak_keeps_the_input_and_drain_contracts_under_faults() {
+    let plan = FaultPlan::parse(
+        "seed=42,p_slow=0.10,slow_read_ms=5,p_malformed=0.08,p_panic=0.04,p_kill=0.02,\
+         p_delay=0.10,eval_delay_ms=15",
+    )
+    .expect("plan");
+    // Four workers, so a kept connection parked between its requests never
+    // leaves the one-at-a-time traffic without a free worker.
+    let server = Server::bind(ServerConfig {
+        workers: 4,
+        faults: Some(plan),
+        ..ServerConfig::default()
+    })
+    .expect("bind test server");
+    let (addr, live, shutdown) =
+        (server.local_addr(), server.stats(), server.shutdown_handle());
+    let serving = std::thread::spawn(move || server.serve());
+    let params = params_json();
+    let footprint = |headers: &str| {
+        format!(
+            "POST /v1/footprint HTTP/1.1\r\nHost: t\r\n{headers}Content-Length: {}\r\n\r\n{params}",
+            params.len()
+        )
+    };
+
+    // One round per hostile request: the request itself, one valid request
+    // under the plan's dice, and the next request on the kept connection.
+    // A fault closes the kept connection; the next round opens a new one.
+    let mut kept: Option<TcpStream> = None;
+    let mut kept_requests = 0;
+    let mut reused_answers = 0;
+    for (path, payload, want_kind) in hostile_scenario_requests() {
+        // `X-Act-Fault: delay:0` replaces whatever the plan rolled for this
+        // connection once the request is read, so an injected panic's 500
+        // is never taken for the answer to the input. A kill the plan
+        // rolled drops the connection before that; the request is sent
+        // again on a new one.
+        let raw = format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Act-Fault: delay:0\r\n\
+             Content-Length: {}\r\n\r\n{payload}",
+            payload.len()
+        );
+        let response = (0..5)
+            .find_map(|_| send_under_faults(addr, raw.as_bytes()))
+            .expect("hostile input is answered");
+        let (status, body) = split(&response);
+        assert!(status.starts_with("HTTP/1.1 400"), "{path}: got {status}: {body}");
+        let doc = JsonValue::parse(body.trim_end()).expect("error body parses");
+        let kind = doc.get("error").and_then(|e| e.get("kind")).and_then(JsonValue::as_str);
+        if path == "/v1/fleet" {
+            assert_eq!(kind, Some(want_kind), "{path}: {body}");
+        }
+
+        if let Some(response) =
+            send_under_faults(addr, footprint("Connection: close\r\n").as_bytes())
+        {
+            let (status, body) = split(&response);
+            assert!(status.starts_with("HTTP/1.1 "), "{response}");
+            assert!(JsonValue::parse(body.trim_end()).is_ok(), "{status}: {body}");
+        }
+
+        let stream = match kept.as_mut() {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream.set_read_timeout(Some(Duration::from_secs(20))).expect("set timeout");
+                kept_requests = 0;
+                kept.insert(stream)
+            }
+        };
+        stream
+            .write_all(footprint("Connection: keep-alive\r\n").as_bytes())
+            .expect("send on the kept connection");
+        let mut first = [0u8; 1];
+        match stream.peek(&mut first) {
+            Ok(n) if n > 0 => {
+                let (head, body) = read_framed(stream);
+                assert!(JsonValue::parse(body.trim_end()).is_ok(), "{head}{body}");
+                if kept_requests > 0 {
+                    reused_answers += 1;
+                }
+                kept_requests += 1;
+                if !head.contains("Connection: keep-alive") {
+                    kept = None;
+                }
+            }
+            Ok(_) => kept = None,
+            Err(err) if err.kind() == std::io::ErrorKind::ConnectionReset => kept = None,
+            Err(err) => panic!("the kept connection hung: {err}"),
+        }
+    }
+    assert!(reused_answers > 0, "the plan left no kept connection to reuse");
+    drop(kept);
+
+    // Stop with work queued: stalled requests hold every worker and one
+    // more waits in the queue. Clients join one at a time until that
+    // holds, since a kill the plan rolls drops a client before its
+    // request is read; every request the stop finds is still served.
+    let stalled = footprint("Connection: close\r\nX-Act-Fault: delay:300\r\n");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut clients = Vec::new();
+    while !(live.in_flight.load(Ordering::SeqCst) == 4
+        && live.queued.load(Ordering::SeqCst) >= 1)
+    {
+        assert!(std::time::Instant::now() < deadline, "never had a request queued");
+        let accepted = live.accepted.load(Ordering::SeqCst);
+        let raw = stalled.clone();
+        clients.push(std::thread::spawn(move || send_under_faults(addr, raw.as_bytes())));
+        while live.accepted.load(Ordering::SeqCst) == accepted {
+            assert!(std::time::Instant::now() < deadline, "a client was never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    shutdown.request();
+    let mut served = 0;
+    for client in clients {
+        if let Some(response) = client.join().expect("client must not panic") {
+            let (status, body) = split(&response);
+            assert!(status.contains("200"), "queued work is served, not dropped: {status}");
+            assert!(body.contains("\"gco2\""), "{body}");
+            served += 1;
+        }
+    }
+    assert!(served >= 5, "four in flight and one queued, {served} served");
+    let stats = serving.join().expect("no panic").expect("clean exit");
+    assert!(stats.is_idle(), "drained: {stats:?}");
+    assert_eq!(stats.accepted, stats.finished, "no leaked connections: {stats:?}");
+    assert_eq!(stats.reused, reused_answers, "{stats:?}");
 }
