@@ -2,8 +2,9 @@
 //! [`CompiledFootprint`]'s block plan through the `act_dse` block engine,
 //! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo, plus
 //! bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block) calls on
-//! three plan shapes. The benches only time: that the block path is
-//! bit-identical to the per-point one is a tier-1 test
+//! three plan shapes and the `sweep` shape through the serial engine. The
+//! benches only time: that the block path is bit-identical to the
+//! per-point one is a tier-1 test
 //! (`tests/cross_crate.rs::compiled_block_sweep_matches_the_per_point_pipeline`).
 
 use std::ops::Range;
@@ -143,6 +144,17 @@ fn main() {
             plan.eval_block(&views, 0..SHAPE_POINTS, &mut out);
             black_box(out.last().copied())
         });
+        // The `sweep` shape's points again through the serial block
+        // engine: its gap to the bare call above is the engine's own cost
+        // (chunking, the rejection scan, the output buffer).
+        if name == PLAN_SHAPES[0].0 {
+            let batch = PointBatch::from_columns(columns.clone());
+            let mut out = BatchOutput::new();
+            h.bench("sweep_engine_serial_2p16", || {
+                sweep_compiled_block(&batch, |c, r, o| plan.eval_block(c, r, o), &mut out);
+                black_box(out.values().last().copied())
+            });
+        }
     }
 
     h.finish();

@@ -334,17 +334,13 @@ impl BatchOutput {
         self.rejected.is_empty()
     }
 
-    /// Drops the previous sweep's contents and sizes the value buffer for
-    /// `len` points, retaining allocated capacity.
-    pub fn reset(&mut self, len: usize) {
-        self.values.clear();
+    /// Drops the previous sweep's rejections and sizes the value buffer
+    /// for `len` points, retaining allocated capacity. The kept values are
+    /// not refilled — only a grown tail is written (with NaN) — because
+    /// the engine writes every slot of a completed run and wipes every
+    /// slot past a deadline prefix back to NaN.
+    fn reset(&mut self, len: usize) {
         self.values.resize(len, f64::NAN);
-        self.rejected.clear();
-    }
-
-    /// Empties the buffer entirely (capacity is retained).
-    pub fn clear(&mut self) {
-        self.values.clear();
         self.rejected.clear();
     }
 }
@@ -407,11 +403,18 @@ fn block_points(budget: &EvalBudget, span: usize) -> usize {
 /// non-finite results to NaN and, when a log is given, records one
 /// [`RejectedPoint`] per offender, with `start` the global index of
 /// `slice[0]`. The reason string uses the raw value (±∞ or NaN).
+///
+/// A chunk is almost always all finite, so a branch-free fold tests that
+/// first (with no early exit, so the loop vectorizes) and the per-slot
+/// loop runs only on a chunk that holds an offender.
 fn record_non_finite(
     slice: &mut [f64],
     start: usize,
     mut rejected: Option<&mut Vec<RejectedPoint>>,
 ) {
+    if slice.iter().fold(true, |clean, v| clean & v.is_finite()) {
+        return;
+    }
     for (offset, slot) in slice.iter_mut().enumerate() {
         let v = *slot;
         if !v.is_finite() {
@@ -428,6 +431,10 @@ fn record_non_finite(
 /// points `range` of the structure-of-arrays `columns` — with
 /// skip-and-record semantics: [`par_sweep_compiled_block_with`] under
 /// [`Parallelism::Serial`].
+///
+/// The kernel must write every slot of `out`. The engine does not refill
+/// `out`'s values before a sweep, so a slot the kernel skipped would
+/// keep whatever a previous sweep left there.
 ///
 /// With `act_core::EvalPlan::eval_block` as the kernel, results are
 /// bit-for-bit identical to evaluating `CompiledFootprint::eval` (or the
@@ -475,6 +482,9 @@ pub fn sweep_compiled_block(
 /// consults the break-even [`calibration`](crate::calibration): batches
 /// below the calibrated threshold run serial, because pool dispatch would
 /// cost more than it saves. Bit-for-bit identical for any thread count.
+///
+/// As for [`sweep_compiled_block`], the kernel writes every slot of its
+/// output slice; the engine never refills the buffer.
 pub fn par_sweep_compiled_block_with(
     parallelism: Parallelism,
     batch: &PointBatch,
@@ -498,7 +508,9 @@ pub fn par_sweep_compiled_block_with(
 /// slot past it holds NaN, and the rejection log covers exactly the
 /// completed prefix. Inside each chunk the budget is consulted on block
 /// boundaries, so the clock is read once per
-/// [`check_interval`](EvalBudget::check_interval) points.
+/// [`check_interval`](EvalBudget::check_interval) points. The kernel
+/// writes every slot of its output slice: the engine refills nothing but
+/// the slots past a cut-off.
 ///
 /// # Examples
 ///
@@ -553,6 +565,10 @@ pub fn par_sweep_compiled_block_budgeted(
 /// the outcome is **bit-identical** under any thread count, chunking, and
 /// block size. Every worker keeps its own sample columns. Non-finite
 /// draws are skipped and counted.
+///
+/// The sampler writes slot `k` of every column for each sample `k`, and
+/// the kernel every slot of its output: neither the columns nor the
+/// draws are refilled between blocks or runs (see [`BlockSampler`]).
 ///
 /// # Errors
 ///
@@ -628,6 +644,11 @@ pub trait BlockSampler: Sync {
     /// Draws samples `range` (global sample indices) into slots
     /// `0..range.len()` of `columns`, which the engine has sized to
     /// `range.len()` each.
+    ///
+    /// It must write every one of those slots in every column. The engine
+    /// only resizes a worker's columns between blocks and never zeroes
+    /// them, so a slot left unwritten would hold an earlier block's draw,
+    /// and the outcome would depend on the chunking.
     fn sample_block(
         &self,
         seed: u64,
@@ -667,8 +688,9 @@ where
 /// The sampler is any [`BlockSampler`]: a per-sample closure, as for
 /// [`par_monte_carlo_compiled_block_with`], or a type that fills a whole
 /// block at once. Every worker keeps its own sample columns and sampler
-/// scratch. The block kernel must write every slot of its output: the
-/// buffer's draws are not refilled between runs.
+/// scratch. The sampler must write every slot of every column
+/// ([`BlockSampler::sample_block`]) and the block kernel every slot of
+/// its output: neither the columns nor the buffer's draws are refilled.
 ///
 /// # Errors
 ///
@@ -697,9 +719,9 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
                 range: Range<usize>,
                 out: &mut [f64]| {
         let n = range.len();
+        // Sized, never zeroed: the sampler writes every slot.
         columns.resize(axes, Vec::new());
         for col in columns.iter_mut() {
-            col.clear();
             col.resize(n, 0.0);
         }
         sampler.sample_block(seed, range, columns, scratch);
@@ -993,8 +1015,6 @@ mod tests {
         sweep_compiled_block(&PointBatch::single_axis(vec![1.0]), kernel, &mut out);
         assert_eq!(out.rejected_count(), 0);
         assert_eq!(out.values(), &[1.0]);
-        out.clear();
-        assert!(out.values().is_empty() && out.is_clean());
     }
 
     #[test]

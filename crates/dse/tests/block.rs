@@ -260,3 +260,80 @@ fn try_from_columns_rejects_malformed_shapes() {
     assert_eq!(ok.len(), 2);
     assert_eq!(ok.axis_count(), 2);
 }
+
+/// The engine never refills a reused buffer's values, so these pin what
+/// makes that safe: a cut-off run wipes every slot a previous sweep
+/// wrote, and a shorter sweep after a longer one leaves nothing behind.
+#[test]
+fn a_reused_buffer_holds_nothing_from_its_previous_sweep() {
+    let expired =
+        || EvalBudget::with_deadline(Instant::now() - Duration::from_millis(1)).check_every(1);
+    let (long, short) = (batch(21, 5000), batch(22, 1500));
+    for workers in WORKERS {
+        let context = format!("workers={workers}");
+        let parallelism = Parallelism::threads(workers);
+        let mut out = BatchOutput::new();
+        par_sweep_compiled_block_with(parallelism, &long, block_kernel, &mut out);
+        assert!(!out.is_clean(), "{context}: the pole axis must log rejections");
+        let run = par_sweep_compiled_block_budgeted(
+            parallelism,
+            &long,
+            block_kernel,
+            &mut out,
+            &expired(),
+        );
+        assert_eq!(run, BatchRun::DeadlineExceeded { completed: 0 }, "{context}");
+        assert_eq!(out.values().len(), long.len(), "{context}");
+        assert!(out.values().iter().all(|v| v.is_nan()), "{context}: a stale slot survived");
+        assert!(out.rejected().is_empty(), "{context}: a stale rejection survived");
+
+        for batch in [&long, &short, &long] {
+            let context = format!("{context}, n={}", batch.len());
+            par_sweep_compiled_block_with(parallelism, batch, block_kernel, &mut out);
+            let mut fresh = BatchOutput::new();
+            par_sweep_compiled_block_with(parallelism, batch, block_kernel, &mut fresh);
+            assert_bitwise_eq(fresh.values(), out.values(), &context);
+            assert_eq!(fresh.rejected(), out.rejected(), "{context}: rejection logs");
+        }
+    }
+}
+
+/// The clean-chunk test in front of the rejection scan must not miss an
+/// offender anywhere in a chunk: a lone ±∞ or NaN in the last slot of a
+/// serial chunk (4096 points at most) is still poisoned to NaN and logged
+/// with its raw value.
+#[test]
+fn a_lone_non_finite_result_in_a_chunks_last_slot_is_logged() {
+    let copy = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+        out.copy_from_slice(&cols[0][range]);
+    };
+    for len in [1, 16, 4095, 4096, 4097] {
+        for at in [len.min(4096) - 1, len - 1] {
+            for (bad, raw) in
+                [(f64::INFINITY, "inf"), (f64::NEG_INFINITY, "-inf"), (f64::NAN, "NaN")]
+            {
+                let mut xs: Vec<f64> = (0..len).map(|i| i as f64).collect();
+                xs[at] = bad;
+                let batch = PointBatch::single_axis(xs);
+                let want = [RejectedPoint {
+                    index: at,
+                    reason: format!("model produced a non-finite result ({raw})"),
+                }];
+                for workers in [1, 2] {
+                    let context = format!("len={len}, at={at}, {raw}, workers={workers}");
+                    let mut out = BatchOutput::new();
+                    par_sweep_compiled_block_with(
+                        Parallelism::threads(workers),
+                        &batch,
+                        copy,
+                        &mut out,
+                    );
+                    assert_eq!(out.rejected(), want.as_slice(), "{context}");
+                    assert!(out.values()[at].is_nan(), "{context}");
+                    let finite = out.values().iter().filter(|v| v.is_finite()).count();
+                    assert_eq!(finite, len - 1, "{context}");
+                }
+            }
+        }
+    }
+}

@@ -496,12 +496,10 @@ fn serve_connection(
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
 
-    // Decide this connection's faults before reading a byte.
+    // Roll this connection's faults before reading a byte. They apply
+    // once a request is read, where an explicit `X-Act-Fault` header can
+    // still override them.
     let fault = decide_fault(conn_id, config);
-    if fault.kill_worker {
-        // Abrupt death: no response, dropped connection, dead worker.
-        return true;
-    }
 
     loop {
         stats.in_flight.fetch_add(1, Ordering::SeqCst);

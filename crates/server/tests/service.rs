@@ -474,6 +474,36 @@ fn killed_workers_are_respawned() {
     assert!(stats.workers_respawned >= 1, "{stats:?}");
 }
 
+/// An explicit `X-Act-Fault` header replaces the plan's roll for its
+/// connection, a rolled kill included: under `p_kill=1.0` a request
+/// without the header is dropped, and one with `delay:0` is answered.
+#[test]
+fn an_explicit_fault_header_overrides_a_rolled_kill() {
+    let server = TestServer::start(ServerConfig {
+        workers: 2,
+        faults: Some(FaultPlan::parse("seed=1,p_kill=1.0").expect("plan")),
+        ..ServerConfig::default()
+    });
+    let body = params_json();
+    let raw = |headers: &str| {
+        format!(
+            "POST /v1/footprint HTTP/1.1\r\nHost: t\r\nConnection: close\r\n{headers}Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    assert_eq!(send_under_faults(server.addr, raw("").as_bytes()), None, "the roll kills");
+    for _ in 0..3 {
+        let response =
+            send_under_faults(server.addr, raw("X-Act-Fault: delay:0\r\n").as_bytes())
+                .expect("the header overrides the rolled kill");
+        let (status, body) = split(&response);
+        assert!(status.contains("200"), "got {status}: {body}");
+        assert!(body.contains("\"gco2\""), "{body}");
+    }
+    let stats = server.stop();
+    assert_eq!(stats.accepted, stats.finished, "{stats:?}");
+}
+
 /// Binds `addr`, serves with no traffic at all, and checks that a
 /// shutdown request alone wakes the blocked accept promptly.
 fn assert_idle_shutdown_is_prompt(addr: &str) {
@@ -1077,18 +1107,15 @@ fn mini_soak_keeps_the_input_and_drain_contracts_under_faults() {
     let mut reused_answers = 0;
     for (path, payload, want_kind) in hostile_scenario_requests() {
         // `X-Act-Fault: delay:0` replaces whatever the plan rolled for this
-        // connection once the request is read, so an injected panic's 500
-        // is never taken for the answer to the input. A kill the plan
-        // rolled drops the connection before that; the request is sent
-        // again on a new one.
+        // connection, a kill included, so an injected fault is never
+        // taken for the answer to the input.
         let raw = format!(
             "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Act-Fault: delay:0\r\n\
              Content-Length: {}\r\n\r\n{payload}",
             payload.len()
         );
-        let response = (0..5)
-            .find_map(|_| send_under_faults(addr, raw.as_bytes()))
-            .expect("hostile input is answered");
+        let response =
+            send_under_faults(addr, raw.as_bytes()).expect("hostile input is answered");
         let (status, body) = split(&response);
         assert!(status.starts_with("HTTP/1.1 400"), "{path}: got {status}: {body}");
         let doc = JsonValue::parse(body.trim_end()).expect("error body parses");
@@ -1138,37 +1165,33 @@ fn mini_soak_keeps_the_input_and_drain_contracts_under_faults() {
     assert!(reused_answers > 0, "the plan left no kept connection to reuse");
     drop(kept);
 
-    // Stop with work queued: stalled requests hold every worker and one
-    // more waits in the queue. Clients join one at a time until that
-    // holds, since a kill the plan rolls drops a client before its
-    // request is read; every request the stop finds is still served.
+    // Stop with work queued: four stalled requests hold every worker and a
+    // fifth waits in the queue, and the stop still serves all five. Their
+    // header overrides any fault the plan rolls. Once all five are
+    // accepted with four in flight, the fifth can only be queued.
     let stalled = footprint("Connection: close\r\nX-Act-Fault: delay:300\r\n");
+    let accepted = live.accepted.load(Ordering::SeqCst);
+    let clients: Vec<_> = (0..5)
+        .map(|_| {
+            let raw = stalled.clone();
+            std::thread::spawn(move || send_under_faults(addr, raw.as_bytes()))
+        })
+        .collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut clients = Vec::new();
     while !(live.in_flight.load(Ordering::SeqCst) == 4
-        && live.queued.load(Ordering::SeqCst) >= 1)
+        && live.accepted.load(Ordering::SeqCst) >= accepted + 5)
     {
         assert!(std::time::Instant::now() < deadline, "never had a request queued");
-        let accepted = live.accepted.load(Ordering::SeqCst);
-        let raw = stalled.clone();
-        clients.push(std::thread::spawn(move || send_under_faults(addr, raw.as_bytes())));
-        while live.accepted.load(Ordering::SeqCst) == accepted {
-            assert!(std::time::Instant::now() < deadline, "a client was never accepted");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(1));
     }
     shutdown.request();
-    let mut served = 0;
     for client in clients {
-        if let Some(response) = client.join().expect("client must not panic") {
-            let (status, body) = split(&response);
-            assert!(status.contains("200"), "queued work is served, not dropped: {status}");
-            assert!(body.contains("\"gco2\""), "{body}");
-            served += 1;
-        }
+        let response = client.join().expect("client must not panic");
+        let response = response.expect("queued work is served, not dropped");
+        let (status, body) = split(&response);
+        assert!(status.contains("200"), "queued work is served, not dropped: {status}");
+        assert!(body.contains("\"gco2\""), "{body}");
     }
-    assert!(served >= 5, "four in flight and one queued, {served} served");
     let stats = serving.join().expect("no panic").expect("clean exit");
     assert!(stats.is_idle(), "drained: {stats:?}");
     assert_eq!(stats.accepted, stats.finished, "no leaked connections: {stats:?}");

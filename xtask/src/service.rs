@@ -535,8 +535,8 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
 
     // Shutdown mid-traffic: park slow requests in flight, then SIGTERM.
     // Two workers take two of them; the others are still queued when the
-    // signal lands (even if the fault plan kills one connection at once),
-    // so the drain must finish queued work too.
+    // signal lands (their `X-Act-Fault` header overrides any fault the
+    // plan rolls), so the drain must finish queued work too.
     let in_flight: Vec<_> = (0..4).map(|_| slow_request(&addr, &params, timeout)).collect();
     std::thread::sleep(Duration::from_millis(100));
     signal_shutdown(&server, &addr, timeout);
