@@ -1,8 +1,10 @@
 //! Compiled-kernel benchmarks: the per-point footprint pipeline versus
 //! [`CompiledFootprint`]'s block plan through the `act_dse` block engine,
-//! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo, plus
-//! bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block) calls on
-//! three plan shapes and the `sweep` shape through the serial engine. The
+//! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo, a
+//! 200k-sample server-class fleet document on the calibrated thread
+//! count, plus bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block)
+//! calls on three plan shapes and the `sweep` shape through the serial
+//! engine. The
 //! benches only time: that the block path is bit-identical to the
 //! per-point one is a tier-1 test
 //! (`tests/cross_crate.rs::compiled_block_sweep_matches_the_per_point_pipeline`).
@@ -12,10 +14,11 @@ use std::ops::Range;
 use act_bench::{black_box, Harness};
 use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
-    logspace, par_monte_carlo_compiled_block_with, sweep_compiled_block, BatchOutput, McBuffer,
-    Parallelism, PointBatch,
+    logspace, par_monte_carlo_compiled_block_with, sweep_compiled_block, BatchOutput,
+    EvalBudget, McBuffer, Parallelism, PointBatch,
 };
 use act_rng::Rng;
+use act_scenario::Scenario;
 
 /// Point count for the headline single-axis sweep.
 const SWEEP_POINTS: usize = 10_000;
@@ -124,6 +127,27 @@ fn main() {
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(err) => panic!("mobile reference stays finite: {err}"),
+        };
+        black_box(outcome.stats.mean)
+    });
+
+    // The server-class fleet document at 200k samples through
+    // `FleetKernel::run` on the `Auto` thread count: on a multi-core host
+    // several workers write the order keys and p05/p95 are selected side
+    // by side.
+    let doc = include_str!("../../cli/tests/fixtures/fleet_server.json")
+        .replace("\"samples\": 20000", "\"samples\": 200000");
+    let compiled = match Scenario::parse(&doc).map(|scenario| scenario.compile()) {
+        Ok(Ok(compiled)) => compiled,
+        Ok(Err(err)) => panic!("the fleet fixture compiles: {err}"),
+        Err(err) => panic!("the fleet fixture parses: {err}"),
+    };
+    let Some(fleet) = compiled.fleet() else { panic!("the fleet fixture has a fleet block") };
+    let threads = Parallelism::Auto.resolve_for(fleet.samples()).workers.min(fleet.samples());
+    h.bench("fleet_document_200k_auto", || {
+        let outcome = match fleet.run(threads, &mut buf, &EvalBudget::unlimited()) {
+            Ok((outcome, _)) => outcome,
+            Err(err) => panic!("the fleet fixture has finite draws: {err}"),
         };
         black_box(outcome.stats.mean)
     });

@@ -39,11 +39,15 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use act_rng::Rng;
 
-use crate::montecarlo::{mc_sample_seed, summarize, McError, McOutcome};
+use crate::montecarlo::{
+    decode_draw, encode_draws, mc_sample_seed, summarize, McError, McOutcome,
+};
 use crate::parallel::Parallelism;
 use crate::sweep::RejectedPoint;
 
@@ -337,8 +341,8 @@ impl BatchOutput {
     /// Drops the previous sweep's rejections and sizes the value buffer
     /// for `len` points, retaining allocated capacity. The kept values are
     /// not refilled — only a grown tail is written (with NaN) — because
-    /// the engine writes every slot of a completed run and wipes every
-    /// slot past a deadline prefix back to NaN.
+    /// the engine writes every slot of a completed run and the sweep
+    /// wipes every slot past a deadline prefix back to NaN.
     fn reset(&mut self, len: usize) {
         self.values.resize(len, f64::NAN);
         self.rejected.clear();
@@ -350,12 +354,19 @@ fn non_finite_reason(v: f64) -> String {
     format!("model produced a non-finite result ({v})")
 }
 
-/// Reusable sample buffer for the block Monte-Carlo entry points: the raw
-/// draws (finite and not) plus the scratch the percentile selection runs
-/// in. Reuse one buffer across runs to amortize allocation.
+/// Reusable sample buffer for the block Monte-Carlo entry points: one
+/// `u64` per sample and nothing else.
+///
+/// A run stores each draw as its `f64::total_cmp` order key, which the
+/// workers write straight from their own per-block scratch (at most
+/// 4096 values each), so the buffer costs 8 bytes per sample. After the
+/// fill, one pass over the keys in sample order takes the mean, and the
+/// percentiles are then selected on the keys in place, which permutes
+/// them: after a run the buffer holds the completed prefix's draws in no
+/// particular order. Reuse one buffer across runs to amortize its
+/// allocation.
 #[derive(Clone, Debug, Default)]
 pub struct McBuffer {
-    draws: Vec<f64>,
     keys: Vec<u64>,
 }
 
@@ -366,24 +377,12 @@ impl McBuffer {
         Self::default()
     }
 
-    /// Every draw of the last run, in sample order; rejected (non-finite)
-    /// draws appear as NaN regardless of whether the model produced NaN or
-    /// ±∞.
-    #[must_use]
-    pub fn draws(&self) -> &[f64] {
-        &self.draws
-    }
-
-    /// The tail of every block Monte-Carlo run: trims
-    /// [`draws`](Self::draws) to the `completed` prefix and reduces it on
-    /// `workers` threads, counting its non-finite draws as rejected and
-    /// summarizing the finite rest.
-    fn outcome(&mut self, completed: usize, workers: usize) -> Result<McOutcome, McError> {
-        if completed == 0 {
-            return Err(McError::NoSamples);
-        }
-        self.draws.truncate(completed);
-        summarize(&self.draws, &mut self.keys, workers)
+    /// Every draw of the last run's completed prefix, decoded, in
+    /// unspecified order (the percentile selection permutes them);
+    /// rejected (non-finite) draws read NaN regardless of whether the
+    /// model produced NaN or ±∞.
+    pub fn draws(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.keys.iter().map(|&key| decode_draw(key))
     }
 }
 
@@ -399,31 +398,35 @@ fn block_points(budget: &EvalBudget, span: usize) -> usize {
     }
 }
 
-/// The skip-and-record scan after a block evaluation: canonicalizes
-/// non-finite results to NaN and, when a log is given, records one
-/// [`RejectedPoint`] per offender, with `start` the global index of
-/// `slice[0]`. The reason string uses the raw value (±∞ or NaN).
+/// The skip-and-record scan after a sweep block: canonicalizes
+/// non-finite results to NaN and records one [`RejectedPoint`] per
+/// offender in `log`, with `start` the global index of `slice[0]`. The
+/// reason string uses the raw value (±∞ or NaN).
 ///
-/// A chunk is almost always all finite, so a branch-free fold tests that
+/// A block is almost always all finite, so a branch-free fold tests that
 /// first (with no early exit, so the loop vectorizes) and the per-slot
-/// loop runs only on a chunk that holds an offender.
-fn record_non_finite(
-    slice: &mut [f64],
-    start: usize,
-    mut rejected: Option<&mut Vec<RejectedPoint>>,
-) {
+/// loop, and the lock on the shared log, run only on a block that holds
+/// an offender.
+fn record_non_finite(slice: &mut [f64], start: usize, log: &Mutex<Vec<RejectedPoint>>) {
     if slice.iter().fold(true, |clean, v| clean & v.is_finite()) {
         return;
     }
+    let mut rejected = Vec::new();
     for (offset, slot) in slice.iter_mut().enumerate() {
         let v = *slot;
         if !v.is_finite() {
             *slot = f64::NAN;
-            if let Some(log) = rejected.as_deref_mut() {
-                log.push(RejectedPoint { index: start + offset, reason: non_finite_reason(v) });
-            }
+            rejected
+                .push(RejectedPoint { index: start + offset, reason: non_finite_reason(v) });
         }
     }
+    lock(log).extend(rejected);
+}
+
+/// Locks ignoring poison: a panicking kernel resumes on the caller once
+/// the pool has stopped, and nothing reads a half-written log after that.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Evaluates the whole batch on the calling thread through a block kernel
@@ -545,14 +548,29 @@ pub fn par_sweep_compiled_block_budgeted(
     let workers = parallelism.resolve_for(len).workers.min(len.max(1));
     out.reset(len);
     let columns = batch.column_slices();
-    fill_chunked_block(
+    // Blocks log their rejections as they finish, in any order; sorting
+    // by index puts the log back in sweep order.
+    let log = Mutex::new(std::mem::take(&mut out.rejected));
+    let run = fill_chunked_block(
         workers,
         &mut out.values,
-        Some(&mut out.rejected),
         &|| (),
-        &|_state, range, slice| block_kernel(&columns, range, slice),
+        &|_, range: Range<usize>, slice: &mut [f64]| {
+            block_kernel(&columns, range.clone(), slice);
+            record_non_finite(slice, range.start, &log);
+        },
         budget,
-    )
+    );
+    out.rejected = log.into_inner().unwrap_or_else(PoisonError::into_inner);
+    out.rejected.sort_unstable_by_key(|rejected| rejected.index);
+    if let BatchRun::DeadlineExceeded { completed } = run {
+        // Blocks past the completed prefix may have finished (chunks
+        // finish out of order past a gap, and the cut-off chunk may hold
+        // partial blocks): wipe them back to NaN and drop their log.
+        out.values[completed..].fill(f64::NAN);
+        out.rejected.retain(|rejected| rejected.index < completed);
+    }
+    run
 }
 
 /// Deterministic, fault-tolerant Monte-Carlo over a block kernel under an
@@ -682,15 +700,20 @@ where
 /// [`EvalBudget`]: when the deadline cuts in, the run summarizes the
 /// **completed prefix** of samples (chunk-aligned, and one worker's chunk
 /// is one budget block), which seed-splitting makes bit-identical to the
-/// same prefix of an unbudgeted run. After the call,
-/// [`McBuffer::draws`] holds exactly the completed prefix.
+/// same prefix of an unbudgeted run: the outcome equals an unbudgeted
+/// run of that many samples, bit for bit. After the call,
+/// [`McBuffer::draws`] holds exactly the completed prefix's draws (in no
+/// particular order).
 ///
 /// The sampler is any [`BlockSampler`]: a per-sample closure, as for
 /// [`par_monte_carlo_compiled_block_with`], or a type that fills a whole
 /// block at once. Every worker keeps its own sample columns and sampler
-/// scratch. The sampler must write every slot of every column
-/// ([`BlockSampler::sample_block`]) and the block kernel every slot of
-/// its output: neither the columns nor the buffer's draws are refilled.
+/// scratch and a draw block of at most 4096 values, which it encodes as
+/// order keys into its chunk of the buffer; after the pool joins, one
+/// pass over the keys takes the sample-order mean and the percentiles
+/// are selected on them in place. The sampler must write every slot of
+/// every column ([`BlockSampler::sample_block`]) and the block kernel
+/// every slot of its output: neither is refilled between blocks.
 ///
 /// # Errors
 ///
@@ -709,32 +732,36 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
     budget: &EvalBudget,
 ) -> Result<(McOutcome, BatchRun), McError> {
     if samples == 0 {
+        buf.keys.clear();
         return Err(McError::NoSamples);
     }
     let workers = parallelism.resolve_for(samples).workers.min(samples);
-    // No refill: the engine writes every completed slot and wipes the
-    // rest back to NaN, so the last run's draws never leak through.
-    buf.draws.resize(samples, f64::NAN);
-    let fill = |(columns, scratch): &mut (Vec<Vec<f64>>, S::Scratch),
+    // No refill: the engine writes every completed slot and the buffer is
+    // cut to the completed prefix, so the last run's keys never leak
+    // through.
+    buf.keys.resize(samples, 0);
+    let fill = |(columns, scratch, draws): &mut (Vec<Vec<f64>>, S::Scratch, Vec<f64>),
                 range: Range<usize>,
-                out: &mut [f64]| {
+                keys: &mut [u64]| {
         let n = range.len();
-        // Sized, never zeroed: the sampler writes every slot.
+        // Sized, never zeroed: the sampler writes every column slot and
+        // the kernel every draw.
         columns.resize(axes, Vec::new());
         for col in columns.iter_mut() {
             col.resize(n, 0.0);
         }
+        draws.resize(n, 0.0);
         sampler.sample_block(seed, range, columns, scratch);
         let column_refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-        block_kernel(&column_refs, 0..n, out);
+        block_kernel(&column_refs, 0..n, draws);
+        encode_draws(draws, keys);
     };
     // No rejection log: the Monte-Carlo contract reports a rejected
-    // *count*, which `McBuffer::outcome` takes from the non-finite draws.
+    // *count*, which `summarize` takes from the non-finite keys.
     let run = fill_chunked_block(
         workers,
-        &mut buf.draws,
-        None,
-        &|| (Vec::new(), S::Scratch::default()),
+        &mut buf.keys,
+        &|| (Vec::new(), S::Scratch::default(), Vec::new()),
         &fill,
         budget,
     );
@@ -742,7 +769,11 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
         BatchRun::Completed => samples,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
-    Ok((buf.outcome(completed, workers)?, run))
+    buf.keys.truncate(completed);
+    if completed == 0 {
+        return Err(McError::NoSamples);
+    }
+    Ok((summarize(&mut buf.keys, workers)?, run))
 }
 
 /// Upper bound on points per work-stealing chunk: 4096 points are 32 KiB
@@ -775,111 +806,76 @@ fn chunk_len(len: usize, workers: usize, budget: &EvalBudget) -> usize {
 /// The chunked engine behind every block entry point: partitions `values`
 /// into contiguous [`chunk_len`] chunks, hands chunk indices to the
 /// persistent worker pool through an atomic cursor (work stealing; one
-/// worker runs inline on the caller), evaluates each stolen chunk through
-/// `fill(state, global_range, out_slice)` in whole blocks, canonicalizes
-/// non-finite results to NaN and, when `rejected` is given, merges
-/// per-chunk rejection logs back in chunk order. `make_state` builds one
-/// per-worker scratch state (unit for sweeps over borrowed batch columns;
-/// reusable sample columns for Monte-Carlo), so workers share nothing
-/// mutable. Panics in workers propagate with their payload after every
-/// worker has stopped.
+/// worker runs inline on the caller), and fills each stolen chunk through
+/// `fill(state, global_range, out_slice)` in whole blocks. `make_state`
+/// builds one per-worker scratch state (unit for sweeps over borrowed
+/// batch columns; sample columns and a draw block for Monte-Carlo), so
+/// workers share nothing mutable. Panics in workers propagate with their
+/// payload after every worker has stopped.
 ///
 /// Inside a chunk the [`EvalBudget`] is consulted on [`block_points`]-sized
 /// boundaries; expiry stops every worker at its next check and the
 /// function reports a **chunk-aligned completed prefix** (all chunks
-/// before the first unfinished one). Slots past the prefix are wiped back
-/// to NaN and their rejections dropped.
-fn fill_chunked_block<S>(
+/// before the first unfinished one). What the slots past the prefix hold
+/// is the caller's to wipe or drop.
+fn fill_chunked_block<T: Send, S>(
     workers: usize,
-    values: &mut [f64],
-    rejected: Option<&mut Vec<RejectedPoint>>,
+    values: &mut [T],
     make_state: &(impl Fn() -> S + Sync),
-    fill: &(impl Fn(&mut S, Range<usize>, &mut [f64]) + Sync),
+    fill: &(impl Fn(&mut S, Range<usize>, &mut [T]) + Sync),
     budget: &EvalBudget,
 ) -> BatchRun {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Mutex, PoisonError};
-
     let len = values.len();
     if len == 0 {
         return BatchRun::Completed;
     }
-    let keep_log = rejected.is_some();
     let chunk = chunk_len(len, workers, budget);
     let block = block_points(budget, chunk);
-    let completed_chunks;
-    {
-        // Each chunk is a `Mutex<Option<&mut [f64]>>` slot its claimer
-        // takes exactly once — one uncontended lock per ~4096 points keeps
-        // the engine free of `unsafe` while costing well under 0.1 %.
-        let slots: Vec<Mutex<Option<&mut [f64]>>> =
-            values.chunks_mut(chunk).map(|c| Mutex::new(Some(c))).collect();
-        let chunk_count = slots.len();
-        let done: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let logs: Mutex<Vec<(usize, Vec<RejectedPoint>)>> = Mutex::new(Vec::new());
-        crate::pool::run(workers, &|| {
-            let mut state = make_state();
-            let mut local: Vec<(usize, Vec<RejectedPoint>)> = Vec::new();
-            'steal: while !stop.load(Ordering::Relaxed) {
-                let ci = cursor.fetch_add(1, Ordering::Relaxed);
-                if ci >= chunk_count {
-                    break;
-                }
-                let taken = slots[ci].lock().unwrap_or_else(PoisonError::into_inner).take();
-                let Some(slice) = taken else { continue };
-                let start = ci * chunk;
-                let mut offset = 0;
-                while offset < slice.len() {
-                    if budget.deadline.is_some() && budget.is_exhausted() {
-                        // Leave this chunk unfinished: it marks the end of
-                        // the completed prefix. Other workers stop at
-                        // their next steal or block boundary.
-                        stop.store(true, Ordering::Relaxed);
-                        continue 'steal;
-                    }
-                    let end = (offset + block).min(slice.len());
-                    fill(&mut state, start + offset..start + end, &mut slice[offset..end]);
-                    offset = end;
-                }
-                let mut chunk_log: Vec<RejectedPoint> = Vec::new();
-                record_non_finite(slice, start, keep_log.then_some(&mut chunk_log));
-                done[ci].store(true, Ordering::Release);
-                if !chunk_log.is_empty() {
-                    local.push((ci, chunk_log));
-                }
+    // Each chunk is a `Mutex<Option<&mut [T]>>` slot its claimer takes
+    // exactly once — one uncontended lock per ~4096 points keeps the
+    // engine free of `unsafe` while costing well under 0.1 %.
+    let slots: Vec<Mutex<Option<&mut [T]>>> =
+        values.chunks_mut(chunk).map(|c| Mutex::new(Some(c))).collect();
+    let chunk_count = slots.len();
+    let done: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    crate::pool::run(workers, &|| {
+        let mut state = make_state();
+        'steal: while !stop.load(Ordering::Relaxed) {
+            let ci = cursor.fetch_add(1, Ordering::Relaxed);
+            if ci >= chunk_count {
+                break;
             }
-            if !local.is_empty() {
-                logs.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-            }
-        });
-        completed_chunks = done.iter().take_while(|flag| flag.load(Ordering::Acquire)).count();
-        if let Some(rejected) = rejected {
-            let mut merged = logs.into_inner().unwrap_or_else(PoisonError::into_inner);
-            merged.sort_unstable_by_key(|&(ci, _)| ci);
-            for (ci, chunk_log) in merged {
-                if ci < completed_chunks {
-                    rejected.extend(chunk_log);
+            let Some(slice) = lock(&slots[ci]).take() else { continue };
+            let start = ci * chunk;
+            let mut offset = 0;
+            while offset < slice.len() {
+                if budget.deadline.is_some() && budget.is_exhausted() {
+                    // Leave this chunk unfinished: it marks the end of
+                    // the completed prefix. Other workers stop at their
+                    // next steal or block boundary.
+                    stop.store(true, Ordering::Relaxed);
+                    continue 'steal;
                 }
+                let end = (offset + block).min(slice.len());
+                fill(&mut state, start + offset..start + end, &mut slice[offset..end]);
+                offset = end;
             }
+            done[ci].store(true, Ordering::Release);
         }
-        if completed_chunks == chunk_count {
-            return BatchRun::Completed;
-        }
+    });
+    let completed_chunks = done.iter().take_while(|flag| flag.load(Ordering::Acquire)).count();
+    if completed_chunks == chunk_count {
+        BatchRun::Completed
+    } else {
+        BatchRun::DeadlineExceeded { completed: completed_chunks * chunk }
     }
-    // Deadline cut in: wipe everything past the chunk-aligned completed
-    // prefix back to NaN (chunks may finish out of order past a gap, and
-    // the cut-off chunk may hold partial blocks).
-    let completed = (completed_chunks * chunk).min(len);
-    for slot in &mut values[completed..] {
-        *slot = f64::NAN;
-    }
-    BatchRun::DeadlineExceeded { completed }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     use super::*;
@@ -922,6 +918,18 @@ mod tests {
 
     fn expired() -> EvalBudget {
         EvalBudget::with_deadline(Instant::now() - Duration::from_millis(1)).check_every(1)
+    }
+
+    /// Asserts that `buf` holds exactly the draws `want` as a multiset,
+    /// bit for bit: the buffer keeps them in no particular order.
+    fn assert_same_draws(buf: &McBuffer, want: &[f64]) {
+        let sorted_bits = |draws: &mut dyn Iterator<Item = f64>| {
+            let mut bits: Vec<u64> = draws.map(f64::to_bits).collect();
+            bits.sort_unstable();
+            bits
+        };
+        assert_eq!(buf.draws().len(), want.len());
+        assert_eq!(sorted_bits(&mut buf.draws()), sorted_bits(&mut want.iter().copied()));
     }
 
     fn assert_bitwise(got: &[f64], want: &[f64]) {
@@ -1049,9 +1057,8 @@ mod tests {
             // survive into the run under test.
             let _ = run(30, &mut buf);
             let outcome = run(13, &mut buf);
-            // The reduction reads the draws in place: all of them stay, in
-            // sample order, NaN included.
-            assert_bitwise(buf.draws(), &draws);
+            // Every draw stays in the buffer as a key, NaN included.
+            assert_same_draws(&buf, &draws);
             crate::montecarlo::tests::assert_reference(outcome, &draws, &format!("{threads}t"));
         }
     }
@@ -1157,21 +1164,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run, BatchRun::DeadlineExceeded { completed: 6 });
-        let mut reference = McBuffer::new();
-        par_monte_carlo_compiled_block_with(
+        let prefix = serial_draws(6, SEED);
+        assert_same_draws(&buf, &prefix);
+        assert_eq!(outcome.stats.samples + outcome.rejected, 6);
+        // The statistics cover the prefix and nothing past it: they are an
+        // unbudgeted run of six samples, bit for bit.
+        crate::montecarlo::tests::assert_reference(Ok(outcome), &prefix, "prefix");
+        let six = par_monte_carlo_compiled_block_with(
             Parallelism::Serial,
-            SAMPLES,
+            6,
             SEED,
             1,
             sampler,
             mc_kernel,
-            &mut reference,
-        )
-        .unwrap();
-        assert_bitwise(buf.draws(), &reference.draws()[..6]);
-        assert_eq!(outcome.stats.samples + outcome.rejected, 6);
-        // The statistics cover the prefix and nothing past it.
-        assert_eq!(Ok(outcome), summarize(&reference.draws()[..6], &mut Vec::new(), 1));
+            &mut McBuffer::new(),
+        );
+        assert_eq!(Ok(outcome), six);
     }
 
     #[test]
@@ -1211,29 +1219,38 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome, parallel);
-        assert_bitwise(buf.draws(), parallel_buf.draws());
+        let draws = serial_draws(2_000, 13);
+        assert_same_draws(&buf, &draws);
+        assert_same_draws(&parallel_buf, &draws);
+        crate::montecarlo::tests::assert_reference(Ok(outcome), &draws, "serial budgeted");
     }
 
     #[test]
     fn budgeted_mc_summarizes_the_completed_prefix() {
         // Zero samples, or a deadline that already passed so zero draws
-        // complete: both are NoSamples.
-        let mut buf = McBuffer::new();
-        for (samples, budget) in [(0, EvalBudget::unlimited()), (100, expired())] {
-            assert_eq!(
+        // complete: both are NoSamples, on one thread and on a pool, and
+        // the reused buffer then holds no draw, of this run or the last.
+        for threads in [1, 4] {
+            let run = |samples, budget: &EvalBudget, buf: &mut McBuffer| {
                 par_monte_carlo_compiled_block_budgeted(
-                    Parallelism::Serial,
+                    Parallelism::threads(threads),
                     samples,
                     7,
                     1,
                     sampler,
                     mc_kernel,
-                    &mut buf,
-                    &budget,
-                ),
-                Err(McError::NoSamples),
-                "samples = {samples}"
-            );
+                    buf,
+                    budget,
+                )
+            };
+            let mut buf = McBuffer::new();
+            for (samples, budget) in [(0, EvalBudget::unlimited()), (100, expired())] {
+                assert!(run(50, &EvalBudget::unlimited(), &mut buf).is_ok());
+                assert_eq!(buf.draws().len(), 50);
+                let case = format!("{threads}t, samples = {samples}");
+                assert_eq!(run(samples, &budget, &mut buf), Err(McError::NoSamples), "{case}");
+                assert_eq!(buf.draws().len(), 0, "{case}: the buffer kept draws");
+            }
         }
     }
 
@@ -1337,6 +1354,9 @@ mod tests {
             &EvalBudget::unlimited(),
         )
         .unwrap();
+        let draws = serial_draws(2_000, 13);
+        assert_same_draws(&serial_buf, &draws);
+        crate::montecarlo::tests::assert_reference(Ok(serial), &draws, "serial");
         for threads in [2usize, 8] {
             let mut buf = McBuffer::new();
             let (outcome, run) = par_monte_carlo_compiled_block_budgeted(
@@ -1352,7 +1372,7 @@ mod tests {
             .unwrap();
             assert_eq!(run, BatchRun::Completed);
             assert_eq!(outcome, serial);
-            assert_bitwise(buf.draws(), serial_buf.draws());
+            assert_same_draws(&buf, &draws);
         }
     }
 
@@ -1393,6 +1413,170 @@ mod tests {
         assert_eq!(run(0, &mut buf), Err(McError::NoSamples));
         assert_eq!(run(10, &mut buf), Err(McError::AllRejected { rejected: 10 }));
         assert_eq!(buf.draws().len(), 10);
-        assert!(buf.draws().iter().all(|v| v.is_nan()));
+        assert!(buf.draws().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn mc_buffer_holds_one_key_per_sample() {
+        // The buffer is one `Vec<u64>` and nothing else ...
+        assert_eq!(std::mem::size_of::<McBuffer>(), std::mem::size_of::<Vec<u64>>());
+        // ... sized to one key per sample, while each worker's sample
+        // columns and draw block stay within one chunk.
+        let largest_block = AtomicUsize::new(0);
+        let counting_sampler = |rng: &mut Rng, k: usize, cols: &mut [Vec<f64>]| {
+            largest_block.fetch_max(cols[0].capacity(), Ordering::Relaxed);
+            sampler(rng, k, cols);
+        };
+        let counting_kernel = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+            largest_block.fetch_max(out.len(), Ordering::Relaxed);
+            mc_kernel(cols, range, out);
+        };
+        let samples = 5 * MAX_CHUNK_POINTS + 7;
+        for threads in [1, 3] {
+            let mut buf = McBuffer::new();
+            par_monte_carlo_compiled_block_with(
+                Parallelism::threads(threads),
+                samples,
+                13,
+                1,
+                counting_sampler,
+                counting_kernel,
+                &mut buf,
+            )
+            .unwrap();
+            assert_eq!((buf.keys.len(), buf.keys.capacity()), (samples, samples), "{threads}t");
+        }
+        assert!(largest_block.load(Ordering::Relaxed) <= MAX_CHUNK_POINTS);
+    }
+
+    /// A block kernel behind a reference, so one closure runs several.
+    type BlockKernel<'k> = dyn Fn(&[&[f64]], Range<usize>, &mut [f64]) + Sync + 'k;
+
+    /// Writes each sample's global index into column 0, so a kernel can
+    /// look its draw up in a table.
+    struct IndexSampler;
+
+    impl BlockSampler for IndexSampler {
+        type Scratch = ();
+
+        fn sample_block(&self, _: u64, range: Range<usize>, cols: &mut [Vec<f64>], _: &mut ()) {
+            for (slot, index) in cols[0].iter_mut().zip(range) {
+                *slot = index as f64;
+            }
+        }
+    }
+
+    #[test]
+    fn mean_is_the_reference_for_every_chunking_and_prefix() {
+        // Lengths around the 4096-point chunk cap, serial to oversubscribed
+        // pools, ±inf/NaN in the first and last slot of every chunk. The
+        // unlimited run holds chunk 0 back, so later chunks are written
+        // first; the budgeted run stalls the first block of a middle chunk
+        // past the deadline, so that chunk stays unfinished while later
+        // ones may finish: a gap the completed prefix must stop at.
+        const BAD: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let spin = |until: Instant| {
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+        };
+        // The global sample indices a kernel call covers, which
+        // `IndexSampler` writes into column 0 (the kernel's range is local
+        // to its block).
+        let indices = |cols: &[&[f64]], range: Range<usize>| {
+            let first = cols[0][range.start] as usize;
+            first..first + range.len()
+        };
+        for workers in [1usize, 2, 3, 8] {
+            for len in [4095, 4096, 4097, 3 * 4096 + 1] {
+                for trial in 0..3u64 {
+                    let unlimited = EvalBudget::unlimited();
+                    let chunk = chunk_len(len, workers, &unlimited);
+                    let mut table = crate::montecarlo::tests::mixed_values(trial, len);
+                    for (i, slot) in table.iter_mut().enumerate() {
+                        if i % chunk == 0 || i % chunk == chunk - 1 || i == len - 1 {
+                            *slot = BAD[i % BAD.len()];
+                        }
+                    }
+                    let draws: Vec<f64> = table
+                        .iter()
+                        .map(|&v| if v.is_finite() { v } else { f64::NAN })
+                        .collect();
+                    let lookup = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+                        for (slot, &index) in out.iter_mut().zip(&cols[0][range]) {
+                            *slot = table[index as usize];
+                        }
+                    };
+                    let case = format!("{workers}w, len {len}, trial {trial}");
+                    let run =
+                        |kernel: &BlockKernel<'_>, buf: &mut McBuffer, budget: &EvalBudget| {
+                            par_monte_carlo_compiled_block_budgeted(
+                                Parallelism::threads(workers),
+                                len,
+                                0,
+                                1,
+                                IndexSampler,
+                                kernel,
+                                buf,
+                                budget,
+                            )
+                        };
+
+                    let last_first = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+                        if workers > 1 && indices(cols, range.clone()).start == 0 {
+                            spin(Instant::now() + Duration::from_millis(2));
+                        }
+                        lookup(cols, range, out);
+                    };
+                    let mut buf = McBuffer::new();
+                    let result = run(&last_first, &mut buf, &unlimited);
+                    let outcome = result.map(|(outcome, run)| {
+                        assert_eq!(run, BatchRun::Completed, "{case}");
+                        outcome
+                    });
+                    crate::montecarlo::tests::assert_reference(outcome, &draws, &case);
+                    assert_same_draws(&buf, &draws);
+
+                    // Every chunk of a budgeted pool run is at least two
+                    // 64-point blocks, so a stall in a chunk's first block
+                    // leaves that chunk unfinished.
+                    let deadline = Instant::now() + Duration::from_millis(3);
+                    let budget = EvalBudget::with_deadline(deadline).check_every(64);
+                    let chunk = chunk_len(len, workers, &budget);
+                    let stall = chunk * (len.div_ceil(chunk) / 2);
+                    let cut = |cols: &[&[f64]], range: Range<usize>, out: &mut [f64]| {
+                        if indices(cols, range.clone()).contains(&stall) {
+                            spin(deadline + Duration::from_millis(1));
+                        }
+                        lookup(cols, range, out);
+                    };
+                    let mut buf = McBuffer::new();
+                    let case = format!("{case}, deadline");
+                    let result = run(&cut, &mut buf, &budget);
+                    let completed = match result {
+                        Ok((_, BatchRun::DeadlineExceeded { completed })) => completed,
+                        Err(McError::AllRejected { rejected }) => rejected,
+                        // A loaded machine can pass the deadline before the
+                        // first block: the documented empty prefix.
+                        Err(McError::NoSamples) => {
+                            assert_eq!(buf.draws().len(), 0, "{case}");
+                            continue;
+                        }
+                        other => panic!("{case}: the stall must cut the run: {other:?}"),
+                    };
+                    // One worker's chunk is one block: the stalled chunk
+                    // finishes, and the cut comes at the next one.
+                    let limit = if workers == 1 { stall + chunk } else { stall };
+                    assert!(
+                        completed <= limit && completed % chunk == 0,
+                        "{case}: {completed}"
+                    );
+                    let prefix = &draws[..completed];
+                    let outcome = result.map(|(outcome, _)| outcome);
+                    crate::montecarlo::tests::assert_reference(outcome, prefix, &case);
+                    assert_same_draws(&buf, prefix);
+                }
+            }
+        }
     }
 }

@@ -9,12 +9,19 @@
 //! draw straight into reusable structure-of-arrays columns and evaluate
 //! whole blocks per kernel call. This module holds what they share: the
 //! per-sample seed split ([`mc_sample_seed`]), the summary statistics
-//! ([`McStats`], [`McOutcome`], [`McError`]), the reduction that computes
-//! them from a run's draws, and the validating triangular draw
-//! ([`try_triangular`]).
+//! ([`McStats`], [`McOutcome`], [`McError`]), and the validating
+//! triangular draw ([`try_triangular`]).
+//!
+//! It also holds how a run gets from draws to statistics in 8 bytes per
+//! sample. A run's buffer holds no draws, only their `f64::total_cmp`
+//! order keys: each worker evaluates a block into its own scratch and
+//! writes the block's keys ([`encode_draws`]) straight into its chunk of
+//! the buffer. When the pool joins, [`summarize`] takes the sample-order
+//! mean in one pass over the keys and then selects the percentiles on
+//! them in place.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use act_rng::Rng;
 
@@ -120,58 +127,97 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The reduction at the end of every block Monte-Carlo run: statistics
-/// over the finite entries of `draws` plus the count of the rest, with
-/// `keys` as reused percentile scratch. No pass compacts the finite draws
-/// out first; the two tasks below read `draws` as it is and share nothing,
-/// so they run side by side on the pool with the run's `workers` (both
-/// inline on the caller when `workers <= 1`):
-///
-/// - **the mean** is a Neumaier-compensated sum over the finite draws in
-///   **input order** ([`compensated_sum`]). Every caller passes draws in
-///   sample order, which seed-splitting fixes for any thread count, so
-///   the mean is thread-count invariant without an order-normalizing sort;
-/// - **the percentiles** come from [`order_statistics`], which copies the
-///   draws into `keys` as [`order_key`]s, counts the finite ones, and
-///   selects p50, then p05 left of it and p95 right of it. A non-finite
-///   draw's key is `u64::MAX`, above every finite key, so every rank below
-///   the finite count lands on a finite draw. The key order is
-///   `f64::total_cmp`'s, so each order statistic is bit-identical to
-///   `sorted[round((n - 1) * q)]` over the `n` finite draws.
+/// Neumaier-compensated sum of the finite draws behind `keys` in slice
+/// order, skipping the rejected ones (`u64::MAX`), with their count. The
+/// running compensation recovers the low-order bits each addition rounds
+/// away, so the result is within an ulp or so of the exact sum regardless
+/// of magnitude ordering; every caller passes keys in sample order, which
+/// seed-splitting fixes for any thread count, so the mean is thread-count
+/// invariant without an order-normalizing sort. An overflowing sum
+/// returns the plain (infinite) running sum rather than the `inf - inf`
+/// NaN the compensation would add.
+fn sample_order_sum(keys: &[u64]) -> (f64, usize) {
+    let (mut sum, mut compensation, mut finite) = (0.0_f64, 0.0_f64, 0);
+    for &key in keys {
+        if key == u64::MAX {
+            continue;
+        }
+        let v = from_order_key(key);
+        let t = sum + v;
+        compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+        sum = t;
+        finite += 1;
+    }
+    (if sum.is_finite() { sum + compensation } else { sum }, finite)
+}
+
+/// Writes the order key of each of `draws` into the same slot of `keys`:
+/// [`order_key`] for a finite draw, `u64::MAX` for a rejected (non-finite)
+/// one. That is the whole canonicalization a rejected draw gets: every
+/// finite key sorts below `u64::MAX`, and the key decodes as NaN.
+pub(crate) fn encode_draws(draws: &[f64], keys: &mut [u64]) {
+    for (key, &v) in keys.iter_mut().zip(draws) {
+        *key = if v.is_finite() { order_key(v) } else { u64::MAX };
+    }
+}
+
+/// The draw behind a key written by [`encode_draws`]: the finite draw,
+/// or NaN for a rejected one.
+pub(crate) fn decode_draw(key: u64) -> f64 {
+    if key == u64::MAX {
+        f64::NAN
+    } else {
+        from_order_key(key)
+    }
+}
+
+/// The tail of every block Monte-Carlo run: statistics over the completed
+/// prefix `keys` ([`encode_draws`] form, in sample order) plus the count
+/// of rejected draws. One serial pass takes the sample-order mean and the
+/// finite count ([`sample_order_sum`]) before anything permutes the keys;
+/// then the percentiles are selected in place: p50 first, then p05 among
+/// the keys below it and p95 among those above it — disjoint halves, so
+/// the two selections run side by side on the pool with the run's
+/// `workers` (inline on the caller when `workers <= 1`). A rejected
+/// draw's key is `u64::MAX`, above every finite key, so every rank below
+/// the finite count lands on a finite draw. The key order is
+/// `f64::total_cmp`'s, so each order statistic is bit-identical to
+/// `sorted[round((n - 1) * q)]` over the `n` finite draws. The selections
+/// leave `keys` permuted.
 ///
 /// # Errors
 ///
 /// [`McError::AllRejected`] when no draw is finite.
-pub(crate) fn summarize(
-    draws: &[f64],
-    keys: &mut Vec<u64>,
-    workers: usize,
-) -> Result<McOutcome, McError> {
-    let cursor = AtomicUsize::new(0);
-    let keys = Mutex::new(keys);
-    let (sum, order) = (OnceLock::new(), OnceLock::new());
-    // The longer task first: the caller claims it while the pool wakes.
-    crate::pool::run(workers.min(2), &|| loop {
-        match cursor.fetch_add(1, Ordering::Relaxed) {
-            0 => {
-                let mut keys = keys.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = order.set(order_statistics(draws, &mut keys));
-            }
-            1 => {
-                let _ = sum.set(compensated_sum(draws));
-            }
-            _ => break,
-        }
-    });
-    // Every participant drains the cursor, so both tasks ran before
-    // `pool::run` returned (a panic in either resumes on this thread).
-    let (Some(&sum), Some(&(samples, [p05, p50, p95]))) = (sum.get(), order.get()) else {
-        unreachable!("pool::run returns after both reduction tasks ran")
-    };
-    let rejected = draws.len() - samples;
+pub(crate) fn summarize(keys: &mut [u64], workers: usize) -> Result<McOutcome, McError> {
+    let (sum, samples) = sample_order_sum(keys);
+    let rejected = keys.len() - samples;
     if samples == 0 {
         return Err(McError::AllRejected { rejected });
     }
+    let rank = |q: f64| ((samples - 1) as f64 * q).round() as usize;
+    let (i05, i50, i95) = (rank(0.05), rank(0.5), rank(0.95));
+    let (below, &mut p50, above) = keys.select_nth_unstable(i50);
+    // Each tail: its keys, the rank to select there (none when the
+    // percentile's rank is p50's), and the key found, p50's until then.
+    let tails = [
+        Mutex::new((below, (i05 < i50).then_some(i05), p50)),
+        Mutex::new((above, (i95 > i50).then(|| i95 - i50 - 1), p50)),
+    ];
+    let cursor = AtomicUsize::new(0);
+    crate::pool::run(workers.min(2), &|| {
+        while let Some(tail) = tails.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let mut tail = tail.lock().unwrap_or_else(PoisonError::into_inner);
+            let (keys, rank, key) = &mut *tail;
+            if let Some(rank) = *rank {
+                *key = *keys.select_nth_unstable(rank).1;
+            }
+        }
+    });
+    // Every participant drains the cursor, so both selections ran before
+    // `pool::run` returned (a panic in either resumes on this thread).
+    let [p05, p95] =
+        tails.map(|tail| tail.into_inner().unwrap_or_else(PoisonError::into_inner).2);
+    let [p05, p50, p95] = [p05, p50, p95].map(from_order_key);
     let stats = McStats { mean: sum / samples as f64, p05, p50, p95, samples };
     Ok(McOutcome { stats, rejected })
 }
@@ -188,56 +234,6 @@ fn order_key(v: f64) -> u64 {
 /// The value whose [`order_key`] is `key`.
 fn from_order_key(key: u64) -> f64 {
     f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
-}
-
-/// The percentile task of [`summarize`]: the number of finite `draws` and
-/// their p05/p50/p95. `keys` is overwritten with the draws' order keys
-/// (non-finite draws as `u64::MAX`) and left permuted by the selections.
-fn order_statistics(draws: &[f64], keys: &mut Vec<u64>) -> (usize, [f64; 3]) {
-    let mut finite = 0;
-    keys.clear();
-    keys.extend(draws.iter().map(|&v| {
-        let is_finite = v.is_finite();
-        finite += usize::from(is_finite);
-        if is_finite {
-            order_key(v)
-        } else {
-            u64::MAX
-        }
-    }));
-    if finite == 0 {
-        return (0, [f64::NAN; 3]);
-    }
-    let rank = |q: f64| ((finite - 1) as f64 * q).round() as usize;
-    let (i05, i50, i95) = (rank(0.05), rank(0.5), rank(0.95));
-    let (left, &mut p50, right) = keys.select_nth_unstable(i50);
-    let p05 = if i05 == i50 { p50 } else { *left.select_nth_unstable(i05).1 };
-    let p95 = if i95 == i50 { p50 } else { *right.select_nth_unstable(i95 - i50 - 1).1 };
-    (finite, [p05, p50, p95].map(from_order_key))
-}
-
-/// Neumaier-compensated sum of the finite `values` in slice order,
-/// skipping the rest: the running compensation recovers the low-order
-/// bits each addition rounds away, so the result is within an ulp or so
-/// of the exact sum regardless of magnitude ordering. An overflowing sum
-/// returns the plain (infinite) running sum rather than the `inf - inf`
-/// NaN the compensation would add.
-fn compensated_sum(values: &[f64]) -> f64 {
-    let mut sum = 0.0_f64;
-    let mut compensation = 0.0_f64;
-    for &v in values {
-        if !v.is_finite() {
-            continue;
-        }
-        let t = sum + v;
-        compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
-        sum = t;
-    }
-    if sum.is_finite() {
-        sum + compensation
-    } else {
-        sum
-    }
 }
 
 /// Error returned by [`try_triangular`] for parameters that do not define
@@ -307,9 +303,17 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// [`summarize`]'s statistics on one thread with fresh scratch.
+    /// The reduction of `draws` as a run performs it: encoded to keys,
+    /// then summarized on `workers` threads.
+    pub(crate) fn summarize_draws(draws: &[f64], workers: usize) -> Result<McOutcome, McError> {
+        let mut keys = vec![0; draws.len()];
+        encode_draws(draws, &mut keys);
+        summarize(&mut keys, workers)
+    }
+
+    /// [`summarize_draws`]'s statistics on one thread.
     fn stats_of(values: &[f64]) -> McStats {
-        summarize(values, &mut Vec::new(), 1).unwrap().stats
+        summarize_draws(values, 1).unwrap().stats
     }
 
     #[test]
@@ -405,6 +409,24 @@ pub(crate) mod tests {
         [at(0.05), at(0.5), at(0.95)]
     }
 
+    /// Neumaier-compensated sum of the finite `values` in slice order: the
+    /// reference the run's mean must match bit for bit, written out on
+    /// draws rather than keys, independently of `sample_order_sum`.
+    fn compensated_sum(values: &[f64]) -> f64 {
+        let mut sum = 0.0_f64;
+        let mut compensation = 0.0_f64;
+        for &v in values.iter().filter(|v| v.is_finite()) {
+            let t = sum + v;
+            compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+            sum = t;
+        }
+        if sum.is_finite() {
+            sum + compensation
+        } else {
+            sum
+        }
+    }
+
     /// Asserts that `outcome` is the reduction of `draws` by definition:
     /// the finite draws compacted in sample order, their compensated mean
     /// and their percentiles from a full sort, all compared as bits.
@@ -436,7 +458,7 @@ pub(crate) mod tests {
     /// with uniform noise; or `+b, noise, -b` triples with `b` up to
     /// ~1.8e16, whose cancellation leaves the compensated mean's last bits
     /// dependent on the summation order.
-    fn mixed_values(trial: u64, n: usize) -> Vec<f64> {
+    pub(crate) fn mixed_values(trial: u64, n: usize) -> Vec<f64> {
         // The values `total_cmp` orders by bit pattern rather than by `==`.
         const POOL: [f64; 10] =
             [0.0, -0.0, 1.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -7.25, 1e300];
@@ -489,14 +511,13 @@ pub(crate) mod tests {
     fn selected_percentiles_match_sorted_index_bitwise() {
         // n = 1 has i05 == i50 == i95 and n = 2 has i95 == i50, so the
         // skip-the-second-selection branches are exercised too.
-        let mut keys = Vec::new();
         for n in [1usize, 2, 3, 19, 20, 21, 64, 1000] {
             for trial in 0..16u64 {
                 for placement in PLACEMENTS {
                     let draws = with_non_finite(mixed_values(trial, n), placement);
                     for workers in [1, 2] {
                         let case = format!("n = {n}, trial = {trial}, {placement}, {workers}w");
-                        assert_reference(summarize(&draws, &mut keys, workers), &draws, &case);
+                        assert_reference(summarize_draws(&draws, workers), &draws, &case);
                     }
                 }
             }

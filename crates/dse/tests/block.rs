@@ -78,7 +78,8 @@ const MC_RANGES: [(f64, f64); 2] = [(-4.0, 4.0), (-2.0, 2.0)];
 /// Sample `i` of a run keyed by `seed` in a plain loop: its own
 /// `Rng::seed_from_u64(mc_sample_seed(seed, i))`, one draw per axis in
 /// axis order, then `model`. Non-finite draws read NaN, as in
-/// [`McBuffer::draws`].
+/// [`McBuffer::draws`], which holds the same draws in no particular
+/// order.
 fn oracle_draws(seed: u64, samples: usize) -> Vec<f64> {
     (0..samples as u64)
         .map(|i| {
@@ -93,6 +94,32 @@ fn oracle_draws(seed: u64, samples: usize) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// Neumaier-compensated sum of `values` in slice order: the mean's
+/// reference, in sample order, bit for bit.
+fn compensated_sum(values: &[f64]) -> f64 {
+    let (mut sum, mut compensation) = (0.0_f64, 0.0_f64);
+    for &v in values {
+        let t = sum + v;
+        compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+        sum = t;
+    }
+    if sum.is_finite() {
+        sum + compensation
+    } else {
+        sum
+    }
+}
+
+/// Asserts that `got` holds exactly the draws `want` as a multiset, bit
+/// for bit.
+fn assert_same_draws(want: &[f64], got: impl Iterator<Item = f64>, context: &str) {
+    let mut want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+    let mut got: Vec<u64> = got.map(f64::to_bits).collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(want, got, "{context}: the draws differ");
 }
 
 fn assert_bitwise_eq(a: &[f64], b: &[f64], context: &str) {
@@ -210,11 +237,11 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
             let draws = oracle_draws(seed, samples);
             let mut finite: Vec<f64> = draws.iter().copied().filter(|v| !v.is_nan()).collect();
             let rejected = samples - finite.len();
+            let mean = compensated_sum(&finite) / finite.len() as f64;
             // Percentiles by full sort and `round((n - 1) * q)`.
             finite.sort_by(f64::total_cmp);
             let at =
                 |q: f64| finite[((finite.len() - 1) as f64 * q).round() as usize].to_bits();
-            let mean = finite.iter().sum::<f64>() / finite.len() as f64;
             for workers in WORKERS {
                 let mut buf = McBuffer::default();
                 let result = par_monte_carlo_compiled_block_with(
@@ -227,7 +254,7 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
                     &mut buf,
                 );
                 let context = format!("{context}, workers={workers}");
-                assert_bitwise_eq(&draws, buf.draws(), &context);
+                assert_same_draws(&draws, buf.draws(), &context);
                 if finite.is_empty() {
                     assert_eq!(result, Err(McError::AllRejected { rejected }), "{context}");
                     continue;
@@ -238,7 +265,7 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
                 assert_eq!(stats.samples, finite.len(), "{context}");
                 let got = [stats.p05, stats.p50, stats.p95].map(f64::to_bits);
                 assert_eq!(got, [at(0.05), at(0.5), at(0.95)], "{context}");
-                assert!((stats.mean - mean).abs() <= 1e-9 * mean.abs().max(1.0), "{context}");
+                assert_eq!(stats.mean.to_bits(), mean.to_bits(), "{context}");
             }
         }
     }

@@ -7,7 +7,9 @@
 use std::time::{Duration, Instant};
 
 use act_core::{OperationalModel, INTENSITY_RANGE, LIFETIME_RANGE};
-use act_dse::{mc_sample_seed, try_triangular, BatchRun, EvalBudget, McBuffer, McError};
+use act_dse::{
+    mc_sample_seed, try_triangular, BatchRun, EvalBudget, McBuffer, McError, McOutcome,
+};
 use act_rng::Rng;
 use act_scenario::{Distribution, Scenario, ScenarioError};
 use act_units::{CarbonIntensity, Energy, SECONDS_PER_YEAR};
@@ -31,6 +33,45 @@ fn fleet_doc() -> &'static str {
             "utilization": {"dist": "uniform", "low": 0.05, "high": 0.3}
         }
     }"#
+}
+
+/// The draws as a multiset: their bit patterns, sorted. A run's buffer
+/// holds its draws in no particular order, so draws compare this way.
+fn draw_bits(draws: impl Iterator<Item = f64>) -> Vec<u64> {
+    let mut bits: Vec<u64> = draws.map(f64::to_bits).collect();
+    bits.sort_unstable();
+    bits
+}
+
+/// Asserts that `outcome` is the summary of `draws` (in sample order,
+/// rejected ones NaN) by definition, bit for bit: the finite draws'
+/// Neumaier-compensated mean in sample order and their percentiles
+/// `sorted[round((n - 1) * q)]`.
+fn assert_reference(outcome: Result<McOutcome, McError>, draws: &[f64], context: &str) {
+    let finite: Vec<f64> = draws.iter().copied().filter(|v| v.is_finite()).collect();
+    let rejected = draws.len() - finite.len();
+    if finite.is_empty() {
+        assert_eq!(outcome, Err(McError::AllRejected { rejected }), "{context}");
+        return;
+    }
+    let outcome = outcome.unwrap_or_else(|err| panic!("{context}: {err}"));
+    let (mut sum, mut compensation) = (0.0_f64, 0.0_f64);
+    for &v in &finite {
+        let t = sum + v;
+        compensation += if sum.abs() >= v.abs() { (sum - t) + v } else { (v - t) + sum };
+        sum = t;
+    }
+    let total = if sum.is_finite() { sum + compensation } else { sum };
+    let mut sorted = finite;
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize].to_bits();
+    let stats = &outcome.stats;
+    assert_eq!((stats.samples, outcome.rejected), (sorted.len(), rejected), "{context}");
+    assert_eq!(
+        [stats.mean, stats.p05, stats.p50, stats.p95].map(f64::to_bits),
+        [(total / sorted.len() as f64).to_bits(), at(0.05), at(0.5), at(0.95)],
+        "mean, p05, p50, p95: {context}"
+    );
 }
 
 /// Sharding is a scheduling decision, never a numerical one: the serial
@@ -57,12 +98,7 @@ fn fleet_outcome_is_bit_identical_across_thread_counts() {
     assert_eq!(serial.stats.samples, par.stats.samples);
     assert_eq!(serial.rejected, par.rejected);
     assert_eq!(serial_buf.draws().len(), par_buf.draws().len());
-    for (i, (a, b)) in serial_buf.draws().iter().zip(par_buf.draws()).enumerate() {
-        assert!(
-            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-            "draw {i} diverged: {a} vs {b}"
-        );
-    }
+    assert_eq!(draw_bits(serial_buf.draws()), draw_bits(par_buf.draws()));
     // The fleet total scales the per-device mean; with a million devices
     // it must dwarf a single handset's footprint.
     assert!(fleet.fleet_total_grams(&serial) > serial.stats.mean * 1e5);
@@ -118,8 +154,7 @@ fn fleet_percentiles_are_sorted_order_statistics_of_the_draws() {
         assert_eq!(run, BatchRun::Completed);
         assert_eq!(outcome.stats.samples + outcome.rejected, fleet.samples());
 
-        let mut sorted: Vec<f64> =
-            buf.draws().iter().copied().filter(|v| v.is_finite()).collect();
+        let mut sorted: Vec<f64> = buf.draws().filter(|v| v.is_finite()).collect();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(sorted.len(), outcome.stats.samples);
         let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize].to_bits();
@@ -173,11 +208,11 @@ fn point_distributions_reproduce_the_device_footprint_bitwise() {
         let (outcome, _) = fleet.run(1, &mut buf, &EvalBudget::unlimited()).expect("run");
         assert_eq!(outcome.rejected, 0, "{workload}");
         assert_eq!(buf.draws().len(), 257, "{workload}");
-        for (i, draw) in buf.draws().iter().enumerate() {
+        for draw in buf.draws() {
             assert_eq!(
                 draw.to_bits(),
                 device.total_g.to_bits(),
-                "sample {i} diverged from the device footprint at {workload}"
+                "a sample diverged from the device footprint at {workload}"
             );
         }
     }
@@ -214,12 +249,13 @@ fn scalar_draw(dist: Distribution, rng: &mut Rng) -> f64 {
 
 /// Every distribution kind in every slot (lifetime, intensity,
 /// utilization), with sample counts that are not a multiple of a block or
-/// a lane pair, on 1 and 3 threads and under a deadline: each entry of
-/// `McBuffer::draws()` equals the scalar re-derivation — the sample's
-/// `Rng` from `mc_sample_seed`, three scalar draws in the contract's
-/// order, the Table 1 range check, and the operational model plus the
-/// embodied total — bit for bit. Each kind's parameters put some draws
-/// out of range, so rejections are covered too.
+/// a lane pair, on 1 and 3 threads and under a deadline: `McBuffer::draws()`
+/// holds exactly the scalar re-derivations of the (completed) samples —
+/// each sample's `Rng` from `mc_sample_seed`, three scalar draws in the
+/// contract's order, the Table 1 range check, and the operational model
+/// plus the embodied total — bit for bit, and the outcome is their
+/// summary by definition. Each kind's parameters put some draws out of
+/// range, so rejections are covered too.
 #[test]
 fn column_sampler_matches_scalar_draws_bitwise() {
     let kinds: [[Distribution; 4]; 3] = [
@@ -293,33 +329,39 @@ fn column_sampler_matches_scalar_draws_bitwise() {
             assert!(rejected < samples, "{context}: every draw rejected");
 
             let fleet = compiled.fleet().expect("fleet block");
-            let check = |draws: &[f64], label: &str| {
-                for (i, (got, want)) in draws.iter().zip(&expected).enumerate() {
-                    assert!(
-                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "{context}, {label}: sample {i} is {got}, scalar path {want}"
-                    );
-                }
+            let check = |buf: &McBuffer, expected: &[f64], label: &str| {
+                assert_eq!(
+                    draw_bits(buf.draws()),
+                    draw_bits(expected.iter().copied()),
+                    "{context}, {label}: the draws differ from the scalar path"
+                );
             };
             for threads in [1, 3] {
                 let mut buf = McBuffer::new();
-                let (outcome, run) =
-                    fleet.run(threads, &mut buf, &EvalBudget::unlimited()).expect("run");
-                assert_eq!(run, BatchRun::Completed);
-                assert_eq!(outcome.rejected, rejected, "{context}, {threads} threads");
-                assert_eq!(buf.draws().len(), samples);
-                check(buf.draws(), &format!("{threads} threads"));
+                let result = fleet.run(threads, &mut buf, &EvalBudget::unlimited());
+                let label = format!("{threads} threads");
+                let outcome = result.map(|(outcome, run)| {
+                    assert_eq!(run, BatchRun::Completed, "{context}, {label}");
+                    outcome
+                });
+                assert_eq!(outcome.map(|o| o.rejected), Ok(rejected), "{context}, {label}");
+                assert_reference(outcome, &expected, &format!("{context}, {label}"));
+                check(&buf, &expected, &label);
             }
             let budget = EvalBudget::with_deadline(Instant::now() + Duration::from_micros(300))
                 .check_every(16);
             let mut buf = McBuffer::new();
-            match fleet.run(1, &mut buf, &budget) {
-                Ok(_) | Err(McError::AllRejected { .. }) => {
-                    check(buf.draws(), "deadline prefix")
-                }
-                Err(McError::NoSamples) => {}
+            let result = fleet.run(1, &mut buf, &budget);
+            let completed = match result {
+                Ok((_, BatchRun::Completed)) => samples,
+                Ok((_, BatchRun::DeadlineExceeded { completed })) => completed,
+                Err(McError::AllRejected { rejected }) => rejected,
+                Err(McError::NoSamples) => continue,
                 Err(other) => panic!("{context}: unexpected error {other:?}"),
-            }
+            };
+            let prefix = &expected[..completed];
+            assert_reference(result.map(|(outcome, _)| outcome), prefix, &context);
+            check(&buf, prefix, "deadline prefix");
         }
     }
 }
@@ -381,17 +423,16 @@ fn fully_out_of_range_support_is_all_rejected() {
 }
 
 /// A deadline that expires mid-run completes a prefix, and that prefix
-/// is bitwise identical to the unlimited run — the budget changes how
-/// far we get, never what we compute.
+/// is bitwise identical to an unlimited run of as many samples — the
+/// budget changes how far we get, never what we compute.
 #[test]
 fn deadline_cutoff_yields_a_bitwise_prefix() {
-    let doc = fleet_doc().replace("\"samples\": 4096", "\"samples\": 400000");
-    let compiled = Scenario::parse(&doc).expect("parse").compile().expect("compile");
+    let sized = |samples: usize| {
+        let doc = fleet_doc().replace("\"samples\": 4096", &format!("\"samples\": {samples}"));
+        Scenario::parse(&doc).expect("parse").compile().expect("compile")
+    };
+    let compiled = sized(400_000);
     let fleet = compiled.fleet().expect("fleet block");
-
-    let mut reference = McBuffer::new();
-    let (_, run) = fleet.run(1, &mut reference, &EvalBudget::unlimited()).expect("reference");
-    assert_eq!(run, BatchRun::Completed);
 
     let deadline = Instant::now() + Duration::from_micros(500);
     let budget = EvalBudget::with_deadline(deadline).check_every(64);
@@ -403,14 +444,25 @@ fn deadline_cutoff_yields_a_bitwise_prefix() {
                 BatchRun::DeadlineExceeded { completed } => completed,
             };
             assert_eq!(outcome.stats.samples + outcome.rejected, completed);
-            for (i, (got, want)) in
-                clipped.draws().iter().zip(&reference.draws()[..completed]).enumerate()
-            {
-                assert!(
-                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                    "prefix diverged at sample {i}"
-                );
-            }
+            // Seed-splitting makes the first `completed` samples of any run
+            // the same draws, so the prefix is a whole run of that size.
+            let compiled = sized(completed);
+            let mut reference = McBuffer::new();
+            let (whole, run) = compiled
+                .fleet()
+                .expect("fleet block")
+                .run(1, &mut reference, &EvalBudget::unlimited())
+                .expect("reference");
+            assert_eq!(run, BatchRun::Completed);
+            assert_eq!(draw_bits(clipped.draws()), draw_bits(reference.draws()));
+            let bits = |o: &McOutcome| {
+                [o.stats.mean, o.stats.p05, o.stats.p50, o.stats.p95].map(f64::to_bits)
+            };
+            assert_eq!(bits(&outcome), bits(&whole), "prefix statistics");
+            assert_eq!(
+                (outcome.stats.samples, outcome.rejected),
+                (whole.stats.samples, whole.rejected)
+            );
         }
         // The deadline can expire before the first block on a loaded
         // machine; that is the documented NoSamples path, not a failure.

@@ -24,7 +24,7 @@ use std::time::Instant;
 use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
     calibration, par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
-    BatchOutput, BatchRun, EvalBudget, McBuffer, McOutcome, Parallelism, PointBatch,
+    BatchOutput, BatchRun, EvalBudget, McBuffer, McError, McOutcome, Parallelism, PointBatch,
 };
 use act_experiments::{concrete_experiment_ids, try_render_experiment, OutputFormat};
 use act_json::{format_float, FromJson, JsonValue, ToJson};
@@ -261,7 +261,8 @@ fn handle_scenario(
 
 /// `POST /v1/fleet` — a scenario document with a `fleet` block in, one
 /// Monte-Carlo summary line out (per-device stats plus the fleet total),
-/// or a deadline trailer when the budget expired mid-run. Rides the same
+/// then a deadline trailer when the budget expired mid-run (only the
+/// trailer when it expired before the first block). Rides the same
 /// budgeted block machinery as `/v1/montecarlo`, so the outcome is
 /// bit-identical whichever thread count the calibration picks.
 fn handle_fleet(
@@ -281,16 +282,14 @@ fn handle_fleet(
     let mut buf = McBuffer::default();
     let budget = EvalBudget::with_deadline(deadline);
     let threads = batch_threads(fleet.samples());
-    match fleet.run(threads, &mut buf, &budget) {
-        Ok((outcome, run)) => {
-            let fields = [
-                ("devices", fleet.devices().to_json()),
-                ("fleet_total_g", fleet.fleet_total_grams(&outcome).to_json()),
-            ];
-            respond_mc_summary(conn, stats, &outcome, fields, run, threads)
-        }
-        Err(err) => Reject::bad("fleet-failed", err.to_string()).respond(conn),
-    }
+    let result = fleet.run(threads, &mut buf, &budget);
+    let fields = |outcome: &McOutcome| {
+        [
+            ("devices", fleet.devices().to_json()),
+            ("fleet_total_g", fleet.fleet_total_grams(outcome).to_json()),
+        ]
+    };
+    respond_mc(conn, stats, result, fields, threads, "fleet-failed")
 }
 
 /// Maps an axis name from the wire (`"soc_area_mm2"`, `"dram[0]"`, ...)
@@ -540,41 +539,52 @@ fn write_deadline_trailer(
     )
 }
 
-/// Writes one Monte-Carlo summary line: `outcome` with `fields` appended,
-/// then the `threads` that ran it and the calibration. A run cut off by
-/// its budget streams the line and then a deadline trailer.
-fn respond_mc_summary(
+/// Answers a budgeted Monte-Carlo run on `threads` threads. A run that
+/// completed is one summary line: the outcome with `fields(outcome)`
+/// appended, then the `threads` and the calibration. A run cut off by its
+/// budget streams that line and then a deadline trailer, and one cut off
+/// before its first block ([`McError::NoSamples`]: parsing already
+/// rejected `samples == 0`) streams the trailer alone, `completed: 0`.
+/// Any other error is a 400 of the route's `failed` kind.
+fn respond_mc<const N: usize>(
     conn: &mut Connection<'_>,
     stats: &ServerStats,
-    outcome: &McOutcome,
-    fields: impl IntoIterator<Item = (&'static str, JsonValue)>,
-    run: BatchRun,
+    result: Result<(McOutcome, BatchRun), McError>,
+    fields: impl FnOnce(&McOutcome) -> [(&'static str, JsonValue); N],
     threads: usize,
+    failed: &'static str,
 ) -> std::io::Result<RouteOutcome> {
-    let mut doc = outcome.to_json();
-    if let JsonValue::Object(obj) = &mut doc {
-        for (key, value) in fields {
-            obj.insert(key, value);
+    let (summary, completed) = match result {
+        Ok((outcome, run)) => {
+            let mut doc = outcome.to_json();
+            if let JsonValue::Object(obj) = &mut doc {
+                for (key, value) in fields(&outcome) {
+                    obj.insert(key, value);
+                }
+                obj.insert("threads", threads.to_json());
+                obj.insert("calibration", calibration().to_json());
+            }
+            let mut line = doc.render_compact();
+            line.push('\n');
+            match run {
+                BatchRun::Completed => {
+                    conn.respond(Status::Ok, &line)?;
+                    return Ok(RouteOutcome::Completed);
+                }
+                BatchRun::DeadlineExceeded { completed } => (Some(line), completed),
+            }
         }
-        obj.insert("threads", threads.to_json());
-        obj.insert("calibration", calibration().to_json());
+        Err(McError::NoSamples) => (None, 0),
+        Err(err) => return Reject::bad(failed, err.to_string()).respond(conn),
+    };
+    ServerStats::bump(&stats.deadline_trailers);
+    let mut out = conn.stream(Status::Ok)?;
+    if let Some(line) = summary {
+        out.write_all(line.as_bytes())?;
     }
-    let mut line = doc.render_compact();
-    line.push('\n');
-    match run {
-        BatchRun::Completed => {
-            conn.respond(Status::Ok, &line)?;
-            Ok(RouteOutcome::Completed)
-        }
-        BatchRun::DeadlineExceeded { completed } => {
-            ServerStats::bump(&stats.deadline_trailers);
-            let mut out = conn.stream(Status::Ok)?;
-            out.write_all(line.as_bytes())?;
-            write_deadline_trailer(&mut out, completed, threads)?;
-            out.flush()?;
-            Ok(RouteOutcome::DeadlinePartial)
-        }
-    }
+    write_deadline_trailer(&mut out, completed, threads)?;
+    out.flush()?;
+    Ok(RouteOutcome::DeadlinePartial)
 }
 
 /// The decoded, validated body of a Monte-Carlo request.
@@ -641,8 +651,9 @@ fn parse_montecarlo(request: &Request) -> Result<McRequest, Reject> {
     Ok(McRequest { compiled, ranges, samples, seed })
 }
 
-/// `POST /v1/montecarlo` — one summary line (`McOutcome` JSON), or a
-/// deadline trailer when the budget expired before any sample finished.
+/// `POST /v1/montecarlo` — one summary line (`McOutcome` JSON), then a
+/// deadline trailer when the budget expired mid-run, or the trailer
+/// alone when it expired before any sample finished.
 fn handle_montecarlo(
     conn: &mut Connection<'_>,
     request: &Request,
@@ -684,10 +695,7 @@ fn handle_montecarlo(
         &mut buf,
         &budget,
     );
-    match result {
-        Ok((outcome, run)) => respond_mc_summary(conn, stats, &outcome, [], run, threads),
-        Err(err) => Reject::bad("montecarlo-failed", err.to_string()).respond(conn),
-    }
+    respond_mc(conn, stats, result, |_| [], threads, "montecarlo-failed")
 }
 
 #[cfg(test)]

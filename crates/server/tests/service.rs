@@ -567,6 +567,47 @@ fn deadline_cuts_a_request_with_a_trailer() {
     assert!(stats.deadline_trailers >= 1, "{stats:?}");
 }
 
+/// A deadline that passes before a Monte-Carlo run's first block is a
+/// 200 with the deadline trailer alone (`completed: 0`), counted as a
+/// deadline trailer, not a bad request: `samples == 0` is a 400 at parse
+/// time, so a budgeted run with no samples can only mean the deadline.
+#[test]
+fn a_deadline_before_the_first_block_is_a_trailer_not_a_400() {
+    let server = TestServer::start(ServerConfig {
+        request_deadline: Duration::from_millis(100),
+        faults: Some(FaultPlan::parse("seed=1").expect("plan")),
+        ..ServerConfig::default()
+    });
+    let montecarlo = format!(
+        "{{\"params\":{},\"samples\":200,\"seed\":7,\
+         \"axes\":[{{\"axis\":\"lifetime_years\",\"low\":1.0,\"high\":5.0}}]}}",
+        params_json()
+    );
+    let fleet = include_str!("../../cli/tests/fixtures/fleet_server.json");
+    for (path, body) in [("/v1/montecarlo", montecarlo.as_str()), ("/v1/fleet", fleet)] {
+        // `dispatch` sleeps 300ms before routing: the 100ms budget is gone
+        // before the run starts.
+        let response = post(server.addr, path, body, "X-Act-Fault: delay:300\r\n");
+        let (status, response_body) = split(&response);
+        assert!(status.contains("200"), "{path}: got {status}: {response_body}");
+        let lines: Vec<&str> = response_body.lines().collect();
+        assert_eq!(lines.len(), 1, "{path}: only the trailer: {response_body}");
+        let trailer = JsonValue::parse(lines[0]).expect("trailer parses");
+        assert_eq!(
+            trailer.get("error").and_then(JsonValue::as_str),
+            Some("deadline"),
+            "{path}"
+        );
+        assert_eq!(trailer.get("completed").and_then(JsonValue::as_u64), Some(0), "{path}");
+        assert!(
+            trailer.get("threads").and_then(JsonValue::as_u64).is_some_and(|t| t >= 1),
+            "{path}: the trailer carries the thread count: {response_body}"
+        );
+    }
+    let stats = server.stop();
+    assert_eq!((stats.deadline_trailers, stats.bad_requests), (2, 0), "{stats:?}");
+}
+
 #[test]
 fn overload_is_shed_with_503_and_retry_after() {
     let server = TestServer::start(ServerConfig {
