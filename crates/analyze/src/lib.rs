@@ -5,10 +5,11 @@
 //! over it gives every `(`, `[` and `{` its closing partner, and every
 //! rule reads those two:
 //!
-//! * **Token rules** ACT001–ACT005, ACT008 and ACT012 match token
-//!   sequences directly: contracts like "no `.unwrap()` in library code",
-//!   "no `Instant::now` in model code" or "no raw `thread::spawn`
-//!   outside the worker pool".
+//! * **Token rules** ACT001–ACT005, ACT008, ACT012 and ACT014 match
+//!   token sequences directly: contracts like "no `.unwrap()` in library
+//!   code", "no `Instant::now` in model code", "no raw `thread::spawn`
+//!   outside the worker pool" or "no `unsafe` outside the pool and the
+//!   vector dispatch".
 //! * **Structural rules** ACT006, ACT007 and ACT009–ACT011 find fns,
 //!   loops, closures, `let`s and struct/enum bodies through the partner
 //!   table: JSON impls that drift from their structs, kernel loops that
@@ -31,6 +32,10 @@
 //! | ACT010 | raw f64 comparison without `total_cmp` | `dse` `montecarlo.rs`, `optimize.rs` |
 //! | ACT011 | indexing/slicing/unwrap in route handlers | `crates/server/src/routes.rs` |
 //! | ACT012 | raw `thread::spawn`/`thread::scope` pool bypass | library crates; pool, server, CLI, bench exempt |
+//! | ACT014 | `unsafe`, `#[target_feature]`, `is_x86_feature_detected!` | library crates; `dse` `pool.rs`, `core` `wide.rs`, CLI, bench exempt |
+//!
+//! ACT013 is reserved for the libm-call rule that lands with the portable
+//! `exp`/`pow`/`sin`.
 //!
 //! Vetted exceptions go in `xtask/lint.allow`, one per line:
 //! `RULE|path-suffix|line-substring|justification` — the justification is

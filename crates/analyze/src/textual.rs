@@ -1,5 +1,5 @@
-//! The token-level rules ACT001–ACT005, ACT008 and ACT012, and the
-//! [`Scan`] every rule reads.
+//! The token-level rules ACT001–ACT005, ACT008, ACT012 and ACT014, and
+//! the [`Scan`] every rule reads.
 //!
 //! These rules need no structure — a banned literal, a `.unwrap()` call
 //! or a `thread::spawn(` path is a short run of tokens — so they match
@@ -141,6 +141,21 @@ fn act012_exempt(path: &str) -> bool {
         || path.starts_with("crates/bench/")
 }
 
+/// ACT014 keeps `unsafe` and CPU-feature dispatch in the two library
+/// modules that own them: the worker pool's lifetime-erased task pointer
+/// (`crates/dse/src/pool.rs`) and act-core's runtime vector dispatch
+/// (`crates/core/src/wide.rs`), which holds the workspace's one
+/// `#[target_feature]` instance. Exempt beyond those: the CLI binary (its
+/// signal handlers) and bench harnesses.
+fn act014_exempt(path: &str) -> bool {
+    !path.starts_with("crates/")
+        || !path.contains("/src/")
+        || path == "crates/dse/src/pool.rs"
+        || path == "crates/core/src/wide.rs"
+        || path.starts_with("crates/cli/")
+        || path.starts_with("crates/bench/")
+}
+
 /// Unit-conversion / paper constants that must come from the named
 /// constants in `act-units` / `act-data` instead of being retyped.
 const BANNED_LITERALS: [&str; 7] =
@@ -157,6 +172,9 @@ const MSG_ACT004: &str = "infallible `from_base` outside the unit-definition cra
 const MSG_ACT005: &str = "debug/stub macro left in source";
 const MSG_ACT008: &str = "nondeterministic API in a library crate; \
      wall-clock, sleeps and env reads belong in the server/CLI/bench shells";
+const MSG_ACT014: &str = "`unsafe`, `#[target_feature]` or `is_x86_feature_detected!` \
+     in a library crate; `unsafe` belongs in `act_dse::pool` and vector-width \
+     dispatch in `act_core::wide` (implement `wide::Body` and call `run_wide`)";
 const MSG_ACT012: &str = "direct `thread::spawn`/`thread::scope` in a library crate \
      bypasses the calibrated worker pool; route parallel work through \
      `act_dse::parallel` so break-even calibration and `ACT_THREADS` apply";
@@ -216,6 +234,9 @@ fn rule_at(toks: &[Tok], i: usize) -> Option<(usize, &'static str, &'static str)
                 None
             }
         }
+        TokKind::Punct if tok.text == "#" && next(&["[", "target_feature", "("]) => {
+            Some((i + 2, "ACT014", MSG_ACT014))
+        }
         TokKind::Float if BANNED_LITERALS.contains(&tok.text.as_str()) => {
             Some((i, "ACT003", MSG_ACT003))
         }
@@ -236,13 +257,15 @@ fn rule_at(toks: &[Tok], i: usize) -> Option<(usize, &'static str, &'static str)
             "thread" if next(&["::", "spawn", "("]) || next(&["::", "scope", "("]) => {
                 Some((i, "ACT012", MSG_ACT012))
             }
+            "unsafe" => Some((i, "ACT014", MSG_ACT014)),
+            "is_x86_feature_detected" if next(&["!"]) => Some((i, "ACT014", MSG_ACT014)),
             _ => None,
         },
         _ => None,
     }
 }
 
-/// Runs ACT001–ACT005, ACT008 and ACT012 over one file's tokens.
+/// Runs ACT001–ACT005, ACT008, ACT012 and ACT014 over one file's tokens.
 pub(crate) fn check(scan: &Scan<'_>) -> Vec<Finding> {
     let path = scan.path;
     let mut findings = Vec::new();
@@ -254,6 +277,7 @@ pub(crate) fn check(scan: &Scan<'_>) -> Vec<Finding> {
             "ACT002" => !is_cli_binary(path) && !in_test,
             "ACT005" => true,
             "ACT008" => !act008_allowed(path) && !in_test,
+            "ACT014" => !act014_exempt(path) && !in_test,
             _ => !act012_exempt(path) && !in_test,
         };
         if applies {

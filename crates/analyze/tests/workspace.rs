@@ -97,6 +97,12 @@ const PLANTS: &[(&str, &str, &str, &str)] = &[
          if a < b { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater }\n    });",
     ),
     (
+        "ACT014",
+        "crates/scenario/src/fleet.rs",
+        "impl Body for FleetBlock<'_> {",
+        "#[target_feature(enable = \"avx2\")]\nfn planted() {}\n\nimpl Body for FleetBlock<'_> {",
+    ),
+    (
         "ACT011",
         "crates/server/src/routes.rs",
         "    let result = parse_body(request).and_then(|doc| {",

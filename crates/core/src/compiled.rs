@@ -51,8 +51,8 @@ use act_units::{Area, CarbonIntensity, Energy, MassPerCapacity, TimeSpan};
 use crate::embodied::Component;
 use crate::params::{domain_error, INTENSITY_RANGE, LIFETIME_RANGE};
 use crate::{
-    memo, ComponentKind, FabScenario, ModelError, ModelParams, OperationalModel, SystemSpec,
-    Validate,
+    memo, wide, ComponentKind, FabScenario, ModelError, ModelParams, OperationalModel,
+    SystemSpec, Validate,
 };
 
 /// Lane width of the block-vectorized evaluation path: [`EvalPlan::eval_block`]
@@ -480,11 +480,14 @@ enum Operand {
 
 impl Operand {
     /// Fills `dst` with this operand over `start..start + dst.len()` of
-    /// the columns `column` reads.
-    #[inline]
+    /// the columns `column` reads. Inlined like the lane chain that calls
+    /// it, so the AVX-512 instance of [`EvalPlan::eval_block`] compiles
+    /// its loops too.
+    #[inline(always)]
     fn lane<'a>(self, dst: &mut [f64], column: &impl Fn(usize) -> &'a [f64], start: usize) {
         /// One loop per unit, so the conversion is resolved once per lane
         /// rather than per point.
+        #[inline(always)]
         fn convert(dst: &mut [f64], src: &[f64], to_base: impl Fn(f64) -> f64) {
             for (slot, &value) in dst.iter_mut().zip(src) {
                 // The unit layer rejects non-finite magnitudes; such points
@@ -618,19 +621,7 @@ impl EvalPlan {
                 range.end
             );
         }
-        // Cache-blocked: LANES-wide blocks with fixed-size lane buffers,
-        // then one shorter block for the remainder.
-        let column = |col: usize| columns[col];
-        let mut blocks = out.chunks_exact_mut(LANES);
-        let mut start = range.start;
-        for lanes in &mut blocks {
-            self.eval_lanes(&column, start, lanes);
-            start += LANES;
-        }
-        let tail = blocks.into_remainder();
-        if !tail.is_empty() {
-            self.eval_lanes(&column, start, tail);
-        }
+        wide::run_wide(EvalBlock { plan: self, columns, start: range.start, out });
     }
 
     /// One `n ≤ LANES` block of the points `start..start + n` of the
@@ -745,17 +736,54 @@ impl EvalPlan {
             }
         }
 
-        // Combine, then poison points with a non-finite coordinate to NaN:
-        // one select pass per column straight over the result, so the lane
-        // loops stay branch-free and no mask buffer is kept.
-        for i in 0..n {
-            out[i] = op_lane[i] + emb_lane[i] * ratio_lane[i];
-        }
+        // Poison points with a non-finite coordinate to NaN: one pass per
+        // column folds an all-ones-if-finite bit mask, and the combine
+        // selects on it with bit operations. A select per column straight
+        // over the result compiled, in the AVX-512 instance, to a per-lane
+        // scalar rebuild of the result vector, and a conditional store per
+        // column to a branch per point; both ran the sweep shape 1.6–3×
+        // slower there than this mask, which costs the baseline nothing.
+        let mut keep_buf = [u64::MAX; LANES];
+        let keep = &mut keep_buf[..n];
         for col in 0..self.arity {
             let src = &column(col)[start..start + n];
-            for (slot, &value) in out.iter_mut().zip(src) {
-                *slot = if value.is_finite() { *slot } else { f64::NAN };
+            for (k, &value) in keep.iter_mut().zip(src) {
+                *k &= u64::from(value.is_finite()).wrapping_neg();
             }
+        }
+        for i in 0..n {
+            let v = (op_lane[i] + emb_lane[i] * ratio_lane[i]).to_bits();
+            out[i] = f64::from_bits((v & keep[i]) | (f64::NAN.to_bits() & !keep[i]));
+        }
+    }
+}
+
+/// The body of [`EvalPlan::eval_block`] after its shape checks, for the
+/// points `start..start + out.len()`: cache-blocked, `LANES`-wide blocks
+/// with fixed-size lane buffers, then one shorter block for the
+/// remainder, in either [`wide::run_wide`] instance.
+struct EvalBlock<'a> {
+    plan: &'a EvalPlan,
+    columns: &'a [&'a [f64]],
+    start: usize,
+    out: &'a mut [f64],
+}
+
+impl wide::Body for EvalBlock<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self { plan, columns, mut start, out } = self;
+        let column = |col: usize| columns[col];
+        let mut blocks = out.chunks_exact_mut(LANES);
+        for lanes in &mut blocks {
+            plan.eval_lanes(&column, start, lanes);
+            start += LANES;
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            plan.eval_lanes(&column, start, tail);
         }
     }
 }
@@ -1010,6 +1038,121 @@ mod tests {
                         oracle.to_bits(),
                         "block vs oracle diverged at point {i}/{len} with {} axes",
                         axes.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Coordinates no in-range sweep produces, mixed into the columns of
+    /// the instance test below.
+    const AWKWARD: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        -1e-310,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        -f64::MAX,
+    ];
+
+    /// `eval_block`'s two `wide::run_wide` instances agree bit for bit:
+    /// the three plan shapes of the `compiled` bench (`SocArea ×
+    /// UseIntensity`, `FabYield × SocArea`, `Lifetime × Energy`) and a
+    /// multi-component device plan, at lengths around the lane and chunk
+    /// edges, with NaN, ±∞, −0.0, subnormal and `f64::MAX` coordinates
+    /// mixed in. Both are also held to the one-point `eval`, so a change
+    /// that moves both instances alike fails too.
+    #[test]
+    fn eval_block_instances_agree_bitwise() {
+        if wide::vector_tier() == "baseline" {
+            eprintln!("skipped: this CPU runs the baseline instance only");
+            return;
+        }
+        let params = ModelParams::mobile_reference();
+        let shapes: [[FreeAxis; 2]; 3] = [
+            [FreeAxis::SocArea, FreeAxis::UseIntensity],
+            [FreeAxis::FabYield, FreeAxis::SocArea],
+            [FreeAxis::Lifetime, FreeAxis::Energy],
+        ];
+        let mut kernels: Vec<CompiledFootprint> = shapes
+            .iter()
+            .map(|axes| CompiledFootprint::try_compile(&params, axes).expect("compiles"))
+            .collect();
+        let device = SystemSpec::builder()
+            .soc("AP", Area::square_millimeters(98.5), act_data::ProcessNode::N7)
+            .soc("modem", Area::square_millimeters(41.0), act_data::ProcessNode::N14)
+            .dram(act_data::DramTechnology::Lpddr4, act_units::Capacity::gigabytes(4.0))
+            .ssd(act_data::SsdTechnology::V3NandTlc, act_units::Capacity::gigabytes(64.0))
+            .packaged_ics(12)
+            .build();
+        let use_phase = UsePhase {
+            execution_time_s: TimeSpan::years(3.0).as_seconds(),
+            lifetime_years: 3.0,
+            use_intensity_g_per_kwh: 380.0,
+            energy_j: 4.0e7,
+        };
+        let device_axes = [
+            FreeAxis::UseIntensity,
+            FreeAxis::Energy,
+            FreeAxis::FabYield,
+            FreeAxis::SsdCapacity(0),
+        ];
+        kernels.push(
+            CompiledFootprint::try_lower(
+                &device,
+                &FabScenario::default(),
+                &use_phase,
+                &device_axes,
+            )
+            .expect("the device lowers"),
+        );
+        let mut rng = TestRng(0x5eed_0000_0000_0a51);
+        for kernel in &kernels {
+            let plan = kernel.plan();
+            for len in [0, 1, 15, 16, 17, 4095, 4096] {
+                let mut columns = fill_columns(&mut rng, kernel.axes(), len);
+                for (axis, column) in columns.iter_mut().enumerate() {
+                    // Years → seconds overflows `f64::MAX`, which the unit
+                    // layer's debug assertion rejects; `1e300` stays finite.
+                    let years = kernel.axes()[axis] == FreeAxis::Lifetime;
+                    for (i, value) in column.iter_mut().enumerate() {
+                        if (i + 3 * axis) % 5 == 0 {
+                            let awkward = AWKWARD[(i / 5 + axis) % AWKWARD.len()];
+                            *value = if years && awkward.abs() == f64::MAX {
+                                awkward.signum() * 1e300
+                            } else {
+                                awkward
+                            };
+                        }
+                    }
+                }
+                let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+                let mut wide_out = vec![0.0; len];
+                let mut base_out = vec![1.0; len];
+                wide::run_wide(EvalBlock {
+                    plan: &plan,
+                    columns: &views,
+                    start: 0,
+                    out: &mut wide_out,
+                });
+                wide::Body::run(EvalBlock {
+                    plan: &plan,
+                    columns: &views,
+                    start: 0,
+                    out: &mut base_out,
+                });
+                for i in 0..len {
+                    let point: Vec<f64> = columns.iter().map(|c| c[i]).collect();
+                    let scalar = kernel.eval(&point).to_bits();
+                    assert_eq!(
+                        (wide_out[i].to_bits(), base_out[i].to_bits()),
+                        (scalar, scalar),
+                        "point {i}/{len} of {:?}: {point:?}",
+                        kernel.axes()
                     );
                 }
             }

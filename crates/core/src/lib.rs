@@ -44,7 +44,9 @@
 //! assert!(total > opcf);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `wide::run_wide` holds the one `unsafe` call,
+// into its AVX-512 instance after the CPU reported the features.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod compiled;
@@ -56,6 +58,7 @@ pub mod memo;
 mod metrics;
 mod operational;
 mod params;
+pub mod wide;
 
 pub use compiled::{CompiledFootprint, EvalPlan, FreeAxis, UsePhase, LANES};
 pub use embodied::{

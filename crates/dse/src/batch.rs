@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use act_core::wide::{run_wide, Body};
 use act_rng::Rng;
 
 use crate::montecarlo::{
@@ -404,11 +405,11 @@ fn block_points(budget: &EvalBudget, span: usize) -> usize {
 /// reason string uses the raw value (±∞ or NaN).
 ///
 /// A block is almost always all finite, so a branch-free fold tests that
-/// first (with no early exit, so the loop vectorizes) and the per-slot
+/// first ([`AllFinite`], in the host's widest instance) and the per-slot
 /// loop, and the lock on the shared log, run only on a block that holds
 /// an offender.
 fn record_non_finite(slice: &mut [f64], start: usize, log: &Mutex<Vec<RejectedPoint>>) {
-    if slice.iter().fold(true, |clean, v| clean & v.is_finite()) {
+    if run_wide(AllFinite(slice)) {
         return;
     }
     let mut rejected = Vec::new();
@@ -421,6 +422,19 @@ fn record_non_finite(slice: &mut [f64], start: usize, log: &Mutex<Vec<RejectedPo
         }
     }
     lock(log).extend(rejected);
+}
+
+/// `true` when every value is finite: a fold with no early exit, so the
+/// loop vectorizes.
+struct AllFinite<'a>(&'a [f64]);
+
+impl Body for AllFinite<'_> {
+    type Output = bool;
+
+    #[inline(always)]
+    fn run(self) -> bool {
+        self.0.iter().fold(true, |clean, v| clean & v.is_finite())
+    }
 }
 
 /// Locks ignoring poison: a panicking kernel resumes on the caller once

@@ -23,6 +23,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use act_core::wide::{run_wide, Body};
 use act_rng::Rng;
 
 /// Summary statistics of a Monte-Carlo run.
@@ -118,6 +119,7 @@ act_json::impl_from_json!(McOutcome { stats, rejected });
 /// samples, and the draw for sample `i` depends only on `(master, i)` —
 /// never on which thread evaluated it or in what order. That is the whole
 /// determinism argument: every thread count sees bit-identical draws.
+#[inline]
 #[must_use]
 pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -156,8 +158,24 @@ fn sample_order_sum(keys: &[u64]) -> (f64, usize) {
 /// one. That is the whole canonicalization a rejected draw gets: every
 /// finite key sorts below `u64::MAX`, and the key decodes as NaN.
 pub(crate) fn encode_draws(draws: &[f64], keys: &mut [u64]) {
-    for (key, &v) in keys.iter_mut().zip(draws) {
-        *key = if v.is_finite() { order_key(v) } else { u64::MAX };
+    run_wide(EncodeDraws { draws, keys });
+}
+
+/// [`encode_draws`]'s loop as a [`Body`]: `as i64 >> 63` has no SSE2
+/// form, so the baseline instance runs it a value at a time.
+struct EncodeDraws<'a> {
+    draws: &'a [f64],
+    keys: &'a mut [u64],
+}
+
+impl Body for EncodeDraws<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        for (key, &v) in self.keys.iter_mut().zip(self.draws) {
+            *key = if v.is_finite() { order_key(v) } else { u64::MAX };
+        }
     }
 }
 
@@ -226,6 +244,7 @@ pub(crate) fn summarize(keys: &mut [u64], workers: usize) -> Result<McOutcome, M
 /// bits of a non-negative value with the sign bit set, and the bits of a
 /// negative one inverted. Keys compare as `u64` exactly as the values
 /// compare under `total_cmp`, and [`from_order_key`] inverts the map.
+#[inline(always)]
 fn order_key(v: f64) -> u64 {
     let bits = v.to_bits();
     bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)

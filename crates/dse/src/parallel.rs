@@ -21,6 +21,8 @@
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
+use act_core::{CompiledFootprint, FreeAxis, ModelParams};
+
 /// Thread-count policy every sweep, Monte-Carlo and batch entry point takes.
 ///
 /// # Examples
@@ -227,8 +229,9 @@ impl BatchDecision {
 /// 1. Single-core hosts pin the threshold to `usize::MAX`: parallel can
 ///    never win.
 /// 2. Otherwise a one-shot microcalibration measures pool-dispatch
-///    overhead against a reference kernel's per-point cost and picks the
-///    break-even batch size with a 2× safety margin.
+///    overhead against the per-point cost of `eval_block` on a fixed
+///    reference plan and picks the break-even batch size with a 2× safety
+///    margin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Calibration {
     /// Minimum batch length for a parallel `Auto` dispatch.
@@ -303,26 +306,13 @@ fn calibrate() -> Calibration {
 
 /// Measures the break-even batch size: pool-dispatch overhead divided by
 /// the per-point serial win of going parallel, with a 2× safety margin so
-/// borderline batches stay serial. The reference kernel approximates the
-/// flop mix of a compiled footprint point; callers with much heavier or
+/// borderline batches stay serial. The per-point cost is the reference
+/// plan's ([`reference_ns_per_point`]); callers with much heavier or
 /// lighter kernels pick an explicit [`Parallelism`] instead.
 fn measure_threshold() -> usize {
     let workers = machine_parallelism();
     let overhead = crate::pool::measure_dispatch_overhead(workers, 16);
-    // Per-point cost of the reference kernel, serial, best of 3 runs.
-    const POINTS: usize = 65_536;
-    let mut per_point_ns = f64::INFINITY;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let mut acc = 0.0f64;
-        for i in 0..POINTS {
-            acc += reference_kernel(i as f64);
-        }
-        let elapsed = start.elapsed().as_nanos() as f64;
-        // Keep `acc` observable so the loop cannot be optimized away.
-        std::hint::black_box(acc);
-        per_point_ns = per_point_ns.min(elapsed / POINTS as f64);
-    }
+    let per_point_ns = reference_ns_per_point();
     // Parallel wins when n·c − n·c/w > overhead, i.e. beyond
     // n = overhead / (c · (1 − 1/w)); double it for a safety margin.
     let w = workers as f64;
@@ -334,12 +324,35 @@ fn measure_threshold() -> usize {
     break_even.clamp(512.0, 1_048_576.0) as usize
 }
 
-/// A few flops approximating one compiled-footprint evaluation.
-#[inline]
-fn reference_kernel(x: f64) -> f64 {
-    let a = x.mul_add(1.000_000_119, 0.5);
-    let b = a.mul_add(a, x) + 1.0;
-    b / (a.abs() + 1.0) + (a * b).abs().sqrt()
+/// Serial ns per point of `EvalPlan::eval_block` on a fixed reference
+/// plan, best of 3 runs: the mobile reference design free in SoC area
+/// and use-phase grid intensity (the `sweep` plan shape), over a
+/// 1024-point block. `eval_block` dispatches to the host's widest
+/// instance, so the cost is the one the block engine pays.
+fn reference_ns_per_point() -> f64 {
+    const POINTS: usize = 1024;
+    const REPEATS: usize = 64;
+    let plan = CompiledFootprint::compile(
+        &ModelParams::mobile_reference(),
+        &[FreeAxis::SocArea, FreeAxis::UseIntensity],
+    )
+    .plan();
+    let areas: Vec<f64> = (0..POINTS).map(|i| 10.0 + i as f64).collect();
+    let intensities: Vec<f64> = (0..POINTS).map(|i| 20.0 + (i % 880) as f64).collect();
+    let columns = [areas.as_slice(), intensities.as_slice()];
+    let mut out = vec![0.0; POINTS];
+    let mut per_point_ns = f64::INFINITY;
+    for _ in 0..3 {
+        let start = std::time::Instant::now();
+        for _ in 0..REPEATS {
+            plan.eval_block(std::hint::black_box(&columns), 0..POINTS, &mut out);
+        }
+        let elapsed = start.elapsed().as_nanos() as f64;
+        // Keep `out` observable so the loop cannot be optimized away.
+        std::hint::black_box(&out);
+        per_point_ns = per_point_ns.min(elapsed / (REPEATS * POINTS) as f64);
+    }
+    per_point_ns
 }
 
 /// Where a resolved worker count came from.

@@ -21,6 +21,9 @@
 //!   defined once. `gen_range`, [`Rng::normal`] and block samplers that
 //!   draw a column of uniforms first and transform it afterwards all call
 //!   them, so the per-draw and the column forms agree bit for bit.
+//! * [`uniform_columns`] — the per-sample seed-then-draw loop of a block
+//!   sampler turned column-wise: a block of generators seeded and stepped
+//!   across samples, with the bits of one [`Rng`] per sample.
 //!
 //! Determinism contract (stream **v2**): the output of every method on
 //! [`Rng`] for a given seed is **pinned** — regression tests in this crate
@@ -109,14 +112,8 @@ impl Rng {
     /// The next raw 64-bit output (xoshiro256++ scrambler).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        let (result, next) = xoshiro_step(self.s);
+        self.s = next;
         result
     }
 
@@ -164,6 +161,99 @@ impl Rng {
     /// A normal draw with the given mean and standard deviation.
     pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.normal()
+    }
+}
+
+/// One xoshiro256++ step: the output of state `s` and the state after it.
+#[inline(always)]
+fn xoshiro_step([s0, s1, s2, s3]: [u64; 4]) -> (u64, [u64; 4]) {
+    let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    let t = s1 << 17;
+    let s2 = s2 ^ s0;
+    let s3 = s3 ^ s1;
+    let s1 = s1 ^ s2;
+    let s0 = s0 ^ s3;
+    let s2 = s2 ^ t;
+    (result, [s0, s1, s2, s3.rotate_left(45)])
+}
+
+/// A raw 64-bit output as a uniform in `[0, 1)`: its high 53 bits, the
+/// full mantissa. `gen::<f64>()` and [`uniform_columns`] both map
+/// through it.
+#[inline(always)]
+fn unit_f64(raw: u64) -> f64 {
+    #[allow(clippy::cast_precision_loss)]
+    let mantissa = (raw >> 11) as f64;
+    mantissa * (1.0 / (1_u64 << 53) as f64)
+}
+
+/// Samples per sub-block of [`uniform_columns`]: its four xoshiro state
+/// columns are stack arrays of this length, 2 KiB together.
+const SEED_BLOCK: usize = 64;
+
+/// Seeds one generator per sample and draws its uniforms column by
+/// column: with `n` samples, `columns[j * n + k]` is the `j`-th
+/// `gen::<f64>()` of `Rng::seed_from_u64(seed_of(k))`, bit for bit, for
+/// every `j < columns.len() / n`.
+///
+/// The per-sample form seeds a generator, draws its uniforms and moves
+/// on. This form keeps the four xoshiro state words of a fixed
+/// sub-block of samples as columns, seeds them all, then steps them all
+/// once per uniform, so the stepping loops run across samples and
+/// vectorize.
+/// Nothing is allocated. A trailing partial column (when `columns.len()`
+/// is not a multiple of `n`) is left as it is, and with `n == 0` or no
+/// whole column nothing is seeded or written.
+///
+/// # Examples
+///
+/// ```
+/// use act_rng::{uniform_columns, Rng};
+///
+/// let seeds = [3_u64, 1, 4, 1, 5];
+/// let mut columns = [0.0; 10]; // two uniforms per sample
+/// uniform_columns(|k| seeds[k], &mut columns, seeds.len());
+/// for (k, &seed) in seeds.iter().enumerate() {
+///     let mut rng = Rng::seed_from_u64(seed);
+///     assert_eq!(columns[k], rng.gen::<f64>());
+///     assert_eq!(columns[5 + k], rng.gen::<f64>());
+/// }
+/// ```
+#[inline]
+pub fn uniform_columns(seed_of: impl Fn(usize) -> u64, columns: &mut [f64], n: usize) {
+    if n == 0 || columns.len() < n {
+        return;
+    }
+    let slots = columns.len() / n;
+    let mut base = 0;
+    while base < n {
+        let m = (n - base).min(SEED_BLOCK);
+        let mut state = [[0_u64; SEED_BLOCK]; 4];
+        let [s0, s1, s2, s3] = &mut state;
+        // `Rng::seed_from_u64`: word `w` is SplitMix64 of `seed + (w + 1)·γ`.
+        for (k, (((w0, w1), w2), w3)) in s0
+            .iter_mut()
+            .zip(s1.iter_mut())
+            .zip(s2.iter_mut())
+            .zip(s3.iter_mut())
+            .take(m)
+            .enumerate()
+        {
+            let seed = seed_of(base + k);
+            *w0 = splitmix64(seed.wrapping_add(GOLDEN_GAMMA));
+            *w1 = splitmix64(seed.wrapping_add(GOLDEN_GAMMA.wrapping_mul(2)));
+            *w2 = splitmix64(seed.wrapping_add(GOLDEN_GAMMA.wrapping_mul(3)));
+            *w3 = splitmix64(seed.wrapping_add(GOLDEN_GAMMA.wrapping_mul(4)));
+        }
+        for column in columns.chunks_exact_mut(n).take(slots) {
+            let lanes = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3.iter_mut());
+            for (slot, (((w0, w1), w2), w3)) in column[base..base + m].iter_mut().zip(lanes) {
+                let (raw, [n0, n1, n2, n3]) = xoshiro_step([*w0, *w1, *w2, *w3]);
+                [*w0, *w1, *w2, *w3] = [n0, n1, n2, n3];
+                *slot = unit_f64(raw);
+            }
+        }
+        base += m;
     }
 }
 
@@ -233,9 +323,7 @@ impl Standard for f64 {
     /// Uniform in `[0, 1)` using the high 53 bits (the full mantissa).
     #[inline]
     fn sample_standard(rng: &mut Rng) -> Self {
-        #[allow(clippy::cast_precision_loss)]
-        let mantissa = (rng.next_u64() >> 11) as f64;
-        mantissa * (1.0 / (1_u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
 }
 
@@ -583,6 +671,34 @@ mod tests {
             );
         }
         assert!(unit_to_range(f64::NAN, 0.0, 1.0).is_nan());
+    }
+
+    /// `uniform_columns` draws what one `Rng` per sample draws, bit for
+    /// bit: 0 to 6 uniforms per sample, at sample counts across the seed
+    /// sub-block's edges. Small enough for Miri.
+    #[test]
+    fn uniform_columns_match_per_sample_generators() {
+        let seed_of = |k: usize| split_seed(0xACE, k as u64);
+        for n in [0, 1, 7, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1, 2 * SEED_BLOCK + 3] {
+            for slots in 0..=6 {
+                let mut columns = vec![f64::NAN; slots * n];
+                uniform_columns(seed_of, &mut columns, n);
+                for k in 0..n {
+                    let mut rng = Rng::seed_from_u64(seed_of(k));
+                    for j in 0..slots {
+                        assert_eq!(
+                            columns[j * n + k].to_bits(),
+                            rng.gen::<f64>().to_bits(),
+                            "n {n}, uniform {j} of {slots}, sample {k}"
+                        );
+                    }
+                }
+            }
+        }
+        // A trailing partial column is left as it is.
+        let mut columns = [f64::NAN; 5];
+        uniform_columns(seed_of, &mut columns, 2);
+        assert!(columns[4].is_nan());
     }
 
     #[test]

@@ -10,11 +10,15 @@
 //! a utilization from the scenario's distributions, then evaluates the
 //! plan at its grid intensity and lifetime energy; the plan's embodied
 //! term and its `T/LT = 1` are folded constants. The sampler works on a
-//! whole block at a time, column by column:
+//! whole block at a time, column by column, in the host's widest
+//! instance ([`act_core::wide::run_wide`]):
 //!
-//! 1. seed each sample's `Rng` and write its raw `[0, 1)` uniforms, in
-//!    the draw order above (a normal takes two, `u1` then `u2`; uniform
-//!    and triangular one; a point none), into per-worker scratch columns;
+//! 1. seed every sample's generator and write its raw `[0, 1)` uniforms,
+//!    in the draw order above (a normal takes two, `u1` then `u2`;
+//!    uniform and triangular one; a point none), into per-worker scratch
+//!    columns — [`act_rng::uniform_columns`], which keeps a fixed
+//!    sub-block of generator states as columns and steps them across
+//!    samples, with the bits of one `Rng` per sample;
 //! 2. run one tight transform loop per distribution over its columns —
 //!    the same `act_rng::unit_to_*` functions `Rng::gen_range`,
 //!    `Rng::normal_with` and `act_dse::try_triangular` use, so every draw
@@ -27,12 +31,13 @@
 
 use std::ops::Range;
 
+use act_core::wide::{run_wide, Body};
 use act_core::{EvalPlan, INTENSITY_RANGE, LIFETIME_RANGE};
 use act_dse::{
     mc_sample_seed, par_monte_carlo_compiled_block_budgeted, BatchRun, BlockSampler,
     EvalBudget, McBuffer, McError, McOutcome, Parallelism,
 };
-use act_rng::{unit_to_normal, unit_to_range, unit_to_triangular, Rng};
+use act_rng::{uniform_columns, unit_to_normal, unit_to_range, unit_to_triangular};
 
 use crate::compile::{lifetime_energy_j, UTILIZATION_RANGE};
 use crate::schema::{Distribution, FleetSpec};
@@ -49,7 +54,9 @@ impl Distribution {
 
     /// Pass 2: maps this distribution's raw uniform columns, taken in
     /// order from `raw`, to one value per slot of `out`. Parameters were
-    /// validated at compile time.
+    /// validated at compile time. Inlined into the sampler's body, so its
+    /// loops are compiled in each [`run_wide`] instance.
+    #[inline(always)]
     fn transform(&self, raw: &mut std::slice::ChunksExact<'_, f64>, out: &mut [f64]) {
         let mut column = || raw.next().unwrap_or_default();
         match *self {
@@ -93,10 +100,10 @@ impl BlockSampler for FleetSampler {
         columns: &mut [Vec<f64>],
         (uniforms, lifetime): &mut (Vec<f64>, Vec<f64>),
     ) {
-        let n = range.len();
         // Column layout matches the plan's axes: [UseIntensity, Energy];
         // the energy column holds the utilization draws until pass 3.
         let [intensity, energy] = columns else { unreachable!("the fleet plan has two axes") };
+        let n = range.len();
         if n == 0 {
             return;
         }
@@ -104,22 +111,46 @@ impl BlockSampler for FleetSampler {
         // so the scratch is only resized, never refilled.
         let slots: usize = self.dists.iter().map(Distribution::uniforms).sum();
         uniforms.resize(slots * n, 0.0);
-        if slots > 0 {
-            for (k, index) in range.enumerate() {
-                let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, index as u64));
-                for slot in uniforms[k..].iter_mut().step_by(n) {
-                    *slot = rng.gen();
-                }
-            }
-        }
         lifetime.resize(n, 0.0);
+        run_wide(FleetBlock {
+            sampler: self,
+            seed,
+            start: range.start,
+            uniforms,
+            lifetime,
+            intensity,
+            energy,
+        });
+    }
+}
+
+/// One block of [`FleetSampler::sample_block`], sized, as a
+/// [`Body`]: samples `start..start + lifetime.len()`.
+struct FleetBlock<'a> {
+    sampler: &'a FleetSampler,
+    seed: u64,
+    start: usize,
+    uniforms: &'a mut [f64],
+    lifetime: &'a mut [f64],
+    intensity: &'a mut [f64],
+    energy: &'a mut [f64],
+}
+
+impl Body for FleetBlock<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self { sampler, seed, start, uniforms, lifetime, intensity, energy } = self;
+        let n = lifetime.len();
+        uniform_columns(|k| mc_sample_seed(seed, (start + k) as u64), uniforms, n);
         let mut raw = uniforms.chunks_exact(n);
         for (dist, out) in
-            self.dists.iter().zip([&mut *lifetime, &mut *intensity, &mut *energy])
+            sampler.dists.iter().zip([&mut *lifetime, &mut *intensity, &mut *energy])
         {
             dist.transform(&mut raw, out);
         }
-        let power_w = self.power_w;
+        let power_w = sampler.power_w;
         for ((ci, e), l) in intensity.iter_mut().zip(energy.iter_mut()).zip(lifetime.iter()) {
             let u = *e;
             let valid = LIFETIME_RANGE.contains(l)
@@ -208,5 +239,93 @@ impl FleetKernel {
             buf,
             budget,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use act_core::wide::vector_tier;
+    use act_dse::try_triangular;
+    use act_rng::Rng;
+
+    use super::*;
+
+    /// One draw through the per-sample `Rng` API.
+    fn scalar_draw(dist: Distribution, rng: &mut Rng) -> f64 {
+        match dist {
+            Distribution::Point { value } => value,
+            Distribution::Uniform { low, high } => rng.gen_range(low..high),
+            Distribution::Triangular { low, mode, high } => {
+                try_triangular(rng, low, mode, high).unwrap_or(f64::NAN)
+            }
+            Distribution::Normal { mean, std_dev } => rng.normal_with(mean, std_dev),
+        }
+    }
+
+    /// The sampler body's two `run_wide` instances agree bit for bit,
+    /// and both equal one `Rng` per sample drawing lifetime, intensity and
+    /// utilization in the seed contract's order: point, uniform,
+    /// triangular and normal draws in every slot, at block lengths around
+    /// the lane edges and the engine's 4096-point chunk.
+    #[test]
+    fn sampler_instances_agree_bitwise() {
+        if vector_tier() == "baseline" {
+            eprintln!("skipped: this CPU runs the baseline instance only");
+            return;
+        }
+        let kinds = [
+            Distribution::Point { value: 3.0 },
+            Distribution::Uniform { low: 0.05, high: 0.95 },
+            Distribution::Triangular { low: 0.05, mode: 0.3, high: 1.0 },
+            Distribution::Normal { mean: 0.4, std_dev: 0.3 },
+        ];
+        let (seed, start, power_w) = (2022, 70_001, 2.5);
+        for rotation in 0..kinds.len() {
+            let dists = [0, 1, 2].map(|slot| kinds[(rotation + slot) % kinds.len()]);
+            let sampler = FleetSampler { dists, power_w };
+            let slots: usize = dists.iter().map(Distribution::uniforms).sum();
+            for n in [1, 7, 8, 9, 4096] {
+                let run = |wide: bool| {
+                    let mut uniforms = vec![f64::NAN; slots * n];
+                    let (mut lifetime, mut intensity, mut energy) =
+                        (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
+                    let block = FleetBlock {
+                        sampler: &sampler,
+                        seed,
+                        start,
+                        uniforms: &mut uniforms,
+                        lifetime: &mut lifetime,
+                        intensity: &mut intensity,
+                        energy: &mut energy,
+                    };
+                    if wide {
+                        run_wide(block);
+                    } else {
+                        block.run();
+                    }
+                    (intensity, energy)
+                };
+                let (wide, base) = (run(true), run(false));
+                for k in 0..n {
+                    let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, (start + k) as u64));
+                    let [l, ci, u] = dists.map(|dist| scalar_draw(dist, &mut rng));
+                    let valid = LIFETIME_RANGE.contains(&l)
+                        & INTENSITY_RANGE.contains(&ci)
+                        & UTILIZATION_RANGE.contains(&u);
+                    let want = if valid {
+                        [ci, lifetime_energy_j(power_w, u, l)]
+                    } else {
+                        [f64::NAN; 2]
+                    };
+                    let bits = |pair: [f64; 2]| pair.map(f64::to_bits);
+                    let got = |cols: &(Vec<f64>, Vec<f64>)| bits([cols.0[k], cols.1[k]]);
+                    assert_eq!(
+                        (got(&wide), got(&base)),
+                        (bits(want), bits(want)),
+                        "sample {k} of {n}, distributions {dists:?}"
+                    );
+                }
+            }
+        }
     }
 }

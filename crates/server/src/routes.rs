@@ -115,7 +115,13 @@ pub fn dispatch(
             Ok(RouteOutcome::Completed)
         }
         ("GET", "/v1/stats") => {
-            let mut line = stats.snapshot().to_json().render_compact();
+            // Two throughput readings compare only when their hosts ran
+            // the same block-kernel instance, so the stats name it.
+            let mut doc = stats.snapshot().to_json();
+            if let JsonValue::Object(fields) = &mut doc {
+                fields.insert("vector_tier", act_core::wide::vector_tier().to_json());
+            }
+            let mut line = doc.render_compact();
             line.push('\n');
             conn.respond(Status::Ok, &line)?;
             Ok(RouteOutcome::Completed)

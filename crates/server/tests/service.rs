@@ -89,6 +89,11 @@ fn healthz_and_stats_round_trip() {
     assert!(status.contains("200"), "got {status}");
     let doc = JsonValue::parse(body.trim_end()).expect("stats body parses");
     assert!(doc.get("accepted").is_some());
+    // The block-kernel instance this host runs, so two throughput
+    // readings can be checked for comparability.
+    let tier = doc.get("vector_tier").and_then(JsonValue::as_str);
+    assert_eq!(tier, Some(act_core::wide::vector_tier()), "{body}");
+    assert!(matches!(tier, Some("x86-64-v4" | "baseline")), "{body}");
 
     let stats = server.stop();
     assert!(stats.completed >= 2, "both requests completed: {stats:?}");

@@ -22,8 +22,10 @@
 //! branch-free: the quadrant, the sign and the special cases are selected
 //! with bit masks and value selects, and rounding to an integer uses the
 //! `1.5 · 2^52` magic add (`f64::round` is a libm call without SSE4.1),
-//! so a loop over a column pipelines and auto-vectorizes on baseline
-//! x86-64 (SSE2).
+//! so a loop over a column pipelines and auto-vectorizes: two lanes on
+//! baseline x86-64 (SSE2), eight in the AVX-512 instance of the fleet
+//! sampler that `act_core::wide` runs on hosts that have it. IEEE basic
+//! operations round alike at every width, so both give the same bits.
 
 /// `2^54`, the subnormal rescale factor.
 const TWO54: f64 = 18_014_398_509_481_984.0;
