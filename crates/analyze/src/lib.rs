@@ -15,6 +15,10 @@
 //!   table: JSON impls that drift from their structs, kernel loops that
 //!   never check an `EvalBudget`, lock guards held across I/O, non-total
 //!   float comparators, and panic surface in the server request path.
+//! * **The cross-file rule** ACT015 reads every file at once: from each
+//!   `wide::Body::run` it follows calls by name into the workspace's fns,
+//!   across crates, and requires each one reached to be
+//!   `#[inline(always)]`.
 //!
 //! # Rule catalogue
 //!
@@ -33,6 +37,7 @@
 //! | ACT011 | indexing/slicing/unwrap in route handlers | `crates/server/src/routes.rs` |
 //! | ACT012 | raw `thread::spawn`/`thread::scope` pool bypass | library crates; pool, server, CLI, bench exempt |
 //! | ACT014 | `unsafe`, `#[target_feature]`, `is_x86_feature_detected!` | library crates; `dse` `pool.rs`, `core` `wide.rs`, CLI, bench exempt |
+//! | ACT015 | a fn reached from a `wide::Body::run` body without `#[inline(always)]` | library crates; CLI, bench, tests exempt |
 //!
 //! ACT013 is reserved for the libm-call rule that lands with the portable
 //! `exp`/`pow`/`sin`.
@@ -45,6 +50,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+mod inlining;
 mod lexer;
 mod rules;
 mod textual;
@@ -131,11 +137,31 @@ impl From<std::io::Error> for LintError {
 /// `(line, col, rule)` order.
 #[must_use]
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
-    let toks = lexer::tokenize(src);
-    let scan = textual::Scan::new(path, src, &toks);
-    let mut findings = textual::check(&scan);
-    findings.extend(rules::check(&scan));
-    findings.sort_by_key(|f| (f.line, f.col, f.rule));
+    analyze_sources(&[(path, src)])
+}
+
+/// Analyzes a set of files as one workspace: every per-file rule on each
+/// `(path, src)`, plus the cross-file ACT015, which follows calls from
+/// one file into the others. Findings come back in
+/// `(path, line, col, rule)` order.
+#[must_use]
+pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Finding> {
+    let toks: Vec<Vec<lexer::Tok>> =
+        files.iter().map(|(_, src)| lexer::tokenize(src)).collect();
+    let scans: Vec<textual::Scan<'_>> = files
+        .iter()
+        .zip(&toks)
+        .map(|((path, src), toks)| textual::Scan::new(path, src, toks))
+        .collect();
+    let mut findings = Vec::new();
+    for scan in &scans {
+        findings.extend(textual::check(scan));
+        findings.extend(rules::check(scan));
+    }
+    findings.extend(inlining::check(&scans));
+    findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
     findings
 }
 
@@ -276,15 +302,14 @@ pub fn analyze_workspace(root: &Path) -> Result<AnalyzeReport, LintError> {
         Vec::new()
     };
     let files = collect_workspace_files(root)?;
-    let mut findings = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
-        let display = rel.to_string_lossy().replace('\\', "/");
-        findings.extend(analyze_source(&display, &src));
+        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
     }
-    findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
+    let views: Vec<(&str, &str)> =
+        sources.iter().map(|(path, src)| (path.as_str(), src.as_str())).collect();
+    let findings = analyze_sources(&views);
     let files_scanned = files.len();
     let (kept, suppressed, stale) = apply_allowlist(findings, &entries);
     Ok(AnalyzeReport { findings: kept, suppressed, stale, files_scanned })

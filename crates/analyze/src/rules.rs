@@ -205,7 +205,7 @@ fn fn_items<'a>(scan: &Scan<'a>) -> Vec<FnItem<'a>> {
 }
 
 /// How token `t` moves the nesting depth of `<…>` generics.
-fn angle_step(t: &Tok) -> i32 {
+pub(crate) fn angle_step(t: &Tok) -> i32 {
     match t.text.as_str() {
         "<" => 1,
         ">" => -1,
@@ -215,7 +215,7 @@ fn angle_step(t: &Tok) -> i32 {
 }
 
 /// The index past a `<…>` generics list starting at `j` (or `j` itself).
-fn skip_generics(toks: &[Tok], mut j: usize) -> usize {
+pub(crate) fn skip_generics(toks: &[Tok], mut j: usize) -> usize {
     if !toks.get(j).is_some_and(|t| t.is_punct("<")) {
         return j;
     }

@@ -4,7 +4,7 @@
 
 #![deny(unsafe_code)]
 
-use act_core::wide::{run_wide, Body};
+use act_core::wide::{run_wide, Baseline, Body, Instance};
 
 /// The sum of a block, as a named body.
 struct Sum<'a>(&'a [f64]);
@@ -13,7 +13,7 @@ impl Body for Sum<'_> {
     type Output = f64;
 
     #[inline(always)]
-    fn run(self) -> f64 {
+    fn run<I: Instance>(self) -> f64 {
         self.0.iter().sum()
     }
 }
@@ -21,7 +21,7 @@ impl Body for Sum<'_> {
 /// Runs the body at the host's vector width.
 pub fn sum(xs: &[f64]) -> f64 {
     if cfg!(target_feature = "avx2") {
-        return Sum(xs).run();
+        return Sum(xs).run::<Baseline>();
     }
     run_wide(Sum(xs))
 }

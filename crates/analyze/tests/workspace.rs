@@ -126,3 +126,43 @@ fn every_rule_catches_a_violation_planted_in_real_code() {
     }
     assert!(missed.is_empty(), "planted violations not caught:\n{}", missed.join("\n"));
 }
+
+/// ACT015 follows calls across files, so its plant is checked on the
+/// whole tree: `uniform_columns` lives in act-rng and is reached from
+/// act-scenario's `FleetBlock::run`, and demoting it to `#[inline]` (the
+/// form the fleet's pass 1 once shipped in) must be reported there.
+#[test]
+fn act015_catches_an_outlined_helper_in_another_crate() {
+    let files = match act_analyze::collect_workspace_files(&root()) {
+        Ok(files) => files,
+        Err(err) => panic!("workspace walk failed: {err}"),
+    };
+    let (rel, anchor, replacement) = (
+        "crates/rng/src/lib.rs",
+        "#[inline(always)]\npub fn uniform_columns<",
+        "#[inline]\npub fn uniform_columns<",
+    );
+    let mut sources: Vec<(String, String)> = files
+        .iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(root().join(path))
+                .unwrap_or_else(|err| panic!("{} unreadable: {err}", path.display()));
+            (path.to_string_lossy().replace('\\', "/"), src)
+        })
+        .collect();
+    let count = |sources: &[(String, String)]| {
+        let views: Vec<(&str, &str)> =
+            sources.iter().map(|(path, src)| (path.as_str(), src.as_str())).collect();
+        act_analyze::analyze_sources(&views)
+            .into_iter()
+            .filter(|f| f.rule == "ACT015" && f.path == rel)
+            .count()
+    };
+    assert_eq!(count(&sources), 0);
+    let Some((_, src)) = sources.iter_mut().find(|(path, _)| path == rel) else {
+        panic!("{rel} is not among the workspace files")
+    };
+    assert!(src.contains(anchor), "anchor missing from {rel}: {anchor:?}");
+    *src = src.replacen(anchor, replacement, 1);
+    assert_eq!(count(&sources), 1, "`#[inline]` on `uniform_columns` not reported");
+}

@@ -4,7 +4,8 @@
 //! 200k-sample server-class fleet document on the calibrated thread
 //! count, plus bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block)
 //! calls on three plan shapes and the `sweep` shape through the serial
-//! engine. The
+//! engine, and the fleet sampler's pass 1 (`act_rng::uniform_columns`)
+//! in each `act_core::wide` instance. The
 //! benches only time: that the block path is bit-identical to the
 //! per-point one is a tier-1 test
 //! (`tests/cross_crate.rs::compiled_block_sweep_matches_the_per_point_pipeline`).
@@ -12,12 +13,13 @@
 use std::ops::Range;
 
 use act_bench::{black_box, Harness};
+use act_core::wide::{run_wide, Baseline, Body, Instance};
 use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
-    logspace, par_monte_carlo_compiled_block_with, sweep_compiled_block, BatchOutput,
-    EvalBudget, McBuffer, Parallelism, PointBatch,
+    logspace, mc_sample_seed, par_monte_carlo_compiled_block_with, sweep_compiled_block,
+    BatchOutput, EvalBudget, McBuffer, Parallelism, PointBatch,
 };
-use act_rng::Rng;
+use act_rng::{uniform_columns, Rng};
 use act_scenario::Scenario;
 
 /// Point count for the headline single-axis sweep.
@@ -50,6 +52,36 @@ const PLAN_SHAPES: [PlanShape; 3] = [
         [0.5..10.0, 100.0..100_000.0],
     ),
 ];
+
+/// Samples per pass-1 case: one block of the Monte-Carlo engine.
+const PASS1_SAMPLES: usize = 4096;
+
+/// Raw uniforms per sample in the pass-1 cases: the fleet fixture's
+/// triangular, normal and uniform draws take one, two and one.
+const PASS1_UNIFORMS: usize = 4;
+
+/// The fleet sampler's pass 1 on its own, as a `wide::Body`: seed one
+/// generator per sample and write its uniforms column by column, with
+/// the seeding loop the fleet body picks for instance `I`.
+struct Pass1<'a> {
+    seed: u64,
+    columns: &'a mut [f64],
+}
+
+impl Body for Pass1<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<I: Instance>(self) {
+        let Self { seed, columns } = self;
+        let seed_of = |k: usize| mc_sample_seed(seed, k as u64);
+        if I::LANE_MUL64 {
+            uniform_columns::<true>(seed_of, columns, PASS1_SAMPLES);
+        } else {
+            uniform_columns::<false>(seed_of, columns, PASS1_SAMPLES);
+        }
+    }
+}
 
 /// The swept axis: SoC area in mm2 across a mobile-to-server range.
 fn area_axis() -> Vec<f64> {
@@ -150,6 +182,19 @@ fn main() {
             Err(err) => panic!("the fleet fixture has finite draws: {err}"),
         };
         black_box(outcome.stats.mean)
+    });
+
+    // Pass 1 of the fleet sampler over one 4096-sample block: once in
+    // the instance `run_wide` picks on this host, once in the baseline
+    // instance that hosts without AVX-512 run.
+    let mut uniforms = vec![0.0; PASS1_UNIFORMS * PASS1_SAMPLES];
+    h.bench("pass1_uniform_columns_4096x4_run_wide", || {
+        run_wide(Pass1 { seed: 2022, columns: &mut uniforms });
+        black_box(uniforms.last().copied())
+    });
+    h.bench("pass1_uniform_columns_4096x4_baseline", || {
+        Pass1 { seed: 2022, columns: &mut uniforms }.run::<Baseline>();
+        black_box(uniforms.last().copied())
     });
 
     // One `eval_block` call over 2^16 points per plan shape, with no

@@ -445,7 +445,8 @@ impl CompiledFootprint {
 }
 
 /// The unit a point coordinate is given in, and its conversion to the
-/// model's base unit — exactly the oracle's unit constructor.
+/// model's base unit — exactly the oracle's unit constructor, bit for
+/// bit wherever the result is finite.
 #[derive(Clone, Copy, Debug)]
 enum Unit {
     /// Already the base unit (seconds, g CO₂/kWh, a yield fraction).
@@ -459,13 +460,26 @@ enum Unit {
 }
 
 impl Unit {
-    #[inline]
+    /// The only conversion that can overflow is years to seconds. It
+    /// scales a one-year span through the unit layer's unchecked
+    /// arithmetic, the product `TimeSpan::years` forms, without that
+    /// constructor's debug assertion, and a finite lifetime past ~5.7e300
+    /// years, whose seconds overflow to ±∞, converts to NaN instead: as
+    /// ±∞ it would amortize the embodied term to zero, while NaN carries
+    /// through every operation of the chain, so every build rejects the
+    /// point.
+    #[inline(always)]
     fn to_base(self, value: f64) -> f64 {
         match self {
             Self::Base => value,
             Self::Joules => Energy::joules(value).as_kilowatt_hours(),
             Self::Mm2 => Area::square_millimeters(value).as_square_centimeters(),
-            Self::Years => TimeSpan::years(value).as_seconds(),
+            Self::Years => {
+                let seconds = (value * TimeSpan::years(1.0)).as_seconds();
+                // `s + s·0` is `s` for every finite `s` (the zero takes
+                // `s`'s sign) and NaN for ±∞, with no select in the lane.
+                seconds + seconds * 0.0
+            }
         }
     }
 }
@@ -773,7 +787,7 @@ impl wide::Body for EvalBlock<'_> {
     type Output = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<I: wide::Instance>(self) {
         let Self { plan, columns, mut start, out } = self;
         let column = |col: usize| columns[col];
         let mut blocks = out.chunks_exact_mut(LANES);
@@ -1059,6 +1073,20 @@ mod tests {
         -f64::MAX,
     ];
 
+    /// Years convert with `TimeSpan::years`' bits wherever the seconds
+    /// are finite (signed zeros, subnormals and negatives included), and
+    /// to NaN where they overflow.
+    #[test]
+    fn years_convert_like_the_unit_constructor_or_to_nan() {
+        for years in [0.0, -0.0, 5e-324, 0.1, 3.0, 50.0, -7.25, 1e300, 5.7e300, -5.7e300] {
+            let want = TimeSpan::years(years).as_seconds();
+            assert_eq!(Unit::Years.to_base(years).to_bits(), want.to_bits(), "{years}");
+        }
+        for years in [f64::MAX, -f64::MAX, 6e300] {
+            assert!(Unit::Years.to_base(years).is_nan(), "{years}");
+        }
+    }
+
     /// `eval_block`'s two `wide::run_wide` instances agree bit for bit:
     /// the three plan shapes of the `compiled` bench (`SocArea ×
     /// UseIntensity`, `FabYield × SocArea`, `Lifetime × Energy`) and a
@@ -1116,17 +1144,9 @@ mod tests {
             for len in [0, 1, 15, 16, 17, 4095, 4096] {
                 let mut columns = fill_columns(&mut rng, kernel.axes(), len);
                 for (axis, column) in columns.iter_mut().enumerate() {
-                    // Years → seconds overflows `f64::MAX`, which the unit
-                    // layer's debug assertion rejects; `1e300` stays finite.
-                    let years = kernel.axes()[axis] == FreeAxis::Lifetime;
                     for (i, value) in column.iter_mut().enumerate() {
                         if (i + 3 * axis) % 5 == 0 {
-                            let awkward = AWKWARD[(i / 5 + axis) % AWKWARD.len()];
-                            *value = if years && awkward.abs() == f64::MAX {
-                                awkward.signum() * 1e300
-                            } else {
-                                awkward
-                            };
+                            *value = AWKWARD[(i / 5 + axis) % AWKWARD.len()];
                         }
                     }
                 }
@@ -1139,7 +1159,7 @@ mod tests {
                     start: 0,
                     out: &mut wide_out,
                 });
-                wide::Body::run(EvalBlock {
+                wide::Body::run::<wide::Baseline>(EvalBlock {
                     plan: &plan,
                     columns: &views,
                     start: 0,

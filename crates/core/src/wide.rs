@@ -18,6 +18,15 @@
 //! Nothing is settable: the choice is made from what the CPU reports, and
 //! non-x86 targets compile the baseline copy only.
 //!
+//! **Which instance, as a type.** [`Body::run`] takes the instance it is
+//! compiled in as a marker type, [`Baseline`] or [`V4`], so a body whose
+//! best loop form differs between the two can pick one per instance at
+//! compile time: the dead form folds away in each copy. The one such
+//! choice today is 64-bit lane multiplies ([`Instance::LANE_MUL64`]):
+//! AVX-512DQ has `vpmullq`, while SSE2 builds each from three 32-bit
+//! `pmuludq`s, slower than scalar `imul`, so a multiply-bound loop that
+//! vectorizes pays in one instance and loses in the other.
+//!
 //! **Why the same bits.** A body is IEEE-754 basic operations (`+`, `-`,
 //! `*`, `/`, `sqrt`, compares, selects) and integer operations. Rust never
 //! contracts a multiply and an add into a fused multiply-add on its own,
@@ -34,10 +43,17 @@
 //! is not inlined there: the wrapper compiled to a single jump into the
 //! baseline closure, and the block engine measured no faster.
 //!
+//! The same holds for every workspace function a body calls: `#[inline]`
+//! is a hint, and LLVM kept the fleet sampler's `act_rng::uniform_columns`
+//! out of line, so the AVX-512 instance called the baseline copy of the
+//! sampler's costliest pass. Such helpers are `#[inline(always)]`, and
+//! the analyzer's ACT015 checks it for every function a `Body::run`
+//! reaches by name.
+//!
 //! # Examples
 //!
 //! ```
-//! use act_core::wide::{run_wide, Body};
+//! use act_core::wide::{run_wide, Baseline, Body, Instance};
 //!
 //! /// `true` when every value is finite.
 //! struct AllFinite<'a>(&'a [f64]);
@@ -45,35 +61,63 @@
 //! impl Body for AllFinite<'_> {
 //!     type Output = bool;
 //!     #[inline(always)]
-//!     fn run(self) -> bool {
+//!     fn run<I: Instance>(self) -> bool {
 //!         self.0.iter().fold(true, |clean, v| clean & v.is_finite())
 //!     }
 //! }
 //!
 //! let values = [1.0, f64::NAN, 3.0];
 //! assert!(!run_wide(AllFinite(&values)));
-//! assert_eq!(run_wide(AllFinite(&values[..1])), AllFinite(&values[..1]).run());
+//! assert_eq!(run_wide(AllFinite(&values[..1])), AllFinite(&values[..1]).run::<Baseline>());
 //! ```
+
+/// The instance a [`Body`] is compiled in: [`Baseline`] or [`V4`].
+pub trait Instance {
+    /// `true` when the instance multiplies 64-bit vector lanes in one
+    /// instruction (AVX-512DQ `vpmullq`). Without it (SSE2, and the
+    /// baseline of non-x86 targets) a vectorized 64-bit multiply is
+    /// emulated and loses to scalar `imul`.
+    const LANE_MUL64: bool;
+}
+
+/// The baseline instance: the workspace's target features.
+#[derive(Clone, Copy, Debug)]
+pub enum Baseline {}
+
+impl Instance for Baseline {
+    const LANE_MUL64: bool = false;
+}
+
+/// The AVX-512 instance [`run_wide`] picks on `x86-64-v4` CPUs. A body
+/// run with this marker outside that instance gives the same bits, only
+/// compiled for the baseline features.
+#[derive(Clone, Copy, Debug)]
+pub enum V4 {}
+
+impl Instance for V4 {
+    const LANE_MUL64: bool = true;
+}
 
 /// A block body: one loop nest that [`run_wide`] can run at the host's
 /// vector width.
 ///
 /// Implement it on a named type holding the body's inputs, and mark
-/// [`run`](Self::run) `#[inline(always)]` (with every hot helper it calls
-/// inlined too): only code inlined into the wide instance is compiled for
-/// its features.
+/// [`run`](Self::run) `#[inline(always)]`, with every workspace function
+/// it calls `#[inline(always)]` too (analyzer rule ACT015): only code
+/// inlined into the wide instance is compiled for its features.
 pub trait Body {
     /// What the body returns.
     type Output;
 
-    /// Runs the body in the caller's instance — the baseline copy when
-    /// called directly.
-    fn run(self) -> Self::Output;
+    /// Runs the body in the caller's instance, compiled for instance `I`:
+    /// `body.run::<Baseline>()` is the baseline copy. Every `I` gives the
+    /// same result bit for bit.
+    fn run<I: Instance>(self) -> Self::Output;
 }
 
 /// Runs `body` in its widest instance the host supports: the AVX-512
 /// copy on x86-64 CPUs that report `avx512f`, `avx512dq` and `avx512vl`,
-/// else [`Body::run`]. Both give the same result bit for bit.
+/// else `body.run::<Baseline>()`. Both give the same result bit for bit.
 #[allow(unsafe_code)]
 #[inline]
 pub fn run_wide<B: Body>(body: B) -> B::Output {
@@ -82,7 +126,7 @@ pub fn run_wide<B: Body>(body: B) -> B::Output {
         // SAFETY: features detected
         return unsafe { run_v4(body) };
     }
-    body.run()
+    body.run::<Baseline>()
 }
 
 /// The instance [`run_wide`] picks on this host: `"x86-64-v4"` for the
@@ -107,10 +151,10 @@ fn x86_64_v4() -> bool {
         && std::is_x86_feature_detected!("avx512vl")
 }
 
-/// The AVX-512 instance of `body`: `body.run()` inlined and compiled for
-/// the three features [`x86_64_v4`] detects.
+/// The AVX-512 instance of `body`: `body.run::<V4>()` inlined and
+/// compiled for the three features [`x86_64_v4`] detects.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn run_v4<B: Body>(body: B) -> B::Output {
-    body.run()
+    body.run::<V4>()
 }

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use act_core::wide::{run_wide, Body};
+use act_core::wide::{run_wide, Body, Instance};
 use act_rng::Rng;
 
 use crate::montecarlo::{
@@ -432,7 +432,7 @@ impl Body for AllFinite<'_> {
     type Output = bool;
 
     #[inline(always)]
-    fn run(self) -> bool {
+    fn run<I: Instance>(self) -> bool {
         self.0.iter().fold(true, |clean, v| clean & v.is_finite())
     }
 }

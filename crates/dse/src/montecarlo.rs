@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use act_core::wide::{run_wide, Body};
+use act_core::wide::{run_wide, Body, Instance};
 use act_rng::Rng;
 
 /// Summary statistics of a Monte-Carlo run.
@@ -119,7 +119,7 @@ act_json::impl_from_json!(McOutcome { stats, rejected });
 /// samples, and the draw for sample `i` depends only on `(master, i)` —
 /// never on which thread evaluated it or in what order. That is the whole
 /// determinism argument: every thread count sees bit-identical draws.
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -172,7 +172,7 @@ impl Body for EncodeDraws<'_> {
     type Output = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<I: Instance>(self) {
         for (key, &v) in self.keys.iter_mut().zip(self.draws) {
             *key = if v.is_finite() { order_key(v) } else { u64::MAX };
         }

@@ -217,7 +217,7 @@ fn check_workload(workload: &Workload) -> Result<(), ScenarioError> {
 
 /// Use-phase energy of a device drawing `power_w` at `utilization` over
 /// its whole `lifetime_years`, in joules.
-#[inline]
+#[inline(always)]
 pub(crate) fn lifetime_energy_j(power_w: f64, utilization: f64, lifetime_years: f64) -> f64 {
     power_w * utilization * TimeSpan::years(lifetime_years).as_seconds()
 }

@@ -18,7 +18,12 @@
 //!    uniform and triangular one; a point none), into per-worker scratch
 //!    columns — [`act_rng::uniform_columns`], which keeps a fixed
 //!    sub-block of generator states as columns and steps them across
-//!    samples, with the bits of one `Rng` per sample;
+//!    samples, with the bits of one `Rng` per sample. It is
+//!    `#[inline(always)]`, like every helper the body calls (analyzer
+//!    rule ACT015), so it is compiled in each instance, and the body
+//!    picks its seeding loop per instance: vectorized where 64-bit lane
+//!    multiplies are native (AVX-512), scalar in the baseline, where
+//!    SSE2's emulated lane multiply loses to `imul`;
 //! 2. run one tight transform loop per distribution over its columns —
 //!    the same `act_rng::unit_to_*` functions `Rng::gen_range`,
 //!    `Rng::normal_with` and `act_dse::try_triangular` use, so every draw
@@ -31,7 +36,7 @@
 
 use std::ops::Range;
 
-use act_core::wide::{run_wide, Body};
+use act_core::wide::{run_wide, Body, Instance};
 use act_core::{EvalPlan, INTENSITY_RANGE, LIFETIME_RANGE};
 use act_dse::{
     mc_sample_seed, par_monte_carlo_compiled_block_budgeted, BatchRun, BlockSampler,
@@ -140,10 +145,16 @@ impl Body for FleetBlock<'_> {
     type Output = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<I: Instance>(self) {
         let Self { sampler, seed, start, uniforms, lifetime, intensity, energy } = self;
         let n = lifetime.len();
-        uniform_columns(|k| mc_sample_seed(seed, (start + k) as u64), uniforms, n);
+        let seed_of = |k: usize| mc_sample_seed(seed, (start + k) as u64);
+        // Pass 1's seeding loop vectorizes only where lane multiplies pay.
+        if I::LANE_MUL64 {
+            uniform_columns::<true>(seed_of, uniforms, n);
+        } else {
+            uniform_columns::<false>(seed_of, uniforms, n);
+        }
         let mut raw = uniforms.chunks_exact(n);
         for (dist, out) in
             sampler.dists.iter().zip([&mut *lifetime, &mut *intensity, &mut *energy])
@@ -244,7 +255,7 @@ impl FleetKernel {
 
 #[cfg(test)]
 mod tests {
-    use act_core::wide::vector_tier;
+    use act_core::wide::{Baseline, V4};
     use act_dse::try_triangular;
     use act_rng::Rng;
 
@@ -262,17 +273,16 @@ mod tests {
         }
     }
 
-    /// The sampler body's two `run_wide` instances agree bit for bit,
-    /// and both equal one `Rng` per sample drawing lifetime, intensity and
-    /// utilization in the seed contract's order: point, uniform,
-    /// triangular and normal draws in every slot, at block lengths around
-    /// the lane edges and the engine's 4096-point chunk.
+    /// The sampler body agrees bit for bit in both of pass 1's seeding
+    /// loops (the `Baseline` and `V4` markers, each run directly) and in
+    /// the instance `run_wide` picks on this host, and all three equal
+    /// one `Rng` per sample drawing lifetime, intensity and utilization
+    /// in the seed contract's order: point, uniform, triangular and
+    /// normal draws in every slot, at block lengths around the lane
+    /// edges, the 64-sample seed sub-block's edges and the engine's
+    /// 4096-point chunk, with samples that start past 0.
     #[test]
     fn sampler_instances_agree_bitwise() {
-        if vector_tier() == "baseline" {
-            eprintln!("skipped: this CPU runs the baseline instance only");
-            return;
-        }
         let kinds = [
             Distribution::Point { value: 3.0 },
             Distribution::Uniform { low: 0.05, high: 0.95 },
@@ -284,8 +294,8 @@ mod tests {
             let dists = [0, 1, 2].map(|slot| kinds[(rotation + slot) % kinds.len()]);
             let sampler = FleetSampler { dists, power_w };
             let slots: usize = dists.iter().map(Distribution::uniforms).sum();
-            for n in [1, 7, 8, 9, 4096] {
-                let run = |wide: bool| {
+            for n in [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 4095, 4096] {
+                let run = |instance: &str| {
                     let mut uniforms = vec![f64::NAN; slots * n];
                     let (mut lifetime, mut intensity, mut energy) =
                         (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
@@ -298,14 +308,15 @@ mod tests {
                         intensity: &mut intensity,
                         energy: &mut energy,
                     };
-                    if wide {
-                        run_wide(block);
-                    } else {
-                        block.run();
+                    match instance {
+                        "Baseline" => block.run::<Baseline>(),
+                        "V4" => block.run::<V4>(),
+                        _ => run_wide(block),
                     }
                     (intensity, energy)
                 };
-                let (wide, base) = (run(true), run(false));
+                let instances = ["Baseline", "V4", "run_wide"];
+                let outputs = instances.map(run);
                 for k in 0..n {
                     let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, (start + k) as u64));
                     let [l, ci, u] = dists.map(|dist| scalar_draw(dist, &mut rng));
@@ -320,9 +331,9 @@ mod tests {
                     let bits = |pair: [f64; 2]| pair.map(f64::to_bits);
                     let got = |cols: &(Vec<f64>, Vec<f64>)| bits([cols.0[k], cols.1[k]]);
                     assert_eq!(
-                        (got(&wide), got(&base)),
-                        (bits(want), bits(want)),
-                        "sample {k} of {n}, distributions {dists:?}"
+                        outputs.each_ref().map(got),
+                        [bits(want); 3],
+                        "sample {k} of {n}, distributions {dists:?}, instances {instances:?}"
                     );
                 }
             }

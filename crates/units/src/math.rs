@@ -63,7 +63,7 @@ const LG7: f64 = f64::from_bits(0x3FC2_F112_DF3E_5244);
 /// assert_eq!(ln(0.0), f64::NEG_INFINITY);
 /// assert!(ln(-1.0).is_nan());
 /// ```
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn ln(x: f64) -> f64 {
     let tiny = x < f64::MIN_POSITIVE;
@@ -148,7 +148,7 @@ pub const COS_MAX_ARG: f64 = 1_048_576.0;
 /// assert!(cos(f64::INFINITY).is_nan());
 /// assert!(cos(1e7).is_nan());
 /// ```
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn cos(x: f64) -> f64 {
     // n = round(x · 2/π); its low bits, the quadrant, sit in the
@@ -182,7 +182,7 @@ pub fn cos(x: f64) -> f64 {
 }
 
 /// `a - b` as an unevaluated sum `s + e`, exactly (Knuth's TwoSum).
-#[inline]
+#[inline(always)]
 fn two_diff(a: f64, b: f64) -> (f64, f64) {
     let s = a - b;
     let v = s - a;
@@ -191,7 +191,7 @@ fn two_diff(a: f64, b: f64) -> (f64, f64) {
 
 /// `cos(x + y)` for `|x| <= π/4` and a tail `|y| <= ulp(x)/2`
 /// (FreeBSD `k_cos.c`).
-#[inline]
+#[inline(always)]
 fn kernel_cos(x: f64, y: f64) -> f64 {
     let z = x * x;
     let w = z * z;
@@ -203,7 +203,7 @@ fn kernel_cos(x: f64, y: f64) -> f64 {
 
 /// `sin(x + y)` for `|x| <= π/4` and a tail `|y| <= ulp(x)/2`
 /// (FreeBSD `k_sin.c`, tail form).
-#[inline]
+#[inline(always)]
 fn kernel_sin(x: f64, y: f64) -> f64 {
     let z = x * x;
     let w = z * z;

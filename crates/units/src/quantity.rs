@@ -57,6 +57,7 @@ impl<D: Dimension> Quantity<D> {
     /// Debug builds assert the magnitude is finite; release builds accept
     /// any value. Use [`Self::try_from_base`] to validate untrusted inputs
     /// in every build.
+    #[inline(always)]
     #[must_use]
     pub const fn from_base(value: f64) -> Self {
         debug_assert!(value.is_finite(), "non-finite quantity magnitude");
@@ -538,6 +539,7 @@ impl MassCo2 {
 
 impl Energy {
     /// Creates an energy from joules.
+    #[inline(always)]
     #[must_use]
     pub const fn joules(j: f64) -> Self {
         Self::from_base(j / JOULES_PER_KWH)
@@ -594,6 +596,7 @@ impl Energy {
     }
 
     /// Magnitude in kilowatt-hours.
+    #[inline(always)]
     #[must_use]
     pub const fn as_kilowatt_hours(self) -> f64 {
         self.0
@@ -643,6 +646,7 @@ impl Area {
     }
 
     /// Creates an area from square millimeters (the die-size unit).
+    #[inline(always)]
     #[must_use]
     pub const fn square_millimeters(mm2: f64) -> Self {
         Self::from_base(mm2 / 100.0)
@@ -667,6 +671,7 @@ impl Area {
     }
 
     /// Magnitude in square centimeters.
+    #[inline(always)]
     #[must_use]
     pub const fn as_square_centimeters(self) -> f64 {
         self.0
@@ -745,6 +750,7 @@ impl TimeSpan {
     }
 
     /// Creates a time span from 365-day years (the ACT lifetime convention).
+    #[inline(always)]
     #[must_use]
     pub const fn years(y: f64) -> Self {
         Self::from_base(y * SECONDS_PER_YEAR)
@@ -771,6 +777,7 @@ impl TimeSpan {
     }
 
     /// Magnitude in seconds.
+    #[inline(always)]
     #[must_use]
     pub const fn as_seconds(self) -> f64 {
         self.0

@@ -165,3 +165,34 @@ fn compiled_block_sweep_matches_the_per_point_pipeline() {
         }
     }
 }
+
+/// A finite lifetime whose conversion to seconds overflows (`f64::MAX`
+/// years) is a rejected point of a block sweep in every build: it neither
+/// trips the unit layer's debug assertion nor amortizes the embodied
+/// carbon to zero. Points beside it keep the per-point pipeline's bits.
+#[test]
+fn an_overflowing_lifetime_is_a_rejected_point_not_a_panic() {
+    let params = ModelParams::mobile_reference();
+    let plan =
+        CompiledFootprint::compile(&params, &[FreeAxis::Lifetime, FreeAxis::Energy]).plan();
+    let lifetimes = vec![3.0, f64::MAX, 5.0, -f64::MAX];
+    let energies = vec![1e6; lifetimes.len()];
+    let batch = PointBatch::from_columns(vec![lifetimes.clone(), energies]);
+    for parallelism in [Parallelism::Serial, Parallelism::threads(2)] {
+        let mut out = BatchOutput::new();
+        par_sweep_compiled_block_with(
+            parallelism,
+            &batch,
+            |cols, range, slot| plan.eval_block(cols, range, slot),
+            &mut out,
+        );
+        let rejected: Vec<usize> = out.rejected().iter().map(|point| point.index).collect();
+        assert_eq!(rejected, [1, 3], "{parallelism:?}: {:?}", out.rejected());
+        for i in [0, 2] {
+            let mut point = params.clone();
+            point.lifetime_years = lifetimes[i];
+            point.energy_j = 1e6;
+            assert_eq!(out.values()[i].to_bits(), point.footprint().as_grams().to_bits());
+        }
+    }
+}
