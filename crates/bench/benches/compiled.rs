@@ -2,7 +2,7 @@
 //! [`CompiledFootprint`]'s block plan through the `act_dse` block engine,
 //! over a 10k-point single-axis sweep and a 20k-sample Monte-Carlo, a
 //! 200k-sample server-class fleet document on the calibrated thread
-//! count, plus bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block)
+//! count and that document's Monte-Carlo tail on its own, plus bare [`EvalPlan::eval_block`](act_core::EvalPlan::eval_block)
 //! calls on three plan shapes and the `sweep` shape through the serial
 //! engine, and the fleet sampler's pass 1 (`act_rng::uniform_columns`)
 //! in each `act_core::wide` instance. The
@@ -10,6 +10,7 @@
 //! per-point one is a tier-1 test
 //! (`tests/cross_crate.rs::compiled_block_sweep_matches_the_per_point_pipeline`).
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use act_bench::{black_box, Harness};
@@ -183,6 +184,28 @@ fn main() {
         };
         black_box(outcome.stats.mean)
     });
+
+    // The tail of that document on its own: the keys of one run, copied
+    // back into a reused buffer outside the timing before each
+    // iteration, then summarized on the same threads (the mean beside the
+    // bracket gather, then the percentile selections).
+    let mut keys = McBuffer::new();
+    if let Err(err) = fleet.run(threads, &mut keys, &EvalBudget::unlimited()) {
+        panic!("the fleet fixture has finite draws: {err}");
+    }
+    let tail = RefCell::new(McBuffer::new());
+    h.bench_with_setup(
+        "mc_summarize_200k",
+        || {
+            let mut buf = tail.borrow_mut();
+            buf.clone_from(&keys);
+            buf
+        },
+        |mut buf| match buf.summarize(Parallelism::threads(threads)) {
+            Ok(outcome) => outcome.stats.p50,
+            Err(err) => panic!("the fleet fixture has finite draws: {err}"),
+        },
+    );
 
     // Pass 1 of the fleet sampler over one 4096-sample block: once in
     // the instance `run_wide` picks on this host, once in the baseline

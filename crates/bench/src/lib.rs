@@ -18,9 +18,15 @@
 //!   kernel's block plan on the `act_dse` block engine, with bit-identity
 //!   cross-checks before timing.
 //!
-//! Run with `cargo bench --workspace`. These are per-function
-//! micro-benchmarks; end-to-end numbers and the `BENCH_results.json`
-//! trajectory come from the repository benchmark in `benchmark/`.
+//! Run with `cargo bench --workspace`. Each case prints its
+//! per-iteration mean, best and median over batches of about 10 µs (one
+//! iteration per batch for slower bodies, and for
+//! [`Harness::bench_with_setup`], whose fresh input is made outside the
+//! timing): on a loaded shared host the mean moves with the load, while
+//! the best and the median show a change of a few percent. These are
+//! per-function micro-benchmarks; end-to-end numbers and the
+//! `BENCH_results.json` trajectory come from the repository benchmark in
+//! `benchmark/`.
 
 use std::time::Instant;
 
@@ -36,20 +42,27 @@ enum Mode {
 }
 
 /// Minimum measured wall-clock per benchmark before reporting, in
-/// milliseconds. Cheap bodies run many iterations inside this window;
-/// expensive ones (the FTL simulation) stop at [`MAX_ITERS`].
+/// milliseconds. Cheap bodies run many batches inside this window;
+/// expensive ones (the FTL simulation) stop at [`MAX_BATCHES`].
 const MEASURE_WINDOW_MS: f64 = 200.0;
-/// Iteration floor so the mean is never a single noisy sample.
-const MIN_ITERS: u32 = 3;
-/// Iteration ceiling so trivially cheap bodies terminate promptly.
-const MAX_ITERS: u32 = 1_000;
+/// Batch floor so the figures never rest on a single noisy sample.
+const MIN_BATCHES: usize = 3;
+/// Batch ceiling so cheap bodies terminate promptly.
+const MAX_BATCHES: usize = 1_000;
+/// Wall-clock one timed batch aims for, in nanoseconds: a body cheaper
+/// than this runs several times per batch, so the clock reads are noise.
+const BATCH_NS: f64 = 10_000.0;
 
-/// A registered-and-run benchmark's outcome.
+/// A registered-and-run benchmark's outcome, per iteration. The best and
+/// the median batch show a change that the mean of a loaded shared host
+/// hides.
 #[derive(Clone, Debug)]
 struct Record {
     name: String,
-    iters: u32,
+    iters: u64,
     mean_ns: f64,
+    best_ns: f64,
+    median_ns: f64,
 }
 
 /// The bench runner: parses the libtest/criterion-style argument tail and
@@ -101,7 +114,8 @@ impl Harness {
     }
 
     /// Runs one benchmark. The closure's return value is passed through
-    /// [`black_box`] so the optimizer cannot delete the body.
+    /// [`black_box`] so the optimizer cannot delete the body. Iterations
+    /// are timed in batches of about 10 µs.
     pub fn bench<T>(&mut self, name: &str, mut body: impl FnMut() -> T) {
         if !self.selected(name) {
             self.skipped += 1;
@@ -113,25 +127,80 @@ impl Harness {
                 println!("test {name} ... ok");
             }
             Mode::Measure => {
-                // Warm-up iteration: page in code and data, fill caches.
-                black_box(body());
+                // Warm-up iteration: page in code and data, fill caches,
+                // and size the batch from its time.
                 let started = Instant::now();
-                let mut iters = 0u32;
-                loop {
-                    black_box(body());
-                    iters += 1;
-                    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                    if (elapsed_ms >= MEASURE_WINDOW_MS && iters >= MIN_ITERS)
-                        || iters >= MAX_ITERS
-                    {
-                        break;
+                black_box(body());
+                let once_ns = started.elapsed().as_secs_f64() * 1e9;
+                let batch = (BATCH_NS / once_ns.max(1.0)).ceil().clamp(1.0, 1e6) as u32;
+                self.measure(name, u64::from(batch), || {
+                    let started = Instant::now();
+                    for _ in 0..batch {
+                        black_box(body());
                     }
-                }
-                let mean_ns = started.elapsed().as_secs_f64() * 1e9 / f64::from(iters);
-                println!("bench {name:<44} {:>12} ns/iter ({iters} iters)", format_ns(mean_ns));
-                self.records.push(Record { name: name.to_owned(), iters, mean_ns });
+                    started.elapsed().as_secs_f64() * 1e9
+                });
             }
         }
+    }
+
+    /// Runs one benchmark whose every iteration needs fresh input:
+    /// `setup` makes it outside the timing, and each timed batch is one
+    /// `body` call on it. `body`'s return value is dropped after the
+    /// clock stops, through [`black_box`].
+    pub fn bench_with_setup<S, T>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut body: impl FnMut(S) -> T,
+    ) {
+        if !self.selected(name) {
+            self.skipped += 1;
+            return;
+        }
+        let mut once = || {
+            let input = setup();
+            let started = Instant::now();
+            let output = body(input);
+            let elapsed_ns = started.elapsed().as_secs_f64() * 1e9;
+            black_box(output);
+            elapsed_ns
+        };
+        match self.mode {
+            Mode::Smoke => {
+                once();
+                println!("test {name} ... ok");
+            }
+            Mode::Measure => {
+                once();
+                self.measure(name, 1, once);
+            }
+        }
+    }
+
+    /// Times batches of `batch` iterations through `timed_batch` (which
+    /// returns a batch's nanoseconds) until the window fills, then
+    /// records and prints the per-iteration mean, best and median.
+    fn measure(&mut self, name: &str, batch: u64, mut timed_batch: impl FnMut() -> f64) {
+        let started = Instant::now();
+        let mut per_iter = Vec::new();
+        while per_iter.len() < MAX_BATCHES
+            && (per_iter.len() < MIN_BATCHES
+                || started.elapsed().as_secs_f64() * 1e3 < MEASURE_WINDOW_MS)
+        {
+            per_iter.push(timed_batch() / batch as f64);
+        }
+        let mean_ns = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
+        per_iter.sort_by(f64::total_cmp);
+        let (best_ns, median_ns) = (per_iter[0], per_iter[per_iter.len() / 2]);
+        let iters = batch * per_iter.len() as u64;
+        println!(
+            "bench {name:<44} {:>12} ns/iter (best {}, median {}; {iters} iters)",
+            format_ns(mean_ns),
+            format_ns(best_ns),
+            format_ns(median_ns),
+        );
+        self.records.push(Record { name: name.to_owned(), iters, mean_ns, best_ns, median_ns });
     }
 
     /// Prints the closing summary line. Call last in `main`.
@@ -140,12 +209,15 @@ impl Harness {
             Mode::Smoke => println!("\nbench smoke ok ({} skipped)", self.skipped),
             Mode::Measure => {
                 let total_ms: f64 =
-                    self.records.iter().map(|r| r.mean_ns * f64::from(r.iters) / 1e6).sum();
+                    self.records.iter().map(|r| r.mean_ns * r.iters as f64 / 1e6).sum();
                 let slowest = self
                     .records
                     .iter()
-                    .max_by(|a, b| a.mean_ns.total_cmp(&b.mean_ns))
-                    .map_or_else(String::new, |r| format!(" (slowest: {})", r.name));
+                    .max_by(|a, b| a.median_ns.total_cmp(&b.median_ns))
+                    .map_or_else(String::new, |r| {
+                        let (best, median) = (format_ns(r.best_ns), format_ns(r.median_ns));
+                        format!(" (slowest: {}, best {best}, median {median} ns/iter)", r.name)
+                    });
                 println!(
                     "\n{} benchmarks, {} skipped, {:.0} ms measured{slowest}",
                     self.records.len(),
@@ -157,7 +229,7 @@ impl Harness {
     }
 }
 
-/// Renders a nanosecond mean with thousands separators (readability only).
+/// Renders nanoseconds with thousands separators (readability only).
 fn format_ns(ns: f64) -> String {
     let whole = ns.round().max(0.0);
     // f64 → u128 after rounding and clamping non-negative is exact for any
@@ -211,12 +283,40 @@ mod tests {
     #[test]
     fn measure_mode_respects_the_iteration_floor() {
         let mut harness = Harness::new(Vec::new());
-        let mut calls = 0u32;
+        let mut calls = 0u64;
         harness.bench("cheap", || calls += 1);
-        // Warm-up + at least MIN_ITERS measured iterations.
-        assert!(calls > MIN_ITERS, "calls {calls}");
-        assert_eq!(harness.records.len(), 1);
-        assert!(harness.records[0].mean_ns >= 0.0);
+        // Warm-up + at least MIN_BATCHES measured batches.
+        let record = &harness.records[0];
+        assert!(calls > MIN_BATCHES as u64, "calls {calls}");
+        assert_eq!((harness.records.len(), calls), (1, record.iters + 1));
+        assert!(record.best_ns >= 0.0, "{record:?}");
+        assert!(record.best_ns <= record.median_ns && record.best_ns <= record.mean_ns);
+    }
+
+    #[test]
+    fn setup_runs_once_per_iteration_outside_the_timing() {
+        let mut harness = Harness::new(["--test".to_owned()]);
+        let (mut made, mut used) = (0u32, 0u32);
+        harness.bench_with_setup("fresh", || made += 1, |()| used += 1);
+        assert_eq!((made, used), (1, 1));
+
+        // A setup that sleeps 2 ms for a body that takes nanoseconds: the
+        // sleep shows in no figure.
+        let mut harness = Harness::new(Vec::new());
+        let (mut made, mut used) = (0u64, 0u64);
+        harness.bench_with_setup(
+            "sleepy setup",
+            || {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                made += 1;
+                made
+            },
+            |input| used += input,
+        );
+        let record = &harness.records[0];
+        assert_eq!(record.iters + 1, made);
+        assert_eq!(used, made * (made + 1) / 2);
+        assert!(record.mean_ns < 1e6, "{record:?}");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use act_core::wide::{run_wide, Body, Instance};
 use act_rng::Rng;
 
 use crate::montecarlo::{
-    decode_draw, encode_draws, mc_sample_seed, summarize, McError, McOutcome,
+    decode_draw, encode_draws, mc_sample_seed, summarize, McError, McOutcome, TailScratch,
 };
 use crate::parallel::Parallelism;
 use crate::sweep::RejectedPoint;
@@ -356,19 +356,39 @@ fn non_finite_reason(v: f64) -> String {
 }
 
 /// Reusable sample buffer for the block Monte-Carlo entry points: one
-/// `u64` per sample and nothing else.
+/// `u64` per sample, plus the bounded scratch of the run's tail.
 ///
 /// A run stores each draw as its `f64::total_cmp` order key, which the
 /// workers write straight from their own per-block scratch (at most
-/// 4096 values each), so the buffer costs 8 bytes per sample. After the
-/// fill, one pass over the keys in sample order takes the mean, and the
-/// percentiles are then selected on the keys in place, which permutes
-/// them: after a run the buffer holds the completed prefix's draws in no
+/// 4096 values each), so the buffer costs 8 bytes per sample. Beside the
+/// keys it keeps what the percentile tail reuses from run to run: a
+/// strided subsample of at most 4096 keys and one gather buffer per
+/// percentile bracket of at most 2^16 keys each (together about 33k
+/// keys, 0.26 MB, after a 200k-sample run). The tail takes the mean and
+/// gathers the brackets without moving a key; only when a bracket misses
+/// its rank or overflows, or the run has at most 4096 samples, are the
+/// percentiles selected on the keys in place, which permutes them. So
+/// after a run the buffer holds the completed prefix's draws in no
 /// particular order. Reuse one buffer across runs to amortize its
-/// allocation.
-#[derive(Clone, Debug, Default)]
+/// allocations.
+#[derive(Debug, Default)]
 pub struct McBuffer {
     keys: Vec<u64>,
+    tail: TailScratch,
+}
+
+impl Clone for McBuffer {
+    fn clone(&self) -> Self {
+        Self { keys: self.keys.clone(), tail: self.tail.clone() }
+    }
+
+    /// Copies `source` into this buffer's allocations, which grow only
+    /// where `source` holds more: restoring a run's keys into a buffer
+    /// that summarizes them ([`McBuffer::summarize`]) reallocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.keys.clone_from(&source.keys);
+        self.tail.clone_from(&source.tail);
+    }
 }
 
 impl McBuffer {
@@ -379,11 +399,31 @@ impl McBuffer {
     }
 
     /// Every draw of the last run's completed prefix, decoded, in
-    /// unspecified order (the percentile selection permutes them);
+    /// unspecified order (the percentile selection may permute them);
     /// rejected (non-finite) draws read NaN regardless of whether the
     /// model produced NaN or ±∞.
     pub fn draws(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.keys.iter().map(|&key| decode_draw(key))
+    }
+
+    /// The statistics of the draws the buffer holds, computed as the tail
+    /// of a run computes them, on `parallelism`'s workers: the tail on
+    /// its own, for timing it. The mean sums the draws in the buffer's
+    /// order, which after a run is sample order unless its percentile
+    /// selection permuted them; the percentiles and counts do not depend
+    /// on the order.
+    ///
+    /// # Errors
+    ///
+    /// [`McError::NoSamples`] for an empty buffer and
+    /// [`McError::AllRejected`] when no draw it holds is finite.
+    pub fn summarize(&mut self, parallelism: Parallelism) -> Result<McOutcome, McError> {
+        let len = self.keys.len();
+        if len == 0 {
+            return Err(McError::NoSamples);
+        }
+        let workers = parallelism.resolve_for(len).workers.min(len);
+        summarize(&mut self.keys, workers, &mut self.tail)
     }
 }
 
@@ -724,8 +764,9 @@ where
 /// block at once. Every worker keeps its own sample columns and sampler
 /// scratch and a draw block of at most 4096 values, which it encodes as
 /// order keys into its chunk of the buffer; after the pool joins, one
-/// pass over the keys takes the sample-order mean and the percentiles
-/// are selected on them in place. The sampler must write every slot of
+/// pass over the keys takes the sample-order mean while the other
+/// workers gather and select the percentiles from a bracket around each
+/// (see [`McBuffer`]). The sampler must write every slot of
 /// every column ([`BlockSampler::sample_block`]) and the block kernel
 /// every slot of its output: neither is refilled between blocks.
 ///
@@ -787,7 +828,7 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
     if completed == 0 {
         return Err(McError::NoSamples);
     }
-    Ok((summarize(&mut buf.keys, workers)?, run))
+    Ok((summarize(&mut buf.keys, workers, &mut buf.tail)?, run))
 }
 
 /// Upper bound on points per work-stealing chunk: 4096 points are 32 KiB
@@ -796,6 +837,31 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
 /// is evaluated as whole column ranges, so it is also the upper bound on
 /// points per block kernel call.
 const MAX_CHUNK_POINTS: usize = 4096;
+
+/// Most keys in the Monte-Carlo percentile subsample: a run of at most
+/// this many keys selects its percentiles in place, since its subsample
+/// would be the whole buffer.
+pub(crate) const SUBSAMPLE_KEYS: usize = 4096;
+
+/// Smallest stride of the percentile subsample: a bracket around a rank
+/// of the subsample then covers a small share of the buffer only when
+/// each subsample key stands for many buffer keys.
+pub(crate) const SUBSAMPLE_MIN_STRIDE: usize = 16;
+
+/// Half-width of a percentile bracket, in standard deviations of the
+/// percentile's position in the subsample: a miss, which costs the
+/// in-place selection, is then a ~5σ event for a random key order.
+pub(crate) const BRACKET_SIGMAS: f64 = 5.0;
+
+/// Most keys one percentile bracket gathers (512 KiB): a run whose
+/// bracket would span more, or gathers more, selects in place. At 5σ the
+/// p50 bracket spans ~8 % of a run of more than 2^16 keys, so runs up to
+/// ~800k samples stay under it.
+pub(crate) const GATHER_CAP: usize = 1 << 16;
+
+/// Keys per gather task on the tail's shared cursor: 8 KiB read, and
+/// 33 KiB of per-worker stack for the keys it gathers.
+pub(crate) const GATHER_CHUNK: usize = 1024;
 
 /// Points per chunk: at least four chunks per worker (stealing slack for
 /// skewed kernels), capped at [`MAX_CHUNK_POINTS`]. Deterministic in
@@ -1431,11 +1497,38 @@ mod tests {
     }
 
     #[test]
+    fn mc_buffer_clone_from_reuses_the_allocations_and_summarizes_alike() {
+        let run = |buf: &mut McBuffer, samples| {
+            par_monte_carlo_compiled_block_with(
+                Parallelism::threads(2),
+                samples,
+                17,
+                1,
+                sampler,
+                mc_kernel,
+                buf,
+            )
+        };
+        let mut source = McBuffer::new();
+        let outcome = run(&mut source, 20_000).unwrap();
+        let mut copy = McBuffer::new();
+        run(&mut copy, 30_000).unwrap();
+        let keys = copy.keys.as_ptr();
+        copy.clone_from(&source);
+        assert_eq!(copy.keys.as_ptr(), keys);
+        assert_eq!(copy.keys, source.keys);
+        assert_eq!(copy.clone().keys, source.keys);
+        for threads in [1, 2] {
+            assert_eq!(copy.summarize(Parallelism::threads(threads)), Ok(outcome));
+        }
+        assert_eq!(McBuffer::new().summarize(Parallelism::Serial), Err(McError::NoSamples));
+    }
+
+    #[test]
     fn mc_buffer_holds_one_key_per_sample() {
-        // The buffer is one `Vec<u64>` and nothing else ...
-        assert_eq!(std::mem::size_of::<McBuffer>(), std::mem::size_of::<Vec<u64>>());
-        // ... sized to one key per sample, while each worker's sample
-        // columns and draw block stay within one chunk.
+        // The buffer is sized to one key per sample, its tail scratch to
+        // less than that, while each worker's sample columns and draw
+        // block stay within one chunk.
         let largest_block = AtomicUsize::new(0);
         let counting_sampler = |rng: &mut Rng, k: usize, cols: &mut [Vec<f64>]| {
             largest_block.fetch_max(cols[0].capacity(), Ordering::Relaxed);
@@ -1459,6 +1552,8 @@ mod tests {
             )
             .unwrap();
             assert_eq!((buf.keys.len(), buf.keys.capacity()), (samples, samples), "{threads}t");
+            let tail = buf.tail.capacity();
+            assert!(tail > 0 && tail < samples, "{threads}t: {tail} keys of tail scratch");
         }
         assert!(largest_block.load(Ordering::Relaxed) <= MAX_CHUNK_POINTS);
     }
@@ -1482,7 +1577,9 @@ mod tests {
 
     #[test]
     fn mean_is_the_reference_for_every_chunking_and_prefix() {
-        // Lengths around the 4096-point chunk cap, serial to oversubscribed
+        // Lengths around the 4096-point chunk cap (also `SUBSAMPLE_KEYS`,
+        // where the tail starts bracketing), and one whose deadline-cut
+        // prefix is long enough to bracket; serial to oversubscribed
         // pools, ±inf/NaN in the first and last slot of every chunk. The
         // unlimited run holds chunk 0 back, so later chunks are written
         // first; the budgeted run stalls the first block of a middle chunk
@@ -1502,7 +1599,7 @@ mod tests {
             first..first + range.len()
         };
         for workers in [1usize, 2, 3, 8] {
-            for len in [4095, 4096, 4097, 3 * 4096 + 1] {
+            for len in [4095, 4096, 4097, 3 * 4096 + 1, 6 * 4096 + 5] {
                 for trial in 0..3u64 {
                     let unlimited = EvalBudget::unlimited();
                     let chunk = chunk_len(len, workers, &unlimited);

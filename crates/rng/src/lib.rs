@@ -327,18 +327,32 @@ pub fn unit_to_range(u: f64, low: f64, high: f64) -> f64 {
 /// `[low, high]` peaking at `mode` (inverse CDF). Parameters are not
 /// checked here; `act_dse::try_triangular` is the validating draw.
 ///
-/// Both branches are computed and one is selected, so a loop over a
-/// column has no data-dependent branch; the bits equal the branchy form.
+/// Both branches' square-root arguments are computed and one is
+/// selected, then one root is taken and the branch's outer `low +` or
+/// `high -` applied, so a loop over a column has no data-dependent branch
+/// and one `sqrt` per draw. Each draw goes through the same IEEE
+/// operations as the form that takes both roots and selects, so the bits
+/// equal it.
 #[inline(always)]
 #[must_use]
+// `!(u >= cut)` is `u < cut` for every `u` but NaN, where both arms give
+// NaN. With the outer select on the inner one's own compare, LLVM
+// simplified each arm's root under that compare and so rebuilt the
+// two-root form: two `sqrt`s per draw, 2.4-2.5 ns against 1.2-1.4 in a
+// one-thread microbenchmark of a 4096-draw column, in either instance.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn unit_to_triangular(u: f64, low: f64, mode: f64, high: f64) -> f64 {
     let cut = (mode - low) / (high - low);
-    let rising = low + ((high - low) * (mode - low) * u).sqrt();
-    let falling = high - ((high - low) * (high - mode) * (1.0 - u)).sqrt();
-    if u < cut {
-        rising
+    let square = if u < cut {
+        (high - low) * (mode - low) * u
     } else {
-        falling
+        (high - low) * (high - mode) * (1.0 - u)
+    };
+    let root = square.sqrt();
+    if !(u >= cut) {
+        low + root
+    } else {
+        high - root
     }
 }
 
@@ -757,6 +771,54 @@ mod tests {
         assert!(columns[4].is_nan());
         uniform_columns::<true>(seed_of, &mut columns, 2);
         assert!(columns[4].is_nan());
+    }
+
+    /// The one-root triangular draw equals the form that takes both roots
+    /// and selects, bit for bit: on a dense grid of `u`, on both sides of
+    /// the cut and at it, at `0.0`, at the largest draw `1 - 2^-53`, and at
+    /// NaN, for modes inside and at either end of the interval.
+    #[test]
+    fn one_root_triangular_matches_the_two_root_form_bitwise() {
+        fn two_roots(u: f64, low: f64, mode: f64, high: f64) -> f64 {
+            let cut = (mode - low) / (high - low);
+            let rising = low + ((high - low) * (mode - low) * u).sqrt();
+            let falling = high - ((high - low) * (high - mode) * (1.0 - u)).sqrt();
+            if u < cut {
+                rising
+            } else {
+                falling
+            }
+        }
+        let shapes = [
+            (1.0, 3.0, 6.0),
+            (2.0, 4.0, 7.0),
+            (0.05, 2.0, 3.0),
+            (0.0, 0.3, 1.0),
+            (-5.0, -5.0, 2.5),
+            (0.5, 8.0, 8.0),
+            (30.0, 380.0, 2100.0),
+        ];
+        for (low, mode, high) in shapes {
+            let cut = (mode - low) / (high - low);
+            let grid = (0..=1024).map(|i| f64::from(i) / 1024.0);
+            let edges =
+                [0.0, 1.0 - f64::EPSILON / 2.0, f64::NAN, cut, cut.next_down(), cut.next_up()];
+            for u in grid.chain(edges).filter(|u| u.is_nan() || *u < 1.0) {
+                let (one, two) =
+                    (unit_to_triangular(u, low, mode, high), two_roots(u, low, mode, high));
+                // Rust leaves a NaN result's payload unspecified (Miri
+                // picks one at random), so NaN compares as NaN.
+                if two.is_nan() {
+                    assert!(one.is_nan(), "u {u}, low {low}, mode {mode}, high {high}");
+                } else {
+                    assert_eq!(
+                        one.to_bits(),
+                        two.to_bits(),
+                        "u {u}, low {low}, mode {mode}, high {high}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

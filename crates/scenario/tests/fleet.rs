@@ -247,6 +247,92 @@ fn scalar_draw(dist: Distribution, rng: &mut Rng) -> f64 {
     }
 }
 
+/// A fleet run's draws re-derived in a plain loop, in sample order, NaN
+/// where rejected: each sample's `Rng` from `mc_sample_seed`, three
+/// scalar draws in the contract's order (`[lifetime, intensity,
+/// utilization]`), the Table 1 range check, and the operational model
+/// over the whole lifetime plus the embodied total.
+fn scalar_fleet_draws(
+    embodied_g: f64,
+    power_w: f64,
+    [lifetime, intensity, utilization]: [Distribution; 3],
+    seed: u64,
+    samples: usize,
+) -> Vec<f64> {
+    (0..samples)
+        .map(|i| {
+            let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
+            let l = scalar_draw(lifetime, &mut rng);
+            let ci = scalar_draw(intensity, &mut rng);
+            let u = scalar_draw(utilization, &mut rng);
+            if !(LIFETIME_RANGE.contains(&l)
+                && INTENSITY_RANGE.contains(&ci)
+                && (0.0..=1.0).contains(&u))
+            {
+                return f64::NAN;
+            }
+            // Eq. 1 over the whole lifetime: `T/LT = 1`.
+            let energy = Energy::joules(power_w * u * (l * SECONDS_PER_YEAR));
+            let intensity = CarbonIntensity::grams_per_kwh(ci);
+            OperationalModel::new(intensity).footprint(energy).as_grams() + embodied_g
+        })
+        .collect()
+}
+
+/// Both fleet documents at 200k samples, where the tail brackets its
+/// percentiles instead of selecting over the whole buffer: on 1, 2 and
+/// 4 threads the outcome is the summary of the scalar re-derivation by
+/// definition (compensated sample-order mean, full-sort percentiles),
+/// bit for bit.
+#[test]
+fn fleet_documents_at_200k_samples_match_the_full_sort_oracle() {
+    const SAMPLES: usize = 200_000;
+    let server = include_str!("../../cli/tests/fixtures/fleet_server.json")
+        .replace("\"samples\": 20000", &format!("\"samples\": {SAMPLES}"));
+    let phone = fleet_doc().replace("\"samples\": 4096", &format!("\"samples\": {SAMPLES}"));
+    let cases = [
+        (
+            "server class",
+            server,
+            350.0,
+            [
+                Distribution::Triangular { low: 2.0, mode: 4.0, high: 7.0 },
+                Distribution::Normal { mean: 380.0, std_dev: 60.0 },
+                Distribution::Uniform { low: 0.3, high: 0.9 },
+            ],
+            2022,
+        ),
+        (
+            "phone class",
+            phone,
+            2.5,
+            [
+                Distribution::Triangular { low: 1.0, mode: 3.0, high: 6.0 },
+                Distribution::Normal { mean: 301.0, std_dev: 80.0 },
+                Distribution::Uniform { low: 0.05, high: 0.3 },
+            ],
+            7,
+        ),
+    ];
+    for (name, doc, power_w, dists, seed) in cases {
+        let compiled = Scenario::parse(&doc).expect("parse").compile().expect("compile");
+        let fleet = compiled.fleet().expect("fleet block");
+        assert_eq!((fleet.samples(), fleet.seed()), (SAMPLES, seed), "{name}");
+        let expected =
+            scalar_fleet_draws(compiled.embodied_grams(), power_w, dists, seed, SAMPLES);
+        let mut buf = McBuffer::new();
+        for threads in [1, 2, 4] {
+            let result = fleet.run(threads, &mut buf, &EvalBudget::unlimited());
+            let context = format!("{name}, {threads} thread(s)");
+            let outcome = result.map(|(outcome, run)| {
+                assert_eq!(run, BatchRun::Completed, "{context}");
+                outcome
+            });
+            assert_reference(outcome, &expected, &context);
+        }
+    }
+}
+
 /// Every distribution kind in every slot (lifetime, intensity,
 /// utilization), with sample counts that are not a multiple of a block or
 /// a lane pair, on 1 and 3 threads and under a deadline: `McBuffer::draws()`
@@ -305,25 +391,9 @@ fn column_sampler_matches_scalar_draws_bitwise() {
                 dist_json(utilization),
             );
             let compiled = Scenario::parse(&doc).expect("parse").compile().expect("compile");
-            let embodied_g = compiled.embodied_grams();
-            let expected: Vec<f64> = (0..samples)
-                .map(|i| {
-                    let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
-                    let l = scalar_draw(lifetime, &mut rng);
-                    let ci = scalar_draw(intensity, &mut rng);
-                    let u = scalar_draw(utilization, &mut rng);
-                    if !(LIFETIME_RANGE.contains(&l)
-                        && INTENSITY_RANGE.contains(&ci)
-                        && (0.0..=1.0).contains(&u))
-                    {
-                        return f64::NAN;
-                    }
-                    // Eq. 1 over the whole lifetime: `T/LT = 1`.
-                    let energy = Energy::joules(power_w * u * (l * SECONDS_PER_YEAR));
-                    let intensity = CarbonIntensity::grams_per_kwh(ci);
-                    OperationalModel::new(intensity).footprint(energy).as_grams() + embodied_g
-                })
-                .collect();
+            let dists = [lifetime, intensity, utilization];
+            let expected =
+                scalar_fleet_draws(compiled.embodied_grams(), power_w, dists, seed, samples);
             let rejected = expected.iter().filter(|v| v.is_nan()).count();
             let context = format!("rotation {rotation}, {samples} samples");
             assert!(rejected < samples, "{context}: every draw rejected");
