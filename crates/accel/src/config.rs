@@ -23,27 +23,27 @@ const MAC_SCALING_EXP: f64 = 1.8;
 /// Exponent for fixed-block scaling (IO and analog barely scale).
 const FIXED_SCALING_EXP: f64 = 0.6;
 
-/// An NVDLA-like accelerator configuration: MAC-array width, process node
-/// and clock.
-///
-/// # Examples
-///
-/// ```
-/// use act_accel::AccelConfig;
-///
-/// let nvdla_large = AccelConfig::new(2048);
-/// let in_28nm = AccelConfig::new(2048).with_nanometers(28);
-/// assert!(in_28nm.area() > nvdla_large.area());
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AccelConfig {
-    macs: u32,
-    nanometers: u32,
-    frequency_ghz: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// An NVDLA-like accelerator configuration: MAC-array width, process node
+    /// and clock.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_accel::AccelConfig;
+    ///
+    /// let nvdla_large = AccelConfig::new(2048);
+    /// let in_28nm = AccelConfig::new(2048).with_nanometers(28);
+    /// assert!(in_28nm.area() > nvdla_large.area());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct AccelConfig {
+        macs: u32,
+        nanometers: u32,
+        frequency_ghz: f64,
+    }
 }
-
-act_json::impl_to_json!(AccelConfig { macs, nanometers, frequency_ghz });
-act_json::impl_from_json!(AccelConfig { macs, nanometers, frequency_ghz });
 
 impl AccelConfig {
     /// A 16 nm configuration at the 500 MHz the study assumes.

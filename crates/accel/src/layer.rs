@@ -164,15 +164,15 @@ impl Layer {
     }
 }
 
-/// A feed-forward network: an ordered list of layers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Network {
-    name: String,
-    layers: Vec<Layer>,
+act_json::json_struct! {
+    [ToJson]
+    /// A feed-forward network: an ordered list of layers.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Network {
+        name: String,
+        layers: Vec<Layer>,
+    }
 }
-
-act_json::impl_to_json!(Network { name, layers });
-act_json::impl_from_json!(Network { name, layers });
 
 impl Network {
     /// Creates a network from layers.

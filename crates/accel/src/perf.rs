@@ -7,21 +7,21 @@ use crate::config::AccelConfig;
 use crate::energy;
 use crate::layer::Network;
 
-/// Per-layer cycle accounting: where an inference spends its time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LayerReport {
-    /// Layer label.
-    pub name: String,
-    /// Cycles spent in the layer.
-    pub cycles: f64,
-    /// Array utilization during the layer.
-    pub utilization: f64,
-    /// Fraction of total inference cycles.
-    pub share: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// Per-layer cycle accounting: where an inference spends its time.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct LayerReport {
+        /// Layer label.
+        pub name: String,
+        /// Cycles spent in the layer.
+        pub cycles: f64,
+        /// Array utilization during the layer.
+        pub utilization: f64,
+        /// Fraction of total inference cycles.
+        pub share: f64,
+    }
 }
-
-act_json::impl_to_json!(LayerReport { name, cycles, utilization, share });
-act_json::impl_from_json!(LayerReport { name, cycles, utilization, share });
 
 /// Per-layer breakdown of an inference — the view a designer uses to find
 /// the layers that starve a wide array.
@@ -53,25 +53,25 @@ pub fn layer_breakdown(config: &AccelConfig, network: &Network) -> Vec<LayerRepo
     reports
 }
 
-/// The result of running a network on an accelerator configuration.
-///
-/// # Examples
-///
-/// ```
-/// use act_accel::{AccelConfig, Network};
-///
-/// let eval = AccelConfig::new(256).evaluate(&Network::mobile_vision());
-/// // A 256-MAC array at 500 MHz clears the paper's 30 FPS QoS bar.
-/// assert!(eval.throughput().as_per_second() > 30.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Evaluation {
-    latency: TimeSpan,
-    energy: Energy,
+act_json::json_struct! {
+    [ToJson]
+    /// The result of running a network on an accelerator configuration.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_accel::{AccelConfig, Network};
+    ///
+    /// let eval = AccelConfig::new(256).evaluate(&Network::mobile_vision());
+    /// // A 256-MAC array at 500 MHz clears the paper's 30 FPS QoS bar.
+    /// assert!(eval.throughput().as_per_second() > 30.0);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct Evaluation {
+        latency: TimeSpan,
+        energy: Energy,
+    }
 }
-
-act_json::impl_to_json!(Evaluation { latency, energy });
-act_json::impl_from_json!(Evaluation { latency, energy });
 
 impl Evaluation {
     pub(crate) fn compute(config: &AccelConfig, network: &Network) -> Self {

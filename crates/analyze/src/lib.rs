@@ -10,11 +10,11 @@
 //!   code", "no `Instant::now` in model code", "no raw `thread::spawn`
 //!   outside the worker pool" or "no `unsafe` outside the pool and the
 //!   vector dispatch".
-//! * **Structural rules** ACT006, ACT007 and ACT009–ACT011 find fns,
-//!   loops, closures, `let`s and struct/enum bodies through the partner
-//!   table: JSON impls that drift from their structs, kernel loops that
-//!   never check an `EvalBudget`, lock guards held across I/O, non-total
-//!   float comparators, and panic surface in the server request path.
+//! * **Structural rules** ACT006, ACT007 and ACT009–ACT011 find macro
+//!   calls, fns, loops, closures, `let`s and struct bodies through the
+//!   partner table: repeated `obj!` keys, kernel loops that never check
+//!   an `EvalBudget`, lock guards held across I/O, non-total float
+//!   comparators, and panic surface in the server request path.
 //! * **The cross-file rule** ACT015 reads every file at once: from each
 //!   `wide::Body::run` it follows calls by name into the workspace's fns,
 //!   across crates, and requires each one reached to be
@@ -29,7 +29,7 @@
 //! | ACT003 | no paper/unit-conversion `f64` literals | all but `act-units`/`act-data`, tests |
 //! | ACT004 | no infallible `from_base` | all but `act-units`/`act-data`, tests |
 //! | ACT005 | no `dbg!`/`todo!`/`unimplemented!` | everywhere, tests included |
-//! | ACT006 | JSON impl/literal field drift | everywhere |
+//! | ACT006 | `obj!` keys must be unique | everywhere |
 //! | ACT007 | kernel loops (`eval`/`try_eval`/`eval_block`/block-kernel parameter) without an `EvalBudget` check | `act-dse`, `act-server` |
 //! | ACT008 | `Instant::now`/`SystemTime::now`/`thread::sleep`/`env::var` | library crates |
 //! | ACT009 | lock guard live across I/O or a callback | `act-server` |
@@ -389,8 +389,7 @@ mod tests {
 
     #[test]
     fn analyze_source_merges_textual_and_ast_tiers() {
-        let src = "pub struct P { pub a: f64, pub b: f64 }\n\
-                   act_json::impl_to_json!(P { a });\n\
+        let src = "pub fn e() -> JsonValue { act_json::obj! { \"a\": 1, \"a\": 2 } }\n\
                    pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
         let findings = analyze_source("crates/x/src/lib.rs", src);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
@@ -441,8 +440,8 @@ mod tests {
             "impl X for",
             "match x {",
             "obj! {",
-            "act_json::impl_to_json!(S {",
-            "act_json::impl_json_enum!(E }",
+            "act_json::obj! { \"a\": 1, \"a\"",
+            "act_json::json_struct! { [ToJson] struct S {",
             "v.sort_by(|a",
             "x[",
             ")))(((",

@@ -5,19 +5,19 @@
 //! a fn is its `(…)` parameter group and its `{…}` body, a loop is its
 //! keyword and its `{…}` body, a closure is its `|…|` parameters and the
 //! block or expression after them, a macro call is its name and its
-//! group, a struct or enum is its name and its `{…}` body. Nothing inside
+//! group, a struct is its name and its `{…}` body. Nothing inside
 //! a `#[cfg(test)]` region is reported: these are production-contract
 //! checks.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 
 use crate::lexer::{Tok, TokKind};
-use crate::textual::{path_start, seq_at, Scan};
+use crate::textual::{seq_at, Scan};
 use crate::Finding;
 
-const MSG_ACT006: &str = "JSON impl/literal drifts from the struct: \
-     field list must exactly match the struct's declared fields (no duplicate keys)";
+const MSG_ACT006: &str = "`obj!` keys must be unique: \
+     a repeated key silently overwrites the earlier value";
 const MSG_ACT007: &str = "loop calls a model kernel (`eval`, `try_eval`, `eval_block` or a \
      `Range<usize>` block-kernel parameter) without referencing an `EvalBudget`; \
      check the budget in this loop or an enclosing one";
@@ -31,15 +31,14 @@ const MSG_ACT011: &str = "panic surface in the request path: indexing/slicing/\
 /// Runs every structural rule that applies to the scanned file.
 pub(crate) fn check(scan: &Scan<'_>) -> Vec<Finding> {
     let path = scan.path;
-    let decls = Decls::build(scan);
     let fns = fn_items(scan);
     let mut out = Vec::new();
-    act006_json_drift(scan, &decls, &mut out);
+    act006_duplicate_obj_keys(scan, &mut out);
     if act007_in_scope(path) {
         act007_budget_blind_loops(scan, &fns, &mut out);
     }
     if act009_in_scope(path) {
-        act009_guard_across_call(scan, &decls, &fns, &mut out);
+        act009_guard_across_call(scan, &fns, &mut out);
     }
     if act010_in_scope(path) {
         act010_raw_float_cmp(scan, &mut out);
@@ -95,66 +94,39 @@ fn is_lock_type(ty: &[Tok]) -> bool {
     names(ty, "Mutex") || names(ty, "RwLock")
 }
 
-/// The file's named structs and enums (test items included: lookups want
-/// them), each with the token indices of its field or variant names.
-struct Decls<'a> {
-    structs: HashMap<&'a str, Vec<usize>>,
-    enums: HashMap<&'a str, Vec<usize>>,
-    /// Struct fields declared as a `Mutex`/`RwLock`.
-    lock_fields: HashSet<&'a str>,
-}
-
-impl<'a> Decls<'a> {
-    fn build(scan: &Scan<'a>) -> Self {
-        let toks = scan.toks;
-        let mut decls = Decls {
-            structs: HashMap::new(),
-            enums: HashMap::new(),
-            lock_fields: HashSet::new(),
-        };
-        for i in 0..toks.len().saturating_sub(1) {
-            let is_struct = toks[i].is_ident("struct");
-            if !(is_struct || toks[i].is_ident("enum")) || toks[i + 1].kind != TokKind::Ident {
-                continue;
+/// The file's struct fields declared as a `Mutex`/`RwLock` (test items
+/// included: lookups want them).
+fn lock_fields<'a>(scan: &Scan<'a>) -> HashSet<&'a str> {
+    let toks = scan.toks;
+    let mut locks = HashSet::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        if !toks[i].is_ident("struct") || toks[i + 1].kind != TokKind::Ident {
+            continue;
+        }
+        // Tuple and unit structs reach their `;` first.
+        let open = scan.find(i + 2, &["{", ";"]);
+        if !scan.is(open, "{") {
+            continue;
+        }
+        let close = scan.partner[open];
+        // A field is a top-level name followed by `:`; its type runs to
+        // the next field.
+        let mut fields = Vec::new();
+        let mut k = open + 1;
+        while k < close {
+            if toks[k].kind == TokKind::Ident && scan.is(k + 1, ":") {
+                fields.push(k);
             }
-            // Tuple and unit structs reach their `;` first.
-            let open = scan.find(i + 2, &["{", ";"]);
-            if !scan.is(open, "{") {
-                continue;
-            }
-            let close = scan.partner[open];
-            // A field is a top-level name followed by `:`; a variant is a
-            // top-level name after the brace, a `,` or an attribute.
-            let mut members = Vec::new();
-            let (mut prev, mut k) = (open, open + 1);
-            while k < close {
-                let named = toks[k].kind == TokKind::Ident
-                    && if is_struct {
-                        scan.is(k + 1, ":")
-                    } else {
-                        prev == open || scan.is(prev, ",") || scan.is(prev, "[")
-                    };
-                if named {
-                    members.push(k);
-                }
-                prev = k;
-                k = scan.skip(k);
-            }
-            let name = toks[i + 1].text.as_str();
-            if is_struct {
-                for (n, &m) in members.iter().enumerate() {
-                    let end = members.get(n + 1).copied().unwrap_or(close);
-                    if is_lock_type(&toks[m + 1..end]) {
-                        decls.lock_fields.insert(&toks[m].text);
-                    }
-                }
-                decls.structs.insert(name, members);
-            } else {
-                decls.enums.insert(name, members);
+            k = scan.skip(k);
+        }
+        for (n, &m) in fields.iter().enumerate() {
+            let end = fields.get(n + 1).copied().unwrap_or(close);
+            if is_lock_type(&toks[m + 1..end]) {
+                locks.insert(toks[m].text.as_str());
             }
         }
-        decls
     }
+    locks
 }
 
 /// A fn parameter: its name and the tokens of its type.
@@ -333,76 +305,31 @@ fn closure_body(scan: &Scan<'_>, k: usize) -> Option<Range<usize>> {
 }
 
 // ---------------------------------------------------------------------------
-// ACT006 — JSON drift.
+// ACT006 — duplicate `obj!` keys.
 // ---------------------------------------------------------------------------
 
-fn act006_json_drift(scan: &Scan<'_>, decls: &Decls<'_>, out: &mut Vec<Finding>) {
+/// `obj! { "key": …, "key": … }` — a repeated key silently overwrites the
+/// first value. Nested `obj!` calls sit inside brackets here and are
+/// checked as calls of their own.
+fn act006_duplicate_obj_keys(scan: &Scan<'_>, out: &mut Vec<Finding>) {
     let toks = scan.toks;
     for i in 0..toks.len().saturating_sub(2) {
         let open = i + 2;
-        let call = toks[i].kind == TokKind::Ident
+        let call = toks[i].is_ident("obj")
             && toks[i + 1].is_punct("!")
             && matches!(toks[open].text.as_str(), "(" | "[" | "{");
         if !call || scan.in_test(i) {
             continue;
         }
-        let declared = match toks[i].text.as_str() {
-            "impl_to_json" | "impl_from_json" => &decls.structs,
-            "impl_json_enum" => &decls.enums,
-            "obj" => {
-                check_obj_keys(scan, open, out);
-                continue;
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut k = open + 1;
+        while k < scan.partner[open] {
+            let t = &toks[k];
+            if t.kind == TokKind::Str && scan.is(k + 1, ":") && !seen.insert(&t.text) {
+                out.push(scan.finding(k, "ACT006", MSG_ACT006));
             }
-            _ => continue,
-        };
-        let group = toks.get(open + 1..scan.partner[open]).unwrap_or_default();
-        let Some((ty, listed)) = split_macro_target(group) else { continue };
-        let Some(members) = declared.get(ty) else { continue };
-        let declared: HashSet<&str> = members.iter().map(|&m| toks[m].text.as_str()).collect();
-        let listed_set: HashSet<&str> = listed.iter().copied().collect();
-        if declared != listed_set || listed.len() != listed_set.len() {
-            out.push(scan.finding(path_start(toks, i), "ACT006", MSG_ACT006));
+            k = scan.skip(k);
         }
-    }
-}
-
-/// Splits `Type { a, b, c }` macro tokens into the type name and the
-/// listed identifiers: the listed names must be exactly the struct's
-/// fields or the enum's variants (any order, no omissions, no unknowns,
-/// no repeats). Returns `None` when the shape doesn't match.
-fn split_macro_target(toks: &[Tok]) -> Option<(&str, Vec<&str>)> {
-    let brace = toks.iter().position(|t| t.is_punct("{"))?;
-    let ty = toks[..brace]
-        .iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .find(|t| !matches!(t.text.as_str(), "crate" | "super" | "self"))?;
-    // The group runs to the last `}`.
-    let close = toks.iter().rposition(|t| t.is_punct("}"))?;
-    let mut listed = Vec::new();
-    let mut expect = true;
-    for t in toks.get(brace + 1..close)? {
-        if t.is_punct(",") {
-            expect = true;
-        } else if expect && t.kind == TokKind::Ident {
-            listed.push(t.text.as_str());
-            expect = false;
-        }
-    }
-    Some((&ty.text, listed))
-}
-
-/// `obj! { "key": …, "key": … }` — a duplicate key silently overwrites the
-/// first value, the literal-object flavor of JSON drift. Nested `obj!`
-/// calls sit inside brackets here and are checked as calls of their own.
-fn check_obj_keys(scan: &Scan<'_>, open: usize, out: &mut Vec<Finding>) {
-    let mut seen: HashSet<&str> = HashSet::new();
-    let mut k = open + 1;
-    while k < scan.partner[open] {
-        let t = &scan.toks[k];
-        if t.kind == TokKind::Str && scan.is(k + 1, ":") && !seen.insert(&t.text) {
-            out.push(scan.finding(k, "ACT006", MSG_ACT006));
-        }
-        k = scan.skip(k);
     }
 }
 
@@ -511,14 +438,10 @@ struct GuardCtx<'a> {
     nested: Vec<Range<usize>>,
 }
 
-fn act009_guard_across_call(
-    scan: &Scan<'_>,
-    decls: &Decls<'_>,
-    fns: &[FnItem<'_>],
-    out: &mut Vec<Finding>,
-) {
+fn act009_guard_across_call(scan: &Scan<'_>, fns: &[FnItem<'_>], out: &mut Vec<Finding>) {
+    let fields = lock_fields(scan);
     for f in fns {
-        let mut locks = decls.lock_fields.clone();
+        let mut locks = fields.clone();
         locks.extend(f.params_where(is_lock_type));
         let callbacks = f.params_where(|ty| names(ty, "Fn"));
         let ctx = GuardCtx { locks, callbacks, nested: f.nested(fns) };
@@ -751,19 +674,6 @@ mod tests {
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn act006_flags_missing_and_unknown_fields() {
-        let drift = "pub struct P { pub a: f64, pub b: f64 }\n\
-                     act_json::impl_to_json!(P { a });\n";
-        assert_eq!(rules(&run("crates/x/src/lib.rs", drift)), vec!["ACT006"]);
-        let unknown = "pub struct P { pub a: f64 }\n\
-                       act_json::impl_from_json!(P { a, zz });\n";
-        assert_eq!(rules(&run("crates/x/src/lib.rs", unknown)), vec!["ACT006"]);
-        let exact = "pub struct P { pub a: f64, pub b: f64 }\n\
-                     act_json::impl_to_json!(P { b, a });\n";
-        assert!(run("crates/x/src/lib.rs", exact).is_empty());
     }
 
     #[test]

@@ -209,7 +209,7 @@ fn test_regions(scan: &Scan<'_>) -> Vec<Range<usize>> {
 
 /// Index of the first segment of the path ending at `toks[i]`: `std` for
 /// the `Instant` of `std::time::Instant`.
-pub(crate) fn path_start(toks: &[Tok], mut i: usize) -> usize {
+fn path_start(toks: &[Tok], mut i: usize) -> usize {
     while i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].kind == TokKind::Ident {
         i -= 2;
     }

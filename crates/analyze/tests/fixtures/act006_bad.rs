@@ -1,27 +1,20 @@
-//! ACT006 positive fixture: the PR 5 `ModelParams` field-drift bug class —
-//! a field is added to the struct but not to the serializer list, so the
-//! JSON round-trip silently drops it. Plus the `obj!` flavor: a duplicate
-//! key that silently overwrites the first value.
-
-pub struct ModelParams {
-    pub cpu_area_mm2: f64,
-    pub dram_gb: f64,
-    pub ssd_gb: f64,
-}
-
-act_json::impl_to_json!(ModelParams { cpu_area_mm2, dram_gb });
-
-pub enum OutputFormat {
-    Json,
-    Table,
-    Csv,
-}
-
-act_json::impl_json_enum!(OutputFormat { Json, Table });
+//! ACT006 positive fixture: an `obj!` literal repeats a key, so the later
+//! value silently overwrites the first.
 
 pub fn body(cpu: f64) -> JsonValue {
+    let unique = obj! { "cpu_area_mm2": cpu, "dram_gb": cpu * 2.0 };
     obj! {
+        "params": unique,
         "cpu_area_mm2": cpu,
+        "dram_gb": cpu * 2.0,
         "cpu_area_mm2": cpu * 2.0
+    }
+}
+
+act_json::json_struct! {
+    [ToJson, FromJson]
+    pub struct ModelParams {
+        pub cpu_area_mm2: f64,
+        pub dram_gb: f64,
     }
 }

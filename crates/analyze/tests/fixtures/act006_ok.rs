@@ -1,26 +1,18 @@
-//! ACT006 negative fixture: every declared field and variant is listed,
-//! every `obj!` key is unique.
-
-pub struct ModelParams {
-    pub cpu_area_mm2: f64,
-    pub dram_gb: f64,
-    pub ssd_gb: f64,
-}
-
-act_json::impl_to_json!(ModelParams { cpu_area_mm2, dram_gb, ssd_gb });
-act_json::impl_from_json!(ModelParams { ssd_gb, dram_gb, cpu_area_mm2 });
-
-pub enum OutputFormat {
-    Json,
-    Table,
-    Csv,
-}
-
-act_json::impl_json_enum!(OutputFormat { Json, Table, Csv });
+//! ACT006 negative fixture: every `obj!` key is unique, in nested literals
+//! too.
 
 pub fn body(cpu: f64) -> JsonValue {
     obj! {
         "cpu_area_mm2": cpu,
-        "dram_gb": cpu * 2.0
+        "dram_gb": cpu * 2.0,
+        "nested": obj! { "cpu_area_mm2": cpu }
+    }
+}
+
+act_json::json_struct! {
+    [ToJson, FromJson]
+    pub struct ModelParams {
+        pub cpu_area_mm2: f64,
+        pub dram_gb: f64,
     }
 }

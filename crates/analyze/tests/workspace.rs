@@ -40,9 +40,9 @@ fn workspace_is_clean_under_the_allowlist() {
 const PLANTS: &[(&str, &str, &str, &str)] = &[
     (
         "ACT006",
-        "crates/dse/src/sweep.rs",
-        "impl_to_json!(RejectedPoint { index, reason });",
-        "impl_to_json!(RejectedPoint { index });",
+        "crates/cli/src/main.rs",
+        "act_json::obj! { \"kind\": kind, \"id\": id, \"message\": message }",
+        "act_json::obj! { \"kind\": kind, \"id\": id, \"kind\": message }",
     ),
     (
         "ACT007",

@@ -13,23 +13,24 @@ use crate::{memo, FabScenario, ModelError, Validate};
 /// reporting: 0.15 kg CO₂ per packaged IC.
 pub const PACKAGING_FOOTPRINT: MassCo2 = MassCo2::grams(150.0);
 
-/// The component class an embodied contribution belongs to (the categories
-/// of eq. 3 plus packaging).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ComponentKind {
-    /// Application processors and other logic dies (eq. 4).
-    Soc,
-    /// DRAM memory (eq. 6).
-    Dram,
-    /// NAND-flash storage (eq. 8).
-    Ssd,
-    /// Magnetic storage (eq. 7).
-    Hdd,
-    /// IC packaging overhead (`Nr × Kr`).
-    Packaging,
+act_json::json_enum! {
+    [ToJson]
+    /// The component class an embodied contribution belongs to (the categories
+    /// of eq. 3 plus packaging).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum ComponentKind {
+        /// Application processors and other logic dies (eq. 4).
+        Soc,
+        /// DRAM memory (eq. 6).
+        Dram,
+        /// NAND-flash storage (eq. 8).
+        Ssd,
+        /// Magnetic storage (eq. 7).
+        Hdd,
+        /// IC packaging overhead (`Nr × Kr`).
+        Packaging,
+    }
 }
-
-act_json::impl_json_enum!(ComponentKind { Soc, Dram, Ssd, Hdd, Packaging });
 
 impl ComponentKind {
     /// All kinds in eq. 3 order.
@@ -136,33 +137,34 @@ fn validate_components(components: &[Component]) -> Result<(), ModelError> {
     Ok(())
 }
 
-/// A hardware platform description: the inputs to the embodied model
-/// (eq. 3). Build one with [`SystemSpec::builder`]; the committed device
-/// teardowns compile to one through `act-scenario`.
-///
-/// # Examples
-///
-/// ```
-/// use act_core::{FabScenario, SystemSpec};
-/// use act_data::{ProcessNode, SsdTechnology};
-/// use act_units::{Area, Capacity};
-///
-/// let ssd_device = SystemSpec::builder()
-///     .soc("controller", Area::square_millimeters(50.0), ProcessNode::N28)
-///     .ssd(SsdTechnology::V3NandTlc, Capacity::gigabytes(512.0))
-///     .packaged_ics(5)
-///     .build();
-/// let report = ssd_device.embodied(&FabScenario::default());
-/// assert!(report.total().as_kilograms() > 3.0);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct SystemSpec {
-    /// The chips, memory and storage, in eq. 3 fold order.
-    pub(crate) components: Vec<Component>,
-    packaged_ic_count: u32,
+act_json::json_struct! {
+    [ToJson]
+    /// A hardware platform description: the inputs to the embodied model
+    /// (eq. 3). Build one with [`SystemSpec::builder`]; the committed device
+    /// teardowns compile to one through `act-scenario`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_core::{FabScenario, SystemSpec};
+    /// use act_data::{ProcessNode, SsdTechnology};
+    /// use act_units::{Area, Capacity};
+    ///
+    /// let ssd_device = SystemSpec::builder()
+    ///     .soc("controller", Area::square_millimeters(50.0), ProcessNode::N28)
+    ///     .ssd(SsdTechnology::V3NandTlc, Capacity::gigabytes(512.0))
+    ///     .packaged_ics(5)
+    ///     .build();
+    /// let report = ssd_device.embodied(&FabScenario::default());
+    /// assert!(report.total().as_kilograms() > 3.0);
+    /// ```
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SystemSpec {
+        /// The chips, memory and storage, in eq. 3 fold order.
+        pub(crate) components: Vec<Component>,
+        packaged_ic_count: u32,
+    }
 }
-
-act_json::impl_to_json!(SystemSpec { components, packaged_ic_count });
 
 impl SystemSpec {
     /// Starts building a system description.
@@ -346,28 +348,30 @@ impl Validate for SystemSpecBuilder {
     }
 }
 
-/// One component's contribution to an [`EmbodiedReport`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct EmbodiedComponent {
-    /// Component class.
-    pub kind: ComponentKind,
-    /// Human-readable label.
-    pub label: String,
-    /// Embodied footprint of the component.
-    pub footprint: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One component's contribution to an [`EmbodiedReport`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct EmbodiedComponent {
+        /// Component class.
+        pub kind: ComponentKind,
+        /// Human-readable label.
+        pub label: String,
+        /// Embodied footprint of the component.
+        pub footprint: MassCo2,
+    }
 }
 
-act_json::impl_to_json!(EmbodiedComponent { kind, label, footprint });
-
-/// The result of evaluating the embodied model: eq. 3's sum, kept
-/// per-component so designers can see the breakdown Figure 4 argues LCAs
-/// cannot provide.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EmbodiedReport {
-    components: Vec<EmbodiedComponent>,
+act_json::json_struct! {
+    [ToJson]
+    /// The result of evaluating the embodied model: eq. 3's sum, kept
+    /// per-component so designers can see the breakdown Figure 4 argues LCAs
+    /// cannot provide.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct EmbodiedReport {
+        components: Vec<EmbodiedComponent>,
+    }
 }
-
-act_json::impl_to_json!(EmbodiedReport { components });
 
 impl EmbodiedReport {
     /// Total embodied footprint, `ECF` (eq. 3).

@@ -6,36 +6,36 @@ use act_units::{CarbonIntensity, Fraction, MassPerArea, UnitError};
 
 use crate::{ModelError, Validate};
 
-/// A semiconductor-fab operating scenario: the energy source powering the
-/// fab, its gaseous-abatement strategy, and its yield.
-///
-/// The paper's default ("average fab characteristics") is a fab on the
-/// Taiwan power grid procuring 25 % renewable (solar) energy, with 97 %
-/// gaseous abatement — the solid line of Figure 6.
-///
-/// # Examples
-///
-/// ```
-/// use act_core::FabScenario;
-/// use act_data::ProcessNode;
-///
-/// let default_fab = FabScenario::default();
-/// let green_fab = FabScenario::renewable();
-/// let node = ProcessNode::N7Euv;
-/// assert!(green_fab.carbon_per_area(node) < default_fab.carbon_per_area(node));
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FabScenario {
-    /// Carbon intensity of the electricity the fab consumes (`CIfab`).
-    pub energy_intensity: CarbonIntensity,
-    /// Gaseous abatement effectiveness (selects the `GPA` column).
-    pub abatement: Abatement,
-    /// Fab yield `Y`; good dies per wafer dies.
-    pub fab_yield: Fraction,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// A semiconductor-fab operating scenario: the energy source powering the
+    /// fab, its gaseous-abatement strategy, and its yield.
+    ///
+    /// The paper's default ("average fab characteristics") is a fab on the
+    /// Taiwan power grid procuring 25 % renewable (solar) energy, with 97 %
+    /// gaseous abatement — the solid line of Figure 6.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_core::FabScenario;
+    /// use act_data::ProcessNode;
+    ///
+    /// let default_fab = FabScenario::default();
+    /// let green_fab = FabScenario::renewable();
+    /// let node = ProcessNode::N7Euv;
+    /// assert!(green_fab.carbon_per_area(node) < default_fab.carbon_per_area(node));
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct FabScenario {
+        /// Carbon intensity of the electricity the fab consumes (`CIfab`).
+        pub energy_intensity: CarbonIntensity,
+        /// Gaseous abatement effectiveness (selects the `GPA` column).
+        pub abatement: Abatement,
+        /// Fab yield `Y`; good dies per wafer dies.
+        pub fab_yield: Fraction,
+    }
 }
-
-act_json::impl_to_json!(FabScenario { energy_intensity, abatement, fab_yield });
-act_json::impl_from_json!(FabScenario { energy_intensity, abatement, fab_yield });
 
 /// The paper's default yield assumption, validated at compile time.
 const DEFAULT_YIELD: Fraction = Fraction::new_const(0.875);
@@ -172,22 +172,22 @@ impl Validate for FabScenario {
     }
 }
 
-/// The components of `CPA` for one node under one fab scenario (the stacked
-/// quantities of Figure 6).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CpaBreakdown {
-    /// Carbon from fab electricity: `CIfab × EPA`.
-    pub energy: MassPerArea,
-    /// Carbon from fab gases and chemicals: `GPA`.
-    pub gas: MassPerArea,
-    /// Carbon from raw-material procurement: `MPA`.
-    pub materials: MassPerArea,
-    /// Yield the total is derated by.
-    pub fab_yield: Fraction,
+act_json::json_struct! {
+    [ToJson]
+    /// The components of `CPA` for one node under one fab scenario (the stacked
+    /// quantities of Figure 6).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct CpaBreakdown {
+        /// Carbon from fab electricity: `CIfab × EPA`.
+        pub energy: MassPerArea,
+        /// Carbon from fab gases and chemicals: `GPA`.
+        pub gas: MassPerArea,
+        /// Carbon from raw-material procurement: `MPA`.
+        pub materials: MassPerArea,
+        /// Yield the total is derated by.
+        pub fab_yield: Fraction,
+    }
 }
-
-act_json::impl_to_json!(CpaBreakdown { energy, gas, materials, fab_yield });
-act_json::impl_from_json!(CpaBreakdown { energy, gas, materials, fab_yield });
 
 impl CpaBreakdown {
     /// Pre-yield sum of the components.

@@ -8,34 +8,34 @@
 
 use act_units::{CarbonIntensity, Energy, MassCo2, TimeSpan};
 
-/// A 24-hour carbon-intensity profile with hourly resolution.
-///
-/// # Examples
-///
-/// ```
-/// use act_core::IntensityProfile;
-/// use act_units::{CarbonIntensity, Energy};
-///
-/// let grid = IntensityProfile::solar_grid(
-///     CarbonIntensity::grams_per_kwh(500.0),
-///     0.6,
-/// );
-/// // Midday is cleaner than midnight on a solar-heavy grid.
-/// assert!(grid.at_hour(13) < grid.at_hour(0));
-///
-/// // Schedule a 4-hour job in its cleanest window.
-/// let start = grid.cleanest_window_start(4);
-/// let best = grid.window_footprint(start, 4, Energy::kilowatt_hours(1.0));
-/// let worst = grid.window_footprint(0, 4, Energy::kilowatt_hours(1.0));
-/// assert!(best <= worst);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct IntensityProfile {
-    hourly: [CarbonIntensity; 24],
+act_json::json_struct! {
+    [ToJson]
+    /// A 24-hour carbon-intensity profile with hourly resolution.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_core::IntensityProfile;
+    /// use act_units::{CarbonIntensity, Energy};
+    ///
+    /// let grid = IntensityProfile::solar_grid(
+    ///     CarbonIntensity::grams_per_kwh(500.0),
+    ///     0.6,
+    /// );
+    /// // Midday is cleaner than midnight on a solar-heavy grid.
+    /// assert!(grid.at_hour(13) < grid.at_hour(0));
+    ///
+    /// // Schedule a 4-hour job in its cleanest window.
+    /// let start = grid.cleanest_window_start(4);
+    /// let best = grid.window_footprint(start, 4, Energy::kilowatt_hours(1.0));
+    /// let worst = grid.window_footprint(0, 4, Energy::kilowatt_hours(1.0));
+    /// assert!(best <= worst);
+    /// ```
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct IntensityProfile {
+        hourly: [CarbonIntensity; 24],
+    }
 }
-
-act_json::impl_to_json!(IntensityProfile { hourly });
-act_json::impl_from_json!(IntensityProfile { hourly });
 
 impl IntensityProfile {
     /// A flat profile (the paper's average-value assumption).

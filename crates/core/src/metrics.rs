@@ -5,62 +5,63 @@ use std::fmt;
 
 use act_units::{Area, Energy, MassCo2, TimeSpan};
 
-/// The coordinates of one hardware design in the optimization space:
-/// embodied carbon `C`, energy `E`, delay `D` and area `A`.
-///
-/// # Examples
-///
-/// ```
-/// use act_core::{DesignPoint, OptimizationMetric};
-/// use act_units::{Area, Energy, MassCo2, TimeSpan};
-///
-/// let cpu = DesignPoint {
-///     embodied: MassCo2::grams(253.0),
-///     energy: Energy::millijoules(39.6),
-///     delay: TimeSpan::milliseconds(6.0),
-///     area: Area::square_millimeters(16.3),
-/// };
-/// assert!(OptimizationMetric::Cdp.score(&cpu) > 0.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DesignPoint {
-    /// Embodied carbon footprint `C`.
-    pub embodied: MassCo2,
-    /// Operational energy `E` for the task of interest.
-    pub energy: Energy,
-    /// Task delay `D`.
-    pub delay: TimeSpan,
-    /// Silicon area `A`.
-    pub area: Area,
+act_json::json_struct! {
+    [ToJson]
+    /// The coordinates of one hardware design in the optimization space:
+    /// embodied carbon `C`, energy `E`, delay `D` and area `A`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_core::{DesignPoint, OptimizationMetric};
+    /// use act_units::{Area, Energy, MassCo2, TimeSpan};
+    ///
+    /// let cpu = DesignPoint {
+    ///     embodied: MassCo2::grams(253.0),
+    ///     energy: Energy::millijoules(39.6),
+    ///     delay: TimeSpan::milliseconds(6.0),
+    ///     area: Area::square_millimeters(16.3),
+    /// };
+    /// assert!(OptimizationMetric::Cdp.score(&cpu) > 0.0);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct DesignPoint {
+        /// Embodied carbon footprint `C`.
+        pub embodied: MassCo2,
+        /// Operational energy `E` for the task of interest.
+        pub energy: Energy,
+        /// Task delay `D`.
+        pub delay: TimeSpan,
+        /// Silicon area `A`.
+        pub area: Area,
+    }
 }
 
-act_json::impl_to_json!(DesignPoint { embodied, energy, delay, area });
-act_json::impl_from_json!(DesignPoint { embodied, energy, delay, area });
-
-/// A hardware optimization metric from ACT's Table 2. Lower is better for
-/// all of them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum OptimizationMetric {
-    /// Energy-delay product: classic operational-energy optimization
-    /// (e.g. mobile).
-    Edp,
-    /// Energy-delay-area product: energy plus capital cost (e.g. mobile).
-    Edap,
-    /// Carbon-delay product: balance embodied CO₂ and performance
-    /// (e.g. sustainable data centers).
-    Cdp,
-    /// Carbon-energy product: balance embodied CO₂ and energy
-    /// (e.g. sustainable mobile devices).
-    Cep,
-    /// Carbon²-energy product: prioritize embodied CO₂ — systems powered by
-    /// renewable/carbon-free energy.
-    C2ep,
-    /// Carbon-energy² product: prioritize energy — systems powered by
-    /// "brown" energy.
-    Ce2p,
+act_json::json_enum! {
+    [ToJson]
+    /// A hardware optimization metric from ACT's Table 2. Lower is better for
+    /// all of them.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum OptimizationMetric {
+        /// Energy-delay product: classic operational-energy optimization
+        /// (e.g. mobile).
+        Edp,
+        /// Energy-delay-area product: energy plus capital cost (e.g. mobile).
+        Edap,
+        /// Carbon-delay product: balance embodied CO₂ and performance
+        /// (e.g. sustainable data centers).
+        Cdp,
+        /// Carbon-energy product: balance embodied CO₂ and energy
+        /// (e.g. sustainable mobile devices).
+        Cep,
+        /// Carbon²-energy product: prioritize embodied CO₂ — systems powered by
+        /// renewable/carbon-free energy.
+        C2ep,
+        /// Carbon-energy² product: prioritize energy — systems powered by
+        /// "brown" energy.
+        Ce2p,
+    }
 }
-
-act_json::impl_json_enum!(OptimizationMetric { Edp, Edap, Cdp, Cep, C2ep, Ce2p });
 
 impl OptimizationMetric {
     /// All metrics in Table 2 order.

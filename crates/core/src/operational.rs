@@ -6,33 +6,33 @@ use act_units::{CarbonIntensity, Energy, MassCo2, UnitError};
 
 use crate::{ModelError, Validate};
 
-/// Operational-emissions model: the carbon intensity of the energy the
-/// platform consumes plus delivery-efficiency overheads.
-///
-/// `effectiveness` generalizes the data-center PUE and the mobile battery
-/// charging efficiency: it multiplies useful energy into wall energy. A PUE
-/// of 1.1 or a 90 %-efficient charger both become `effectiveness = 1.1`.
-///
-/// # Examples
-///
-/// ```
-/// use act_core::OperationalModel;
-/// use act_data::Location;
-/// use act_units::Energy;
-///
-/// let op = OperationalModel::new(Location::UnitedStates.carbon_intensity())
-///     .with_effectiveness(1.1);
-/// let footprint = op.footprint(Energy::kilowatt_hours(1.0));
-/// assert!((footprint.as_grams() - 418.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OperationalModel {
-    intensity: CarbonIntensity,
-    effectiveness: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// Operational-emissions model: the carbon intensity of the energy the
+    /// platform consumes plus delivery-efficiency overheads.
+    ///
+    /// `effectiveness` generalizes the data-center PUE and the mobile battery
+    /// charging efficiency: it multiplies useful energy into wall energy. A PUE
+    /// of 1.1 or a 90 %-efficient charger both become `effectiveness = 1.1`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_core::OperationalModel;
+    /// use act_data::Location;
+    /// use act_units::Energy;
+    ///
+    /// let op = OperationalModel::new(Location::UnitedStates.carbon_intensity())
+    ///     .with_effectiveness(1.1);
+    /// let footprint = op.footprint(Energy::kilowatt_hours(1.0));
+    /// assert!((footprint.as_grams() - 418.0).abs() < 1e-9);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct OperationalModel {
+        intensity: CarbonIntensity,
+        effectiveness: f64,
+    }
 }
-
-act_json::impl_to_json!(OperationalModel { intensity, effectiveness });
-act_json::impl_from_json!(OperationalModel { intensity, effectiveness });
 
 impl OperationalModel {
     /// A model with unit effectiveness (all wall energy is useful energy).

@@ -14,83 +14,57 @@ use crate::{
     Validate,
 };
 
-/// The input-parameter set of ACT's Table 1, bundled.
-///
-/// This is the "config file" view of the model: where the builder APIs in
-/// [`SystemSpec`]/[`FabScenario`]/[`OperationalModel`] are for programmatic
-/// exploration, `ModelParams` maps one-to-one onto the paper's parameter
-/// table (T, LT, Nr, A, p, CIuse, CIfab, Y, capacities) and can be stored
-/// as JSON.
-///
-/// # Examples
-///
-/// ```
-/// use act_core::ModelParams;
-///
-/// use act_json::{FromJson, JsonValue, ToJson};
-///
-/// let params = ModelParams::mobile_reference();
-/// let json = params.to_json().render_compact();
-/// let back = ModelParams::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-/// let cf = back.footprint();
-/// assert!(cf.as_grams() > 0.0);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct ModelParams {
-    /// `T` — application execution time in seconds.
-    pub execution_time_s: f64,
-    /// `LT` — hardware lifetime in years (paper range 1–10).
-    pub lifetime_years: f64,
-    /// `Nr` — number of packaged ICs.
-    pub packaged_ic_count: u32,
-    /// `A` — application-processor die area in mm².
-    pub soc_area_mm2: f64,
-    /// `p` — process node.
-    pub process_node: ProcessNode,
-    /// `CIuse` — use-phase carbon intensity, g CO₂/kWh.
-    pub use_intensity_g_per_kwh: f64,
-    /// `CIfab` — fab carbon intensity, g CO₂/kWh.
-    pub fab_intensity_g_per_kwh: f64,
-    /// `Y` — fab yield in `(0, 1]`.
-    pub fab_yield: f64,
-    /// DRAM population (technology, GB).
-    pub dram: Vec<(DramTechnology, f64)>,
-    /// SSD population (technology, GB).
-    pub ssd: Vec<(SsdTechnology, f64)>,
-    /// HDD population (model, GB).
-    pub hdd: Vec<(HddModel, f64)>,
-    /// Application energy over `T`, in joules.
-    pub energy_j: f64,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// The input-parameter set of ACT's Table 1, bundled.
+    ///
+    /// This is the "config file" view of the model: where the builder APIs in
+    /// [`SystemSpec`]/[`FabScenario`]/[`OperationalModel`] are for programmatic
+    /// exploration, `ModelParams` maps one-to-one onto the paper's parameter
+    /// table (T, LT, Nr, A, p, CIuse, CIfab, Y, capacities) and can be stored
+    /// as JSON.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_core::ModelParams;
+    ///
+    /// use act_json::{FromJson, JsonValue, ToJson};
+    ///
+    /// let params = ModelParams::mobile_reference();
+    /// let json = params.to_json().render_compact();
+    /// let back = ModelParams::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
+    /// let cf = back.footprint();
+    /// assert!(cf.as_grams() > 0.0);
+    /// ```
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ModelParams {
+        /// `T` — application execution time in seconds.
+        pub execution_time_s: f64,
+        /// `LT` — hardware lifetime in years (paper range 1–10).
+        pub lifetime_years: f64,
+        /// `Nr` — number of packaged ICs.
+        pub packaged_ic_count: u32,
+        /// `A` — application-processor die area in mm².
+        pub soc_area_mm2: f64,
+        /// `p` — process node.
+        pub process_node: ProcessNode,
+        /// `CIuse` — use-phase carbon intensity, g CO₂/kWh.
+        pub use_intensity_g_per_kwh: f64,
+        /// `CIfab` — fab carbon intensity, g CO₂/kWh.
+        pub fab_intensity_g_per_kwh: f64,
+        /// `Y` — fab yield in `(0, 1]`.
+        pub fab_yield: f64,
+        /// DRAM population (technology, GB).
+        pub dram: Vec<(DramTechnology, f64)>,
+        /// SSD population (technology, GB).
+        pub ssd: Vec<(SsdTechnology, f64)>,
+        /// HDD population (model, GB).
+        pub hdd: Vec<(HddModel, f64)>,
+        /// Application energy over `T`, in joules.
+        pub energy_j: f64,
+    }
 }
-
-act_json::impl_to_json!(ModelParams {
-    execution_time_s,
-    lifetime_years,
-    packaged_ic_count,
-    soc_area_mm2,
-    process_node,
-    use_intensity_g_per_kwh,
-    fab_intensity_g_per_kwh,
-    fab_yield,
-    dram,
-    ssd,
-    hdd,
-    energy_j
-});
-act_json::impl_from_json!(ModelParams {
-    execution_time_s,
-    lifetime_years,
-    packaged_ic_count,
-    soc_area_mm2,
-    process_node,
-    use_intensity_g_per_kwh,
-    fab_intensity_g_per_kwh,
-    fab_yield,
-    dram,
-    ssd,
-    hdd,
-    energy_j
-});
 
 /// Error returned when [`ModelParams`] violates Table 1's ranges.
 ///

@@ -4,49 +4,41 @@ use std::fmt;
 
 use act_units::MassPerCapacity;
 
-/// A DRAM manufacturing technology with its embodied carbon per gigabyte
-/// (ACT Table 9).
-///
-/// # Examples
-///
-/// ```
-/// use act_data::DramTechnology;
-///
-/// let modern = DramTechnology::Lpddr4;
-/// assert_eq!(modern.carbon_per_gb().as_grams_per_gb(), 48.0);
-/// assert!(modern.carbon_per_gb() < DramTechnology::Ddr3_50nm.carbon_per_gb());
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(non_camel_case_types)]
-pub enum DramTechnology {
-    /// 50 nm DDR3 (600 g CO₂/GB) — the node legacy LCAs assume.
-    Ddr3_50nm,
-    /// 40 nm DDR3 (315 g CO₂/GB).
-    Ddr3_40nm,
-    /// 30 nm DDR3 (230 g CO₂/GB).
-    Ddr3_30nm,
-    /// 30 nm LPDDR3 (201 g CO₂/GB).
-    Lpddr3_30nm,
-    /// 20 nm LPDDR3 (184 g CO₂/GB).
-    Lpddr3_20nm,
-    /// 20 nm LPDDR2 (159 g CO₂/GB).
-    Lpddr2_20nm,
-    /// LPDDR4-class (48 g CO₂/GB).
-    Lpddr4,
-    /// 1x nm-class (10 nm) DDR4 (65 g CO₂/GB).
-    Ddr4_10nm,
+act_json::json_enum! {
+    [ToJson, FromJson]
+    /// A DRAM manufacturing technology with its embodied carbon per gigabyte
+    /// (ACT Table 9).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_data::DramTechnology;
+    ///
+    /// let modern = DramTechnology::Lpddr4;
+    /// assert_eq!(modern.carbon_per_gb().as_grams_per_gb(), 48.0);
+    /// assert!(modern.carbon_per_gb() < DramTechnology::Ddr3_50nm.carbon_per_gb());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    #[allow(non_camel_case_types)]
+    pub enum DramTechnology {
+        /// 50 nm DDR3 (600 g CO₂/GB) — the node legacy LCAs assume.
+        Ddr3_50nm,
+        /// 40 nm DDR3 (315 g CO₂/GB).
+        Ddr3_40nm,
+        /// 30 nm DDR3 (230 g CO₂/GB).
+        Ddr3_30nm,
+        /// 30 nm LPDDR3 (201 g CO₂/GB).
+        Lpddr3_30nm,
+        /// 20 nm LPDDR3 (184 g CO₂/GB).
+        Lpddr3_20nm,
+        /// 20 nm LPDDR2 (159 g CO₂/GB).
+        Lpddr2_20nm,
+        /// LPDDR4-class (48 g CO₂/GB).
+        Lpddr4,
+        /// 1x nm-class (10 nm) DDR4 (65 g CO₂/GB).
+        Ddr4_10nm,
+    }
 }
-
-act_json::impl_json_enum!(DramTechnology {
-    Ddr3_50nm,
-    Ddr3_40nm,
-    Ddr3_30nm,
-    Lpddr3_30nm,
-    Lpddr3_20nm,
-    Lpddr2_20nm,
-    Lpddr4,
-    Ddr4_10nm
-});
 
 /// Table 9 embodied carbon per gigabyte, g CO₂/GB, in
 /// [`DramTechnology::ALL`] order.

@@ -4,48 +4,40 @@ use std::fmt;
 
 use act_units::CarbonIntensity;
 
-/// An electricity-generation source with its average carbon intensity and
-/// energy-payback time, as tabulated in ACT's Table 5.
-///
-/// # Examples
-///
-/// ```
-/// use act_data::EnergySource;
-///
-/// let wind = EnergySource::Wind;
-/// assert_eq!(wind.carbon_intensity().as_grams_per_kwh(), 11.0);
-/// assert!(wind.carbon_intensity() < EnergySource::Coal.carbon_intensity());
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum EnergySource {
-    /// Coal-fired generation (820 g CO₂/kWh).
-    Coal,
-    /// Natural-gas generation (490 g CO₂/kWh).
-    Gas,
-    /// Biomass generation (230 g CO₂/kWh).
-    Biomass,
-    /// Photovoltaic solar (41 g CO₂/kWh).
-    Solar,
-    /// Geothermal (38 g CO₂/kWh).
-    Geothermal,
-    /// Hydropower (24 g CO₂/kWh).
-    Hydropower,
-    /// Nuclear (12 g CO₂/kWh).
-    Nuclear,
-    /// Onshore/offshore wind (11 g CO₂/kWh).
-    Wind,
+act_json::json_enum! {
+    [ToJson]
+    /// An electricity-generation source with its average carbon intensity and
+    /// energy-payback time, as tabulated in ACT's Table 5.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_data::EnergySource;
+    ///
+    /// let wind = EnergySource::Wind;
+    /// assert_eq!(wind.carbon_intensity().as_grams_per_kwh(), 11.0);
+    /// assert!(wind.carbon_intensity() < EnergySource::Coal.carbon_intensity());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum EnergySource {
+        /// Coal-fired generation (820 g CO₂/kWh).
+        Coal,
+        /// Natural-gas generation (490 g CO₂/kWh).
+        Gas,
+        /// Biomass generation (230 g CO₂/kWh).
+        Biomass,
+        /// Photovoltaic solar (41 g CO₂/kWh).
+        Solar,
+        /// Geothermal (38 g CO₂/kWh).
+        Geothermal,
+        /// Hydropower (24 g CO₂/kWh).
+        Hydropower,
+        /// Nuclear (12 g CO₂/kWh).
+        Nuclear,
+        /// Onshore/offshore wind (11 g CO₂/kWh).
+        Wind,
+    }
 }
-
-act_json::impl_json_enum!(EnergySource {
-    Coal,
-    Gas,
-    Biomass,
-    Solar,
-    Geothermal,
-    Hydropower,
-    Nuclear,
-    Wind
-});
 
 /// Table 5 average carbon intensity, g CO₂/kWh, in [`EnergySource::ALL`]
 /// order (dirtiest first).

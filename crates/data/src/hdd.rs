@@ -4,65 +4,56 @@ use std::fmt;
 
 use act_units::MassPerCapacity;
 
-/// Market segment of an HDD product line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HddClass {
-    /// Consumer drives (BarraCuda, FireCuda).
-    Consumer,
-    /// Enterprise drives (Exos).
-    Enterprise,
+act_json::json_enum! {
+    [ToJson]
+    /// Market segment of an HDD product line.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum HddClass {
+        /// Consumer drives (BarraCuda, FireCuda).
+        Consumer,
+        /// Enterprise drives (Exos).
+        Enterprise,
+    }
 }
 
-act_json::impl_json_enum!(HddClass { Consumer, Enterprise });
-
-/// A Seagate HDD product with its embodied carbon per gigabyte (ACT Table 11,
-/// from Seagate product sustainability reports).
-///
-/// # Examples
-///
-/// ```
-/// use act_data::{HddClass, HddModel};
-///
-/// let exos = HddModel::ExosX12;
-/// assert_eq!(exos.class(), HddClass::Enterprise);
-/// assert_eq!(exos.carbon_per_gb().as_grams_per_gb(), 1.14);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum HddModel {
-    /// BarraCuda 3.5" (4.57 g CO₂/GB).
-    BarraCuda,
-    /// BarraCuda 2.5" (10.32 g CO₂/GB).
-    BarraCuda2,
-    /// BarraCuda Pro (2.35 g CO₂/GB).
-    BarraCudaPro,
-    /// FireCuda (5.1 g CO₂/GB).
-    FireCuda,
-    /// FireCuda 3.5" (9.1 g CO₂/GB).
-    FireCuda2,
-    /// Exos 2X14 (1.65 g CO₂/GB).
-    Exos2x14,
-    /// Exos X12 (1.14 g CO₂/GB).
-    ExosX12,
-    /// Exos X16 (1.33 g CO₂/GB).
-    ExosX16,
-    /// Exos 15E900 (20.5 g CO₂/GB).
-    Exos15e900,
-    /// Exos 10E2400 (10.3 g CO₂/GB).
-    Exos10e2400,
+act_json::json_enum! {
+    [ToJson, FromJson]
+    /// A Seagate HDD product with its embodied carbon per gigabyte (ACT Table 11,
+    /// from Seagate product sustainability reports).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_data::{HddClass, HddModel};
+    ///
+    /// let exos = HddModel::ExosX12;
+    /// assert_eq!(exos.class(), HddClass::Enterprise);
+    /// assert_eq!(exos.carbon_per_gb().as_grams_per_gb(), 1.14);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum HddModel {
+        /// BarraCuda 3.5" (4.57 g CO₂/GB).
+        BarraCuda,
+        /// BarraCuda 2.5" (10.32 g CO₂/GB).
+        BarraCuda2,
+        /// BarraCuda Pro (2.35 g CO₂/GB).
+        BarraCudaPro,
+        /// FireCuda (5.1 g CO₂/GB).
+        FireCuda,
+        /// FireCuda 3.5" (9.1 g CO₂/GB).
+        FireCuda2,
+        /// Exos 2X14 (1.65 g CO₂/GB).
+        Exos2x14,
+        /// Exos X12 (1.14 g CO₂/GB).
+        ExosX12,
+        /// Exos X16 (1.33 g CO₂/GB).
+        ExosX16,
+        /// Exos 15E900 (20.5 g CO₂/GB).
+        Exos15e900,
+        /// Exos 10E2400 (10.3 g CO₂/GB).
+        Exos10e2400,
+    }
 }
-
-act_json::impl_json_enum!(HddModel {
-    BarraCuda,
-    BarraCuda2,
-    BarraCudaPro,
-    FireCuda,
-    FireCuda2,
-    Exos2x14,
-    ExosX12,
-    ExosX16,
-    Exos15e900,
-    Exos10e2400
-});
 
 /// Table 11 embodied carbon per gigabyte, g CO₂/GB, in [`HddModel::ALL`]
 /// order.

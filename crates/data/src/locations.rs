@@ -6,49 +6,40 @@ use act_units::CarbonIntensity;
 
 use crate::EnergySource;
 
-/// A geographic power grid with its average carbon intensity (ACT Table 6).
-///
-/// # Examples
-///
-/// ```
-/// use act_data::Location;
-///
-/// assert_eq!(Location::UnitedStates.carbon_intensity().as_grams_per_kwh(), 380.0);
-/// assert!(Location::Iceland.carbon_intensity() < Location::India.carbon_intensity());
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Location {
-    /// World average (301 g CO₂/kWh).
-    World,
-    /// India (725 g CO₂/kWh, coal/gas dominated).
-    India,
-    /// Australia (597 g CO₂/kWh, coal dominated).
-    Australia,
-    /// Taiwan (583 g CO₂/kWh, coal/gas dominated) — the default fab grid.
-    Taiwan,
-    /// Singapore (495 g CO₂/kWh, gas dominated).
-    Singapore,
-    /// United States (380 g CO₂/kWh, coal/gas dominated).
-    UnitedStates,
-    /// Europe (295 g CO₂/kWh).
-    Europe,
-    /// Brazil (82 g CO₂/kWh, wind/hydropower dominated).
-    Brazil,
-    /// Iceland (28 g CO₂/kWh, hydropower dominated).
-    Iceland,
+act_json::json_enum! {
+    [ToJson]
+    /// A geographic power grid with its average carbon intensity (ACT Table 6).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_data::Location;
+    ///
+    /// assert_eq!(Location::UnitedStates.carbon_intensity().as_grams_per_kwh(), 380.0);
+    /// assert!(Location::Iceland.carbon_intensity() < Location::India.carbon_intensity());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum Location {
+        /// World average (301 g CO₂/kWh).
+        World,
+        /// India (725 g CO₂/kWh, coal/gas dominated).
+        India,
+        /// Australia (597 g CO₂/kWh, coal dominated).
+        Australia,
+        /// Taiwan (583 g CO₂/kWh, coal/gas dominated) — the default fab grid.
+        Taiwan,
+        /// Singapore (495 g CO₂/kWh, gas dominated).
+        Singapore,
+        /// United States (380 g CO₂/kWh, coal/gas dominated).
+        UnitedStates,
+        /// Europe (295 g CO₂/kWh).
+        Europe,
+        /// Brazil (82 g CO₂/kWh, wind/hydropower dominated).
+        Brazil,
+        /// Iceland (28 g CO₂/kWh, hydropower dominated).
+        Iceland,
+    }
 }
-
-act_json::impl_json_enum!(Location {
-    World,
-    India,
-    Australia,
-    Taiwan,
-    Singapore,
-    UnitedStates,
-    Europe,
-    Brazil,
-    Iceland
-});
 
 /// Table 6 average grid carbon intensity, g CO₂/kWh, in [`Location::ALL`]
 /// order.

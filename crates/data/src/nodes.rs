@@ -9,59 +9,61 @@ use act_units::{EnergyPerArea, MassPerArea};
 /// Raw-material procurement footprint per wafer area (Table 8): 500 g CO₂/cm².
 pub const MPA: MassPerArea = MassPerArea::grams_per_cm2(500.0);
 
-/// A logic process technology node covered by ACT's fab characterization
-/// (Table 7, 28 nm down to 3 nm, from imec's IEDM 2020 DTCO study).
-///
-/// # Examples
-///
-/// ```
-/// use act_data::{Abatement, ProcessNode};
-///
-/// let n7 = ProcessNode::N7Euv;
-/// assert_eq!(n7.energy_per_area().as_kwh_per_cm2(), 2.15);
-/// assert_eq!(n7.gas_per_area(Abatement::Percent99).as_grams_per_cm2(), 200.0);
-/// // 16 nm-class designs map onto the 14 nm characterization.
-/// assert_eq!(ProcessNode::from_nanometers(16), ProcessNode::N14);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ProcessNode {
-    /// 28 nm planar.
-    N28,
-    /// 20 nm planar.
-    N20,
-    /// 14 nm FinFET (also used for 16 nm-class designs).
-    N14,
-    /// 10 nm FinFET (also used for 8 nm-class designs).
-    N10,
-    /// 7 nm FinFET, immersion lithography.
-    N7,
-    /// 7 nm FinFET with EUV.
-    N7Euv,
-    /// 7 nm FinFET with EUV double patterning.
-    N7EuvDp,
-    /// 5 nm.
-    N5,
-    /// 3 nm.
-    N3,
+act_json::json_enum! {
+    [ToJson, FromJson]
+    /// A logic process technology node covered by ACT's fab characterization
+    /// (Table 7, 28 nm down to 3 nm, from imec's IEDM 2020 DTCO study).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_data::{Abatement, ProcessNode};
+    ///
+    /// let n7 = ProcessNode::N7Euv;
+    /// assert_eq!(n7.energy_per_area().as_kwh_per_cm2(), 2.15);
+    /// assert_eq!(n7.gas_per_area(Abatement::Percent99).as_grams_per_cm2(), 200.0);
+    /// // 16 nm-class designs map onto the 14 nm characterization.
+    /// assert_eq!(ProcessNode::from_nanometers(16), ProcessNode::N14);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum ProcessNode {
+        /// 28 nm planar.
+        N28,
+        /// 20 nm planar.
+        N20,
+        /// 14 nm FinFET (also used for 16 nm-class designs).
+        N14,
+        /// 10 nm FinFET (also used for 8 nm-class designs).
+        N10,
+        /// 7 nm FinFET, immersion lithography.
+        N7,
+        /// 7 nm FinFET with EUV.
+        N7Euv,
+        /// 7 nm FinFET with EUV double patterning.
+        N7EuvDp,
+        /// 5 nm.
+        N5,
+        /// 3 nm.
+        N3,
+    }
 }
 
-act_json::impl_json_enum!(ProcessNode { N28, N20, N14, N10, N7, N7Euv, N7EuvDp, N5, N3 });
-
-/// Fab gaseous-abatement effectiveness. Table 7 tabulates the 95 % and 99 %
-/// columns; 97 % — the level TSMC reports — is linearly interpolated and is
-/// ACT's default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Abatement {
-    /// 95 % of fab gases abated (upper-bound emissions).
-    Percent95,
-    /// 97 % abated — TSMC's reported effectiveness, the model default.
-    #[default]
-    Percent97,
-    /// 99 % abated (lower-bound emissions).
-    Percent99,
+act_json::json_enum! {
+    [ToJson, FromJson]
+    /// Fab gaseous-abatement effectiveness. Table 7 tabulates the 95 % and 99 %
+    /// columns; 97 % — the level TSMC reports — is linearly interpolated and is
+    /// ACT's default.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+    pub enum Abatement {
+        /// 95 % of fab gases abated (upper-bound emissions).
+        Percent95,
+        /// 97 % abated — TSMC's reported effectiveness, the model default.
+        #[default]
+        Percent97,
+        /// 99 % abated (lower-bound emissions).
+        Percent99,
+    }
 }
-
-act_json::impl_json_enum!(Abatement { Percent95, Percent97, Percent99 });
 
 /// Table 7 fab energy per area (`EPA`), kWh/cm², in [`ProcessNode::ALL`]
 /// order.

@@ -3,34 +3,27 @@
 
 use act_units::MassCo2;
 
-/// Life-cycle phase shares reported by a product environmental report.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProductReport {
-    /// Device name.
-    pub name: &'static str,
-    /// Report publication year.
-    pub year: u32,
-    /// Total life-cycle footprint in kg CO₂.
-    pub total_kg: f64,
-    /// Share of emissions from hardware manufacturing.
-    pub manufacturing_share: f64,
-    /// Share of emissions from operational use.
-    pub use_share: f64,
-    /// Share of emissions from transport.
-    pub transport_share: f64,
-    /// Share of emissions from end-of-life processing.
-    pub end_of_life_share: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// Life-cycle phase shares reported by a product environmental report.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct ProductReport {
+        /// Device name.
+        pub name: &'static str,
+        /// Report publication year.
+        pub year: u32,
+        /// Total life-cycle footprint in kg CO₂.
+        pub total_kg: f64,
+        /// Share of emissions from hardware manufacturing.
+        pub manufacturing_share: f64,
+        /// Share of emissions from operational use.
+        pub use_share: f64,
+        /// Share of emissions from transport.
+        pub transport_share: f64,
+        /// Share of emissions from end-of-life processing.
+        pub end_of_life_share: f64,
+    }
 }
-
-act_json::impl_to_json!(ProductReport {
-    name,
-    year,
-    total_kg,
-    manufacturing_share,
-    use_share,
-    transport_share,
-    end_of_life_share
-});
 
 impl ProductReport {
     /// Total life-cycle footprint.
@@ -99,16 +92,17 @@ pub const IPAD: ProductReport = ProductReport {
     end_of_life_share: 0.01,
 };
 
-/// One slice of an LCA breakdown pie (Figures 16 and 17).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BreakdownSlice {
-    /// Slice label as printed in the figure.
-    pub label: &'static str,
-    /// Share of the parent total, in `[0, 1]`.
-    pub share: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// One slice of an LCA breakdown pie (Figures 16 and 17).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct BreakdownSlice {
+        /// Slice label as printed in the figure.
+        pub label: &'static str,
+        /// Share of the parent total, in `[0, 1]`.
+        pub share: f64,
+    }
 }
-
-act_json::impl_to_json!(BreakdownSlice { label, share });
 
 /// Fairphone 3 LCA: manufacturing footprint by module (Figure 16a).
 pub const FAIRPHONE3_BY_MODULE: [BreakdownSlice; 7] = [
@@ -166,36 +160,29 @@ pub const FAIRPHONE3_MANUFACTURING_KG: f64 = 27.6;
 /// Dell R740 total manufacturing footprint (kg CO₂) from its LCA report.
 pub const DELL_R740_MANUFACTURING_KG: f64 = 6300.0;
 
-/// One row of Table 12: an LCA estimate next to ACT's re-estimates under the
-/// LCA's legacy node assumption ("node 1") and the actual hardware node
-/// ("node 2").
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LcaComparisonRow {
-    /// IC category, e.g. `"RAM"`.
-    pub category: &'static str,
-    /// Device the row belongs to.
-    pub device: &'static str,
-    /// Actual hardware node of the shipping product.
-    pub actual_node: &'static str,
-    /// Node the published LCA assumed.
-    pub lca_node: &'static str,
-    /// Published LCA footprint in kg CO₂.
-    pub lca_kg: f64,
-    /// Paper's ACT estimate under the LCA node assumption, kg CO₂.
-    pub act_node1_kg: f64,
-    /// Paper's ACT estimate under the actual node, kg CO₂.
-    pub act_node2_kg: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// One row of Table 12: an LCA estimate next to ACT's re-estimates under the
+    /// LCA's legacy node assumption ("node 1") and the actual hardware node
+    /// ("node 2").
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct LcaComparisonRow {
+        /// IC category, e.g. `"RAM"`.
+        pub category: &'static str,
+        /// Device the row belongs to.
+        pub device: &'static str,
+        /// Actual hardware node of the shipping product.
+        pub actual_node: &'static str,
+        /// Node the published LCA assumed.
+        pub lca_node: &'static str,
+        /// Published LCA footprint in kg CO₂.
+        pub lca_kg: f64,
+        /// Paper's ACT estimate under the LCA node assumption, kg CO₂.
+        pub act_node1_kg: f64,
+        /// Paper's ACT estimate under the actual node, kg CO₂.
+        pub act_node2_kg: f64,
+    }
 }
-
-act_json::impl_to_json!(LcaComparisonRow {
-    category,
-    device,
-    actual_node,
-    lca_node,
-    lca_kg,
-    act_node1_kg,
-    act_node2_kg
-});
 
 /// Table 12 as printed in the paper (rows with a single-device scope).
 pub const TABLE12: [LcaComparisonRow; 8] = [

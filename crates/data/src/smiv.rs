@@ -15,18 +15,19 @@ use act_units::{Area, Energy, Power, TimeSpan};
 
 use crate::ProcessNode;
 
-/// The three applications of Figure 11.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum App {
-    /// Finite-impulse-response filtering.
-    Fir,
-    /// AES encryption.
-    Aes,
-    /// AI (DNN) inference.
-    Ai,
+act_json::json_enum! {
+    [ToJson]
+    /// The three applications of Figure 11.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum App {
+        /// Finite-impulse-response filtering.
+        Fir,
+        /// AES encryption.
+        Aes,
+        /// AI (DNN) inference.
+        Ai,
+    }
 }
-
-act_json::impl_json_enum!(App { Fir, Aes, Ai });
 
 impl App {
     /// All applications in plotting order.
@@ -44,18 +45,19 @@ impl fmt::Display for App {
     }
 }
 
-/// The three hardware provisioning choices of Figure 11.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Platform {
-    /// Dual-core Cortex-A53 CPU only.
-    Cpu,
-    /// CPU plus a specialized AI ASIC ("Accel").
-    Accel,
-    /// CPU plus an embedded FPGA.
-    Fpga,
+act_json::json_enum! {
+    [ToJson]
+    /// The three hardware provisioning choices of Figure 11.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum Platform {
+        /// Dual-core Cortex-A53 CPU only.
+        Cpu,
+        /// CPU plus a specialized AI ASIC ("Accel").
+        Accel,
+        /// CPU plus an embedded FPGA.
+        Fpga,
+    }
 }
-
-act_json::impl_json_enum!(Platform { Cpu, Accel, Fpga });
 
 impl Platform {
     /// All platforms in plotting order.
@@ -73,17 +75,17 @@ impl fmt::Display for Platform {
     }
 }
 
-/// Latency and power of one (platform, app) pair.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Measurement {
-    /// Task latency in milliseconds.
-    pub latency_ms: f64,
-    /// Average power in watts.
-    pub power_w: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// Latency and power of one (platform, app) pair.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct Measurement {
+        /// Task latency in milliseconds.
+        pub latency_ms: f64,
+        /// Average power in watts.
+        pub power_w: f64,
+    }
 }
-
-act_json::impl_to_json!(Measurement { latency_ms, power_w });
-act_json::impl_from_json!(Measurement { latency_ms, power_w });
 
 impl Measurement {
     /// Latency as a typed quantity.

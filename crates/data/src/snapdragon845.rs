@@ -18,18 +18,19 @@ use act_units::{Area, Energy, Power, TimeSpan};
 
 use crate::ProcessNode;
 
-/// The compute engine used for AI inference in the provisioning study.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Engine {
-    /// The programmable CPU cluster alone.
-    Cpu,
-    /// CPU plus the Adreno-class GPU co-processor.
-    Gpu,
-    /// CPU plus the Hexagon-class DSP co-processor.
-    Dsp,
+act_json::json_enum! {
+    [ToJson]
+    /// The compute engine used for AI inference in the provisioning study.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum Engine {
+        /// The programmable CPU cluster alone.
+        Cpu,
+        /// CPU plus the Adreno-class GPU co-processor.
+        Gpu,
+        /// CPU plus the Hexagon-class DSP co-processor.
+        Dsp,
+    }
 }
-
-act_json::impl_json_enum!(Engine { Cpu, Gpu, Dsp });
 
 impl Engine {
     /// All engines in Table 4 order.
@@ -47,22 +48,22 @@ impl fmt::Display for Engine {
     }
 }
 
-/// One Table 4 row: measured AI-inference behaviour of an engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EngineProfile {
-    /// Which engine the row describes.
-    pub engine: Engine,
-    /// Single-inference latency in milliseconds.
-    pub latency_ms: f64,
-    /// Average power during inference, in watts.
-    pub power_w: f64,
-    /// Silicon block area of the engine itself in mm² (calibrated, see
-    /// module docs).
-    pub block_area_mm2: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// One Table 4 row: measured AI-inference behaviour of an engine.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct EngineProfile {
+        /// Which engine the row describes.
+        pub engine: Engine,
+        /// Single-inference latency in milliseconds.
+        pub latency_ms: f64,
+        /// Average power during inference, in watts.
+        pub power_w: f64,
+        /// Silicon block area of the engine itself in mm² (calibrated, see
+        /// module docs).
+        pub block_area_mm2: f64,
+    }
 }
-
-act_json::impl_to_json!(EngineProfile { engine, latency_ms, power_w, block_area_mm2 });
-act_json::impl_from_json!(EngineProfile { engine, latency_ms, power_w, block_area_mm2 });
 
 impl EngineProfile {
     /// Inference latency as a typed quantity.

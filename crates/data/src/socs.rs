@@ -15,18 +15,19 @@ use act_units::{Area, Capacity, Power};
 
 use crate::{DramTechnology, ProcessNode};
 
-/// A mobile SoC family (vendor line) surveyed in Figure 8.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SocFamily {
-    /// Samsung Exynos.
-    Exynos,
-    /// Qualcomm Snapdragon.
-    Snapdragon,
-    /// HiSilicon Kirin.
-    Kirin,
+act_json::json_enum! {
+    [ToJson]
+    /// A mobile SoC family (vendor line) surveyed in Figure 8.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum SocFamily {
+        /// Samsung Exynos.
+        Exynos,
+        /// Qualcomm Snapdragon.
+        Snapdragon,
+        /// HiSilicon Kirin.
+        Kirin,
+    }
 }
-
-act_json::impl_json_enum!(SocFamily { Exynos, Snapdragon, Kirin });
 
 impl SocFamily {
     /// All families in the paper's plotting order.
@@ -44,59 +45,50 @@ impl fmt::Display for SocFamily {
     }
 }
 
-/// A homogeneous CPU cluster inside an SoC (one big.LITTLE tier).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClusterSpec {
-    /// Marketing name of the core microarchitecture.
-    pub core: &'static str,
-    /// Number of cores in the cluster.
-    pub count: u32,
-    /// Peak clock frequency in GHz.
-    pub freq_ghz: f64,
-    /// Per-GHz performance index relative to a Cortex-A53 (= 1.0).
-    pub ipc_index: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// A homogeneous CPU cluster inside an SoC (one big.LITTLE tier).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct ClusterSpec {
+        /// Marketing name of the core microarchitecture.
+        pub core: &'static str,
+        /// Number of cores in the cluster.
+        pub count: u32,
+        /// Peak clock frequency in GHz.
+        pub freq_ghz: f64,
+        /// Per-GHz performance index relative to a Cortex-A53 (= 1.0).
+        pub ipc_index: f64,
+    }
 }
 
-act_json::impl_to_json!(ClusterSpec { core, count, freq_ghz, ipc_index });
-
-/// One mobile SoC entry of the Figure 8 survey.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SocSpec {
-    /// Vendor family.
-    pub family: SocFamily,
-    /// Marketing name, e.g. `"Snapdragon 865"`.
-    pub name: &'static str,
-    /// Release year (drives the Figure 14 efficiency trend).
-    pub year: u32,
-    /// Logic process node the SoC is fabricated in.
-    pub node: ProcessNode,
-    /// Die area in mm².
-    pub die_mm2: f64,
-    /// Thermal design power in watts (the paper's power proxy).
-    pub tdp_w: f64,
-    /// DRAM the SoC ships with, in GB.
-    pub dram_gb: f64,
-    /// DRAM manufacturing technology of that era's parts.
-    pub dram: DramTechnology,
-    /// Aggregate mobile benchmark score (geometric mean over the seven
-    /// Geekbench-style workloads, higher is faster).
-    pub reference_score: f64,
-    /// CPU cluster configuration, biggest tier first.
-    pub clusters: &'static [ClusterSpec],
+act_json::json_struct! {
+    [ToJson]
+    /// One mobile SoC entry of the Figure 8 survey.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct SocSpec {
+        /// Vendor family.
+        pub family: SocFamily,
+        /// Marketing name, e.g. `"Snapdragon 865"`.
+        pub name: &'static str,
+        /// Release year (drives the Figure 14 efficiency trend).
+        pub year: u32,
+        /// Logic process node the SoC is fabricated in.
+        pub node: ProcessNode,
+        /// Die area in mm².
+        pub die_mm2: f64,
+        /// Thermal design power in watts (the paper's power proxy).
+        pub tdp_w: f64,
+        /// DRAM the SoC ships with, in GB.
+        pub dram_gb: f64,
+        /// DRAM manufacturing technology of that era's parts.
+        pub dram: DramTechnology,
+        /// Aggregate mobile benchmark score (geometric mean over the seven
+        /// Geekbench-style workloads, higher is faster).
+        pub reference_score: f64,
+        /// CPU cluster configuration, biggest tier first.
+        pub clusters: &'static [ClusterSpec],
+    }
 }
-
-act_json::impl_to_json!(SocSpec {
-    family,
-    name,
-    year,
-    node,
-    die_mm2,
-    tdp_w,
-    dram_gb,
-    dram,
-    reference_score,
-    clusters
-});
 
 impl SocSpec {
     /// Die area as a typed quantity.

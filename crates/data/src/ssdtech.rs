@@ -4,64 +4,52 @@ use std::fmt;
 
 use act_units::MassPerCapacity;
 
-/// An SSD/NAND manufacturing technology or characterized product with its
-/// embodied carbon per gigabyte (ACT Table 10).
-///
-/// Entries come from two characterization styles: device-level semiconductor
-/// data (the NAND nodes) and component-level vendor reports (Western Digital
-/// and Seagate Nytro lines).
-///
-/// # Examples
-///
-/// ```
-/// use act_data::SsdTechnology;
-///
-/// let v3 = SsdTechnology::V3NandTlc;
-/// assert_eq!(v3.carbon_per_gb().as_grams_per_gb(), 6.3);
-/// assert!(v3.is_device_level());
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SsdTechnology {
-    /// 30 nm planar NAND (30 g CO₂/GB).
-    Nand30nm,
-    /// 20 nm planar NAND (15 g CO₂/GB).
-    Nand20nm,
-    /// 10 nm-class planar NAND (10 g CO₂/GB).
-    Nand10nm,
-    /// 1z nm NAND TLC (5.6 g CO₂/GB).
-    Nand1zTlc,
-    /// V3 (3D) NAND TLC (6.3 g CO₂/GB) — ACT's modern-node reference.
-    V3NandTlc,
-    /// Western Digital 2016 fleet average (24.4 g CO₂/GB).
-    WesternDigital2016,
-    /// Western Digital 2017 fleet average (17.9 g CO₂/GB).
-    WesternDigital2017,
-    /// Western Digital 2018 fleet average (12.5 g CO₂/GB).
-    WesternDigital2018,
-    /// Western Digital 2019 fleet average (10.7 g CO₂/GB).
-    WesternDigital2019,
-    /// Seagate Nytro 1551 (3.95 g CO₂/GB).
-    Nytro1551,
-    /// Seagate Nytro 3530 (6.21 g CO₂/GB).
-    Nytro3530,
-    /// Seagate Nytro 3331 (16.92 g CO₂/GB).
-    Nytro3331,
+act_json::json_enum! {
+    [ToJson, FromJson]
+    /// An SSD/NAND manufacturing technology or characterized product with its
+    /// embodied carbon per gigabyte (ACT Table 10).
+    ///
+    /// Entries come from two characterization styles: device-level semiconductor
+    /// data (the NAND nodes) and component-level vendor reports (Western Digital
+    /// and Seagate Nytro lines).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_data::SsdTechnology;
+    ///
+    /// let v3 = SsdTechnology::V3NandTlc;
+    /// assert_eq!(v3.carbon_per_gb().as_grams_per_gb(), 6.3);
+    /// assert!(v3.is_device_level());
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub enum SsdTechnology {
+        /// 30 nm planar NAND (30 g CO₂/GB).
+        Nand30nm,
+        /// 20 nm planar NAND (15 g CO₂/GB).
+        Nand20nm,
+        /// 10 nm-class planar NAND (10 g CO₂/GB).
+        Nand10nm,
+        /// 1z nm NAND TLC (5.6 g CO₂/GB).
+        Nand1zTlc,
+        /// V3 (3D) NAND TLC (6.3 g CO₂/GB) — ACT's modern-node reference.
+        V3NandTlc,
+        /// Western Digital 2016 fleet average (24.4 g CO₂/GB).
+        WesternDigital2016,
+        /// Western Digital 2017 fleet average (17.9 g CO₂/GB).
+        WesternDigital2017,
+        /// Western Digital 2018 fleet average (12.5 g CO₂/GB).
+        WesternDigital2018,
+        /// Western Digital 2019 fleet average (10.7 g CO₂/GB).
+        WesternDigital2019,
+        /// Seagate Nytro 1551 (3.95 g CO₂/GB).
+        Nytro1551,
+        /// Seagate Nytro 3530 (6.21 g CO₂/GB).
+        Nytro3530,
+        /// Seagate Nytro 3331 (16.92 g CO₂/GB).
+        Nytro3331,
+    }
 }
-
-act_json::impl_json_enum!(SsdTechnology {
-    Nand30nm,
-    Nand20nm,
-    Nand10nm,
-    Nand1zTlc,
-    V3NandTlc,
-    WesternDigital2016,
-    WesternDigital2017,
-    WesternDigital2018,
-    WesternDigital2019,
-    Nytro1551,
-    Nytro3530,
-    Nytro3331
-});
 
 /// Table 10 embodied carbon per gigabyte, g CO₂/GB, in
 /// [`SsdTechnology::ALL`] order.

@@ -1019,6 +1019,38 @@ mod tests {
         }
     }
 
+    /// [`AllFinite`] gives the same answer in the baseline instance, run
+    /// with the [`V4`](act_core::wide::V4) marker, and through `run_wide`,
+    /// and it is the plain per-value check: at lengths around the lane
+    /// edges, all finite (signed zeros, subnormals, `f64::MAX`) or with
+    /// one NaN or ±∞ at the first, a middle or the last slot.
+    #[test]
+    fn all_finite_agrees_in_both_instances() {
+        use act_core::wide::{Baseline, V4};
+        const FINITE: [f64; 6] = [1.5, -0.0, 0.0, 5e-324, f64::MAX, -f64::MAX];
+        const BAD: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
+        for n in [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1023, 1024] {
+            let clean: Vec<f64> = (0..n).map(|i| FINITE[i % FINITE.len()]).collect();
+            let mut cases = vec![clean.clone()];
+            for at in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|&at| at < n) {
+                for bad in BAD {
+                    let mut values = clean.clone();
+                    values[at] = bad;
+                    cases.push(values);
+                }
+            }
+            for values in &cases {
+                let want = values.iter().all(|v| v.is_finite());
+                let got = [
+                    AllFinite(values).run::<Baseline>(),
+                    AllFinite(values).run::<V4>(),
+                    run_wide(AllFinite(values)),
+                ];
+                assert_eq!(got, [want; 3], "n = {n}: {values:?}");
+            }
+        }
+    }
+
     #[test]
     fn batch_construction_and_columns() {
         let batch = PointBatch::from_columns(vec![vec![1.0, 2.0, 3.0], vec![10.0, 20.0, 30.0]]);

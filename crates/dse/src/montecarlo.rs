@@ -34,23 +34,23 @@ use crate::batch::{
     BRACKET_SIGMAS, GATHER_CAP, GATHER_CHUNK, SUBSAMPLE_KEYS, SUBSAMPLE_MIN_STRIDE,
 };
 
-/// Summary statistics of a Monte-Carlo run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct McStats {
-    /// Sample mean.
-    pub mean: f64,
-    /// 5th percentile.
-    pub p05: f64,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Number of samples.
-    pub samples: usize,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// Summary statistics of a Monte-Carlo run.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct McStats {
+        /// Sample mean.
+        pub mean: f64,
+        /// 5th percentile.
+        pub p05: f64,
+        /// Median.
+        pub p50: f64,
+        /// 95th percentile.
+        pub p95: f64,
+        /// Number of samples.
+        pub samples: usize,
+    }
 }
-
-act_json::impl_to_json!(McStats { mean, p05, p50, p95, samples });
-act_json::impl_from_json!(McStats { mean, p05, p50, p95, samples });
 
 impl McStats {
     /// The p05–p95 spread relative to the magnitude of the mean — a
@@ -103,18 +103,18 @@ impl std::fmt::Display for McError {
 
 impl std::error::Error for McError {}
 
-/// The result of a fault-tolerant Monte-Carlo run: statistics over the
-/// finite draws plus the count of rejected (non-finite) ones.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct McOutcome {
-    /// Statistics over the finite samples.
-    pub stats: McStats,
-    /// Number of draws discarded because the model returned NaN or ±∞.
-    pub rejected: usize,
+act_json::json_struct! {
+    [ToJson]
+    /// The result of a fault-tolerant Monte-Carlo run: statistics over the
+    /// finite draws plus the count of rejected (non-finite) ones.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct McOutcome {
+        /// Statistics over the finite samples.
+        pub stats: McStats,
+        /// Number of draws discarded because the model returned NaN or ±∞.
+        pub rejected: usize,
+    }
 }
-
-act_json::impl_to_json!(McOutcome { stats, rejected });
-act_json::impl_from_json!(McOutcome { stats, rejected });
 
 /// Derives the independent RNG seed for sample `index` of a run keyed by
 /// `master` — the seed-splitting scheme behind every block Monte-Carlo
@@ -904,6 +904,90 @@ pub(crate) mod tests {
                     for workers in [1, 2] {
                         let case = format!("n = {n}, trial = {trial}, {placement}, {workers}w");
                         assert_reference(summarize_draws(&draws, workers), &draws, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Brackets at the edges a gather meets: open at both ends (every
+    /// finite key), holding only the rejected key, closed on a single key
+    /// (the smallest, middle and largest finite one), open at one end
+    /// from the smallest or largest finite key, and the ones
+    /// [`bracket_bounds`] derives, when it derives any.
+    fn edge_brackets(keys: &[u64]) -> Vec<[Bracket; 3]> {
+        let mut finite: Vec<u64> = keys.iter().copied().filter(|&k| k != u64::MAX).collect();
+        finite.sort_unstable();
+        let closed = |lo| Bracket { lo, width: 0, span: 0 };
+        let mut out =
+            vec![[Bracket { lo: 0, width: u64::MAX - 1, span: 0 }; 3], [closed(u64::MAX); 3]];
+        if let (Some(&lo), Some(&hi)) = (finite.first(), finite.last()) {
+            out.push([closed(lo), closed(finite[finite.len() / 2]), closed(hi)]);
+            out.push([
+                Bracket { lo: 0, width: lo, span: 0 },
+                Bracket { lo, width: hi - lo, span: 0 },
+                Bracket { lo: hi, width: u64::MAX - 1 - hi, span: 0 },
+            ]);
+        }
+        if !keys.is_empty() {
+            out.extend(bracket_bounds(keys, &mut Vec::new()));
+        }
+        out
+    }
+
+    /// One [`GatherBrackets`] over `keys`, run by `run`: its counts and
+    /// each bracket's gathered keys.
+    fn gather(
+        keys: &[u64],
+        bounds: &[Bracket; 3],
+        run: impl FnOnce(GatherBrackets<'_>) -> ([usize; 3], usize, [usize; 3]),
+    ) -> ([usize; 3], usize, Vec<Vec<u64>>) {
+        let mut scratch = Box::new(ChunkScratch {
+            flags: [0; GATHER_CHUNK],
+            inside: [0; GATHER_CHUNK],
+            rows: [[0; GATHER_CHUNK]; 3],
+        });
+        let (below, finite, lens) = run(GatherBrackets { keys, bounds, scratch: &mut scratch });
+        let rows = scratch.rows.iter().zip(lens).map(|(row, len)| row[..len].to_vec());
+        (below, finite, rows.collect())
+    }
+
+    /// The tail's three [`Body`]s, [`EncodeDraws`], [`SampleOrderSum`] and
+    /// [`GatherBrackets`], give the same bits in the baseline instance,
+    /// run with the [`V4`](act_core::wide::V4) marker, and through
+    /// `run_wide`: at lengths around the lane edges and up to a whole
+    /// gather chunk, with non-finite draws placed as the reduction tests
+    /// place them, and each bracket of [`edge_brackets`].
+    #[test]
+    fn tail_bodies_agree_in_both_instances_bitwise() {
+        use act_core::wide::{Baseline, V4};
+        for n in [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, GATHER_CHUNK - 1, GATHER_CHUNK] {
+            for trial in 0..3 {
+                for placement in PLACEMENTS {
+                    let case = format!("n = {n}, trial = {trial}, {placement}");
+                    let draws = with_non_finite(mixed_values(trial, n), placement);
+                    let mut keys = [vec![0; n], vec![1; n], vec![2; n]];
+                    let [base, v4, wide] = &mut keys;
+                    EncodeDraws { draws: &draws, keys: base }.run::<Baseline>();
+                    EncodeDraws { draws: &draws, keys: v4 }.run::<V4>();
+                    run_wide(EncodeDraws { draws: &draws, keys: wide });
+                    assert!(keys[1] == keys[0] && keys[2] == keys[0], "keys, {case}");
+                    let keys = &keys[0];
+
+                    let sums = [
+                        SampleOrderSum(keys).run::<Baseline>(),
+                        SampleOrderSum(keys).run::<V4>(),
+                        run_wide(SampleOrderSum(keys)),
+                    ]
+                    .map(|(sum, finite)| (sum.to_bits(), finite));
+                    assert!(sums[1] == sums[0] && sums[2] == sums[0], "sum, {case}: {sums:?}");
+
+                    for bounds in edge_brackets(keys) {
+                        let base = gather(keys, &bounds, |body| body.run::<Baseline>());
+                        let v4 = gather(keys, &bounds, |body| body.run::<V4>());
+                        let wide = gather(keys, &bounds, |body| run_wide(body));
+                        assert_eq!(v4, base, "gather V4, {case}, {bounds:?}");
+                        assert_eq!(wide, base, "gather run_wide, {case}, {bounds:?}");
                     }
                 }
             }

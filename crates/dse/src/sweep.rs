@@ -68,17 +68,18 @@ pub fn logspace(start: f64, end: f64, n: usize) -> Vec<f64> {
     evenly_spaced(start.ln(), end.ln(), n).map(f64::exp).collect()
 }
 
-/// One design point a block sweep rejected, with its position in the
-/// batch and the reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RejectedPoint {
-    /// Zero-based index of the point in the swept batch.
-    pub index: usize,
-    /// Why the point was rejected, rendered.
-    pub reason: String,
+act_json::json_struct! {
+    [ToJson]
+    /// One design point a block sweep rejected, with its position in the
+    /// batch and the reason.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RejectedPoint {
+        /// Zero-based index of the point in the swept batch.
+        pub index: usize,
+        /// Why the point was rejected, rendered.
+        pub reason: String,
+    }
 }
-
-act_json::impl_to_json!(RejectedPoint { index, reason });
 
 #[cfg(test)]
 mod tests {

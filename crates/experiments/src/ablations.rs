@@ -14,16 +14,17 @@ use act_units::{Area, Capacity, Fraction, MassCo2};
 
 use crate::render::TextTable;
 
-/// One sensitivity series: a swept parameter and the resulting outputs.
-#[derive(Clone, Debug)]
-pub struct Sensitivity {
-    /// What is being swept.
-    pub parameter: String,
-    /// (setting label, output value) pairs.
-    pub series: Vec<(String, f64)>,
+act_json::json_struct! {
+    [ToJson]
+    /// One sensitivity series: a swept parameter and the resulting outputs.
+    #[derive(Clone, Debug)]
+    pub struct Sensitivity {
+        /// What is being swept.
+        pub parameter: String,
+        /// (setting label, output value) pairs.
+        pub series: Vec<(String, f64)>,
+    }
 }
-
-act_json::impl_to_json!(Sensitivity { parameter, series });
 
 impl Sensitivity {
     /// Max output over min output — how much the assumption matters.
@@ -40,14 +41,15 @@ impl Sensitivity {
     }
 }
 
-/// All ablations.
-#[derive(Clone, Debug)]
-pub struct AblationsResult {
-    /// The sensitivity series, one per calibration choice.
-    pub studies: Vec<Sensitivity>,
+act_json::json_struct! {
+    [ToJson]
+    /// All ablations.
+    #[derive(Clone, Debug)]
+    pub struct AblationsResult {
+        /// The sensitivity series, one per calibration choice.
+        pub studies: Vec<Sensitivity>,
+    }
 }
-
-act_json::impl_to_json!(AblationsResult { studies });
 
 /// Runs every ablation, spreading the FTL simulations over `parallelism`
 /// workers. The output does not depend on the policy.

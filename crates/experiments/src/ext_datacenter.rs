@@ -25,36 +25,33 @@ pub const PUE: f64 = 1.2;
 /// Annual efficiency improvement of successive server generations.
 pub const SERVER_IMPROVEMENT: f64 = 1.15;
 
-/// One hosting-grid scenario.
-#[derive(Clone, Debug)]
-pub struct GridRow {
-    /// Hosting location.
-    pub location: Location,
-    /// First-year operational footprint of one server.
-    pub first_year_operational: MassCo2,
-    /// Embodied-to-first-year-operational ratio (the `β` of the sweep).
-    pub embodied_ratio: f64,
-    /// Footprint-optimal refresh cadence in years.
-    pub optimal_lifetime_years: u32,
+act_json::json_struct! {
+    [ToJson]
+    /// One hosting-grid scenario.
+    #[derive(Clone, Debug)]
+    pub struct GridRow {
+        /// Hosting location.
+        pub location: Location,
+        /// First-year operational footprint of one server.
+        pub first_year_operational: MassCo2,
+        /// Embodied-to-first-year-operational ratio (the `β` of the sweep).
+        pub embodied_ratio: f64,
+        /// Footprint-optimal refresh cadence in years.
+        pub optimal_lifetime_years: u32,
+    }
 }
 
-act_json::impl_to_json!(GridRow {
-    location,
-    first_year_operational,
-    embodied_ratio,
-    optimal_lifetime_years
-});
-
-/// The study.
-#[derive(Clone, Debug)]
-pub struct DatacenterResult {
-    /// Embodied carbon of one server.
-    pub server_embodied: MassCo2,
-    /// One row per hosting grid.
-    pub rows: Vec<GridRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The study.
+    #[derive(Clone, Debug)]
+    pub struct DatacenterResult {
+        /// Embodied carbon of one server.
+        pub server_embodied: MassCo2,
+        /// One row per hosting grid.
+        pub rows: Vec<GridRow>,
+    }
 }
-
-act_json::impl_to_json!(DatacenterResult { server_embodied, rows });
 
 /// Runs the study over a spectrum of grids.
 #[must_use]

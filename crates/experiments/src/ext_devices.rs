@@ -11,29 +11,31 @@ use act_units::MassCo2;
 
 use crate::render::{kg, TextTable};
 
-/// One device class.
-#[derive(Clone, Debug)]
-pub struct DeviceClassRow {
-    /// Device name.
-    pub name: String,
-    /// Point estimate under the default fab.
-    pub embodied: MassCo2,
-    /// Lower bound (solar fab, 99 % abatement).
-    pub lower: MassCo2,
-    /// Upper bound (Taiwan grid, 95 % abatement).
-    pub upper: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One device class.
+    #[derive(Clone, Debug)]
+    pub struct DeviceClassRow {
+        /// Device name.
+        pub name: String,
+        /// Point estimate under the default fab.
+        pub embodied: MassCo2,
+        /// Lower bound (solar fab, 99 % abatement).
+        pub lower: MassCo2,
+        /// Upper bound (Taiwan grid, 95 % abatement).
+        pub upper: MassCo2,
+    }
 }
 
-act_json::impl_to_json!(DeviceClassRow { name, embodied, lower, upper });
-
-/// The survey.
-#[derive(Clone, Debug)]
-pub struct DevicesResult {
-    /// Rows ordered smallest to largest device class.
-    pub rows: Vec<DeviceClassRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The survey.
+    #[derive(Clone, Debug)]
+    pub struct DevicesResult {
+        /// Rows ordered smallest to largest device class.
+        pub rows: Vec<DeviceClassRow>,
+    }
 }
-
-act_json::impl_to_json!(DevicesResult { rows });
 
 /// Runs the survey.
 #[must_use]

@@ -7,16 +7,17 @@ use act_data::reports::{ProductReport, IPHONE_11, IPHONE_3};
 
 use crate::render::TextTable;
 
-/// Life-cycle phase shares for the two generations.
-#[derive(Clone, Debug)]
-pub struct Fig1Result {
-    /// The 2009-era report.
-    pub iphone3: ProductReport,
-    /// The 2019-era report.
-    pub iphone11: ProductReport,
+act_json::json_struct! {
+    [ToJson]
+    /// Life-cycle phase shares for the two generations.
+    #[derive(Clone, Debug)]
+    pub struct Fig1Result {
+        /// The 2009-era report.
+        pub iphone3: ProductReport,
+        /// The 2019-era report.
+        pub iphone11: ProductReport,
+    }
 }
-
-act_json::impl_to_json!(Fig1Result { iphone3, iphone11 });
 
 impl Fig1Result {
     /// How much the operational footprint shrank across the decade

@@ -19,29 +19,31 @@ pub const UTILIZATION: f64 = 0.04;
 /// Device lifetime.
 pub const LIFETIME_YEARS: f64 = 3.0;
 
-/// A named carbon-intensity level of the sweep.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IntensityLevel {
-    /// Label as printed on the figure's x-axis.
-    pub label: &'static str,
-    /// The intensity.
-    pub intensity: CarbonIntensity,
+act_json::json_struct! {
+    [ToJson]
+    /// A named carbon-intensity level of the sweep.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct IntensityLevel {
+        /// Label as printed on the figure's x-axis.
+        pub label: &'static str,
+        /// The intensity.
+        pub intensity: CarbonIntensity,
+    }
 }
 
-act_json::impl_to_json!(IntensityLevel { label, intensity });
-
-/// Per-engine per-inference footprint under one scenario.
-#[derive(Clone, Debug)]
-pub struct ScenarioCell {
-    /// The engine.
-    pub engine: Engine,
-    /// Amortized embodied footprint per inference.
-    pub embodied: MassCo2,
-    /// Operational footprint per inference.
-    pub operational: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// Per-engine per-inference footprint under one scenario.
+    #[derive(Clone, Debug)]
+    pub struct ScenarioCell {
+        /// The engine.
+        pub engine: Engine,
+        /// Amortized embodied footprint per inference.
+        pub embodied: MassCo2,
+        /// Operational footprint per inference.
+        pub operational: MassCo2,
+    }
 }
-
-act_json::impl_to_json!(ScenarioCell { engine, embodied, operational });
 
 impl ScenarioCell {
     /// Combined per-inference footprint.
@@ -51,16 +53,17 @@ impl ScenarioCell {
     }
 }
 
-/// One x-axis group: an intensity level with all three engines.
-#[derive(Clone, Debug)]
-pub struct ScenarioGroup {
-    /// The swept intensity level.
-    pub level: IntensityLevel,
-    /// CPU, DSP, GPU cells.
-    pub cells: Vec<ScenarioCell>,
+act_json::json_struct! {
+    [ToJson]
+    /// One x-axis group: an intensity level with all three engines.
+    #[derive(Clone, Debug)]
+    pub struct ScenarioGroup {
+        /// The swept intensity level.
+        pub level: IntensityLevel,
+        /// CPU, DSP, GPU cells.
+        pub cells: Vec<ScenarioCell>,
+    }
 }
-
-act_json::impl_to_json!(ScenarioGroup { level, cells });
 
 impl ScenarioGroup {
     /// The engine with the lowest combined footprint.
@@ -74,16 +77,17 @@ impl ScenarioGroup {
     }
 }
 
-/// Both sweeps of Figure 10.
-#[derive(Clone, Debug)]
-pub struct Fig10Result {
-    /// Top: use-phase intensity sweep with a Taiwan-grid fab.
-    pub use_sweep: Vec<ScenarioGroup>,
-    /// Bottom: fab intensity sweep with solar-powered use.
-    pub fab_sweep: Vec<ScenarioGroup>,
+act_json::json_struct! {
+    [ToJson]
+    /// Both sweeps of Figure 10.
+    #[derive(Clone, Debug)]
+    pub struct Fig10Result {
+        /// Top: use-phase intensity sweep with a Taiwan-grid fab.
+        pub use_sweep: Vec<ScenarioGroup>,
+        /// Bottom: fab intensity sweep with solar-powered use.
+        pub fab_sweep: Vec<ScenarioGroup>,
+    }
 }
-
-act_json::impl_to_json!(Fig10Result { use_sweep, fab_sweep });
 
 fn levels_use() -> [IntensityLevel; 4] {
     [

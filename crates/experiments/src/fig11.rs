@@ -11,34 +11,31 @@ use act_units::{Energy, MassCo2, TimeSpan};
 
 use crate::render::{geomean, TextTable};
 
-/// One platform's aggregate view.
-#[derive(Clone, Debug)]
-pub struct PlatformSummary {
-    /// The platform.
-    pub platform: Platform,
-    /// Embodied footprint of the provisioned silicon.
-    pub embodied: MassCo2,
-    /// Geometric-mean speedup over the CPU across the three apps.
-    pub geomean_speedup: f64,
-    /// Geometric-mean energy reduction over the CPU across the three apps.
-    pub geomean_energy_reduction: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// One platform's aggregate view.
+    #[derive(Clone, Debug)]
+    pub struct PlatformSummary {
+        /// The platform.
+        pub platform: Platform,
+        /// Embodied footprint of the provisioned silicon.
+        pub embodied: MassCo2,
+        /// Geometric-mean speedup over the CPU across the three apps.
+        pub geomean_speedup: f64,
+        /// Geometric-mean energy reduction over the CPU across the three apps.
+        pub geomean_energy_reduction: f64,
+    }
 }
 
-act_json::impl_to_json!(PlatformSummary {
-    platform,
-    embodied,
-    geomean_speedup,
-    geomean_energy_reduction
-});
-
-/// The full study.
-#[derive(Clone, Debug)]
-pub struct Fig11Result {
-    /// Per-platform summaries (CPU, Accel, FPGA).
-    pub platforms: Vec<PlatformSummary>,
+act_json::json_struct! {
+    [ToJson]
+    /// The full study.
+    #[derive(Clone, Debug)]
+    pub struct Fig11Result {
+        /// Per-platform summaries (CPU, Accel, FPGA).
+        pub platforms: Vec<PlatformSummary>,
+    }
 }
-
-act_json::impl_to_json!(Fig11Result { platforms });
 
 /// Per-app speedup of a platform over the CPU.
 #[must_use]

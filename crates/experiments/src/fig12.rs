@@ -11,29 +11,31 @@ use act_units::MassCo2;
 
 use crate::render::TextTable;
 
-/// One configuration's coordinates.
-#[derive(Clone, Debug)]
-pub struct MacRow {
-    /// MAC-array width.
-    pub macs: u32,
-    /// Embodied footprint of the accelerator silicon.
-    pub embodied: MassCo2,
-    /// Inference throughput in FPS.
-    pub fps: f64,
-    /// The design point for metric evaluation.
-    pub design: DesignPoint,
+act_json::json_struct! {
+    [ToJson]
+    /// One configuration's coordinates.
+    #[derive(Clone, Debug)]
+    pub struct MacRow {
+        /// MAC-array width.
+        pub macs: u32,
+        /// Embodied footprint of the accelerator silicon.
+        pub embodied: MassCo2,
+        /// Inference throughput in FPS.
+        pub fps: f64,
+        /// The design point for metric evaluation.
+        pub design: DesignPoint,
+    }
 }
 
-act_json::impl_to_json!(MacRow { macs, embodied, fps, design });
-
-/// The sweep.
-#[derive(Clone, Debug)]
-pub struct Fig12Result {
-    /// Rows for 64…2048 MACs.
-    pub rows: Vec<MacRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The sweep.
+    #[derive(Clone, Debug)]
+    pub struct Fig12Result {
+        /// Rows for 64…2048 MACs.
+        pub rows: Vec<MacRow>,
+    }
 }
-
-act_json::impl_to_json!(Fig12Result { rows });
 
 /// Runs the 16 nm sweep on the mobile-vision network under the default fab.
 #[must_use]

@@ -15,29 +15,31 @@ use crate::render::TextTable;
 /// The QoS target of the study: 30 FPS image processing.
 pub const QOS_FPS: f64 = 30.0;
 
-/// One configuration in the QoS study.
-#[derive(Clone, Debug)]
-pub struct QosRow {
-    /// MAC-array width.
-    pub macs: u32,
-    /// Throughput in FPS.
-    pub fps: f64,
-    /// Energy per inference in mJ.
-    pub energy_mj: f64,
-    /// Embodied footprint.
-    pub embodied: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One configuration in the QoS study.
+    #[derive(Clone, Debug)]
+    pub struct QosRow {
+        /// MAC-array width.
+        pub macs: u32,
+        /// Throughput in FPS.
+        pub fps: f64,
+        /// Energy per inference in mJ.
+        pub energy_mj: f64,
+        /// Embodied footprint.
+        pub embodied: MassCo2,
+    }
 }
 
-act_json::impl_to_json!(QosRow { macs, fps, energy_mj, embodied });
-
-/// The QoS-constrained study (Figure 13 left).
-#[derive(Clone, Debug)]
-pub struct QosStudy {
-    /// The 16 nm sweep.
-    pub rows: Vec<QosRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The QoS-constrained study (Figure 13 left).
+    #[derive(Clone, Debug)]
+    pub struct QosStudy {
+        /// The 16 nm sweep.
+        pub rows: Vec<QosRow>,
+    }
 }
-
-act_json::impl_to_json!(QosStudy { rows });
 
 impl QosStudy {
     /// Leanest configuration meeting the QoS bar — the carbon optimum.
@@ -61,31 +63,33 @@ impl QosStudy {
     }
 }
 
-/// One cap × node cell of the area-budget study.
-#[derive(Clone, Debug)]
-pub struct BudgetCell {
-    /// Area cap in mm².
-    pub cap_mm2: f64,
-    /// Feature size in nm.
-    pub nanometers: u32,
-    /// Widest MAC configuration fitting the cap.
-    pub macs: u32,
-    /// Area actually used.
-    pub area: Area,
-    /// Embodied footprint of that area.
-    pub embodied: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One cap × node cell of the area-budget study.
+    #[derive(Clone, Debug)]
+    pub struct BudgetCell {
+        /// Area cap in mm².
+        pub cap_mm2: f64,
+        /// Feature size in nm.
+        pub nanometers: u32,
+        /// Widest MAC configuration fitting the cap.
+        pub macs: u32,
+        /// Area actually used.
+        pub area: Area,
+        /// Embodied footprint of that area.
+        pub embodied: MassCo2,
+    }
 }
 
-act_json::impl_to_json!(BudgetCell { cap_mm2, nanometers, macs, area, embodied });
-
-/// The area-budget study (Figure 13 right).
-#[derive(Clone, Debug)]
-pub struct BudgetStudy {
-    /// Cells for {1, 2} mm² × {28, 16} nm.
-    pub cells: Vec<BudgetCell>,
+act_json::json_struct! {
+    [ToJson]
+    /// The area-budget study (Figure 13 right).
+    #[derive(Clone, Debug)]
+    pub struct BudgetStudy {
+        /// Cells for {1, 2} mm² × {28, 16} nm.
+        pub cells: Vec<BudgetCell>,
+    }
 }
-
-act_json::impl_to_json!(BudgetStudy { cells });
 
 impl BudgetStudy {
     /// Cell lookup.
@@ -104,16 +108,17 @@ impl BudgetStudy {
     }
 }
 
-/// Both studies.
-#[derive(Clone, Debug)]
-pub struct Fig13Result {
-    /// Left: QoS-constrained design.
-    pub qos: QosStudy,
-    /// Right: area-budgeted technology comparison.
-    pub budget: BudgetStudy,
+act_json::json_struct! {
+    [ToJson]
+    /// Both studies.
+    #[derive(Clone, Debug)]
+    pub struct Fig13Result {
+        /// Left: QoS-constrained design.
+        pub qos: QosStudy,
+        /// Right: area-budgeted technology comparison.
+        pub budget: BudgetStudy,
+    }
 }
-
-act_json::impl_to_json!(Fig13Result { qos, budget });
 
 /// Runs both studies under the default fab.
 #[must_use]

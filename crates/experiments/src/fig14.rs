@@ -9,20 +9,21 @@ use act_soc::{annual_efficiency_improvement, ReplacementModel};
 
 use crate::render::TextTable;
 
-/// One lifetime choice of the sweep.
-#[derive(Clone, Debug)]
-pub struct LifetimeRow {
-    /// Replacement cadence in years.
-    pub lifetime_years: u32,
-    /// Devices consumed over the horizon.
-    pub devices: u32,
-    /// Embodied total (relative units).
-    pub embodied: f64,
-    /// Operational total (relative units).
-    pub operational: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// One lifetime choice of the sweep.
+    #[derive(Clone, Debug)]
+    pub struct LifetimeRow {
+        /// Replacement cadence in years.
+        pub lifetime_years: u32,
+        /// Devices consumed over the horizon.
+        pub devices: u32,
+        /// Embodied total (relative units).
+        pub embodied: f64,
+        /// Operational total (relative units).
+        pub operational: f64,
+    }
 }
-
-act_json::impl_to_json!(LifetimeRow { lifetime_years, devices, embodied, operational });
 
 impl LifetimeRow {
     /// Combined footprint.
@@ -32,18 +33,19 @@ impl LifetimeRow {
     }
 }
 
-/// The full study.
-#[derive(Clone, Debug)]
-pub struct Fig14Result {
-    /// Measured annual efficiency improvement (paper: ≈1.21×).
-    pub annual_improvement: f64,
-    /// The replacement model used for the sweep.
-    pub model: ReplacementModel,
-    /// Rows for 1…10-year lifetimes.
-    pub rows: Vec<LifetimeRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The full study.
+    #[derive(Clone, Debug)]
+    pub struct Fig14Result {
+        /// Measured annual efficiency improvement (paper: ≈1.21×).
+        pub annual_improvement: f64,
+        /// The replacement model used for the sweep.
+        pub model: ReplacementModel,
+        /// Rows for 1…10-year lifetimes.
+        pub rows: Vec<LifetimeRow>,
+    }
 }
-
-act_json::impl_to_json!(Fig14Result { annual_improvement, model, rows });
 
 /// Runs the study with the efficiency trend measured from the SoC database.
 #[must_use]

@@ -25,42 +25,37 @@ pub fn op_grid() -> Vec<OverProvisioning> {
     (0..7).map(|i| OverProvisioning::new_const(0.04 + 0.06 * f64::from(i))).collect()
 }
 
-/// One over-provisioning point.
-#[derive(Clone, Debug)]
-pub struct OpRow {
-    /// The over-provisioning factor.
-    pub pf: OverProvisioning,
-    /// Analytical write amplification.
-    pub wa_analytical: f64,
-    /// FTL-simulator-measured write amplification (uniform random writes).
-    pub wa_simulated: f64,
-    /// Lifetime under the Meza model with analytical WA.
-    pub lifetime_years: f64,
-    /// Effective embodied carbon for a first-life horizon, normalized to
-    /// the 4 % baseline.
-    pub first_life: f64,
-    /// Effective embodied carbon for a second-life horizon, normalized to
-    /// the 4 % baseline at the first-life horizon.
-    pub second_life: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// One over-provisioning point.
+    #[derive(Clone, Debug)]
+    pub struct OpRow {
+        /// The over-provisioning factor.
+        pub pf: OverProvisioning,
+        /// Analytical write amplification.
+        pub wa_analytical: f64,
+        /// FTL-simulator-measured write amplification (uniform random writes).
+        pub wa_simulated: f64,
+        /// Lifetime under the Meza model with analytical WA.
+        pub lifetime_years: f64,
+        /// Effective embodied carbon for a first-life horizon, normalized to
+        /// the 4 % baseline.
+        pub first_life: f64,
+        /// Effective embodied carbon for a second-life horizon, normalized to
+        /// the 4 % baseline at the first-life horizon.
+        pub second_life: f64,
+    }
 }
 
-act_json::impl_to_json!(OpRow {
-    pf,
-    wa_analytical,
-    wa_simulated,
-    lifetime_years,
-    first_life,
-    second_life
-});
-
-/// The full study.
-#[derive(Clone, Debug)]
-pub struct Fig15Result {
-    /// Rows over the over-provisioning grid.
-    pub rows: Vec<OpRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The full study.
+    #[derive(Clone, Debug)]
+    pub struct Fig15Result {
+        /// Rows over the over-provisioning grid.
+        pub rows: Vec<OpRow>,
+    }
 }
-
-act_json::impl_to_json!(Fig15Result { rows });
 
 /// Runs the study, spreading the per-row FTL simulations over
 /// `parallelism` workers. The output does not depend on the policy.

@@ -11,20 +11,21 @@ use act_data::reports::{
 
 use crate::render::TextTable;
 
-/// The three breakdown panels.
-#[derive(Clone, Debug)]
-pub struct Fig16Result {
-    /// Total manufacturing footprint the shares apply to, kg CO₂.
-    pub total_kg: f64,
-    /// Panel (a): by module.
-    pub by_module: Vec<BreakdownSlice>,
-    /// Panel (b): by component type.
-    pub by_component: Vec<BreakdownSlice>,
-    /// Panel (c): within the core module.
-    pub core_module: Vec<BreakdownSlice>,
+act_json::json_struct! {
+    [ToJson]
+    /// The three breakdown panels.
+    #[derive(Clone, Debug)]
+    pub struct Fig16Result {
+        /// Total manufacturing footprint the shares apply to, kg CO₂.
+        pub total_kg: f64,
+        /// Panel (a): by module.
+        pub by_module: Vec<BreakdownSlice>,
+        /// Panel (b): by component type.
+        pub by_component: Vec<BreakdownSlice>,
+        /// Panel (c): within the core module.
+        pub core_module: Vec<BreakdownSlice>,
+    }
 }
-
-act_json::impl_to_json!(Fig16Result { total_kg, by_module, by_component, core_module });
 
 /// Runs the experiment.
 #[must_use]

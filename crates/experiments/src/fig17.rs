@@ -10,18 +10,19 @@ use act_data::reports::{
 
 use crate::render::TextTable;
 
-/// Both breakdown panels.
-#[derive(Clone, Debug)]
-pub struct Fig17Result {
-    /// Total manufacturing footprint, kg CO₂.
-    pub total_kg: f64,
-    /// Server-level breakdown.
-    pub server: Vec<BreakdownSlice>,
-    /// Mainboard breakdown.
-    pub mainboard: Vec<BreakdownSlice>,
+act_json::json_struct! {
+    [ToJson]
+    /// Both breakdown panels.
+    #[derive(Clone, Debug)]
+    pub struct Fig17Result {
+        /// Total manufacturing footprint, kg CO₂.
+        pub total_kg: f64,
+        /// Server-level breakdown.
+        pub server: Vec<BreakdownSlice>,
+        /// Mainboard breakdown.
+        pub mainboard: Vec<BreakdownSlice>,
+    }
 }
-
-act_json::impl_to_json!(Fig17Result { total_kg, server, mainboard });
 
 /// Runs the experiment.
 #[must_use]

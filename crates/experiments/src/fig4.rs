@@ -11,18 +11,19 @@ use act_units::MassCo2;
 
 use crate::render::{kg, TextTable};
 
-/// One device's bottom-up vs top-down comparison.
-#[derive(Clone, Debug)]
-pub struct DeviceEstimate {
-    /// Device name.
-    pub name: String,
-    /// ACT's per-IC breakdown.
-    pub act: EmbodiedReport,
-    /// The LCA-based top-down IC estimate.
-    pub lca: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One device's bottom-up vs top-down comparison.
+    #[derive(Clone, Debug)]
+    pub struct DeviceEstimate {
+        /// Device name.
+        pub name: String,
+        /// ACT's per-IC breakdown.
+        pub act: EmbodiedReport,
+        /// The LCA-based top-down IC estimate.
+        pub lca: MassCo2,
+    }
 }
-
-act_json::impl_to_json!(DeviceEstimate { name, act, lca });
 
 impl DeviceEstimate {
     /// ACT total across ICs.
@@ -32,16 +33,17 @@ impl DeviceEstimate {
     }
 }
 
-/// Both devices of Figure 4.
-#[derive(Clone, Debug)]
-pub struct Fig4Result {
-    /// iPhone 11 (paper: ACT 17 kg vs LCA 23 kg).
-    pub iphone: DeviceEstimate,
-    /// iPad (paper: ACT 21 kg vs LCA 28 kg).
-    pub ipad: DeviceEstimate,
+act_json::json_struct! {
+    [ToJson]
+    /// Both devices of Figure 4.
+    #[derive(Clone, Debug)]
+    pub struct Fig4Result {
+        /// iPhone 11 (paper: ACT 17 kg vs LCA 23 kg).
+        pub iphone: DeviceEstimate,
+        /// iPad (paper: ACT 21 kg vs LCA 28 kg).
+        pub ipad: DeviceEstimate,
+    }
 }
-
-act_json::impl_to_json!(Fig4Result { iphone, ipad });
 
 /// Runs the experiment under the paper's default fab scenario (the
 /// device documents name no fab).

@@ -11,46 +11,39 @@ use act_units::{EnergyPerArea, MassPerArea};
 
 use crate::render::TextTable;
 
-/// One node's column of the figure.
-#[derive(Clone, Debug)]
-pub struct NodeRow {
-    /// Process node.
-    pub node: ProcessNode,
-    /// Fab energy per area (`EPA`).
-    pub epa: EnergyPerArea,
-    /// Gas per area at 95 % abatement (upper bound).
-    pub gpa_95: MassPerArea,
-    /// Gas per area at 97 % abatement (TSMC).
-    pub gpa_97: MassPerArea,
-    /// Gas per area at 99 % abatement (lower bound).
-    pub gpa_99: MassPerArea,
-    /// CPA with a Taiwan-grid fab (upper bound).
-    pub cpa_taiwan: MassPerArea,
-    /// CPA with the default 25 %-renewable fab (solid line).
-    pub cpa_default: MassPerArea,
-    /// CPA with a 100 % solar fab (lower bound).
-    pub cpa_solar: MassPerArea,
+act_json::json_struct! {
+    [ToJson]
+    /// One node's column of the figure.
+    #[derive(Clone, Debug)]
+    pub struct NodeRow {
+        /// Process node.
+        pub node: ProcessNode,
+        /// Fab energy per area (`EPA`).
+        pub epa: EnergyPerArea,
+        /// Gas per area at 95 % abatement (upper bound).
+        pub gpa_95: MassPerArea,
+        /// Gas per area at 97 % abatement (TSMC).
+        pub gpa_97: MassPerArea,
+        /// Gas per area at 99 % abatement (lower bound).
+        pub gpa_99: MassPerArea,
+        /// CPA with a Taiwan-grid fab (upper bound).
+        pub cpa_taiwan: MassPerArea,
+        /// CPA with the default 25 %-renewable fab (solid line).
+        pub cpa_default: MassPerArea,
+        /// CPA with a 100 % solar fab (lower bound).
+        pub cpa_solar: MassPerArea,
+    }
 }
 
-act_json::impl_to_json!(NodeRow {
-    node,
-    epa,
-    gpa_95,
-    gpa_97,
-    gpa_99,
-    cpa_taiwan,
-    cpa_default,
-    cpa_solar
-});
-
-/// The full node sweep.
-#[derive(Clone, Debug)]
-pub struct Fig6Result {
-    /// Rows from 28 nm down to 3 nm.
-    pub rows: Vec<NodeRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The full node sweep.
+    #[derive(Clone, Debug)]
+    pub struct Fig6Result {
+        /// Rows from 28 nm down to 3 nm.
+        pub rows: Vec<NodeRow>,
+    }
 }
-
-act_json::impl_to_json!(Fig6Result { rows });
 
 /// Runs the sweep.
 #[must_use]

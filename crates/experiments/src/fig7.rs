@@ -7,32 +7,34 @@ use act_data::{DramTechnology, HddModel, SsdTechnology};
 
 use crate::render::TextTable;
 
-/// One bar of the figure.
-#[derive(Clone, Debug)]
-pub struct Bar {
-    /// Technology/product label.
-    pub label: String,
-    /// Carbon per GB in grams.
-    pub grams_per_gb: f64,
-    /// `true` for device-level characterization (black bars), `false` for
-    /// component-level analyses (grey bars).
-    pub device_level: bool,
+act_json::json_struct! {
+    [ToJson]
+    /// One bar of the figure.
+    #[derive(Clone, Debug)]
+    pub struct Bar {
+        /// Technology/product label.
+        pub label: String,
+        /// Carbon per GB in grams.
+        pub grams_per_gb: f64,
+        /// `true` for device-level characterization (black bars), `false` for
+        /// component-level analyses (grey bars).
+        pub device_level: bool,
+    }
 }
 
-act_json::impl_to_json!(Bar { label, grams_per_gb, device_level });
-
-/// The three panels.
-#[derive(Clone, Debug)]
-pub struct Fig7Result {
-    /// DRAM technologies (left panel).
-    pub dram: Vec<Bar>,
-    /// SSD/NAND technologies (center panel).
-    pub ssd: Vec<Bar>,
-    /// HDD products (right panel).
-    pub hdd: Vec<Bar>,
+act_json::json_struct! {
+    [ToJson]
+    /// The three panels.
+    #[derive(Clone, Debug)]
+    pub struct Fig7Result {
+        /// DRAM technologies (left panel).
+        pub dram: Vec<Bar>,
+        /// SSD/NAND technologies (center panel).
+        pub ssd: Vec<Bar>,
+        /// HDD products (right panel).
+        pub hdd: Vec<Bar>,
+    }
 }
-
-act_json::impl_to_json!(Fig7Result { dram, ssd, hdd });
 
 /// Runs the experiment.
 #[must_use]

@@ -21,29 +21,31 @@ use crate::render::{kg, TextTable};
 /// score` seconds, so faster SoCs finish the same work sooner.
 const SCORE_TIME_CONSTANT: f64 = 1e6;
 
-/// One SoC's coordinates in the design space.
-#[derive(Clone, Debug)]
-pub struct SocRow {
-    /// The SoC under evaluation.
-    pub soc: &'static SocSpec,
-    /// Embodied footprint of SoC die + DRAM + packaging.
-    pub embodied: MassCo2,
-    /// Cross-check: the `act-soc` simulator's suite score.
-    pub simulated_score: f64,
-    /// The design point used for metric evaluation.
-    pub design: DesignPoint,
+act_json::json_struct! {
+    [ToJson]
+    /// One SoC's coordinates in the design space.
+    #[derive(Clone, Debug)]
+    pub struct SocRow {
+        /// The SoC under evaluation.
+        pub soc: &'static SocSpec,
+        /// Embodied footprint of SoC die + DRAM + packaging.
+        pub embodied: MassCo2,
+        /// Cross-check: the `act-soc` simulator's suite score.
+        pub simulated_score: f64,
+        /// The design point used for metric evaluation.
+        pub design: DesignPoint,
+    }
 }
 
-act_json::impl_to_json!(SocRow { soc, embodied, simulated_score, design });
-
-/// The full survey.
-#[derive(Clone, Debug)]
-pub struct Fig8Result {
-    /// One row per SoC, in the paper's plotting order.
-    pub rows: Vec<SocRow>,
+act_json::json_struct! {
+    [ToJson]
+    /// The full survey.
+    #[derive(Clone, Debug)]
+    pub struct Fig8Result {
+        /// One row per SoC, in the paper's plotting order.
+        pub rows: Vec<SocRow>,
+    }
 }
-
-act_json::impl_to_json!(Fig8Result { rows });
 
 /// Runs the survey under the default fab scenario.
 #[must_use]

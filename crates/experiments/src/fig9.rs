@@ -11,25 +11,27 @@ use act_data::snapdragon845::Engine;
 use crate::render::TextTable;
 use crate::table4;
 
-/// One engine's design point and metric scores normalized to the CPU.
-#[derive(Clone, Debug)]
-pub struct EngineScores {
-    /// The engine.
-    pub engine: Engine,
-    /// Design point (system embodied, per-inference energy, latency, area).
-    pub design: DesignPoint,
+act_json::json_struct! {
+    [ToJson]
+    /// One engine's design point and metric scores normalized to the CPU.
+    #[derive(Clone, Debug)]
+    pub struct EngineScores {
+        /// The engine.
+        pub engine: Engine,
+        /// Design point (system embodied, per-inference energy, latency, area).
+        pub design: DesignPoint,
+    }
 }
 
-act_json::impl_to_json!(EngineScores { engine, design });
-
-/// The metric comparison.
-#[derive(Clone, Debug)]
-pub struct Fig9Result {
-    /// CPU, DSP, GPU design points.
-    pub engines: Vec<EngineScores>,
+act_json::json_struct! {
+    [ToJson]
+    /// The metric comparison.
+    #[derive(Clone, Debug)]
+    pub struct Fig9Result {
+        /// CPU, DSP, GPU design points.
+        pub engines: Vec<EngineScores>,
+    }
 }
-
-act_json::impl_to_json!(Fig9Result { engines });
 
 /// Runs the comparison on the Table 4 study.
 #[must_use]

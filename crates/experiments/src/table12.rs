@@ -8,14 +8,15 @@ use act_lca::{table12, NodeComparison};
 
 use crate::render::TextTable;
 
-/// The comparison table.
-#[derive(Clone, Debug)]
-pub struct Table12Result {
-    /// One comparison per published row.
-    pub rows: Vec<NodeComparison>,
+act_json::json_struct! {
+    [ToJson]
+    /// The comparison table.
+    #[derive(Clone, Debug)]
+    pub struct Table12Result {
+        /// One comparison per published row.
+        pub rows: Vec<NodeComparison>,
+    }
 }
-
-act_json::impl_to_json!(Table12Result { rows });
 
 /// Runs the comparison under the default fab scenario.
 #[must_use]

@@ -19,34 +19,36 @@ pub const US_INTENSITY: CarbonIntensity = CarbonIntensity::grams_per_kwh(300.0);
 /// Assumed device lifetime for amortization.
 pub const LIFETIME_YEARS: f64 = 3.0;
 
-/// One row of Table 4 with computed footprints.
-#[derive(Clone, Debug)]
-pub struct Table4Row {
-    /// The engine.
-    pub engine: Engine,
-    /// Measured profile (latency, power, block area).
-    pub profile: &'static EngineProfile,
-    /// Energy per inference.
-    pub energy: Energy,
-    /// Operational footprint per inference at the US grid.
-    pub opcf: MassCo2,
-    /// Embodied footprint of the engine's own silicon block.
-    pub ecf_block: MassCo2,
-    /// Embodied footprint of the provisioned system (co-processors include
-    /// the host CPU block).
-    pub ecf_system: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One row of Table 4 with computed footprints.
+    #[derive(Clone, Debug)]
+    pub struct Table4Row {
+        /// The engine.
+        pub engine: Engine,
+        /// Measured profile (latency, power, block area).
+        pub profile: &'static EngineProfile,
+        /// Energy per inference.
+        pub energy: Energy,
+        /// Operational footprint per inference at the US grid.
+        pub opcf: MassCo2,
+        /// Embodied footprint of the engine's own silicon block.
+        pub ecf_block: MassCo2,
+        /// Embodied footprint of the provisioned system (co-processors include
+        /// the host CPU block).
+        pub ecf_system: MassCo2,
+    }
 }
 
-act_json::impl_to_json!(Table4Row { engine, profile, energy, opcf, ecf_block, ecf_system });
-
-/// The full provisioning study.
-#[derive(Clone, Debug)]
-pub struct Table4Result {
-    /// Rows in Table 4 order (CPU, DSP, GPU).
-    pub rows: Vec<Table4Row>,
+act_json::json_struct! {
+    [ToJson]
+    /// The full provisioning study.
+    #[derive(Clone, Debug)]
+    pub struct Table4Result {
+        /// Rows in Table 4 order (CPU, DSP, GPU).
+        pub rows: Vec<Table4Row>,
+    }
 }
-
-act_json::impl_to_json!(Table4Result { rows });
 
 /// Runs the study under the paper's default fab scenario.
 #[must_use]

@@ -16,10 +16,11 @@
 //!   visibly floating-point across round-trips.
 //! * A tolerant recursive-descent parser — [`JsonValue::parse`] — with byte
 //!   offsets in its errors and a recursion-depth guard.
-//! * [`ToJson`] / [`FromJson`] traits plus the [`impl_to_json!`],
-//!   [`impl_from_json!`] and [`impl_json_enum!`] macros that replace the
-//!   former `serde` derives, and the [`obj!`] literal macro that replaces
-//!   `serde_json::json!`.
+//! * [`ToJson`] / [`FromJson`] traits plus the [`json_struct!`] and
+//!   [`json_enum!`] macros that replace the former `serde` derives: each
+//!   wraps a struct or unit-enum declaration and emits the impls named in
+//!   its call from that one field or variant list. And the [`obj!`]
+//!   literal macro that replaces `serde_json::json!`.
 //!
 //! # Examples
 //!
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts before reporting an error
@@ -78,6 +80,10 @@ impl Default for ParseLimits {
     }
 }
 
+/// Objects with up to this many keys are checked for repeats pairwise
+/// while parsing; the documents this workspace reads have a dozen or so.
+const PAIRWISE_KEYS: usize = 16;
+
 /// The shared `null` returned by out-of-range [`JsonValue`] indexing.
 static NULL: JsonValue = JsonValue::Null;
 
@@ -107,6 +113,31 @@ impl JsonObject {
         } else {
             self.entries.push((key, value));
         }
+    }
+
+    /// The object parsed from `entries` in source order: a repeated key
+    /// keeps its first position and takes its last value, as repeated
+    /// [`insert`](Self::insert)s would. Short lists are checked pairwise;
+    /// longer ones through a hash index of their keys, so a hostile
+    /// document with many keys costs O(n), not O(n²).
+    fn from_entries(entries: Vec<(String, JsonValue)>) -> Self {
+        let short = entries.len() <= PAIRWISE_KEYS;
+        if short
+            && !(1..entries.len()).any(|j| entries[..j].iter().any(|e| e.0 == entries[j].0))
+        {
+            return Self { entries };
+        }
+        let mut slot_of: HashMap<String, usize> = HashMap::with_capacity(entries.len());
+        let mut kept: Vec<(String, JsonValue)> = Vec::with_capacity(entries.len());
+        for (key, value) in entries {
+            if let Some(&slot) = slot_of.get(&key) {
+                kept[slot].1 = value;
+            } else {
+                slot_of.insert(key.clone(), kept.len());
+                kept.push((key, value));
+            }
+        }
+        Self { entries: kept }
     }
 
     /// Builder-style [`insert`](Self::insert) for literal construction.
@@ -831,11 +862,11 @@ impl Parser<'_> {
 
     fn parse_object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.consume(b'{')?;
-        let mut obj = JsonObject::new();
+        let mut entries = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(obj));
+            return Ok(JsonValue::Object(JsonObject::new()));
         }
         loop {
             self.skip_whitespace();
@@ -843,7 +874,7 @@ impl Parser<'_> {
             self.skip_whitespace();
             self.consume(b':')?;
             let value = self.parse_value(depth + 1)?;
-            obj.insert(key, value);
+            entries.push((key, value));
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => {
@@ -851,7 +882,7 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(obj));
+                    return Ok(JsonValue::Object(JsonObject::from_entries(entries)));
                 }
                 _ => return Err(JsonError::at("expected `,` or `}`", self.pos)),
             }
@@ -871,7 +902,7 @@ fn utf8_len(first: u8) -> usize {
 
 /// Conversion into a [`JsonValue`] — the replacement for `serde::Serialize`
 /// across the workspace. Implement it by hand for enums with payloads, or
-/// with [`impl_to_json!`] / [`impl_json_enum!`] for structs and unit enums.
+/// declare structs and unit enums in [`json_struct!`] / [`json_enum!`].
 pub trait ToJson {
     /// The JSON rendering of `self`.
     fn to_json(&self) -> JsonValue;
@@ -879,7 +910,8 @@ pub trait ToJson {
 
 /// Conversion out of a [`JsonValue`] — the replacement for
 /// `serde::Deserialize` where the workspace actually reads JSON back
-/// (Table-1 configs, validated newtypes, the bench trajectory).
+/// (Table-1 configs, scenario documents, validated newtypes). Types that
+/// are only ever rendered implement [`ToJson`] alone.
 pub trait FromJson: Sized {
     /// Reconstructs `Self`, reporting the first mismatch.
     ///
@@ -1113,27 +1145,57 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     }
 }
 
-/// Implements [`ToJson`] for a struct as an object with one entry per
-/// listed field, in listed order (mirroring what `#[derive(Serialize)]`
-/// produced).
+/// Declares a struct with named fields and implements the listed JSON
+/// traits for it from that one field list — the replacement for
+/// `#[derive(Serialize, Deserialize)]`.
+///
+/// The bracketed list names the impls to emit: `[ToJson]` or
+/// `[ToJson, FromJson]`. [`ToJson`] renders an object with one entry per
+/// field, in declaration order. [`FromJson`] requires every field and
+/// ignores unknown keys. Everything after the list is an ordinary struct
+/// item (docs, attributes, visibility, field docs), emitted unchanged.
 ///
 /// # Examples
 ///
 /// ```
-/// struct Point {
-///     x: f64,
-///     label: String,
-/// }
-/// act_json::impl_to_json!(Point { x, label });
+/// use act_json::{FromJson, JsonValue, ToJson};
 ///
-/// use act_json::ToJson;
+/// act_json::json_struct! {
+///     [ToJson, FromJson]
+///     /// A labelled coordinate.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Point {
+///         /// Abscissa.
+///         pub x: f64,
+///         label: String,
+///     }
+/// }
+///
 /// let p = Point { x: 1.5, label: "origin-ish".into() };
-/// assert_eq!(p.to_json().render_compact(), r#"{"x":1.5,"label":"origin-ish"}"#);
+/// let text = p.to_json().render_compact();
+/// assert_eq!(text, r#"{"x":1.5,"label":"origin-ish"}"#);
+/// assert_eq!(Point::from_json(&JsonValue::parse(&text).unwrap()).unwrap(), p);
 /// ```
 #[macro_export]
-macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
+macro_rules! json_struct {
+    (
+        [$($json:ident),+ $(,)?]
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)+
+        }
+        $crate::json_struct!(@impls [$($json),+] $name { $($field),+ });
+    };
+    (@impls [$($json:ident),+] $name:ident $fields:tt) => {
+        $($crate::json_struct!(@$json $name $fields);)+
+    };
+    (@ToJson $name:ident { $($field:ident),+ }) => {
+        impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::JsonValue {
                 let mut object = $crate::JsonObject::new();
                 $(object.insert(stringify!($field), $crate::ToJson::to_json(&self.$field));)+
@@ -1141,13 +1203,8 @@ macro_rules! impl_to_json {
             }
         }
     };
-}
-
-/// Implements [`FromJson`] for a struct with all-required named fields.
-#[macro_export]
-macro_rules! impl_from_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::FromJson for $ty {
+    (@FromJson $name:ident { $($field:ident),+ }) => {
+        impl $crate::FromJson for $name {
             fn from_json(value: &$crate::JsonValue) -> Result<Self, $crate::JsonError> {
                 let object = value
                     .as_object()
@@ -1164,13 +1221,51 @@ macro_rules! impl_from_json {
     };
 }
 
-/// Implements [`ToJson`] **and** [`FromJson`] for a unit-variant enum,
-/// rendering each variant as its name string — the same externally-tagged
-/// shape `serde` used.
+/// Declares a unit-variant enum and implements the listed JSON traits for
+/// it from that one variant list: each variant renders as its name
+/// string, the externally-tagged shape `serde` used.
+///
+/// The bracketed list names the impls to emit, as in [`json_struct!`].
+/// [`FromJson`] rejects a name outside the declared variants.
+///
+/// # Examples
+///
+/// ```
+/// use act_json::{FromJson, JsonValue, ToJson};
+///
+/// act_json::json_enum! {
+///     [ToJson, FromJson]
+///     /// A process node.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Node {
+///         N7,
+///         N10,
+///     }
+/// }
+///
+/// assert_eq!(Node::N7.to_json().render_compact(), r#""N7""#);
+/// assert_eq!(Node::from_json(&JsonValue::String("N10".into())).unwrap(), Node::N10);
+/// ```
 #[macro_export]
-macro_rules! impl_json_enum {
-    ($ty:ty { $($variant:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
+macro_rules! json_enum {
+    (
+        [$($json:ident),+ $(,)?]
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$variant_meta:meta])* $variant:ident),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$variant_meta])* $variant,)+
+        }
+        $crate::json_enum!(@impls [$($json),+] $name { $($variant),+ });
+    };
+    (@impls [$($json:ident),+] $name:ident $variants:tt) => {
+        $($crate::json_enum!(@$json $name $variants);)+
+    };
+    (@ToJson $name:ident { $($variant:ident),+ }) => {
+        impl $crate::ToJson for $name {
             fn to_json(&self) -> $crate::JsonValue {
                 let name = match self {
                     $(Self::$variant => stringify!($variant),)+
@@ -1178,8 +1273,9 @@ macro_rules! impl_json_enum {
                 $crate::JsonValue::String(name.to_owned())
             }
         }
-
-        impl $crate::FromJson for $ty {
+    };
+    (@FromJson $name:ident { $($variant:ident),+ }) => {
+        impl $crate::FromJson for $name {
             fn from_json(value: &$crate::JsonValue) -> Result<Self, $crate::JsonError> {
                 let name = value
                     .as_str()
@@ -1188,7 +1284,7 @@ macro_rules! impl_json_enum {
                     $(stringify!($variant) => Ok(Self::$variant),)+
                     _ => Err($crate::JsonError::new(format!(
                         "unknown {} variant `{name}`",
-                        stringify!($ty)
+                        stringify!($name)
                     ))),
                 }
             }
@@ -1355,6 +1451,49 @@ mod tests {
     }
 
     #[test]
+    fn parsed_duplicate_keys_keep_first_position_and_last_value() {
+        let small = JsonValue::parse(r#"{"a":1,"b":2,"a":3,"c":4,"b":5}"#).unwrap();
+        assert_eq!(small.render_compact(), r#"{"a":3,"b":5,"c":4}"#);
+        // Past the pairwise cutoff, the hash index must agree with
+        // repeated inserts.
+        let keys: Vec<String> = (0..3 * PAIRWISE_KEYS).map(|i| format!("k{}", i % 7)).collect();
+        let mut text = String::from("{");
+        let mut want = JsonObject::new();
+        for (i, key) in keys.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(&format!("\"{key}\":{i}"));
+            want.insert(key.clone(), JsonValue::Int(i as i64));
+        }
+        text.push('}');
+        let got = JsonValue::parse(&text).unwrap();
+        assert_eq!(got, JsonValue::Object(want));
+        assert_eq!(got.as_object().unwrap().len(), 7);
+        assert_eq!(got["k0"], (3 * PAIRWISE_KEYS as i64 - 6));
+    }
+
+    #[test]
+    fn a_mebibyte_object_of_distinct_keys_parses_quickly() {
+        // ~1 MiB of `"k<i>":0` entries: quadratic duplicate checks took
+        // minutes on this in a debug build.
+        let mut text = String::from("{");
+        let mut keys = 0;
+        while text.len() < 1 << 20 {
+            if keys > 0 {
+                text.push(',');
+            }
+            text.push_str(&format!("\"k{keys}\":0"));
+            keys += 1;
+        }
+        text.push('}');
+        let doc = JsonValue::parse(&text).unwrap();
+        let obj = doc.as_object().unwrap();
+        assert_eq!(obj.len(), keys);
+        assert_eq!(obj.keys().nth(keys - 1), Some(format!("k{}", keys - 1).as_str()));
+    }
+
+    #[test]
     fn tuples_render_as_arrays() {
         let pair = ("Lpddr4".to_owned(), 8.0);
         assert_eq!(pair.to_json().render_compact(), r#"["Lpddr4",8.0]"#);
@@ -1364,15 +1503,16 @@ mod tests {
 
     #[test]
     fn struct_macros_round_trip() {
-        #[derive(Debug, PartialEq)]
-        struct Sample {
-            name: String,
-            count: u32,
-            scale: f64,
-            tags: Vec<String>,
+        json_struct! {
+            [ToJson, FromJson]
+            #[derive(Debug, PartialEq)]
+            struct Sample {
+                name: String,
+                count: u32,
+                scale: f64,
+                tags: Vec<String>,
+            }
         }
-        impl_to_json!(Sample { name, count, scale, tags });
-        impl_from_json!(Sample { name, count, scale, tags });
 
         let sample = Sample {
             name: "s".into(),
@@ -1391,12 +1531,14 @@ mod tests {
 
     #[test]
     fn enum_macro_round_trips() {
-        #[derive(Debug, PartialEq)]
-        enum Node {
-            N7,
-            N10,
+        json_enum! {
+            [ToJson, FromJson]
+            #[derive(Debug, PartialEq)]
+            enum Node {
+                N7,
+                N10,
+            }
         }
-        impl_json_enum!(Node { N7, N10 });
         assert_eq!(Node::N7.to_json(), JsonValue::String("N7".into()));
         assert_eq!(Node::from_json(&JsonValue::String("N10".into())).unwrap(), Node::N10);
         let err = Node::from_json(&JsonValue::String("N3".into())).unwrap_err();

@@ -6,18 +6,19 @@ use act_data::reports::{LcaComparisonRow, TABLE12};
 use act_data::{DramTechnology, ProcessNode, SsdTechnology};
 use act_units::{Area, Capacity, MassCo2};
 
-/// One Table 12 row together with this implementation's ACT re-estimates.
-#[derive(Clone, Debug)]
-pub struct NodeComparison {
-    /// The published row (LCA value and the paper's own ACT estimates).
-    pub row: &'static LcaComparisonRow,
-    /// Our ACT estimate under the LCA's legacy node assumption.
-    pub ours_node1: MassCo2,
-    /// Our ACT estimate under the actual hardware node.
-    pub ours_node2: MassCo2,
+act_json::json_struct! {
+    [ToJson]
+    /// One Table 12 row together with this implementation's ACT re-estimates.
+    #[derive(Clone, Debug)]
+    pub struct NodeComparison {
+        /// The published row (LCA value and the paper's own ACT estimates).
+        pub row: &'static LcaComparisonRow,
+        /// Our ACT estimate under the LCA's legacy node assumption.
+        pub ours_node1: MassCo2,
+        /// Our ACT estimate under the actual hardware node.
+        pub ours_node2: MassCo2,
+    }
 }
-
-act_json::impl_to_json!(NodeComparison { row, ours_node1, ours_node2 });
 
 impl NodeComparison {
     /// Ratio of the published LCA value to our modern-node estimate — the

@@ -2,32 +2,32 @@
 
 use act_units::MassCo2;
 
-/// An EIO-LCA-style estimator: emissions are the product of a component's
-/// economic cost and an industry-wide carbon-per-dollar factor.
-///
-/// The paper criticizes this methodology — component prices move for
-/// non-environmental reasons, and a single sector factor cannot distinguish
-/// a 7 nm SoC from a 28 nm microcontroller — but it is the baseline that
-/// several published electronics LCAs rest on, so it is reproduced here.
-///
-/// # Examples
-///
-/// ```
-/// use act_lca::EioLca;
-///
-/// let eio = EioLca::semiconductor_sector();
-/// let soc = eio.estimate(50.0);
-/// let pricier_soc = eio.estimate(100.0);
-/// // Doubling the price doubles the "footprint" — price, not physics.
-/// assert!((pricier_soc / soc - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EioLca {
-    kg_co2_per_dollar: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// An EIO-LCA-style estimator: emissions are the product of a component's
+    /// economic cost and an industry-wide carbon-per-dollar factor.
+    ///
+    /// The paper criticizes this methodology — component prices move for
+    /// non-environmental reasons, and a single sector factor cannot distinguish
+    /// a 7 nm SoC from a 28 nm microcontroller — but it is the baseline that
+    /// several published electronics LCAs rest on, so it is reproduced here.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_lca::EioLca;
+    ///
+    /// let eio = EioLca::semiconductor_sector();
+    /// let soc = eio.estimate(50.0);
+    /// let pricier_soc = eio.estimate(100.0);
+    /// // Doubling the price doubles the "footprint" — price, not physics.
+    /// assert!((pricier_soc / soc - 2.0).abs() < 1e-12);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct EioLca {
+        kg_co2_per_dollar: f64,
+    }
 }
-
-act_json::impl_to_json!(EioLca { kg_co2_per_dollar });
-act_json::impl_from_json!(EioLca { kg_co2_per_dollar });
 
 impl EioLca {
     /// An estimator with an explicit sector factor (kg CO₂ per US dollar).

@@ -106,17 +106,18 @@ impl From<ModelError> for ScenarioError {
     }
 }
 
-/// Single-device use-phase result: the operational footprint over the
-/// workload's lifetime plus the embodied total.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeviceFootprint {
-    /// Operational carbon over the full lifetime, grams CO₂.
-    pub operational_g: f64,
-    /// Operational + embodied, grams CO₂.
-    pub total_g: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// Single-device use-phase result: the operational footprint over the
+    /// workload's lifetime plus the embodied total.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct DeviceFootprint {
+        /// Operational carbon over the full lifetime, grams CO₂.
+        pub operational_g: f64,
+        /// Operational + embodied, grams CO₂.
+        pub total_g: f64,
+    }
 }
-
-act_json::impl_to_json!(DeviceFootprint { operational_g, total_g });
 
 /// A validated, lowered scenario ready to evaluate.
 #[derive(Debug)]

@@ -1,8 +1,8 @@
 //! Typed JSON schema for scenario documents.
 //!
-//! Leaf records (chips, memory populations, workloads) derive their
-//! parsers with [`act_json::impl_from_json!`], so every listed field is
-//! required and type-checked. [`Scenario`], [`FleetSpec`], and
+//! Leaf records (chips, memory populations, workloads) are declared in
+//! [`act_json::json_struct!`] with `[ToJson, FromJson]`, so every declared
+//! field is required and type-checked. [`Scenario`], [`FleetSpec`], and
 //! [`Distribution`] parse manually because they carry optional sections
 //! (`fab`, `workload`, `fleet`, `seed`) or a tagged-union shape.
 //! [`Scenario`] and [`FleetSpec`] reject keys they do not define, so a
@@ -18,90 +18,80 @@ use act_json::{FromJson, JsonError, JsonValue};
 
 use crate::compile::ScenarioError;
 
-/// One logic die population.
-///
-/// `area_mm2` is the **total** silicon area across all `count` units —
-/// the same convention the teardown tables use — so the embodied model
-/// charges the area once and `count` stays descriptive (packaging is
-/// covered separately by [`Scenario::packaged_ic_count`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChipSpec {
-    /// Human-readable die label (carried into the embodied report).
-    pub name: String,
-    /// Process node the die is fabbed on.
-    pub node: ProcessNode,
-    /// Total die area across all units, mm².
-    pub area_mm2: f64,
-    /// Number of physical units (descriptive; see struct docs).
-    pub count: u32,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// One logic die population.
+    ///
+    /// `area_mm2` is the **total** silicon area across all `count` units —
+    /// the same convention the teardown tables use — so the embodied model
+    /// charges the area once and `count` stays descriptive (packaging is
+    /// covered separately by [`Scenario::packaged_ic_count`]).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ChipSpec {
+        /// Human-readable die label (carried into the embodied report).
+        pub name: String,
+        /// Process node the die is fabbed on.
+        pub node: ProcessNode,
+        /// Total die area across all units, mm².
+        pub area_mm2: f64,
+        /// Number of physical units (descriptive; see struct docs).
+        pub count: u32,
+    }
 }
 
-act_json::impl_from_json!(ChipSpec { name, node, area_mm2, count });
-act_json::impl_to_json!(ChipSpec { name, node, area_mm2, count });
-
-/// One DRAM population entry (technology, GB).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DramSpec {
-    /// DRAM technology class (Table 9 row).
-    pub technology: DramTechnology,
-    /// Capacity in gigabytes.
-    pub capacity_gb: f64,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// One DRAM population entry (technology, GB).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct DramSpec {
+        /// DRAM technology class (Table 9 row).
+        pub technology: DramTechnology,
+        /// Capacity in gigabytes.
+        pub capacity_gb: f64,
+    }
 }
 
-act_json::impl_from_json!(DramSpec { technology, capacity_gb });
-act_json::impl_to_json!(DramSpec { technology, capacity_gb });
-
-/// One SSD/NAND population entry (technology, GB).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SsdSpec {
-    /// NAND technology class (Table 10 row).
-    pub technology: SsdTechnology,
-    /// Capacity in gigabytes.
-    pub capacity_gb: f64,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// One SSD/NAND population entry (technology, GB).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SsdSpec {
+        /// NAND technology class (Table 10 row).
+        pub technology: SsdTechnology,
+        /// Capacity in gigabytes.
+        pub capacity_gb: f64,
+    }
 }
 
-act_json::impl_from_json!(SsdSpec { technology, capacity_gb });
-act_json::impl_to_json!(SsdSpec { technology, capacity_gb });
-
-/// One HDD population entry (model, GB).
-#[derive(Clone, Debug, PartialEq)]
-pub struct HddSpec {
-    /// Drive model (Table 11 row).
-    pub model: HddModel,
-    /// Capacity in gigabytes.
-    pub capacity_gb: f64,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// One HDD population entry (model, GB).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct HddSpec {
+        /// Drive model (Table 11 row).
+        pub model: HddModel,
+        /// Capacity in gigabytes.
+        pub capacity_gb: f64,
+    }
 }
 
-act_json::impl_from_json!(HddSpec { model, capacity_gb });
-act_json::impl_to_json!(HddSpec { model, capacity_gb });
-
-/// Use-phase workload: average draw, duty cycle, service life, and grid
-/// carbon intensity. All four fields are required when the section is
-/// present.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Workload {
-    /// Average power draw while active, watts.
-    pub power_w: f64,
-    /// Duty cycle in `[0, 1]`.
-    pub utilization: f64,
-    /// Service lifetime `LT`, years (Table 1 range `[0.1, 50]`).
-    pub lifetime_years: f64,
-    /// Use-phase grid carbon intensity `CIuse`, g CO₂/kWh.
-    pub use_intensity_g_per_kwh: f64,
+act_json::json_struct! {
+    [ToJson, FromJson]
+    /// Use-phase workload: average draw, duty cycle, service life, and grid
+    /// carbon intensity. All four fields are required when the section is
+    /// present.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Workload {
+        /// Average power draw while active, watts.
+        pub power_w: f64,
+        /// Duty cycle in `[0, 1]`.
+        pub utilization: f64,
+        /// Service lifetime `LT`, years (Table 1 range `[0.1, 50]`).
+        pub lifetime_years: f64,
+        /// Use-phase grid carbon intensity `CIuse`, g CO₂/kWh.
+        pub use_intensity_g_per_kwh: f64,
+    }
 }
-
-act_json::impl_from_json!(Workload {
-    power_w,
-    utilization,
-    lifetime_years,
-    use_intensity_g_per_kwh
-});
-act_json::impl_to_json!(Workload {
-    power_w,
-    utilization,
-    lifetime_years,
-    use_intensity_g_per_kwh
-});
 
 /// A univariate distribution for a fleet parameter, tagged by `"dist"`:
 ///

@@ -3,46 +3,38 @@
 
 use act_units::UnitError;
 
-/// Models a user who always owns one device over a fixed horizon, replacing
-/// it every `lifetime` years with the then-current generation. Longer
-/// lifetimes amortize embodied carbon over more years but forfeit the
-/// annual energy-efficiency improvements of newer hardware.
-///
-/// Footprints are expressed relative to the first device's first-year
-/// operational carbon, so only the ratio between embodied-per-device and
-/// that quantity matters.
-///
-/// # Examples
-///
-/// ```
-/// use act_soc::ReplacementModel;
-///
-/// let model = ReplacementModel::mobile_study(1.21);
-/// // The paper finds the optimum around 5 years over a 10-year horizon.
-/// assert_eq!(model.optimal_lifetime_years(), 5);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReplacementModel {
-    /// Deployment horizon in whole years.
-    pub horizon_years: u32,
-    /// Embodied carbon per device, in units of the first device's
-    /// first-year operational carbon.
-    pub embodied_per_device: f64,
-    /// Annual energy-efficiency improvement factor of new hardware
-    /// (e.g. 1.21 = 21 %/year).
-    pub improvement_rate: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// Models a user who always owns one device over a fixed horizon, replacing
+    /// it every `lifetime` years with the then-current generation. Longer
+    /// lifetimes amortize embodied carbon over more years but forfeit the
+    /// annual energy-efficiency improvements of newer hardware.
+    ///
+    /// Footprints are expressed relative to the first device's first-year
+    /// operational carbon, so only the ratio between embodied-per-device and
+    /// that quantity matters.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_soc::ReplacementModel;
+    ///
+    /// let model = ReplacementModel::mobile_study(1.21);
+    /// // The paper finds the optimum around 5 years over a 10-year horizon.
+    /// assert_eq!(model.optimal_lifetime_years(), 5);
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct ReplacementModel {
+        /// Deployment horizon in whole years.
+        pub horizon_years: u32,
+        /// Embodied carbon per device, in units of the first device's
+        /// first-year operational carbon.
+        pub embodied_per_device: f64,
+        /// Annual energy-efficiency improvement factor of new hardware
+        /// (e.g. 1.21 = 21 %/year).
+        pub improvement_rate: f64,
+    }
 }
-
-act_json::impl_to_json!(ReplacementModel {
-    horizon_years,
-    embodied_per_device,
-    improvement_rate
-});
-act_json::impl_from_json!(ReplacementModel {
-    horizon_years,
-    embodied_per_device,
-    improvement_rate
-});
 
 impl ReplacementModel {
     /// The paper's mobile study: a 10-year horizon with mobile-IC embodied

@@ -39,34 +39,34 @@ impl DvfsGovernor {
     }
 }
 
-/// The outcome of one workload run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RunResult {
-    /// Wall-clock run time.
-    pub time: TimeSpan,
-    /// Energy consumed over the run.
-    pub energy: Energy,
-    /// Average power over the run.
-    pub power: Power,
+act_json::json_struct! {
+    [ToJson]
+    /// The outcome of one workload run.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct RunResult {
+        /// Wall-clock run time.
+        pub time: TimeSpan,
+        /// Energy consumed over the run.
+        pub energy: Energy,
+        /// Average power over the run.
+        pub power: Power,
+    }
 }
 
-act_json::impl_to_json!(RunResult { time, energy, power });
-act_json::impl_from_json!(RunResult { time, energy, power });
-
-/// The outcome of running the whole suite.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SuiteResult {
-    /// Geometric-mean performance score across workloads (higher = faster),
-    /// scaled to Geekbench-5-like magnitudes.
-    pub score: f64,
-    /// Total energy over the suite.
-    pub energy: Energy,
-    /// Per-workload results in suite order.
-    pub runs: Vec<RunResult>,
+act_json::json_struct! {
+    [ToJson]
+    /// The outcome of running the whole suite.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SuiteResult {
+        /// Geometric-mean performance score across workloads (higher = faster),
+        /// scaled to Geekbench-5-like magnitudes.
+        pub score: f64,
+        /// Total energy over the suite.
+        pub energy: Energy,
+        /// Per-workload results in suite order.
+        pub runs: Vec<RunResult>,
+    }
 }
-
-act_json::impl_to_json!(SuiteResult { score, energy, runs });
-act_json::impl_from_json!(SuiteResult { score, energy, runs });
 
 /// Leakage share of TDP at maximum frequency.
 const LEAKAGE_SHARE: f64 = 0.15;

@@ -3,30 +3,30 @@
 //! image compression, face detection, speech recognition and AI-based image
 //! classification.
 
-/// An abstract mobile workload.
-///
-/// * `giga_instructions` — total dynamic instruction volume,
-/// * `memory_intensity` — 0 (pure compute) to 1 (memory bound); memory-bound
-///   work gains little from core width or frequency,
-/// * `parallelism` — how many hardware threads the workload can keep busy.
-///
-/// # Examples
-///
-/// ```
-/// use act_soc::Workload;
-/// let aes = Workload::new("AES", 8.0, 0.15, 4.0);
-/// assert_eq!(aes.name(), "AES");
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct Workload {
-    name: String,
-    giga_instructions: f64,
-    memory_intensity: f64,
-    parallelism: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// An abstract mobile workload.
+    ///
+    /// * `giga_instructions` — total dynamic instruction volume,
+    /// * `memory_intensity` — 0 (pure compute) to 1 (memory bound); memory-bound
+    ///   work gains little from core width or frequency,
+    /// * `parallelism` — how many hardware threads the workload can keep busy.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_soc::Workload;
+    /// let aes = Workload::new("AES", 8.0, 0.15, 4.0);
+    /// assert_eq!(aes.name(), "AES");
+    /// ```
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Workload {
+        name: String,
+        giga_instructions: f64,
+        memory_intensity: f64,
+        parallelism: f64,
+    }
 }
-
-act_json::impl_to_json!(Workload { name, giga_instructions, memory_intensity, parallelism });
-act_json::impl_from_json!(Workload { name, giga_instructions, memory_intensity, parallelism });
 
 impl Workload {
     /// Creates a workload.

@@ -54,21 +54,21 @@ impl FtlConfig {
     }
 }
 
-/// Counters accumulated by the simulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FtlStats {
-    /// Pages written by the host.
-    pub host_writes: u64,
-    /// Pages written to NAND (host writes plus GC copies).
-    pub nand_writes: u64,
-    /// GC page copies.
-    pub gc_copies: u64,
-    /// Blocks erased.
-    pub erases: u64,
+act_json::json_struct! {
+    [ToJson]
+    /// Counters accumulated by the simulator.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FtlStats {
+        /// Pages written by the host.
+        pub host_writes: u64,
+        /// Pages written to NAND (host writes plus GC copies).
+        pub nand_writes: u64,
+        /// GC page copies.
+        pub gc_copies: u64,
+        /// Blocks erased.
+        pub erases: u64,
+    }
 }
-
-act_json::impl_to_json!(FtlStats { host_writes, nand_writes, gc_copies, erases });
-act_json::impl_from_json!(FtlStats { host_writes, nand_writes, gc_copies, erases });
 
 impl FtlStats {
     /// Measured write amplification: NAND writes per host write.

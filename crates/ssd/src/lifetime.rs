@@ -27,47 +27,39 @@ pub fn analytical_write_amplification(pf: OverProvisioning) -> f64 {
     ((1.0 + pf.get()) / (2.0 * pf.get())).max(1.0)
 }
 
-/// The Meza-et-al. SSD lifetime model the paper adopts:
-///
-/// ```text
-/// Lifetime (years) = PEC × (1 + PF) / (365 × DWPD × WA × Rcompress)
-/// ```
-///
-/// Defaults follow the paper's fixed parameters for mobile-class TLC flash:
-/// `PEC = 3000`, `DWPD = 1.3`, `Rcompress = 1.0`, with `WA` supplied by the
-/// analytical greedy-GC model.
-///
-/// # Examples
-///
-/// ```
-/// use act_ssd::{LifetimeModel, OverProvisioning};
-///
-/// let model = LifetimeModel::default();
-/// let short = model.lifetime_years(OverProvisioning::new(0.04)?);
-/// let long = model.lifetime_years(OverProvisioning::new(0.34)?);
-/// assert!(short < 1.0 && long > 4.0);
-/// # Ok::<(), act_ssd::OverProvisioningError>(())
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LifetimeModel {
-    /// Rated program/erase cycles of the flash, `PEC`.
-    pub program_erase_cycles: f64,
-    /// Full physical disk writes per day, `DWPD`.
-    pub disk_writes_per_day: f64,
-    /// Storage compression rate, `Rcompress`.
-    pub compression_rate: f64,
+act_json::json_struct! {
+    [ToJson]
+    /// The Meza-et-al. SSD lifetime model the paper adopts:
+    ///
+    /// ```text
+    /// Lifetime (years) = PEC × (1 + PF) / (365 × DWPD × WA × Rcompress)
+    /// ```
+    ///
+    /// Defaults follow the paper's fixed parameters for mobile-class TLC flash:
+    /// `PEC = 3000`, `DWPD = 1.3`, `Rcompress = 1.0`, with `WA` supplied by the
+    /// analytical greedy-GC model.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_ssd::{LifetimeModel, OverProvisioning};
+    ///
+    /// let model = LifetimeModel::default();
+    /// let short = model.lifetime_years(OverProvisioning::new(0.04)?);
+    /// let long = model.lifetime_years(OverProvisioning::new(0.34)?);
+    /// assert!(short < 1.0 && long > 4.0);
+    /// # Ok::<(), act_ssd::OverProvisioningError>(())
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct LifetimeModel {
+        /// Rated program/erase cycles of the flash, `PEC`.
+        pub program_erase_cycles: f64,
+        /// Full physical disk writes per day, `DWPD`.
+        pub disk_writes_per_day: f64,
+        /// Storage compression rate, `Rcompress`.
+        pub compression_rate: f64,
+    }
 }
-
-act_json::impl_to_json!(LifetimeModel {
-    program_erase_cycles,
-    disk_writes_per_day,
-    compression_rate
-});
-act_json::impl_from_json!(LifetimeModel {
-    program_erase_cycles,
-    disk_writes_per_day,
-    compression_rate
-});
 
 impl Default for LifetimeModel {
     fn default() -> Self {

@@ -23,7 +23,7 @@ fn usage() -> String {
        ACT003  no unit-conversion f64 literals outside act-units/act-data\n\
        ACT004  no infallible `from_base` outside act-units/act-data\n\
        ACT005  no dbg!/todo!/unimplemented! anywhere\n\
-       ACT006  JSON impl/obj! field lists must match the struct (no drift)\n\
+       ACT006  obj! keys must be unique\n\
        ACT007  no kernel loop (eval/try_eval/eval_block/block-kernel param)\n\
                without an EvalBudget check in dse/server\n\
        ACT008  no Instant/SystemTime/sleep/env reads in library crates\n\
