@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts before reporting an error
@@ -80,10 +79,6 @@ impl Default for ParseLimits {
     }
 }
 
-/// Objects with up to this many keys are checked for repeats pairwise
-/// while parsing; the documents this workspace reads have a dozen or so.
-const PAIRWISE_KEYS: usize = 16;
-
 /// The shared `null` returned by out-of-range [`JsonValue`] indexing.
 static NULL: JsonValue = JsonValue::Null;
 
@@ -117,27 +112,27 @@ impl JsonObject {
 
     /// The object parsed from `entries` in source order: a repeated key
     /// keeps its first position and takes its last value, as repeated
-    /// [`insert`](Self::insert)s would. Short lists are checked pairwise;
-    /// longer ones through a hash index of their keys, so a hostile
-    /// document with many keys costs O(n), not O(n²).
-    fn from_entries(entries: Vec<(String, JsonValue)>) -> Self {
-        let short = entries.len() <= PAIRWISE_KEYS;
-        if short
-            && !(1..entries.len()).any(|j| entries[..j].iter().any(|e| e.0 == entries[j].0))
-        {
-            return Self { entries };
-        }
-        let mut slot_of: HashMap<String, usize> = HashMap::with_capacity(entries.len());
-        let mut kept: Vec<(String, JsonValue)> = Vec::with_capacity(entries.len());
-        for (key, value) in entries {
-            if let Some(&slot) = slot_of.get(&key) {
-                kept[slot].1 = value;
-            } else {
-                slot_of.insert(key.clone(), kept.len());
-                kept.push((key, value));
+    /// [`insert`](Self::insert)s would. Repeats are found by sorting
+    /// entry positions by key, so a document with many keys costs
+    /// O(n log n) key comparisons, not O(n²), and no key is copied.
+    fn from_entries(mut entries: Vec<(String, JsonValue)>) -> Self {
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        // Stable: the positions of one key stay in source order.
+        order.sort_by(|&a, &b| entries[a].0.cmp(&entries[b].0));
+        let mut repeated = Vec::new();
+        // Backwards, so a key's last value moves forward to its first
+        // position one repeat at a time.
+        for pair in order.windows(2).rev() {
+            let (earlier, later) = (pair[0], pair[1]);
+            if entries[earlier].0 == entries[later].0 {
+                entries[earlier].1 = std::mem::replace(&mut entries[later].1, JsonValue::Null);
+                repeated.resize(entries.len(), false);
+                repeated[later] = true;
             }
         }
-        Self { entries: kept }
+        let mut repeated = repeated.into_iter();
+        entries.retain(|_| !repeated.next().unwrap_or(false));
+        Self { entries }
     }
 
     /// Builder-style [`insert`](Self::insert) for literal construction.
@@ -1454,9 +1449,9 @@ mod tests {
     fn parsed_duplicate_keys_keep_first_position_and_last_value() {
         let small = JsonValue::parse(r#"{"a":1,"b":2,"a":3,"c":4,"b":5}"#).unwrap();
         assert_eq!(small.render_compact(), r#"{"a":3,"b":5,"c":4}"#);
-        // Past the pairwise cutoff, the hash index must agree with
+        // Many repeats of each key, interleaved, must agree with
         // repeated inserts.
-        let keys: Vec<String> = (0..3 * PAIRWISE_KEYS).map(|i| format!("k{}", i % 7)).collect();
+        let keys: Vec<String> = (0..48).map(|i| format!("k{}", i % 7)).collect();
         let mut text = String::from("{");
         let mut want = JsonObject::new();
         for (i, key) in keys.iter().enumerate() {
@@ -1470,7 +1465,7 @@ mod tests {
         let got = JsonValue::parse(&text).unwrap();
         assert_eq!(got, JsonValue::Object(want));
         assert_eq!(got.as_object().unwrap().len(), 7);
-        assert_eq!(got["k0"], (3 * PAIRWISE_KEYS as i64 - 6));
+        assert_eq!(got["k0"], 42i64);
     }
 
     #[test]
