@@ -1,5 +1,7 @@
-//! ACT015, the one cross-file rule: every workspace function a
-//! `wide::Body::run` body reaches must be `#[inline(always)]`.
+//! The two cross-file rules on `wide::Body` impls. ACT015: every
+//! workspace function a `wide::Body::run` body reaches must be
+//! `#[inline(always)]`. ACT016: every body type must be named in a
+//! cross-instance test case.
 //!
 //! `act_core::wide::run_wide` compiles a body a second time for AVX-512,
 //! and only code inlined into that instance gets its features. `#[inline]`
@@ -20,8 +22,15 @@
 //! (`crates/*/src/`, CLI and bench crates exempt), which must be
 //! `#[inline(always)]` themselves; nothing in a `#[cfg(test)]` region is
 //! a root or a callee.
+//!
+//! The two instances compile a body differently (SLP packing, lane
+//! multiplies), so each can break alone, and `run_wide` reaches only the
+//! one the host supports. ACT016 asks that each body type of those
+//! library `impl … Body for T` blocks appear in a cross-instance case: a
+//! `#[test]` fn, in any analyzed file, whose body names `Baseline`, `V4`
+//! and `run_wide`, the three ways to run a body.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 use crate::lexer::{Tok, TokKind};
@@ -32,6 +41,13 @@ use crate::Finding;
 const MSG_ACT015: &str = "function reached from a `wide::Body::run` body is not \
      `#[inline(always)]`; `#[inline]` is a hint, and a callee kept out of line runs \
      its baseline copy inside the AVX-512 instance";
+
+const MSG_ACT016: &str = "`wide::Body` type named in no cross-instance test case; \
+     a `#[test]` fn naming it must run it as `run::<Baseline>()`, `run::<V4>()` and \
+     through `run_wide`, so each instance is checked on every host";
+
+/// The names a cross-instance case's body must contain.
+const INSTANCE_NAMES: [&str; 3] = ["Baseline", "V4", "run_wide"];
 
 /// Methods of `f64`, slices and iterators that workspace types also
 /// define (`Quantity::is_finite`, `BatchOutput::len`, …): a body's call
@@ -72,13 +88,24 @@ fn in_scope(path: &str) -> bool {
         && !path.starts_with("crates/bench/")
 }
 
-/// Runs ACT015 over the analyzed files as one workspace.
+/// Runs ACT015 and ACT016 over the analyzed files as one workspace.
 pub(crate) fn check(scans: &[Scan<'_>]) -> Vec<Finding> {
+    let blocks: Vec<Vec<Block>> = scans
+        .iter()
+        .map(|scan| if in_scope(scan.path) { blocks(scan) } else { Vec::new() })
+        .collect();
+    let mut findings = inlining(scans, &blocks);
+    findings.extend(untested_bodies(scans, &blocks));
+    findings
+}
+
+/// ACT015: the fns reached from a body's `run`, followed across files.
+fn inlining(scans: &[Scan<'_>], blocks: &[Vec<Block>]) -> Vec<Finding> {
     let defs: Vec<FnDef> = scans
         .iter()
         .enumerate()
         .filter(|(_, scan)| in_scope(scan.path))
-        .flat_map(|(file, scan)| fn_defs(file, scan))
+        .flat_map(|(file, scan)| fn_defs(file, scan, &blocks[file]))
         .collect();
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     for (d, def) in defs.iter().enumerate() {
@@ -110,6 +137,45 @@ pub(crate) fn check(scans: &[Scan<'_>]) -> Vec<Finding> {
         .collect()
 }
 
+/// ACT016: the library body types no cross-instance case names.
+fn untested_bodies(scans: &[Scan<'_>], blocks: &[Vec<Block>]) -> Vec<Finding> {
+    let named: HashSet<&str> = scans.iter().flat_map(case_names).collect();
+    scans
+        .iter()
+        .zip(blocks)
+        .flat_map(|(scan, blocks)| blocks.iter().map(move |block| (scan, block)))
+        .filter_map(|(scan, block)| Some((scan, block.body_type?)))
+        .filter(|&(scan, ty)| !scan.in_test(ty) && !named.contains(scan.toks[ty].text.as_str()))
+        .map(|(scan, ty)| scan.finding(ty, "ACT016", MSG_ACT016))
+        .collect()
+}
+
+/// Every identifier in the bodies of the file's cross-instance cases:
+/// `#[test]` fns whose bodies name all of [`INSTANCE_NAMES`].
+fn case_names<'a>(scan: &'a Scan<'_>) -> Vec<&'a str> {
+    const TEST: [&str; 4] = ["#", "[", "test", "]"];
+    let toks = scan.toks;
+    let mut names = Vec::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        if !toks[i].is_ident("fn") || !has_attr(scan, i, &TEST) {
+            continue;
+        }
+        let open = scan.find(i + 1, &["{", ";"]);
+        if !scan.is(open, "{") {
+            continue;
+        }
+        let body: Vec<&str> = toks[open + 1..scan.partner[open]]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        if INSTANCE_NAMES.iter().all(|name| body.contains(name)) {
+            names.extend(body);
+        }
+    }
+    names
+}
+
 /// The fn kinds a call at token `k` can reach, or `None` when `k` is no
 /// call: an identifier followed by `(`, or by a `::<…>` turbofish and `(`.
 fn call_kinds(toks: &[Tok], k: usize) -> Option<&'static [Kind]> {
@@ -137,8 +203,8 @@ fn call_kinds(toks: &[Tok], k: usize) -> Option<&'static [Kind]> {
 struct Block {
     braces: Range<usize>,
     kind: Kind,
-    /// An `impl … Body for …` block.
-    body_impl: bool,
+    /// The type's name token of an `impl … Body for Type` block.
+    body_type: Option<usize>,
 }
 
 /// The file's `impl` and `trait` blocks. An `impl` counts only in item
@@ -158,33 +224,40 @@ fn blocks(scan: &Scan<'_>) -> Vec<Block> {
         }
         let braces = open..scan.partner[open];
         if is_trait {
-            out.push(Block { braces, kind: Kind::TraitItem, body_impl: false });
+            out.push(Block { braces, kind: Kind::TraitItem, body_type: None });
             continue;
         }
-        // The trait of `impl<…> path::Trait<…> for Type`: the last name
-        // before a top-level `for`.
+        // `impl<…> path::Trait<…> for path::Type<…>`: the trait is the
+        // last top-level name before `for`, the type the last one after
+        // it (up to a `where`).
         let (mut depth, mut last, mut trait_name) = (0, None, None);
-        for t in &toks[skip_generics(toks, k + 1)..open] {
+        for j in skip_generics(toks, k + 1)..open {
+            let t = &toks[j];
             depth += angle_step(t);
-            if depth == 0 && t.is_ident("for") {
-                trait_name = last;
+            if depth != 0 || t.kind != TokKind::Ident {
+                continue;
+            }
+            if t.is_ident("where") {
                 break;
             }
-            if depth == 0 && t.kind == TokKind::Ident {
-                last = Some(t.text.as_str());
+            if t.is_ident("for") && trait_name.is_none() {
+                trait_name = last.map(|l: usize| toks[l].text.as_str());
+                last = None;
+            } else {
+                last = Some(j);
             }
         }
         let kind = if trait_name.is_some() { Kind::TraitItem } else { Kind::Inherent };
-        out.push(Block { braces, kind, body_impl: trait_name == Some("Body") });
+        let body_type = last.filter(|_| trait_name == Some("Body"));
+        out.push(Block { braces, kind, body_type });
     }
     out
 }
 
 /// Every fn item with a body outside the test regions, with where it
 /// sits and whether it is `#[inline(always)]`.
-fn fn_defs(file: usize, scan: &Scan<'_>) -> Vec<FnDef> {
+fn fn_defs(file: usize, scan: &Scan<'_>, blocks: &[Block]) -> Vec<FnDef> {
     let toks = scan.toks;
-    let blocks = blocks(scan);
     let mut bodies: Vec<Range<usize>> = Vec::new();
     let mut defs = Vec::new();
     for i in 0..toks.len().saturating_sub(1) {
@@ -204,7 +277,9 @@ fn fn_defs(file: usize, scan: &Scan<'_>) -> Vec<FnDef> {
             blocks.iter().filter(|b| b.braces.contains(&i)).max_by_key(|b| b.braces.start);
         let in_fn = bodies.iter().filter(|r| r.contains(&i)).map(|r| r.start).max();
         let (kind, body_impl) = match block {
-            Some(b) if in_fn.is_none_or(|f| b.braces.start > f) => (b.kind, b.body_impl),
+            Some(b) if in_fn.is_none_or(|f| b.braces.start > f) => {
+                (b.kind, b.body_type.is_some())
+            }
             _ => (Kind::Free, false),
         };
         let body = open + 1..scan.partner[open];
@@ -213,7 +288,7 @@ fn fn_defs(file: usize, scan: &Scan<'_>) -> Vec<FnDef> {
             file,
             name: i + 1,
             kind,
-            always: inline_always(scan, i),
+            always: has_attr(scan, i, &["#", "[", "inline", "(", "always", ")", "]"]),
             body_run: body_impl && toks[i + 1].text == "run",
             body,
         });
@@ -221,11 +296,11 @@ fn fn_defs(file: usize, scan: &Scan<'_>) -> Vec<FnDef> {
     defs
 }
 
-/// `true` if the fn whose `fn` keyword is token `i` carries
-/// `#[inline(always)]`: walks back over its qualifiers (`pub`,
-/// `pub(crate)`, `const`) and attributes.
-fn inline_always(scan: &Scan<'_>, i: usize) -> bool {
-    const ALWAYS: [&str; 7] = ["#", "[", "inline", "(", "always", ")", "]"];
+/// `true` if the fn whose `fn` keyword is token `i` carries the
+/// attribute spelled by `attr` (`#[inline(always)]`, `#[test]`): walks
+/// back over its qualifiers (`pub`, `pub(crate)`, `const`) and
+/// attributes.
+fn has_attr(scan: &Scan<'_>, i: usize, attr: &[&str]) -> bool {
     let toks = scan.toks;
     let mut k = i;
     while k > 0 {
@@ -242,7 +317,7 @@ fn inline_always(scan: &Scan<'_>, i: usize) -> bool {
             && scan.is(scan.partner[k - 1] - 1, "#")
         {
             let hash = scan.partner[k - 1] - 1;
-            if seq_at(toks, hash, &ALWAYS) {
+            if seq_at(toks, hash, attr) {
                 return true;
             }
             k = hash;

@@ -15,10 +15,12 @@
 //!   partner table: repeated `obj!` keys, kernel loops that never check
 //!   an `EvalBudget`, lock guards held across I/O, non-total float
 //!   comparators, and panic surface in the server request path.
-//! * **The cross-file rule** ACT015 reads every file at once: from each
-//!   `wide::Body::run` it follows calls by name into the workspace's fns,
-//!   across crates, and requires each one reached to be
-//!   `#[inline(always)]`.
+//! * **The cross-file rules** ACT015 and ACT016 read every file at once.
+//!   From each `wide::Body::run`, ACT015 follows calls by name into the
+//!   workspace's fns, across crates, and requires each one reached to be
+//!   `#[inline(always)]`. ACT016 requires each library body type to be
+//!   named in a `#[test]` fn that runs a body with the `Baseline` and
+//!   `V4` markers and through `run_wide`, in any analyzed file.
 //!
 //! # Rule catalogue
 //!
@@ -38,6 +40,7 @@
 //! | ACT012 | raw `thread::spawn`/`thread::scope` pool bypass | library crates; pool, server, CLI, bench exempt |
 //! | ACT014 | `unsafe`, `#[target_feature]`, `is_x86_feature_detected!` | library crates; `dse` `pool.rs`, `core` `wide.rs`, CLI, bench exempt |
 //! | ACT015 | a fn reached from a `wide::Body::run` body without `#[inline(always)]` | library crates; CLI, bench, tests exempt |
+//! | ACT016 | an `impl … Body for T` whose `T` no cross-instance `#[test]` fn names | library crates; CLI, bench, tests exempt |
 //!
 //! ACT013 is reserved for the libm-call rule that lands with the portable
 //! `exp`/`pow`/`sin`.
@@ -142,7 +145,8 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
 
 /// Analyzes a set of files as one workspace: every per-file rule on each
 /// `(path, src)`, plus the cross-file ACT015, which follows calls from
-/// one file into the others. Findings come back in
+/// one file into the others, and ACT016, which finds a body's test case
+/// in any of them. Findings come back in
 /// `(path, line, col, rule)` order.
 #[must_use]
 pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Finding> {

@@ -1,8 +1,8 @@
-//! Per-rule fixture pairs: for every rule ACT001–ACT012, ACT014 and ACT015 a positive
+//! Per-rule fixture pairs: for every rule ACT001–ACT012 and ACT014–ACT016 a positive
 //! fixture that must fire (the analyzer would exit 1 on it) and a
 //! negative fixture that must be completely clean (exit 0). The fixture
 //! is analyzed under a fake repo-relative path so the path-scoped rules
-//! (ACT007–ACT015) see it in their jurisdiction.
+//! (ACT007–ACT016) see it in their jurisdiction.
 
 use std::path::Path;
 
@@ -26,6 +26,7 @@ const CASES: &[(&str, &str, &str)] = &[
     ("ACT012", "crates/lca/src/batch.rs", "act012"),
     ("ACT014", "crates/lca/src/simd.rs", "act014"),
     ("ACT015", "crates/lca/src/kernel.rs", "act015"),
+    ("ACT016", "crates/lca/src/kernel.rs", "act016"),
 ];
 
 fn fixture(name: &str) -> String {
@@ -84,6 +85,8 @@ fn bad_fixtures_fire_at_exact_positions() {
         ("act015", 18, 14),
         ("act015", 25, 4),
         ("act015", 33, 8),
+        ("act016", 10, 15),
+        ("act016", 22, 35),
     ];
     for (rule, fake_path, stem) in CASES.iter().filter(|c| pins.iter().any(|p| p.0 == c.2)) {
         let findings = analyze_source(fake_path, &fixture(&format!("{stem}_bad.rs")));

@@ -1,6 +1,7 @@
 //! ACT014 negative fixture: a block body run through `act_core::wide`,
 //! a `cfg(target_feature)` predicate, the `unsafe_code` lint name, and a
-//! test-gated `unsafe` block (tests are exempt).
+//! test-gated `unsafe` block (tests are exempt). The body's
+//! cross-instance case keeps ACT016 quiet.
 
 #![deny(unsafe_code)]
 
@@ -28,6 +29,17 @@ pub fn sum(xs: &[f64]) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use act_core::wide::V4;
+
+    use super::*;
+
+    #[test]
+    fn sum_in_every_instance() {
+        let xs = [1.0, 2.0];
+        let got = [Sum(&xs).run::<Baseline>(), Sum(&xs).run::<V4>(), run_wide(Sum(&xs))];
+        assert_eq!(got, [3.0; 3]);
+    }
+
     #[test]
     fn unchecked_reads_are_fine_in_tests() {
         let xs = [1.0];

@@ -1,6 +1,6 @@
 //! ACT015 positive fixture: a block body that is not always inlined, and
 //! helpers it reaches by a free, a method and a path call that are only
-//! hinted inline or not marked at all.
+//! hinted inline or not marked at all (its test keeps ACT016 quiet).
 
 use act_core::wide::{Body, Instance};
 
@@ -32,5 +32,22 @@ impl Body for Scale<'_> {
     #[inline]
     fn run<I: Instance>(mut self) {
         self.apply();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use act_core::wide::{run_wide, Baseline, V4};
+
+    use super::*;
+
+    #[test]
+    fn scale_in_every_instance() {
+        let mut outs = [[1.0], [1.0], [1.0]];
+        let [base, v4, wide] = &mut outs;
+        Scale(base).run::<Baseline>();
+        Scale(v4).run::<V4>();
+        run_wide(Scale(wide));
+        assert_eq!(outs[0], outs[1]);
     }
 }

@@ -2,7 +2,7 @@
 //! function is `#[inline(always)]`, beside decoys the rule must not
 //! follow: std method names workspace types share, a trait impl's
 //! method, a closure called by name, a `run` outside a `Body` impl, and
-//! a test-gated body.
+//! a test-gated body. The cross-instance case keeps ACT016 quiet.
 
 use act_core::wide::{Body, Instance};
 
@@ -69,7 +69,18 @@ fn slow() -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use act_core::wide::{run_wide, Baseline, V4};
+
     use super::*;
+
+    #[test]
+    fn scale_in_every_instance() {
+        let mut outs = [[1.0], [1.0], [1.0]];
+        let [base, v4, wide] = &mut outs;
+        let got =
+            [Scale(base).run::<Baseline>(), Scale(v4).run::<V4>(), run_wide(Scale(wide))];
+        assert_eq!(got, [true; 3]);
+    }
 
     struct Probe;
 

@@ -103,6 +103,12 @@ const PLANTS: &[(&str, &str, &str, &str)] = &[
         "#[target_feature(enable = \"avx2\")]\nfn planted() {}\n\nimpl Body for FleetBlock<'_> {",
     ),
     (
+        "ACT016",
+        "crates/dse/src/montecarlo.rs",
+        "gather(keys, &bounds, |body: GatherBrackets| body.run::<V4>());",
+        "gather(keys, &bounds, |body| body.run::<V4>());",
+    ),
+    (
         "ACT011",
         "crates/server/src/routes.rs",
         "    let result = parse_body(request).and_then(|doc| {",

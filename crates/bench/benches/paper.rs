@@ -19,17 +19,20 @@ fn main() {
     h.bench("bench_fig12", || black_box(act_experiments::fig12::run()));
     h.bench("bench_fig13", || black_box(act_experiments::fig13::run()));
     h.bench("bench_fig14", || black_box(act_experiments::fig14::run()));
-    // The FTL simulation makes fig15 the heaviest artifact; the harness's
-    // measurement window bounds it the way criterion's sample_size=10 did.
-    h.bench("bench_fig15", || black_box(act_experiments::fig15::run(Parallelism::Serial)));
+    // The FTL simulation makes fig15 the heaviest artifact: seven serial
+    // runs, cold 1.5 ms (40 % PF) to 3.4 ms (4 %) each on a 2-core host.
+    // The harness's measurement window bounds it the way criterion's
+    // sample_size=10 did.
+    h.bench("bench_fig15", || black_box(act_experiments::fig15::run()));
     h.bench("bench_fig16", || black_box(act_experiments::fig16::run()));
     h.bench("bench_fig17", || black_box(act_experiments::fig17::run()));
     h.bench("bench_table4", || black_box(act_experiments::table4::run()));
     h.bench("bench_tables", || black_box(act_experiments::tables::run().to_string()));
     h.bench("bench_table12", || black_box(act_experiments::table12::run()));
     // What a reproducer runs, and what the `paper` workload of the
-    // repository benchmark times: every experiment, with the FTL runs of
-    // fig15 and ablations spread over the pool.
+    // repository benchmark times: every experiment as one job list on the
+    // pool, the nine FTL runs of fig15 and ablations heaviest first and
+    // the 18 light experiments (~0.8 ms together) beside their tail.
     h.bench("bench_all", || {
         black_box(par_try_render_experiment("all", OutputFormat::Json, Parallelism::Auto))
     });

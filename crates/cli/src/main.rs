@@ -14,11 +14,11 @@
 //! ```
 //!
 //! Requested experiments evaluate **in parallel** by default, while output
-//! stays in request/paper order and is byte-identical to a serial run.
-//! Inside `all` the experiments run one after another, and the FTL
-//! simulations of fig15 and ablations — most of its time — spread over the
-//! workers. `--serial` disables threading entirely; `ACT_THREADS=N` caps
-//! the worker count.
+//! stays in request/paper order and is byte-identical to a serial run. All
+//! requested IDs, `all` included, become one job list on the workers: one
+//! job per FTL simulation of fig15 and ablations (most of the time),
+//! heaviest first, and one per other experiment. `--serial` disables
+//! threading entirely; `ACT_THREADS=N` caps the worker count.
 //!
 //! Experiments are fault-isolated: a failing or unknown experiment prints
 //! a structured error to stderr and the remaining requested experiments
@@ -29,9 +29,9 @@
 
 use std::process::ExitCode;
 
-use act_dse::{par_map_ordered, Parallelism};
+use act_dse::Parallelism;
 use act_experiments::{
-    par_try_render_experiment, try_render_experiment, ExperimentError, OutputFormat,
+    par_try_render_experiments, try_render_experiment, ExperimentError, OutputFormat,
     EXPERIMENT_IDS,
 };
 
@@ -410,9 +410,10 @@ fn main() -> ExitCode {
             println!("{id}");
         }
         eprintln!(
-            "(requested experiments evaluate in parallel by default, and the \
-             FTL runs of fig15 and ablations spread over the workers, also \
-             inside `all`; --serial disables threads, ACT_THREADS=N caps workers)"
+            "(requested experiments evaluate in parallel by default, as one \
+             job list for all of them: one job per FTL simulation of fig15 \
+             and ablations, heaviest first, beside one job per other \
+             experiment; --serial disables threads, ACT_THREADS=N caps workers)"
         );
         return ExitCode::SUCCESS;
     }
@@ -454,13 +455,9 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        // Parallel path: requested experiments evaluate concurrently, and a
-        // lone fig15, ablations or `all` spreads its FTL runs over the
-        // pool instead; results print in request order.
-        let rendered = par_map_ordered(Parallelism::Auto, &ids, |_, id| {
-            par_try_render_experiment(id, format, Parallelism::Auto)
-        });
-        for result in rendered {
+        // Parallel path: every requested experiment's jobs share one pool
+        // pass; results print in request order.
+        for result in par_try_render_experiments(&ids, format, Parallelism::Auto) {
             match result {
                 Ok(text) => print_rendered(&text, json),
                 Err(err) => {

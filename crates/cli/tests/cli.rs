@@ -26,8 +26,8 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn parallel_and_serial_runs_are_byte_identical() {
-    // A multi-id request exercises the outer parallel fan-out; fig12/fig13
-    // are cheap enough to keep the test fast.
+    // A multi-id request renders as one job list; fig12/fig13 are cheap
+    // enough to keep the test fast.
     let parallel = act(&["fig12", "fig13", "table4"]);
     let serial = act(&["--serial", "fig12", "fig13", "table4"]);
     assert!(parallel.status.success());
@@ -37,9 +37,10 @@ fn parallel_and_serial_runs_are_byte_identical() {
 
 #[test]
 fn parallel_and_serial_json_runs_are_byte_identical() {
-    // A lone `fig15` spreads its FTL rows over the pool; among several
-    // requested experiments it runs inside one worker.
-    for ids in [&["fig12", "table4", "fig15"][..], &["fig15"]] {
+    // Alone or among several requested experiments, `fig15`'s FTL rows
+    // are jobs of the one job list, spread over the pool beside the
+    // other experiments' jobs.
+    for ids in [&["fig12", "table4", "fig15"][..], &["fig15"], &["fig15", "all", "fig15"]] {
         let parallel = act(&[&["--json"][..], ids].concat());
         let serial = act(&[&["--json", "--serial"][..], ids].concat());
         assert!(parallel.status.success());

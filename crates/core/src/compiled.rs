@@ -1087,19 +1087,16 @@ mod tests {
         }
     }
 
-    /// `eval_block`'s two `wide::run_wide` instances agree bit for bit:
-    /// the three plan shapes of the `compiled` bench (`SocArea ×
+    /// `eval_block`'s body agrees bit for bit in the baseline instance,
+    /// run with the [`V4`](wide::V4) marker, and through `run_wide`: the
+    /// three plan shapes of the `compiled` bench (`SocArea ×
     /// UseIntensity`, `FabYield × SocArea`, `Lifetime × Energy`) and a
     /// multi-component device plan, at lengths around the lane and chunk
     /// edges, with NaN, ±∞, −0.0, subnormal and `f64::MAX` coordinates
-    /// mixed in. Both are also held to the one-point `eval`, so a change
-    /// that moves both instances alike fails too.
+    /// mixed in. All three are also held to the one-point `eval`, so a
+    /// change that moves every instance alike fails too.
     #[test]
     fn eval_block_instances_agree_bitwise() {
-        if wide::vector_tier() == "baseline" {
-            eprintln!("skipped: this CPU runs the baseline instance only");
-            return;
-        }
         let params = ModelParams::mobile_reference();
         let shapes: [[FreeAxis; 2]; 3] = [
             [FreeAxis::SocArea, FreeAxis::UseIntensity],
@@ -1151,26 +1148,18 @@ mod tests {
                     }
                 }
                 let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-                let mut wide_out = vec![0.0; len];
-                let mut base_out = vec![1.0; len];
-                wide::run_wide(EvalBlock {
-                    plan: &plan,
-                    columns: &views,
-                    start: 0,
-                    out: &mut wide_out,
-                });
-                wide::Body::run::<wide::Baseline>(EvalBlock {
-                    plan: &plan,
-                    columns: &views,
-                    start: 0,
-                    out: &mut base_out,
-                });
+                let mut outs = [vec![0.0; len], vec![1.0; len], vec![2.0; len]];
+                let [wide_out, base_out, v4_out] = &mut outs;
+                let block = |out| EvalBlock { plan: &plan, columns: &views, start: 0, out };
+                wide::run_wide(block(wide_out));
+                wide::Body::run::<wide::Baseline>(block(base_out));
+                wide::Body::run::<wide::V4>(block(v4_out));
                 for i in 0..len {
                     let point: Vec<f64> = columns.iter().map(|c| c[i]).collect();
                     let scalar = kernel.eval(&point).to_bits();
                     assert_eq!(
-                        (wide_out[i].to_bits(), base_out[i].to_bits()),
-                        (scalar, scalar),
+                        outs.each_ref().map(|out| out[i].to_bits()),
+                        [scalar; 3],
                         "point {i}/{len} of {:?}: {point:?}",
                         kernel.axes()
                     );

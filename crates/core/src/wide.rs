@@ -104,7 +104,10 @@ impl Instance for V4 {
 /// Implement it on a named type holding the body's inputs, and mark
 /// [`run`](Self::run) `#[inline(always)]`, with every workspace function
 /// it calls `#[inline(always)]` too (analyzer rule ACT015): only code
-/// inlined into the wide instance is compiled for its features.
+/// inlined into the wide instance is compiled for its features. Name the
+/// type in a `#[test]` that runs it as `run::<Baseline>()`,
+/// `run::<V4>()` and through [`run_wide`] (ACT016): the instances compile
+/// differently, and a host checks only one of them through `run_wide`.
 pub trait Body {
     /// What the body returns.
     type Output;

@@ -984,7 +984,7 @@ pub(crate) mod tests {
 
                     for bounds in edge_brackets(keys) {
                         let base = gather(keys, &bounds, |body| body.run::<Baseline>());
-                        let v4 = gather(keys, &bounds, |body| body.run::<V4>());
+                        let v4 = gather(keys, &bounds, |body: GatherBrackets| body.run::<V4>());
                         let wide = gather(keys, &bounds, |body| run_wide(body));
                         assert_eq!(v4, base, "gather V4, {case}, {bounds:?}");
                         assert_eq!(wide, base, "gather run_wide, {case}, {bounds:?}");

@@ -5,13 +5,10 @@ use std::fmt;
 
 use act_core::FabScenario;
 use act_data::{scenarios, Abatement, DramTechnology, ProcessNode};
-use act_dse::Parallelism;
-use act_ssd::{
-    analytical_write_amplification, FtlConfig, FtlSimulator, OverProvisioning, TracePattern,
-    WriteTrace,
-};
+use act_ssd::{analytical_write_amplification, OverProvisioning};
 use act_units::{Area, Capacity, Fraction, MassCo2};
 
+use crate::jobs::FtlRun;
 use crate::render::TextTable;
 
 act_json::json_struct! {
@@ -51,10 +48,22 @@ act_json::json_struct! {
     }
 }
 
-/// Runs every ablation, spreading the FTL simulations over `parallelism`
-/// workers. The output does not depend on the policy.
-#[must_use]
-pub fn run(parallelism: Parallelism) -> AblationsResult {
+/// The write-amplification study's simulator runs, at its two anchor
+/// points. They are most of the ablations' time; each builds its own
+/// simulator and trace seed, so they are independent.
+pub(crate) fn ftl_runs() -> Vec<FtlRun> {
+    [0.16, 0.34]
+        .map(|pf| FtlRun {
+            pf: OverProvisioning::new_const(pf),
+            seed: 5,
+            measure_writes: 30_000,
+        })
+        .into()
+}
+
+/// Builds every ablation from the simulated write amplification of each
+/// of [`ftl_runs`], in order.
+pub(crate) fn assemble(wa_simulated: &[f64]) -> AblationsResult {
     let die = Area::square_millimeters(90.0);
     let node = ProcessNode::N7;
 
@@ -99,22 +108,13 @@ pub fn run(parallelism: Parallelism) -> AblationsResult {
         .collect(),
     };
 
-    // WA model: analytical vs simulated at the study's anchor points. The
-    // two FTL runs are most of this function's time; each builds its own
-    // simulator and trace seed, so they are independent.
-    let anchors = [0.16, 0.34].map(OverProvisioning::new_const);
-    let simulated = act_dse::par_map_ordered(parallelism, &anchors, |_, &pf| {
-        let config = FtlConfig::small(pf);
-        let mut ftl = FtlSimulator::new(config);
-        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 5);
-        ftl.measure_steady_state_wa(&mut trace, 30_000)
-    });
+    // WA model: analytical vs simulated at the study's anchor points.
     let wa_study = Sensitivity {
         parameter: "write-amplification model (WA at PF)".into(),
-        series: anchors
+        series: ftl_runs()
             .into_iter()
-            .zip(simulated)
-            .flat_map(|(pf, simulated)| {
+            .zip(wa_simulated)
+            .flat_map(|(FtlRun { pf, .. }, &simulated)| {
                 [
                     (format!("analytical @ {pf}"), analytical_write_amplification(pf)),
                     (format!("FTL sim @ {pf}"), simulated),
@@ -140,6 +140,14 @@ pub fn run(parallelism: Parallelism) -> AblationsResult {
     }
 }
 
+/// Runs every ablation on the calling thread: `ftl_runs` one after
+/// another, then `assemble`.
+#[must_use]
+pub fn run() -> AblationsResult {
+    let wa: Vec<f64> = ftl_runs().iter().map(FtlRun::simulate).collect();
+    assemble(&wa)
+}
+
 impl fmt::Display for AblationsResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for study in &self.studies {
@@ -163,26 +171,26 @@ mod tests {
 
     #[test]
     fn five_studies_present() {
-        assert_eq!(run(Parallelism::Serial).studies.len(), 5);
+        assert_eq!(run().studies.len(), 5);
     }
 
     #[test]
     fn yield_spread_is_2x_over_the_range() {
         // 1/Y from 1.0 to 0.5 doubles the footprint.
-        let r = run(Parallelism::Serial);
+        let r = run();
         let spread = r.studies[0].spread();
         assert!((1.9..=2.1).contains(&spread), "spread {spread}");
     }
 
     #[test]
     fn abatement_matters_less_than_yield() {
-        let r = run(Parallelism::Serial);
+        let r = run();
         assert!(r.studies[1].spread() < r.studies[0].spread());
     }
 
     #[test]
     fn fab_energy_source_moves_device_footprints_substantially() {
-        let r = run(Parallelism::Serial);
+        let r = run();
         let spread = r.studies[2].spread();
         assert!(spread > 1.3, "fab CI spread {spread}");
     }
@@ -191,14 +199,14 @@ mod tests {
     fn dram_node_assignment_is_the_largest_lever() {
         // 50 nm DDR3 vs LPDDR4 differ 12.5x per GB — dwarfing every fab
         // parameter; exactly why legacy-node LCAs mislead (Table 12).
-        let r = run(Parallelism::Serial);
+        let r = run();
         let spread = r.studies[4].spread();
         assert!(spread > 10.0, "DRAM spread {spread}");
     }
 
     #[test]
     fn renders_every_study() {
-        let s = run(Parallelism::Serial).to_string();
+        let s = run().to_string();
         assert_eq!(s.matches("Ablation:").count(), 5);
         assert!(s.contains("spread"));
     }

@@ -2,16 +2,15 @@
 //! (top), effective embodied carbon for first- and second-life horizons
 //! (bottom), with the FTL simulator cross-checking the analytical WA curve.
 
-use crate::Present;
 use std::fmt;
 
-use act_dse::Parallelism;
 use act_ssd::{
-    analytical_write_amplification, effective_embodied, FtlConfig, FtlSimulator, LifetimeModel,
-    OverProvisioning, TracePattern, WriteTrace,
+    analytical_write_amplification, effective_embodied, LifetimeModel, OverProvisioning,
 };
 
+use crate::jobs::FtlRun;
 use crate::render::TextTable;
+use crate::Present;
 
 /// First-life deployment horizon in years.
 pub const FIRST_LIFE_YEARS: f64 = 2.0;
@@ -57,35 +56,32 @@ act_json::json_struct! {
     }
 }
 
-/// Runs the study, spreading the per-row FTL simulations over
-/// `parallelism` workers. The output does not depend on the policy.
-#[must_use]
-pub fn run(parallelism: Parallelism) -> Fig15Result {
+/// The study's simulator runs, one per row of [`op_grid`]: each builds
+/// its own simulator and trace seed, so they are independent. They are
+/// nearly all of the study's time.
+pub(crate) fn ftl_runs() -> Vec<FtlRun> {
+    op_grid().into_iter().map(|pf| FtlRun { pf, seed: 7, measure_writes: 40_000 }).collect()
+}
+
+/// Builds the study from the simulated write amplification of each of
+/// [`ftl_runs`], in order.
+pub(crate) fn assemble(wa_simulated: &[f64]) -> Fig15Result {
     let model = LifetimeModel::default();
     let grid = op_grid();
     // The carbon terms: two closed-form `effective_embodied` points per PF
     // (first- and second-life horizons), interleaved. Fourteen scalar
-    // calls need no batch engine. The FTL simulation below is a stateful
-    // simulator, not a closed-form carbon term.
+    // calls need no batch engine.
     let carbon: Vec<f64> = grid
         .iter()
         .flat_map(|&pf| [(pf, FIRST_LIFE_YEARS), (pf, SECOND_LIFE_YEARS)])
         .map(|(pf, horizon)| effective_embodied(pf, horizon, &model))
         .collect();
     let baseline = carbon[0];
-    // The FTL runs are nearly all of the study's time. Each row builds its
-    // own simulator and trace seed, so they are independent.
-    let wa_simulated = act_dse::par_map_ordered(parallelism, &grid, |_, &pf| {
-        let config = FtlConfig::small(pf);
-        let mut ftl = FtlSimulator::new(config);
-        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 7);
-        ftl.measure_steady_state_wa(&mut trace, 40_000)
-    });
     let rows = grid
         .into_iter()
         .zip(wa_simulated)
         .enumerate()
-        .map(|(i, (pf, wa_simulated))| OpRow {
+        .map(|(i, (pf, &wa_simulated))| OpRow {
             pf,
             wa_analytical: analytical_write_amplification(pf),
             wa_simulated,
@@ -95,6 +91,14 @@ pub fn run(parallelism: Parallelism) -> Fig15Result {
         })
         .collect();
     Fig15Result { rows }
+}
+
+/// Runs the study on the calling thread: `ftl_runs` one after another,
+/// then `assemble`.
+#[must_use]
+pub fn run() -> Fig15Result {
+    let wa: Vec<f64> = ftl_runs().iter().map(FtlRun::simulate).collect();
+    assemble(&wa)
 }
 
 impl Fig15Result {
@@ -164,25 +168,25 @@ mod tests {
 
     #[test]
     fn first_life_optimum_is_16_percent() {
-        let r = run(Parallelism::Serial);
+        let r = run();
         assert!((r.first_life_optimal().pf.get() - 0.16).abs() < 1e-9);
     }
 
     #[test]
     fn second_life_optimum_is_34_percent() {
-        let r = run(Parallelism::Serial);
+        let r = run();
         assert!((r.second_life_optimal().pf.get() - 0.34).abs() < 1e-9);
     }
 
     #[test]
     fn second_life_reduces_per_year_embodied_by_about_1_8x() {
-        let reduction = run(Parallelism::Serial).second_life_reduction();
+        let reduction = run().second_life_reduction();
         assert!((1.6..=2.0).contains(&reduction), "reduction {reduction}");
     }
 
     #[test]
     fn wa_falls_and_lifetime_grows_along_the_grid() {
-        let r = run(Parallelism::Serial);
+        let r = run();
         for pair in r.rows.windows(2) {
             assert!(pair[1].wa_analytical < pair[0].wa_analytical);
             assert!(pair[1].lifetime_years > pair[0].lifetime_years);
@@ -191,7 +195,7 @@ mod tests {
 
     #[test]
     fn ftl_simulation_tracks_the_analytical_curve() {
-        for row in run(Parallelism::Serial).rows {
+        for row in run().rows {
             let ratio = row.wa_simulated / row.wa_analytical;
             assert!(
                 (0.5..=1.5).contains(&ratio),
@@ -207,13 +211,13 @@ mod tests {
     fn under_provisioning_is_penalized_by_replacements() {
         // The 4 % baseline wears out in ~half a year: its effective
         // embodied carbon towers over the optimum.
-        let r = run(Parallelism::Serial);
+        let r = run();
         assert!(r.rows[0].first_life > 2.0 * r.first_life_optimal().first_life);
     }
 
     #[test]
     fn renders_grid_and_optima() {
-        let s = run(Parallelism::Serial).to_string();
+        let s = run().to_string();
         assert!(s.contains("16%") && s.contains("34%"));
     }
 }

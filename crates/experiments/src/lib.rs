@@ -2,10 +2,13 @@
 //!
 //! Every module exposes a `run()` function returning a typed result struct
 //! whose `Display` implementation prints the same rows/series the paper
-//! reports. The two FTL-bound ones, `fig15::run` and `ablations::run`,
-//! take a [`Parallelism`] policy for their independent simulator runs;
-//! their output does not depend on it. Tests in each module pin the
-//! paper's qualitative claims: who wins under each metric, by roughly
+//! reports, computed on the calling thread. [`par_try_render_experiments`]
+//! renders any request as one flat job list on the pool: one job per
+//! independent simulator run of the two FTL-bound experiments (fig15 and
+//! ablations, each split into its runs and an `assemble` step) and one
+//! per other experiment, heaviest first, each fault-isolated. Its output
+//! is byte-identical to the serial rendering. Tests in each module pin
+//! the paper's qualitative claims: who wins under each metric, by roughly
 //! what factor, and where crossovers fall. EXPERIMENTS.md records
 //! paper-vs-measured for each.
 //!
@@ -39,6 +42,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+mod jobs;
 pub mod render;
 pub mod table12;
 pub mod table4;
@@ -89,12 +93,9 @@ fn format_result<T: act_json::ToJson + std::fmt::Display>(
     }
 }
 
-/// Renders one experiment (or `"all"`) in `format`. `parallelism` reaches
-/// only the two FTL-bound experiments, fig15 and ablations, whose
-/// independent simulator runs spread over the pool; everything else runs
-/// on the calling thread, so [`Parallelism::Serial`] never touches the
-/// pool. Returns `None` for an unknown ID.
-fn render(id: &str, format: OutputFormat, parallelism: Parallelism) -> Option<String> {
+/// Renders one experiment (or `"all"`) in `format` on the calling
+/// thread. Returns `None` for an unknown ID.
+fn render(id: &str, format: OutputFormat) -> Option<String> {
     let out = match id {
         "fig1" => format_result(&fig1::run(), format),
         "fig4" => format_result(&fig4::run(), format),
@@ -107,16 +108,16 @@ fn render(id: &str, format: OutputFormat, parallelism: Parallelism) -> Option<St
         "fig12" => format_result(&fig12::run(), format),
         "fig13" => format_result(&fig13::run(), format),
         "fig14" => format_result(&fig14::run(), format),
-        "fig15" => format_result(&fig15::run(parallelism), format),
+        "fig15" => format_result(&fig15::run(), format),
         "fig16" => format_result(&fig16::run(), format),
         "fig17" => format_result(&fig17::run(), format),
         "table4" => format_result(&table4::run(), format),
         "table5-11" => format_result(&tables::run(), format),
         "table12" => format_result(&table12::run(), format),
-        "ablations" => format_result(&ablations::run(parallelism), format),
+        "ablations" => format_result(&ablations::run(), format),
         "datacenter" => format_result(&ext_datacenter::run(), format),
         "devices" => format_result(&ext_devices::run(), format),
-        "all" => assemble_all(format, |sub| render(sub, format, parallelism).ok_or(())).ok()?,
+        "all" => assemble_all(format, |sub| render(sub, format).ok_or(())).ok()?,
         _ => return None,
     };
     Some(out)
@@ -128,9 +129,9 @@ fn render(id: &str, format: OutputFormat, parallelism: Parallelism) -> Option<St
 /// `{"id":"<id>","result":<body>}` inside one array: the bodies are
 /// already compact JSON, so parsing and re-rendering them would only
 /// reproduce the same bytes.
-fn assemble_all<E>(
+fn assemble_all<B: AsRef<str>, E>(
     format: OutputFormat,
-    mut part: impl FnMut(&'static str) -> Result<String, E>,
+    mut part: impl FnMut(&'static str) -> Result<B, E>,
 ) -> Result<String, E> {
     let mut out = String::new();
     if format == OutputFormat::Json {
@@ -138,9 +139,10 @@ fn assemble_all<E>(
     }
     for (i, id) in concrete_experiment_ids().into_iter().enumerate() {
         let body = part(id)?;
+        let body = body.as_ref();
         match format {
             OutputFormat::Text => {
-                out.push_str(&body);
+                out.push_str(body);
                 out.push('\n');
             }
             OutputFormat::Json => {
@@ -150,7 +152,7 @@ fn assemble_all<E>(
                 out.push_str("{\"id\":");
                 out.push_str(&json(&id));
                 out.push_str(",\"result\":");
-                out.push_str(&body);
+                out.push_str(body);
                 out.push('}');
             }
         }
@@ -276,22 +278,11 @@ pub fn try_render_experiment(
     id: &str,
     format: OutputFormat,
 ) -> Result<String, ExperimentError> {
-    try_render(id, format, Parallelism::Serial)
-}
-
-/// The fault-isolating core of [`try_render_experiment`] and
-/// [`par_try_render_experiment`], under an explicit policy.
-fn try_render(
-    id: &str,
-    format: OutputFormat,
-    parallelism: Parallelism,
-) -> Result<String, ExperimentError> {
     if !EXPERIMENT_IDS.contains(&id) {
         return Err(ExperimentError::UnknownId(id.to_owned()));
     }
-    let rendered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        render(id, format, parallelism)
-    }));
+    let rendered =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| render(id, format)));
     match rendered {
         Ok(Some(out)) => Ok(out),
         Ok(None) => Err(ExperimentError::UnknownId(id.to_owned())),
@@ -316,27 +307,12 @@ fn lift_all_error(err: &ExperimentError) -> ExperimentError {
     ExperimentError::Failed { id: "all".to_owned(), message: err.to_string() }
 }
 
-/// Parallel variant of [`try_render_experiment`].
-///
-/// The experiments themselves run one after another on the calling
-/// thread; `parallelism` reaches the two FTL-bound ones, fig15 and
-/// ablations, whose independent simulator runs spread over the pool. For
-/// `"all"` each concrete experiment is fault-isolated on its own, in
-/// paper order. The output is byte-identical to the serial rendering
-/// whenever every experiment succeeds, and [`Parallelism::Serial`]
-/// reproduces the serial schedule exactly (the pool is never touched).
-///
-/// The pool runs a nested dispatch inline, so fanning out over the
-/// experiments would pin all of fig15's rows to one worker; dispatching
-/// inside the two heavy experiments keeps every worker busy instead.
+/// Parallel variant of [`try_render_experiment`]: one request of one ID,
+/// rendered as [`par_try_render_experiments`] renders every request.
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError::UnknownId`] for IDs outside
-/// [`EXPERIMENT_IDS`]. A failing sub-experiment of `"all"` surfaces as
-/// [`ExperimentError::Failed`] with `id == "all"` (matching the serial
-/// contract, where the panic unwinds out of the whole `all` rendering)
-/// and a message naming the concrete experiment that failed.
+/// As [`par_try_render_experiments`].
 ///
 /// # Examples
 ///
@@ -353,12 +329,52 @@ pub fn par_try_render_experiment(
     format: OutputFormat,
     parallelism: Parallelism,
 ) -> Result<String, ExperimentError> {
-    if id != "all" {
-        return try_render(id, format, parallelism);
-    }
-    assemble_all(format, |sub| {
-        try_render(sub, format, parallelism).map_err(|err| lift_all_error(&err))
-    })
+    jobs::render_request(&[id], format, parallelism)
+        .pop()
+        .present("one result per requested ID")
+}
+
+/// Renders every requested experiment (or `"all"`) in `format`, one
+/// result per ID in request order, from one job list on `parallelism`.
+///
+/// Each FTL-bound experiment contributes one job per simulator run
+/// (fig15's seven rows and the ablations' two WA points), and every
+/// other experiment one job that renders it whole. The jobs run on one
+/// [`act_dse::par_map_ordered`] call, heaviest first by each simulator
+/// run's expected flash page writes, so the light experiments run beside
+/// the tail of the simulator runs. An experiment requested more than
+/// once, alone or inside `"all"`, is rendered once. Each job is
+/// fault-isolated, and a failure is charged to its own experiment. The
+/// output is byte-identical to [`try_render_experiment`] for each ID
+/// whenever every experiment succeeds, under any policy, and
+/// [`Parallelism::Serial`] runs every job on the calling thread.
+///
+/// # Errors
+///
+/// Each result is [`ExperimentError::UnknownId`] for an ID outside
+/// [`EXPERIMENT_IDS`], or [`ExperimentError::Failed`] naming the
+/// experiment whose job panicked. A failing sub-experiment of `"all"`
+/// surfaces as [`ExperimentError::Failed`] with `id == "all"` (a failure
+/// inside `all` is reported against `all`, as in the serial rendering)
+/// and a message naming the concrete experiment that failed.
+///
+/// # Examples
+///
+/// ```
+/// use act_dse::Parallelism;
+/// use act_experiments::{par_try_render_experiments, ExperimentError, OutputFormat};
+///
+/// let rendered =
+///     par_try_render_experiments(&["fig15", "bogus"], OutputFormat::Json, Parallelism::Auto);
+/// assert!(rendered[0].as_ref().is_ok_and(|json| json.contains("wa_simulated")));
+/// assert!(matches!(rendered[1], Err(ExperimentError::UnknownId(_))));
+/// ```
+pub fn par_try_render_experiments<S: AsRef<str>>(
+    ids: &[S],
+    format: OutputFormat,
+    parallelism: Parallelism,
+) -> Vec<Result<String, ExperimentError>> {
+    jobs::render_request(ids, format, parallelism)
 }
 
 #[cfg(test)]
@@ -412,40 +428,9 @@ mod tests {
         assert_eq!(err, ExperimentError::UnknownId("fig99".to_owned()));
         assert!(err.to_string().contains("fig99"));
         let text = try_render_experiment("fig12", OutputFormat::Text).unwrap();
-        assert_eq!(Some(text), render("fig12", OutputFormat::Text, Parallelism::Serial));
+        assert_eq!(Some(text), render("fig12", OutputFormat::Text));
         let json = try_render_experiment("fig12", OutputFormat::Json).unwrap();
-        assert_eq!(Some(json), render("fig12", OutputFormat::Json, Parallelism::Serial));
-    }
-
-    #[test]
-    fn parallel_all_matches_serial_all_byte_for_byte() {
-        for format in [OutputFormat::Text, OutputFormat::Json] {
-            let serial = try_render_experiment("all", format).unwrap();
-            let seq = par_try_render_experiment("all", format, Parallelism::Serial).unwrap();
-            let par =
-                par_try_render_experiment("all", format, Parallelism::threads(4)).unwrap();
-            assert_eq!(serial, seq, "{format:?}");
-            assert_eq!(serial, par, "{format:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_concrete_ids_delegate_to_serial() {
-        let cases = [
-            ("table4", OutputFormat::Json, Parallelism::Auto),
-            ("fig15", OutputFormat::Text, Parallelism::threads(4)),
-            ("fig15", OutputFormat::Json, Parallelism::threads(4)),
-            ("ablations", OutputFormat::Text, Parallelism::threads(4)),
-            ("ablations", OutputFormat::Json, Parallelism::threads(4)),
-        ];
-        for (id, format, parallelism) in cases {
-            let serial = try_render_experiment(id, format).unwrap();
-            let par = par_try_render_experiment(id, format, parallelism).unwrap();
-            assert_eq!(serial, par, "{id} {format:?}");
-        }
-        let err = par_try_render_experiment("fig99", OutputFormat::Text, Parallelism::Auto)
-            .unwrap_err();
-        assert_eq!(err, ExperimentError::UnknownId("fig99".to_owned()));
+        assert_eq!(Some(json), render("fig12", OutputFormat::Json));
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //! Regenerating (only valid after an *intentional* semantic change, e.g.
 //! a new trace seed or grid): `act fig15` and paste the output here, in
 //! the same commit that justifies the change.
+//!
+//! Each pin also holds for the parallel runner, whose job list spreads the
+//! simulator runs over the pool, on every thread count, alone and inside
+//! `all`.
 
 use act_dse::Parallelism;
-use act_experiments::{ablations, fig15};
+use act_experiments::{ablations, fig15, par_try_render_experiment, OutputFormat};
+use act_json::JsonValue;
 
 const GOLDEN: &str = "\
 == Figure 15: SSD over-provisioning study ==
@@ -30,10 +35,28 @@ const GOLDEN: &str = "\
   first-life optimal PF 16% | second-life optimal PF 34% | per-year reduction 1.73x
 ";
 
+/// The serial policy and one to four workers.
+fn policies() -> [Parallelism; 5] {
+    let t = Parallelism::threads;
+    [Parallelism::Serial, t(1), t(2), t(3), t(4)]
+}
+
+/// `id` rendered by the runner as one JSON document.
+fn runner_json(id: &str, parallelism: Parallelism) -> JsonValue {
+    let json = par_try_render_experiment(id, OutputFormat::Json, parallelism)
+        .unwrap_or_else(|err| panic!("{id} under {parallelism:?}: {err}"));
+    JsonValue::parse(&json).unwrap_or_else(|err| panic!("{id} JSON: {err}"))
+}
+
 #[test]
 fn rendered_study_is_byte_identical_to_the_golden() {
-    assert_eq!(fig15::run(Parallelism::Serial).to_string(), GOLDEN);
-    assert_eq!(fig15::run(Parallelism::threads(4)).to_string(), GOLDEN);
+    assert_eq!(fig15::run().to_string(), GOLDEN);
+    for parallelism in policies() {
+        let text = par_try_render_experiment("fig15", OutputFormat::Text, parallelism);
+        assert_eq!(text.as_deref(), Ok(GOLDEN), "{parallelism:?}");
+    }
+    let all = par_try_render_experiment("all", OutputFormat::Text, Parallelism::threads(4));
+    assert!(all.is_ok_and(|all| all.contains(GOLDEN)));
 }
 
 #[test]
@@ -50,7 +73,7 @@ fn simulated_wa_values_are_pinned_to_full_precision_within_display_rounding() {
         ("34%", 0x3fff_c7e2_8240_b780),
         ("40%", 0x3ffd_290f_f972_4745),
     ];
-    let rows = fig15::run(Parallelism::Serial).rows;
+    let rows = fig15::run().rows;
     assert_eq!(rows.len(), PINNED.len());
     for (row, (pf, bits)) in rows.iter().zip(PINNED) {
         assert_eq!(row.pf.to_string(), pf);
@@ -63,11 +86,16 @@ fn simulated_wa_values_are_pinned_to_full_precision_within_display_rounding() {
         );
     }
     assert!((rows[0].wa_simulated - 7.44).abs() < 0.005);
-    // Determinism: a second run, its rows spread over workers, is
-    // bit-identical to the first.
-    let again = fig15::run(Parallelism::threads(4)).rows;
-    for (a, b) in rows.iter().zip(&again) {
-        assert!(a.wa_simulated.to_bits() == b.wa_simulated.to_bits());
+    // Determinism: the runner, its rows spread over workers, gives the
+    // same bits (JSON numbers round-trip an f64 exactly).
+    for parallelism in policies() {
+        let doc = runner_json("fig15", parallelism);
+        let runner_rows = doc["rows"].as_array().unwrap_or_default();
+        assert_eq!(runner_rows.len(), PINNED.len());
+        for (row, (pf, bits)) in runner_rows.iter().zip(PINNED) {
+            let wa = row["wa_simulated"].as_f64().map(f64::to_bits);
+            assert_eq!(wa, Some(bits), "PF {pf} under {parallelism:?}");
+        }
     }
 }
 
@@ -77,22 +105,34 @@ fn ablation_ftl_wa_values_are_pinned_to_full_precision() {
     // (trace seed 5), captured with the fig15 pins above.
     const PINNED: [(&str, u64); 2] =
         [("FTL sim @ 16%", 0x4007_cfaa_cd9e_83e4), ("FTL sim @ 34%", 0x3ffe_dce9_32ed_4b81)];
-    for parallelism in [Parallelism::Serial, Parallelism::threads(2)] {
-        let simulated: Vec<(String, f64)> = ablations::run(parallelism)
-            .studies
-            .into_iter()
-            .flat_map(|study| study.series)
+    let serial: Vec<(String, f64)> = ablations::run()
+        .studies
+        .into_iter()
+        .flat_map(|study| study.series)
+        .filter(|(label, _)| label.starts_with("FTL sim"))
+        .collect();
+    assert_eq!(serial.len(), PINNED.len());
+    for ((label, value), (pinned_label, bits)) in serial.iter().zip(PINNED) {
+        assert_eq!(label, pinned_label);
+        assert_eq!(
+            value.to_bits(),
+            bits,
+            "{label} drifted: {value} vs {}",
+            f64::from_bits(bits)
+        );
+    }
+    // The runner gives the same bits on every policy: each series entry
+    // is a `[label, value]` pair.
+    for parallelism in policies() {
+        let doc = runner_json("ablations", parallelism);
+        let simulated: Vec<(&str, u64)> = doc["studies"]
+            .as_array()
+            .unwrap_or_default()
+            .iter()
+            .flat_map(|study| study["series"].as_array().unwrap_or_default())
+            .filter_map(|pair| Some((pair[0].as_str()?, pair[1].as_f64()?.to_bits())))
             .filter(|(label, _)| label.starts_with("FTL sim"))
             .collect();
-        assert_eq!(simulated.len(), PINNED.len());
-        for ((label, value), (pinned_label, bits)) in simulated.iter().zip(PINNED) {
-            assert_eq!(label, pinned_label);
-            assert_eq!(
-                value.to_bits(),
-                bits,
-                "{label} drifted: {value} vs {}",
-                f64::from_bits(bits)
-            );
-        }
+        assert_eq!(simulated, PINNED, "{parallelism:?}");
     }
 }

@@ -25,8 +25,7 @@ fn reduce_claim_carbon_aware_dse_cuts_accelerator_footprint_by_about_3x() {
 fn recycle_claim_reliability_investment_cuts_storage_footprint_by_about_2x() {
     // "devoting additional hardware resources to improve reliability
     // reduces the overall carbon footprint of devices by nearly 2x."
-    let reduction =
-        act::experiments::fig15::run(act::dse::Parallelism::Serial).second_life_reduction();
+    let reduction = act::experiments::fig15::run().second_life_reduction();
     assert!((1.6..=2.0).contains(&reduction), "reduction {reduction}");
 }
 

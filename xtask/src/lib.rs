@@ -3,9 +3,10 @@
 //!
 //! The analysis engine lives in the std-only, dependency-free
 //! [`act_analyze`] crate: one lexer whose token stream every rule reads —
-//! the token rules ACT001–ACT005, ACT008 and ACT012 directly, the
+//! the token rules ACT001–ACT005, ACT008, ACT012 and ACT014 directly, the
 //! structural rules ACT006, ACT007 and ACT009–ACT011 through a bracket
-//! partner table (see `crates/analyze/src/lib.rs` for the table). This crate
+//! partner table, and the cross-file rules ACT015 and ACT016 over every
+//! file at once (see `crates/analyze/src/lib.rs` for the table). This crate
 //! re-exports the engine for `cargo xtask analyze` and adds the `soak`
 //! chaos harness that drives the built `act serve` binary.
 //!

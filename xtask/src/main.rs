@@ -30,13 +30,17 @@ fn usage() -> String {
        ACT009  no Mutex/RwLock guard held across I/O or a callback (server)\n\
        ACT010  no raw f64 comparators without total_cmp in dse order statistics\n\
        ACT011  no indexing/slicing/unwrap in server route handlers\n\
-       ACT012  no raw thread::spawn/scope outside the act-dse worker pool\n\n\
+       ACT012  no raw thread::spawn/scope outside the act-dse worker pool\n\
+       ACT014  no unsafe/target_feature/feature detection outside pool and wide\n\
+       ACT015  every fn a wide::Body::run reaches is #[inline(always)]\n\
+       ACT016  every wide::Body type is named in a cross-instance #[test]\n\n\
      Allowlist: xtask/lint.allow, lines of\n\
        RULE|path-suffix|line-substring|justification\n\n\
-     analyze tokenizes every workspace source once and applies all twelve\n\
-     rules to the token stream: ACT001-ACT005, ACT008 and ACT012 match\n\
-     token runs, ACT006, ACT007 and ACT009-ACT011 read items, loops,\n\
-     closures and lets off a bracket partner table. --json FILE\n\
+     analyze tokenizes every workspace source once and applies all fifteen\n\
+     rules to the token stream: ACT001-ACT005, ACT008, ACT012 and ACT014\n\
+     match token runs, ACT006, ACT007 and ACT009-ACT011 read items, loops,\n\
+     closures and lets off a bracket partner table, and ACT015-ACT016\n\
+     read every file at once. --json FILE\n\
      additionally writes a machine-readable findings report (schema\n\
      act-analyze-findings/2).\n\n\
      soak builds the workspace in release mode, starts `act serve` with a\n\
