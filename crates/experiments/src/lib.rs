@@ -434,6 +434,37 @@ mod tests {
     }
 
     #[test]
+    fn parallel_all_matches_serial_all_byte_for_byte() {
+        for format in [OutputFormat::Text, OutputFormat::Json] {
+            let serial = try_render_experiment("all", format).unwrap();
+            let seq = par_try_render_experiment("all", format, Parallelism::Serial).unwrap();
+            let par =
+                par_try_render_experiment("all", format, Parallelism::threads(4)).unwrap();
+            assert_eq!(serial, seq, "{format:?}");
+            assert_eq!(serial, par, "{format:?}");
+        }
+    }
+
+    #[test]
+    fn parallel_concrete_ids_delegate_to_serial() {
+        let cases = [
+            ("table4", OutputFormat::Json, Parallelism::Auto),
+            ("fig15", OutputFormat::Text, Parallelism::threads(4)),
+            ("fig15", OutputFormat::Json, Parallelism::threads(4)),
+            ("ablations", OutputFormat::Text, Parallelism::threads(4)),
+            ("ablations", OutputFormat::Json, Parallelism::threads(4)),
+        ];
+        for (id, format, parallelism) in cases {
+            let serial = try_render_experiment(id, format).unwrap();
+            let par = par_try_render_experiment(id, format, parallelism).unwrap();
+            assert_eq!(serial, par, "{id} {format:?}");
+        }
+        let err = par_try_render_experiment("fig99", OutputFormat::Text, Parallelism::Auto)
+            .unwrap_err();
+        assert_eq!(err, ExperimentError::UnknownId("fig99".to_owned()));
+    }
+
+    #[test]
     fn concrete_ids_exclude_the_all_meta_entry() {
         let ids = concrete_experiment_ids();
         assert_eq!(ids.len(), EXPERIMENT_IDS.len() - 1);
