@@ -1,7 +1,7 @@
 //! Accelerator hardware configuration and its area model.
 
 use act_data::ProcessNode;
-use act_units::{Area, UnitError};
+use act_units::Area;
 
 use crate::layer::Network;
 use crate::perf::Evaluation;
@@ -57,18 +57,6 @@ impl AccelConfig {
         Self { macs, nanometers: 16, frequency_ghz: 0.5 }
     }
 
-    /// Checked variant of [`Self::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`UnitError`] if `macs` is zero.
-    pub fn try_new(macs: u32) -> Result<Self, UnitError> {
-        if macs == 0 {
-            return Err(UnitError::out_of_domain("MAC count", 0.0, "at least 1"));
-        }
-        Ok(Self::new(macs))
-    }
-
     /// Re-targets the configuration to another feature size (e.g. 28 nm for
     /// Figure 13's technology comparison).
     ///
@@ -82,22 +70,6 @@ impl AccelConfig {
         self
     }
 
-    /// Checked variant of [`Self::with_nanometers`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`UnitError`] if `nanometers` is zero.
-    pub fn try_with_nanometers(self, nanometers: u32) -> Result<Self, UnitError> {
-        if nanometers == 0 {
-            return Err(UnitError::out_of_domain(
-                "feature size",
-                0.0,
-                "a positive number of nanometers",
-            ));
-        }
-        Ok(self.with_nanometers(nanometers))
-    }
-
     /// Overrides the clock frequency.
     ///
     /// # Panics
@@ -108,25 +80,6 @@ impl AccelConfig {
         assert!(ghz > 0.0, "frequency must be positive");
         self.frequency_ghz = ghz;
         self
-    }
-
-    /// Checked variant of [`Self::with_frequency_ghz`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`UnitError`] if `ghz` is NaN, infinite or not positive.
-    pub fn try_with_frequency_ghz(self, ghz: f64) -> Result<Self, UnitError> {
-        if !ghz.is_finite() {
-            return Err(UnitError::non_finite("clock frequency", ghz));
-        }
-        if ghz <= 0.0 {
-            return Err(UnitError::out_of_domain(
-                "clock frequency",
-                ghz,
-                "a positive GHz value",
-            ));
-        }
-        Ok(self.with_frequency_ghz(ghz))
     }
 
     /// MAC-array width.
@@ -172,19 +125,6 @@ impl AccelConfig {
     #[must_use]
     pub fn evaluate(&self, network: &Network) -> Evaluation {
         Evaluation::compute(self, network)
-    }
-
-    /// Evaluates a batched inference: weights fetched once serve the whole
-    /// batch, so the per-inference DRAM refetch penalty is divided by the
-    /// batch size while latency per inference is unchanged (NVDLA processes
-    /// batch elements back to back).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn evaluate_batched(&self, network: &Network, batch: u32) -> Evaluation {
-        Evaluation::compute_batched(self, network, batch)
     }
 }
 
@@ -238,22 +178,5 @@ mod tests {
         assert_eq!(c.frequency_ghz(), 1.0);
         assert_eq!(c.nanometers(), 7);
         assert_eq!(c.macs(), 64);
-    }
-
-    #[test]
-    fn try_builders_error_instead_of_panicking() {
-        assert_eq!(AccelConfig::try_new(64).unwrap(), AccelConfig::new(64));
-        assert!(AccelConfig::try_new(0).is_err());
-        assert!(AccelConfig::new(64).try_with_nanometers(0).is_err());
-        assert_eq!(
-            AccelConfig::new(64).try_with_nanometers(28).unwrap(),
-            AccelConfig::new(64).with_nanometers(28)
-        );
-        assert!(AccelConfig::new(64).try_with_frequency_ghz(0.0).is_err());
-        assert!(AccelConfig::new(64).try_with_frequency_ghz(f64::NAN).is_err());
-        assert_eq!(
-            AccelConfig::new(64).try_with_frequency_ghz(1.0).unwrap(),
-            AccelConfig::new(64).with_frequency_ghz(1.0)
-        );
     }
 }

@@ -30,13 +30,11 @@ const STATIC_BASE_MW: f64 = 20.0;
 /// Per-MAC leakage at 16 nm, milliwatts.
 const STATIC_PER_MAC_MW: f64 = 0.35;
 
-/// Total energy for one inference of a `batch`-element batch: the weight
-/// refetch component amortizes over the batch.
-pub(crate) fn per_inference_batched(
+/// Total energy for one inference.
+pub(crate) fn per_inference(
     config: &AccelConfig,
     network: &Network,
     latency: TimeSpan,
-    batch: u32,
 ) -> Energy {
     // Switching energy scales linearly with feature size (lower V at
     // smaller nodes), leakage with the node scale as well.
@@ -45,10 +43,7 @@ pub(crate) fn per_inference_batched(
 
     let compute = Energy::joules(macs * MAC_ENERGY_PJ * 1e-12 * s);
 
-    let refetch = ((REFETCH_KNEE_MACS / f64::from(config.macs())).powf(REFETCH_EXP).max(1.0)
-        - 1.0)
-        / f64::from(batch)
-        + 1.0;
+    let refetch = (REFETCH_KNEE_MACS / f64::from(config.macs())).powf(REFETCH_EXP).max(1.0);
     let dram = Energy::millijoules(DRAM_BASE_MJ * (macs / REFERENCE_MACS) * refetch);
 
     let static_power =
@@ -61,33 +56,6 @@ pub(crate) fn per_inference_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batching_amortizes_refetch_on_narrow_arrays() {
-        let net = Network::mobile_vision();
-        let narrow = AccelConfig::new(64);
-        let single = narrow.evaluate(&net).energy();
-        let batched = narrow.evaluate_batched(&net, 8).energy();
-        assert!(batched < single * 0.7, "batched {batched} vs single {single}");
-        // Wide arrays have nothing to amortize.
-        let wide = AccelConfig::new(2048);
-        let wide_single = wide.evaluate(&net).energy();
-        let wide_batched = wide.evaluate_batched(&net, 8).energy();
-        assert!((wide_batched.ratio(wide_single) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unit_batch_equals_single_inference() {
-        let net = Network::mobile_vision();
-        let c = AccelConfig::new(256);
-        assert_eq!(c.evaluate(&net), c.evaluate_batched(&net, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_rejected() {
-        let _ = AccelConfig::new(64).evaluate_batched(&Network::mobile_vision(), 0);
-    }
 
     fn energy(macs: u32) -> f64 {
         AccelConfig::new(macs).evaluate(&Network::mobile_vision()).energy().as_millijoules()

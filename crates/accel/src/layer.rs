@@ -279,20 +279,19 @@ impl Network {
     pub fn total_macs(&self) -> f64 {
         self.layers.iter().map(Layer::macs).sum()
     }
-
-    /// MAC-weighted aggregate utilization of an `m`-MAC array: total work
-    /// divided by total busy-adjusted work.
-    #[must_use]
-    pub fn aggregate_utilization(&self, m: u32) -> f64 {
-        let total: f64 = self.total_macs();
-        let adjusted: f64 = self.layers.iter().map(|l| l.macs() / l.utilization(m)).sum();
-        total / adjusted
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// MAC-weighted aggregate utilization of an `m`-MAC array: total work
+    /// divided by total busy-adjusted work. The calibration tests below
+    /// pin it, since every layer's latency goes through `utilization`.
+    fn aggregate_utilization(network: &Network, m: u32) -> f64 {
+        let adjusted: f64 = network.layers().iter().map(|l| l.macs() / l.utilization(m)).sum();
+        network.total_macs() / adjusted
+    }
 
     #[test]
     fn conv_mac_count() {
@@ -340,8 +339,8 @@ mod tests {
     #[test]
     fn mobile_vision_aggregate_utilization_matches_calibration() {
         let n = Network::mobile_vision();
-        let u256 = n.aggregate_utilization(256);
-        let u2048 = n.aggregate_utilization(2048);
+        let u256 = aggregate_utilization(&n, 256);
+        let u2048 = aggregate_utilization(&n, 2048);
         assert!((0.90..=0.96).contains(&u256), "util(256) = {u256}");
         assert!((0.58..=0.70).contains(&u2048), "util(2048) = {u2048}");
         assert!(u256 > u2048);
@@ -369,8 +368,8 @@ mod tests {
     #[test]
     fn pointwise_networks_starve_wide_arrays_harder() {
         // 1x1 convolutions expose 9x less kernel parallelism than 3x3.
-        let mobilenet = Network::mobilenet().aggregate_utilization(2048);
-        let vision = Network::mobile_vision().aggregate_utilization(2048);
+        let mobilenet = aggregate_utilization(&Network::mobilenet(), 2048);
+        let vision = aggregate_utilization(&Network::mobile_vision(), 2048);
         assert!(mobilenet < vision, "mobilenet {mobilenet} vs vision {vision}");
     }
 

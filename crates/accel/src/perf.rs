@@ -75,18 +75,13 @@ act_json::json_struct! {
 
 impl Evaluation {
     pub(crate) fn compute(config: &AccelConfig, network: &Network) -> Self {
-        Self::compute_batched(config, network, 1)
-    }
-
-    pub(crate) fn compute_batched(config: &AccelConfig, network: &Network, batch: u32) -> Self {
-        assert!(batch > 0, "batch size must be at least one");
         let mut cycles = 0.0;
         for layer in network.layers() {
             let utilization = layer.utilization(config.macs());
             cycles += layer.macs() / (f64::from(config.macs()) * utilization);
         }
         let latency = TimeSpan::seconds(cycles / (config.frequency_ghz() * 1e9));
-        let energy = energy::per_inference_batched(config, network, latency, batch);
+        let energy = energy::per_inference(config, network, latency);
         Self { latency, energy }
     }
 

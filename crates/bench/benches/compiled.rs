@@ -176,7 +176,7 @@ fn main() {
         Err(err) => panic!("the fleet fixture parses: {err}"),
     };
     let Some(fleet) = compiled.fleet() else { panic!("the fleet fixture has a fleet block") };
-    let threads = Parallelism::Auto.resolve_for(fleet.samples()).workers.min(fleet.samples());
+    let threads = Parallelism::Auto.resolve_for(fleet.samples()).workers;
     h.bench("fleet_document_200k_auto", || {
         let outcome = match fleet.run(threads, &mut buf, &EvalBudget::unlimited()) {
             Ok((outcome, _)) => outcome,

@@ -147,11 +147,8 @@ fn run_fleet(path: Option<&str>, serial_only: bool) -> ExitCode {
         eprintln!("fleet: `{path}` has no `fleet` block");
         return ExitCode::from(EXIT_EXPERIMENT_FAILED);
     };
-    let threads = if serial_only {
-        1
-    } else {
-        Parallelism::Auto.resolve_for(fleet.samples()).workers.min(fleet.samples().max(1))
-    };
+    let threads =
+        if serial_only { 1 } else { Parallelism::Auto.resolve_for(fleet.samples()).workers };
     let mut buf = act_dse::McBuffer::new();
     match fleet.run(threads, &mut buf, &act_dse::EvalBudget::unlimited()) {
         Ok((outcome, _)) => {
@@ -365,7 +362,7 @@ fn run_serve(args: &[String]) -> ExitCode {
 fn warn_once_on_ignored_threads_override() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        if let (_, Some(warning)) = Parallelism::Auto.resolve() {
+        if let Some(warning) = Parallelism::Auto.resolve().warning {
             eprintln!("warning: {warning}");
         }
     });

@@ -117,7 +117,7 @@ fn fleet_summary_is_identical_on_any_thread_count() {
         assert!(out.status.success(), "{label}: stderr: {}", stderr(&out));
         let record = act_json::JsonValue::parse(stdout(&out).trim()).expect("json");
         assert_eq!(record["threads"], threads, "{label}: {record}");
-        assert!(record["stats"]["mean"].is_number(), "{label}: {record}");
+        assert!(record["stats"]["mean"].as_f64().is_some(), "{label}: {record}");
         records.push(record);
     }
     for record in &records[1..] {

@@ -6,7 +6,7 @@
 //! datacenters). This module provides the primitive those use cases need:
 //! an hourly intensity profile and window selection over it.
 
-use act_units::{CarbonIntensity, Energy, MassCo2, TimeSpan};
+use act_units::{CarbonIntensity, Energy, MassCo2};
 
 act_json::json_struct! {
     [ToJson]
@@ -42,12 +42,6 @@ impl IntensityProfile {
     #[must_use]
     pub fn constant(intensity: CarbonIntensity) -> Self {
         Self { hourly: [intensity; 24] }
-    }
-
-    /// A profile from explicit hourly samples.
-    #[must_use]
-    pub fn from_hourly(hourly: [CarbonIntensity; 24]) -> Self {
-        Self { hourly }
     }
 
     /// A stylized solar-heavy grid: the baseline intensity is displaced by
@@ -123,45 +117,6 @@ impl IntensityProfile {
             })
             .unwrap_or(0)
     }
-
-    /// Carbon saved by shifting a job from the *dirtiest* window into the
-    /// cleanest one, as a fraction of the dirtiest-window footprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration_hours` is zero.
-    #[must_use]
-    pub fn shifting_benefit(&self, duration_hours: usize) -> f64 {
-        let probe = Energy::kilowatt_hours(1.0);
-        let best = self.window_footprint(
-            self.cleanest_window_start(duration_hours),
-            duration_hours,
-            probe,
-        );
-        let worst = (0..24)
-            .map(|s| self.window_footprint(s, duration_hours, probe))
-            .max_by(MassCo2::total_cmp)
-            .unwrap_or(MassCo2::ZERO);
-        if worst == MassCo2::ZERO {
-            0.0
-        } else {
-            1.0 - best.ratio(worst)
-        }
-    }
-
-    /// An [`TimeSpan`]-weighted footprint for a job described by average
-    /// power drawn over a window (convenience wrapper).
-    #[must_use]
-    pub fn job_footprint(
-        &self,
-        start_hour: usize,
-        duration: TimeSpan,
-        energy: Energy,
-    ) -> MassCo2 {
-        let hours =
-            (duration.as_seconds() / act_units::SECONDS_PER_HOUR).ceil().max(1.0) as usize;
-        self.window_footprint(start_hour, hours, energy)
-    }
 }
 
 #[cfg(test)]
@@ -172,6 +127,14 @@ mod tests {
         IntensityProfile::solar_grid(CarbonIntensity::grams_per_kwh(500.0), 0.6)
     }
 
+    /// Share of a `hours`-long midnight job's footprint saved by moving it
+    /// to the profile's cleanest window.
+    fn saving_from_midnight(p: &IntensityProfile, hours: usize) -> f64 {
+        let probe = Energy::kilowatt_hours(1.0);
+        let best = p.window_footprint(p.cleanest_window_start(hours), hours, probe);
+        1.0 - best.ratio(p.window_footprint(0, hours, probe))
+    }
+
     #[test]
     fn constant_profile_is_flat() {
         let p = IntensityProfile::constant(CarbonIntensity::grams_per_kwh(300.0));
@@ -179,7 +142,7 @@ mod tests {
             assert_eq!(p.at_hour(h), CarbonIntensity::grams_per_kwh(300.0));
         }
         assert_eq!(p.daily_average(), CarbonIntensity::grams_per_kwh(300.0));
-        assert_eq!(p.shifting_benefit(4), 0.0);
+        assert_eq!(saving_from_midnight(&p, 4), 0.0);
     }
 
     #[test]
@@ -215,15 +178,15 @@ mod tests {
 
     #[test]
     fn scheduling_saves_real_carbon_on_solar_grids() {
-        let benefit = solar().shifting_benefit(4);
+        let benefit = saving_from_midnight(&solar(), 4);
         assert!((0.2..0.7).contains(&benefit), "benefit {benefit}");
     }
 
     #[test]
     fn longer_jobs_benefit_less_from_shifting() {
         let p = solar();
-        assert!(p.shifting_benefit(2) > p.shifting_benefit(12));
-        assert!(p.shifting_benefit(24) < 1e-9);
+        assert!(saving_from_midnight(&p, 2) > saving_from_midnight(&p, 12));
+        assert!(saving_from_midnight(&p, 24).abs() < 1e-9);
     }
 
     #[test]
@@ -232,13 +195,6 @@ mod tests {
         let avg = p.daily_average();
         assert!(avg < p.at_hour(0));
         assert!(avg > p.at_hour(12));
-    }
-
-    #[test]
-    fn job_footprint_rounds_duration_up() {
-        let p = IntensityProfile::constant(CarbonIntensity::grams_per_kwh(100.0));
-        let m = p.job_footprint(0, TimeSpan::seconds(90.0 * 60.0), Energy::kilowatt_hours(1.0));
-        assert!((m.as_grams() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl OptimizationMetric {
         }
     }
 
-    /// `true` for the metrics that include embodied carbon.
-    #[must_use]
-    pub fn is_carbon_aware(&self) -> bool {
-        Self::CARBON_AWARE.contains(self)
-    }
-
     /// Table 2's use-case description.
     #[must_use]
     pub fn use_case(&self) -> &'static str {
@@ -199,11 +193,10 @@ mod tests {
 
     #[test]
     fn carbon_aware_partition() {
-        assert!(!OptimizationMetric::Edp.is_carbon_aware());
-        assert!(!OptimizationMetric::Edap.is_carbon_aware());
-        for m in OptimizationMetric::CARBON_AWARE {
-            assert!(m.is_carbon_aware());
-        }
+        let aware = OptimizationMetric::CARBON_AWARE;
+        assert!(!aware.contains(&OptimizationMetric::Edp));
+        assert!(!aware.contains(&OptimizationMetric::Edap));
+        assert_eq!(aware.len() + 2, OptimizationMetric::ALL.len());
     }
 
     #[test]

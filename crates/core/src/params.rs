@@ -77,14 +77,6 @@ pub struct ParamsError {
     source: Option<UnitError>,
 }
 
-impl ParamsError {
-    /// The underlying quantity-domain error, when the violation was one.
-    #[must_use]
-    pub fn unit_error(&self) -> Option<&UnitError> {
-        self.source.as_ref()
-    }
-}
-
 impl std::fmt::Display for ParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "invalid model parameters: {}", self.message)
@@ -384,7 +376,7 @@ mod tests {
     fn json_round_trip() {
         use act_json::{FromJson, JsonValue, ToJson};
         let p = ModelParams::mobile_reference();
-        let json = p.to_json().render_pretty();
+        let json = p.to_json().render_compact();
         let back = ModelParams::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.footprint(), p.footprint());
@@ -461,7 +453,7 @@ mod tests {
             crate::ModelError::Params(e) => e,
             other => panic!("expected a params error, got {other:?}"),
         };
-        assert!(params_err.unit_error().is_some());
+        assert!(std::error::Error::source(&params_err).is_some());
     }
 
     #[test]

@@ -4,8 +4,6 @@ use std::fmt;
 
 use act_units::CarbonIntensity;
 
-use crate::EnergySource;
-
 act_json::json_enum! {
     [ToJson]
     /// A geographic power grid with its average carbon intensity (ACT Table 6).
@@ -81,20 +79,6 @@ impl Location {
     pub fn carbon_intensity(self) -> CarbonIntensity {
         CarbonIntensity::grams_per_kwh(CI_G_PER_KWH[self as usize])
     }
-
-    /// Dominant generation sources for the grid, if the paper lists any.
-    #[must_use]
-    pub fn dominant_sources(self) -> &'static [EnergySource] {
-        match self {
-            Self::World | Self::Europe => &[],
-            Self::India | Self::Taiwan => &[EnergySource::Coal, EnergySource::Gas],
-            Self::Australia => &[EnergySource::Coal],
-            Self::Singapore => &[EnergySource::Gas],
-            Self::UnitedStates => &[EnergySource::Coal, EnergySource::Gas],
-            Self::Brazil => &[EnergySource::Wind, EnergySource::Hydropower],
-            Self::Iceland => &[EnergySource::Hydropower],
-        }
-    }
 }
 
 impl fmt::Display for Location {
@@ -140,17 +124,6 @@ mod tests {
     fn hydro_grids_are_cleanest() {
         for loc in Location::ALL {
             assert!(Location::Iceland.carbon_intensity() <= loc.carbon_intensity());
-        }
-    }
-
-    #[test]
-    fn dominant_sources_are_consistent() {
-        // Grids dominated by renewables are cleaner than the world average.
-        for loc in Location::ALL {
-            let sources = loc.dominant_sources();
-            if !sources.is_empty() && sources.iter().all(|s| s.is_renewable()) {
-                assert!(loc.carbon_intensity() < Location::World.carbon_intensity());
-            }
         }
     }
 

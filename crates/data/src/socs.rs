@@ -114,13 +114,6 @@ impl SocSpec {
     pub fn efficiency_score(&self) -> f64 {
         self.reference_score / self.tdp_w
     }
-
-    /// Total multi-core compute capacity in (GHz × IPC-index) units —
-    /// the first-order performance model the `act-soc` simulator refines.
-    #[must_use]
-    pub fn compute_capacity(&self) -> f64 {
-        self.clusters.iter().map(|c| f64::from(c.count) * c.freq_ghz * c.ipc_index).sum()
-    }
 }
 
 const fn cluster(core: &'static str, count: u32, freq_ghz: f64, ipc_index: f64) -> ClusterSpec {
@@ -322,6 +315,12 @@ pub fn newest_in_family(family: SocFamily) -> &'static SocSpec {
 mod tests {
     use super::*;
 
+    /// Total multi-core compute capacity in (GHz × IPC-index) units: the
+    /// first-order performance the cluster table must agree with.
+    fn compute_capacity(soc: &SocSpec) -> f64 {
+        soc.clusters.iter().map(|c| f64::from(c.count) * c.freq_ghz * c.ipc_index).sum()
+    }
+
     #[test]
     fn thirteen_socs_across_three_families() {
         assert_eq!(MOBILE_SOCS.len(), 13);
@@ -366,7 +365,7 @@ mod tests {
             assert!(soc.tdp_w > 3.0 && soc.tdp_w < 8.0, "{}", soc.name);
             assert!(soc.dram_gb >= 3.0 && soc.dram_gb <= 8.0, "{}", soc.name);
             assert!(!soc.clusters.is_empty());
-            assert!(soc.compute_capacity() > 5.0);
+            assert!(compute_capacity(soc) > 5.0);
             assert!((2015..=2020).contains(&soc.year));
         }
     }
@@ -380,7 +379,7 @@ mod tests {
                 .sort_by(|a, b| a.reference_score.partial_cmp(&b.reference_score).unwrap());
             for pair in in_family.windows(2) {
                 assert!(
-                    pair[1].compute_capacity() >= pair[0].compute_capacity() * 0.85,
+                    compute_capacity(pair[1]) >= compute_capacity(pair[0]) * 0.85,
                     "{} vs {}",
                     pair[1].name,
                     pair[0].name

@@ -422,7 +422,7 @@ impl McBuffer {
         if len == 0 {
             return Err(McError::NoSamples);
         }
-        let workers = parallelism.resolve_for(len).workers.min(len);
+        let workers = parallelism.resolve_for(len).workers;
         summarize(&mut self.keys, workers, &mut self.tail)
     }
 }
@@ -599,7 +599,7 @@ pub fn par_sweep_compiled_block_budgeted(
     budget: &EvalBudget,
 ) -> BatchRun {
     let len = batch.len();
-    let workers = parallelism.resolve_for(len).workers.min(len.max(1));
+    let workers = parallelism.resolve_for(len).workers;
     out.reset(len);
     let columns = batch.column_slices();
     // Blocks log their rejections as they finish, in any order; sorting
@@ -790,7 +790,7 @@ pub fn par_monte_carlo_compiled_block_budgeted<S: BlockSampler>(
         buf.keys.clear();
         return Err(McError::NoSamples);
     }
-    let workers = parallelism.resolve_for(samples).workers.min(samples);
+    let workers = parallelism.resolve_for(samples).workers;
     // No refill: the engine writes every completed slot and the buffer is
     // cut to the completed prefix, so the last run's keys never leak
     // through.

@@ -19,7 +19,12 @@
 //!
 //! Every parallel entry point takes a [`Parallelism`] policy first
 //! (`Serial`, `Auto` honoring `ACT_THREADS`, or explicit `Threads(n)`):
-//! serial is a policy, not a separate function. Results come back in
+//! serial is a policy, not a separate function. A policy resolves to a
+//! worker count in one of two ways: [`Parallelism::resolve_for`] for a
+//! batch of known size (capped at one worker per point, and serial below
+//! the calibrated break-even size under `Auto`), and
+//! [`Parallelism::resolve`] for task lists such as [`par_map_ordered`]
+//! (no threshold). Results come back in
 //! input order and — via per-sample seed-splitting ([`mc_sample_seed`])
 //! for Monte-Carlo — are bit-for-bit identical for any thread count.
 //! Invalid design points are skipped and recorded ([`RejectedPoint`],
@@ -64,8 +69,7 @@ pub use montecarlo::{
 };
 pub use optimize::argmin_feasible;
 pub use parallel::{
-    calibration, machine_parallelism, par_map_ordered, BatchDecision, Calibration,
-    CalibrationSource, Parallelism, ResolvedParallelism, ThreadsSource, ThreadsWarning,
-    ThreadsWarningReason,
+    calibration, par_map_ordered, Calibration, CalibrationSource, Parallelism,
+    ResolvedParallelism, ThreadsWarning, ThreadsWarningReason,
 };
 pub use sweep::{logspace, powers_of_two, powers_of_two_iter, RejectedPoint};

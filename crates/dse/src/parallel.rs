@@ -11,12 +11,16 @@
 //!
 //! Thread count is a [`Parallelism`] policy: `Serial` (no threads at all),
 //! `Auto` (the `ACT_THREADS` environment variable, else every available
-//! core) or an explicit `Threads(n)`. For batch work whose size is known,
-//! [`Parallelism::resolve_for`] additionally consults a one-shot
+//! core) or an explicit `Threads(n)`. It resolves two ways.
+//! [`Parallelism::resolve`] gives the policy's count as it stands; task
+//! lists such as [`par_map_ordered`] use it, because one task can
+//! outweigh thousands of points. [`Parallelism::resolve_for`] is for
+//! point batches of known size: it caps the count at one worker per point
+//! and, for the machine-default `Auto`, consults a one-shot
 //! [`Calibration`] — measured pool-dispatch overhead vs. per-point kernel
-//! cost — and falls back to serial
-//! below the measured break-even batch size, so `Auto` never pays dispatch
-//! overhead on batches too small to amortize it.
+//! cost — and falls back to serial below the measured break-even batch
+//! size, so `Auto` never pays dispatch overhead on batches too small to
+//! amortize it.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -30,8 +34,8 @@ use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 /// ```
 /// use act_dse::Parallelism;
 ///
-/// assert_eq!(Parallelism::Serial.worker_count(), 1);
-/// assert!(Parallelism::Auto.worker_count() >= 1);
+/// assert_eq!(Parallelism::Serial.resolve().workers, 1);
+/// assert!(Parallelism::Auto.resolve().workers >= 1);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
@@ -39,8 +43,9 @@ pub enum Parallelism {
     /// One worker on the calling thread: no threads are spawned and
     /// evaluation order matches the serial loop exactly.
     Serial,
-    /// Honors the `ACT_THREADS` environment variable when it parses as a
-    /// positive integer, else uses the machine's available parallelism.
+    /// Honors the `ACT_THREADS` environment variable when it parses as an
+    /// integer from 1 to 1024, else uses the machine's available
+    /// parallelism.
     #[default]
     Auto,
     /// Exactly this many workers.
@@ -48,113 +53,74 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Resolves the policy to a concrete worker count (always ≥ 1).
-    ///
-    /// Equivalent to [`Parallelism::resolve`] with the warning discarded;
-    /// use `resolve` when a rejected `ACT_THREADS` value should be
-    /// surfaced to the user instead of silently falling back.
-    #[must_use]
-    pub fn worker_count(self) -> usize {
-        self.resolve().0
-    }
-
     /// Resolves the policy to a concrete worker count (always ≥ 1),
-    /// reporting whether an `ACT_THREADS` override was **ignored**.
+    /// reporting whether an `ACT_THREADS` override was **ignored**. No
+    /// break-even threshold applies: this is the count for a list of
+    /// tasks, each of which may be heavy.
     ///
     /// `Serial` and `Threads(n)` never warn. `Auto` warns exactly when the
     /// `ACT_THREADS` environment variable is set but unusable (empty,
-    /// non-numeric, zero, or too large for `usize`); the returned count is
-    /// then the machine default, and the [`ThreadsWarning`] says what was
-    /// rejected and why so callers can tell the user rather than silently
-    /// running on a different thread count than they asked for.
+    /// non-numeric, zero, or above 1024); the returned count is then the
+    /// machine default, and the [`ThreadsWarning`] says what was rejected
+    /// and why so callers can tell the user rather than silently running
+    /// on a different thread count than they asked for.
     ///
     /// # Examples
     ///
     /// ```
     /// use act_dse::Parallelism;
     ///
-    /// let (workers, warning) = Parallelism::Serial.resolve();
-    /// assert_eq!((workers, warning), (1, None));
+    /// let resolved = Parallelism::Serial.resolve();
+    /// assert_eq!((resolved.workers, resolved.warning), (1, None));
     /// ```
     #[must_use]
-    pub fn resolve(self) -> (usize, Option<ThreadsWarning>) {
-        let detail = self.resolve_detailed();
-        (detail.workers, detail.warning)
+    pub fn resolve(self) -> ResolvedParallelism {
+        self.resolve_capped(usize::MAX, false)
     }
 
-    /// Resolves the policy to a concrete worker count **and says where the
-    /// number came from**, so a report can explain a silently-1×
-    /// "parallel" speedup (a one-core host, an `ACT_THREADS` cap) instead
-    /// of hiding it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use act_dse::{Parallelism, ThreadsSource};
-    ///
-    /// let detail = Parallelism::Serial.resolve_detailed();
-    /// assert_eq!(detail.workers, 1);
-    /// assert_eq!(detail.source, ThreadsSource::Policy);
-    /// assert!(detail.machine >= 1);
-    /// ```
-    #[must_use]
-    pub fn resolve_detailed(self) -> ResolvedParallelism {
-        let machine = machine_parallelism();
-        let unconditional = |workers, source, warning| ResolvedParallelism {
-            workers,
-            source,
-            machine,
-            warning,
-            decision: BatchDecision::Unconditional,
-        };
-        match self {
-            Self::Serial => unconditional(1, ThreadsSource::Policy, None),
-            Self::Threads(n) => unconditional(n.get(), ThreadsSource::Policy, None),
-            Self::Auto => match env_threads() {
-                Ok(Some(n)) => unconditional(n, ThreadsSource::Env, None),
-                Ok(None) => unconditional(machine, ThreadsSource::Machine, None),
-                Err(warning) => unconditional(machine, ThreadsSource::Machine, Some(warning)),
-            },
-        }
-    }
-
-    /// Resolves the policy for a batch of `len` points, applying the
-    /// break-even [`Calibration`] when the policy is a pure machine-default
+    /// Resolves the policy for a batch of `len` points: never more than
+    /// one worker per point (`workers <= len.max(1)`), and the break-even
+    /// [`Calibration`] applied when the policy is a pure machine-default
     /// `Auto`: batches below the calibrated threshold resolve to **one
     /// worker** (serial), because pool-dispatch overhead would exceed the
     /// parallel win. Explicit policies — `Serial`, `Threads(n)`, and a
     /// valid `ACT_THREADS` override — bypass the threshold entirely; the
     /// user asked for a specific worker count and gets it.
     ///
-    /// The outcome is recorded in [`ResolvedParallelism::decision`] so bench
-    /// records and service logs can show *why* a sweep ran serial.
-    ///
     /// # Examples
     ///
     /// ```
-    /// use act_dse::{BatchDecision, Parallelism};
+    /// use act_dse::Parallelism;
     ///
     /// // Explicit policies never consult the calibration.
-    /// let detail = Parallelism::threads(4).resolve_for(10);
-    /// assert_eq!(detail.workers, 4);
-    /// assert_eq!(detail.decision, BatchDecision::Unconditional);
+    /// assert_eq!(Parallelism::threads(4).resolve_for(10).workers, 4);
+    /// // No batch gets more workers than points.
+    /// assert_eq!(Parallelism::threads(4).resolve_for(3).workers, 3);
     /// ```
     #[must_use]
     pub fn resolve_for(self, len: usize) -> ResolvedParallelism {
-        let mut detail = self.resolve_detailed();
-        if matches!(self, Self::Auto)
-            && detail.source == ThreadsSource::Machine
-            && detail.workers > 1
-        {
-            let threshold = calibration().threshold_points;
-            if len < threshold {
-                detail.workers = 1;
-                detail.decision = BatchDecision::SerialBelowThreshold { threshold };
-            } else {
-                detail.decision = BatchDecision::ParallelAboveThreshold { threshold };
-            }
-        }
-        detail
+        self.resolve_capped(len, true)
+    }
+
+    /// The one resolver: the policy's count, at most one worker per task
+    /// of `len`, and serial below the calibrated threshold when
+    /// `break_even` is set and the count is the machine default.
+    fn resolve_capped(self, len: usize, break_even: bool) -> ResolvedParallelism {
+        let (workers, warning, machine_default) = match self {
+            Self::Serial => (1, None, false),
+            Self::Threads(n) => (n.get(), None, false),
+            Self::Auto => match env_threads() {
+                Ok(Some(n)) => (n, None, false),
+                Ok(None) => (machine_parallelism(), None, true),
+                Err(warning) => (machine_parallelism(), Some(warning), true),
+            },
+        };
+        let serial_wins = break_even
+            && machine_default
+            && workers > 1
+            && len < calibration().threshold_points;
+        let workers = if serial_wins { 1 } else { workers.min(len.max(1)) };
+        ResolvedParallelism { workers, warning }
     }
 
     /// Convenience constructor clamping `n` up to 1, for callers holding a
@@ -168,56 +134,14 @@ impl Parallelism {
     }
 }
 
-/// A fully resolved [`Parallelism`] policy: the worker count, where it came
-/// from, and what the machine itself reports — enough for a bench record or
-/// service log to explain an unexpected 1× speedup instead of hiding it.
+/// A resolved [`Parallelism`] policy: the worker count, and the
+/// `ACT_THREADS` value it ignored, if any.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResolvedParallelism {
     /// The concrete worker count (always ≥ 1).
     pub workers: usize,
-    /// What decided `workers`.
-    pub source: ThreadsSource,
-    /// What [`machine_parallelism`] reports, regardless of `source`.
-    pub machine: usize,
     /// A rejected `ACT_THREADS` override, when one was ignored.
     pub warning: Option<ThreadsWarning>,
-    /// The break-even outcome when resolved through
-    /// [`Parallelism::resolve_for`]; [`BatchDecision::Unconditional`] for
-    /// plain [`Parallelism::resolve_detailed`] and explicit policies.
-    pub decision: BatchDecision,
-}
-
-/// The break-even outcome of a length-aware [`Parallelism::resolve_for`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BatchDecision {
-    /// No threshold was consulted: an explicit policy, an `ACT_THREADS`
-    /// override, a single-core host, or a plain length-independent resolve.
-    Unconditional,
-    /// `Auto` dispatched in parallel: the batch cleared the calibrated
-    /// break-even threshold.
-    ParallelAboveThreshold {
-        /// The threshold that was cleared, in points.
-        threshold: usize,
-    },
-    /// `Auto` fell back to serial: the batch was below the calibrated
-    /// break-even threshold, so dispatch overhead would exceed the win.
-    SerialBelowThreshold {
-        /// The threshold that was not met, in points.
-        threshold: usize,
-    },
-}
-
-impl BatchDecision {
-    /// Stable lower-case name for machine-readable output.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Unconditional => "unconditional",
-            Self::ParallelAboveThreshold { .. } => "parallel",
-            Self::SerialBelowThreshold { .. } => "serial-below-threshold",
-        }
-    }
 }
 
 /// The process-wide break-even calibration consulted by
@@ -355,38 +279,13 @@ fn reference_ns_per_point() -> f64 {
     per_point_ns
 }
 
-/// Where a resolved worker count came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ThreadsSource {
-    /// An explicit policy: `Serial` or `Threads(n)`.
-    Policy,
-    /// A valid `ACT_THREADS` environment override.
-    Env,
-    /// The machine's available parallelism (the `Auto` default).
-    Machine,
-}
-
-impl ThreadsSource {
-    /// Stable lower-case name for machine-readable output.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Policy => "policy",
-            Self::Env => "env",
-            Self::Machine => "machine",
-        }
-    }
-}
-
 /// The host's available parallelism as the engine sees it: what
 /// [`std::thread::available_parallelism`] reports (which honors cgroup and
 /// affinity limits), clamped to 1 when the call fails. Read once per
 /// process and cached like the [`calibration`] that depends on it: on
 /// Linux the underlying call reads cgroup files (tens of microseconds),
-/// and every [`Parallelism::resolve_for`] consults it.
-#[must_use]
-pub fn machine_parallelism() -> usize {
+/// and every `Auto` resolution without `ACT_THREADS` consults it.
+fn machine_parallelism() -> usize {
     static MACHINE: OnceLock<usize> = OnceLock::new();
     *MACHINE.get_or_init(|| {
         std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
@@ -415,6 +314,10 @@ pub enum ThreadsWarningReason {
     NotAPositiveInteger,
     /// The value parsed as `0`, which is not a valid worker count.
     Zero,
+    /// The value is above 1024, the most workers `ACT_THREADS` may ask
+    /// for: pool threads persist for the process, so the ceiling bounds
+    /// what a typo can start. It does not depend on the host.
+    AboveCeiling,
 }
 
 impl std::fmt::Display for ThreadsWarning {
@@ -423,6 +326,7 @@ impl std::fmt::Display for ThreadsWarning {
             ThreadsWarningReason::Empty => "it is empty",
             ThreadsWarningReason::NotAPositiveInteger => "it is not a positive integer",
             ThreadsWarningReason::Zero => "a worker count must be at least 1",
+            ThreadsWarningReason::AboveCeiling => "a worker count must be at most 1024",
         };
         write!(f, "ignoring ACT_THREADS={:?} ({detail}); using the machine default", self.raw)
     }
@@ -440,6 +344,9 @@ fn env_threads() -> Result<Option<usize>, ThreadsWarning> {
     }
 }
 
+/// The largest worker count `ACT_THREADS` may ask for.
+const MAX_ENV_THREADS: usize = 1024;
+
 /// Pure parser behind [`env_threads`], split out so the rejection cases
 /// are testable without touching process-global environment state (which
 /// would race under the parallel test harness).
@@ -451,6 +358,7 @@ fn parse_threads(raw: &str) -> Result<usize, ThreadsWarning> {
     }
     match trimmed.parse::<usize>() {
         Ok(0) => Err(reject(ThreadsWarningReason::Zero)),
+        Ok(n) if n > MAX_ENV_THREADS => Err(reject(ThreadsWarningReason::AboveCeiling)),
         Ok(n) => Ok(n),
         Err(_) => Err(reject(ThreadsWarningReason::NotAPositiveInteger)),
     }
@@ -458,6 +366,12 @@ fn parse_threads(raw: &str) -> Result<usize, ThreadsWarning> {
 
 /// Applies `f(index, &item)` to every element of `items`, in parallel,
 /// returning results in input order.
+///
+/// The worker count is [`Parallelism::resolve`]'s, capped at one worker
+/// per item, with no break-even threshold: the items are tasks, and a
+/// list of a few dozen heavy ones (the experiment jobs of `act all`) is
+/// worth spreading although it is far shorter than any point batch that
+/// clears the calibration.
 ///
 /// A panicking `f` propagates its payload to the caller after every worker
 /// has stopped, matching the serial loop's failure mode.
@@ -476,7 +390,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = parallelism.worker_count().min(items.len().max(1));
+    let workers = parallelism.resolve_capped(items.len(), false).workers;
     if workers <= 1 {
         return items.iter().enumerate().map(|(index, item)| f(index, item)).collect();
     }
@@ -555,11 +469,18 @@ mod tests {
 
     #[test]
     fn worker_count_resolution() {
-        assert_eq!(Parallelism::Serial.worker_count(), 1);
-        assert_eq!(Parallelism::threads(6).worker_count(), 6);
-        assert_eq!(Parallelism::threads(0).worker_count(), 1);
-        assert!(Parallelism::Auto.worker_count() >= 1);
+        assert_eq!(Parallelism::Serial.resolve().workers, 1);
+        assert_eq!(Parallelism::threads(6).resolve().workers, 6);
+        assert_eq!(Parallelism::threads(0).resolve().workers, 1);
+        assert!(Parallelism::Auto.resolve().workers >= 1);
         assert_eq!(Parallelism::default(), Parallelism::Auto);
+    }
+
+    /// The `ACT_THREADS` count this test process runs under: `Some(n)` for
+    /// a valid override, `None` for none or a rejected one (the machine
+    /// default then applies).
+    fn env_override() -> Option<usize> {
+        std::env::var("ACT_THREADS").ok().and_then(|raw| parse_threads(&raw).ok())
     }
 
     /// Regression test for the pr5-hermetic bench mystery (`act all`
@@ -567,35 +488,22 @@ mod tests {
     /// parallelism — in particular **more than one worker on a multi-core
     /// host** — unless a valid `ACT_THREADS` override says otherwise. On a
     /// genuinely single-core host (as the pr5 bench machine turned out to
-    /// be) the correct resolution is 1 and the source still says why.
+    /// be) the correct resolution is 1.
     #[test]
     fn auto_resolves_to_machine_parallelism() {
-        let detail = Parallelism::Auto.resolve_detailed();
-        assert!(detail.workers >= 1);
-        assert_eq!(detail.machine, machine_parallelism());
-        match std::env::var("ACT_THREADS") {
-            Ok(raw) => match parse_threads(&raw) {
-                Ok(n) => {
-                    assert_eq!(detail.source, ThreadsSource::Env);
-                    assert_eq!(detail.workers, n);
-                    assert!(detail.warning.is_none());
-                }
-                Err(_) => {
-                    assert_eq!(detail.source, ThreadsSource::Machine);
-                    assert_eq!(detail.workers, detail.machine);
-                    assert!(detail.warning.is_some());
-                }
-            },
-            Err(_) => {
-                assert_eq!(detail.source, ThreadsSource::Machine);
-                assert_eq!(detail.workers, detail.machine);
-                assert!(detail.warning.is_none());
+        let resolved = Parallelism::Auto.resolve();
+        let rejected = std::env::var("ACT_THREADS").is_ok() && env_override().is_none();
+        assert_eq!(resolved.warning.is_some(), rejected);
+        match env_override() {
+            Some(n) => assert_eq!(resolved.workers, n),
+            None => {
+                assert_eq!(resolved.workers, machine_parallelism());
                 // The actual multi-core regression assertion: a host with
                 // more than one core must never fall back to one worker.
                 if std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1) > 1
                 {
                     assert!(
-                        detail.workers > 1,
+                        resolved.workers > 1,
                         "Auto resolved to 1 worker on a multi-core host"
                     );
                 }
@@ -625,45 +533,34 @@ mod tests {
     /// hosts trivially.
     #[test]
     fn tiny_batches_resolve_serial_under_auto() {
-        let detail = Parallelism::Auto.resolve_for(4);
-        if detail.source == ThreadsSource::Machine {
-            assert_eq!(detail.workers, 1, "4 points can never amortize dispatch");
-            if machine_parallelism() > 1 {
-                let threshold = calibration().threshold_points;
-                assert_eq!(detail.decision, BatchDecision::SerialBelowThreshold { threshold });
-            }
+        if env_override().is_none() {
+            assert_eq!(Parallelism::Auto.resolve_for(4).workers, 1, "4 points never amortize");
+            assert!(512 <= calibration().threshold_points);
         }
     }
 
     #[test]
     fn huge_batches_resolve_parallel_under_auto_on_multicore() {
-        let detail = Parallelism::Auto.resolve_for(usize::MAX);
-        if detail.source == ThreadsSource::Machine && machine_parallelism() > 1 {
-            assert_eq!(detail.workers, machine_parallelism());
-            let threshold = calibration().threshold_points;
-            assert_eq!(detail.decision, BatchDecision::ParallelAboveThreshold { threshold });
+        let workers = Parallelism::Auto.resolve_for(usize::MAX).workers;
+        assert_eq!(workers, env_override().unwrap_or_else(machine_parallelism));
+    }
+
+    /// `resolve_for` never grants more workers than points, whatever the
+    /// policy, and an empty batch still gets one worker.
+    #[test]
+    fn batches_get_at_most_one_worker_per_point() {
+        for policy in [Parallelism::Serial, Parallelism::threads(3), Parallelism::Auto] {
+            for len in [0, 1, 2, 3, 5, 1 << 20] {
+                let workers = policy.resolve_for(len).workers;
+                assert!((1..=len.max(1)).contains(&workers), "{policy:?} len {len}: {workers}");
+            }
         }
     }
 
     #[test]
     fn explicit_policies_bypass_the_threshold() {
-        for policy in [Parallelism::Serial, Parallelism::threads(3)] {
-            let detail = policy.resolve_for(1);
-            assert_eq!(detail.decision, BatchDecision::Unconditional);
-            assert_eq!(detail.workers, policy.worker_count());
-        }
-    }
-
-    #[test]
-    fn decision_and_calibration_names_are_stable() {
-        assert_eq!(BatchDecision::Unconditional.as_str(), "unconditional");
-        assert_eq!(BatchDecision::ParallelAboveThreshold { threshold: 1 }.as_str(), "parallel");
-        assert_eq!(
-            BatchDecision::SerialBelowThreshold { threshold: 1 }.as_str(),
-            "serial-below-threshold"
-        );
-        assert_eq!(CalibrationSource::Measured.as_str(), "measured");
-        assert_eq!(CalibrationSource::SingleCore.as_str(), "single-core");
+        assert_eq!(Parallelism::Serial.resolve_for(1000).workers, 1);
+        assert_eq!(Parallelism::threads(3).resolve_for(3).workers, 3);
     }
 
     /// The `usize::MAX` single-core pin must encode as `null`, never as
@@ -689,19 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn threads_source_names_are_stable() {
-        assert_eq!(ThreadsSource::Policy.as_str(), "policy");
-        assert_eq!(ThreadsSource::Env.as_str(), "env");
-        assert_eq!(ThreadsSource::Machine.as_str(), "machine");
-        assert_eq!(Parallelism::threads(3).resolve_detailed().source, ThreadsSource::Policy);
-    }
-
-    #[test]
     fn explicit_policies_never_warn() {
-        assert_eq!(Parallelism::Serial.resolve(), (1, None));
-        assert_eq!(Parallelism::threads(6).resolve(), (6, None));
+        let none = |workers| ResolvedParallelism { workers, warning: None };
+        assert_eq!(Parallelism::Serial.resolve(), none(1));
+        assert_eq!(Parallelism::threads(6).resolve(), none(6));
         // `threads(0)` clamps to Serial at construction, before resolve.
-        assert_eq!(Parallelism::threads(0).resolve(), (1, None));
+        assert_eq!(Parallelism::threads(0).resolve(), none(1));
     }
 
     #[test]
@@ -710,9 +600,8 @@ mod tests {
         assert_eq!(parse_threads("8"), Ok(8));
         // Surrounding whitespace is tolerated, matching historic behavior.
         assert_eq!(parse_threads("  4\n"), Ok(4));
-        // Huge-but-representable counts are accepted; the thread engine
-        // clamps workers to the work-item count, not here.
-        assert_eq!(parse_threads("1000000"), Ok(1_000_000));
+        // The ceiling itself is accepted.
+        assert_eq!(parse_threads("1024"), Ok(MAX_ENV_THREADS));
     }
 
     #[test]
@@ -728,6 +617,10 @@ mod tests {
             ("3.5", ThreadsWarningReason::NotAPositiveInteger),
             // Larger than any usize: overflow is a rejection, not a wrap.
             ("99999999999999999999999", ThreadsWarningReason::NotAPositiveInteger),
+            // Pool threads persist, so a typo must not start 100k of them.
+            ("1025", ThreadsWarningReason::AboveCeiling),
+            ("100000", ThreadsWarningReason::AboveCeiling),
+            (" 18446744073709551615 ", ThreadsWarningReason::AboveCeiling),
         ];
         for (raw, reason) in cases {
             let warning = parse_threads(raw).expect_err(raw);

@@ -402,7 +402,15 @@ mod tests {
                 .unwrap_or_else(|err| panic!("{id} should serialize: {err}"));
             let parsed =
                 act_json::JsonValue::parse(&json).unwrap_or_else(|e| panic!("{id}: {e}"));
-            assert!(parsed.is_object() || parsed.is_array() || parsed.is_null(), "{id}");
+            assert!(
+                matches!(
+                    parsed,
+                    act_json::JsonValue::Object(_)
+                        | act_json::JsonValue::Array(_)
+                        | act_json::JsonValue::Null
+                ),
+                "{id}"
+            );
         }
     }
 

@@ -10,9 +10,9 @@
 //!
 //! * [`JsonValue`] — an ordered JSON document model (objects preserve
 //!   insertion order, so rendered output is deterministic).
-//! * Writers — [`JsonValue::render_compact`] and
-//!   [`JsonValue::render_pretty`] (2-space indent). Non-finite floats render
-//!   as `null`; integral floats keep a trailing `.0` so quantities stay
+//! * One writer — [`JsonValue::render_compact`], no whitespace, which
+//!   every program output goes through. Non-finite floats render as
+//!   `null`; integral floats keep a trailing `.0` so quantities stay
 //!   visibly floating-point across round-trips.
 //! * A tolerant recursive-descent parser — [`JsonValue::parse`] — with byte
 //!   offsets in its errors and a recursion-depth guard.
@@ -204,24 +204,6 @@ impl JsonValue {
         matches!(self, Self::Null)
     }
 
-    /// `true` for [`JsonValue::Object`].
-    #[must_use]
-    pub fn is_object(&self) -> bool {
-        matches!(self, Self::Object(_))
-    }
-
-    /// `true` for [`JsonValue::Array`].
-    #[must_use]
-    pub fn is_array(&self) -> bool {
-        matches!(self, Self::Array(_))
-    }
-
-    /// `true` for either numeric variant.
-    #[must_use]
-    pub fn is_number(&self) -> bool {
-        matches!(self, Self::Int(_) | Self::Float(_))
-    }
-
     /// The boolean payload, if this is a bool.
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {
@@ -302,14 +284,6 @@ impl JsonValue {
         out
     }
 
-    /// Renders with 2-space indentation and one entry per line.
-    #[must_use]
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
-    }
-
     fn write_compact(&self, out: &mut String) {
         match self {
             Self::Null => out.push_str("null"),
@@ -343,40 +317,6 @@ impl JsonValue {
                 }
                 out.push('}');
             }
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            Self::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Self::Object(obj) if !obj.is_empty() => {
-                out.push_str("{\n");
-                for (i, (key, value)) in obj.entries.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_pretty(out, indent + 1);
-                    if i + 1 < obj.entries.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push('}');
-            }
-            other => other.write_compact(out),
         }
     }
 
@@ -524,12 +464,6 @@ fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
 }
 
 /// Error produced by [`JsonValue::parse`] and the [`FromJson`]
@@ -1326,17 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn pretty_rendering_indents_by_two() {
-        let doc = obj! { "a": 1, "b": vec![1.5, 2.5] };
-        assert_eq!(
-            doc.render_pretty(),
-            "{\n  \"a\": 1,\n  \"b\": [\n    1.5,\n    2.5\n  ]\n}"
-        );
-        assert_eq!(obj! {}.render_pretty(), "{}");
-        assert_eq!(JsonValue::Array(Vec::new()).render_pretty(), "[]");
-    }
-
-    #[test]
     fn parser_round_trips_writer_output() {
         let doc = obj! {
             "label": "trajectory",
@@ -1345,7 +1268,11 @@ mod tests {
             "flags": vec![true, false],
             "nested": obj! { "x": JsonValue::Null },
         };
-        for text in [doc.render_compact(), doc.render_pretty()] {
+        let compact = doc.render_compact();
+        // The same document spaced out between tokens, as a hand-written
+        // one would be (no key or string in it holds `,` or `:`).
+        let spaced = compact.replace(',', " ,\n  ").replace(':', " :\t");
+        for text in [compact, spaced] {
             assert_eq!(JsonValue::parse(&text).unwrap(), doc);
         }
     }
@@ -1515,7 +1442,7 @@ mod tests {
             scale: 0.5,
             tags: vec!["a".into(), "b".into()],
         };
-        let rendered = sample.to_json().render_pretty();
+        let rendered = sample.to_json().render_compact();
         let back = Sample::from_json(&JsonValue::parse(&rendered).unwrap()).unwrap();
         assert_eq!(back, sample);
 

@@ -3,8 +3,13 @@
 //! Every response body is NDJSON: one complete JSON document per line,
 //! including every error path — a client (or the soak harness) can always
 //! parse line-by-line without sniffing content types. Experiment renderings
-//! are byte-identical to `act --json <id>` stdout lines: the server calls
-//! the same `try_render_experiment` and appends the same single newline.
+//! are byte-identical to `act --json <id>` stdout lines, with the same
+//! single newline. The server renders through `try_render_experiment`, as
+//! `act --serial` does; the default CLI path renders through the job list
+//! (`par_try_render_experiments`). The bytes are the contract, pinned by
+//! `every_request_matches_the_serial_render_on_every_policy` (job list =
+//! serial render, act-experiments) and
+//! `experiment_rendering_is_byte_identical_to_the_library` (server = library).
 //!
 //! Sweeps and Monte-Carlo runs honor the per-request deadline through
 //! [`act_dse::EvalBudget`]: a request that runs out of time streams the
@@ -287,7 +292,7 @@ fn handle_fleet(
 
     let mut buf = McBuffer::default();
     let budget = EvalBudget::with_deadline(deadline);
-    let threads = batch_threads(fleet.samples());
+    let threads = Parallelism::Auto.resolve_for(fleet.samples()).workers;
     let result = fleet.run(threads, &mut buf, &budget);
     let fields = |outcome: &McOutcome| {
         [
@@ -344,14 +349,6 @@ fn check_axis_value(
             format!("axis `{name}` value {value} {}: {err}", position()),
         )
     })
-}
-
-/// Threads the calibrated policy grants a batch of `len` points: the
-/// [`Parallelism::Auto`] resolution (machine size, `ACT_THREADS`, and the
-/// measured break-even threshold), never more than one thread per point.
-/// `1` means the serial path wins and the pool is left alone.
-fn batch_threads(len: usize) -> usize {
-    Parallelism::Auto.resolve_for(len).workers.min(len.max(1))
 }
 
 /// The process-wide break-even calibration as a compact JSON fragment for
@@ -481,7 +478,7 @@ fn handle_sweep(
     // The calibrated policy decides serial vs. pool; both paths produce
     // bit-identical values, so clients cannot observe which ran except
     // through the `threads` field in the trailer.
-    let threads = batch_threads(sweep.points);
+    let threads = Parallelism::Auto.resolve_for(sweep.points).workers;
     let run = par_sweep_compiled_block_budgeted(
         Parallelism::threads(threads),
         &sweep.batch,
@@ -690,7 +687,7 @@ fn handle_montecarlo(
     };
     // Per-sample seeding makes the draws order-independent, so the pooled
     // path returns the same summary bit-for-bit (see `act_dse::batch`).
-    let threads = batch_threads(mc.samples);
+    let threads = Parallelism::Auto.resolve_for(mc.samples).workers;
     let result = par_monte_carlo_compiled_block_budgeted(
         Parallelism::threads(threads),
         mc.samples,

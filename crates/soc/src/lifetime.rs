@@ -157,18 +157,6 @@ impl ReplacementModel {
             .min_by(|a, b| self.total(*a).total_cmp(&self.total(*b)))
             .unwrap_or(1)
     }
-
-    /// Checked variant of [`Self::optimal_lifetime_years`]: validates the
-    /// model first, so a deserialized degenerate configuration reports an
-    /// error instead of returning a meaningless optimum.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`UnitError`] if the model does not [`validate`](Self::validate).
-    pub fn try_optimal_lifetime_years(&self) -> Result<u32, UnitError> {
-        self.validate()?;
-        Ok(self.optimal_lifetime_years())
-    }
 }
 
 #[cfg(test)]
@@ -267,14 +255,5 @@ mod tests {
         );
         assert!(ReplacementModel::try_mobile_study(1.0).is_err());
         assert!(ReplacementModel::try_mobile_study(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn try_optimum_validates_first() {
-        assert_eq!(model().try_optimal_lifetime_years().unwrap(), 5);
-        let degenerate = ReplacementModel { horizon_years: 0, ..model() };
-        assert!(degenerate.try_optimal_lifetime_years().is_err());
-        let poisoned = ReplacementModel { embodied_per_device: f64::NAN, ..model() };
-        assert!(poisoned.try_optimal_lifetime_years().is_err());
     }
 }

@@ -297,7 +297,7 @@ mod tests {
         for soc in &MOBILE_SOCS {
             for run in SocSimulator::new(soc).run_suite(&suite).runs {
                 assert!(
-                    run.power.as_watts() <= soc.tdp_w + 1e-9,
+                    run.power <= Power::watts(soc.tdp_w + 1e-9),
                     "{} exceeded TDP: {}",
                     soc.name,
                     run.power

@@ -260,21 +260,6 @@ impl FtlSimulator {
         self.stats = FtlStats::default();
     }
 
-    /// Relative spread of block erase counts `(max - min) / mean` — a
-    /// wear-leveling quality indicator (0 = perfectly even).
-    #[must_use]
-    pub fn wear_spread(&self) -> f64 {
-        let max = self.erase_counts.iter().copied().max().unwrap_or(0);
-        let min = self.erase_counts.iter().copied().min().unwrap_or(0);
-        let sum: u64 = self.erase_counts.iter().sum();
-        if sum == 0 {
-            0.0
-        } else {
-            let mean = sum as f64 / self.erase_counts.len() as f64;
-            (max - min) as f64 / mean
-        }
-    }
-
     /// Writes one logical page.
     ///
     /// # Panics
@@ -640,7 +625,13 @@ mod tests {
         ftl.run(&mut trace, 100_000);
         // Greedy GC is not an explicit wear leveler, but uniform traffic
         // keeps erases spread over all blocks: bounded relative spread.
-        assert!(ftl.wear_spread() < 2.0, "wear spread {}", ftl.wear_spread());
+        // Relative spread of block erase counts, (max - min) / mean.
+        let counts = &ftl.erase_counts;
+        let max = counts.iter().copied().max().unwrap_or(0);
+        let min = counts.iter().copied().min().unwrap_or(0);
+        let mean = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
+        let spread = (max - min) as f64 / mean;
+        assert!(spread < 2.0, "wear spread {spread}");
     }
 
     #[test]

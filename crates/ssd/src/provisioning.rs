@@ -82,12 +82,6 @@ impl OverProvisioning {
     pub fn physical_capacity_factor(self) -> f64 {
         1.0 + self.0
     }
-
-    /// Spare share of physical capacity: `PF / (1 + PF)`.
-    #[must_use]
-    pub fn spare_share(self) -> f64 {
-        self.0 / (1.0 + self.0)
-    }
 }
 
 impl TryFrom<f64> for OverProvisioning {
@@ -189,7 +183,6 @@ mod tests {
     fn capacity_factors() {
         let pf = OverProvisioning::new(0.25).unwrap();
         assert!((pf.physical_capacity_factor() - 1.25).abs() < 1e-12);
-        assert!((pf.spare_share() - 0.2).abs() < 1e-12);
     }
 
     #[test]

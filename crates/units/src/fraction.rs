@@ -80,15 +80,6 @@ impl Fraction {
         Self(value)
     }
 
-    /// Creates a fraction from a percentage in `[0, 100]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FractionError`] if the percentage is outside `[0, 100]`.
-    pub fn from_percent(percent: f64) -> Result<Self, FractionError> {
-        Self::new(percent / 100.0)
-    }
-
     /// The inner value.
     #[must_use]
     pub const fn get(self) -> f64 {
@@ -170,9 +161,9 @@ mod tests {
 
     #[test]
     fn percent_round_trip() {
-        let f = Fraction::from_percent(87.5).unwrap();
-        assert!((f.get() - 0.875).abs() < 1e-12);
+        let f = Fraction::new(0.875).unwrap();
         assert!((f.as_percent() - 87.5).abs() < 1e-12);
+        assert_eq!(Fraction::new(f.as_percent() / 100.0).unwrap(), f);
     }
 
     #[test]

@@ -55,14 +55,18 @@
 //!
 //! # Panicking vs. fallible construction
 //!
-//! Every quantity has two constructor families:
+//! Quantities have two constructor families:
 //!
 //! * The infallible ones (`MassCo2::grams`, `Area::square_millimeters`, …)
-//!   are `const`, debug-assert finiteness, and are meant for literals and
-//!   trusted model constants.
-//! * The `try_*` ones (`MassCo2::try_grams`, `Area::try_square_millimeters`,
-//!   `Quantity::try_from_base`, …) validate untrusted inputs, rejecting NaN,
-//!   infinite and negative magnitudes with a [`UnitError`].
+//!   exist for every quantity, are `const`, debug-assert finiteness, and
+//!   are meant for literals and trusted model constants.
+//! * The `try_*` ones validate untrusted inputs, rejecting NaN, infinite
+//!   and negative magnitudes with a [`UnitError`]. They exist in the units
+//!   that inputs arrive in: `MassCo2::try_grams`, `Energy::try_joules`,
+//!   `Area::try_square_millimeters`, `Capacity::try_gigabytes`,
+//!   `TimeSpan::try_seconds`/`try_years` and
+//!   `CarbonIntensity::try_grams_per_kwh`. `Quantity::try_from_base`
+//!   validates any quantity in its canonical unit.
 //!
 //! Computed values can still be poisoned by arithmetic (division by a zero
 //! quantity); the `ensure_finite` method on every quantity converts such
@@ -108,9 +112,6 @@ pub const SECONDS_PER_HOUR: f64 = 3600.0;
 
 /// Seconds in a day.
 pub const SECONDS_PER_DAY: f64 = 24.0 * SECONDS_PER_HOUR;
-
-/// Hours in a 365-day year (the `8760 h` of operational-energy folklore).
-pub const HOURS_PER_YEAR: f64 = 365.0 * 24.0;
 
 /// Joules per kilowatt-hour.
 pub const JOULES_PER_KWH: f64 = 3.6e6;

@@ -122,12 +122,6 @@ impl<D: Dimension> Quantity<D> {
         Self::raw(self.0.max(other.0))
     }
 
-    /// Clamps the magnitude to be non-negative.
-    #[must_use]
-    pub fn max_zero(self) -> Self {
-        Self::raw(self.0.max(0.0))
-    }
-
     /// The absolute magnitude, dimension preserved.
     #[must_use]
     pub fn abs(self) -> Self {
@@ -500,24 +494,6 @@ impl MassCo2 {
         Self::try_from_base(g)
     }
 
-    /// Validating variant of [`Self::kilograms`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative masses with a [`crate::UnitError`].
-    pub fn try_kilograms(kg: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(kg * 1e3)
-    }
-
-    /// Validating variant of [`Self::tonnes`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative masses with a [`crate::UnitError`].
-    pub fn try_tonnes(t: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(t * 1e6)
-    }
-
     /// Magnitude in grams.
     #[must_use]
     pub const fn as_grams(self) -> f64 {
@@ -551,12 +527,6 @@ impl Energy {
         Self::from_base(mj * 1e-3 / JOULES_PER_KWH)
     }
 
-    /// Creates an energy from watt-hours.
-    #[must_use]
-    pub const fn watt_hours(wh: f64) -> Self {
-        Self::from_base(wh * 1e-3)
-    }
-
     /// Creates an energy from kilowatt-hours.
     #[must_use]
     pub const fn kilowatt_hours(kwh: f64) -> Self {
@@ -571,16 +541,6 @@ impl Energy {
     /// [`crate::UnitError`].
     pub fn try_joules(j: f64) -> Result<Self, crate::UnitError> {
         Self::try_from_base(j / JOULES_PER_KWH)
-    }
-
-    /// Validating variant of [`Self::kilowatt_hours`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative energies with a
-    /// [`crate::UnitError`].
-    pub fn try_kilowatt_hours(kwh: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(kwh)
     }
 
     /// Magnitude in joules.
@@ -615,27 +575,6 @@ impl Power {
     pub const fn milliwatts(mw: f64) -> Self {
         Self::from_base(mw * 1e-3 / JOULES_PER_KWH)
     }
-
-    /// Validating variant of [`Self::watts`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative powers with a [`crate::UnitError`].
-    pub fn try_watts(w: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(w / JOULES_PER_KWH)
-    }
-
-    /// Magnitude in watts.
-    #[must_use]
-    pub const fn as_watts(self) -> f64 {
-        self.0 * JOULES_PER_KWH
-    }
-
-    /// Magnitude in milliwatts.
-    #[must_use]
-    pub fn as_milliwatts(self) -> f64 {
-        self.0 * JOULES_PER_KWH * 1e3
-    }
 }
 
 impl Area {
@@ -650,15 +589,6 @@ impl Area {
     #[must_use]
     pub const fn square_millimeters(mm2: f64) -> Self {
         Self::from_base(mm2 / 100.0)
-    }
-
-    /// Validating variant of [`Self::square_centimeters`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative areas with a [`crate::UnitError`].
-    pub fn try_square_centimeters(cm2: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(cm2)
     }
 
     /// Validating variant of [`Self::square_millimeters`].
@@ -705,16 +635,6 @@ impl Capacity {
     /// [`crate::UnitError`].
     pub fn try_gigabytes(gb: f64) -> Result<Self, crate::UnitError> {
         Self::try_from_base(gb)
-    }
-
-    /// Validating variant of [`Self::terabytes`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative capacities with a
-    /// [`crate::UnitError`].
-    pub fn try_terabytes(tb: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(tb * GIGABYTES_PER_TERABYTE)
     }
 
     /// Magnitude in gigabytes.
@@ -803,15 +723,6 @@ impl Throughput {
         Self::from_base(rate)
     }
 
-    /// Validating variant of [`Self::per_second`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative rates with a [`crate::UnitError`].
-    pub fn try_per_second(rate: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(rate)
-    }
-
     /// Magnitude in events per second.
     #[must_use]
     pub const fn as_per_second(self) -> f64 {
@@ -844,7 +755,6 @@ mod tests {
         let e = Energy::kilowatt_hours(2.5);
         assert!((e.as_joules() - 9e6).abs() < 1e-6);
         assert!((e.as_kilowatt_hours() - 2.5).abs() < 1e-12);
-        assert!((Energy::watt_hours(1000.0).as_kilowatt_hours() - 1.0).abs() < 1e-12);
         assert!((Energy::millijoules(2000.0).as_joules() - 2.0).abs() < 1e-12);
     }
 
@@ -853,7 +763,7 @@ mod tests {
         let e = Power::watts(2.0) * TimeSpan::hours(3.0);
         assert!((e.as_kilowatt_hours() - 0.006).abs() < 1e-12);
         let p = e / TimeSpan::hours(3.0);
-        assert!((p.as_watts() - 2.0).abs() < 1e-12);
+        assert!((p.ratio(Power::watts(2.0)) - 1.0).abs() < 1e-12);
         let t = e / Power::watts(2.0);
         assert!((t.as_seconds() - 3.0 * SECONDS_PER_HOUR).abs() < 1e-8);
     }
@@ -911,7 +821,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
-        assert_eq!((-a).max_zero(), MassCo2::ZERO);
         assert_eq!(-a, MassCo2::grams(-2.0));
     }
 
@@ -976,32 +885,28 @@ mod tests {
     #[test]
     fn try_constructors_accept_valid_magnitudes() {
         assert_eq!(MassCo2::try_grams(2.5).unwrap(), MassCo2::grams(2.5));
-        assert_eq!(MassCo2::try_kilograms(1.0).unwrap(), MassCo2::kilograms(1.0));
         assert_eq!(Energy::try_joules(0.0).unwrap(), Energy::ZERO);
-        assert_eq!(Power::try_watts(6.6).unwrap(), Power::watts(6.6));
         assert_eq!(Area::try_square_millimeters(90.0).unwrap(), Area::square_millimeters(90.0));
         assert_eq!(Capacity::try_gigabytes(8.0).unwrap(), Capacity::gigabytes(8.0));
         assert_eq!(TimeSpan::try_years(3.0).unwrap(), TimeSpan::years(3.0));
-        assert_eq!(Throughput::try_per_second(30.0).unwrap(), Throughput::per_second(30.0));
     }
 
     #[test]
     fn try_constructors_reject_poisoned_magnitudes() {
         assert!(MassCo2::try_grams(f64::NAN).is_err());
-        assert!(MassCo2::try_tonnes(f64::INFINITY).is_err());
-        assert!(Energy::try_kilowatt_hours(f64::NEG_INFINITY).is_err());
-        assert!(Power::try_watts(-1.0).is_err());
-        assert!(Area::try_square_centimeters(-0.5).is_err());
-        assert!(Capacity::try_terabytes(f64::NAN).is_err());
+        assert!(MassCo2::try_grams(f64::INFINITY).is_err());
+        assert!(Energy::try_joules(f64::NEG_INFINITY).is_err());
+        assert!(Area::try_square_millimeters(-0.5).is_err());
+        assert!(Capacity::try_gigabytes(f64::NAN).is_err());
         assert!(TimeSpan::try_seconds(-3600.0).is_err());
-        assert!(Throughput::try_per_second(f64::INFINITY).is_err());
+        assert!(TimeSpan::try_years(f64::INFINITY).is_err());
     }
 
     #[test]
     fn errors_name_the_quantity() {
         let err = MassCo2::try_grams(f64::NAN).unwrap_err();
         assert!(err.to_string().contains("MassCo2"));
-        let err = Energy::try_kilowatt_hours(-1.0).unwrap_err();
+        let err = Energy::try_joules(-1.0).unwrap_err();
         assert!(err.to_string().contains("Energy"));
     }
 

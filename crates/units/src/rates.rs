@@ -60,21 +60,6 @@ impl CarbonIntensity {
             self.as_grams_per_kwh() * (1.0 - share) + other.as_grams_per_kwh() * share,
         )
     }
-
-    /// Fallible variant of [`Self::blended_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::UnitError`] if `share` is NaN or outside `[0, 1]`.
-    pub fn try_blended_with(self, other: Self, share: f64) -> Result<Self, crate::UnitError> {
-        if !share.is_finite() {
-            return Err(crate::UnitError::non_finite("blend share", share));
-        }
-        if !(0.0..=1.0).contains(&share) {
-            return Err(crate::UnitError::out_of_domain("blend share", share, "within [0, 1]"));
-        }
-        Ok(self.blended_with(other, share))
-    }
 }
 
 /// Fab energy per manufactured area: `EPA` in the ACT model.
@@ -101,15 +86,6 @@ impl EnergyPerArea {
     #[must_use]
     pub const fn as_kwh_per_cm2(self) -> f64 {
         self.base()
-    }
-
-    /// Validating variant of [`Self::kwh_per_cm2`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative rates with a [`crate::UnitError`].
-    pub fn try_kwh_per_cm2(kwh: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(kwh)
     }
 }
 
@@ -150,15 +126,6 @@ impl MassPerArea {
     pub fn as_kilograms_per_cm2(self) -> f64 {
         self.base() / 1e3
     }
-
-    /// Validating variant of [`Self::grams_per_cm2`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative rates with a [`crate::UnitError`].
-    pub fn try_grams_per_cm2(g: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(g)
-    }
 }
 
 /// Carbon per storage capacity: the `CPS` factors of eqs. 6–8.
@@ -185,15 +152,6 @@ impl MassPerCapacity {
     #[must_use]
     pub const fn as_grams_per_gb(self) -> f64 {
         self.base()
-    }
-
-    /// Validating variant of [`Self::grams_per_gb`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN, infinite and negative rates with a [`crate::UnitError`].
-    pub fn try_grams_per_gb(g: f64) -> Result<Self, crate::UnitError> {
-        Self::try_from_base(g)
     }
 }
 

@@ -82,7 +82,7 @@ fn power_time_energy_consistency() {
                 e.as_joules()
             );
             let p = e / TimeSpan::seconds(s);
-            assert!((p.as_watts() - w).abs() <= w * 1e-9);
+            assert!((p.ratio(Power::watts(w)) - 1.0).abs() <= 1e-9);
         }
     }
 }
@@ -183,15 +183,9 @@ fn ratio_is_scale_free() {
 fn try_constructors_reject_invalid_magnitudes() {
     for v in INVALID {
         assert!(MassCo2::try_grams(v).is_err());
-        assert!(MassCo2::try_kilograms(v).is_err());
-        assert!(MassCo2::try_tonnes(v).is_err());
         assert!(Energy::try_joules(v).is_err());
-        assert!(Energy::try_kilowatt_hours(v).is_err());
-        assert!(Power::try_watts(v).is_err());
-        assert!(Area::try_square_centimeters(v).is_err());
         assert!(Area::try_square_millimeters(v).is_err());
         assert!(Capacity::try_gigabytes(v).is_err());
-        assert!(Capacity::try_terabytes(v).is_err());
         assert!(TimeSpan::try_seconds(v).is_err());
         assert!(TimeSpan::try_years(v).is_err());
         assert!(CarbonIntensity::try_grams_per_kwh(v).is_err());
@@ -218,7 +212,7 @@ fn try_constructors_accept_valid_magnitudes() {
     for v in [0.0, 1e-9, 1.0, 123.456, 1e12] {
         let m = MassCo2::try_grams(v).expect("valid magnitude");
         assert!((m.as_grams() - v).abs() <= v.abs() * 1e-12);
-        assert!(Energy::try_kilowatt_hours(v).is_ok());
+        assert!(Energy::try_joules(v).is_ok());
         assert!(Area::try_square_millimeters(v).is_ok());
         assert!(TimeSpan::try_years(v).is_ok());
     }
