@@ -3,7 +3,9 @@
 //!
 //! The fig15 FTL hot loop has been rewritten for speed several times
 //! (cached geometry, incremental GC scan keys, bulk victim copies, the
-//! precomputed trace sampler in `act-rng`). Every one of those rewrites
+//! precomputed trace sampler in `act-rng`, host writes in stretches, and
+//! `u16` page maps with a valid-page bitset in place of the `u32` reverse
+//! map and per-block valid counts). Every one of those rewrites
 //! claims bit-identical behavior; this test is the claim's enforcement.
 //! The expected text below is the **exact** renderer output from the
 //! pre-optimization implementation — if any refactor shifts a single

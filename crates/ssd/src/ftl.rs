@@ -7,6 +7,8 @@
 //! live pages forward. Write amplification is measured as NAND page writes
 //! per host page write.
 
+use std::ops::Range;
+
 use crate::provisioning::OverProvisioning;
 use crate::trace::WriteTrace;
 
@@ -84,11 +86,14 @@ impl FtlStats {
     }
 }
 
-// `u32`, not `u64`: page numbers are bounded by the physical page count
-// (asserted < `u32::MAX` at construction), and halving the mapping-table
-// entry size halves the randomly-accessed working set — the simulator is
-// memory-bound, so the l2p/p2l footprint is what sets its speed.
-const NO_PAGE: u32 = u32::MAX;
+// `u16`, not `u32`: page numbers are bounded by the physical page count
+// (asserted < `u16::MAX` at construction; `FtlConfig::small` has 16,384).
+// The simulator is memory-bound, so the footprint of what a host write
+// touches at random sets its speed. For `small` at 28 % OP that is the
+// 25 KB `l2p` and the 2 KB valid-page bitset, where the `u32` l2p and
+// reverse map were 115 KB; `lpn_of` is only written in runs and read one
+// victim block at a time.
+const NO_PAGE: u16 = u16::MAX;
 
 /// The page-mapping FTL simulator.
 ///
@@ -108,28 +113,29 @@ const NO_PAGE: u32 = u32::MAX;
 pub struct FtlSimulator {
     config: FtlConfig,
     /// logical page -> physical page (NO_PAGE = unmapped).
-    l2p: Vec<u32>,
-    /// physical page -> logical page (NO_PAGE = invalid/free).
-    p2l: Vec<u32>,
-    valid_per_block: Vec<u32>,
+    l2p: Vec<u16>,
+    /// physical page -> the logical page last placed there. Each placement
+    /// writes it once and nothing invalidates it: it means something only
+    /// where `valid` has the page's bit set.
+    lpn_of: Vec<u16>,
+    /// One bit per physical page, set while the page holds live data. A
+    /// block's valid count is the popcount of its range, taken only when
+    /// the block retires (and by the reference checks).
+    valid: Vec<u64>,
     erase_counts: Vec<u64>,
     write_pointer: Vec<u32>,
     free_blocks: Vec<u32>,
     active_block: u32,
     stats: FtlStats,
     // --- hot-path caches, all derived from `config` at construction ---
-    /// `config.logical_pages()`, cached: the original does a float divide
-    /// and floor, which the per-write bounds assert made the single most
-    /// frequent arithmetic in the simulator.
+    /// `config.logical_pages()`, cached: it is a float divide and floor.
     logical_pages: u64,
-    /// `config.pages_per_block` widened once.
-    ppb: u64,
     /// Physical page -> block, a shift on power-of-two geometries.
     block_of: BlockOf,
     /// Reusable staging buffer for the still-valid pages of a GC victim,
     /// so the copy loop is two flat passes (gather, then bulk placement)
     /// instead of one interleaved read-modify-write per page.
-    gc_scratch: Vec<u32>,
+    gc_scratch: Vec<u16>,
     /// Per-block greedy-GC scan key: the block's valid count while it is a
     /// victim candidate (full and not active), [`NOT_A_CANDIDATE`] otherwise.
     /// Maintained incrementally so victim selection is two flat passes over
@@ -144,7 +150,7 @@ pub struct FtlSimulator {
 /// simulator's tables.
 #[derive(Clone, Copy, Debug)]
 struct BlockOf {
-    ppb: u64,
+    ppb: u32,
     shift: u32,
     pow2: bool,
 }
@@ -152,11 +158,11 @@ struct BlockOf {
 impl BlockOf {
     /// Bit-identical to `ppn / pages_per_block`.
     #[inline]
-    fn of(self, ppn: u32) -> usize {
+    fn of(self, ppn: u16) -> usize {
         if self.pow2 {
-            (ppn >> self.shift) as usize
+            usize::from(ppn) >> self.shift
         } else {
-            (u64::from(ppn) / self.ppb) as usize
+            (u32::from(ppn) / self.ppb) as usize
         }
     }
 }
@@ -167,29 +173,44 @@ impl BlockOf {
 const NOT_A_CANDIDATE: u16 = u16::MAX;
 
 /// Most host pages one stretch of [`FtlSimulator::write_pages`] draws
-/// before it applies them: a 256-byte stack buffer, and a whole block of the
+/// before it applies them: a 128-byte stack buffer, and a whole block of the
 /// default geometry.
 const LPN_BATCH: usize = 64;
 
-/// Drops one valid page from `block`, keeping its GC scan key in step
-/// while the block is a victim candidate.
+/// Calls `f` with each word of the valid-page bitset that `pages` touches
+/// and the mask of `pages`' bits in that word, in ascending order. A block
+/// of a power-of-two geometry up to 64 pages is one word; a 100-page block
+/// spans two or three.
 #[inline]
-fn drop_valid_page(valid_per_block: &mut [u32], gc_scan: &mut [u16], block: usize) {
-    valid_per_block[block] -= 1;
-    gc_scan[block] -= u16::from(gc_scan[block] != NOT_A_CANDIDATE);
+fn for_each_word(pages: Range<usize>, mut f: impl FnMut(usize, u64)) {
+    let mut start = pages.start;
+    while start < pages.end {
+        let word = start / 64;
+        let lo = start % 64;
+        let hi = (pages.end - word * 64).min(64);
+        // 1 <= hi - lo <= 64, so the shift is in 0..=63.
+        f(word, (u64::MAX >> (64 - (hi - lo))) << lo);
+        start = word * 64 + hi;
+    }
 }
 
-/// Makes a retiring active block a GC victim candidate: its scan key
-/// becomes its valid count. This happens when the next page pops a fresh
-/// block, not when the block fills — matching the `b != active_block`
-/// filter of the reference selection.
+/// Marks `pages` valid.
 #[inline]
-fn retire(valid_per_block: &[u32], gc_scan: &mut [u16], block: usize) {
-    // Valid counts are at most pages_per_block < u16::MAX (asserted in `new`).
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        gc_scan[block] = valid_per_block[block] as u16;
-    }
+fn set_pages(valid: &mut [u64], pages: Range<usize>) {
+    for_each_word(pages, |word, mask| valid[word] |= mask);
+}
+
+/// Marks `pages` invalid.
+#[inline]
+fn clear_pages(valid: &mut [u64], pages: Range<usize>) {
+    for_each_word(pages, |word, mask| valid[word] &= !mask);
+}
+
+/// The number of valid pages in `pages`.
+fn count_pages(valid: &[u64], pages: Range<usize>) -> u32 {
+    let mut count = 0;
+    for_each_word(pages, |word, mask| count += (valid[word] & mask).count_ones());
+    count
 }
 
 impl FtlSimulator {
@@ -198,46 +219,39 @@ impl FtlSimulator {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (fewer than 8 blocks, or a GC
-    /// threshold that leaves no room to operate).
+    /// threshold that leaves no room to operate), or has `u16::MAX` or more
+    /// physical pages.
     #[must_use]
     pub fn new(config: FtlConfig) -> Self {
         assert!(config.blocks >= 8, "need at least 8 blocks");
         assert!(config.pages_per_block >= 1, "need at least one page per block");
         assert!(
-            config.pages_per_block < u32::from(u16::MAX),
-            "pages_per_block must fit the u16 GC scan key"
-        );
-        assert!(
             config.gc_free_block_threshold >= 2
                 && config.gc_free_block_threshold < config.blocks / 2,
             "GC threshold must be in [2, blocks/2)"
         );
+        // Also bounds a block's valid count, the `u16` GC scan key, by
+        // `pages_per_block < u16::MAX`.
         assert!(
-            config.physical_pages() < u64::from(u32::MAX),
-            "physical pages must fit the u32 mapping tables"
+            config.physical_pages() < u64::from(u16::MAX),
+            "physical pages must fit the u16 page maps"
         );
         let physical = config.physical_pages() as usize;
-        let mut free_blocks: Vec<u32> = (1..config.blocks).rev().collect();
-        let active_block = 0;
         let logical_pages = config.logical_pages();
-        let ppb = u64::from(config.pages_per_block);
+        let ppb = config.pages_per_block;
         Self {
             config,
             l2p: vec![NO_PAGE; logical_pages as usize],
-            p2l: vec![NO_PAGE; physical],
-            valid_per_block: vec![0; config.blocks as usize],
+            lpn_of: vec![NO_PAGE; physical],
+            valid: vec![0; physical.div_ceil(64)],
             erase_counts: vec![0; config.blocks as usize],
             write_pointer: vec![0; config.blocks as usize],
-            free_blocks: {
-                free_blocks.shrink_to_fit();
-                free_blocks
-            },
-            active_block,
+            free_blocks: (1..config.blocks).rev().collect(),
+            active_block: 0,
             stats: FtlStats::default(),
             logical_pages,
-            ppb,
             block_of: BlockOf { ppb, shift: ppb.trailing_zeros(), pow2: ppb.is_power_of_two() },
-            gc_scratch: Vec::with_capacity(config.pages_per_block as usize),
+            gc_scratch: Vec::with_capacity(ppb as usize),
             gc_scan: vec![NOT_A_CANDIDATE; config.blocks as usize],
         }
     }
@@ -270,6 +284,7 @@ impl FtlSimulator {
     /// frees no page.
     #[inline]
     pub fn write(&mut self, lpn: u64) {
+        assert!(lpn < self.logical_pages, "logical page {lpn} out of range");
         self.write_pages(1, || lpn);
     }
 
@@ -277,13 +292,18 @@ impl FtlSimulator {
     ///
     /// # Panics
     ///
-    /// As [`write`](Self::write): if the trace draws a page outside the
-    /// logical space, or if the over-provisioning is too small for
-    /// garbage collection to make room. Pages are drawn a stretch at a
-    /// time (at most 64 of them, within one block) and bounds-checked
-    /// before any is written, so an out-of-range page also drops the
-    /// pages drawn just before it in its stretch.
+    /// Panics before any write if the trace's logical space is larger
+    /// than the device's, and as [`write`](Self::write) if the
+    /// over-provisioning is too small for garbage collection to make room.
     pub fn run(&mut self, trace: &mut WriteTrace, count: u64) {
+        // A trace never draws outside its own space, so this one check
+        // bounds every page it draws.
+        assert!(
+            trace.logical_pages() <= self.logical_pages,
+            "trace of {} logical pages exceeds the device's {}",
+            trace.logical_pages(),
+            self.logical_pages
+        );
         self.write_pages(count, || trace.next_page());
     }
 
@@ -308,94 +328,117 @@ impl FtlSimulator {
         self.stats.write_amplification()
     }
 
+    /// The physical pages of `block`.
+    #[inline]
+    fn block_pages(&self, block: u32) -> Range<usize> {
+        let ppb = self.config.pages_per_block as usize;
+        let base = block as usize * ppb;
+        base..base + ppb
+    }
+
+    /// The valid pages of `block`: the popcount of its bitset range.
+    fn valid_count(&self, block: u32) -> u32 {
+        count_pages(&self.valid, self.block_pages(block))
+    }
+
+    /// Makes a retiring active block a GC victim candidate: its scan key
+    /// becomes its valid count. This happens when the next page pops a fresh
+    /// block, not when the block fills — matching the `b != active_block`
+    /// filter of the reference selection.
+    fn retire(&mut self, block: u32) {
+        // Valid counts are at most pages_per_block < u16::MAX (see `new`).
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            self.gc_scan[block as usize] = self.valid_count(block) as u16;
+        }
+    }
+
     /// The one host-write path, behind both [`write`](Self::write) and
-    /// [`run`](Self::run): `count` pages drawn from `next_lpn`, each
-    /// handled exactly as a lone write — GC headroom, then invalidating
-    /// the page's old copy, then retiring a full active block and popping
-    /// a free one, then placing the page.
+    /// [`run`](Self::run): `count` pages drawn from `next_lpn`, which the
+    /// callers bound by the logical space, each handled exactly as a lone
+    /// write — GC headroom, then invalidating the page's old copy, then
+    /// retiring a full active block and popping a free one, then placing
+    /// the page.
     ///
-    /// The pages go in stretches that share one active block, with the
-    /// tables borrowed once as slices and the block and write pointer in
-    /// locals; the counters, the write pointer and the active block are
-    /// flushed back per stretch. `free_blocks` only shrinks at a pop, so
-    /// GC headroom needs checking only before a stretch: a stretch is the
-    /// one page that pops a block, or else at most the active block's
-    /// remaining room.
+    /// The pages go in stretches that land in one block: the one page
+    /// that pops a block, or else at most the active block's remaining
+    /// room. A stretch's pages are placed at consecutive physical pages,
+    /// so their valid bits are set and their `lpn_of` entries copied up
+    /// front; the per-page loop only clears an old copy's bit and stores
+    /// the new `l2p` entry. `free_blocks` only shrinks at a pop, so GC
+    /// headroom needs checking only before a stretch.
     #[inline]
     fn write_pages(&mut self, count: u64, mut next_lpn: impl FnMut() -> u64) {
         let ppb = self.config.pages_per_block;
         let gc_threshold = self.config.gc_free_block_threshold as usize;
-        let logical_pages = self.logical_pages;
         let block_of = self.block_of;
-        let mut lpn_buf = [0_u32; LPN_BATCH];
+        let mut lpn_buf = [0_u16; LPN_BATCH];
         let mut left = count;
         while left > 0 {
             while self.free_blocks.len() < gc_threshold {
                 self.collect_garbage();
             }
-            let mut block = self.active_block;
-            let mut wp = self.write_pointer[block as usize];
+            let retiring = self.active_block;
+            let wp = self.write_pointer[retiring as usize];
             // A full active block retires at the next page, which then
-            // pops a fresh one: that page is a stretch of its own.
+            // pops a fresh one: that page is a stretch of its own, at the
+            // start of the block about to be popped.
             #[allow(clippy::cast_possible_truncation)]
-            let n = if wp == ppb {
-                1
+            let (block, start, n) = if wp == ppb {
+                let next = self.free_blocks.last().copied();
+                (next.expect("GC headroom guarantees a free block"), 0, 1)
             } else {
-                left.min(u64::from(ppb - wp)).min(LPN_BATCH as u64) as usize
+                (retiring, wp, left.min(u64::from(ppb - wp)).min(LPN_BATCH as u64) as usize)
             };
-            // Draw (and bounds-check) the whole stretch before touching any
-            // table: the trace generator then runs alone in a tight loop,
-            // and an out-of-range page panics with the tables consistent.
+            // Draw the whole stretch before touching any table: the trace
+            // generator then runs alone in a tight loop.
             let lpns = &mut lpn_buf[..n];
             for slot in lpns.iter_mut() {
                 let lpn = next_lpn();
-                assert!(lpn < logical_pages, "logical page {lpn} out of range");
-                // The assert above bounds lpn by logical_pages < u32::MAX.
+                debug_assert!(lpn < self.logical_pages, "logical page {lpn} out of range");
+                // Callers bound every page by logical_pages <= physical
+                // pages < u16::MAX.
                 #[allow(clippy::cast_possible_truncation)]
                 {
-                    *slot = lpn as u32;
+                    *slot = lpn as u16;
                 }
             }
-            let Self { l2p, p2l, valid_per_block, gc_scan, free_blocks, .. } = self;
+            let base = (block * ppb + start) as usize;
+            let pages = base..base + n;
+            // Every page is live from the start; one the stretch overwrites
+            // again has its bit cleared below like any old copy.
+            set_pages(&mut self.valid, pages.clone());
+            self.lpn_of[pages].copy_from_slice(lpns);
+            let Self { l2p, valid, gc_scan, .. } = self;
             // Slices, not `&mut Vec`s: indexing through a `Vec` reloads its
             // pointer and length after every store into its buffer.
-            let (l2p, p2l) = (l2p.as_mut_slice(), p2l.as_mut_slice());
-            let (valid_per_block, gc_scan) =
-                (valid_per_block.as_mut_slice(), gc_scan.as_mut_slice());
-            // The stretch's pages all land in one block — the one about to
-            // be popped when the active block retires — so its valid count
-            // takes them up front.
-            let target = if wp == ppb {
-                free_blocks.last().copied().expect("GC headroom guarantees a free block")
-            } else {
-                block
-            };
+            let (l2p, valid, gc_scan) =
+                (l2p.as_mut_slice(), valid.as_mut_slice(), gc_scan.as_mut_slice());
+            for (ppn, &lpn) in (base..).zip(&*lpns) {
+                let old = l2p[usize::from(lpn)];
+                if old != NO_PAGE {
+                    valid[usize::from(old) / 64] &= !(1 << (old % 64));
+                    let old_block = block_of.of(old);
+                    gc_scan[old_block] -= u16::from(gc_scan[old_block] != NOT_A_CANDIDATE);
+                }
+                // ppn < physical pages < u16::MAX.
+                #[allow(clippy::cast_possible_truncation)]
+                {
+                    l2p[usize::from(lpn)] = ppn as u16;
+                }
+            }
+            if wp == ppb {
+                // After the page invalidated its old copy, which may sit
+                // in the retiring block.
+                self.retire(retiring);
+                self.active_block =
+                    self.free_blocks.pop().expect("GC headroom guarantees a free block");
+            }
             #[allow(clippy::cast_possible_truncation)]
             {
-                valid_per_block[target as usize] += n as u32;
-            }
-            for &lpn in &*lpns {
-                let old = l2p[lpn as usize];
-                if old != NO_PAGE {
-                    p2l[old as usize] = NO_PAGE;
-                    drop_valid_page(valid_per_block, gc_scan, block_of.of(old));
-                }
-                if wp == ppb {
-                    // After this page invalidated its old copy, which may
-                    // sit in the retiring block.
-                    retire(valid_per_block, gc_scan, block as usize);
-                    block = free_blocks.pop().expect("GC headroom guarantees a free block");
-                    wp = 0;
-                }
-                // u32 arithmetic cannot overflow: ppn < physical_pages < u32::MAX.
-                let ppn = block * ppb + wp;
-                wp += 1;
-                l2p[lpn as usize] = ppn;
-                p2l[ppn as usize] = lpn;
+                self.write_pointer[block as usize] = start + n as u32;
             }
             let n = n as u64;
-            self.active_block = block;
-            self.write_pointer[block as usize] = wp;
             self.stats.host_writes += n;
             self.stats.nand_writes += n;
             left -= n;
@@ -448,45 +491,33 @@ impl FtlSimulator {
             Some(victim),
             (0..self.config.blocks)
                 .filter(|&b| b != self.active_block && self.write_pointer[b as usize] == ppb)
-                .min_by_key(|&b| self.valid_per_block[b as usize]),
+                .min_by_key(|&b| self.valid_count(b)),
             "scan-key victim must match the reference selection"
         );
         // The victim leaves candidacy immediately (it will be erased below).
         self.gc_scan[victim as usize] = NOT_A_CANDIDATE;
-        // Gather the victim's still-valid pages, then erase its reverse map
-        // in one memset. Mapping integrity (`l2p[p2l[x]] == x`) makes the
+        // Gather the victim's live pages — the set bits of its range,
+        // named by `lpn_of` — then erase its range of the bitset. Mapping
+        // integrity (`l2p[lpn_of[x]] == x` for every valid `x`) makes the
         // per-page l2p lookup and block divide of a host write redundant
-        // here, and batching turns the per-page bookkeeping into one update
-        // per victim.
-        //
-        // The gather is a branch-free compaction: every entry is stored and
-        // the length advances only past live ones. A victim is typically
-        // ~65 % valid, so a `filter` branch here mispredicts about every
-        // other page.
-        let base = (u64::from(victim) * self.ppb) as usize;
-        let victim_pages = base..base + self.ppb as usize;
+        // here, and batching turns the per-page bookkeeping into one
+        // update per victim.
+        let pages = self.block_pages(victim);
         let mut scratch = std::mem::take(&mut self.gc_scratch);
         scratch.clear();
-        scratch.resize(self.ppb as usize, NO_PAGE);
-        let mut live = 0;
-        for &lpn in &self.p2l[victim_pages.clone()] {
-            scratch[live] = lpn;
-            live += usize::from(lpn != NO_PAGE);
-        }
-        scratch.truncate(live);
-        self.p2l[victim_pages.clone()].fill(NO_PAGE);
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            self.valid_per_block[victim as usize] -= scratch.len() as u32;
-        }
+        for_each_word(pages.clone(), |word, mask| {
+            let mut live = self.valid[word] & mask;
+            while live != 0 {
+                scratch.push(self.lpn_of[word * 64 + live.trailing_zeros() as usize]);
+                live &= live - 1;
+            }
+        });
+        clear_pages(&mut self.valid, pages);
         self.stats.gc_copies += scratch.len() as u64;
         self.place_gc_copies(&scratch);
         self.gc_scratch = scratch;
-        // Erase the victim. The gather pass above already cleared every p2l
-        // entry and drained the valid count, so only the write pointer and
-        // wear accounting remain.
-        debug_assert_eq!(self.valid_per_block[victim as usize], 0);
-        debug_assert!(self.p2l[victim_pages].iter().all(|&l| l == NO_PAGE));
+        // Erase the victim. The gather pass above already cleared its
+        // valid bits, so only the write pointer and wear accounting remain.
         self.write_pointer[victim as usize] = 0;
         self.erase_counts[victim as usize] += 1;
         self.stats.erases += 1;
@@ -494,17 +525,18 @@ impl FtlSimulator {
     }
 
     /// Places GC copies: writes `scratch` to the write frontier in
-    /// block-sized chunks — the p2l stores become one `copy_from_slice` per
-    /// chunk and the write-pointer/valid/stats updates one addition each,
-    /// leaving only the (inherently random) l2p store per copied page.
-    /// State after the call is identical to placing the pages one at a
-    /// time as host writes do (retire a full active block, pop, place).
-    fn place_gc_copies(&mut self, scratch: &[u32]) {
+    /// block-sized chunks — the `lpn_of` stores become one
+    /// `copy_from_slice` per chunk and the valid bits, write pointer and
+    /// stats one update each, leaving only the (inherently random) l2p
+    /// store per copied page. State after the call is identical to placing
+    /// the pages one at a time as host writes do (retire a full active
+    /// block, pop, place).
+    fn place_gc_copies(&mut self, scratch: &[u16]) {
         let ppb = self.config.pages_per_block;
         let mut rest = scratch;
         while !rest.is_empty() {
             if self.write_pointer[self.active_block as usize] == ppb {
-                retire(&self.valid_per_block, &mut self.gc_scan, self.active_block as usize);
+                self.retire(self.active_block);
                 self.active_block =
                     self.free_blocks.pop().expect("GC headroom guarantees a free block");
             }
@@ -512,18 +544,19 @@ impl FtlSimulator {
             let wp = self.write_pointer[block];
             let n = ((ppb - wp) as usize).min(rest.len());
             let (chunk, tail) = rest.split_at(n);
-            let base_ppn = self.active_block * ppb + wp;
-            for (i, &lpn) in chunk.iter().enumerate() {
+            let base = (self.active_block * ppb + wp) as usize;
+            for (ppn, &lpn) in (base..).zip(chunk) {
+                // ppn < physical pages < u16::MAX.
                 #[allow(clippy::cast_possible_truncation)]
                 {
-                    self.l2p[lpn as usize] = base_ppn + i as u32;
+                    self.l2p[usize::from(lpn)] = ppn as u16;
                 }
             }
-            self.p2l[base_ppn as usize..base_ppn as usize + n].copy_from_slice(chunk);
+            self.lpn_of[base..base + n].copy_from_slice(chunk);
+            set_pages(&mut self.valid, base..base + n);
             #[allow(clippy::cast_possible_truncation)]
             {
                 self.write_pointer[block] = wp + n as u32;
-                self.valid_per_block[block] += n as u32;
             }
             self.stats.nand_writes += n as u64;
             rest = tail;
@@ -555,18 +588,56 @@ mod tests {
         assert_eq!(config.logical_pages(), 12_800);
     }
 
+    /// What [`ReferenceFtl`] calls an unmapped or invalid page.
+    const REF_NO_PAGE: u32 = u32::MAX;
+
+    /// The reference FTL's state, derived from the bitset, `lpn_of` and
+    /// the `u16` maps. Each view reads the bitset one bit at a time, apart
+    /// from the range helpers under test.
+    impl FtlSimulator {
+        fn is_valid(&self, page: usize) -> bool {
+            self.valid[page / 64] >> (page % 64) & 1 == 1
+        }
+
+        /// logical page -> physical page, `REF_NO_PAGE` where unmapped.
+        fn l2p_view(&self) -> Vec<u32> {
+            self.l2p
+                .iter()
+                .map(|&p| if p == NO_PAGE { REF_NO_PAGE } else { u32::from(p) })
+                .collect()
+        }
+
+        /// physical page -> logical page, `REF_NO_PAGE` where invalid.
+        fn p2l_view(&self) -> Vec<u32> {
+            (0..self.lpn_of.len())
+                .map(|p| if self.is_valid(p) { u32::from(self.lpn_of[p]) } else { REF_NO_PAGE })
+                .collect()
+        }
+
+        /// Valid pages per block.
+        fn valid_per_block_view(&self) -> Vec<u32> {
+            let ppb = self.config.pages_per_block as usize;
+            (0..self.config.blocks as usize)
+                .map(|b| (b * ppb..(b + 1) * ppb).filter(|&p| self.is_valid(p)).count() as u32)
+                .collect()
+        }
+    }
+
     /// Every mapped logical page maps back to itself, and the valid counts
     /// agree with the reverse map.
     fn assert_mapping_integrity(ftl: &FtlSimulator) {
-        for (lpn, &ppn) in ftl.l2p.iter().enumerate() {
-            if ppn != NO_PAGE {
-                assert_eq!(u64::from(ftl.p2l[ppn as usize]), lpn as u64);
+        let (l2p, p2l) = (ftl.l2p_view(), ftl.p2l_view());
+        for (lpn, &ppn) in l2p.iter().enumerate() {
+            if ppn != REF_NO_PAGE {
+                assert_eq!(u64::from(p2l[ppn as usize]), lpn as u64);
             }
         }
-        let valid_total: u32 = ftl.valid_per_block.iter().sum();
-        let mapped = ftl.p2l.iter().filter(|&&l| l != NO_PAGE).count() as u32;
+        let valid_total: u32 = ftl.valid_per_block_view().iter().sum();
+        let mapped = p2l.iter().filter(|&&l| l != REF_NO_PAGE).count() as u32;
         assert_eq!(valid_total, mapped);
-        assert_eq!(mapped as usize, ftl.l2p.iter().filter(|&&p| p != NO_PAGE).count());
+        assert_eq!(mapped as usize, l2p.iter().filter(|&&p| p != REF_NO_PAGE).count());
+        let counts: Vec<u32> = (0..ftl.config.blocks).map(|b| ftl.valid_count(b)).collect();
+        assert_eq!(counts, ftl.valid_per_block_view(), "popcount valid counts");
     }
 
     #[test]
@@ -723,8 +794,8 @@ mod tests {
             Self {
                 config,
                 logical_pages: config.logical_pages(),
-                l2p: vec![NO_PAGE; config.logical_pages() as usize],
-                p2l: vec![NO_PAGE; config.physical_pages() as usize],
+                l2p: vec![REF_NO_PAGE; config.logical_pages() as usize],
+                p2l: vec![REF_NO_PAGE; config.physical_pages() as usize],
                 valid_per_block: vec![0; blocks],
                 erase_counts: vec![0; blocks],
                 write_pointer: vec![0; blocks],
@@ -746,8 +817,8 @@ mod tests {
 
         fn invalidate(&mut self, lpn: u32) {
             let ppn = self.l2p[lpn as usize];
-            if ppn != NO_PAGE {
-                self.p2l[ppn as usize] = NO_PAGE;
+            if ppn != REF_NO_PAGE {
+                self.p2l[ppn as usize] = REF_NO_PAGE;
                 self.valid_per_block[(ppn / self.config.pages_per_block) as usize] -= 1;
             }
         }
@@ -776,7 +847,7 @@ mod tests {
             let live: Vec<u32> = self.p2l[base..base + ppb as usize]
                 .iter()
                 .copied()
-                .filter(|&lpn| lpn != NO_PAGE)
+                .filter(|&lpn| lpn != REF_NO_PAGE)
                 .collect();
             for lpn in live {
                 self.invalidate(lpn);
@@ -829,12 +900,13 @@ mod tests {
             assert_eq!(ftl.free_blocks, reference.free_blocks, "free blocks, {context}");
             assert_eq!(ftl.write_pointer, reference.write_pointer, "write pointers, {context}");
             assert_eq!(
-                ftl.valid_per_block, reference.valid_per_block,
+                ftl.valid_per_block_view(),
+                reference.valid_per_block,
                 "valid counts, {context}"
             );
             assert_eq!(ftl.erase_counts, reference.erase_counts, "erase counts, {context}");
-            assert!(ftl.l2p == reference.l2p, "l2p, {context}");
-            assert!(ftl.p2l == reference.p2l, "p2l, {context}");
+            assert!(ftl.l2p_view() == reference.l2p, "l2p, {context}");
+            assert!(ftl.p2l_view() == reference.p2l, "p2l, {context}");
         }
         total_erases += ftl.stats().erases;
         assert!(total_erases > 0, "the mix must reach garbage collection");
@@ -867,6 +939,81 @@ mod tests {
             assert!(!ftl.block_of.pow2);
             assert_matches_reference(config, pattern, 47 + i as u64);
         }
+    }
+
+    #[test]
+    fn matches_the_reference_ftl_on_blocks_spanning_three_bitset_words() {
+        // 100 pages per block, not a multiple of 64: every block's range
+        // straddles word boundaries, and some (e.g. pages 100..200) touch
+        // three words of the valid-page bitset.
+        let skew = TracePattern::Skewed { hot_fraction: 0.1, hot_share: 0.9 };
+        for (i, pattern) in [TracePattern::UniformRandom, TracePattern::Sequential, skew]
+            .into_iter()
+            .enumerate()
+        {
+            let config = FtlConfig {
+                blocks: 40,
+                pages_per_block: 100,
+                over_provisioning: pf(0.25),
+                gc_free_block_threshold: 3,
+            };
+            assert_matches_reference(config, pattern, 71 + i as u64);
+        }
+    }
+
+    #[test]
+    fn bitset_ranges_match_a_bool_per_page() {
+        let mut valid = vec![0_u64; 4];
+        let mut naive = [false; 256];
+        let mut ops = act_rng::Rng::seed_from_u64(3);
+        for _ in 0..2_000 {
+            let start = ops.gen_range(0..256_usize);
+            let end = start + ops.gen_range(0..(256 - start) as u64 + 1) as usize;
+            if ops.gen_bool(0.5) {
+                set_pages(&mut valid, start..end);
+                naive[start..end].fill(true);
+            } else {
+                clear_pages(&mut valid, start..end);
+                naive[start..end].fill(false);
+            }
+            let (lo, hi) = (ops.gen_range(0..256_usize), ops.gen_range(0..256_usize));
+            let probe = lo.min(hi)..lo.max(hi);
+            let expected = naive[probe.clone()].iter().filter(|&&v| v).count() as u32;
+            assert_eq!(count_pages(&valid, probe.clone()), expected, "{probe:?}");
+        }
+        for (page, &v) in naive.iter().enumerate() {
+            assert_eq!(valid[page / 64] >> (page % 64) & 1 == 1, v, "page {page}");
+        }
+    }
+
+    #[test]
+    fn a_trace_wider_than_the_device_panics_before_any_write() {
+        let config = FtlConfig::small(pf(0.2));
+        let mut ftl = FtlSimulator::new(config);
+        let mut trace =
+            WriteTrace::new(TracePattern::Sequential, config.logical_pages() + 1, 0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ftl.run(&mut trace, 10);
+        }));
+        let message = result.expect_err("a wider trace must panic");
+        let message = message.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("exceeds the device's"), "{message}");
+        assert_eq!(ftl.stats(), FtlStats::default());
+        assert!(ftl.l2p.iter().all(|&p| p == NO_PAGE));
+        assert!(ftl.valid.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "physical pages must fit the u16 page maps")]
+    fn geometry_past_the_u16_page_maps_rejected() {
+        // 1,024 × 64 = 65,536 physical pages, one more than `u16::MAX`.
+        let config = FtlConfig {
+            blocks: 1_024,
+            pages_per_block: 64,
+            over_provisioning: pf(0.2),
+            gc_free_block_threshold: 4,
+        };
+        let _ = FtlSimulator::new(config);
     }
 
     #[test]
