@@ -6,14 +6,13 @@
 //! smoke pass relies on (`cargo bench ... -- --test` runs every benchmark
 //! once as a smoke test).
 //!
-//! Three bench targets exist:
+//! Two bench targets exist:
 //!
 //! * `paper` — one benchmark per figure/table; each iteration regenerates
-//!   the artifact end to end (`bench_fig1` … `bench_table12`).
-//! * `ablations` — the design-choice sensitivity studies DESIGN.md calls
-//!   out (yield, abatement, fab energy source, WA model, DRAM-node
-//!   assignment), plus `ftl/steady_state_pf04`, the GC-bound 4 % row of
-//!   Figure 15 on its own.
+//!   the artifact end to end (`bench_fig1` … `bench_table12`, then
+//!   `bench_ablations` for the sensitivity studies and `bench_all` for
+//!   the parallel `all`), plus `ftl/steady_state_pf04`, the GC-bound 4 %
+//!   row of Figure 15 on its own.
 //! * `compiled` — the per-point footprint pipeline versus the compiled
 //!   kernel's block plan on the `act_dse` block engine, with bit-identity
 //!   cross-checks before timing.

@@ -16,9 +16,10 @@
 //! Requested experiments evaluate **in parallel** by default, while output
 //! stays in request/paper order and is byte-identical to a serial run. All
 //! requested IDs, `all` included, become one job list on the workers: one
-//! job per FTL simulation of fig15 and ablations (most of the time),
-//! heaviest first, and one per other experiment. `--serial` disables
-//! threading entirely; `ACT_THREADS=N` caps the worker count.
+//! job per simulated over-provisioning point (fig15's seven, which the
+//! ablations share; most of the time), heaviest first, and one per other
+//! experiment. `--serial` disables threading entirely; `ACT_THREADS=N`
+//! caps the worker count.
 //!
 //! Experiments are fault-isolated: a failing or unknown experiment prints
 //! a structured error to stderr and the remaining requested experiments
@@ -408,9 +409,10 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "(requested experiments evaluate in parallel by default, as one \
-             job list for all of them: one job per FTL simulation of fig15 \
-             and ablations, heaviest first, beside one job per other \
-             experiment; --serial disables threads, ACT_THREADS=N caps workers)"
+             job list for all of them: one job per simulated over-provisioning \
+             point of fig15, shared with ablations, heaviest first, beside one \
+             job per other experiment; --serial disables threads, \
+             ACT_THREADS=N caps workers)"
         );
         return ExitCode::SUCCESS;
     }

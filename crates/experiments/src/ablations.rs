@@ -8,7 +8,7 @@ use act_data::{scenarios, Abatement, DramTechnology, ProcessNode};
 use act_ssd::{analytical_write_amplification, OverProvisioning};
 use act_units::{Area, Capacity, Fraction, MassCo2};
 
-use crate::jobs::FtlRun;
+use crate::fig15;
 use crate::render::TextTable;
 
 act_json::json_struct! {
@@ -48,21 +48,16 @@ act_json::json_struct! {
     }
 }
 
-/// The write-amplification study's simulator runs, at its two anchor
-/// points. They are most of the ablations' time; each builds its own
-/// simulator and trace seed, so they are independent.
-pub(crate) fn ftl_runs() -> Vec<FtlRun> {
-    [0.16, 0.34]
-        .map(|pf| FtlRun {
-            pf: OverProvisioning::new_const(pf),
-            seed: 5,
-            measure_writes: 30_000,
-        })
-        .into()
+/// The write-amplification study's two anchor points: Figure 15's
+/// first- and second-life optima (16 % and 34 %), taken from its grid so
+/// that each simulated point is Figure 15's own row.
+pub(crate) fn wa_points() -> Vec<OverProvisioning> {
+    let grid = fig15::op_grid();
+    vec![grid[2], grid[5]]
 }
 
-/// Builds every ablation from the simulated write amplification of each
-/// of [`ftl_runs`], in order.
+/// Builds every ablation from the simulated write amplification at each
+/// of [`wa_points`], in order.
 pub(crate) fn assemble(wa_simulated: &[f64]) -> AblationsResult {
     let die = Area::square_millimeters(90.0);
     let node = ProcessNode::N7;
@@ -111,10 +106,10 @@ pub(crate) fn assemble(wa_simulated: &[f64]) -> AblationsResult {
     // WA model: analytical vs simulated at the study's anchor points.
     let wa_study = Sensitivity {
         parameter: "write-amplification model (WA at PF)".into(),
-        series: ftl_runs()
+        series: wa_points()
             .into_iter()
             .zip(wa_simulated)
-            .flat_map(|(FtlRun { pf, .. }, &simulated)| {
+            .flat_map(|(pf, &simulated)| {
                 [
                     (format!("analytical @ {pf}"), analytical_write_amplification(pf)),
                     (format!("FTL sim @ {pf}"), simulated),
@@ -140,11 +135,11 @@ pub(crate) fn assemble(wa_simulated: &[f64]) -> AblationsResult {
     }
 }
 
-/// Runs every ablation on the calling thread: `ftl_runs` one after
-/// another, then `assemble`.
+/// Runs every ablation on the calling thread: one Figure 15 simulation
+/// per point of [`wa_points`], then `assemble`.
 #[must_use]
 pub fn run() -> AblationsResult {
-    let wa: Vec<f64> = ftl_runs().iter().map(FtlRun::simulate).collect();
+    let wa: Vec<f64> = wa_points().into_iter().map(fig15::simulate_wa).collect();
     assemble(&wa)
 }
 

@@ -5,10 +5,10 @@
 use std::fmt;
 
 use act_ssd::{
-    analytical_write_amplification, effective_embodied, LifetimeModel, OverProvisioning,
+    analytical_write_amplification, effective_embodied, FtlConfig, FtlSimulator, LifetimeModel,
+    OverProvisioning, TracePattern, WriteTrace,
 };
 
-use crate::jobs::FtlRun;
 use crate::render::TextTable;
 use crate::Present;
 
@@ -17,6 +17,12 @@ pub const FIRST_LIFE_YEARS: f64 = 2.0;
 
 /// Second-life (recycled) deployment horizon in years.
 pub const SECOND_LIFE_YEARS: f64 = 4.0;
+
+/// The seed of every simulated write trace.
+pub const TRACE_SEED: u64 = 7;
+
+/// Host writes measured after the simulator's warm-up.
+pub const MEASURE_WRITES: u64 = 40_000;
 
 /// The over-provisioning grid of the study (4 % … 40 % in 6 % steps).
 #[must_use]
@@ -56,15 +62,21 @@ act_json::json_struct! {
     }
 }
 
-/// The study's simulator runs, one per row of [`op_grid`]: each builds
-/// its own simulator and trace seed, so they are independent. They are
-/// nearly all of the study's time.
-pub(crate) fn ftl_runs() -> Vec<FtlRun> {
-    op_grid().into_iter().map(|pf| FtlRun { pf, seed: 7, measure_writes: 40_000 }).collect()
+/// The steady-state write amplification of [`FtlConfig::small`] at `pf`,
+/// under a uniform random trace seeded with [`TRACE_SEED`], measured over
+/// [`MEASURE_WRITES`] writes after the warm-up. Each call builds its own
+/// simulator and trace, so the runs are independent; one per row of
+/// [`op_grid`] is nearly all of the study's time.
+pub(crate) fn simulate_wa(pf: OverProvisioning) -> f64 {
+    let config = FtlConfig::small(pf);
+    let mut ftl = FtlSimulator::new(config);
+    let mut trace =
+        WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), TRACE_SEED);
+    ftl.measure_steady_state_wa(&mut trace, MEASURE_WRITES)
 }
 
-/// Builds the study from the simulated write amplification of each of
-/// [`ftl_runs`], in order.
+/// Builds the study from the simulated write amplification at each
+/// point of [`op_grid`], in order.
 pub(crate) fn assemble(wa_simulated: &[f64]) -> Fig15Result {
     let model = LifetimeModel::default();
     let grid = op_grid();
@@ -93,11 +105,11 @@ pub(crate) fn assemble(wa_simulated: &[f64]) -> Fig15Result {
     Fig15Result { rows }
 }
 
-/// Runs the study on the calling thread: `ftl_runs` one after another,
-/// then `assemble`.
+/// Runs the study on the calling thread: one simulation per row of
+/// [`op_grid`], one after another, then `assemble`.
 #[must_use]
 pub fn run() -> Fig15Result {
-    let wa: Vec<f64> = ftl_runs().iter().map(FtlRun::simulate).collect();
+    let wa: Vec<f64> = op_grid().into_iter().map(simulate_wa).collect();
     assemble(&wa)
 }
 

@@ -1,61 +1,24 @@
 //! The one job list behind [`crate::par_try_render_experiments`]: one
-//! job per FTL simulator run and one per other experiment, heaviest
-//! first, on one pool pass; then each experiment is assembled from its
-//! jobs' outputs, and each requested ID is answered in request order.
+//! job per distinct simulated over-provisioning point and one per other
+//! experiment, heaviest first, on one pool pass; then each experiment is
+//! assembled from its jobs' outputs, and each requested ID is answered in
+//! request order.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use act_dse::Parallelism;
-use act_ssd::{
-    analytical_write_amplification, FtlConfig, FtlSimulator, OverProvisioning, TracePattern,
-    WriteTrace,
-};
+use act_ssd::{analytical_write_amplification, FtlConfig, OverProvisioning};
 
 use crate::{
     ablations, assemble_all, concrete_experiment_ids, fig15, format_result, lift_all_error,
     panic_message, render, ExperimentError, OutputFormat, Present, EXPERIMENT_IDS,
 };
 
-/// One independent FTL simulator run: the steady-state write
-/// amplification of [`FtlConfig::small`] at `pf`, under a uniform random
-/// trace seeded with `seed`, measured over `measure_writes` writes after
-/// the simulator's warm-up.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct FtlRun {
-    /// The drive's over-provisioning factor.
-    pub(crate) pf: OverProvisioning,
-    /// The write trace's seed.
-    pub(crate) seed: u64,
-    /// Host writes measured after the warm-up.
-    pub(crate) measure_writes: u64,
-}
-
-impl FtlRun {
-    /// Runs the simulation and returns the measured write amplification.
-    pub(crate) fn simulate(&self) -> f64 {
-        let config = FtlConfig::small(self.pf);
-        let mut ftl = FtlSimulator::new(config);
-        let mut trace =
-            WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), self.seed);
-        ftl.measure_steady_state_wa(&mut trace, self.measure_writes)
-    }
-
-    /// The run's expected flash page writes: its trace writes (the
-    /// warm-up's `2 × logical_pages` and the measured ones), each
-    /// amplified by [`analytical_write_amplification`] at `pf`. Page
-    /// writes and the garbage collection behind them are a run's time,
-    /// so this orders runs by cost without timing any of them.
-    fn estimated_page_writes(&self) -> f64 {
-        let trace_writes = 2 * FtlConfig::small(self.pf).logical_pages() + self.measure_writes;
-        trace_writes as f64 * analytical_write_amplification(self.pf)
-    }
-}
-
-/// An experiment made of independent simulator runs: the runs, and how
-/// their write amplifications become its rendering.
+/// An experiment made of Figure 15 simulations: the over-provisioning
+/// points it simulates, and how their write amplifications become its
+/// rendering.
 struct Split {
-    runs: fn() -> Vec<FtlRun>,
+    points: fn() -> Vec<OverProvisioning>,
     assemble: fn(&[f64], OutputFormat) -> String,
 }
 
@@ -64,11 +27,11 @@ struct Split {
 fn split(id: &str) -> Option<Split> {
     match id {
         "fig15" => Some(Split {
-            runs: fig15::ftl_runs,
+            points: fig15::op_grid,
             assemble: |wa, format| format_result(&fig15::assemble(wa), format),
         }),
         "ablations" => Some(Split {
-            runs: ablations::ftl_runs,
+            points: ablations::wa_points,
             assemble: |wa, format| format_result(&ablations::assemble(wa), format),
         }),
         _ => None,
@@ -78,15 +41,16 @@ fn split(id: &str) -> Option<Split> {
 /// One entry of the job list.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Job {
-    /// One simulator run of an FTL-bound experiment.
-    Simulate(FtlRun),
+    /// One Figure 15 simulation ([`fig15::simulate_wa`]) at a point,
+    /// shared by every experiment that reads that point.
+    Simulate(OverProvisioning),
     /// A whole experiment that renders in one piece.
     Render(&'static str),
 }
 
 /// What a job produced.
 enum Done {
-    /// A simulator run's write amplification.
+    /// A simulation's write amplification.
     Wa(f64),
     /// A rendered experiment.
     Rendered(String),
@@ -96,18 +60,27 @@ impl Job {
     /// Runs the job.
     fn run(self, format: OutputFormat) -> Done {
         match self {
-            Self::Simulate(run) => Done::Wa(run.simulate()),
+            Self::Simulate(pf) => Done::Wa(fig15::simulate_wa(pf)),
             Self::Render(id) => {
                 Done::Rendered(render(id, format).present("concrete IDs render"))
             }
         }
     }
 
-    /// The job's cost estimate: a simulator run's page writes, and zero
-    /// for a render, which takes a small fraction of one run.
+    /// The job's cost estimate, and zero for a render, which takes a
+    /// small fraction of one simulation. A simulation's is its expected
+    /// flash page writes: its trace writes (the warm-up's
+    /// `2 × logical_pages` and the measured ones), each amplified by
+    /// [`analytical_write_amplification`] at its point. Page writes and
+    /// the garbage collection behind them are a simulation's time, so
+    /// this orders them by cost without timing any of them.
     fn weight(&self) -> f64 {
-        match self {
-            Self::Simulate(run) => run.estimated_page_writes(),
+        match *self {
+            Self::Simulate(pf) => {
+                let trace_writes =
+                    2 * FtlConfig::small(pf).logical_pages() + fig15::MEASURE_WRITES;
+                trace_writes as f64 * analytical_write_amplification(pf)
+            }
             Self::Render(_) => 0.0,
         }
     }
@@ -144,17 +117,25 @@ fn render_jobs<S: AsRef<str>>(
             }
         }
     }
-    // The job list, each experiment's jobs in one span of it.
-    let mut jobs = Vec::new();
-    let mut spans: Vec<Range<usize>> = Vec::with_capacity(experiments.len());
-    for &id in &experiments {
-        let start = jobs.len();
-        match split(id) {
-            Some(split) => jobs.extend((split.runs)().into_iter().map(Job::Simulate)),
-            None => jobs.push(Job::Render(id)),
+    // The job list, each job once however many experiments read it, and
+    // each experiment's jobs as indices into it.
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut index_of = |job: Job| match jobs.iter().position(|known| *known == job) {
+        Some(at) => at,
+        None => {
+            jobs.push(job);
+            jobs.len() - 1
         }
-        spans.push(start..jobs.len());
-    }
+    };
+    let spans: Vec<Vec<usize>> = experiments
+        .iter()
+        .map(|&id| match split(id) {
+            Some(split) => {
+                (split.points)().into_iter().map(|pf| index_of(Job::Simulate(pf))).collect()
+            }
+            None => vec![index_of(Job::Render(id))],
+        })
+        .collect();
     // Heaviest first; the stable sort keeps the renders in list order.
     let weights: Vec<f64> = jobs.iter().map(Job::weight).collect();
     let mut order: Vec<usize> = (0..jobs.len()).collect();
@@ -168,10 +149,8 @@ fn render_jobs<S: AsRef<str>>(
     }
     let results: Vec<Result<String, ExperimentError>> = experiments
         .iter()
-        .zip(spans)
-        .map(|(&id, span)| {
-            assemble(id, outputs[span].iter_mut().filter_map(Option::take), format)
-        })
+        .zip(&spans)
+        .map(|(&id, span)| assemble(id, span, &mut outputs, format))
         .collect();
     let result_of = |id: &str| {
         let at = experiments.iter().position(|e| *e == id).present("every part was requested");
@@ -186,21 +165,24 @@ fn render_jobs<S: AsRef<str>>(
         .collect()
 }
 
-/// One experiment's rendering from its jobs' outputs, in job order: the
-/// first failed job fails the experiment, a render job is the rendering,
-/// and a split experiment's write amplifications are assembled here,
-/// fault-isolated as the jobs are.
+/// One experiment's rendering from the outputs of its jobs (`span`), in
+/// its order: the first failed job fails the experiment, so a failed
+/// shared simulation fails every experiment that reads it; a render
+/// job's text moves out as the rendering; and a split experiment's write
+/// amplifications are assembled here, fault-isolated as the jobs are.
 fn assemble(
     id: &'static str,
-    outputs: impl Iterator<Item = Result<Done, String>>,
+    span: &[usize],
+    outputs: &mut [Option<Result<Done, String>>],
     format: OutputFormat,
 ) -> Result<String, ExperimentError> {
     let failed = |message| ExperimentError::Failed { id: id.to_owned(), message };
-    let mut wa = Vec::new();
-    for output in outputs {
-        match output.map_err(failed)? {
-            Done::Rendered(text) => return Ok(text),
-            Done::Wa(value) => wa.push(value),
+    let mut wa = Vec::with_capacity(span.len());
+    for &j in span {
+        match outputs[j].as_mut().present("every job ran") {
+            Ok(Done::Wa(value)) => wa.push(*value),
+            Ok(Done::Rendered(text)) => return Ok(std::mem::take(text)),
+            Err(message) => return Err(failed(message.clone())),
         }
     }
     catch_unwind(|| {
@@ -211,6 +193,7 @@ fn assemble(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     use super::*;
@@ -263,8 +246,9 @@ mod tests {
         }
     }
 
-    /// The nine simulator runs start first, heaviest first by their page
-    /// write estimate (fig15's 4 % row leads), and the renders follow in
+    /// The seven simulations start first, each grid point once (the
+    /// ablations' two points are among them), heaviest first by their
+    /// page write estimate (the 4 % row leads), and the renders follow in
     /// paper order.
     #[test]
     fn the_heaviest_jobs_run_first() {
@@ -275,13 +259,16 @@ mod tests {
         });
         assert!(results[0] == serial("all", OutputFormat::Json));
         let seen = seen.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (runs, renders) = seen.split_at(9);
+        let (runs, renders) = seen.split_at(7);
         let weights: Vec<f64> = runs.iter().map(Job::weight).collect();
         assert!(weights.windows(2).all(|w| w[0] >= w[1]), "{weights:?}");
-        assert_eq!(runs[0], Job::Simulate(fig15::ftl_runs()[0]));
-        let mut simulated: Vec<FtlRun> = fig15::ftl_runs();
-        simulated.extend(ablations::ftl_runs());
-        assert!(simulated.iter().all(|run| runs.contains(&Job::Simulate(*run))));
+        let grid = fig15::op_grid();
+        assert_eq!(runs[0], Job::Simulate(grid[0]));
+        for pf in &grid {
+            let times = runs.iter().filter(|job| **job == Job::Simulate(*pf)).count();
+            assert_eq!(times, 1, "{pf}");
+        }
+        assert!(ablations::wa_points().iter().all(|pf| grid.contains(pf)));
         let light: Vec<Job> = concrete_experiment_ids()
             .into_iter()
             .filter(|id| split(id).is_none())
@@ -290,31 +277,58 @@ mod tests {
         assert_eq!(renders, light);
     }
 
-    /// A panicking job fails only its own experiment, with the shape a
-    /// panicking serial render has; inside `all` the failure is lifted
-    /// to `all` and names the sub-experiment; everything else renders.
+    /// A request simulates each point once however many experiments read
+    /// it: the ablations alone simulate their two points, and beside
+    /// fig15 they add none to its seven.
+    #[test]
+    fn each_point_is_simulated_once_per_request() {
+        let requests: [(&[&str], usize); 3] =
+            [(&["ablations"], 2), (&["fig15", "ablations"], 7), (&["all", "ablations"], 7)];
+        for (ids, want) in requests {
+            let simulated = AtomicUsize::new(0);
+            render_jobs(ids, OutputFormat::Text, Parallelism::Serial, &|job| {
+                if matches!(job, Job::Simulate(_)) {
+                    simulated.fetch_add(1, Ordering::Relaxed);
+                }
+                job.run(OutputFormat::Text)
+            });
+            assert_eq!(simulated.into_inner(), want, "{ids:?}");
+        }
+    }
+
+    /// A panicking job fails only the experiments that read it, with the
+    /// shape a panicking serial render has: fig15's 4 % row fails fig15
+    /// alone, the 16 % simulation fig15 and the ablations. Inside `all`
+    /// the failure is lifted to `all` and names the first failed
+    /// sub-experiment; everything else renders.
     #[test]
     fn a_panicking_job_fails_only_its_own_experiment() {
-        let fig15_row = Job::Simulate(fig15::ftl_runs()[2]);
-        for (faulty, victim) in [(fig15_row, "fig15"), (Job::Render("fig12"), "fig12")] {
+        let grid = fig15::op_grid();
+        let cases: [(Job, &[&str]); 3] = [
+            (Job::Simulate(grid[0]), &["fig15"]),
+            (Job::Simulate(grid[2]), &["fig15", "ablations"]),
+            (Job::Render("fig12"), &["fig12"]),
+        ];
+        for (faulty, victims) in cases {
+            let message = format!("synthetic fault in {faulty:?}");
+            let failed = |id: &str| ExperimentError::Failed {
+                id: id.to_owned(),
+                message: message.clone(),
+            };
             for format in FORMATS {
                 for parallelism in policies() {
                     let ids = ["fig9", "fig15", "all", "fig12", "ablations"];
                     let got = render_jobs(&ids, format, parallelism, &|job| {
-                        assert!(job != faulty, "synthetic fault in {victim}");
+                        assert!(job != faulty, "{message}");
                         job.run(format)
                     });
-                    let failed = ExperimentError::Failed {
-                        id: victim.to_owned(),
-                        message: format!("synthetic fault in {victim}"),
-                    };
                     for (id, result) in ids.iter().zip(got) {
                         let want = match *id {
-                            "all" => Err(lift_all_error(&failed)),
-                            id if id == victim => Err(failed.clone()),
+                            "all" => Err(lift_all_error(&failed(victims[0]))),
+                            id if victims.contains(&id) => Err(failed(id)),
                             id => serial(id, format),
                         };
-                        assert!(result == want, "{id} ({victim} faulty) {parallelism:?}");
+                        assert!(result == want, "{id} ({faulty:?} faulty) {parallelism:?}");
                     }
                 }
             }

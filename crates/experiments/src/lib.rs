@@ -4,10 +4,11 @@
 //! whose `Display` implementation prints the same rows/series the paper
 //! reports, computed on the calling thread. [`par_try_render_experiments`]
 //! renders any request as one flat job list on the pool: one job per
-//! independent simulator run of the two FTL-bound experiments (fig15 and
-//! ablations, each split into its runs and an `assemble` step) and one
-//! per other experiment, heaviest first, each fault-isolated. Its output
-//! is byte-identical to the serial rendering. Tests in each module pin
+//! distinct over-provisioning point that the two FTL-bound experiments
+//! simulate (fig15's seven rows, two of which the ablations read; each
+//! experiment then an `assemble` step) and one per other experiment,
+//! heaviest first, each fault-isolated. Its output is byte-identical to
+//! the serial rendering. Tests in each module pin
 //! the paper's qualitative claims: who wins under each metric, by roughly
 //! what factor, and where crossovers fall. EXPERIMENTS.md records
 //! paper-vs-measured for each.
@@ -337,14 +338,16 @@ pub fn par_try_render_experiment(
 /// Renders every requested experiment (or `"all"`) in `format`, one
 /// result per ID in request order, from one job list on `parallelism`.
 ///
-/// Each FTL-bound experiment contributes one job per simulator run
-/// (fig15's seven rows and the ablations' two WA points), and every
-/// other experiment one job that renders it whole. The jobs run on one
-/// [`act_dse::par_map_ordered`] call, heaviest first by each simulator
-/// run's expected flash page writes, so the light experiments run beside
-/// the tail of the simulator runs. An experiment requested more than
+/// Each over-provisioning point that an FTL-bound experiment simulates
+/// is one job, run once however many experiments read it (fig15's seven
+/// rows; the ablations' two WA points are fig15's 16 % and 34 % rows),
+/// and every other experiment is one job that renders it whole. The jobs
+/// run on one [`act_dse::par_map_ordered`] call, heaviest first by each
+/// simulation's expected flash page writes, so the light experiments run
+/// beside the tail of the simulations. An experiment requested more than
 /// once, alone or inside `"all"`, is rendered once. Each job is
-/// fault-isolated, and a failure is charged to its own experiment. The
+/// fault-isolated, and a failure is charged to every experiment that
+/// reads the job and to no other. The
 /// output is byte-identical to [`try_render_experiment`] for each ID
 /// whenever every experiment succeeds, under any policy, and
 /// [`Parallelism::Serial`] runs every job on the calling thread.

@@ -6,6 +6,7 @@
 //! cargo run --example ssd_provisioning
 //! ```
 
+use act::experiments::fig15;
 use act::ssd::{
     analytical_write_amplification, effective_embodied, FtlConfig, FtlSimulator, LifetimeModel,
     OverProvisioning, TracePattern, WriteTrace,
@@ -29,11 +30,17 @@ fn main() {
         let pf = OverProvisioning::new(0.04 + 0.06 * f64::from(step)).unwrap();
         let wa = analytical_write_amplification(pf);
 
-        // Empirical cross-check on a small simulated device.
+        // Empirical cross-check on a small simulated device, with
+        // Figure 15's trace seed and length, so this column reads as
+        // `act fig15`'s "WA (FTL sim)".
         let config = FtlConfig::small(pf);
         let mut ftl = FtlSimulator::new(config);
-        let mut trace = WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 1);
-        let wa_sim = ftl.measure_steady_state_wa(&mut trace, 30_000);
+        let mut trace = WriteTrace::new(
+            TracePattern::UniformRandom,
+            config.logical_pages(),
+            fig15::TRACE_SEED,
+        );
+        let wa_sim = ftl.measure_steady_state_wa(&mut trace, fig15::MEASURE_WRITES);
 
         let first = effective_embodied(pf, 2.0, &model) / baseline;
         let second = effective_embodied(pf, 4.0, &model) / baseline;
