@@ -135,8 +135,8 @@ pub(crate) fn assemble(wa_simulated: &[f64]) -> AblationsResult {
     }
 }
 
-/// Runs every ablation on the calling thread: one Figure 15 simulation
-/// per point of [`wa_points`], then `assemble`.
+/// Runs every ablation on the calling thread: Figure 15's simulations
+/// at its 16 % and 34 % rows (`wa_points`), then `assemble`.
 #[must_use]
 pub fn run() -> AblationsResult {
     let wa: Vec<f64> = wa_points().into_iter().map(fig15::simulate_wa).collect();
