@@ -190,8 +190,8 @@ fn serve_usage() -> &'static str {
                                 seed=42,p_slow=0.2,slow_read_ms=50,p_panic=0.05\n\
                                 (also read from ACT_FAULTS when unset)\n\
        --allow-remote-shutdown  honor POST /admin/shutdown (harness use)\n\n\
-     endpoints: GET /healthz /v1/stats /v1/experiments /v1/experiments/<id>\n\
-                POST /v1/footprint /v1/scenario /v1/fleet /v1/sweep /v1/montecarlo\n\n\
+     endpoints: GET /healthz /v1/stats /v1/params/reference /v1/experiments[/<id>]\n\
+                POST /v1/footprint /v1/scenario /v1/fleet /v1/sweep\n\n\
      SIGINT/SIGTERM stop accepting, drain in-flight requests under the drain\n\
      budget, then print a final {\"shutdown\":true,\"stats\":{...}} line."
 }

@@ -121,20 +121,17 @@ act_json::json_struct! {
 /// run ([`crate::par_monte_carlo_compiled_block_with`] and its budgeted
 /// twin).
 ///
-/// This is the SplitMix64 output function evaluated at position
-/// `index + 1` of the stream seeded by `master`: every sample gets its own
-/// statistically independent `Rng`, no RNG state is shared between
-/// samples, and the draw for sample `i` depends only on `(master, i)` —
-/// never on which thread evaluated it or in what order. That is the whole
-/// determinism argument: every thread count sees bit-identical draws.
+/// This is [`act_rng::split_seed`] at `index + 1`, the SplitMix64 output
+/// function at that position of the stream seeded by `master`: every
+/// sample gets its own statistically independent `Rng`, no RNG state is
+/// shared between samples, and the draw for sample `i` depends only on
+/// `(master, i)` — never on which thread evaluated it or in what order.
+/// That is the whole determinism argument: every thread count sees
+/// bit-identical draws.
 #[inline(always)]
 #[must_use]
 pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
-    const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut z = master.wrapping_add(index.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    act_rng::split_seed(master, index.wrapping_add(1))
 }
 
 /// Neumaier-compensated sum of the finite draws behind `keys` in slice

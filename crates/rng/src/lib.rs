@@ -81,7 +81,7 @@ pub fn splitmix64(state: u64) -> u64 {
 /// Monte-Carlo: sample `i` always draws from `Rng::seed_from_u64(
 /// split_seed(master, i))` regardless of which thread evaluates it, so
 /// results are bit-for-bit identical across thread counts.
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn split_seed(master: u64, index: u64) -> u64 {
     splitmix64(master.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA)))

@@ -1,7 +1,8 @@
 //! `act-server`: a hardened, std-only HTTP/1.1 service exposing the ACT
-//! carbon model — single footprints, JSON scenarios and fleet
-//! Monte-Carlo (`/v1/scenario`, `/v1/fleet`), design-space sweeps and
-//! Monte-Carlo runs — as NDJSON over `std::net::TcpListener`.
+//! carbon model — single footprints (`/v1/footprint`), JSON scenarios
+//! and their fleet Monte-Carlo (`/v1/scenario`, `/v1/fleet`) and
+//! design-space sweeps (`/v1/sweep`) — as NDJSON over
+//! `std::net::TcpListener`.
 //!
 //! The robustness contract, in order of what fails first under hostile
 //! traffic:
@@ -61,9 +62,6 @@ use stats::{ServerStats, StatsSnapshot};
 
 /// Largest accepted `/v1/sweep` (points per request).
 pub const MAX_SWEEP_POINTS: usize = 1_000_000;
-
-/// Largest accepted `/v1/montecarlo` run (samples per request).
-pub const MAX_MC_SAMPLES: usize = 10_000_000;
 
 /// Everything tunable about the service; `Default` is a sane local setup.
 #[derive(Clone, Debug)]

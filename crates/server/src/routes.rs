@@ -11,25 +11,26 @@
 //! serial render, act-experiments) and
 //! `experiment_rendering_is_byte_identical_to_the_library` (server = library).
 //!
-//! Sweeps and Monte-Carlo runs honor the per-request deadline through
-//! [`act_dse::EvalBudget`]: a request that runs out of time streams the
-//! results it finished and ends with a `{"error":"deadline",...}` trailer
-//! instead of hanging or being killed mid-write.
+//! Sweeps (`/v1/sweep`) and fleet Monte-Carlo runs (`/v1/fleet`) honor
+//! the per-request deadline through [`act_dse::EvalBudget`]: a request
+//! that runs out of time streams the results it finished and ends with a
+//! `{"error":"deadline",...}` trailer instead of hanging or being killed
+//! mid-write.
 //!
 //! Both batch endpoints consult the calibrated [`Parallelism::Auto`]
 //! policy per request: batches past the break-even threshold evaluate on
 //! the `act_dse` worker pool (bit-identical to the serial path), smaller
-//! ones stay serial. Every sweep trailer and Monte-Carlo summary carries
-//! the `threads` the evaluation actually used, so a client can see which
-//! path served it.
+//! ones stay serial. Every sweep trailer and fleet summary carries the
+//! `threads` the evaluation actually used, so a client can see which path
+//! served it.
 
 use std::io::Write;
 use std::time::Instant;
 
 use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
-    calibration, par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
-    BatchOutput, BatchRun, EvalBudget, McBuffer, McError, McOutcome, Parallelism, PointBatch,
+    calibration, par_sweep_compiled_block_budgeted, BatchOutput, BatchRun, EvalBudget,
+    McBuffer, McError, Parallelism, PointBatch,
 };
 use act_experiments::{concrete_experiment_ids, try_render_experiment, OutputFormat};
 use act_json::{format_float, FromJson, JsonValue, ToJson};
@@ -37,7 +38,7 @@ use act_json::{format_float, FromJson, JsonValue, ToJson};
 use crate::faults::FaultDecision;
 use crate::http::{Connection, Request, Status};
 use crate::stats::ServerStats;
-use crate::{ServerConfig, MAX_MC_SAMPLES, MAX_SWEEP_POINTS};
+use crate::{ServerConfig, MAX_SWEEP_POINTS};
 
 /// How a dispatched request ended, for the caller's accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,7 +176,6 @@ pub fn dispatch(
         ("POST", "/v1/scenario") => handle_scenario(conn, request),
         ("POST", "/v1/fleet") => handle_fleet(conn, request, stats, deadline),
         ("POST", "/v1/sweep") => handle_sweep(conn, request, stats, deadline),
-        ("POST", "/v1/montecarlo") => handle_montecarlo(conn, request, stats, deadline),
         ("POST", "/admin/shutdown") => {
             if config.allow_remote_shutdown {
                 conn.close();
@@ -271,11 +271,14 @@ fn handle_scenario(
 }
 
 /// `POST /v1/fleet` — a scenario document with a `fleet` block in, one
-/// Monte-Carlo summary line out (per-device stats plus the fleet total),
-/// then a deadline trailer when the budget expired mid-run (only the
-/// trailer when it expired before the first block). Rides the same
-/// budgeted block machinery as `/v1/montecarlo`, so the outcome is
-/// bit-identical whichever thread count the calibration picks.
+/// Monte-Carlo summary line out: per-device stats plus the fleet total,
+/// the `threads` the run used and the calibration. The run rides the
+/// budgeted block machinery, so the outcome is bit-identical whichever
+/// thread count the calibration picks. A run cut off by its budget
+/// streams the summary and then a deadline trailer; one cut off before
+/// its first block ([`McError::NoSamples`]: compiling already rejected
+/// `samples == 0`) streams the trailer alone, `completed: 0`. Any other
+/// run error is a 400 `fleet-failed`.
 fn handle_fleet(
     conn: &mut Connection<'_>,
     request: &Request,
@@ -293,14 +296,36 @@ fn handle_fleet(
     let mut buf = McBuffer::default();
     let budget = EvalBudget::with_deadline(deadline);
     let threads = Parallelism::Auto.resolve_for(fleet.samples()).workers;
-    let result = fleet.run(threads, &mut buf, &budget);
-    let fields = |outcome: &McOutcome| {
-        [
-            ("devices", fleet.devices().to_json()),
-            ("fleet_total_g", fleet.fleet_total_grams(outcome).to_json()),
-        ]
+    let (summary, completed) = match fleet.run(threads, &mut buf, &budget) {
+        Ok((outcome, run)) => {
+            let mut doc = outcome.to_json();
+            if let JsonValue::Object(obj) = &mut doc {
+                obj.insert("devices", fleet.devices().to_json());
+                obj.insert("fleet_total_g", fleet.fleet_total_grams(&outcome).to_json());
+                obj.insert("threads", threads.to_json());
+                obj.insert("calibration", calibration().to_json());
+            }
+            let mut line = doc.render_compact();
+            line.push('\n');
+            match run {
+                BatchRun::Completed => {
+                    conn.respond(Status::Ok, &line)?;
+                    return Ok(RouteOutcome::Completed);
+                }
+                BatchRun::DeadlineExceeded { completed } => (Some(line), completed),
+            }
+        }
+        Err(McError::NoSamples) => (None, 0),
+        Err(err) => return Reject::bad("fleet-failed", err.to_string()).respond(conn),
     };
-    respond_mc(conn, stats, result, fields, threads, "fleet-failed")
+    ServerStats::bump(&stats.deadline_trailers);
+    let mut out = conn.stream(Status::Ok)?;
+    if let Some(line) = summary {
+        out.write_all(line.as_bytes())?;
+    }
+    write_deadline_trailer(&mut out, completed, threads)?;
+    out.flush()?;
+    Ok(RouteOutcome::DeadlinePartial)
 }
 
 /// Maps an axis name from the wire (`"soc_area_mm2"`, `"dram[0]"`, ...)
@@ -332,25 +357,6 @@ fn parse_axis_name(name: &str) -> Result<FreeAxis, Reject> {
     }
 }
 
-/// Rejects a coordinate outside `axis`'s Table 1 range with a 400
-/// `invalid-axes` naming the wire axis, the value and where it sits
-/// (`position`, rendered only on failure). The block kernels behind
-/// `/v1/sweep` and `/v1/montecarlo` do not validate points themselves, so
-/// this keeps them to the ranges `/v1/footprint` enforces.
-fn check_axis_value(
-    axis: FreeAxis,
-    name: &str,
-    value: f64,
-    position: impl FnOnce() -> String,
-) -> Result<(), Reject> {
-    axis.check(value).map_err(|err| {
-        Reject::bad(
-            "invalid-axes",
-            format!("axis `{name}` value {value} {}: {err}", position()),
-        )
-    })
-}
-
 /// The process-wide break-even calibration as a compact JSON fragment for
 /// trailers. An unbounded threshold (the single-core pin) encodes as
 /// `null`, never as `usize::MAX` rounded through f64.
@@ -362,22 +368,17 @@ fn calibration_fragment() -> String {
 struct SweepRequest {
     compiled: CompiledFootprint,
     batch: PointBatch,
-    points: usize,
 }
 
-/// The `params` object that opens a `/v1/sweep` or `/v1/montecarlo` body.
-fn body_params(doc: &JsonValue) -> Result<ModelParams, Reject> {
+/// Reads a `/v1/sweep` body: the `params` document, then the non-empty
+/// `axes` array one entry at a time (its name, then its `values`), so an
+/// entry is checked in full before the next entry's name is read.
+fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
+    let doc = parse_body(request)?;
     let params =
         doc.get("params").ok_or_else(|| Reject::bad("invalid-params", "missing `params`"))?;
-    ModelParams::from_json(params).map_err(|err| Reject::bad("invalid-params", err.to_string()))
-}
-
-/// The non-empty `axes` array of a `/v1/sweep` or `/v1/montecarlo` body,
-/// read one entry at a time as `(axis, wire name, entry)`: a route checks
-/// an entry's own fields before the next entry's name is read.
-fn body_axes(
-    doc: &JsonValue,
-) -> Result<impl Iterator<Item = Result<(FreeAxis, &str, &JsonValue), Reject>>, Reject> {
+    let params = ModelParams::from_json(params)
+        .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
     let entries = doc
         .get("axes")
         .and_then(JsonValue::as_array)
@@ -385,23 +386,14 @@ fn body_axes(
     if entries.is_empty() {
         return Err(Reject::bad("invalid-axes", "`axes` must not be empty"));
     }
-    Ok(entries.iter().map(|entry| {
+    let mut axes = Vec::new();
+    let mut columns: Vec<Vec<f64>> = Vec::new();
+    for entry in entries {
         let name = entry
             .get("axis")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| Reject::bad("invalid-axes", "axis entry missing `axis` name"))?;
-        Ok((parse_axis_name(name)?, name, entry))
-    }))
-}
-
-fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
-    let doc = parse_body(request)?;
-    let params = body_params(&doc)?;
-    let mut axes = Vec::new();
-    let mut columns: Vec<Vec<f64>> = Vec::new();
-    let mut points = None;
-    for entry in body_axes(&doc)? {
-        let (axis, name, entry) = entry?;
+        let axis = parse_axis_name(name)?;
         axes.push(axis);
         let values = entry.get("values").and_then(JsonValue::as_array).ok_or_else(|| {
             Reject::bad("invalid-axes", format!("axis `{name}` missing `values` array"))
@@ -423,26 +415,29 @@ fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
                 let value = v.as_f64().ok_or_else(|| {
                     Reject::bad("invalid-axes", format!("axis `{name}` has a non-number value"))
                 })?;
-                check_axis_value(axis, name, value, || format!("at index {index}"))?;
+                // The block kernel does not validate points itself; this
+                // keeps a sweep to the Table 1 ranges `/v1/footprint`
+                // enforces.
+                axis.check(value).map_err(|err| {
+                    Reject::bad(
+                        "invalid-axes",
+                        format!("axis `{name}` value {value} at index {index}: {err}"),
+                    )
+                })?;
                 Ok(value)
             })
             .collect::<Result<_, _>>()?;
         if len == 0 {
             return Err(Reject::bad("invalid-axes", format!("axis `{name}` has no values")));
         }
-        match points {
-            None => points = Some(len),
-            Some(n) if n != len => {
-                return Err(Reject::bad(
-                    "invalid-axes",
-                    format!("axis `{name}` has {len} values, expected {n}"),
-                ));
-            }
-            Some(_) => {}
+        if let Some(n) = columns.first().map(Vec::len).filter(|&n| n != len) {
+            return Err(Reject::bad(
+                "invalid-axes",
+                format!("axis `{name}` has {len} values, expected {n}"),
+            ));
         }
         columns.push(column);
     }
-    let points = points.unwrap_or(0);
     let compiled = CompiledFootprint::try_compile(&params, &axes)
         .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
     // The per-axis checks above already reject empty/ragged columns, but a
@@ -450,7 +445,7 @@ fn parse_sweep(request: &Request) -> Result<SweepRequest, Reject> {
     // shape check turns any slip into a 400, not a caught panic.
     let batch = PointBatch::try_from_columns(columns)
         .map_err(|err| Reject::bad("invalid-axes", err.to_string()))?;
-    Ok(SweepRequest { compiled, batch, points })
+    Ok(SweepRequest { compiled, batch })
 }
 
 /// `POST /v1/sweep` — streams one `{"i":N,"gco2":...}` line per point
@@ -465,6 +460,7 @@ fn handle_sweep(
         Ok(sweep) => sweep,
         Err(reject) => return reject.respond(conn),
     };
+    let points = sweep.batch.len();
 
     let mut out = BatchOutput::default();
     let budget = EvalBudget::with_deadline(deadline);
@@ -478,7 +474,7 @@ fn handle_sweep(
     // The calibrated policy decides serial vs. pool; both paths produce
     // bit-identical values, so clients cannot observe which ran except
     // through the `threads` field in the trailer.
-    let threads = Parallelism::Auto.resolve_for(sweep.points).workers;
+    let threads = Parallelism::Auto.resolve_for(points).workers;
     let run = par_sweep_compiled_block_budgeted(
         Parallelism::threads(threads),
         &sweep.batch,
@@ -492,7 +488,7 @@ fn handle_sweep(
     // eval budget.
     let mut stream = conn.stream(Status::Ok)?;
     let completed = match run {
-        BatchRun::Completed => sweep.points,
+        BatchRun::Completed => points,
         BatchRun::DeadlineExceeded { completed } => completed,
     };
     let mut rejected_iter = out.rejected().iter().peekable();
@@ -512,7 +508,7 @@ fn handle_sweep(
             writeln!(
                 stream,
                 "{{\"done\":true,\"points\":{},\"rejected\":{},\"threads\":{threads},\"calibration\":{}}}",
-                sweep.points,
+                points,
                 out.rejected().len(),
                 calibration_fragment(),
             )?;
@@ -540,165 +536,6 @@ fn write_deadline_trailer(
         "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{}}}",
         calibration_fragment(),
     )
-}
-
-/// Answers a budgeted Monte-Carlo run on `threads` threads. A run that
-/// completed is one summary line: the outcome with `fields(outcome)`
-/// appended, then the `threads` and the calibration. A run cut off by its
-/// budget streams that line and then a deadline trailer, and one cut off
-/// before its first block ([`McError::NoSamples`]: parsing already
-/// rejected `samples == 0`) streams the trailer alone, `completed: 0`.
-/// Any other error is a 400 of the route's `failed` kind.
-fn respond_mc<const N: usize>(
-    conn: &mut Connection<'_>,
-    stats: &ServerStats,
-    result: Result<(McOutcome, BatchRun), McError>,
-    fields: impl FnOnce(&McOutcome) -> [(&'static str, JsonValue); N],
-    threads: usize,
-    failed: &'static str,
-) -> std::io::Result<RouteOutcome> {
-    let (summary, completed) = match result {
-        Ok((outcome, run)) => {
-            let mut doc = outcome.to_json();
-            if let JsonValue::Object(obj) = &mut doc {
-                for (key, value) in fields(&outcome) {
-                    obj.insert(key, value);
-                }
-                obj.insert("threads", threads.to_json());
-                obj.insert("calibration", calibration().to_json());
-            }
-            let mut line = doc.render_compact();
-            line.push('\n');
-            match run {
-                BatchRun::Completed => {
-                    conn.respond(Status::Ok, &line)?;
-                    return Ok(RouteOutcome::Completed);
-                }
-                BatchRun::DeadlineExceeded { completed } => (Some(line), completed),
-            }
-        }
-        Err(McError::NoSamples) => (None, 0),
-        Err(err) => return Reject::bad(failed, err.to_string()).respond(conn),
-    };
-    ServerStats::bump(&stats.deadline_trailers);
-    let mut out = conn.stream(Status::Ok)?;
-    if let Some(line) = summary {
-        out.write_all(line.as_bytes())?;
-    }
-    write_deadline_trailer(&mut out, completed, threads)?;
-    out.flush()?;
-    Ok(RouteOutcome::DeadlinePartial)
-}
-
-/// The decoded, validated body of a Monte-Carlo request.
-struct McRequest {
-    compiled: CompiledFootprint,
-    ranges: Vec<(f64, f64)>,
-    samples: usize,
-    seed: u64,
-}
-
-fn parse_montecarlo(request: &Request) -> Result<McRequest, Reject> {
-    let doc = parse_body(request)?;
-    let params = body_params(&doc)?;
-    let samples = doc
-        .get("samples")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| Reject::bad("invalid-samples", "missing integer `samples`"))?
-        as usize;
-    if samples == 0 {
-        return Err(Reject::bad("invalid-samples", "`samples` must be positive"));
-    }
-    if samples > MAX_MC_SAMPLES {
-        return Err(Reject {
-            status: Status::PayloadTooLarge,
-            kind: "too-many-points",
-            message: format!("{samples} samples exceed the {MAX_MC_SAMPLES}-sample limit"),
-        });
-    }
-    // A missing seed is 0, as in a fleet block; a present one must be a
-    // non-negative integer, never silently read as 0.
-    let seed = match doc.get("seed") {
-        Some(raw) => {
-            u64::from_json(raw).map_err(|err| Reject::bad("invalid-seed", err.to_string()))?
-        }
-        None => 0,
-    };
-    let mut axes = Vec::new();
-    let mut ranges = Vec::new();
-    for entry in body_axes(&doc)? {
-        let (axis, name, entry) = entry?;
-        axes.push(axis);
-        let low = entry.get("low").and_then(JsonValue::as_f64);
-        let high = entry.get("high").and_then(JsonValue::as_f64);
-        let (Some(low), Some(high)) = (low, high) else {
-            return Err(Reject::bad(
-                "invalid-axes",
-                format!("axis `{name}` needs numeric `low` and `high`"),
-            ));
-        };
-        if !(low.is_finite() && high.is_finite() && low < high) {
-            return Err(Reject::bad(
-                "invalid-axes",
-                format!("axis `{name}` needs finite low < high"),
-            ));
-        }
-        // Every draw lies in [low, high), so both ends in range means
-        // every sample is.
-        check_axis_value(axis, name, low, || "as `low`".to_owned())?;
-        check_axis_value(axis, name, high, || "as `high`".to_owned())?;
-        ranges.push((low, high));
-    }
-    let compiled = CompiledFootprint::try_compile(&params, &axes)
-        .map_err(|err| Reject::bad("invalid-params", err.to_string()))?;
-    Ok(McRequest { compiled, ranges, samples, seed })
-}
-
-/// `POST /v1/montecarlo` — one summary line (`McOutcome` JSON), then a
-/// deadline trailer when the budget expired mid-run, or the trailer
-/// alone when it expired before any sample finished.
-fn handle_montecarlo(
-    conn: &mut Connection<'_>,
-    request: &Request,
-    stats: &ServerStats,
-    deadline: Instant,
-) -> std::io::Result<RouteOutcome> {
-    let mc = match parse_montecarlo(request) {
-        Ok(mc) => mc,
-        Err(reject) => return reject.respond(conn),
-    };
-
-    let mut buf = McBuffer::default();
-    let budget = EvalBudget::with_deadline(deadline);
-    let ranges = mc.ranges;
-    // The block sampler draws sample `k` straight into the reusable
-    // structure-of-arrays columns, one draw per axis in axis order: that
-    // order is part of the seed-split contract.
-    let sampler = |rng: &mut act_rng::Rng, k: usize, columns: &mut [Vec<f64>]| {
-        for (column, (low, high)) in columns.iter_mut().zip(&ranges) {
-            if let Some(slot) = column.get_mut(k) {
-                *slot = rng.gen_range(*low..*high);
-            }
-        }
-    };
-    let plan = mc.compiled.plan();
-    let block_kernel = |cols: &[&[f64]], range: std::ops::Range<usize>, out: &mut [f64]| {
-        plan.eval_block(cols, range, out);
-    };
-    // Per-sample seeding makes the draws order-independent, so the pooled
-    // path returns the same summary bit-for-bit (see `act_dse::batch`).
-    let threads = Parallelism::Auto.resolve_for(mc.samples).workers;
-    let result = par_monte_carlo_compiled_block_budgeted(
-        Parallelism::threads(threads),
-        mc.samples,
-        mc.seed,
-        ranges.len(),
-        sampler,
-        block_kernel,
-        &mut buf,
-        &budget,
-    );
-    respond_mc(conn, stats, result, |_| [], threads, "montecarlo-failed")
 }
 
 #[cfg(test)]

@@ -338,6 +338,44 @@ pub struct SoakReport {
     pub server_finished: u64,
 }
 
+/// A valid fleet document: the soak's inverted-triangular hostile
+/// document with its support put right, 64 samples.
+const FLEET: &str = "{\"name\":\"x\",\"chips\":[],\"dram\":[],\"ssd\":[],\"hdd\":[],\
+     \"packaged_ic_count\":1,\
+     \"workload\":{\"power_w\":5.0,\"utilization\":0.5,\"lifetime_years\":3.0,\
+     \"use_intensity_g_per_kwh\":300.0},\
+     \"fleet\":{\"devices\":10,\"samples\":64,\
+     \"lifetime_years\":{\"dist\":\"triangular\",\"low\":1.0,\"mode\":3.0,\"high\":9.0},\
+     \"use_intensity_g_per_kwh\":{\"dist\":\"point\",\"value\":300.0},\
+     \"utilization\":{\"dist\":\"point\",\"value\":0.5}}}";
+
+/// Checks the answer to [`FLEET`], sent under the server's fault plan: a
+/// 200 summary line or deadline trailer, or what a rolled fault draws (a
+/// 400 `invalid-json` for a corrupted body, a 500 for a handler panic, a
+/// 503 when shed, no response from a killed worker).
+fn check_fleet_response(response: &str) -> Result<(), String> {
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    let expected = match status_code(response) {
+        0 => response.is_empty(),
+        200 => {
+            body.starts_with("{\"stats\":") && body.contains("\"fleet_total_g\":")
+                || body
+                    .lines()
+                    .last()
+                    .is_some_and(|line| line.starts_with("{\"error\":\"deadline\""))
+        }
+        400 => json_str(body, "kind") == Some("invalid-json"),
+        500 => json_str(body, "kind") == Some("internal"),
+        503 => true,
+        _ => false,
+    };
+    if expected {
+        Ok(())
+    } else {
+        Err(format!("a valid /v1/fleet document drew an unexpected answer:\n{response}"))
+    }
+}
+
 /// The soak servers' limits: two workers, so a few slow requests queue
 /// work behind them.
 const SERVE_ARGS: [&str; 8] =
@@ -398,11 +436,12 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
             None => {
                 // `kept` sends several requests but, like every other
                 // kind, on one connection.
-                const MIX: [&str; 12] = [
+                const MIX: [&str; 13] = [
                     "health",
                     "experiment",
                     "footprint",
                     "sweep",
+                    "fleet",
                     "kept",
                     "truncated",
                     "garbage",
@@ -449,6 +488,13 @@ pub fn run_soak(config: &ServiceConfig) -> Result<SoakReport, String> {
             "experiment" => get_line(&addr, "/v1/experiments/fig1", timeout),
             "footprint" => post_line(&addr, "/v1/footprint", &params, "", timeout),
             "sweep" => post_line(&addr, "/v1/sweep", &sweep_body, "", timeout),
+            "fleet" => {
+                let response = post_line(&addr, "/v1/fleet", FLEET, "", timeout);
+                if let Ok(response) = &response {
+                    check_fleet_response(response)?;
+                }
+                response
+            }
             "kept" => {
                 // Fault-free requests on one reused connection; a hang
                 // there fails the run, a close is the server's right.
@@ -743,6 +789,25 @@ mod tests {
         assert_eq!(json_u64(line, "pid"), Some(123));
         assert_eq!(json_str(line, "missing"), None);
         assert_eq!(json_u64(line, "missing"), None);
+    }
+
+    #[test]
+    fn fleet_answers_are_a_summary_a_trailer_or_a_rolled_fault() {
+        let ok = "HTTP/1.1 200 OK\r\n\r\n{\"stats\":{\"mean\":1.0},\"fleet_total_g\":10.0}\n";
+        let cut = "HTTP/1.1 200 OK\r\n\r\n{\"error\":\"deadline\",\"completed\":0}\n";
+        let malformed =
+            "HTTP/1.1 400 Bad Request\r\n\r\n{\"error\":{\"kind\":\"invalid-json\"}}\n";
+        let panicked =
+            "HTTP/1.1 500 Internal Server Error\r\n\r\n{\"error\":{\"kind\":\"internal\"}}\n";
+        for response in [ok, cut, malformed, panicked, ""] {
+            assert!(check_fleet_response(response).is_ok(), "{response}");
+        }
+        let rejected =
+            "HTTP/1.1 400 Bad Request\r\n\r\n{\"error\":{\"kind\":\"invalid-scenario\"}}\n";
+        let empty_ok = "HTTP/1.1 200 OK\r\n\r\n{\"ok\":true}\n";
+        for response in [rejected, empty_ok] {
+            assert!(check_fleet_response(response).is_err(), "{response}");
+        }
     }
 
     #[test]
